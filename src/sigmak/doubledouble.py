@@ -9,7 +9,9 @@ residual pipeline (Hessian entries, Jacobi eigenvalues, e_k recurrence) in
 double-double pushes that error below 1e-20.
 
 No FMA is assumed: products are split with Dekker's algorithm, which is exact
-for operands below ~1e292 (far above anything produced here).
+while operands and products stay below ``SPLIT_MAX`` = 2**996 (~6.7e299);
+past that the split's ``_SPLITTER * a`` overflows.  Callers that could reach
+it guard their inputs (see ``solution._check_radius``).
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from fractions import Fraction
 DD = tuple[float, float]
 
 _SPLITTER = 134217729.0  # 2**27 + 1
+# _SPLITTER * a overflows once |a| reaches 2**1024 / (2**27 + 1), just under 2**997
+SPLIT_MAX = 2.0**996
 
 # ln 2 to double-double precision (hi is the correctly rounded double)
 _LN2: DD = (0.6931471805599453, 2.3190468138462996e-17)

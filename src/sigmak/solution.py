@@ -82,6 +82,11 @@ class Point:
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
         object.__setattr__(self, "t", float(self.t))
         object.__setattr__(self, "w", tuple(float(v) for v in self.w))
+        for name, values in (("x", self.x), ("t", (self.t,)), ("w", self.w)):
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(
+                    f"point coordinate {name} must be finite, got {getattr(self, name)}"
+                )
 
     @classmethod
     def from_coords(cls, params: SolutionParams, coords) -> "Point":
@@ -146,6 +151,36 @@ def _check_exponent(p: SolutionParams, t: float) -> None:
         )
 
 
+def _check_radius(
+    p: SolutionParams, x_radius: float, t_lo: float, t_hi: float, what: str
+) -> None:
+    """Refuse |x_i| <= R = x_radius, t in [t_lo, t_hi] if Hessians could overflow.
+
+    The absolute Hessian entries sum to at most
+
+        F = (n-1) (2 + 4R + R^2) e^t_hi + e^(-(k-1) t_lo) / A + (B/A) e^t_hi,
+
+    which bounds ||D^2 u||_F and every eigenvalue.  In dimension d every
+    partial sum and product of the e_j recurrence, and fro**j (j <= k) in the
+    cone thresholds and the minor audit, is then at most (1 + F)^d.  Requiring
+    (1 + F)^d <= doubledouble.SPLIT_MAX = 2^996 keeps them all finite and in
+    the range where Dekker's split is exact: on t in [-2, 2], x_radius up to
+    ~2e49 for n = 3 and ~5e12 for n = 11.  `what` names the input in the
+    error.  Run _check_exponent on t_lo and t_hi first.
+    """
+    et = math.exp(t_hi)
+    bound = (
+        (p.n_base - 1) * (2.0 + 4.0 * x_radius + x_radius * x_radius) * et
+        + math.exp(-(p.k - 1) * t_lo) / float(p.A)
+        + float(p.B / p.A) * et
+    )
+    if p.total_dim * math.log2(1.0 + bound) > math.log2(dd.SPLIT_MAX):
+        raise OverflowError(
+            f"{what} lets the Hessian norm reach {bound:.3g}; sigma_1..sigma_{p.total_dim} "
+            f"stay finite only while (1 + that)^{p.total_dim} <= 2^996"
+        )
+
+
 def h_eval(p: SolutionParams, t: float, order: int) -> float:
     """h, h' or h'' at t from the two-term closed form."""
     if order not in (0, 1, 2):
@@ -191,6 +226,8 @@ def eval_jet(p: SolutionParams, pt: Point) -> Jet2:
     """
     _check_point(p, pt)
     t = pt.t
+    _check_exponent(p, t)
+    _check_radius(p, max(map(abs, pt.x)), t, t, f"point x = {pt.x}, t = {t}")
     h0 = h_eval(p, t, 0)
     h1 = h_eval(p, t, 1)
     h2 = h_eval(p, t, 2)

@@ -3,9 +3,9 @@
 Reproducible sampling
 ---------------------
 Sampling is counter-based so that identical (box, seed) pairs produce
-identical points regardless of execution order or worker count.  Word number
-c (c = 0, 1, 2, ...) of the stream for a given 64-bit seed is the splitmix64
-mix of ``seed + (c+1) * 0x9E3779B97F4A7C15``, all modulo 2^64:
+identical points regardless of execution order.  Word number c (c = 0, 1,
+2, ...) of the stream for a given 64-bit seed is the splitmix64 mix of
+``seed + (c+1) * 0x9E3779B97F4A7C15``, all modulo 2^64:
 
     z = seed + (c+1) * 0x9E3779B97F4A7C15
     z = (z XOR (z >> 30)) * 0xBF58476D1CE4E5B9
@@ -18,20 +18,19 @@ per coordinate, x block first, then t, then the w block.
 
 Precision
 ---------
-The per-point residual |sigma_k - 1| is computed through the eigenvalue path
-(Jacobi + e_k recurrence) carried in double-double arithmetic: at sample-box
+Each sample's Hessian is built and diagonalized once, in double-double
+arithmetic (Jacobi, then one pass of the e_j recurrence): at sample-box
 corners the cancellation in sigma_k is too severe for plain doubles to
-certify a 1e-9 bound once k reaches 4.  Cone verdicts, sigma vectors and the
-phase check stay in ordinary double precision, whose tolerances they meet
-comfortably.
+certify a 1e-9 bound once k reaches 4.  The residual |sigma_k - 1|, the
+sigma vector behind the cone verdicts and min_sigma_j, the negative
+eigenvalue count and the n = 3 phase all come from those double-double
+values, rounded to float64 only where a float threshold judges them.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +46,7 @@ from .solution import (
     Point,
     SolutionParams,
     _check_exponent,
+    _check_radius,
     eval_jet,
     h_eval,
     hessian_dd,
@@ -54,18 +54,17 @@ from .solution import (
 )
 from .symfunc import (
     MINOR_DIM_LIMIT,
+    SigmaVector,
     SymmetricMatrix,
     eigenvalues_symmetric,
     eigenvalues_symmetric_dd,
     elementary_symmetric_dd,
-    sigma_all_via_charpoly,
     sigma_via_minors,
 )
 
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-THREADS_ENV_VAR = "SIGMAK_THREADS"
 PHASE_TOL = 1e-9
 CRITICAL_PHASE_N3 = math.pi / 2
 MINOR_AUDIT_STRIDE = 100  # cross-check sigma_k by minors on 1% of samples
@@ -95,6 +94,13 @@ class SampleBox:
     w_radius: float = 0.0
 
     def __post_init__(self):
+        for name, values in (
+            ("x_radius", (self.x_radius,)),
+            ("t_range", self.t_range),
+            ("w_radius", (self.w_radius,)),
+        ):
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.x_radius > 0:
             raise ValueError(f"x_radius must be positive, got {self.x_radius}")
         t_lo, t_hi = self.t_range
@@ -140,136 +146,72 @@ def sample_point(p: SolutionParams, box: SampleBox, index: int) -> Point:
     return Point.from_coords(p, coords)
 
 
-@dataclass
-class _ChunkStats:
-    max_resid: float = -1.0
-    argmax_index: int = -1
-    argmax_point: Point | None = None
-    cone_failures: int = 0
-    lemma_failures: int = 0
-    min_sigma_j: float = math.inf
-    phase_failures: int = 0
-
-
-def _scan_chunk(p: SolutionParams, box: SampleBox, lo: int, hi: int) -> _ChunkStats:
-    k = p.k
-    check_phase = p.n_base == 3 and p.m == 0
-    stats = _ChunkStats()
-    for i in range(lo, hi):
-        pt = sample_point(p, box, i)
-        jet = eval_jet(p, pt)
-        hess = jet.hessian
-        fro = hess.frobenius_norm()
-
-        lam_dd = eigenvalues_symmetric_dd(hessian_dd(p, pt))
-        sigma_k_dd = elementary_symmetric_dd(lam_dd, k)
-        resid = abs(dd.to_float(dd.add_f(sigma_k_dd, -1.0)))
-        if resid > stats.max_resid:
-            stats.max_resid = resid
-            stats.argmax_index = i
-            stats.argmax_point = pt
-
-        lam = [dd.to_float(v) for v in lam_dd]
-        sigmas = sigma_all_via_charpoly(hess)
-        neg = count_negative_eigenvalues(lam, fro)
-        if not _sigma_positivity_verdict(sigmas, neg, fro, k).in_cone:
-            stats.cone_failures += 1
-        if not _lemma_verdict(sigmas, neg, fro, k).in_cone:
-            stats.lemma_failures += 1
-        worst_j = min(sigmas.sigmas[:k])
-        if worst_j < stats.min_sigma_j:
-            stats.min_sigma_j = worst_j
-
-        if i % MINOR_AUDIT_STRIDE == 0 and hess.dim <= MINOR_DIM_LIMIT:
-            by_minors = sigma_via_minors(hess, k)
-            if abs(by_minors - dd.to_float(sigma_k_dd)) > 1e-8 * (1.0 + fro**k):
-                raise ConvergenceError(
-                    f"minor-sum audit disagrees at sample {i}: "
-                    f"{by_minors} vs {dd.to_float(sigma_k_dd)}"
-                )
-
-        if check_phase:
-            phase = sum(math.atan(v) for v in lam)
-            if abs(phase - CRITICAL_PHASE_N3) > PHASE_TOL:
-                stats.phase_failures += 1
-    return stats
-
-
-def _merge(a: _ChunkStats, b: _ChunkStats) -> _ChunkStats:
-    # a precedes b in sample order; strict > keeps the earliest argmax on ties
-    out = _ChunkStats()
-    if b.max_resid > a.max_resid:
-        out.max_resid, out.argmax_index, out.argmax_point = (
-            b.max_resid,
-            b.argmax_index,
-            b.argmax_point,
-        )
-    else:
-        out.max_resid, out.argmax_index, out.argmax_point = (
-            a.max_resid,
-            a.argmax_index,
-            a.argmax_point,
-        )
-    out.cone_failures = a.cone_failures + b.cone_failures
-    out.lemma_failures = a.lemma_failures + b.lemma_failures
-    out.min_sigma_j = min(a.min_sigma_j, b.min_sigma_j)
-    out.phase_failures = a.phase_failures + b.phase_failures
-    return out
-
-
-def worker_count() -> int:
-    """Worker cap from the SIGMAK_THREADS environment variable (default 1)."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None or not raw.strip():
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
-    return n
-
-
 def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
     """Scan `box.count` seeded points; aggregate residual, cone and phase checks.
 
-    The report is identical for identical (params, box) regardless of worker
-    count, elapsed_seconds aside.
+    Every check of a sample reads the same double-double eigenvalues and
+    their e_1..e_d (see the module docstring); every 100th sample also
+    compares sigma_k with the principal-minor sum of the Hessian.  A
+    ConvergenceError raised by a sample names its index and point.  The
+    report is identical for identical (params, box), elapsed_seconds aside.
     """
     for bound in box.t_range:
         _check_exponent(p, bound)
+    _check_radius(
+        p, box.x_radius, *box.t_range, f"x_radius = {box.x_radius:g} with t_range = {box.t_range}"
+    )
     start = time.perf_counter()
 
-    workers = worker_count()
-    count = box.count
-    n_chunks = min(workers, count)
-    bounds = [
-        (count * c // n_chunks, count * (c + 1) // n_chunks) for c in range(n_chunks)
-    ]
-    if n_chunks == 1:
-        parts = [_scan_chunk(p, box, 0, count)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(lambda lh: _scan_chunk(p, box, lh[0], lh[1]), bounds)
-            )
-    agg = parts[0]
-    for part in parts[1:]:
-        agg = _merge(agg, part)
+    k = p.k
+    d = p.total_dim
+    check_phase = p.n_base == 3 and p.m == 0
+    max_resid, argmax_point = -1.0, None
+    cone_failures = lemma_failures = phase_failures = 0
+    min_sigma_j = math.inf
+    for i in range(box.count):
+        pt = sample_point(p, box, i)
+        try:
+            hess = hessian_dd(p, pt)
+            lam_dd = eigenvalues_symmetric_dd(hess)
+            e = elementary_symmetric_dd(lam_dd)
+            sigmas = SigmaVector(sigmas=tuple(dd.to_float(v) for v in e), n=d)
+            lam = [dd.to_float(v) for v in lam_dd]
+            fro = math.sqrt(sum(v * v for v in lam))
+            if i % MINOR_AUDIT_STRIDE == 0 and d <= MINOR_DIM_LIMIT:
+                floats = SymmetricMatrix([[dd.to_float(v) for v in row] for row in hess])
+                by_minors = sigma_via_minors(floats, k)
+                if abs(by_minors - sigmas.sigma(k)) > 1e-8 * (1.0 + fro**k):
+                    raise ConvergenceError(
+                        f"minor-sum audit disagrees: {by_minors} vs {sigmas.sigma(k)}"
+                    )
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"sample {i} at {pt}: {exc}", offdiag_norm=exc.offdiag_norm
+            ) from exc
 
-    phase_ok = None
-    if p.n_base == 3 and p.m == 0:
-        phase_ok = agg.phase_failures == 0
+        resid = abs(dd.to_float(dd.add_f(e[k - 1], -1.0)))
+        if resid > max_resid:
+            max_resid, argmax_point = resid, pt
+        neg = count_negative_eigenvalues(lam, fro)
+        if not _sigma_positivity_verdict(sigmas, neg, fro, k).in_cone:
+            cone_failures += 1
+        if not _lemma_verdict(sigmas, neg, fro, k).in_cone:
+            lemma_failures += 1
+        min_sigma_j = min(min_sigma_j, *sigmas.sigmas[:k])
+        if check_phase:
+            phase = sum(math.atan(v) for v in lam)
+            if abs(phase - CRITICAL_PHASE_N3) > PHASE_TOL:
+                phase_failures += 1
+
     return ResidualReport(
         params_echo=p,
-        samples=count,
-        max_abs_residual=agg.max_resid,
-        argmax_point=agg.argmax_point,
-        cone_failures=agg.cone_failures,
-        lemma_failures=agg.lemma_failures,
-        min_sigma_j=agg.min_sigma_j,
-        phase_ok=phase_ok,
+        samples=box.count,
+        max_abs_residual=max_resid,
+        argmax_point=argmax_point,
+        cone_failures=cone_failures,
+        lemma_failures=lemma_failures,
+        min_sigma_j=min_sigma_j,
+        phase_ok=phase_failures == 0 if check_phase else None,
         elapsed_seconds=time.perf_counter() - start,
     )
 

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sigmak.cli import run
 
@@ -83,6 +85,75 @@ class TestVerify:
         first.pop("elapsed_seconds")
         second.pop("elapsed_seconds")
         assert json.dumps(first) == json.dumps(second)
+
+    def test_min_sigma_j_is_sigma_k_exactly(self, capsys):
+        # sigma_k = 1 at every sample and sigma_j, j < k, stays above it on
+        # this box; the dd sigmas resolve that minimum exactly (the float
+        # charpoly gave 0.99999998...)
+        code, payload, _ = run_json(
+            capsys, ["verify", "-n", "7", "--samples", "500", "--seed", "0"]
+        )
+        assert code == 0
+        assert payload["report"]["min_sigma_j"] == 1.0
+
+
+def strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-finite number {token} in output")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["verify", "-n", "3", "--x-radius", "inf", "--samples", "5"], "x_radius"),
+            (["verify", "-n", "3", "--x-radius", "nan", "--samples", "5"], "x_radius"),
+            (["verify", "-n", "3", "--x-radius", "1e160", "--samples", "5"], "x_radius"),
+            (["verify", "-n", "3", "--x-radius", "1e60", "--samples", "5"], "x_radius"),
+            (["verify", "-n", "3", "--t-min=-inf", "--samples", "5"], "t_range"),
+            (["eval", "-n", "3", "--point", "nan,0,0"], "point coordinate x"),
+            (["eval", "-n", "3", "--point", "0,0,inf"], "point coordinate t"),
+            (["eval", "-n", "3", "--point", "1e200,0,0"], "point x = (1e+200"),
+        ],
+    )
+    def test_exits_2_naming_the_field(self, capsys, argv, field):
+        assert run(argv) == 2
+        assert field in capsys.readouterr().err
+
+    # a token is finite, non-finite, or a float literal that overflows to inf
+    TOKENS = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.sampled_from(["nan", "-inf", "1e400", "-1e400", "1e160", "-700", "700"]),
+    )
+    FIELD_NAMES = {
+        "--x-radius": ("x_radius",),
+        "--t-min": ("t_range", "|t|"),
+        "--point": ("point", "|t|"),
+    }
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        flag=st.sampled_from(["--x-radius", "--t-min", "--point"]),
+        tokens=st.lists(TOKENS, min_size=3, max_size=3),
+    )
+    def test_random_tokens_exit_2_or_print_strict_json(self, capsys, flag, tokens):
+        if flag == "--point":
+            argv = ["eval", "-n", "3", "--point", ",".join(tokens)]
+        else:
+            argv = ["verify", "-n", "3", "--samples", "3", f"{flag}={tokens[0]}"]
+        code = run(argv)
+        out = capsys.readouterr()
+        if code == 2:
+            assert any(name in out.err for name in self.FIELD_NAMES[flag]), out.err
+        else:
+            assert code in (0, 1)
+            strict_json(out.out)
 
 
 class TestVerifyBeyondCertifiedRange:

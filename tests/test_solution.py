@@ -154,6 +154,26 @@ class TestEvalJet:
         with pytest.raises(ValueError, match="shape"):
             eval_jet(p, Point(x=(1.0, 2.0), t=0.0, w=(0.5,)))
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"x": (math.nan, 0.0), "t": 0.0}, "x"),
+            ({"x": (0.0, 0.0), "t": math.inf}, "t"),
+            ({"x": (0.0, 0.0), "t": 0.0, "w": (-math.inf,)}, "w"),
+        ],
+    )
+    def test_point_rejects_non_finite(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"point coordinate {field} must be finite"):
+            Point(**kwargs)
+
+    def test_radius_guard(self):
+        p = derive_constants(3)
+        eval_jet(p, Point(x=(1e49, 0.0), t=2.0))
+        with pytest.raises(OverflowError, match=r"point x = \(1e\+50, 0.0\)"):
+            eval_jet(p, Point(x=(1e50, 0.0), t=2.0))
+        with pytest.raises(OverflowError, match="Hessian norm"):
+            eval_jet(p, Point(x=(0.0, 0.0), t=-400.0))
+
     def test_value_matches_solution_value(self):
         p = derive_constants(5)
         pt = Point(x=(0.3, -1.2, 0.0, 2.5), t=0.7)
@@ -241,5 +261,5 @@ class TestHessianDD:
         p = derive_constants(7)
         pt = Point(x=(3.0,) * 6, t=2.0)
         lam = eigenvalues_symmetric_dd(hessian_dd(p, pt))
-        sigma = elementary_symmetric_dd(lam, 4)
+        sigma = elementary_symmetric_dd(lam)[3]
         assert abs(dd.to_float(dd.add_f(sigma, -1.0))) < 1e-20

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import e_brute, random_symmetric, random_rotation, rotate_exactly_symmetric
 from sigmak import doubledouble as dd
-from sigmak.errors import CapabilityError
+from sigmak.errors import CapabilityError, ConvergenceError
 from sigmak.symfunc import (
     SymmetricMatrix,
     eigenvalues_symmetric,
@@ -243,5 +243,23 @@ class TestDoubleDoubleVariants:
 
     def test_dd_elementary_symmetric_exact(self):
         vals = [dd.from_float(v) for v in (2.0, 2.0, -0.75)]
-        out = elementary_symmetric_dd(vals, 2)
-        assert dd.to_float(out) == pytest.approx(1.0, abs=1e-30)
+        out = [dd.to_float(v) for v in elementary_symmetric_dd(vals)]
+        assert out == [3.25, 1.0, -3.0]
+
+    def test_dd_elementary_symmetric_matches_exact_recurrence(self):
+        rng = random.Random(29)
+        for _ in range(20):
+            vals = [rng.uniform(-4.0, 4.0) for _ in range(rng.randrange(1, 9))]
+            out = elementary_symmetric_dd([dd.from_float(v) for v in vals])
+            exact = [Fraction(v) for v in vals]
+            for j, got in enumerate(out, start=1):
+                want = elementary_symmetric(exact, j)
+                assert abs(Fraction(got[0]) + Fraction(got[1]) - want) < 1e-25 * (1 + 4.0**j)
+
+    def test_dd_trace_check_is_wired(self, monkeypatch):
+        from sigmak import symfunc
+
+        monkeypatch.setattr(symfunc, "DD_TRACE_REL_TOL", -1.0)
+        entries = [[dd.from_float(v) for v in row] for row in ((2.0, 1.0), (1.0, 3.0))]
+        with pytest.raises(ConvergenceError, match="drifted from the trace"):
+            eigenvalues_symmetric_dd(entries)

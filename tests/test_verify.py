@@ -87,6 +87,21 @@ class TestSampleBox:
         with pytest.raises(ValueError):
             SampleBox(x_radius=1.0, t_range=(-1.0, 1.0), count=10, seed=0, w_radius=-0.1)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"x_radius": math.inf}, "x_radius"),
+            ({"x_radius": math.nan}, "x_radius"),
+            ({"t_range": (-math.inf, 1.0)}, "t_range"),
+            ({"t_range": (-1.0, math.nan)}, "t_range"),
+            ({"w_radius": math.inf}, "w_radius"),
+        ],
+    )
+    def test_non_finite_rejected(self, kwargs, field):
+        fields = {"x_radius": 1.0, "t_range": (-1.0, 1.0), "count": 10, "seed": 0, **kwargs}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SampleBox(**fields)
+
 
 class TestResidualScan:
     def test_n3_standard_box(self):
@@ -119,33 +134,33 @@ class TestResidualScan:
             b, elapsed_seconds=0.0
         )
 
-    def test_worker_count_does_not_change_report(self, monkeypatch):
-        box = dataclasses.replace(BOX, count=250)
-        monkeypatch.delenv("SIGMAK_THREADS", raising=False)
-        single = residual_scan(P3, box)
-        monkeypatch.setenv("SIGMAK_THREADS", "4")
-        multi = residual_scan(P3, box)
-        assert dataclasses.replace(single, elapsed_seconds=0.0) == dataclasses.replace(
-            multi, elapsed_seconds=0.0
-        )
-
-    def test_invalid_worker_env(self, monkeypatch):
-        monkeypatch.setenv("SIGMAK_THREADS", "zero")
-        with pytest.raises(ValueError, match="SIGMAK_THREADS"):
-            residual_scan(P3, dataclasses.replace(BOX, count=10))
-        monkeypatch.setenv("SIGMAK_THREADS", "0")
-        with pytest.raises(ValueError, match="SIGMAK_THREADS"):
-            residual_scan(P3, dataclasses.replace(BOX, count=10))
-
-    def test_blank_worker_env_defaults_to_one(self, monkeypatch):
-        monkeypatch.setenv("SIGMAK_THREADS", "")
-        rep = residual_scan(P3, dataclasses.replace(BOX, count=10))
-        assert rep.samples == 10
-
     def test_overflow_guard_on_t_range(self):
         box = SampleBox(x_radius=1.0, t_range=(-800.0, 800.0), count=10, seed=0)
         with pytest.raises(OverflowError):
             residual_scan(P3, box)
+
+    def test_radius_guard(self):
+        with pytest.raises(OverflowError, match="x_radius = 1e\\+160"):
+            residual_scan(P3, dataclasses.replace(BOX, x_radius=1e160, count=1))
+        with pytest.raises(OverflowError, match=r"t_range = \(-400.0, 2.0\)"):
+            residual_scan(P3, dataclasses.replace(BOX, t_range=(-400.0, 2.0), count=1))
+
+    @pytest.mark.parametrize("n, x_radius", [(3, 2e49), (11, 4e12)])
+    def test_scan_stays_finite_just_inside_the_radius_guard(self, n, x_radius):
+        box = SampleBox(x_radius=x_radius, t_range=(-2.0, 2.0), count=20, seed=5)
+        rep = residual_scan(derive_constants(n), box)
+        assert math.isfinite(rep.max_abs_residual)
+        assert math.isfinite(rep.min_sigma_j)
+
+    def test_convergence_error_names_the_sample(self, monkeypatch):
+        from sigmak import symfunc
+        from sigmak.errors import ConvergenceError
+
+        monkeypatch.setattr(symfunc, "DD_TRACE_REL_TOL", -1.0)
+        first = sample_point(P3, BOX, 0)
+        with pytest.raises(ConvergenceError, match="drifted from the trace") as info:
+            residual_scan(P3, dataclasses.replace(BOX, count=3))
+        assert str(info.value).startswith(f"sample 0 at {first}: ")
 
     def test_argmax_point_is_reproducible(self):
         rep = residual_scan(P3, dataclasses.replace(BOX, count=200))
@@ -193,9 +208,39 @@ class TestResidualAgainstExactArithmetic:
         for i in range(5):
             hdd = hessian_dd(p, sample_point(p, box, i))
             lam = eigenvalues_symmetric_dd(hdd)
-            reported = dd.to_float(dd.add_f(elementary_symmetric_dd(lam, p.k), -1.0))
+            reported = dd.to_float(dd.add_f(elementary_symmetric_dd(lam)[p.k - 1], -1.0))
             truth = float(exact_sigma(hdd, p.k) - 1)
             assert abs(reported - truth) < 1e-24
+
+
+class TestScanSigmasAgainstFloatOracles:
+    @pytest.mark.parametrize("n, m", [(3, 0), (5, 0), (7, 0), (3, 2)])
+    def test_dd_sigmas_match_charpoly_and_minors(self, n, m):
+        # the scan's sigma_1..sigma_d come from the dd eigenvalues; the float
+        # charpoly and the principal-minor sums must agree at moderate points
+        from sigmak import doubledouble as dd
+        from sigmak.solution import hessian_dd
+        from sigmak.symfunc import (
+            eigenvalues_symmetric_dd,
+            elementary_symmetric_dd,
+            sigma_all_via_charpoly,
+            sigma_via_minors,
+        )
+
+        p = extend(derive_constants(n), m)
+        box = SampleBox(x_radius=1.0, t_range=(-1.0, 1.0), count=20, seed=11, w_radius=1.0)
+        for i in range(box.count):
+            pt = sample_point(p, box, i)
+            e = elementary_symmetric_dd(eigenvalues_symmetric_dd(hessian_dd(p, pt)))
+            hess = eval_jet(p, pt).hessian
+            fro = hess.frobenius_norm()
+            charpoly = sigma_all_via_charpoly(hess)
+            for j in range(1, p.total_dim + 1):
+                tol = 1e-10 * (1.0 + fro**j)
+                by_dd = dd.to_float(e[j - 1])
+                assert by_dd == pytest.approx(charpoly.sigma(j), abs=tol)
+                assert by_dd == pytest.approx(sigma_via_minors(hess, j), abs=tol)
+            assert dd.to_float(e[p.k - 1]) == 1.0
 
 
 class TestFiniteDifferenceOracle:
