@@ -32,6 +32,7 @@ from .symbolic import (
     sym_det,
     sym_mul,
     sym_sigma_k,
+    sym_sigmas,
     verify_exact,
 )
 from .symfunc import (
@@ -93,5 +94,6 @@ __all__ = [
     "sym_det",
     "sym_mul",
     "sym_sigma_k",
+    "sym_sigmas",
     "verify_exact",
 ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -39,8 +40,9 @@ from .verify import (
 
 # a scan on the standard box passes only if the worst residual stays below this
 RESIDUAL_GATE = 1e-9
-# exact certification is required before trusting numerics, where tractable
-EXACT_GATE_MAX_N = 9
+# a matrix file whose entries bound F (below) has (1 + F)^max(dim, 2) past
+# this is refused: the same 2^996 as the scan's radius guard
+MATRIX_SCALE_MAX = 2.0**996
 
 
 def _params_payload(p: SolutionParams) -> dict:
@@ -88,6 +90,8 @@ def _cert_payload(cert: Certification) -> dict:
         "n_base": cert.n_base,
         "k": cert.k,
         "ok": cert.ok,
+        "cone_ok": cert.cone_ok,
+        "cone_failure_j": cert.cone_failure_j,
         "residual_terms": [
             {"r_power": a, "exp_coeff": b, "coeff": str(c)}
             for (a, b), c in sorted(cert.residual.items())
@@ -103,7 +107,15 @@ def _csv_floats(raw: str) -> list[float]:
 
 
 def _read_matrix_file(path: str) -> SymmetricMatrix:
-    """Plain text: first line the dimension, then dim rows of dim numbers."""
+    """Plain text: first line the dimension, then dim rows of dim numbers.
+
+    Every entry must be a finite number; a bad one is named by its row and
+    column (1-based, counting rows after the dimension line).  The file is
+    refused when F = dim * max|entry|, which bounds the Frobenius norm and
+    every eigenvalue, has (1 + F)^max(dim, 2) > 2^996: below that every
+    sigma_j, fro**j (j <= dim) in the cone thresholds, the charpoly's
+    intermediate products and the squares in the norms stay finite.
+    """
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"matrix file {path} is empty")
@@ -116,11 +128,29 @@ def _read_matrix_file(path: str) -> SymmetricMatrix:
             f"matrix file {path}: expected {dim} rows after the dimension line"
         )
     rows = []
-    for ln in lines[1:]:
-        row = [float(tok) for tok in ln.split()]
-        if len(row) != dim:
+    for i, ln in enumerate(lines[1:], start=1):
+        tokens = ln.split()
+        if len(tokens) != dim:
             raise ValueError(f"matrix file {path}: row {ln!r} does not have {dim} entries")
+        row = []
+        for j, tok in enumerate(tokens, start=1):
+            try:
+                value = float(tok)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"matrix file {path}: entry {tok!r} at row {i}, column {j} "
+                    "is not a finite number"
+                )
+            row.append(value)
         rows.append(row)
+    biggest = max(abs(v) for row in rows for v in row)
+    if max(dim, 2) * math.log2(1.0 + dim * biggest) > math.log2(MATRIX_SCALE_MAX):
+        raise OverflowError(
+            f"matrix file {path}: entries up to {biggest:.3g} in dimension {dim} "
+            f"could overflow; (1 + dim * max|entry|)^{max(dim, 2)} must stay <= 2^996"
+        )
     return SymmetricMatrix.symmetrized(rows, tol=1e-12)
 
 
@@ -202,9 +232,7 @@ def _cmd_eval(ns) -> tuple[dict, int]:
 
 def _cmd_verify(ns) -> tuple[dict, int]:
     p = extend(derive_constants(ns.n), ns.m)
-    exact_certified = None
-    if ns.n <= EXACT_GATE_MAX_N:
-        exact_certified = verify_exact(ns.n).ok
+    exact_certified = verify_exact(ns.n).ok
     box = SampleBox(
         x_radius=ns.x_radius,
         t_range=(ns.t_min, ns.t_max),
@@ -214,7 +242,7 @@ def _cmd_verify(ns) -> tuple[dict, int]:
     )
     rep = residual_scan(p, box)
     passed = (
-        exact_certified is not False
+        exact_certified
         and rep.max_abs_residual <= RESIDUAL_GATE
         and rep.cone_failures == 0
         and rep.lemma_failures == 0

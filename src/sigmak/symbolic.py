@@ -9,8 +9,11 @@ Example:  r^2 e^t + 1/4 e^(-t)  ->  {(2, 1): Fraction(1), (0, -1): Fraction(1, 4
 
 This is enough to house every entry of the rotated Hessian of the solution
 ansatz (whose entries are 2e^t, 2r e^t and r^2 e^t + h''(t)) and therefore to
-expand sigma_k of it exactly: the certification that the expansion collapses
-to the constant 1 is a finite rational computation.
+expand sigma_1..sigma_n of it exactly, by the Faddeev-LeVerrier trace
+recursion (`sym_sigmas`): the certification that sigma_k collapses to the
+constant 1, and that every sigma_j with j < k is positive, is a finite
+rational computation.  The Leibniz minor sums (`sigma_k_partition`) stay as
+the small-n oracle that shows where the binomial cancellation happens.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .solution import derive_constants
 Monomial = tuple[int, int]  # (a, b): r^a * e^(b*t)
 SymExpr = dict[Monomial, Fraction]
 
-SYM_DET_DIM_LIMIT = 8  # Leibniz expansion over dim! permutations
 SIGMA_WORK_LIMIT = 10**7  # C(dim, k) * k! permutation products
 
 # partition of the k-subsets by membership of the r-coupled row (index 0)
@@ -74,6 +76,12 @@ def sym_neg(expr: SymExpr) -> SymExpr:
 
 def sym_sub(lhs: SymExpr, rhs: SymExpr) -> SymExpr:
     return sym_add(lhs, sym_neg(rhs))
+
+
+def sym_scale(expr: SymExpr, c) -> SymExpr:
+    """c * expr for a rational constant c."""
+    coeff = Fraction(c)
+    return {mono: coeff * v for mono, v in expr.items()} if coeff else {}
 
 
 def sym_mul(lhs: SymExpr, rhs: SymExpr) -> SymExpr:
@@ -137,13 +145,58 @@ class SymMatrix:
         return cls(dim=len(rows), entries=tuple(tuple(dict(e) for e in row) for row in rows))
 
 
+def sym_sigmas(m: SymMatrix) -> list[SymExpr]:
+    """Exact sigma_1..sigma_dim by the Faddeev-LeVerrier trace recursion.
+
+    The characteristic polynomial is lambda^n + c_1 lambda^(n-1) + ... + c_n
+    with c_j = -tr(A M_j)/j, M_1 = I, M_(j+1) = A M_j + c_j I; then
+    sigma_j = (-1)^j c_j.  Division by the integer j is exact on Fraction.
+    The j = 1 product A M_1 = A is not formed, and each product runs only
+    over the nonzero entries of A's rows (the rotated Hessian is an arrow
+    matrix).  A and every M_j are symmetric polynomials in A, so A M_j is
+    symmetric and only its upper triangle is computed.
+    """
+    n = m.dim
+    # row i of a matrix as {column: entry} over its nonzero entries
+    a_rows = [{col: e for col, e in enumerate(row) if e} for row in m.entries]
+    prod = a_rows  # A M_j, here for j = 1
+    sigmas = []
+    for j in range(1, n + 1):
+        trace: SymExpr = {}
+        for i, row in enumerate(prod):
+            trace = sym_add(trace, row.get(i, {}))
+        sigma = sym_scale(trace, Fraction((-1) ** (j + 1), j))
+        sigmas.append(sigma)
+        if j == n:
+            break
+        c_j = sigma if j % 2 == 0 else sym_neg(sigma)
+        mj = [dict(row) for row in prod]  # M_(j+1) = A M_j + c_j I
+        for i, row in enumerate(mj):
+            entry = sym_add(row.get(i, {}), c_j)
+            if entry:
+                row[i] = entry
+            else:
+                row.pop(i, None)
+        prod = [{} for _ in range(n)]
+        for i, a_row in enumerate(a_rows):
+            acc = prod[i]
+            for mid, a_entry in a_row.items():
+                for col, m_entry in mj[mid].items():
+                    if col >= i:
+                        term = sym_mul(a_entry, m_entry)
+                        acc[col] = sym_add(acc[col], term) if col in acc else term
+        for i, row in enumerate(prod):
+            for col, entry in list(row.items()):
+                if not entry:
+                    del row[col]
+                elif col > i:
+                    prod[col][i] = entry
+    return sigmas
+
+
 def sym_det(m: SymMatrix) -> SymExpr:
-    """Exact determinant by the signed permutation sum."""
-    if m.dim > SYM_DET_DIM_LIMIT:
-        raise CapabilityError(
-            f"symbolic determinants are capped at dim {SYM_DET_DIM_LIMIT}, got {m.dim}"
-        )
-    return _det_leibniz(m.entries, tuple(range(m.dim)))
+    """Exact determinant: sigma_dim from the trace recursion."""
+    return sym_sigmas(m)[-1]
 
 
 def _det_leibniz(entries, idx) -> SymExpr:
@@ -213,7 +266,27 @@ def sigma_k_partition(m: SymMatrix, k: int) -> SigmaPartition:
 
 def sym_sigma_k(m: SymMatrix, k: int) -> SymExpr:
     """Exact sigma_k of a symbolic symmetric matrix."""
-    return sigma_k_partition(m, k).total
+    if not 1 <= k <= m.dim:
+        raise ValueError(f"k must be in 1..{m.dim}, got {k}")
+    return sym_sigmas(m)[k - 1]
+
+
+def first_nonpositive_sigma(sigmas: list[SymExpr], k: int) -> int | None:
+    """The first j < k whose sigma_j is not certified positive, or None.
+
+    sigma_j is certified positive on r >= 0, t real when it is a nonempty sum
+    of terms c * r^a * e^(bt) with every c > 0 and at least one a = 0 term
+    (the one that keeps it positive at r = 0).  With sigma_k = 1 this puts
+    the matrix in the Garding cone sigma_1, ..., sigma_k > 0 at every point.
+    """
+    for j, sigma in enumerate(sigmas[: k - 1], start=1):
+        if (
+            not sigma
+            or any(c <= 0 for c in sigma.values())
+            or not any(a == 0 for a, _ in sigma)
+        ):
+            return j
+    return None
 
 
 def rotated_hessian_from_constants(
@@ -255,25 +328,43 @@ def build_rotated_hessian(n_base: int) -> SymMatrix:
 
 @dataclass(frozen=True)
 class Certification:
-    """Outcome of the exact identity check sigma_k(D^2 u) = 1."""
+    """Outcome of the exact checks sigma_k(D^2 u) = 1 and D^2 u in Gamma_k.
+
+    `residual` is sigma_k - 1 ({} certifies the identity); `cone_failure_j`
+    is the first j < k whose sigma_j is not certified positive (None
+    certifies the Garding cone, see `first_nonpositive_sigma`).
+    """
 
     n_base: int
     k: int
-    ok: bool
     residual: SymExpr
+    cone_failure_j: int | None
+
+    @property
+    def identity_ok(self) -> bool:
+        return not self.residual
+
+    @property
+    def cone_ok(self) -> bool:
+        return self.cone_failure_j is None
+
+    @property
+    def ok(self) -> bool:
+        return self.identity_ok and self.cone_ok
 
 
 def verify_exact(n_base: int) -> Certification:
-    """Certify, in exact arithmetic, that sigma_k of the solution Hessian is 1.
+    """Certify, in exact arithmetic, that sigma_k of the solution Hessian is 1
+    and that the Hessian lies in the Garding cone, for any odd n_base >= 3.
 
-    Only n_base in {3, 5, 7, 9} is supported: past that the Leibniz expansion
-    stops being the right tool.
+    Appending inert coordinates leaves every sigma_j unchanged, so the
+    certificate also covers the extensions to every n >= 2k - 1.
     """
     p = derive_constants(n_base)  # raises for even or too-small n_base
-    if n_base > 9:
-        raise CapabilityError(
-            f"exact certification is capped at n_base = 9, got {n_base}"
-        )
-    total = sym_sigma_k(build_rotated_hessian(n_base), p.k)
-    residual = sym_sub(total, sym_const(1))
-    return Certification(n_base=n_base, k=p.k, ok=not residual, residual=residual)
+    sigmas = sym_sigmas(build_rotated_hessian(n_base))
+    return Certification(
+        n_base=n_base,
+        k=p.k,
+        residual=sym_sub(sigmas[p.k - 1], sym_const(1)),
+        cone_failure_j=first_nonpositive_sigma(sigmas, p.k),
+    )

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sigmak import cli
 from sigmak.cli import run
+from sigmak.symbolic import Certification
 
 
 def run_json(capsys, argv):
@@ -125,12 +127,15 @@ class TestBadInput:
     # a token is finite, non-finite, or a float literal that overflows to inf
     TOKENS = st.one_of(
         st.floats(allow_nan=True, allow_infinity=True).map(repr),
-        st.sampled_from(["nan", "-inf", "1e400", "-1e400", "1e160", "-700", "700"]),
+        st.sampled_from(
+            ["nan", "-inf", "1e400", "-1e400", "1e160", "-700", "700", "1e300", "1e150"]
+        ),
     )
     FIELD_NAMES = {
         "--x-radius": ("x_radius",),
         "--t-min": ("t_range", "|t|"),
         "--point": ("point", "|t|"),
+        "--matrix-file": ("is not a finite number", "could overflow"),
     }
 
     @settings(
@@ -139,12 +144,17 @@ class TestBadInput:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
-        flag=st.sampled_from(["--x-radius", "--t-min", "--point"]),
+        flag=st.sampled_from(["--x-radius", "--t-min", "--point", "--matrix-file"]),
         tokens=st.lists(TOKENS, min_size=3, max_size=3),
     )
-    def test_random_tokens_exit_2_or_print_strict_json(self, capsys, flag, tokens):
+    def test_random_tokens_exit_2_or_print_strict_json(self, capsys, tmp_path, flag, tokens):
         if flag == "--point":
             argv = ["eval", "-n", "3", "--point", ",".join(tokens)]
+        elif flag == "--matrix-file":
+            # the symmetric 2x2 matrix [[t0, t1], [t1, t2]]
+            path = tmp_path / "m.txt"
+            path.write_text(f"2\n{tokens[0]} {tokens[1]}\n{tokens[1]} {tokens[2]}\n")
+            argv = ["cone-check", "-k", "2", "--matrix-file", str(path)]
         else:
             argv = ["verify", "-n", "3", "--samples", "3", f"{flag}={tokens[0]}"]
         code = run(argv)
@@ -158,13 +168,13 @@ class TestBadInput:
 
 class TestVerifyBeyondCertifiedRange:
     def test_n11_is_conservatively_uncertifiable(self, capsys):
-        # no exact gate past n = 9, and the scale-aware strict-positivity
+        # the exact certificate holds, but the scale-aware strict-positivity
         # thresholds exceed what float64 can certify at k = 6 box corners
         code, payload, _ = run_json(
             capsys, ["verify", "-n", "11", "--samples", "20", "--seed", "3"]
         )
         assert code == 1
-        assert payload["exact_certified"] is None
+        assert payload["exact_certified"] is True
         assert payload["checks_passed"] is False
         assert payload["report"]["max_abs_residual"] <= 1e-9
 
@@ -176,8 +186,25 @@ class TestVerifyExact:
         assert payload["ok"] is True
         assert payload["residual_terms"] == []
 
-    def test_out_of_range_exits_2(self, capsys):
-        assert run(["verify-exact", "-n", "11"]) == 2
+    @pytest.mark.parametrize("n", [11, 13])
+    def test_past_the_old_cap(self, capsys, n):
+        code, payload, _ = run_json(capsys, ["verify-exact", "-n", str(n)])
+        assert code == 0
+        assert payload["ok"] is True
+        assert payload["cone_ok"] is True
+        assert payload["cone_failure_j"] is None
+        assert payload["residual_terms"] == []
+
+    def test_verify_gates_on_the_cone_certificate(self, capsys, monkeypatch):
+        # sigma_k = 1 alone does not certify: a failed cone verdict fails verify
+        monkeypatch.setattr(
+            cli, "verify_exact",
+            lambda n: Certification(n_base=n, k=(n + 1) // 2, residual={}, cone_failure_j=1),
+        )
+        code, payload, _ = run_json(capsys, ["verify", "-n", "3", "--samples", "5"])
+        assert code == 1
+        assert payload["exact_certified"] is False
+        assert payload["checks_passed"] is False
 
 
 @pytest.fixture
@@ -219,6 +246,31 @@ class TestConeCheck:
         path = tmp_path / "bad.txt"
         path.write_text("2\n1 0\n")
         assert run(["cone-check", "--matrix-file", str(path), "-k", "1"]) == 2
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("2\nnan 0\n0 1\n", "entry 'nan' at row 1, column 1 is not a finite number"),
+            ("2\n1 0\n0 -inf\n", "entry '-inf' at row 2, column 2 is not a finite number"),
+            ("2\n1 two\ntwo 1\n", "entry 'two' at row 1, column 2 is not a finite number"),
+            ("2\n1e300 0\n0 1e300\n", "entries up to 1e+300 in dimension 2 could overflow"),
+            ("1\n1e200\n", "entries up to 1e+200 in dimension 1 could overflow"),
+        ],
+    )
+    def test_bad_entries_exit_2_naming_the_file(self, capsys, tmp_path, text, named):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        for argv in (["cone-check", "-k", "1"], ["phase-check"]):
+            assert run(argv + ["--matrix-file", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"matrix file {path}" in err and named in err, err
+
+    def test_largest_accepted_scale_stays_finite(self, capsys, matrix_file):
+        # (1 + 2 * 1e149)^2 < 2^996: sigma_2 ~ 1e298 and fro**2 stay finite
+        path = matrix_file([[1e149, 0.0], [0.0, 1e149]])
+        code, payload, _ = run_json(capsys, ["cone-check", "--matrix-file", path, "-k", "2"])
+        assert code == 0
+        assert payload["sigma_positivity"]["sigmas"][1] == pytest.approx(1e298)
 
 
 class TestPhaseCheck:

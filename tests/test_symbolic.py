@@ -13,6 +13,7 @@ from sigmak.symbolic import (
     CLASS_WITHOUT_T,
     SymMatrix,
     build_rotated_hessian,
+    first_nonpositive_sigma,
     rotated_hessian_from_constants,
     sigma_k_partition,
     sym_add,
@@ -22,7 +23,9 @@ from sigmak.symbolic import (
     sym_format,
     sym_mul,
     sym_neg,
+    sym_scale,
     sym_sigma_k,
+    sym_sigmas,
     sym_sub,
     sym_term,
     verify_exact,
@@ -102,15 +105,85 @@ class TestSymDet:
             (0, 0): Fraction(-2),
         }
 
-    def test_dimension_cap(self):
-        one = sym_const(1)
-        rows = [[one if i == j else {} for j in range(9)] for i in range(9)]
-        with pytest.raises(CapabilityError):
-            sym_det(SymMatrix.from_rows(rows))
+    def test_no_dimension_cap(self):
+        # past the old Leibniz cap of dim 8: diag(2e^t, ..., 2e^t) in dim 12
+        two_et = sym_term(2, 0, 1)
+        rows = [[two_et if i == j else {} for j in range(12)] for i in range(12)]
+        assert sym_det(SymMatrix.from_rows(rows)) == {(0, 12): Fraction(2**12)}
 
     def test_structural_symmetry_enforced(self):
         with pytest.raises(ValueError, match="differ"):
             SymMatrix.from_rows([[sym_const(1), sym_const(2)], [sym_const(3), sym_const(1)]])
+
+
+_small_exprs = st.dictionaries(
+    _monomials, st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    max_size=2,
+)
+
+
+@st.composite
+def _sym_matrices(draw):
+    dim = draw(st.integers(1, 5))
+    rows = [[{} for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            rows[i][j] = rows[j][i] = draw(_small_exprs)
+    return SymMatrix.from_rows(rows)
+
+
+class TestSymSigmas:
+    @settings(max_examples=40, deadline=None)
+    @given(_sym_matrices())
+    def test_trace_recursion_matches_minor_sums(self, m):
+        sigmas = sym_sigmas(m)
+        assert len(sigmas) == m.dim
+        for j, sigma in enumerate(sigmas, start=1):
+            assert sigma == sigma_k_partition(m, j).total
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_rotated_hessian_matches_minor_sums(self, n):
+        m = build_rotated_hessian(n)
+        assert sym_sigmas(m) == [sigma_k_partition(m, j).total for j in range(1, n + 1)]
+
+    def test_sigma_k_index_checked(self):
+        with pytest.raises(ValueError, match="k must be"):
+            sym_sigma_k(build_rotated_hessian(3), 4)
+
+    def test_scale(self):
+        assert sym_scale(sym_term(3, 1, 1), Fraction(1, 3)) == {(1, 1): Fraction(1)}
+        assert sym_scale(sym_term(3, 1, 1), 0) == {}
+
+
+class TestConeCertificate:
+    POSITIVE = sym_add(sym_term(2, 0, 1), sym_term(1, 2, 1))  # 2e^t + r^2 e^t
+
+    def test_positive_sigmas_pass(self):
+        assert first_nonpositive_sigma([self.POSITIVE, self.POSITIVE, {}], 3) is None
+
+    def test_only_sigmas_below_k_count(self):
+        assert first_nonpositive_sigma([self.POSITIVE, {}, sym_const(-1)], 2) is None
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {},  # sigma_j = 0
+            sym_add(sym_term(2, 0, 1), sym_term(-1, 2, 1)),  # a negative term
+            sym_term(1, 2, 1),  # r^2 e^t vanishes at r = 0
+        ],
+    )
+    def test_first_failing_j(self, bad):
+        assert first_nonpositive_sigma([self.POSITIVE, bad, bad], 4) == 2
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_perturbed_constants_leave_the_cone(self, n):
+        # B/A = 2(n-k)/k < 2(n-1) keeps the e^t coefficient of sigma_1
+        # positive; past 2(n-1) it turns negative, and A < 0 turns the
+        # e^(-(k-1)t) coefficient negative
+        p = derive_constants(n)
+        for bad_a, bad_b in ((p.A, p.A * 2 * n), (-p.A, p.B)):
+            m = rotated_hessian_from_constants(n, p.k, bad_a, bad_b)
+            assert first_nonpositive_sigma(sym_sigmas(m), p.k) == 1
 
 
 class TestRotatedHessian:
@@ -202,11 +275,14 @@ class TestVerifyExact:
         with pytest.raises(ValueError, match="odd"):
             verify_exact(4)
 
-    def test_out_of_range_dimension(self):
-        with pytest.raises(CapabilityError):
-            verify_exact(11)
+    @pytest.mark.parametrize("n", range(11, 33, 2))
+    def test_certificate_and_cone_past_the_old_cap(self, n):
+        cert = verify_exact(n)
+        assert cert.residual == {}
+        assert cert.cone_failure_j is None
+        assert cert.identity_ok and cert.cone_ok and cert.ok
 
-    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("n", [3, 5, 7, 11])
     def test_perturbed_constants_fail(self, n):
         p = derive_constants(n)
         for bad_a, bad_b in ((p.A + 1, p.B), (p.A, p.B - 1)):
