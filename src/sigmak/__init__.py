@@ -7,9 +7,9 @@ numerical scans and by exact rational expansion of sigma_k.
 
 from .cone import (
     ConeVerdict,
+    cone_verdicts,
     deformation_monotonicity_check,
-    gamma_k_by_lemma,
-    gamma_k_by_sigma_positivity,
+    gamma_k,
 )
 from .errors import CapabilityError, ConvergenceError
 from .solution import (
@@ -72,6 +72,7 @@ __all__ = [
     "SymmetricMatrix",
     "build_rotated_hessian",
     "cancellation_coefficient",
+    "cone_verdicts",
     "deformation_monotonicity_check",
     "derive_constants",
     "eigenvalues_symmetric",
@@ -79,8 +80,7 @@ __all__ = [
     "eval_jet",
     "extend",
     "fd_hessian",
-    "gamma_k_by_lemma",
-    "gamma_k_by_sigma_positivity",
+    "gamma_k",
     "h_eval",
     "h_formula",
     "nonpoly_witness",

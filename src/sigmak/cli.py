@@ -18,7 +18,7 @@ import sys
 import time
 from pathlib import Path
 
-from .cone import gamma_k_by_lemma, gamma_k_by_sigma_positivity
+from .cone import gamma_k
 from .errors import ConvergenceError
 from .solution import (
     Point,
@@ -106,15 +106,26 @@ def _csv_floats(raw: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {raw!r}")
 
 
+def _finite_float(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {raw!r}")
+    return value
+
+
 def _read_matrix_file(path: str) -> SymmetricMatrix:
     """Plain text: first line the dimension, then dim rows of dim numbers.
 
     Every entry must be a finite number; a bad one is named by its row and
     column (1-based, counting rows after the dimension line).  The file is
     refused when F = dim * max|entry|, which bounds the Frobenius norm and
-    every eigenvalue, has (1 + F)^max(dim, 2) > 2^996: below that every
-    sigma_j, fro**j (j <= dim) in the cone thresholds, the charpoly's
-    intermediate products and the squares in the norms stay finite.
+    every eigenvalue, has (1 + F)^max(dim, 2) > 2^996: below that the
+    fro**j (j <= dim) of the cone thresholds, the e_j products of the
+    eigenvalues (|sigma_j| <= (1 + F)^dim) and the squares in the norms
+    stay finite.
     """
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines:
@@ -203,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("phase-check", help="sum of arctangents of eigenvalues")
     sp.add_argument("--matrix-file", required=True)
-    sp.add_argument("--expected", type=float, default=None,
+    sp.add_argument("--expected", type=_finite_float, default=None,
                     help="fail (exit 1) if the phase differs by more than 1e-9")
     add_output(sp)
 
@@ -265,8 +276,7 @@ def _cmd_verify_exact(ns) -> tuple[dict, int]:
 
 def _cmd_cone_check(ns) -> tuple[dict, int]:
     m = _read_matrix_file(ns.matrix_file)
-    by_sigma = gamma_k_by_sigma_positivity(m, ns.k)
-    by_lemma = gamma_k_by_lemma(m, ns.k)
+    by_sigma, by_lemma = gamma_k(m, ns.k)
     payload = {
         "command": "cone-check",
         "dim": m.dim,
@@ -279,8 +289,8 @@ def _cmd_cone_check(ns) -> tuple[dict, int]:
 
 def _cmd_phase_check(ns) -> tuple[dict, int]:
     m = _read_matrix_file(ns.matrix_file)
-    phase = sl_phase(m)
-    spectrum = eigenvalues_symmetric(m)
+    values = eigenvalues_symmetric(m).values
+    phase = sl_phase(values)
     within = None
     if ns.expected is not None:
         within = abs(phase - ns.expected) <= PHASE_TOL
@@ -288,7 +298,7 @@ def _cmd_phase_check(ns) -> tuple[dict, int]:
         "command": "phase-check",
         "dim": m.dim,
         "phase": phase,
-        "eigenvalues": list(spectrum.values),
+        "eigenvalues": list(values),
         "expected": ns.expected,
         "within_tolerance": within,
     }

@@ -5,10 +5,17 @@ definite matrices; we use the standard characterization "sigma_j > 0 for
 j = 1..k" as the authority, plus the cheaper sufficient test "sigma_k > 0 and
 at most one negative eigenvalue".  Boundary values (sigma_j numerically zero)
 count as outside: the equation must stay strictly elliptic.
+
+Both verdicts read one set of eigenvalues and their e_1..e_n
+(``cone_verdicts``): the scan passes its double-double values rounded to
+float64, ``gamma_k`` (behind ``cone-check``) one float Jacobi of the matrix.
+The characteristic polynomial and the principal-minor sums stay in
+``sigmak.symfunc`` as the test oracles of these sigmas.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .symfunc import (
@@ -16,7 +23,6 @@ from .symfunc import (
     SymmetricMatrix,
     eigenvalues_symmetric,
     elementary_symmetric,
-    sigma_all_via_charpoly,
 )
 
 SIGMA_BOUNDARY_REL_TOL = 1e-12  # sigma_j <= tol*(1+fro^j) is not in the open cone
@@ -50,57 +56,38 @@ def count_negative_eigenvalues(values, fro: float) -> int:
     return sum(1 for v in values if v < thr)
 
 
-def _sigma_positive(sigmas: SigmaVector, j: int, fro: float) -> bool:
-    return sigmas.sigma(j) > SIGMA_BOUNDARY_REL_TOL * (1.0 + fro**j)
+def cone_verdicts(values, sigmas, k: int) -> tuple[ConeVerdict, ConeVerdict]:
+    """The sigma-positivity and lemma verdicts of a matrix, in that order.
 
-
-def _sigma_positivity_verdict(
-    sigmas: SigmaVector, negative_count: int, fro: float, k: int
-) -> ConeVerdict:
-    ok = all(_sigma_positive(sigmas, j, fro) for j in range(1, k + 1))
-    return ConeVerdict(
-        in_cone=ok,
-        sigmas=sigmas,
-        negative_count=negative_count,
-        method=METHOD_SIGMA_POSITIVITY,
-    )
-
-
-def _lemma_verdict(
-    sigmas: SigmaVector, negative_count: int, fro: float, k: int
-) -> ConeVerdict:
-    ok = negative_count <= 1 and _sigma_positive(sigmas, k, fro)
-    return ConeVerdict(
-        in_cone=ok,
-        sigmas=sigmas,
-        negative_count=negative_count,
-        method=METHOD_LEMMA,
-    )
-
-
-def gamma_k_by_sigma_positivity(m: SymmetricMatrix, k: int) -> ConeVerdict:
-    """Membership by the defining characterization: sigma_j > 0 for j = 1..k."""
-    if not 1 <= k <= m.dim:
-        raise ValueError(f"k must be in 1..{m.dim}, got {k}")
-    sigmas = sigma_all_via_charpoly(m)
-    fro = m.frobenius_norm()
-    neg = count_negative_eigenvalues(eigenvalues_symmetric(m).values, fro)
-    return _sigma_positivity_verdict(sigmas, neg, fro, k)
-
-
-def gamma_k_by_lemma(m: SymmetricMatrix, k: int) -> ConeVerdict:
-    """Sufficient test: sigma_k > 0 and at most one negative eigenvalue.
-
-    A True verdict implies membership (and implies the sigma-positivity
-    verdict is also True); a False verdict only means the hypotheses were not
-    met, not that the matrix is outside the cone.
+    `values` are its eigenvalues and `sigmas` its sigma_1..sigma_n.  Both
+    thresholds scale with the Frobenius norm, here sqrt(sum of values^2):
+    sigma_j must exceed 1e-12 * (1 + fro^j), and an eigenvalue counts as
+    negative below -1e-10 * (1 + fro).  A True lemma verdict implies
+    membership (and the sigma-positivity verdict); a False one only means
+    its hypotheses were not met.
     """
-    if not 1 <= k <= m.dim:
-        raise ValueError(f"k must be in 1..{m.dim}, got {k}")
-    sigmas = sigma_all_via_charpoly(m)
-    fro = m.frobenius_norm()
-    neg = count_negative_eigenvalues(eigenvalues_symmetric(m).values, fro)
-    return _lemma_verdict(sigmas, neg, fro, k)
+    n = len(values)
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..{n}, got {k}")
+    sv = SigmaVector(sigmas=tuple(sigmas), n=n)
+    fro = math.sqrt(sum(v * v for v in values))
+    neg = count_negative_eigenvalues(values, fro)
+    positive = [
+        sv.sigma(j) > SIGMA_BOUNDARY_REL_TOL * (1.0 + fro**j) for j in range(1, k + 1)
+    ]
+    return (
+        ConeVerdict(all(positive), sv, neg, METHOD_SIGMA_POSITIVITY),
+        ConeVerdict(neg <= 1 and positive[-1], sv, neg, METHOD_LEMMA),
+    )
+
+
+def gamma_k(m: SymmetricMatrix, k: int) -> tuple[ConeVerdict, ConeVerdict]:
+    """Both cone verdicts of m from one Jacobi diagonalization.
+
+    The sigmas are e_1..e_n of its eigenvalues; see cone_verdicts.
+    """
+    values = eigenvalues_symmetric(m).values
+    return cone_verdicts(values, elementary_symmetric(values), k)
 
 
 def deformation_monotonicity_check(lambdas, k: int, s_grid) -> bool:
@@ -123,11 +110,11 @@ def deformation_monotonicity_check(lambdas, k: int, s_grid) -> bool:
     if any(s < 0.0 for s in grid):
         raise ValueError("deformation grid must be nonnegative")
 
-    vals = [elementary_symmetric([lams[0] + s] + lams[1:], k) for s in grid]
+    vals = [elementary_symmetric([lams[0] + s] + lams[1:])[k - 1] for s in grid]
     slack = 1e-12 * (1.0 + max((abs(v) for v in vals), default=0.0))
     grid_monotone = all(b >= a - slack for a, b in zip(vals, vals[1:]))
 
-    slope = elementary_symmetric(lams[1:], k - 1)
+    slope = ([1.0] + elementary_symmetric(lams[1:]))[k - 1]  # e_(k-1), e_0 = 1
     closed_monotone = slope >= 0.0
 
     if grid_monotone != closed_monotone:

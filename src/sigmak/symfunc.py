@@ -5,14 +5,18 @@ sum of its k x k principal minors, equivalently (up to sign) a coefficient of
 its characteristic polynomial.  Each route is implemented separately so the
 three can serve as cross-checking oracles for one another:
 
-* cyclic Jacobi eigenvalues + the one-row e_k recurrence,
-* explicit principal-minor enumeration with LU determinants,
-* the Faddeev-LeVerrier trace recursion for all coefficients at once.
+* cyclic Jacobi eigenvalues + the e_j recurrence: the route of every command
+  (the scan in double-double, ``cone-check`` and ``phase-check`` in float64),
+* explicit principal-minor enumeration with LU determinants: the scan's 1%
+  audit of sigma_k, and a test oracle,
+* the Faddeev-LeVerrier trace recursion for all coefficients at once, with
+  its trace and LU-determinant self-checks: a test oracle only.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -124,21 +128,24 @@ class SigmaVector:
         return self.sigmas[j - 1]
 
 
-def elementary_symmetric(values, k: int):
-    """e_k of a sequence of numbers by the one-row recurrence, cost O(n*k).
+def elementary_symmetric(values, add=operator.add, mul=operator.mul) -> list:
+    """e_1 .. e_n of n values by one pass of the e_j recurrence, cost O(n^2).
 
-    Works on floats, ints and Fractions alike and is exact on exact inputs;
-    e_0 is the empty product 1.
+    Ring-generic: the default operators serve floats, ints and Fractions (and
+    are exact on exact inputs); the scan passes ``dd.add`` and ``dd.mul``.
+    The recurrence starts from e_1 = the first value, so it needs no ring
+    constants; an empty input gives [].
     """
-    vals = list(values)
-    n = len(vals)
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in 0..{n}, got {k}")
-    e = [1] + [0] * k
-    for i, v in enumerate(vals):
-        for j in range(min(i + 1, k), 0, -1):
-            e[j] = e[j] + v * e[j - 1]
-    return e[k]
+    e = []
+    for v in values:
+        if e:
+            e.append(mul(v, e[-1]))
+            for j in range(len(e) - 2, 0, -1):
+                e[j] = add(e[j], mul(v, e[j - 1]))
+            e[0] = add(e[0], v)
+        else:
+            e.append(v)
+    return e
 
 
 def _lu_det(a: list[list[float]]) -> float:
@@ -297,11 +304,12 @@ def eigenvalues_symmetric(m: SymmetricMatrix) -> Spectrum:
     return Spectrum(values=values)
 
 
-# --- double-double variants -------------------------------------------------
+# --- double-double variant --------------------------------------------------
 #
-# Same cyclic Jacobi and e_j recurrence, carried in double-double arithmetic.
-# Used by the verification scan, where |sigma_k - 1| at sample-box corners is
-# below what plain doubles can resolve (see module docstring of doubledouble).
+# Same cyclic Jacobi, carried in double-double arithmetic; the scan feeds its
+# eigenvalues to elementary_symmetric with dd.add and dd.mul.  At sample-box
+# corners |sigma_k - 1| is below what plain doubles can resolve (see module
+# docstring of doubledouble).
 
 DD_JACOBI_REL_TOL = 1e-28
 # Each rotation moves a[p][p] and a[q][q] by -t*apq and +t*apq, so the trace
@@ -388,11 +396,3 @@ def eigenvalues_symmetric_dd(entries_dd: list[list[dd.DD]]) -> list[dd.DD]:
     diag.sort(key=dd.to_float)
     return diag
 
-
-def elementary_symmetric_dd(values: list[dd.DD]) -> list[dd.DD]:
-    """e_1 .. e_n of n double-doubles by one pass of the e_j recurrence."""
-    e = [dd.ONE] + [dd.ZERO] * len(values)
-    for i, v in enumerate(values, start=1):
-        for j in range(i, 0, -1):
-            e[j] = dd.add(e[j], dd.mul(v, e[j - 1]))
-    return e[1:]

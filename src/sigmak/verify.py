@@ -24,7 +24,10 @@ corners the cancellation in sigma_k is too severe for plain doubles to
 certify a 1e-9 bound once k reaches 4.  The residual |sigma_k - 1|, the
 sigma vector behind the cone verdicts and min_sigma_j, the negative
 eigenvalue count and the n = 3 phase all come from those double-double
-values, rounded to float64 only where a float threshold judges them.
+values, rounded to float64 only where a float threshold judges them.  The
+recurrence (``symfunc.elementary_symmetric``), the verdicts
+(``cone.cone_verdicts``) and ``sl_phase`` are the ones that ``cone-check``
+and ``phase-check`` apply to a float64 Jacobi.
 """
 
 from __future__ import annotations
@@ -36,11 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import doubledouble as dd
-from .cone import (
-    _lemma_verdict,
-    _sigma_positivity_verdict,
-    count_negative_eigenvalues,
-)
+from .cone import cone_verdicts
 from .errors import CapabilityError, ConvergenceError
 from .solution import (
     Point,
@@ -54,11 +53,9 @@ from .solution import (
 )
 from .symfunc import (
     MINOR_DIM_LIMIT,
-    SigmaVector,
     SymmetricMatrix,
-    eigenvalues_symmetric,
     eigenvalues_symmetric_dd,
-    elementary_symmetric_dd,
+    elementary_symmetric,
     sigma_via_minors,
 )
 
@@ -173,16 +170,16 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
         try:
             hess = hessian_dd(p, pt)
             lam_dd = eigenvalues_symmetric_dd(hess)
-            e = elementary_symmetric_dd(lam_dd)
-            sigmas = SigmaVector(sigmas=tuple(dd.to_float(v) for v in e), n=d)
+            e = elementary_symmetric(lam_dd, dd.add, dd.mul)
+            sigmas = [dd.to_float(v) for v in e]
             lam = [dd.to_float(v) for v in lam_dd]
-            fro = math.sqrt(sum(v * v for v in lam))
             if i % MINOR_AUDIT_STRIDE == 0 and d <= MINOR_DIM_LIMIT:
                 floats = SymmetricMatrix([[dd.to_float(v) for v in row] for row in hess])
                 by_minors = sigma_via_minors(floats, k)
-                if abs(by_minors - sigmas.sigma(k)) > 1e-8 * (1.0 + fro**k):
+                fro = math.sqrt(sum(v * v for v in lam))
+                if abs(by_minors - sigmas[k - 1]) > 1e-8 * (1.0 + fro**k):
                     raise ConvergenceError(
-                        f"minor-sum audit disagrees: {by_minors} vs {sigmas.sigma(k)}"
+                        f"minor-sum audit disagrees: {by_minors} vs {sigmas[k - 1]}"
                     )
         except ConvergenceError as exc:
             raise ConvergenceError(
@@ -192,16 +189,12 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
         resid = abs(dd.to_float(dd.add_f(e[k - 1], -1.0)))
         if resid > max_resid:
             max_resid, argmax_point = resid, pt
-        neg = count_negative_eigenvalues(lam, fro)
-        if not _sigma_positivity_verdict(sigmas, neg, fro, k).in_cone:
-            cone_failures += 1
-        if not _lemma_verdict(sigmas, neg, fro, k).in_cone:
-            lemma_failures += 1
-        min_sigma_j = min(min_sigma_j, *sigmas.sigmas[:k])
-        if check_phase:
-            phase = sum(math.atan(v) for v in lam)
-            if abs(phase - CRITICAL_PHASE_N3) > PHASE_TOL:
-                phase_failures += 1
+        by_sigma, by_lemma = cone_verdicts(lam, sigmas, k)
+        cone_failures += not by_sigma.in_cone
+        lemma_failures += not by_lemma.in_cone
+        min_sigma_j = min(min_sigma_j, *sigmas[:k])
+        if check_phase and abs(sl_phase(lam) - CRITICAL_PHASE_N3) > PHASE_TOL:
+            phase_failures += 1
 
     return ResidualReport(
         params_echo=p,
@@ -265,9 +258,9 @@ def fd_hessian(p: SolutionParams, pt: Point, step: float) -> SymmetricMatrix:
     return SymmetricMatrix(central_hessian(func, coords, step))
 
 
-def sl_phase(m: SymmetricMatrix) -> float:
+def sl_phase(values) -> float:
     """Sum of arctangents of the eigenvalues (the Lagrangian phase of the graph)."""
-    return sum(math.atan(v) for v in eigenvalues_symmetric(m).values)
+    return sum(math.atan(v) for v in values)
 
 
 def iterated_forward_difference(func, order: int, start: float = 0.0, step: float = 1.0) -> float:

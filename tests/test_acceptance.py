@@ -28,7 +28,7 @@ import time
 import pytest
 
 from conftest import e_brute, random_rotation, rotate_exactly_symmetric, random_symmetric
-from sigmak.cone import gamma_k_by_lemma, gamma_k_by_sigma_positivity
+from sigmak.cone import gamma_k
 from sigmak.solution import Point, cancellation_coefficient, derive_constants, eval_jet, extend
 from sigmak.symbolic import verify_exact
 from sigmak.symfunc import (
@@ -126,9 +126,10 @@ def test_criterion_5_lemma_soundness():
             continue  # hypotheses need sigma_k > 0 with a resolvable margin
         accepted += 1
         m = rotate_exactly_symmetric(SymmetricMatrix.diagonal(lams), random_rotation(rng, dim))
-        if not gamma_k_by_sigma_positivity(m, k).in_cone:
+        by_sigma, by_lemma = gamma_k(m, k)
+        if not by_sigma.in_cone:
             counterexamples += 1
-        if not gamma_k_by_lemma(m, k).in_cone:
+        if not by_lemma.in_cone:
             counterexamples += 1
     _record(
         "criterion 5 (lemma soundness, 1e4 random trials)",
@@ -170,9 +171,10 @@ def test_criterion_8_oracle_agreement():
         fro = m.frobenius_norm()
         spectrum = eigenvalues_symmetric(m)
         sv = sigma_all_via_charpoly(m)
+        by_eigs = elementary_symmetric(spectrum.values)
         for k in range(1, dim + 1):
             tol = 1e-8 * (1.0 + fro**k)
-            by_eig = elementary_symmetric(spectrum.values, k)
+            by_eig = by_eigs[k - 1]
             by_minors = sigma_via_minors(m, k)
             gap = max(abs(by_minors - by_eig), abs(sv.sigma(k) - by_eig))
             worst_gap = max(worst_gap, gap / tol)

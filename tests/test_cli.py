@@ -1,11 +1,13 @@
+import hashlib
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sigmak import cli
+from sigmak import cli, symfunc
 from sigmak.cli import run
 from sigmak.symbolic import Certification
 
@@ -136,6 +138,7 @@ class TestBadInput:
         "--t-min": ("t_range", "|t|"),
         "--point": ("point", "|t|"),
         "--matrix-file": ("is not a finite number", "could overflow"),
+        "--expected": ("argument --expected: not a finite number",),
     }
 
     @settings(
@@ -144,7 +147,9 @@ class TestBadInput:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
-        flag=st.sampled_from(["--x-radius", "--t-min", "--point", "--matrix-file"]),
+        flag=st.sampled_from(
+            ["--x-radius", "--t-min", "--point", "--matrix-file", "--expected"]
+        ),
         tokens=st.lists(TOKENS, min_size=3, max_size=3),
     )
     def test_random_tokens_exit_2_or_print_strict_json(self, capsys, tmp_path, flag, tokens):
@@ -155,6 +160,10 @@ class TestBadInput:
             path = tmp_path / "m.txt"
             path.write_text(f"2\n{tokens[0]} {tokens[1]}\n{tokens[1]} {tokens[2]}\n")
             argv = ["cone-check", "-k", "2", "--matrix-file", str(path)]
+        elif flag == "--expected":
+            path = tmp_path / "m.txt"
+            path.write_text("1\n0.5\n")
+            argv = ["phase-check", "--matrix-file", str(path), f"--expected={tokens[0]}"]
         else:
             argv = ["verify", "-n", "3", "--samples", "3", f"{flag}={tokens[0]}"]
         code = run(argv)
@@ -298,6 +307,90 @@ class TestPhaseCheck:
         assert code == 0
         assert payload["phase"] == pytest.approx(0.0)
         assert payload["within_tolerance"] is None
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400", "half"])
+    def test_non_finite_expected_exits_2(self, capsys, matrix_file, token):
+        # NaN or Infinity would otherwise be printed as non-strict JSON
+        path = matrix_file([[1.0]])
+        assert run(["phase-check", "--matrix-file", path, f"--expected={token}"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"argument --expected: not a finite number: {token!r}" in out.err
+
+
+class TestMatrixCommandsDiagonalizeOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"jacobi": 0}
+        jacobi = symfunc._jacobi_sweeps
+
+        def counted(*args):
+            counts["jacobi"] += 1
+            return jacobi(*args)
+
+        def refuse(*args):
+            raise AssertionError("a command called the characteristic polynomial")
+
+        monkeypatch.setattr(symfunc, "_jacobi_sweeps", counted)
+        for module in list(sys.modules.values()):
+            if module and module.__name__.startswith("sigmak") and hasattr(
+                module, "sigma_all_via_charpoly"
+            ):
+                monkeypatch.setattr(module, "sigma_all_via_charpoly", refuse)
+        return counts
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_cone_check(self, capsys, matrix_file, calls, k):
+        path = matrix_file([[2.0, 0.5, 0.0], [0.5, 2.0, 1.0], [0.0, 1.0, -0.75]])
+        assert run(["cone-check", "--matrix-file", path, "-k", str(k)]) in (0, 1)
+        assert calls["jacobi"] == 1
+
+    def test_phase_check(self, capsys, matrix_file, calls):
+        path = matrix_file([[2.0, 0.5, 0.0], [0.5, 2.0, 1.0], [0.0, 1.0, -0.75]])
+        assert run(["phase-check", "--matrix-file", path, "--expected", "0.5"]) == 1
+        assert calls["jacobi"] == 1
+
+
+# The n = 3 solution Hessian at x = (1.25, -0.5), t = 0.3, as eval computes it.
+HESSIAN_N3 = """3
+2.6997176151520064 0.0 3.374647018940008
+0.0 2.6997176151520064 -1.3498588075760032
+3.374647018940008 -1.3498588075760032 1.2819648363259322
+"""
+
+
+class TestPayloadPins:
+    """sha256 of each payload, elapsed_seconds removed, as json.dumps(sort_keys).
+
+    The digests are fixed across versions (criterion 10 only compares repeats
+    within one version): a refactor of the float or double-double pipeline
+    must leave these reports byte-identical.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            (["verify", "-n", "3", "--samples", "200", "--seed", "0"], 0,
+             "db664a9228c5e45a0d2ab9824078f8284a29bbf1c1470689f178b58c5fadb312"),
+            (["verify", "-n", "3", "-m", "1", "--samples", "100", "--seed", "5"], 0,
+             "b1c1d2d9741cfba5aa7e872e53aee4e9c7671bac7bd82f1e57aec551679a45b1"),
+            (["verify", "-n", "7", "--samples", "50", "--seed", "0"], 0,
+             "b8607db90749085caddf109b412d0abcafdb4319c35928cfaacc93e0f9d9e3d5"),
+            (["phase-check"], 0,
+             "2f1f6c7234e5460da3bb8896397ef8ab216ef64d338b9d30407c130b5be0ff31"),
+            (["phase-check", "--expected", "1.5707963267948966"], 0,
+             "f46f309188260547198d709a9dd09ff82df87bd2c6f52d09a3e1cd714986e807"),
+        ],
+    )
+    def test_payload_digest(self, capsys, tmp_path, argv, code, digest):
+        if argv[0] == "phase-check":
+            path = tmp_path / "hessian.txt"
+            path.write_text(HESSIAN_N3)
+            argv = argv + ["--matrix-file", str(path)]
+        got_code, payload, _ = run_json(capsys, argv)
+        payload.pop("elapsed_seconds")
+        canonical = json.dumps(payload, sort_keys=True).encode()
+        assert (got_code, hashlib.sha256(canonical).hexdigest()) == (code, digest)
 
 
 class TestUsage:

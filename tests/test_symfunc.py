@@ -15,37 +15,39 @@ from sigmak.symfunc import (
     eigenvalues_symmetric,
     eigenvalues_symmetric_dd,
     elementary_symmetric,
-    elementary_symmetric_dd,
     sigma_all_via_charpoly,
     sigma_via_minors,
 )
 
 
+def e_k(values, k):
+    """e_k for any k >= 0: e_0 = 1, and 0 past the number of values."""
+    e = [1] + elementary_symmetric(values)
+    return e[k] if k < len(e) else 0
+
+
 class TestElementarySymmetric:
-    def test_e0_is_one(self):
-        assert elementary_symmetric([3.0, -1.0, 7.5], 0) == 1
-        assert elementary_symmetric([], 0) == 1
+    def test_empty_and_single_value(self):
+        # the recurrence starts from e_1 = the first value, i.e. e_0 = 1
+        assert elementary_symmetric([]) == []
+        assert elementary_symmetric([7.5]) == [7.5]
+        assert elementary_symmetric([3.0, -1.0, 7.5]) == [9.5, 12.0, -22.5]
 
     @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (6, 3), (8, 8)])
     def test_all_ones_gives_binomial(self, n, k):
-        assert elementary_symmetric([1] * n, k) == math.comb(n, k)
+        assert elementary_symmetric([1] * n)[k - 1] == math.comb(n, k)
+        assert elementary_symmetric([1] * n) == [math.comb(n, j) for j in range(1, n + 1)]
 
     def test_pairs_of_123(self):
         # 1*2 + 1*3 + 2*3
-        assert elementary_symmetric([1, 2, 3], 2) == 11
+        assert elementary_symmetric([1, 2, 3]) == [6, 11, 6]
         assert e_brute([1, 2, 3], 2) == 11
 
     def test_exact_on_rationals(self):
         # spectrum of the n=5 solution Hessian at the origin
         vals = [2, 2, 2, 2, Fraction(-31, 24)]
-        assert elementary_symmetric(vals, 3) == 1
+        assert elementary_symmetric(vals)[2] == 1
         assert e_brute(vals, 3) == 1
-
-    def test_out_of_range_k(self):
-        with pytest.raises(ValueError):
-            elementary_symmetric([1.0, 2.0], 3)
-        with pytest.raises(ValueError):
-            elementary_symmetric([1.0, 2.0], -1)
 
     def test_matches_brute_force_on_random_input(self):
         rng = random.Random(101)
@@ -53,7 +55,7 @@ class TestElementarySymmetric:
             n = rng.randrange(1, 9)
             vals = [rng.uniform(-4, 4) for _ in range(n)]
             for k in range(n + 1):
-                got = elementary_symmetric(vals, k)
+                got = e_k(vals, k)
                 want = e_brute(vals, k)
                 assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
 
@@ -66,9 +68,8 @@ class TestElementarySymmetric:
         # e_k(v) - e_k(v[1:]) = v[0] * e_(k-1)(v[1:]), exactly over the integers
         k = min(k, len(vals))
         tail = vals[1:]
-        ek_tail = elementary_symmetric(tail, k) if k <= len(tail) else 0
-        lhs = elementary_symmetric(vals, k) - ek_tail
-        assert lhs == vals[0] * elementary_symmetric(tail, k - 1)
+        lhs = e_k(vals, k) - e_k(tail, k)
+        assert lhs == vals[0] * e_k(tail, k - 1)
 
 
 class TestSymmetricMatrix:
@@ -166,7 +167,7 @@ class TestEigenvalues:
         # D^2 u at x=(1,0), t=0 for the n=3 solution; its 2-minors sum to 1
         m = SymmetricMatrix([[2.0, 0.0, 2.0], [0.0, 2.0, 0.0], [2.0, 0.0, 0.25]])
         spectrum = eigenvalues_symmetric(m)
-        assert elementary_symmetric(spectrum.values, 2) == pytest.approx(1.0, abs=1e-12)
+        assert elementary_symmetric(spectrum.values)[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_dim_one(self):
         spectrum = eigenvalues_symmetric(SymmetricMatrix([[7.0]]))
@@ -190,9 +191,10 @@ class TestCrossAlgorithmInvariants:
             fro = m.frobenius_norm()
             spectrum = eigenvalues_symmetric(m)
             sv = sigma_all_via_charpoly(m)
+            by_eigs = elementary_symmetric(spectrum.values)
             for k in range(1, dim + 1):
                 tol = 1e-8 * (1.0 + fro**k)
-                by_eig = elementary_symmetric(spectrum.values, k)
+                by_eig = by_eigs[k - 1]
                 by_minors = sigma_via_minors(m, k)
                 assert abs(by_minors - by_eig) <= tol
                 assert abs(sv.sigma(k) - by_eig) <= tol
@@ -243,18 +245,31 @@ class TestDoubleDoubleVariants:
 
     def test_dd_elementary_symmetric_exact(self):
         vals = [dd.from_float(v) for v in (2.0, 2.0, -0.75)]
-        out = [dd.to_float(v) for v in elementary_symmetric_dd(vals)]
+        out = [dd.to_float(v) for v in elementary_symmetric(vals, dd.add, dd.mul)]
         assert out == [3.25, 1.0, -3.0]
 
     def test_dd_elementary_symmetric_matches_exact_recurrence(self):
         rng = random.Random(29)
         for _ in range(20):
             vals = [rng.uniform(-4.0, 4.0) for _ in range(rng.randrange(1, 9))]
-            out = elementary_symmetric_dd([dd.from_float(v) for v in vals])
-            exact = [Fraction(v) for v in vals]
-            for j, got in enumerate(out, start=1):
-                want = elementary_symmetric(exact, j)
+            out = elementary_symmetric([dd.from_float(v) for v in vals], dd.add, dd.mul)
+            exact = elementary_symmetric([Fraction(v) for v in vals])
+            for j, (got, want) in enumerate(zip(out, exact), start=1):
                 assert abs(Fraction(got[0]) + Fraction(got[1]) - want) < 1e-25 * (1 + 4.0**j)
+
+    def test_dd_recurrence_matches_the_constant_seeded_one_bit_for_bit(self):
+        # the scan's reports are pinned across versions; the recurrence
+        # seeded with e_1 = v_1 must round exactly like the textbook one
+        # seeded with e_0 = 1, e_j = 0, including products by ONE
+        rng = random.Random(47)
+        for _ in range(500):
+            vals = [dd.add_f(dd.from_product(rng.uniform(-9, 9), rng.uniform(-9, 9)),
+                             rng.uniform(-1e-17, 1e-17)) for _ in range(rng.randrange(1, 12))]
+            e = [dd.ONE] + [dd.ZERO] * len(vals)
+            for i, v in enumerate(vals, start=1):
+                for j in range(i, 0, -1):
+                    e[j] = dd.add(e[j], dd.mul(v, e[j - 1]))
+            assert elementary_symmetric(vals, dd.add, dd.mul) == e[1:]
 
     def test_dd_trace_check_is_wired(self, monkeypatch):
         from sigmak import symfunc
