@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
+from types import SimpleNamespace
 
 DD = tuple[float, float]
 
@@ -161,3 +163,22 @@ def div_f(x: DD, f: float) -> DD:
     r = sub(x, _two_prod(q1, f))
     q2 = (r[0] + r[1]) / f
     return _fast_two_sum(q1, q2)
+
+
+def rotate(c: DD, s: DD, x: DD, y: DD) -> tuple[DD, DD]:
+    """The plane rotation (c x - s y, s x + c y) of one pair of entries."""
+    return sub(mul(c, x), mul(s, y)), add(mul(s, x), mul(c, y))
+
+
+# --- the double-double ring of symfunc's cyclic Jacobi ----------------------
+#
+# The scan diagonalizes each double-double Hessian with the same cyclic Jacobi
+# as cone-check and phase-check, carried in this arithmetic, and feeds the
+# eigenvalues to symfunc.elementary_symmetric with add and mul: at sample-box
+# corners |sigma_k - 1| is below what plain doubles can resolve (see the module
+# docstring).  The skip rule, the off-diagonal norm and the ascending sort read
+# only the leading float hi, which is the rounded value hi + lo.
+RING = SimpleNamespace(
+    name="double-double", add=add, sub=sub, mul=mul, div=div, sqrt=sqrt,
+    rotate=rotate, lead=itemgetter(0), zero=ZERO, one=ONE,
+)

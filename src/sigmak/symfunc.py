@@ -5,8 +5,12 @@ sum of its k x k principal minors, equivalently (up to sign) a coefficient of
 its characteristic polynomial.  Each route is implemented separately so the
 three can serve as cross-checking oracles for one another:
 
-* cyclic Jacobi eigenvalues + the e_j recurrence: the route of every command
-  (the scan in double-double, ``cone-check`` and ``phase-check`` in float64),
+* cyclic Jacobi eigenvalues + the e_j recurrence: the route of every command.
+  One ring-generic Jacobi runs in two arithmetics: double-double for the scan
+  (``eigenvalues_symmetric_dd``: off-diagonal target 1e-28 * (1 + ||M||_F),
+  trace check 1e-24 * (1 + ||M||_F)) and float64 for ``cone-check`` and
+  ``phase-check`` (``eigenvalues_symmetric``: 1e-12 and 1e-10 times the same
+  scale); both stop after 50 sweeps,
 * explicit principal-minor enumeration with LU determinants: the scan's 1%
   audit of sigma_k, and a test oracle,
 * the Faddeev-LeVerrier trace recursion for all coefficients at once, with
@@ -20,6 +24,7 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,7 +34,18 @@ from .errors import CapabilityError, ConvergenceError
 # C(14,7) = 3432 minors is still cheap; past that the oracle role is pointless.
 MINOR_DIM_LIMIT = 14
 JACOBI_MAX_SWEEPS = 50
-JACOBI_REL_TOL = 1e-12  # off-diagonal Frobenius target, relative to 1 + ||M||_F
+# Off-diagonal Frobenius targets of the cyclic Jacobi, relative to 1 + ||M||_F.
+JACOBI_REL_TOL = 1e-12
+DD_JACOBI_REL_TOL = 1e-28
+# Bounds on the drift of the eigenvalue sum from the trace, relative to
+# 1 + ||M||_F: the scale of the rounding, whatever the trace itself.  Each
+# rotation moves a[p][p] and a[q][q] by -t*apq and +t*apq, so the trace
+# changes only by the rounding of two additions, a unit in the last place
+# (2^-53 ~1.1e-16 in float64, 2^-104 ~5e-32 in double-double) times ||M||_F.
+# Even 50 sweeps of a 31 x 31 matrix stay below 1e-11 resp. 1e-26 times
+# ||M||_F; a lost or mis-signed rotation moves it by |t*apq| instead.
+TRACE_REL_TOL = 1e-10
+DD_TRACE_REL_TOL = 1e-24
 
 
 class SymmetricMatrix:
@@ -227,172 +243,120 @@ def sigma_all_via_charpoly(m: SymmetricMatrix) -> SigmaVector:
     return out
 
 
-def _jacobi_sweeps(a: list[list[float]], n: int, tol: float) -> float | None:
-    """Run cyclic Jacobi sweeps in place; return final off-norm or None."""
+def _rotate(c: float, s: float, x: float, y: float) -> tuple[float, float]:
+    return c * x - s * y, s * x + c * y
+
+
+# The float64 ring of the cyclic Jacobi; doubledouble.RING is the other one.
+FLOAT_RING = SimpleNamespace(
+    name="float64", add=operator.add, sub=operator.sub, mul=operator.mul,
+    div=operator.truediv, sqrt=math.sqrt, rotate=_rotate, lead=float,
+    zero=0.0, one=1.0,
+)
+
+
+def _cyclic_jacobi(a: list[list], ring, tol: float, trace_tol: float) -> list:
+    """Eigenvalues of the symmetric matrix ``a`` by cyclic Jacobi, ascending.
+
+    Ring-generic: ``ring`` supplies add, sub, mul, div, sqrt, the plane
+    rotation ``rotate(c, s, x, y) = (c x - s y, s x + c y)``, ``lead`` (the
+    float that the skip rule, the off-diagonal norm and the sort read), zero
+    and one; ``FLOAT_RING`` and ``doubledouble.RING`` are the two in use.
+    ``a`` is overwritten.  Sweeps stop once the off-diagonal Frobenius norm is
+    at most ``tol``; a rotation is skipped when its pivot is at most
+    tol / (2 dim).  Raises ConvergenceError, carrying that norm, when
+    JACOBI_MAX_SWEEPS sweeps do not reach ``tol``, and when the eigenvalue sum
+    drifts from the trace by more than ``trace_tol``.
+    """
+    add, sub, mul, div, sqrt = ring.add, ring.sub, ring.mul, ring.div, ring.sqrt
+    rotate, lead, zero, one = ring.rotate, ring.lead, ring.zero, ring.one
+    n = len(a)
+    trace = reduce(add, (a[i][i] for i in range(n)), zero)
     skip = tol / (2.0 * n)
-    for _ in range(JACOBI_MAX_SWEEPS):
+    for sweep in range(JACOBI_MAX_SWEEPS + 1):
         off2 = 0.0
         for p in range(n - 1):
             row_p = a[p]
             for q in range(p + 1, n):
-                off2 += row_p[q] * row_p[q]
+                h = lead(row_p[q])
+                off2 += h * h
         off = math.sqrt(2.0 * off2)
         if off <= tol:
-            return off
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if abs(apq) <= skip:
-                    continue
-                app = a[p][p]
-                aqq = a[q][q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                for i in range(n):
-                    if i == p or i == q:
-                        continue
-                    row_i = a[i]
-                    aip = row_i[p]
-                    aiq = row_i[q]
-                    row_i[p] = c * aip - s * aiq
-                    row_i[q] = s * aip + c * aiq
-                    a[p][i] = row_i[p]
-                    a[q][i] = row_i[q]
-                a[p][p] = app - t * apq
-                a[q][q] = aqq + t * apq
-                a[p][q] = 0.0
-                a[q][p] = 0.0
-    off2 = 0.0
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            off2 += a[p][q] * a[p][q]
-    off = math.sqrt(2.0 * off2)
-    return off if off <= tol else None
-
-
-def eigenvalues_symmetric(m: SymmetricMatrix) -> Spectrum:
-    """All eigenvalues by the cyclic Jacobi rotation method, sorted ascending.
-
-    Converged when the off-diagonal Frobenius norm drops below
-    1e-12 * (1 + ||M||_F); raises ConvergenceError after 50 sweeps.
-    """
-    n = m.dim
-    fro = m.frobenius_norm()
-    tol = JACOBI_REL_TOL * (1.0 + fro)
-    a = m.entries.tolist()
-    off = _jacobi_sweeps(a, n, tol)
-    if off is None:
-        off2 = sum(
-            a[p][q] * a[p][q] for p in range(n - 1) for q in range(p + 1, n)
-        )
-        off = math.sqrt(2.0 * off2)
-        raise ConvergenceError(
-            f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps "
-            f"(off-diagonal norm {off:g}, target {tol:g})",
-            offdiag_norm=off,
-        )
-    values = tuple(sorted(a[i][i] for i in range(n)))
-    tr = m.trace()
-    if abs(sum(values) - tr) > 1e-10 * (1.0 + abs(tr)):
-        raise ConvergenceError(
-            f"eigenvalue sum {sum(values)} drifted from trace {tr}"
-        )
-    return Spectrum(values=values)
-
-
-# --- double-double variant --------------------------------------------------
-#
-# Same cyclic Jacobi, carried in double-double arithmetic; the scan feeds its
-# eigenvalues to elementary_symmetric with dd.add and dd.mul.  At sample-box
-# corners |sigma_k - 1| is below what plain doubles can resolve (see module
-# docstring of doubledouble).
-
-DD_JACOBI_REL_TOL = 1e-28
-# Each rotation moves a[p][p] and a[q][q] by -t*apq and +t*apq, so the trace
-# changes only by the rounding of two double-double additions, a few 2^-104
-# (~5e-32) times ||M||_F.  Even 50 sweeps of a 31 x 31 matrix stay below
-# 1e-26 * ||M||_F; a lost or mis-signed rotation moves it by |t*apq| instead.
-DD_TRACE_REL_TOL = 1e-24
-
-
-def eigenvalues_symmetric_dd(entries_dd: list[list[dd.DD]]) -> list[dd.DD]:
-    """Cyclic Jacobi on a symmetric matrix of double-double entries.
-
-    Sorted ascending.  Raises ConvergenceError after 50 sweeps, or when the
-    eigenvalue sum drifts from the trace by more than 1e-24 * (1 + ||M||_F).
-    """
-    n = len(entries_dd)
-    a = [row[:] for row in entries_dd]
-    fro2 = 0.0
-    for i in range(n):
-        for j in range(n):
-            fro2 += a[i][j][0] * a[i][j][0]
-    fro = math.sqrt(fro2)
-    tol = DD_JACOBI_REL_TOL * (1.0 + fro)
-    trace = reduce(dd.add, (a[i][i] for i in range(n)), dd.ZERO)
-    skip = tol / (2.0 * n)
-    converged = False
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off2 = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                hi = a[p][q][0]
-                off2 += hi * hi
-        if math.sqrt(2.0 * off2) <= tol:
-            converged = True
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if abs(apq[0]) <= skip:
-                    continue
-                app = a[p][p]
-                aqq = a[q][q]
-                theta = dd.div(dd.sub(aqq, app), dd.mul_pow2(apq, 2.0))
-                athe = theta if theta[0] >= 0.0 else dd.neg(theta)
-                t = dd.div(
-                    dd.ONE,
-                    dd.add(athe, dd.sqrt(dd.add_f(dd.mul(theta, theta), 1.0))),
-                )
-                if theta[0] < 0.0:
-                    t = dd.neg(t)
-                c = dd.div(dd.ONE, dd.sqrt(dd.add_f(dd.mul(t, t), 1.0)))
-                s = dd.mul(t, c)
-                for i in range(n):
-                    if i == p or i == q:
-                        continue
-                    aip = a[i][p]
-                    aiq = a[i][q]
-                    new_p = dd.sub(dd.mul(c, aip), dd.mul(s, aiq))
-                    new_q = dd.add(dd.mul(s, aip), dd.mul(c, aiq))
-                    a[i][p] = new_p
-                    a[p][i] = new_p
-                    a[i][q] = new_q
-                    a[q][i] = new_q
-                tapq = dd.mul(t, apq)
-                a[p][p] = dd.sub(app, tapq)
-                a[q][q] = dd.add(aqq, tapq)
-                a[p][q] = dd.ZERO
-                a[q][p] = dd.ZERO
-    if not converged:
-        off2 = sum(
-            a[p][q][0] ** 2 for p in range(n - 1) for q in range(p + 1, n)
-        )
-        off = math.sqrt(2.0 * off2)
-        if off > tol:
+        if sweep == JACOBI_MAX_SWEEPS:
             raise ConvergenceError(
-                f"double-double Jacobi did not converge in {JACOBI_MAX_SWEEPS} "
+                f"{ring.name} Jacobi did not converge in {JACOBI_MAX_SWEEPS} "
                 f"sweeps (off-diagonal norm {off:g}, target {tol:g})",
                 offdiag_norm=off,
             )
+        for p in range(n - 1):
+            row_p = a[p]
+            for q in range(p + 1, n):
+                apq = row_p[q]
+                if abs(lead(apq)) <= skip:
+                    continue
+                row_q = a[q]
+                app = row_p[p]
+                aqq = row_q[q]
+                # t = sign(theta) / (|theta| + sqrt(theta^2 + 1))
+                theta = div(sub(aqq, app), add(apq, apq))
+                root = sqrt(add(mul(theta, theta), one))
+                t = div(one, add(theta, root) if lead(theta) >= 0.0 else sub(theta, root))
+                c = div(one, sqrt(add(mul(t, t), one)))
+                s = mul(t, c)
+                for i, row_i in enumerate(a):
+                    if i != p and i != q:
+                        x, y = rotate(c, s, row_i[p], row_i[q])
+                        row_i[p] = row_p[i] = x
+                        row_i[q] = row_q[i] = y
+                tapq = mul(t, apq)
+                row_p[p] = sub(app, tapq)
+                row_q[q] = add(aqq, tapq)
+                row_p[q] = row_q[p] = zero
     diag = [a[i][i] for i in range(n)]
-    drift = abs(dd.to_float(dd.sub(reduce(dd.add, diag, dd.ZERO), trace)))
-    if drift > DD_TRACE_REL_TOL * (1.0 + fro):
-        raise ConvergenceError(f"double-double eigenvalue sum drifted from the trace by {drift:g}")
-    diag.sort(key=dd.to_float)
+    drift = abs(lead(sub(reduce(add, diag, zero), trace)))
+    if drift > trace_tol:
+        raise ConvergenceError(
+            f"{ring.name} eigenvalue sum drifted from the trace by {drift:g} "
+            f"(tolerance {trace_tol:g})"
+        )
+    diag.sort(key=lead)
     return diag
 
+
+def eigenvalues_symmetric(m: SymmetricMatrix) -> Spectrum:
+    """All eigenvalues by cyclic Jacobi in float64, sorted ascending.
+
+    Converged when the off-diagonal Frobenius norm drops below
+    1e-12 * (1 + ||M||_F); raises ConvergenceError after 50 sweeps, or when
+    the eigenvalue sum drifts from the trace by more than 1e-10 * (1 + ||M||_F).
+    """
+    fro = m.frobenius_norm()
+    values = _cyclic_jacobi(
+        m.entries.tolist(),
+        FLOAT_RING,
+        JACOBI_REL_TOL * (1.0 + fro),
+        TRACE_REL_TOL * (1.0 + fro),
+    )
+    return Spectrum(values=tuple(values))
+
+
+def eigenvalues_symmetric_dd(entries_dd: list[list[dd.DD]]) -> list[dd.DD]:
+    """Cyclic Jacobi on a symmetric matrix of double-double entries, ascending.
+
+    Converged when the off-diagonal norm drops below 1e-28 * (1 + ||M||_F);
+    raises ConvergenceError after 50 sweeps, or when the eigenvalue sum drifts
+    from the trace by more than 1e-24 * (1 + ||M||_F).
+    """
+    lead = dd.RING.lead
+    fro2 = 0.0
+    for row in entries_dd:
+        for x in row:
+            fro2 += lead(x) * lead(x)
+    fro = math.sqrt(fro2)
+    return _cyclic_jacobi(
+        [row[:] for row in entries_dd],
+        dd.RING,
+        DD_JACOBI_REL_TOL * (1.0 + fro),
+        DD_TRACE_REL_TOL * (1.0 + fro),
+    )

@@ -3,6 +3,7 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -322,7 +323,7 @@ class TestMatrixCommandsDiagonalizeOnce:
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = {"jacobi": 0}
-        jacobi = symfunc._jacobi_sweeps
+        jacobi = symfunc._cyclic_jacobi
 
         def counted(*args):
             counts["jacobi"] += 1
@@ -331,7 +332,7 @@ class TestMatrixCommandsDiagonalizeOnce:
         def refuse(*args):
             raise AssertionError("a command called the characteristic polynomial")
 
-        monkeypatch.setattr(symfunc, "_jacobi_sweeps", counted)
+        monkeypatch.setattr(symfunc, "_cyclic_jacobi", counted)
         for module in list(sys.modules.values()):
             if module and module.__name__.startswith("sigmak") and hasattr(
                 module, "sigma_all_via_charpoly"
@@ -351,11 +352,86 @@ class TestMatrixCommandsDiagonalizeOnce:
         assert calls["jacobi"] == 1
 
 
+class TestLargeTracelessMatrix:
+    # Its eigenvalues sum to 0 up to a rounding of ~1e-10: a trace check
+    # relative to 1 + |trace| rather than to 1 + ||M||_F would refuse it.
+    ROWS = [
+        [40000.0, 1620000.0, -50000.0],
+        [1620000.0, -680000.0, -300000.0],
+        [-50000.0, -300000.0, 640000.0],
+    ]
+
+    def test_phase_check(self, capsys, matrix_file):
+        code, payload, err = run_json(
+            capsys, ["phase-check", "--matrix-file", matrix_file(self.ROWS)]
+        )
+        assert code == 0, err
+        a = np.array(self.ROWS)
+        want = np.linalg.eigvalsh(a)
+        assert np.max(np.abs(np.array(payload["eigenvalues"]) - want)) <= 1e-9 * np.linalg.norm(a)
+
+    def test_cone_check(self, capsys, matrix_file):
+        code, payload, err = run_json(
+            capsys, ["cone-check", "-k", "1", "--matrix-file", matrix_file(self.ROWS)]
+        )
+        assert code == 1, err
+        assert payload["sigma_positivity"]["in_cone"] is False
+
+
+class TestJacobiFailureExits2:
+    """A Jacobi that cannot converge or loses the trace is a numerical failure."""
+
+    ROWS = [[2.0, 0.5, 0.0], [0.5, 2.0, 1.0], [0.0, 1.0, -0.75]]
+
+    @pytest.mark.parametrize(
+        "constant, value, message",
+        [
+            ("JACOBI_MAX_SWEEPS", 0, "float64 Jacobi did not converge in 0 sweeps"),
+            ("TRACE_REL_TOL", -1.0, "float64 eigenvalue sum drifted from the trace"),
+        ],
+    )
+    def test_matrix_commands(self, capsys, matrix_file, monkeypatch, constant, value, message):
+        monkeypatch.setattr(symfunc, constant, value)
+        path = matrix_file(self.ROWS)
+        for argv in (["cone-check", "-k", "2"], ["phase-check"]):
+            assert run(argv + ["--matrix-file", path]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert f"sigmak: numerical failure: {message}" in out.err, out.err
+
+    def test_scan_names_the_sample(self, capsys, monkeypatch):
+        monkeypatch.setattr(symfunc, "JACOBI_MAX_SWEEPS", 0)
+        assert run(["verify", "-n", "3", "--samples", "3", "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "sigmak: numerical failure: sample 0 at " in err, err
+        assert "double-double Jacobi did not converge in 0 sweeps" in err
+
+
 # The n = 3 solution Hessian at x = (1.25, -0.5), t = 0.3, as eval computes it.
 HESSIAN_N3 = """3
 2.6997176151520064 0.0 3.374647018940008
 0.0 2.6997176151520064 -1.3498588075760032
 3.374647018940008 -1.3498588075760032 1.2819648363259322
+"""
+
+
+# A fixed indefinite 14 x 14 matrix with entries in [-1, 1], eight of its
+# eigenvalues negative.
+MATRIX_14 = """14
+-0.786 0.405 0.304 0.881 -0.458 -0.488 0.468 0.317 -0.394 0.368 -0.207 0.555 -0.763 -0.553
+0.405 0.803 -0.284 -0.479 0.609 0.263 -0.701 0.103 0.328 -0.67 0.303 -0.754 -0.326 -0.834
+0.304 -0.284 -0.591 0.956 -0.193 0.981 -0.123 0.215 0.745 0.374 -0.777 0.178 0.267 -0.638
+0.881 -0.479 0.956 -0.811 0.75 0.028 -0.612 -0.095 -0.564 0.596 0.001 -0.795 0.636 -0.821
+-0.458 0.609 -0.193 0.75 -0.439 -0.944 0.481 -0.772 0.052 -0.814 -0.039 0.371 0.07 -0.09
+-0.488 0.263 0.981 0.028 -0.944 -0.03 -0.126 0.191 -0.81 -0.051 -0.527 0.731 0.878 -0.867
+0.468 -0.701 -0.123 -0.612 0.481 -0.126 -0.713 0.407 0.143 -0.962 0.41 0.888 -0.154 -0.305
+0.317 0.103 0.215 -0.095 -0.772 0.191 0.407 0.139 0.878 -0.473 -0.395 -0.623 0.257 -0.061
+-0.394 0.328 0.745 -0.564 0.052 -0.81 0.143 0.878 -0.488 -0.224 -0.93 -0.375 0.966 0.172
+0.368 -0.67 0.374 0.596 -0.814 -0.051 -0.962 -0.473 -0.224 -0.435 0.872 -0.283 -0.497 -0.93
+-0.207 0.303 -0.777 0.001 -0.039 -0.527 0.41 -0.395 -0.93 0.872 -0.708 -0.602 -0.54 0.746
+0.555 -0.754 0.178 -0.795 0.371 0.731 0.888 -0.623 -0.375 -0.283 -0.602 -0.471 -0.503 0.208
+-0.763 -0.326 0.267 0.636 0.07 0.878 -0.154 0.257 0.966 -0.497 -0.54 -0.503 0.834 -0.417
+-0.553 -0.834 -0.638 -0.821 -0.09 -0.867 -0.305 -0.061 0.172 -0.93 0.746 0.208 -0.417 0.523
 """
 
 
@@ -376,17 +452,20 @@ class TestPayloadPins:
              "b1c1d2d9741cfba5aa7e872e53aee4e9c7671bac7bd82f1e57aec551679a45b1"),
             (["verify", "-n", "7", "--samples", "50", "--seed", "0"], 0,
              "b8607db90749085caddf109b412d0abcafdb4319c35928cfaacc93e0f9d9e3d5"),
-            (["phase-check"], 0,
+            (["phase-check", "--matrix-file", "hessian.txt"], 0,
              "2f1f6c7234e5460da3bb8896397ef8ab216ef64d338b9d30407c130b5be0ff31"),
-            (["phase-check", "--expected", "1.5707963267948966"], 0,
+            (["phase-check", "--matrix-file", "hessian.txt", "--expected", "1.5707963267948966"], 0,
              "f46f309188260547198d709a9dd09ff82df87bd2c6f52d09a3e1cd714986e807"),
+            (["phase-check", "--matrix-file", "matrix_14.txt"], 0,
+             "0195378c2bf0f848417ffd119195faf5de1fd1fdc5dc6ab1c6a3ae0d9acb00ce"),
+            (["cone-check", "-k", "7", "--matrix-file", "matrix_14.txt"], 1,
+             "bd62927dcbc44fe361c424abf0162342448f6e28a426cf7caf275910db306f28"),
         ],
     )
-    def test_payload_digest(self, capsys, tmp_path, argv, code, digest):
-        if argv[0] == "phase-check":
-            path = tmp_path / "hessian.txt"
-            path.write_text(HESSIAN_N3)
-            argv = argv + ["--matrix-file", str(path)]
+    def test_payload_digest(self, capsys, tmp_path, monkeypatch, argv, code, digest):
+        (tmp_path / "hessian.txt").write_text(HESSIAN_N3)
+        (tmp_path / "matrix_14.txt").write_text(MATRIX_14)
+        monkeypatch.chdir(tmp_path)
         got_code, payload, _ = run_json(capsys, argv)
         payload.pop("elapsed_seconds")
         canonical = json.dumps(payload, sort_keys=True).encode()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import e_brute, random_symmetric, random_rotation, rotate_exactly_symmetric
 from sigmak import doubledouble as dd
+from sigmak import symfunc
 from sigmak.errors import CapabilityError, ConvergenceError
 from sigmak.symfunc import (
     SymmetricMatrix,
@@ -278,3 +279,54 @@ class TestDoubleDoubleVariants:
         entries = [[dd.from_float(v) for v in row] for row in ((2.0, 1.0), (1.0, 3.0))]
         with pytest.raises(ConvergenceError, match="drifted from the trace"):
             eigenvalues_symmetric_dd(entries)
+
+
+class TestJacobiFailurePaths:
+    """Both arithmetics of the one cyclic Jacobi raise on the same failures."""
+
+    ROWS = ((2.0, 1.0, 0.5), (1.0, 3.0, -1.0), (0.5, -1.0, 1.0))
+
+    def test_float_trace_check_is_wired(self, monkeypatch):
+        monkeypatch.setattr(symfunc, "TRACE_REL_TOL", -1.0)
+        with pytest.raises(ConvergenceError, match="float64 eigenvalue sum drifted from the trace"):
+            eigenvalues_symmetric(SymmetricMatrix(self.ROWS))
+
+    def test_float_sweep_cap(self, monkeypatch):
+        monkeypatch.setattr(symfunc, "JACOBI_MAX_SWEEPS", 0)
+        m = SymmetricMatrix(self.ROWS)
+        with pytest.raises(ConvergenceError, match="float64 Jacobi did not converge in 0 sweeps") as info:
+            eigenvalues_symmetric(m)
+        assert info.value.offdiag_norm > symfunc.JACOBI_REL_TOL * (1.0 + m.frobenius_norm())
+
+    def test_dd_sweep_cap(self, monkeypatch):
+        monkeypatch.setattr(symfunc, "JACOBI_MAX_SWEEPS", 0)
+        entries = [[dd.from_float(v) for v in row] for row in self.ROWS]
+        fro = SymmetricMatrix(self.ROWS).frobenius_norm()
+        with pytest.raises(ConvergenceError, match="double-double Jacobi did not converge in 0 sweeps") as info:
+            eigenvalues_symmetric_dd(entries)
+        assert info.value.offdiag_norm > symfunc.DD_JACOBI_REL_TOL * (1.0 + fro)
+
+    def test_diagonal_input_needs_no_sweep(self, monkeypatch):
+        monkeypatch.setattr(symfunc, "JACOBI_MAX_SWEEPS", 0)
+        assert eigenvalues_symmetric(SymmetricMatrix.diagonal([2.0, -1.0])).values == (-1.0, 2.0)
+
+
+class TestNearTracelessMatrices:
+    def test_large_near_traceless_matrices_pass_the_trace_check(self):
+        # the eigenvalue sum of a traceless matrix rounds to ~1e-16 * ||M||_F,
+        # not to ~1e-16 * |trace|; a check relative to 1 + |trace| would
+        # refuse about a quarter of these
+        rng = random.Random(2024)
+        for _ in range(300):
+            dim = rng.randrange(2, 15)
+            scale = 10.0 ** rng.uniform(0.0, 7.0)
+            a = np.empty((dim, dim))
+            for i in range(dim):
+                for j in range(i, dim):
+                    a[i, j] = a[j, i] = rng.uniform(-scale, scale)
+            a[np.diag_indices(dim)] -= np.trace(a) / dim
+            m = SymmetricMatrix(a)
+            got = eigenvalues_symmetric(m).values
+            np.testing.assert_allclose(
+                got, np.linalg.eigvalsh(a), rtol=0, atol=1e-12 * m.frobenius_norm()
+            )

@@ -162,6 +162,17 @@ class TestResidualScan:
             residual_scan(P3, dataclasses.replace(BOX, count=3))
         assert str(info.value).startswith(f"sample 0 at {first}: ")
 
+    def test_unconverged_jacobi_names_the_sample(self, monkeypatch):
+        from sigmak import symfunc
+        from sigmak.errors import ConvergenceError
+
+        monkeypatch.setattr(symfunc, "JACOBI_MAX_SWEEPS", 0)
+        first = sample_point(P3, BOX, 0)
+        with pytest.raises(ConvergenceError, match="double-double Jacobi did not converge") as info:
+            residual_scan(P3, dataclasses.replace(BOX, count=3))
+        assert str(info.value).startswith(f"sample 0 at {first}: ")
+        assert info.value.offdiag_norm > 0.0
+
     def test_argmax_point_is_reproducible(self):
         rep = residual_scan(P3, dataclasses.replace(BOX, count=200))
         again = residual_scan(P3, dataclasses.replace(BOX, count=200))
