@@ -472,6 +472,35 @@ class TestPayloadPins:
         assert (got_code, hashlib.sha256(canonical).hexdigest()) == (code, digest)
 
 
+class TestVerdictPins:
+    """sha256 of each verify payload without its rounding-level fields.
+
+    Like TestPayloadPins, but max_abs_residual and argmax_point are removed as
+    well: how the double-double eigenvalues are computed moves the residual in
+    its last digits and so its argmax, never an exit code, a verdict count,
+    min_sigma_j or the phase verdict.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            (["verify", "-n", "3", "--samples", "200", "--seed", "0"], 0,
+             "821c96ab401688d546227da35d919b04a2ebece00ed598362746bc569221ebb3"),
+            (["verify", "-n", "3", "-m", "1", "--samples", "100", "--seed", "5"], 0,
+             "aa5a52becdd50ea8f51e01d111785fdf5867eed61813f7438b14b8caf302fcef"),
+            (["verify", "-n", "7", "--samples", "50", "--seed", "0"], 0,
+             "5020349c0c066b58b8594fffcdc0d0ea39cc46b265d457649c10e3d818fa6031"),
+        ],
+    )
+    def test_verdict_digest(self, capsys, argv, code, digest):
+        got_code, payload, _ = run_json(capsys, argv)
+        payload.pop("elapsed_seconds")
+        payload["report"].pop("max_abs_residual")
+        payload["report"].pop("argmax_point")
+        canonical = json.dumps(payload, sort_keys=True).encode()
+        assert (got_code, hashlib.sha256(canonical).hexdigest()) == (code, digest)
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2
