@@ -6,7 +6,10 @@ precision is lost; the elapsed time is emitted under its own top-level key so
 consumers can compare everything else byte for byte.
 
 Exit codes: 0 all checks passed, 1 a verification check failed (the report is
-still printed), 2 usage or domain errors (diagnostic on stderr).
+still printed), 2 usage or domain errors (diagnostic on stderr), 141 (128 +
+SIGPIPE, as the shell reports a writer killed by a closed pipe) when stdout
+is closed before the report is written, e.g. by ``| head``; nothing is
+printed then.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -355,8 +359,18 @@ def run(argv) -> int:
     return code
 
 
+# 128 + SIGPIPE: what the shell reports for a writer whose pipe was closed
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv=None) -> int:
-    return run(sys.argv[1:] if argv is None else argv)
+    try:
+        return run(sys.argv[1:] if argv is None else argv)
+    except BrokenPipeError:
+        # the reader has gone: say nothing, and point stdout at devnull so that
+        # the interpreter's final flush of the unwritten report does not fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ A value is an unevaluated sum ``hi + lo`` of two floats with
 evaluation of sigma_k at a sampled point is a cancellation of terms as large
 as ``|H|^k`` down to a value near 1, so its absolute error in plain double
 precision can reach ~1e-8 for k = 4 on the standard sample box.  Carrying the
-residual pipeline (Hessian entries, Jacobi eigenvalues, e_k recurrence) in
-double-double pushes that error below 1e-20.
+residual pipeline (the Hessian's constants, its closed-form eigenvalues, the
+e_k recurrence) in double-double pushes that error below 1e-20.
 
 No FMA is assumed: products are split with Dekker's algorithm, which is exact
 while operands and products stay below ``SPLIT_MAX`` = 2**996 (~6.7e299);
@@ -172,10 +172,11 @@ def rotate(c: DD, s: DD, x: DD, y: DD) -> tuple[DD, DD]:
 
 # --- the double-double ring of symfunc's cyclic Jacobi ----------------------
 #
-# The scan diagonalizes each double-double Hessian with the same cyclic Jacobi
-# as cone-check and phase-check, carried in this arithmetic, and feeds the
-# eigenvalues to symfunc.elementary_symmetric with add and mul: at sample-box
-# corners |sigma_k - 1| is below what plain doubles can resolve (see the module
+# On its audited samples the scan diagonalizes the double-double Hessian with
+# the same cyclic Jacobi as cone-check and phase-check, carried in this
+# arithmetic, to check the closed-form spectrum that it feeds to
+# symfunc.elementary_symmetric with add and mul (at sample-box corners
+# |sigma_k - 1| is below what plain doubles can resolve, see the module
 # docstring).  The skip rule, the off-diagonal norm and the ascending sort read
 # only the leading float hi, which is the rounded value hi + lo.
 RING = SimpleNamespace(

@@ -249,13 +249,8 @@ def eval_jet(p: SolutionParams, pt: Point) -> Jet2:
     return Jet2(value=value, gradient=gradient, hessian=SymmetricMatrix(hess))
 
 
-def hessian_dd(p: SolutionParams, pt: Point) -> list[list[dd.DD]]:
-    """The Hessian with entries in double-double precision.
-
-    Same closed form as eval_jet, but e^t, e^(-(k-1)t) and all entry products
-    carry ~31 digits.  The verification scan diagonalizes this matrix to
-    measure |sigma_k - 1| below the double-precision noise floor.
-    """
+def _dd_terms(p: SolutionParams, pt: Point) -> tuple[dd.DD, dd.DD, dd.DD]:
+    """e^t, h''(t) and r^2 = |x|^2 in double-double, from e^t and e^(-(k-1)t)."""
     _check_point(p, pt)
     _check_exponent(p, pt.t)
     k = p.k
@@ -268,7 +263,17 @@ def hessian_dd(p: SolutionParams, pt: Point) -> list[list[dd.DD]]:
     r2 = dd.ZERO
     for v in pt.x:
         r2 = dd.add(r2, dd.from_product(v, v))
+    return et, h2, r2
 
+
+def hessian_dd(p: SolutionParams, pt: Point) -> list[list[dd.DD]]:
+    """The Hessian with entries in double-double precision.
+
+    Same closed form as eval_jet, but e^t, e^(-(k-1)t) and all entry products
+    carry ~31 digits.  The verification scan diagonalizes this matrix on its
+    audited samples, to check spectrum_dd against the general Jacobi.
+    """
+    et, h2, r2 = _dd_terms(p, pt)
     nx = p.n_base - 1
     d = p.total_dim
     hess = [[dd.ZERO] * d for _ in range(d)]
@@ -279,3 +284,35 @@ def hessian_dd(p: SolutionParams, pt: Point) -> list[list[dd.DD]]:
         hess[nx][i] = cross
     hess[nx][nx] = dd.add(dd.mul(r2, et), h2)
     return hess
+
+
+def spectrum_dd(p: SolutionParams, pt: Point) -> list[dd.DD]:
+    """The eigenvalues of hessian_dd(p, pt) in closed form, ascending.
+
+    On the x, t block the Hessian is the arrow matrix [[a I, c], [c^T, d]]
+    with a = 2e^t, c = 2x e^t and d = r^2 e^t + h''; the w block is zero.  So
+    its eigenvalues are a, with multiplicity n - 2 (the x directions
+    orthogonal to c), m zeros, and the two eigenvalues of
+    [[a, |c|], [|c|, d]], the roots of mu^2 - (a + d) mu + det with
+
+        det = a d - |c|^2 = 2e^t h'' - 2r^2 e^(2t) = a (h'' - r^2 e^t).
+
+    The larger root is (a + d)/2 + sqrt(((a - d)/2)^2 + |c|^2) >= max(a, d) > 0,
+    a sum of two terms >= 0, since a + d = (2 - B/A + r^2) e^t + e^(-(k-1)t)/A
+    and B/A = 2(k-1)/k < 2.  The smaller is det / larger, with det formed as
+    a (h'' - r^2 e^t), not as a d - |c|^2, whose two terms both grow like r^2
+    and cancel.  Same double-double constants as hessian_dd.
+    """
+    et, h2, r2 = _dd_terms(p, pt)
+    a = dd.mul_pow2(et, 2.0)
+    r2et = dd.mul(r2, et)
+    d = dd.add(r2et, h2)
+    half_gap = dd.mul_pow2(dd.sub(a, d), 0.5)
+    c2 = dd.mul(a, dd.mul_pow2(r2et, 2.0))  # |c|^2 = 4 r^2 e^(2t)
+    larger = dd.add(
+        dd.mul_pow2(dd.add(a, d), 0.5), dd.sqrt(dd.add(dd.mul(half_gap, half_gap), c2))
+    )
+    smaller = dd.div(dd.mul(a, dd.sub(h2, r2et)), larger)
+    values = [smaller, larger] + [a] * (p.n_base - 2) + [dd.ZERO] * p.m
+    values.sort()  # (hi, lo) tuples order as their values
+    return values

@@ -5,12 +5,14 @@ sum of its k x k principal minors, equivalently (up to sign) a coefficient of
 its characteristic polynomial.  Each route is implemented separately so the
 three can serve as cross-checking oracles for one another:
 
-* cyclic Jacobi eigenvalues + the e_j recurrence: the route of every command.
-  One ring-generic Jacobi runs in two arithmetics: double-double for the scan
-  (``eigenvalues_symmetric_dd``: off-diagonal target 1e-28 * (1 + ||M||_F),
-  trace check 1e-24 * (1 + ||M||_F)) and float64 for ``cone-check`` and
-  ``phase-check`` (``eigenvalues_symmetric``: 1e-12 and 1e-10 times the same
-  scale); both stop after 50 sweeps,
+* cyclic Jacobi eigenvalues + the e_j recurrence: the route of every command
+  (the scan takes its eigenvalues in closed form, ``solution.spectrum_dd``,
+  and shares only the recurrence).  One ring-generic Jacobi runs in two
+  arithmetics: float64 for ``cone-check`` and ``phase-check``
+  (``eigenvalues_symmetric``: off-diagonal target 1e-12 * (1 + ||M||_F),
+  trace check 1e-10 * (1 + ||M||_F)) and double-double for the scan's 1%
+  audit of the closed form (``eigenvalues_symmetric_dd``: 1e-28 and 1e-24
+  times the same scale); both stop after 50 sweeps,
 * explicit principal-minor enumeration with LU determinants: the scan's 1%
   audit of sigma_k, and a test oracle,
 * the Faddeev-LeVerrier trace recursion for all coefficients at once, with

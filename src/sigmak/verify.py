@@ -18,16 +18,25 @@ per coordinate, x block first, then t, then the w block.
 
 Precision
 ---------
-Each sample's Hessian is built and diagonalized once, in double-double
-arithmetic (Jacobi, then one pass of the e_j recurrence): at sample-box
-corners the cancellation in sigma_k is too severe for plain doubles to
-certify a 1e-9 bound once k reaches 4.  The residual |sigma_k - 1|, the
-sigma vector behind the cone verdicts and min_sigma_j, the negative
-eigenvalue count and the n = 3 phase all come from those double-double
-values, rounded to float64 only where a float threshold judges them.  The
-recurrence (``symfunc.elementary_symmetric``), the verdicts
-(``cone.cone_verdicts``) and ``sl_phase`` are the ones that ``cone-check``
-and ``phase-check`` apply to a float64 Jacobi.
+Each sample's spectrum is computed once, in double-double arithmetic, from
+the closed form of the Hessian's eigenvalues (``solution.spectrum_dd``), and
+fed to one pass of the e_j recurrence: at sample-box corners the
+cancellation in sigma_k is too severe for plain doubles to certify a 1e-9
+bound once k reaches 4.  The residual |sigma_k - 1|, the sigma vector behind
+the cone verdicts and min_sigma_j, the negative eigenvalue count and the
+n = 3 phase all come from those double-double values, rounded to float64
+only where a float threshold judges them.  The recurrence
+(``symfunc.elementary_symmetric``), the verdicts (``cone.cone_verdicts``)
+and ``sl_phase`` are the ones that ``cone-check`` and ``phase-check`` apply
+to a float64 Jacobi.
+
+Every 100th sample is audited without the closed form: the double-double
+Hessian (``solution.hessian_dd``) is diagonalized by the general cyclic
+Jacobi (``symfunc.eigenvalues_symmetric_dd``), whose eigenvalues must match
+the closed-form ones within SPECTRUM_AUDIT_REL_TOL * (1 + ||M||_F), and,
+up to dimension 14, sigma_k must match the sum of the k x k principal
+minors of the same matrix.  So the scan keeps checking the arrow structure
+that its fast path assumes, independently of ``symbolic``.
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ from .solution import (
     h_eval,
     hessian_dd,
     solution_value,
+    spectrum_dd,
 )
 from .symfunc import (
     MINOR_DIM_LIMIT,
@@ -64,7 +74,17 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 PHASE_TOL = 1e-9
 CRITICAL_PHASE_N3 = math.pi / 2
-MINOR_AUDIT_STRIDE = 100  # cross-check sigma_k by minors on 1% of samples
+MINOR_AUDIT_STRIDE = 100  # audit the closed-form spectrum on 1% of samples
+# The audit's bound on |Jacobi - closed form| per eigenvalue, relative to
+# 1 + ||M||_F.  The Jacobi stops once the off-diagonal Frobenius norm of its
+# rotated matrix is at most DD_JACOBI_REL_TOL * (1 + ||M||_F) = 1e-28 * (...);
+# by Weyl's inequality, dropping that off-diagonal part moves no eigenvalue
+# by more than its norm.  The rest is double-double rounding, a few units of
+# 2^-104 ~5e-32 times ||M||_F per step: each rotation perturbs the matrix by
+# that much, and even 50 sweeps of a 31 x 31 matrix (23250 rotations) stay
+# below 1e-26 * ||M||_F; the closed form and the two routes' Hessian entries
+# add a few more units.  A wrong closed form is wrong far above that.
+SPECTRUM_AUDIT_REL_TOL = 1e-26
 WITNESS_MAX_DEGREE = 40
 
 
@@ -146,11 +166,11 @@ def sample_point(p: SolutionParams, box: SampleBox, index: int) -> Point:
 def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
     """Scan `box.count` seeded points; aggregate residual, cone and phase checks.
 
-    Every check of a sample reads the same double-double eigenvalues and
-    their e_1..e_d (see the module docstring); every 100th sample also
-    compares sigma_k with the principal-minor sum of the Hessian.  A
-    ConvergenceError raised by a sample names its index and point.  The
-    report is identical for identical (params, box), elapsed_seconds aside.
+    Every check of a sample reads the same closed-form double-double
+    eigenvalues and their e_1..e_d (see the module docstring); every 100th
+    sample is also audited by _audit_sample.  A ConvergenceError raised by a
+    sample, including a failed audit, names its index and point.  The report
+    is identical for identical (params, box), elapsed_seconds aside.
     """
     for bound in box.t_range:
         _check_exponent(p, bound)
@@ -160,7 +180,6 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
     start = time.perf_counter()
 
     k = p.k
-    d = p.total_dim
     check_phase = p.n_base == 3 and p.m == 0
     max_resid, argmax_point = -1.0, None
     cone_failures = lemma_failures = phase_failures = 0
@@ -168,19 +187,12 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
     for i in range(box.count):
         pt = sample_point(p, box, i)
         try:
-            hess = hessian_dd(p, pt)
-            lam_dd = eigenvalues_symmetric_dd(hess)
+            lam_dd = spectrum_dd(p, pt)
             e = elementary_symmetric(lam_dd, dd.add, dd.mul)
             sigmas = [dd.to_float(v) for v in e]
             lam = [dd.to_float(v) for v in lam_dd]
-            if i % MINOR_AUDIT_STRIDE == 0 and d <= MINOR_DIM_LIMIT:
-                floats = SymmetricMatrix([[dd.to_float(v) for v in row] for row in hess])
-                by_minors = sigma_via_minors(floats, k)
-                fro = math.sqrt(sum(v * v for v in lam))
-                if abs(by_minors - sigmas[k - 1]) > 1e-8 * (1.0 + fro**k):
-                    raise ConvergenceError(
-                        f"minor-sum audit disagrees: {by_minors} vs {sigmas[k - 1]}"
-                    )
+            if i % MINOR_AUDIT_STRIDE == 0:
+                _audit_sample(p, pt, lam_dd, sigmas[k - 1])
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"sample {i} at {pt}: {exc}", offdiag_norm=exc.offdiag_norm
@@ -207,6 +219,32 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
         phase_ok=phase_failures == 0 if check_phase else None,
         elapsed_seconds=time.perf_counter() - start,
     )
+
+
+def _audit_sample(p: SolutionParams, pt: Point, lam_dd: list, sigma_k: float) -> None:
+    """Check one sample's closed-form spectrum against the general routes.
+
+    The cyclic Jacobi of hessian_dd(p, pt) must give the eigenvalues lam_dd
+    within SPECTRUM_AUDIT_REL_TOL * (1 + ||M||_F), and, up to MINOR_DIM_LIMIT,
+    the sum of the k x k principal minors must give sigma_k within
+    1e-8 * (1 + ||M||_F^k).  Raises ConvergenceError otherwise.
+    """
+    hess = hessian_dd(p, pt)
+    fro = math.sqrt(sum(v * v for v in map(dd.to_float, lam_dd)))
+    # the Jacobi orders by hi alone; sort by (hi, lo) to pair like with like
+    by_jacobi = sorted(eigenvalues_symmetric_dd(hess))
+    gap = max(abs(dd.to_float(dd.sub(x, y))) for x, y in zip(by_jacobi, lam_dd))
+    tol = SPECTRUM_AUDIT_REL_TOL * (1.0 + fro)
+    if not gap <= tol:
+        raise ConvergenceError(
+            f"closed-form spectrum disagrees with the double-double Jacobi by "
+            f"{gap:g} (tolerance {tol:g})"
+        )
+    if len(hess) <= MINOR_DIM_LIMIT:
+        floats = SymmetricMatrix([[dd.to_float(v) for v in row] for row in hess])
+        by_minors = sigma_via_minors(floats, p.k)
+        if abs(by_minors - sigma_k) > 1e-8 * (1.0 + fro**p.k):
+            raise ConvergenceError(f"minor-sum audit disagrees: {by_minors} vs {sigma_k}")
 
 
 def central_hessian(func, coords, step: float) -> np.ndarray:

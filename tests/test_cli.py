@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -447,11 +450,11 @@ class TestPayloadPins:
         "argv, code, digest",
         [
             (["verify", "-n", "3", "--samples", "200", "--seed", "0"], 0,
-             "db664a9228c5e45a0d2ab9824078f8284a29bbf1c1470689f178b58c5fadb312"),
+             "4905d33857249060cead2ff6ee9e0658ffeb315ebf8ec8b9fe9d54d430ca2d09"),
             (["verify", "-n", "3", "-m", "1", "--samples", "100", "--seed", "5"], 0,
-             "b1c1d2d9741cfba5aa7e872e53aee4e9c7671bac7bd82f1e57aec551679a45b1"),
+             "2f1783627bb01520387db27e177b9324e4c47c9d96fd1299b1dcd1a9990b2e49"),
             (["verify", "-n", "7", "--samples", "50", "--seed", "0"], 0,
-             "b8607db90749085caddf109b412d0abcafdb4319c35928cfaacc93e0f9d9e3d5"),
+             "91bb3eb5453f8a41024b4ddd83b912a82083b9bb2cb1f079c0aa23ce10989de8"),
             (["phase-check", "--matrix-file", "hessian.txt"], 0,
              "2f1f6c7234e5460da3bb8896397ef8ab216ef64d338b9d30407c130b5be0ff31"),
             (["phase-check", "--matrix-file", "hessian.txt", "--expected", "1.5707963267948966"], 0,
@@ -499,6 +502,24 @@ class TestVerdictPins:
         payload["report"].pop("argmax_point")
         canonical = json.dumps(payload, sort_keys=True).encode()
         assert (got_code, hashlib.sha256(canonical).hexdigest()) == (code, digest)
+
+
+class TestClosedStdout:
+    def test_closed_pipe_stops_quietly(self):
+        # the reader closes the pipe before the report is written, as
+        # `sigmak verify ... | true` does: no traceback, exit 128 + SIGPIPE
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sigmak", "verify", "-n", "3", "--samples", "300"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE
+        assert err == ""
 
 
 class TestUsage:

@@ -16,9 +16,11 @@ from sigmak.solution import (
     h_formula,
     hessian_dd,
     solution_value,
+    spectrum_dd,
 )
 from sigmak import doubledouble as dd
-from sigmak.symfunc import eigenvalues_symmetric, elementary_symmetric
+from sigmak.symfunc import eigenvalues_symmetric, eigenvalues_symmetric_dd, elementary_symmetric
+from sigmak.verify import SPECTRUM_AUDIT_REL_TOL, SampleBox, sample_point
 
 
 class TestCancellationCoefficient:
@@ -261,3 +263,81 @@ class TestHessianDD:
         lam = eigenvalues_symmetric_dd(hessian_dd(p, pt))
         sigma = elementary_symmetric(lam, dd.add, dd.mul)[3]
         assert abs(dd.to_float(dd.add_f(sigma, -1.0))) < 1e-20
+
+
+def _fro(values) -> float:
+    return math.sqrt(sum(dd.to_float(v) ** 2 for v in values))
+
+
+def _max_gap(xs, ys) -> float:
+    return max(abs(dd.to_float(dd.sub(x, y))) for x, y in zip(xs, ys))
+
+
+class TestSpectrumDD:
+    """The closed-form spectrum against the general routes that the scan no
+    longer runs on every sample: the double-double Jacobi of hessian_dd and
+    numpy's eigvalsh of the float Hessian."""
+
+    def assert_matches_oracles(self, p, pt):
+        lam = spectrum_dd(p, pt)
+        assert len(lam) == p.total_dim
+        assert lam == sorted(lam)
+        fro = _fro(lam)
+        by_jacobi = sorted(eigenvalues_symmetric_dd(hessian_dd(p, pt)))
+        assert _max_gap(lam, by_jacobi) <= SPECTRUM_AUDIT_REL_TOL * (1.0 + fro)
+        by_numpy = np.linalg.eigvalsh(eval_jet(p, pt).hessian.entries)
+        gaps = [abs(dd.to_float(x) - y) for x, y in zip(lam, by_numpy)]
+        assert max(gaps) <= 1e-14 * (1.0 + fro)
+        return lam, by_jacobi
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15, 17, 19, 21])
+    def test_seeded_points(self, n, m):
+        p = extend(derive_constants(n), m)
+        box = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=3, seed=1000 * n + m, w_radius=3.0)
+        for i in range(box.count):
+            self.assert_matches_oracles(p, sample_point(p, box, i))
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_origin_gives_a_and_d(self, n):
+        # x = 0: c = 0, so the 2 x 2 block is diagonal with roots a and d
+        p = extend(derive_constants(n), 1)
+        for t in (-1.5, 0.0, 1.5):
+            pt = Point(x=(0.0,) * (n - 1), t=t, w=(0.7,))
+            lam, _ = self.assert_matches_oracles(p, pt)
+            a = 2.0 * math.exp(t)
+            d = h_eval(p, t, 2)
+            expected = sorted([a] * (n - 1) + [d, 0.0])
+            assert [dd.to_float(v) for v in lam] == pytest.approx(expected, rel=1e-14, abs=1e-14)
+
+    def test_equal_diagonal_gives_a_plus_minus_c(self):
+        # n = 3, t = 0: d = r^2 + h''(0) = r^2 - 3/4 equals a = 2 at r^2 = 11/4;
+        # the 2 x 2 block [[a, |c|], [|c|, a]] has roots a -/+ |c|
+        p = derive_constants(3)
+        pt = Point(x=(math.sqrt(2.75), 0.0), t=0.0)
+        lam, _ = self.assert_matches_oracles(p, pt)
+        c = 2.0 * math.sqrt(2.75)
+        assert [dd.to_float(v) for v in lam] == pytest.approx([2.0 - c, 2.0, 2.0 + c], rel=1e-14)
+
+    @pytest.mark.parametrize("n", [3, 7, 11])
+    @pytest.mark.parametrize("t", [-2.0, 2.0])
+    def test_box_corner(self, n, t):
+        p = derive_constants(n)
+        pt = Point(x=(3.0, -3.0) * ((n - 1) // 2), t=t)
+        lam, _ = self.assert_matches_oracles(p, pt)
+        sigma_k = elementary_symmetric(lam, dd.add, dd.mul)[p.k - 1]
+        assert abs(dd.to_float(dd.add_f(sigma_k, -1.0))) < 1e-20
+
+    def test_negative_determinant_root(self):
+        # n = 3, t = 0.5, x = (1, 0): h'' - r^2 e^t < 0, so det < 0 and the
+        # smaller root is the one negative eigenvalue
+        p = derive_constants(3)
+        pt = Point(x=(1.0, 0.0), t=0.5)
+        et = math.exp(0.5)
+        det = 2.0 * et * h_eval(p, 0.5, 2) - 2.0 * et * et
+        assert det < 0.0
+        lam, by_jacobi = self.assert_matches_oracles(p, pt)
+        assert dd.to_float(lam[0]) < 0.0
+        assert dd.to_float(lam[0]) * dd.to_float(lam[-1]) == pytest.approx(det, rel=1e-14)
+        negatives = sum(dd.to_float(v) < 0.0 for v in lam)
+        assert negatives == sum(dd.to_float(v) < 0.0 for v in by_jacobi) == 1

@@ -179,6 +179,79 @@ class TestResidualScan:
         assert rep.argmax_point == again.argmax_point
 
 
+class TestSpectrumAudit:
+    """The scan's closed-form spectrum is checked by the general dd Jacobi on
+    every MINOR_AUDIT_STRIDE-th sample, in any dimension."""
+
+    @staticmethod
+    def shifted_spectrum(monkeypatch, first_shifted, rel_shift):
+        # from call number first_shifted on, move the largest eigenvalue by
+        # rel_shift * (1 + ||M||_F)
+        from sigmak import doubledouble as dd
+        from sigmak import verify
+
+        calls = []
+        exact = verify.spectrum_dd
+
+        def shifted(p, pt):
+            lam = exact(p, pt)
+            if len(calls) >= first_shifted:
+                fro = math.sqrt(sum(dd.to_float(v) ** 2 for v in lam))
+                lam[-1] = dd.add_f(lam[-1], rel_shift * (1.0 + fro))
+            calls.append(pt)
+            return lam
+
+        monkeypatch.setattr(verify, "spectrum_dd", shifted)
+
+    @pytest.mark.parametrize("first_shifted", [0, 100])
+    def test_a_wrong_eigenvalue_names_the_sample(self, monkeypatch, first_shifted):
+        from sigmak.errors import ConvergenceError
+
+        self.shifted_spectrum(monkeypatch, first_shifted, 1e-20)
+        named = sample_point(P3, BOX, first_shifted)
+        with pytest.raises(ConvergenceError, match="closed-form spectrum disagrees") as info:
+            residual_scan(P3, dataclasses.replace(BOX, count=250))
+        assert str(info.value).startswith(f"sample {first_shifted} at {named}: ")
+
+    def test_a_shift_within_the_tolerance_passes(self, monkeypatch):
+        from sigmak.verify import SPECTRUM_AUDIT_REL_TOL
+
+        self.shifted_spectrum(monkeypatch, 0, SPECTRUM_AUDIT_REL_TOL / 10.0)
+        rep = residual_scan(P3, dataclasses.replace(BOX, count=250))
+        assert rep.cone_failures == 0
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        from sigmak import verify
+
+        calls = []
+        original = getattr(verify, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+        return calls
+
+    def test_one_jacobi_per_hundred_samples(self, monkeypatch):
+        jacobi = self.count_calls(monkeypatch, "eigenvalues_symmetric_dd")
+        hessians = self.count_calls(monkeypatch, "hessian_dd")
+        residual_scan(P3, BOX)
+        assert BOX.count == 1000
+        assert (len(jacobi), len(hessians)) == (10, 10)
+
+    def test_audit_runs_past_the_minor_limit(self, monkeypatch):
+        from sigmak.symfunc import MINOR_DIM_LIMIT
+
+        p = derive_constants(15)
+        assert p.total_dim > MINOR_DIM_LIMIT
+        jacobi = self.count_calls(monkeypatch, "eigenvalues_symmetric_dd")
+        minors = self.count_calls(monkeypatch, "sigma_via_minors")
+        residual_scan(p, dataclasses.replace(BOX, count=101))
+        assert (len(jacobi), len(minors)) == (2, 0)
+
+
 class TestResidualAgainstExactArithmetic:
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_dd_residual_equals_exact_rational_residual(self, n):
