@@ -365,7 +365,11 @@ EXIT_BROKEN_PIPE = 141
 
 def main(argv=None) -> int:
     try:
-        return run(sys.argv[1:] if argv is None else argv)
+        code = run(sys.argv[1:] if argv is None else argv)
+        # on a pipe stdout is block-buffered, so a closed reader shows only
+        # when the report is flushed: flush here, not at interpreter exit
+        sys.stdout.flush()
+        return code
     except BrokenPipeError:
         # the reader has gone: say nothing, and point stdout at devnull so that
         # the interpreter's final flush of the unwritten report does not fail

@@ -505,11 +505,17 @@ class TestVerdictPins:
 
 
 class TestClosedStdout:
-    def test_closed_pipe_stops_quietly(self):
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_pipe_stops_quietly(self, unbuffered):
         # the reader closes the pipe before the report is written, as
-        # `sigmak verify ... | true` does: no traceback, exit 128 + SIGPIPE
+        # `sigmak verify ... | true` does: no traceback, exit 128 + SIGPIPE.
+        # Block-buffered stdout (the default on a pipe) keeps the report in
+        # the buffer until it is flushed; unbuffered stdout fails inside print
         src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.Popen(
             [sys.executable, "-m", "sigmak", "verify", "-n", "3", "--samples", "300"],
             stdout=subprocess.PIPE,
