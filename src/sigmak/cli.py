@@ -124,12 +124,12 @@ def _read_matrix_file(path: str) -> SymmetricMatrix:
     """Plain text: first line the dimension, then dim rows of dim numbers.
 
     Every entry must be a finite number; a bad one is named by its row and
-    column (1-based, counting rows after the dimension line).  The file is
-    refused when F = dim * max|entry|, which bounds the Frobenius norm and
-    every eigenvalue, has (1 + F)^max(dim, 2) > 2^996: below that the
-    fro**j (j <= dim) of the cone thresholds, the e_j products of the
-    eigenvalues (|sigma_j| <= (1 + F)^dim) and the squares in the norms
-    stay finite.
+    column (1-based, counting rows after the dimension line), and so is the
+    worst mirrored pair of an asymmetry beyond 1e-12.  The file is refused
+    when F = dim * max|entry|, which bounds the Frobenius norm and every
+    eigenvalue, has (1 + F)^max(dim, 2) > 2^996: below that the fro**j
+    (j <= dim) of the cone thresholds, the e_j products of the eigenvalues
+    (|sigma_j| <= (1 + F)^dim) and the squares in the norms stay finite.
     """
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines:
@@ -137,8 +137,13 @@ def _read_matrix_file(path: str) -> SymmetricMatrix:
     try:
         dim = int(lines[0])
     except ValueError:
-        raise ValueError(f"matrix file {path}: first line must be the dimension")
-    if dim < 1 or len(lines) != dim + 1:
+        dim = 0
+    if dim < 1:
+        raise ValueError(
+            f"matrix file {path}: the dimension must be a positive integer, "
+            f"got {lines[0].strip()}"
+        )
+    if len(lines) != dim + 1:
         raise ValueError(
             f"matrix file {path}: expected {dim} rows after the dimension line"
         )
@@ -166,7 +171,10 @@ def _read_matrix_file(path: str) -> SymmetricMatrix:
             f"matrix file {path}: entries up to {biggest:.3g} in dimension {dim} "
             f"could overflow; (1 + dim * max|entry|)^{max(dim, 2)} must stay <= 2^996"
         )
-    return SymmetricMatrix.symmetrized(rows, tol=1e-12)
+    try:
+        return SymmetricMatrix.symmetrized(rows, tol=1e-12)
+    except ValueError as exc:  # the rows are square and finite: only asymmetry
+        raise ValueError(f"matrix file {path}: {exc}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import numpy as np
-
 from . import doubledouble as dd
 from .symfunc import SymmetricMatrix
 
@@ -239,13 +237,13 @@ def eval_jet(p: SolutionParams, pt: Point) -> Jet2:
     d = p.total_dim
     gradient = tuple(2.0 * v * et for v in pt.x) + (r2 * et + h1,) + (0.0,) * p.m
 
-    hess = np.zeros((d, d))
+    hess = [[0.0] * d for _ in range(d)]
     for i in range(nx):
-        hess[i, i] = 2.0 * et
+        hess[i][i] = 2.0 * et
         cross = 2.0 * pt.x[i] * et
-        hess[i, nx] = cross
-        hess[nx, i] = cross
-    hess[nx, nx] = r2 * et + h2
+        hess[i][nx] = cross
+        hess[nx][i] = cross
+    hess[nx][nx] = r2 * et + h2
     return Jet2(value=value, gradient=gradient, hessian=SymmetricMatrix(hess))
 
 

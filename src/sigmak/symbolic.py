@@ -9,11 +9,12 @@ Example:  r^2 e^t + 1/4 e^(-t)  ->  {(2, 1): Fraction(1), (0, -1): Fraction(1, 4
 
 This is enough to house every entry of the rotated Hessian of the solution
 ansatz (whose entries are 2e^t, 2r e^t and r^2 e^t + h''(t)) and therefore to
-expand sigma_1..sigma_n of it exactly, by the Faddeev-LeVerrier trace
-recursion (`sym_sigmas`): the certification that sigma_k collapses to the
-constant 1, and that every sigma_j with j < k is positive, is a finite
-rational computation.  The Leibniz minor sums (`sigma_k_partition`) stay as
-the small-n oracle that shows where the binomial cancellation happens.
+expand sigma_1..sigma_n of it exactly (`sym_sigmas`), by the Faddeev-LeVerrier
+loop that also gives the float oracle (`symfunc.faddeev_leverrier`, run over
+this ring): the certification that sigma_k collapses to the constant 1, and
+that every sigma_j with j < k is positive, is a finite rational computation.
+The Leibniz minor sums (`sigma_k_partition`) stay as the small-n oracle that
+shows where the binomial cancellation happens.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from itertools import combinations, permutations
 
 from .errors import CapabilityError
 from .solution import derive_constants
+from .symfunc import faddeev_leverrier
 
 Monomial = tuple[int, int]  # (a, b): r^a * e^(b*t)
 SymExpr = dict[Monomial, Fraction]
@@ -146,52 +148,14 @@ class SymMatrix:
 
 
 def sym_sigmas(m: SymMatrix) -> list[SymExpr]:
-    """Exact sigma_1..sigma_dim by the Faddeev-LeVerrier trace recursion.
+    """Exact sigma_1..sigma_dim by ``symfunc.faddeev_leverrier`` over SymExpr.
 
-    The characteristic polynomial is lambda^n + c_1 lambda^(n-1) + ... + c_n
-    with c_j = -tr(A M_j)/j, M_1 = I, M_(j+1) = A M_j + c_j I; then
-    sigma_j = (-1)^j c_j.  Division by the integer j is exact on Fraction.
-    The j = 1 product A M_1 = A is not formed, and each product runs only
-    over the nonzero entries of A's rows (the rotated Hessian is an arrow
-    matrix).  A and every M_j are symmetric polynomials in A, so A M_j is
-    symmetric and only its upper triangle is computed.
+    The ring operations are looked up on every call, never stored, so that a
+    wrapper installed on ``sym_mul`` (a call counter) sees every product.
     """
-    n = m.dim
-    # row i of a matrix as {column: entry} over its nonzero entries
-    a_rows = [{col: e for col, e in enumerate(row) if e} for row in m.entries]
-    prod = a_rows  # A M_j, here for j = 1
-    sigmas = []
-    for j in range(1, n + 1):
-        trace: SymExpr = {}
-        for i, row in enumerate(prod):
-            trace = sym_add(trace, row.get(i, {}))
-        sigma = sym_scale(trace, Fraction((-1) ** (j + 1), j))
-        sigmas.append(sigma)
-        if j == n:
-            break
-        c_j = sigma if j % 2 == 0 else sym_neg(sigma)
-        mj = [dict(row) for row in prod]  # M_(j+1) = A M_j + c_j I
-        for i, row in enumerate(mj):
-            entry = sym_add(row.get(i, {}), c_j)
-            if entry:
-                row[i] = entry
-            else:
-                row.pop(i, None)
-        prod = [{} for _ in range(n)]
-        for i, a_row in enumerate(a_rows):
-            acc = prod[i]
-            for mid, a_entry in a_row.items():
-                for col, m_entry in mj[mid].items():
-                    if col >= i:
-                        term = sym_mul(a_entry, m_entry)
-                        acc[col] = sym_add(acc[col], term) if col in acc else term
-        for i, row in enumerate(prod):
-            for col, entry in list(row.items()):
-                if not entry:
-                    del row[col]
-                elif col > i:
-                    prod[col][i] = entry
-    return sigmas
+    return faddeev_leverrier(
+        m.entries, sym_add, sym_mul, lambda e, j: sym_scale(e, Fraction(1, j)), {}
+    )
 
 
 def sym_det(m: SymMatrix) -> SymExpr:

@@ -15,8 +15,9 @@ three can serve as cross-checking oracles for one another:
   times the same scale); both stop after 50 sweeps,
 * explicit principal-minor enumeration with LU determinants: the scan's 1%
   audit of sigma_k, and a test oracle,
-* the Faddeev-LeVerrier trace recursion for all coefficients at once, with
-  its trace and LU-determinant self-checks: a test oracle only.
+* the Faddeev-LeVerrier trace recursion for all coefficients at once, one
+  ring-generic loop (``faddeev_leverrier``): a float64 test oracle with trace
+  and LU-determinant self-checks, and the exact ``symbolic.sym_sigmas``.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from types import SimpleNamespace
-
-import numpy as np
 
 from . import doubledouble as dd
 from .errors import CapabilityError, ConvergenceError
@@ -50,68 +49,79 @@ TRACE_REL_TOL = 1e-10
 DD_TRACE_REL_TOL = 1e-24
 
 
-class SymmetricMatrix:
-    """Dense real symmetric matrix, immutable after construction.
+def _float_rows(entries) -> tuple[tuple[float, ...], ...]:
+    """Any sequence of rows (numpy arrays too) as a square tuple of float tuples."""
+    try:
+        rows = tuple(tuple(map(float, row)) for row in entries)
+    except TypeError:
+        raise ValueError("expected a square matrix given as a sequence of rows")
+    if not rows:
+        raise ValueError("matrix dimension must be >= 1")
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(rows):
+            raise ValueError(f"expected a square matrix, got {len(row)} entries in row {i}")
+        for j, v in enumerate(row, start=1):
+            if not math.isfinite(v):
+                raise ValueError(f"matrix entry {v} at row {i}, column {j} is not finite")
+    return rows
 
-    Construction rejects input that is not exactly symmetric; use
-    :meth:`symmetrized` for data that is symmetric only up to noise.
+
+@dataclass(frozen=True)
+class SymmetricMatrix:
+    """Dense real symmetric matrix, immutable: a tuple of float tuples, one per row.
+
+    Construction rejects a non-finite entry, naming its row and column (from
+    1), and input that is not exactly symmetric; use :meth:`symmetrized` for
+    data that is symmetric only up to noise.
     """
 
-    __slots__ = ("entries",)
+    entries: tuple[tuple[float, ...], ...]
 
-    def __init__(self, entries):
-        a = np.array(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise ValueError("matrix dimension must be >= 1")
-        if not np.array_equal(a, a.T):
+    def __post_init__(self):
+        rows = _float_rows(self.entries)
+        if any(row[j] != rows[j][i] for i, row in enumerate(rows) for j in range(i)):
             raise ValueError("matrix is not exactly symmetric")
-        a.flags.writeable = False
-        self.entries = a
+        object.__setattr__(self, "entries", rows)
 
     @classmethod
     def diagonal(cls, values) -> "SymmetricMatrix":
-        return cls(np.diag(np.asarray(values, dtype=float)))
+        n = len(values)
+        return cls([[v if i == j else 0.0 for j in range(n)] for i, v in enumerate(values)])
 
     @classmethod
     def identity(cls, dim: int) -> "SymmetricMatrix":
-        return cls(np.eye(dim))
+        return cls.diagonal([1.0] * dim)
 
     @classmethod
     def symmetrized(cls, entries, tol: float = 1e-12) -> "SymmetricMatrix":
-        """Average nearly-symmetric input with its transpose; reject beyond tol."""
-        a = np.array(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        dev = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-        if dev > tol:
-            raise ValueError(f"matrix asymmetry {dev:g} exceeds tolerance {tol:g}")
-        return cls((a + a.T) / 2.0)
+        """Average nearly-symmetric input with its transpose; beyond tol, name
+        the worst pair of mirrored entries."""
+        rows = _float_rows(entries)
+        gap, i, j = 0.0, 1, 1
+        for p, row in enumerate(rows):
+            for q in range(p + 1, len(rows)):
+                if abs(row[q] - rows[q][p]) > gap:
+                    gap, i, j = abs(row[q] - rows[q][p]), p + 1, q + 1
+        if gap > tol:
+            raise ValueError(
+                f"matrix asymmetry {gap:g} between entries ({i}, {j}) and ({j}, {i}) "
+                f"exceeds tolerance {tol:g}"
+            )
+        return cls([[v if i == j else (v + rows[j][i]) / 2.0 for j, v in enumerate(row)]
+                    for i, row in enumerate(rows)])
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return len(self.entries)
 
     def trace(self) -> float:
-        return float(np.trace(self.entries))
+        return sum(row[i] for i, row in enumerate(self.entries))
 
     def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
+        return math.hypot(*(v for row in self.entries for v in row))
 
     def to_lists(self) -> list[list[float]]:
-        return self.entries.tolist()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymmetricMatrix):
-            return NotImplemented
-        return np.array_equal(self.entries, other.entries)
-
-    def __hash__(self):
-        return hash(self.entries.tobytes())
-
-    def __repr__(self) -> str:
-        return f"SymmetricMatrix({self.entries.tolist()!r})"
+        return [list(row) for row in self.entries]
 
 
 @dataclass(frozen=True)
@@ -203,42 +213,71 @@ def sigma_via_minors(m: SymmetricMatrix, k: int) -> float:
         )
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    rows = m.entries.tolist()
+    rows = m.entries
     total = 0.0
     for idx in combinations(range(n), k):
         total += _lu_det([[rows[i][j] for j in idx] for i in idx])
     return total
 
 
-def sigma_all_via_charpoly(m: SymmetricMatrix) -> SigmaVector:
-    """All sigma_1..sigma_n at once via the Faddeev-LeVerrier trace recursion.
+def faddeev_leverrier(rows, add, mul, div, zero) -> list:
+    """sigma_1..sigma_n of the symmetric matrix ``rows`` by the trace recursion.
 
     The characteristic polynomial is lambda^n + c_1 lambda^(n-1) + ... + c_n
     with c_j = -tr(A M_j)/j, M_1 = I, M_(j+1) = A M_j + c_j I; then
-    sigma_j = (-1)^j c_j.
+    sigma_j = (-1)^j c_j.  A M_1 = A is not formed, each product runs only
+    over the nonzero entries of A's rows (the solution Hessian is an arrow
+    matrix), and only the upper triangle of the symmetric A M_j is computed.
+    Ring-generic: ``div(x, j)`` divides by the integer j, and a falsy entry
+    is zero (0.0, or the empty SymExpr of ``symbolic.sym_sigmas``).
     """
-    a = m.entries
-    n = m.dim
-    eye = np.eye(n)
-    mj = eye
+    n = len(rows)
+    # row i of a matrix as {column: entry} over its nonzero entries
+    a_rows = [{col: e for col, e in enumerate(row) if e} for row in rows]
+    prod = a_rows  # A M_j, here for j = 1
     sigmas = []
-    sign = -1.0
     for j in range(1, n + 1):
-        b = a @ mj
-        c = -float(np.trace(b)) / j
-        sigmas.append(sign * c)
-        sign = -sign
-        mj = b + c * eye
-    out = SigmaVector(sigmas=tuple(sigmas), n=n)
+        trace = reduce(add, (row.get(i, zero) for i, row in enumerate(prod)), zero)
+        sigmas.append(div(trace, j if j % 2 else -j))
+        c_j = div(trace, -j)
+        if j == n:
+            break
+        mj = [dict(row) for row in prod]  # M_(j+1) = A M_j + c_j I
+        for i, row in enumerate(mj):
+            row[i] = add(row.get(i, zero), c_j)
+            if not row[i]:
+                del row[i]
+        prod = [{} for _ in range(n)]
+        for i, a_row in enumerate(a_rows):
+            acc = prod[i]
+            for mid, a_entry in a_row.items():
+                for col, m_entry in mj[mid].items():
+                    if col >= i:
+                        term = mul(a_entry, m_entry)
+                        acc[col] = add(acc[col], term) if col in acc else term
+        for i, row in enumerate(prod):
+            for col, entry in list(row.items()):
+                if not entry:
+                    del row[col]
+                elif col > i:
+                    prod[col][i] = entry
+    return sigmas
+
+
+def sigma_all_via_charpoly(m: SymmetricMatrix) -> SigmaVector:
+    """All sigma_1..sigma_n at once: ``faddeev_leverrier`` in float64, checked
+    against the trace and an LU determinant."""
+    sigmas = faddeev_leverrier(m.entries, operator.add, operator.mul, operator.truediv, 0.0)
+    out = SigmaVector(sigmas=tuple(sigmas), n=m.dim)
     # cheap self-checks against independent quantities
     tr = m.trace()
     if abs(out.sigmas[0] - tr) > 1e-10 * (1.0 + abs(tr)):
         raise ConvergenceError(
             f"charpoly recursion lost the trace: {out.sigmas[0]} vs {tr}"
         )
-    det = _lu_det(m.entries.tolist())
+    det = _lu_det(m.to_lists())
     fro = m.frobenius_norm()
-    if abs(out.sigmas[-1] - det) > 1e-8 * (1.0 + fro**n):
+    if abs(out.sigmas[-1] - det) > 1e-8 * (1.0 + fro**m.dim):
         raise ConvergenceError(
             f"charpoly recursion lost the determinant: {out.sigmas[-1]} vs {det}"
         )
@@ -335,7 +374,7 @@ def eigenvalues_symmetric(m: SymmetricMatrix) -> Spectrum:
     """
     fro = m.frobenius_norm()
     values = _cyclic_jacobi(
-        m.entries.tolist(),
+        m.to_lists(),
         FLOAT_RING,
         JACOBI_REL_TOL * (1.0 + fro),
         TRACE_REL_TOL * (1.0 + fro),

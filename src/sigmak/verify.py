@@ -45,8 +45,6 @@ import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import doubledouble as dd
 from .cone import cone_verdicts
 from .errors import CapabilityError, ConvergenceError
@@ -247,7 +245,7 @@ def _audit_sample(p: SolutionParams, pt: Point, lam_dd: list, sigma_k: float) ->
             raise ConvergenceError(f"minor-sum audit disagrees: {by_minors} vs {sigma_k}")
 
 
-def central_hessian(func, coords, step: float) -> np.ndarray:
+def central_hessian(func, coords, step: float) -> list[list[float]]:
     """Hessian of a scalar function by central second differences.
 
     Diagonal entries use the three-point stencil, off-diagonal entries the
@@ -258,32 +256,24 @@ def central_hessian(func, coords, step: float) -> np.ndarray:
     base = [float(c) for c in coords]
     d = len(base)
     f0 = func(base)
-    hess = np.empty((d, d))
+
+    def at(*moves):
+        shifted = list(base)
+        for idx, delta in moves:
+            shifted[idx] += delta
+        return func(shifted)
+
+    hess = [[0.0] * d for _ in range(d)]
     for i in range(d):
         for j in range(d):
             if i == j:
-                up = list(base)
-                dn = list(base)
-                up[i] += step
-                dn[i] -= step
-                hess[i, i] = (func(up) - 2.0 * f0 + func(dn)) / (step * step)
+                hess[i][i] = (at((i, step)) - 2.0 * f0 + at((i, -step))) / (step * step)
             else:
-                pp = list(base)
-                pm = list(base)
-                mp = list(base)
-                mm = list(base)
-                pp[i] += step
-                pp[j] += step
-                pm[i] += step
-                pm[j] -= step
-                mp[i] -= step
-                mp[j] += step
-                mm[i] -= step
-                mm[j] -= step
-                hess[i, j] = (func(pp) - func(pm) - func(mp) + func(mm)) / (
-                    4.0 * step * step
-                )
-    return (hess + hess.T) / 2.0
+                hess[i][j] = (
+                    at((i, step), (j, step)) - at((i, step), (j, -step))
+                    - at((i, -step), (j, step)) + at((i, -step), (j, -step))
+                ) / (4.0 * step * step)
+    return [[(hess[i][j] + hess[j][i]) / 2.0 for j in range(d)] for i in range(d)]
 
 
 def fd_hessian(p: SolutionParams, pt: Point, step: float) -> SymmetricMatrix:
@@ -351,6 +341,6 @@ def split_indicator(p: SolutionParams, pt: Point) -> SymmetricMatrix:
     with zeros is inconclusive.
     """
     hess = eval_jet(p, pt).hessian.entries
-    indicator = np.abs(hess.copy())
-    np.fill_diagonal(indicator, 0.0)
-    return SymmetricMatrix(indicator)
+    return SymmetricMatrix(
+        [[abs(v) if i != j else 0.0 for j, v in enumerate(row)] for i, row in enumerate(hess)]
+    )

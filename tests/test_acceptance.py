@@ -188,7 +188,11 @@ def test_criterion_8_oracle_agreement():
         pt = sample_point(p3, box, i)
         closed = eval_jet(p3, pt).hessian.entries
         fd = fd_hessian(p3, pt, 1e-5).entries
-        if not (abs(fd - closed) <= 1e-4 * (1.0 + abs(closed))).all():
+        if any(
+            abs(f - c) > 1e-4 * (1.0 + abs(c))
+            for fd_row, closed_row in zip(fd, closed)
+            for f, c in zip(fd_row, closed_row)
+        ):
             fd_ok = False
     _record(
         "criterion 8 (3-way sigma_k agreement + FD Hessian oracle)",

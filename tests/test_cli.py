@@ -254,6 +254,27 @@ class TestConeCheck:
     def test_asymmetric_file_exits_2(self, capsys, matrix_file):
         path = matrix_file([[1.0, 0.5], [0.4, 1.0]])
         assert run(["cone-check", "--matrix-file", path, "-k", "1"]) == 2
+        err = capsys.readouterr().err
+        assert (
+            f"matrix file {path}: matrix asymmetry 0.1 between entries (1, 2) and (2, 1) "
+            "exceeds tolerance 1e-12"
+        ) in err, err
+        # of two asymmetric pairs, the worst is named
+        path = matrix_file([[1.0, 0.5, 0.0], [0.5000000001, 1.0, 0.25], [0.0, 0.250000001, 1.0]])
+        assert run(["phase-check", "--matrix-file", path]) == 2
+        err = capsys.readouterr().err
+        assert f"matrix file {path}: matrix asymmetry 1e-09 between entries (2, 3) and (3, 2)" in err, err
+
+    @pytest.mark.parametrize("dim", ["0", "-2"])
+    def test_nonpositive_dimension_is_named(self, capsys, tmp_path, dim):
+        path = tmp_path / "m.txt"
+        path.write_text(f"{dim}\n1 0\n0 1\n")
+        for argv in (["cone-check", "-k", "1"], ["phase-check"]):
+            assert run(argv + ["--matrix-file", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert (
+                f"matrix file {path}: the dimension must be a positive integer, got {dim}"
+            ) in err, err
 
     def test_malformed_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -526,6 +547,53 @@ class TestClosedStdout:
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE
         assert err == ""
+
+
+class TestNumpyFreeRuntime:
+    """Every command runs on a Python without numpy: numpy is the tests' oracle only."""
+
+    # an import of numpy raises ImportError once sys.modules maps it to None
+    NO_NUMPY = (
+        "import runpy, sys; sys.modules['numpy'] = None; "
+        "runpy.run_module('sigmak', run_name='__main__')"
+    )
+
+    @staticmethod
+    def python(*args):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "-n", "5"],
+            ["eval", "-n", "3", "--point", "1,0.5,-0.3"],
+            ["verify", "-n", "3", "--samples", "200"],
+            ["verify-exact", "-n", "5"],
+            ["cone-check", "-k", "2", "--matrix-file", "{matrix}"],
+            ["phase-check", "--matrix-file", "{matrix}", "--expected", "1.5707963267948966"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_command_matches_in_process_run(self, capsys, tmp_path, argv):
+        matrix = tmp_path / "m.txt"
+        matrix.write_text("3\n2 0 0.5\n0 2 0\n0.5 0 -0.75\n")
+        argv = [a.format(matrix=matrix) for a in argv]
+        proc = self.python("-c", self.NO_NUMPY, *argv)
+        code, payload, err = run_json(capsys, argv)
+        assert proc.stderr == err
+        got = json.loads(proc.stdout)
+        got.pop("elapsed_seconds")
+        payload.pop("elapsed_seconds")
+        assert (proc.returncode, got) == (code, payload)
+
+    def test_import_leaves_numpy_out(self):
+        proc = self.python(
+            "-c", "import sys, sigmak, sigmak.cli; print('numpy' in sys.modules)"
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 class TestUsage:

@@ -218,7 +218,7 @@ class TestExtend:
     def test_w_rows_are_zero(self):
         p = extend(derive_constants(3), 2)
         jet = eval_jet(p, Point(x=(1.0, -2.0), t=0.5, w=(3.0, -4.0)))
-        h = jet.hessian.entries
+        h = np.array(jet.hessian.entries)
         assert np.all(h[3:, :] == 0.0) and np.all(h[:, 3:] == 0.0)
         assert jet.gradient[3:] == (0.0, 0.0)
 
@@ -253,7 +253,7 @@ class TestHessianDD:
         hdd = hessian_dd(p, pt)
         for i in range(5):
             for j in range(5):
-                assert dd.to_float(hdd[i][j]) == pytest.approx(hfloat[i, j], rel=1e-14, abs=1e-14)
+                assert dd.to_float(hdd[i][j]) == pytest.approx(hfloat[i][j], rel=1e-14, abs=1e-14)
 
     def test_residual_is_tiny_in_dd(self):
         from sigmak.symfunc import eigenvalues_symmetric_dd

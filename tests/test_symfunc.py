@@ -88,12 +88,42 @@ class TestSymmetricMatrix:
 
     def test_entries_are_readonly(self):
         m = SymmetricMatrix.identity(3)
-        with pytest.raises(ValueError):
-            m.entries[0, 0] = 5.0
+        with pytest.raises(TypeError):
+            m.entries[0][0] = 5.0
+        with pytest.raises(AttributeError):
+            m.entries = ((5.0,),)
+
+    @pytest.mark.parametrize("build", [SymmetricMatrix, SymmetricMatrix.symmetrized])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "cells, named",
+        [
+            ([(0, 0)], "row 1, column 1"),
+            ([(2, 2)], "row 3, column 3"),
+            ([(1, 2), (2, 1)], "row 2, column 3"),
+            ([(2, 0)], "row 3, column 1"),
+        ],
+        ids=["first-diagonal", "last-diagonal", "mirrored-pair", "lower-triangle"],
+    )
+    def test_rejects_non_finite_entry(self, build, bad, cells, named):
+        rows = [[1.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 3.0]]
+        for i, j in cells:
+            rows[i][j] = bad
+        with pytest.raises(ValueError, match=f"matrix entry {bad} at {named} is not finite"):
+            build(rows)
+
+    def test_stores_plain_float_tuples_from_any_rows(self):
+        m = SymmetricMatrix(np.array([[1, 2], [2, 3]]))
+        assert m.entries == ((1.0, 2.0), (2.0, 3.0))
+        assert all(type(v) is float for row in m.entries for v in row)
+        assert m == SymmetricMatrix(([1.0, 2.0], (2.0, 3.0)))
+        assert hash(m) == hash(SymmetricMatrix([[1.0, 2.0], [2.0, 3.0]]))
+        assert m.to_lists() == [[1.0, 2.0], [2.0, 3.0]]
+        assert (m.trace(), m.frobenius_norm()) == (4.0, math.sqrt(18.0))
 
     def test_symmetrized_within_tolerance(self):
         m = SymmetricMatrix.symmetrized([[1.0, 2.0 + 1e-13], [2.0, 1.0]])
-        assert m.entries[0, 1] == m.entries[1, 0]
+        assert m.entries[0][1] == m.entries[1][0]
 
     def test_symmetrized_rejects_beyond_tolerance(self):
         with pytest.raises(ValueError, match="asymmetry"):
@@ -219,7 +249,7 @@ class TestCrossAlgorithmInvariants:
             dim = rng.randrange(1, 7)
             m = random_symmetric(rng, dim, scale=2.0)
             c = rng.uniform(0.2, 3.0)
-            scaled = SymmetricMatrix(c * m.entries)
+            scaled = SymmetricMatrix(c * np.array(m.entries))
             sv = sigma_all_via_charpoly(m)
             sv_scaled = sigma_all_via_charpoly(scaled)
             for k in range(1, dim + 1):
