@@ -23,15 +23,9 @@ import time
 from pathlib import Path
 
 from .cone import gamma_k
+from .doubledouble import SPLIT_MAX
 from .errors import ConvergenceError
-from .solution import (
-    Point,
-    SolutionParams,
-    derive_constants,
-    eval_jet,
-    extend,
-    h_formula,
-)
+from .solution import Point, SolutionParams, eval_jet, h_formula
 from .symbolic import Certification, verify_exact
 from .symfunc import SymmetricMatrix, eigenvalues_symmetric
 from .verify import (
@@ -44,9 +38,6 @@ from .verify import (
 
 # a scan on the standard box passes only if the worst residual stays below this
 RESIDUAL_GATE = 1e-9
-# a matrix file whose entries bound F (below) has (1 + F)^max(dim, 2) past
-# this is refused: the same 2^996 as the scan's radius guard
-MATRIX_SCALE_MAX = 2.0**996
 
 
 def _params_payload(p: SolutionParams) -> dict:
@@ -125,11 +116,12 @@ def _read_matrix_file(path: str) -> SymmetricMatrix:
 
     Every entry must be a finite number; a bad one is named by its row and
     column (1-based, counting rows after the dimension line), and so is the
-    worst mirrored pair of an asymmetry beyond 1e-12.  The file is refused
-    when F = dim * max|entry|, which bounds the Frobenius norm and every
-    eigenvalue, has (1 + F)^max(dim, 2) > 2^996: below that the fro**j
-    (j <= dim) of the cone thresholds, the e_j products of the eigenvalues
-    (|sigma_j| <= (1 + F)^dim) and the squares in the norms stay finite.
+    worst mirrored pair of an asymmetry beyond symfunc.SYMMETRY_TOL.  The file
+    is refused when F = dim * max|entry|, which bounds the Frobenius norm and
+    every eigenvalue, has (1 + F)^max(dim, 2) > SPLIT_MAX = 2^996: below that
+    the fro**j (j <= dim) of the cone thresholds, the e_j products of the
+    eigenvalues (|sigma_j| <= (1 + F)^dim) and the squares in the norms stay
+    finite.
     """
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines:
@@ -166,13 +158,13 @@ def _read_matrix_file(path: str) -> SymmetricMatrix:
             row.append(value)
         rows.append(row)
     biggest = max(abs(v) for row in rows for v in row)
-    if max(dim, 2) * math.log2(1.0 + dim * biggest) > math.log2(MATRIX_SCALE_MAX):
+    if max(dim, 2) * math.log2(1.0 + dim * biggest) > math.log2(SPLIT_MAX):
         raise OverflowError(
             f"matrix file {path}: entries up to {biggest:.3g} in dimension {dim} "
             f"could overflow; (1 + dim * max|entry|)^{max(dim, 2)} must stay <= 2^996"
         )
     try:
-        return SymmetricMatrix.symmetrized(rows, tol=1e-12)
+        return SymmetricMatrix.symmetrized(rows)
     except ValueError as exc:  # the rows are square and finite: only asymmetry
         raise ValueError(f"matrix file {path}: {exc}")
 
@@ -234,12 +226,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_construct(ns) -> tuple[dict, int]:
-    p = extend(derive_constants(ns.n), ns.m)
+    p = SolutionParams(ns.n, ns.m)
     return {"command": "construct", **_params_payload(p)}, 0
 
 
 def _cmd_eval(ns) -> tuple[dict, int]:
-    p = extend(derive_constants(ns.n), ns.m)
+    p = SolutionParams(ns.n, ns.m)
     pt = Point.from_coords(p, ns.point)
     jet = eval_jet(p, pt)
     payload = {
@@ -254,7 +246,7 @@ def _cmd_eval(ns) -> tuple[dict, int]:
 
 
 def _cmd_verify(ns) -> tuple[dict, int]:
-    p = extend(derive_constants(ns.n), ns.m)
+    p = SolutionParams(ns.n, ns.m)
     exact_certified = verify_exact(ns.n).ok
     box = SampleBox(
         x_radius=ns.x_radius,

@@ -69,7 +69,7 @@ def cone_verdicts(values, sigmas, k: int) -> tuple[ConeVerdict, ConeVerdict]:
     n = len(values)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    sv = SigmaVector(sigmas=tuple(sigmas), n=n)
+    sv = SigmaVector(sigmas=tuple(sigmas))
     fro = math.sqrt(sum(v * v for v in values))
     neg = count_negative_eigenvalues(values, fro)
     positive = [

@@ -170,16 +170,20 @@ def rotate(c: DD, s: DD, x: DD, y: DD) -> tuple[DD, DD]:
     return sub(mul(c, x), mul(s, y)), add(mul(s, x), mul(c, y))
 
 
-# --- the double-double ring of symfunc's cyclic Jacobi ----------------------
-#
-# On its audited samples the scan diagonalizes the double-double Hessian with
-# the same cyclic Jacobi as cone-check and phase-check, carried in this
-# arithmetic, to check the closed-form spectrum that it feeds to
-# symfunc.elementary_symmetric with add and mul (at sample-box corners
-# |sigma_k - 1| is below what plain doubles can resolve, see the module
-# docstring).  The skip rule, the off-diagonal norm and the ascending sort read
-# only the leading float hi, which is the rounded value hi + lo.
-RING = SimpleNamespace(
-    name="double-double", add=add, sub=sub, mul=mul, div=div, sqrt=sqrt,
-    rotate=rotate, lead=itemgetter(0), zero=ZERO, one=ONE,
-)
+def ring() -> SimpleNamespace:
+    """The double-double ring of symfunc's cyclic Jacobi.
+
+    On its audited samples the scan diagonalizes the double-double Hessian
+    with the same cyclic Jacobi as cone-check and phase-check, carried in
+    this arithmetic, to check the closed-form spectrum that it feeds to
+    symfunc.elementary_symmetric with add and mul (at sample-box corners
+    |sigma_k - 1| is below what plain doubles can resolve, see the module
+    docstring).  The skip rule, the off-diagonal norm and the ascending sort
+    read only the leading float hi, which is the rounded value hi + lo.  The
+    operations are looked up on every call, never stored, so that a wrapper
+    installed on this module (a call counter) sees the Jacobi's calls too.
+    """
+    return SimpleNamespace(
+        name="double-double", add=add, sub=sub, mul=mul, div=div, sqrt=sqrt,
+        rotate=rotate, lead=itemgetter(0), zero=ZERO, one=ONE,
+    )

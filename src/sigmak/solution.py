@@ -3,7 +3,7 @@
 For odd n and k = (n+1)/2, the k-Hessian of the radially-quadratic ansatz
 collapses to A e^((k-1)t) h'' + B e^(kt) with
 
-    A = 2^(k-1) * [C(n-2, k-2) + C(n-2, k-1)],
+    A = 2^(k-1) * [C(n-2, k-2) + C(n-2, k-1)]  (= 2^(k-1) C(n-1, k-1) by Pascal),
     B = 2^k * C(n-1, k),
 
 so sigma_k(D^2 u) = 1 holds identically once
@@ -12,16 +12,18 @@ so sigma_k(D^2 u) = 1 holds identically once
 
 The r^2 term of the expansion carries the coefficient
 -C(n-2, k-2) + C(n-2, k-1), which vanishes exactly when 2k = n + 1; that
-cancellation is what makes the ansatz work.  Constants are kept as exact
-rationals and only converted to floating point at evaluation time.  Appending
-m dummy coordinates (on which u does not depend) extends a core solution in
-dimension n to dimension n + m without changing sigma_k.
+cancellation is what makes the ansatz work.  So n alone fixes the solution:
+``SolutionParams(n)`` derives k, A, B and h's coefficients as exact
+rationals, once, together with the double-double coefficients of h'' that
+the scan uses.  Appending m dummy coordinates (on which u does not depend)
+extends a core solution in dimension n to dimension n + m without changing
+sigma_k.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import doubledouble as dd
@@ -33,35 +35,41 @@ OVERFLOW_EXPONENT = 700.0
 
 @dataclass(frozen=True)
 class SolutionParams:
-    """Constants of one member of the solution family, all exact rationals."""
+    """The solution in core dimension n_base, on m extra dummy coordinates.
+
+    Every other field is derived from n_base in __post_init__: k, the exact
+    constants A, B and h = h_coeff_decay e^(-(k-1)t) + h_coeff_growth e^t,
+    and h'' = h2_decay_dd e^(-(k-1)t) + h2_growth_dd e^t in double-double.
+    """
 
     n_base: int
-    k: int
-    m: int
-    A: Fraction
-    B: Fraction
-    h_coeff_decay: Fraction
-    h_coeff_growth: Fraction
+    m: int = 0
+    k: int = field(init=False)
+    A: Fraction = field(init=False)
+    B: Fraction = field(init=False)
+    h_coeff_decay: Fraction = field(init=False)
+    h_coeff_growth: Fraction = field(init=False)
+    h2_decay_dd: dd.DD = field(init=False, repr=False)
+    h2_growth_dd: dd.DD = field(init=False, repr=False)
 
     def __post_init__(self):
-        n, k = self.n_base, self.k
+        n = self.n_base
         if n < 3 or n % 2 == 0:
-            raise ValueError(f"n_base must be an odd integer >= 3, got {n}")
-        if 2 * k != n + 1:
-            raise ValueError(f"k must satisfy 2k = n_base + 1, got k={k}, n_base={n}")
+            raise ValueError(f"2k = n+1 requires odd n with n >= 3, got n = {n}")
         if self.m < 0:
             raise ValueError(f"m must be nonnegative, got {self.m}")
-        a_expected = Fraction(2 ** (k - 1) * (math.comb(n - 2, k - 2) + math.comb(n - 2, k - 1)))
-        b_expected = Fraction(2**k * math.comb(n - 1, k))
-        if self.A != a_expected or self.B != b_expected:
-            raise ValueError(
-                f"constants (A, B) = ({self.A}, {self.B}) do not match "
-                f"({a_expected}, {b_expected}) for n_base={n}"
-            )
-        if self.h_coeff_decay != Fraction(1, 1) / (self.A * (k - 1) ** 2):
-            raise ValueError("decay coefficient inconsistent with 1/(A (k-1)^2)")
-        if self.h_coeff_growth != -self.B / self.A:
-            raise ValueError("growth coefficient inconsistent with -B/A")
+        k = (n + 1) // 2
+        a = Fraction(2 ** (k - 1) * (math.comb(n - 2, k - 2) + math.comb(n - 2, k - 1)))
+        b = Fraction(2**k * math.comb(n - 1, k))
+        decay = Fraction(1, 1) / (a * (k - 1) ** 2)
+        growth = -b / a
+        derived = {
+            "k": k, "A": a, "B": b, "h_coeff_decay": decay, "h_coeff_growth": growth,
+            "h2_decay_dd": dd.mul_f(dd.from_fraction(decay), float((k - 1) ** 2)),
+            "h2_growth_dd": dd.from_fraction(growth),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def total_dim(self) -> int:
@@ -115,29 +123,12 @@ def cancellation_coefficient(n: int, k: int) -> int:
 
 
 def derive_constants(n_base: int) -> SolutionParams:
-    """Build the exact constants for the core (m = 0) solution in dimension n_base."""
-    if n_base < 3 or n_base % 2 == 0:
-        raise ValueError(
-            f"2k = n+1 requires odd n with n >= 3, got n = {n_base}"
-        )
-    k = (n_base + 1) // 2
-    a = Fraction(2 ** (k - 1) * (math.comb(n_base - 2, k - 2) + math.comb(n_base - 2, k - 1)))
-    b = Fraction(2**k * math.comb(n_base - 1, k))
-    return SolutionParams(
-        n_base=n_base,
-        k=k,
-        m=0,
-        A=a,
-        B=b,
-        h_coeff_decay=Fraction(1, 1) / (a * (k - 1) ** 2),
-        h_coeff_growth=-b / a,
-    )
+    """The core (m = 0) solution in dimension n_base: ``SolutionParams(n_base)``."""
+    return SolutionParams(n_base)
 
 
 def extend(p: SolutionParams, m: int) -> SolutionParams:
     """The same solution viewed on m extra dummy coordinates (total dim n_base + m)."""
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
     return replace(p, m=m)
 
 
@@ -251,13 +242,9 @@ def _dd_terms(p: SolutionParams, pt: Point) -> tuple[dd.DD, dd.DD, dd.DD]:
     """e^t, h''(t) and r^2 = |x|^2 in double-double, from e^t and e^(-(k-1)t)."""
     _check_point(p, pt)
     _check_exponent(p, pt.t)
-    k = p.k
     et = dd.exp(dd.from_float(pt.t))
-    e_decay = dd.exp(dd.from_product(-(k - 1.0), pt.t))
-    h2 = dd.add(
-        dd.mul(dd.mul_f(dd.from_fraction(p.h_coeff_decay), float((k - 1) ** 2)), e_decay),
-        dd.mul(dd.from_fraction(p.h_coeff_growth), et),
-    )
+    e_decay = dd.exp(dd.from_product(-(p.k - 1.0), pt.t))
+    h2 = dd.add(dd.mul(p.h2_decay_dd, e_decay), dd.mul(p.h2_growth_dd, et))
     r2 = dd.ZERO
     for v in pt.x:
         r2 = dd.add(r2, dd.from_product(v, v))

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .errors import CapabilityError
-from .solution import derive_constants
+from .solution import SolutionParams
 from .symfunc import faddeev_leverrier
 
 Monomial = tuple[int, int]  # (a, b): r^a * e^(b*t)
@@ -128,12 +128,11 @@ def sym_format(expr: SymExpr) -> str:
 class SymMatrix:
     """Square matrix of expressions, structurally symmetric."""
 
-    dim: int
     entries: tuple[tuple[SymExpr, ...], ...]
 
     def __post_init__(self):
-        if self.dim < 1 or len(self.entries) != self.dim:
-            raise ValueError("entry grid does not match dim")
+        if not self.entries:
+            raise ValueError("matrix dimension must be >= 1")
         for row in self.entries:
             if len(row) != self.dim:
                 raise ValueError("entry grid is not square")
@@ -142,9 +141,13 @@ class SymMatrix:
                 if self.entries[i][j] != self.entries[j][i]:
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
 
+    @property
+    def dim(self) -> int:
+        return len(self.entries)
+
     @classmethod
     def from_rows(cls, rows) -> "SymMatrix":
-        return cls(dim=len(rows), entries=tuple(tuple(dict(e) for e in row) for row in rows))
+        return cls(tuple(tuple(dict(e) for e in row) for row in rows))
 
 
 def sym_sigmas(m: SymMatrix) -> list[SymExpr]:
@@ -286,7 +289,7 @@ def rotated_hessian_from_constants(
 
 def build_rotated_hessian(n_base: int) -> SymMatrix:
     """The rotated Hessian of the constructed solution in dimension n_base."""
-    p = derive_constants(n_base)
+    p = SolutionParams(n_base)
     return rotated_hessian_from_constants(n_base, p.k, p.A, p.B)
 
 
@@ -300,9 +303,12 @@ class Certification:
     """
 
     n_base: int
-    k: int
     residual: SymExpr
     cone_failure_j: int | None
+
+    @property
+    def k(self) -> int:
+        return (self.n_base + 1) // 2
 
     @property
     def identity_ok(self) -> bool:
@@ -324,11 +330,10 @@ def verify_exact(n_base: int) -> Certification:
     Appending inert coordinates leaves every sigma_j unchanged, so the
     certificate also covers the extensions to every n >= 2k - 1.
     """
-    p = derive_constants(n_base)  # raises for even or too-small n_base
-    sigmas = sym_sigmas(build_rotated_hessian(n_base))
+    sigmas = sym_sigmas(build_rotated_hessian(n_base))  # raises for even or too-small n_base
+    k = (n_base + 1) // 2
     return Certification(
         n_base=n_base,
-        k=p.k,
-        residual=sym_sub(sigmas[p.k - 1], sym_const(1)),
-        cone_failure_j=first_nonpositive_sigma(sigmas, p.k),
+        residual=sym_sub(sigmas[k - 1], sym_const(1)),
+        cone_failure_j=first_nonpositive_sigma(sigmas, k),
     )

@@ -16,8 +16,8 @@ three can serve as cross-checking oracles for one another:
 * explicit principal-minor enumeration with LU determinants: the scan's 1%
   audit of sigma_k, and a test oracle,
 * the Faddeev-LeVerrier trace recursion for all coefficients at once, one
-  ring-generic loop (``faddeev_leverrier``): a float64 test oracle with trace
-  and LU-determinant self-checks, and the exact ``symbolic.sym_sigmas``.
+  ring-generic loop (``faddeev_leverrier``): a float64 test oracle with
+  sigma_2 and LU-determinant self-checks, and the exact ``symbolic.sym_sigmas``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from types import SimpleNamespace
 from . import doubledouble as dd
 from .errors import CapabilityError, ConvergenceError
 
+# Mirrored entries further apart than this are not symmetric up to noise.
+SYMMETRY_TOL = 1e-12
 # C(14,7) = 3432 minors is still cheap; past that the oracle role is pointless.
 MINOR_DIM_LIMIT = 14
 JACOBI_MAX_SWEEPS = 50
@@ -66,6 +68,13 @@ def _float_rows(entries) -> tuple[tuple[float, ...], ...]:
     return rows
 
 
+def _mean(v: float, w: float) -> float:
+    """(v + w) / 2, halving first only where v + w overflows (near the float
+    maximum), so that subnormals keep the exactly rounded form."""
+    total = v + w
+    return total / 2.0 if math.isfinite(total) else v / 2.0 + w / 2.0
+
+
 @dataclass(frozen=True)
 class SymmetricMatrix:
     """Dense real symmetric matrix, immutable: a tuple of float tuples, one per row.
@@ -93,21 +102,21 @@ class SymmetricMatrix:
         return cls.diagonal([1.0] * dim)
 
     @classmethod
-    def symmetrized(cls, entries, tol: float = 1e-12) -> "SymmetricMatrix":
-        """Average nearly-symmetric input with its transpose; beyond tol, name
-        the worst pair of mirrored entries."""
+    def symmetrized(cls, entries) -> "SymmetricMatrix":
+        """Average nearly-symmetric input with its transpose; beyond
+        SYMMETRY_TOL, name the worst pair of mirrored entries."""
         rows = _float_rows(entries)
         gap, i, j = 0.0, 1, 1
         for p, row in enumerate(rows):
             for q in range(p + 1, len(rows)):
                 if abs(row[q] - rows[q][p]) > gap:
                     gap, i, j = abs(row[q] - rows[q][p]), p + 1, q + 1
-        if gap > tol:
+        if gap > SYMMETRY_TOL:
             raise ValueError(
                 f"matrix asymmetry {gap:g} between entries ({i}, {j}) and ({j}, {i}) "
-                f"exceeds tolerance {tol:g}"
+                f"exceeds tolerance {SYMMETRY_TOL:g}"
             )
-        return cls([[v if i == j else (v + rows[j][i]) / 2.0 for j, v in enumerate(row)]
+        return cls([[v if i == j else _mean(v, rows[j][i]) for j, v in enumerate(row)]
                     for i, row in enumerate(rows)])
 
     @property
@@ -143,11 +152,10 @@ class SigmaVector:
     """sigma_1 .. sigma_n of an n x n symmetric matrix."""
 
     sigmas: tuple[float, ...]
-    n: int
 
-    def __post_init__(self):
-        if len(self.sigmas) != self.n:
-            raise ValueError(f"expected {self.n} sigmas, got {len(self.sigmas)}")
+    @property
+    def n(self) -> int:
+        return len(self.sigmas)
 
     def sigma(self, j: int) -> float:
         """1-based accessor: sigma(1) is the trace, sigma(n) the determinant."""
@@ -266,17 +274,20 @@ def faddeev_leverrier(rows, add, mul, div, zero) -> list:
 
 def sigma_all_via_charpoly(m: SymmetricMatrix) -> SigmaVector:
     """All sigma_1..sigma_n at once: ``faddeev_leverrier`` in float64, checked
-    against the trace and an LU determinant."""
+    against (tr^2 - ||M||_F^2) / 2 and an LU determinant."""
     sigmas = faddeev_leverrier(m.entries, operator.add, operator.mul, operator.truediv, 0.0)
-    out = SigmaVector(sigmas=tuple(sigmas), n=m.dim)
+    out = SigmaVector(sigmas=tuple(sigmas))
     # cheap self-checks against independent quantities
-    tr = m.trace()
-    if abs(out.sigmas[0] - tr) > 1e-10 * (1.0 + abs(tr)):
-        raise ConvergenceError(
-            f"charpoly recursion lost the trace: {out.sigmas[0]} vs {tr}"
-        )
-    det = _lu_det(m.to_lists())
     fro = m.frobenius_norm()
+    if m.dim >= 2:
+        # sigma_2 = (tr^2 - ||M||_F^2) / 2, independent of the first product A M_2
+        tr = m.trace()
+        expected = (tr * tr - fro * fro) / 2.0
+        if abs(out.sigmas[1] - expected) > 1e-10 * (1.0 + fro * fro):
+            raise ConvergenceError(
+                f"charpoly recursion lost sigma_2: {out.sigmas[1]} vs {expected}"
+            )
+    det = _lu_det(m.to_lists())
     if abs(out.sigmas[-1] - det) > 1e-8 * (1.0 + fro**m.dim):
         raise ConvergenceError(
             f"charpoly recursion lost the determinant: {out.sigmas[-1]} vs {det}"
@@ -288,7 +299,7 @@ def _rotate(c: float, s: float, x: float, y: float) -> tuple[float, float]:
     return c * x - s * y, s * x + c * y
 
 
-# The float64 ring of the cyclic Jacobi; doubledouble.RING is the other one.
+# The float64 ring of the cyclic Jacobi; doubledouble.ring() is the other one.
 FLOAT_RING = SimpleNamespace(
     name="float64", add=operator.add, sub=operator.sub, mul=operator.mul,
     div=operator.truediv, sqrt=math.sqrt, rotate=_rotate, lead=float,
@@ -302,7 +313,7 @@ def _cyclic_jacobi(a: list[list], ring, tol: float, trace_tol: float) -> list:
     Ring-generic: ``ring`` supplies add, sub, mul, div, sqrt, the plane
     rotation ``rotate(c, s, x, y) = (c x - s y, s x + c y)``, ``lead`` (the
     float that the skip rule, the off-diagonal norm and the sort read), zero
-    and one; ``FLOAT_RING`` and ``doubledouble.RING`` are the two in use.
+    and one; ``FLOAT_RING`` and ``doubledouble.ring()`` are the two in use.
     ``a`` is overwritten.  Sweeps stop once the off-diagonal Frobenius norm is
     at most ``tol``; a rotation is skipped when its pivot is at most
     tol / (2 dim).  Raises ConvergenceError, carrying that norm, when
@@ -389,15 +400,14 @@ def eigenvalues_symmetric_dd(entries_dd: list[list[dd.DD]]) -> list[dd.DD]:
     raises ConvergenceError after 50 sweeps, or when the eigenvalue sum drifts
     from the trace by more than 1e-24 * (1 + ||M||_F).
     """
-    lead = dd.RING.lead
     fro2 = 0.0
     for row in entries_dd:
-        for x in row:
-            fro2 += lead(x) * lead(x)
+        for hi, _ in row:
+            fro2 += hi * hi
     fro = math.sqrt(fro2)
     return _cyclic_jacobi(
         [row[:] for row in entries_dd],
-        dd.RING,
+        dd.ring(),
         DD_JACOBI_REL_TOL * (1.0 + fro),
         DD_TRACE_REL_TOL * (1.0 + fro),
     )

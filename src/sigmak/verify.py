@@ -291,14 +291,15 @@ def sl_phase(values) -> float:
     return sum(math.atan(v) for v in values)
 
 
-def iterated_forward_difference(func, order: int, start: float = 0.0, step: float = 1.0) -> float:
-    """Order-fold forward difference at unit-like spacing, via the binomial sum."""
+def iterated_forward_difference(func, order: int) -> float:
+    """Order-fold forward difference of func at 0, 1, ..., order, via the
+    binomial sum."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     total = 0.0
     for j in range(order + 1):
         coeff = math.comb(order, j)
-        term = coeff * func(start + j * step)
+        term = coeff * func(j)
         total += term if (order - j) % 2 == 0 else -term
     return total
 
@@ -322,12 +323,8 @@ def nonpoly_witness(p: SolutionParams, max_degree: int) -> list[float]:
         )
     # u(0, t) = h(t)
     samples = [h_eval(p, float(j), 0) for j in range(max_degree + 2)]
-
-    def at(t: float) -> float:
-        return samples[int(t)]
-
     return [
-        iterated_forward_difference(at, d + 1, start=0.0, step=1.0)
+        iterated_forward_difference(samples.__getitem__, d + 1)
         for d in range(1, max_degree + 1)
     ]
 

@@ -212,7 +212,7 @@ class TestVerifyExact:
         # sigma_k = 1 alone does not certify: a failed cone verdict fails verify
         monkeypatch.setattr(
             cli, "verify_exact",
-            lambda n: Certification(n_base=n, k=(n + 1) // 2, residual={}, cone_failure_j=1),
+            lambda n: Certification(n_base=n, residual={}, cone_failure_j=1),
         )
         code, payload, _ = run_json(capsys, ["verify", "-n", "3", "--samples", "5"])
         assert code == 1

@@ -67,12 +67,12 @@ class TestLemmaCheck:
         assert verdict.negative_count == 2
 
     def test_verdict_invariant_enforced(self):
-        sv = SigmaVector(sigmas=(1.0, 1.0, 1.0), n=3)
+        sv = SigmaVector(sigmas=(1.0, 1.0, 1.0))
         with pytest.raises(ValueError, match="negative eigenvalue"):
             ConeVerdict(in_cone=True, sigmas=sv, negative_count=2, method=METHOD_LEMMA)
 
     def test_unknown_method_rejected(self):
-        sv = SigmaVector(sigmas=(1.0,), n=1)
+        sv = SigmaVector(sigmas=(1.0,))
         with pytest.raises(ValueError, match="method"):
             ConeVerdict(in_cone=True, sigmas=sv, negative_count=0, method="guess")
 

@@ -74,18 +74,25 @@ class TestDeriveConstants:
             derive_constants(bad)
 
     def test_pascal_identity(self):
-        for n in range(3, 21, 2):
+        # the constants in their closed forms, every derived field of
+        # SolutionParams(n, m), and its double-double h'' coefficients bit for bit
+        for n in range(3, 52, 2):
             p = derive_constants(n)
-            assert p.A == 2 ** (p.k - 1) * math.comb(n - 1, p.k - 1)
-
-    def test_params_validation_rejects_wrong_constants(self):
-        p = derive_constants(5)
-        with pytest.raises(ValueError, match="constants"):
-            SolutionParams(
-                n_base=5, k=3, m=0,
-                A=p.A + 1, B=p.B,
-                h_coeff_decay=p.h_coeff_decay, h_coeff_growth=p.h_coeff_growth,
-            )
+            k = p.k
+            assert k == (n + 1) // 2
+            assert p.A == 2 ** (k - 1) * math.comb(n - 1, k - 1)
+            assert p.B == 2**k * math.comb(n - 1, k)
+            assert p.h_coeff_decay * p.A * (k - 1) ** 2 == 1
+            assert p.h_coeff_growth == -p.B / p.A
+            assert p.h2_decay_dd == dd.mul_f(dd.from_fraction(p.h_coeff_decay), float((k - 1) ** 2))
+            assert p.h2_growth_dd == dd.from_fraction(p.h_coeff_growth)
+            for m in range(3):
+                q = extend(p, m)
+                assert q == SolutionParams(n, m) and q.m == m
+                assert (q.k, q.A, q.B, q.h_coeff_decay, q.h_coeff_growth) == (
+                    p.k, p.A, p.B, p.h_coeff_decay, p.h_coeff_growth
+                )
+                assert (q.h2_decay_dd, q.h2_growth_dd) == (p.h2_decay_dd, p.h2_growth_dd)
 
 
 class TestHEval:

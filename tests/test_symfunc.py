@@ -129,6 +129,19 @@ class TestSymmetricMatrix:
         with pytest.raises(ValueError, match="asymmetry"):
             SymmetricMatrix.symmetrized([[1.0, 2.1], [2.0, 1.0]])
 
+    @pytest.mark.parametrize(
+        "v, w, mean",
+        [
+            (1e308, 1e308, 1e308),  # v + w overflows: halve first
+            (-1.7e308, -1.7e308, -1.7e308),
+            (5e-324, 5e-324, 5e-324),  # v / 2 + w / 2 would round to 0
+            (2.0 + 1e-13, 2.0, (2.0 + 1e-13 + 2.0) / 2.0),
+        ],
+    )
+    def test_symmetrized_mean_of_mirrored_entries(self, v, w, mean):
+        m = SymmetricMatrix.symmetrized([[0.0, v], [w, 0.0]])
+        assert m.entries == ((0.0, mean), (mean, 0.0))
+
 
 class TestSigmaViaMinors:
     def test_identity_3x3(self):
@@ -176,6 +189,20 @@ class TestCharpoly:
         assert abs(sv.sigma(1) - tr) <= 1e-10 * (1 + abs(tr))
         det = float(np.linalg.det(m.entries))
         assert abs(sv.sigma(3) - det) <= 1e-10 * (1 + abs(det))
+
+    @pytest.mark.parametrize("j, lost", [(2, "lost sigma_2"), (3, "lost the determinant")])
+    def test_self_checks_are_wired(self, monkeypatch, j, lost):
+        real = symfunc.faddeev_leverrier
+
+        def corrupted(*args):
+            sigmas = real(*args)
+            sigmas[j - 1] += 1.0
+            return sigmas
+
+        monkeypatch.setattr(symfunc, "faddeev_leverrier", corrupted)
+        m = SymmetricMatrix([[3.0, 1.0, 0.5], [1.0, -2.0, 2.0], [0.5, 2.0, 1.0]])
+        with pytest.raises(ConvergenceError, match=lost):
+            sigma_all_via_charpoly(m)
 
     def test_sigma_accessor_bounds(self):
         sv = sigma_all_via_charpoly(SymmetricMatrix.identity(2))
@@ -301,6 +328,23 @@ class TestDoubleDoubleVariants:
                 for j in range(i, 0, -1):
                     e[j] = dd.add(e[j], dd.mul(v, e[j - 1]))
             assert elementary_symmetric(vals, dd.add, dd.mul) == e[1:]
+
+    def test_a_counter_on_the_module_sees_the_jacobi(self, monkeypatch):
+        # the ring is built from doubledouble's functions when the Jacobi
+        # runs, so wrappers installed on the module count its calls
+        counts = dict.fromkeys(("div", "sqrt"), 0)
+        for name in counts:
+
+            def counted(*args, name=name, original=getattr(dd, name)):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(dd, name, counted)
+        rows = ((2.0, 1.0, 0.5), (1.0, 3.0, -1.0), (0.5, -1.0, 1.0))
+        eigenvalues_symmetric_dd([[dd.from_float(v) for v in row] for row in rows])
+        # every rotation takes three divisions and two square roots
+        assert counts["sqrt"] > 0
+        assert 2 * counts["div"] == 3 * counts["sqrt"]
 
     def test_dd_trace_check_is_wired(self, monkeypatch):
         from sigmak import symfunc
