@@ -58,10 +58,10 @@ def _point_payload(pt: Point) -> dict:
     return {"x": list(pt.x), "t": pt.t, "w": list(pt.w)}
 
 
-def _report_payload(rep: ResidualReport) -> dict:
+def _report_payload(p: SolutionParams, box: SampleBox, rep: ResidualReport) -> dict:
     return {
-        "params": _params_payload(rep.params_echo),
-        "samples": rep.samples,
+        "params": _params_payload(p),
+        "samples": box.count,
         "max_abs_residual": rep.max_abs_residual,
         "argmax_point": _point_payload(rep.argmax_point),
         "cone_failures": rep.cone_failures,
@@ -95,8 +95,12 @@ def _cert_payload(cert: Certification) -> dict:
 
 
 def _csv_floats(raw: str) -> list[float]:
+    tokens = raw.split(",")
+    for i, tok in enumerate(tokens, start=1):
+        if not tok.strip():
+            raise argparse.ArgumentTypeError(f"field {i} of {raw!r} is empty")
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in tokens]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {raw!r}")
 
@@ -112,7 +116,7 @@ def _finite_float(raw: str) -> float:
 
 
 def _read_matrix_file(path: str) -> SymmetricMatrix:
-    """Plain text: first line the dimension, then dim rows of dim numbers.
+    """Plain UTF-8 text: first line the dimension, then dim rows of dim numbers.
 
     Every entry must be a finite number; a bad one is named by its row and
     column (1-based, counting rows after the dimension line), and so is the
@@ -123,7 +127,11 @@ def _read_matrix_file(path: str) -> SymmetricMatrix:
     eigenvalues (|sigma_j| <= (1 + F)^dim) and the squares in the norms stay
     finite.
     """
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"matrix file {path}: {exc}")
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"matrix file {path} is empty")
     try:
@@ -253,7 +261,6 @@ def _cmd_verify(ns) -> tuple[dict, int]:
         t_range=(ns.t_min, ns.t_max),
         count=ns.samples,
         seed=ns.seed,
-        w_radius=ns.x_radius,
     )
     rep = residual_scan(p, box)
     passed = (
@@ -268,7 +275,7 @@ def _cmd_verify(ns) -> tuple[dict, int]:
         "exact_certified": exact_certified,
         "checks_passed": passed,
         "residual_gate": RESIDUAL_GATE,
-        "report": _report_payload(rep),
+        "report": _report_payload(p, box, rep),
     }
     return payload, 0 if passed else 1
 

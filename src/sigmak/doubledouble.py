@@ -178,8 +178,9 @@ def ring() -> SimpleNamespace:
     this arithmetic, to check the closed-form spectrum that it feeds to
     symfunc.elementary_symmetric with add and mul (at sample-box corners
     |sigma_k - 1| is below what plain doubles can resolve, see the module
-    docstring).  The skip rule, the off-diagonal norm and the ascending sort
-    read only the leading float hi, which is the rounded value hi + lo.  The
+    docstring).  The skip rule and the off-diagonal norm read only the
+    leading float hi, which is the rounded value hi + lo; the ascending sort
+    compares (hi, lo) pairs, which order as their values.  The
     operations are looked up on every call, never stored, so that a wrapper
     installed on this module (a call counter) sees the Jacobi's calls too.
     """

@@ -170,19 +170,21 @@ def _check_radius(
         )
 
 
+def _closed_form(p: SolutionParams, t: float) -> tuple[float, float, float, float]:
+    """e^t and h, h', h'' at t, from one e^t and one e^(-(k-1)t)."""
+    _check_exponent(p, t)
+    km1 = p.k - 1
+    decay = float(p.h_coeff_decay) * math.exp(-km1 * t)
+    et = math.exp(t)
+    growth = float(p.h_coeff_growth) * et
+    return et, decay + growth, -km1 * decay + growth, km1 * km1 * decay + growth
+
+
 def h_eval(p: SolutionParams, t: float, order: int) -> float:
     """h, h' or h'' at t from the two-term closed form."""
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    _check_exponent(p, t)
-    km1 = p.k - 1
-    decay = float(p.h_coeff_decay) * math.exp(-km1 * t)
-    growth = float(p.h_coeff_growth) * math.exp(t)
-    if order == 0:
-        return decay + growth
-    if order == 1:
-        return -km1 * decay + growth
-    return km1 * km1 * decay + growth
+    return _closed_form(p, t)[1 + order]
 
 
 def h_formula(p: SolutionParams) -> str:
@@ -193,10 +195,16 @@ def h_formula(p: SolutionParams) -> str:
 
 
 def solution_value(p: SolutionParams, pt: Point) -> float:
-    """u at a point: r^2 e^t + h(t); independent of the w coordinates."""
+    """u at a point: r^2 e^t + h(t); independent of the w coordinates.
+
+    Raises OverflowError, naming the point, when u is not finite there.
+    """
     _check_point(p, pt)
-    r2 = sum(v * v for v in pt.x)
-    return r2 * math.exp(pt.t) + h_eval(p, pt.t, 0)
+    et, h0, _, _ = _closed_form(p, pt.t)
+    value = sum(v * v for v in pt.x) * et + h0
+    if not math.isfinite(value):
+        raise OverflowError(f"u overflows at point x = {pt.x}, t = {pt.t}")
+    return value
 
 
 def _check_point(p: SolutionParams, pt: Point) -> None:
@@ -207,6 +215,26 @@ def _check_point(p: SolutionParams, pt: Point) -> None:
         )
 
 
+def arrow_rows(a, cross, corner, m: int, zero) -> list[list]:
+    """The layout of u's Hessian, with entries from any ring, as rows.
+
+    On the x, t block it is the arrow matrix [[a I, c], [c^T, corner]], with
+    a = 2e^t on the x diagonal, c = `cross` = 2x e^t in the t row and column
+    and corner = r^2 e^t + h''(t); then m rows and columns of `zero` for w.
+    eval_jet (float64), hessian_dd (double-double) and
+    symbolic.rotated_hessian_from_constants (exact, x = (r, 0, ..., 0)) each
+    compute these entries in their own arithmetic and place them here.
+    """
+    nx = len(cross)
+    dim = nx + 1 + m
+    rows = [[zero] * dim for _ in range(dim)]
+    for i, c in enumerate(cross):
+        rows[i][i] = a
+        rows[i][nx] = rows[nx][i] = c
+    rows[nx][nx] = corner
+    return rows
+
+
 def eval_jet(p: SolutionParams, pt: Point) -> Jet2:
     """Value, gradient and Hessian of u at pt, from the closed forms.
 
@@ -214,32 +242,17 @@ def eval_jet(p: SolutionParams, pt: Point) -> Jet2:
     of the Hessian are identically zero.
     """
     _check_point(p, pt)
-    t = pt.t
-    _check_exponent(p, t)
-    _check_radius(p, max(map(abs, pt.x)), t, t, f"point x = {pt.x}, t = {t}")
-    h0 = h_eval(p, t, 0)
-    h1 = h_eval(p, t, 1)
-    h2 = h_eval(p, t, 2)
-    et = math.exp(t)
-    r2 = sum(v * v for v in pt.x)
-
-    value = r2 * et + h0
-    nx = p.n_base - 1
-    d = p.total_dim
-    gradient = tuple(2.0 * v * et for v in pt.x) + (r2 * et + h1,) + (0.0,) * p.m
-
-    hess = [[0.0] * d for _ in range(d)]
-    for i in range(nx):
-        hess[i][i] = 2.0 * et
-        cross = 2.0 * pt.x[i] * et
-        hess[i][nx] = cross
-        hess[nx][i] = cross
-    hess[nx][nx] = r2 * et + h2
-    return Jet2(value=value, gradient=gradient, hessian=SymmetricMatrix(hess))
+    et, h0, h1, h2 = _closed_form(p, pt.t)
+    _check_radius(p, max(map(abs, pt.x)), pt.t, pt.t, f"point x = {pt.x}, t = {pt.t}")
+    r2et = sum(v * v for v in pt.x) * et
+    cross = [2.0 * v * et for v in pt.x]
+    gradient = (*cross, r2et + h1) + (0.0,) * p.m
+    hess = arrow_rows(2.0 * et, cross, r2et + h2, p.m, 0.0)
+    return Jet2(value=r2et + h0, gradient=gradient, hessian=SymmetricMatrix(hess))
 
 
 def _dd_terms(p: SolutionParams, pt: Point) -> tuple[dd.DD, dd.DD, dd.DD]:
-    """e^t, h''(t) and r^2 = |x|^2 in double-double, from e^t and e^(-(k-1)t)."""
+    """e^t, h''(t) and r^2 e^t in double-double, from e^t and e^(-(k-1)t)."""
     _check_point(p, pt)
     _check_exponent(p, pt.t)
     et = dd.exp(dd.from_float(pt.t))
@@ -248,7 +261,7 @@ def _dd_terms(p: SolutionParams, pt: Point) -> tuple[dd.DD, dd.DD, dd.DD]:
     r2 = dd.ZERO
     for v in pt.x:
         r2 = dd.add(r2, dd.from_product(v, v))
-    return et, h2, r2
+    return et, h2, dd.mul(r2, et)
 
 
 def hessian_dd(p: SolutionParams, pt: Point) -> list[list[dd.DD]]:
@@ -258,17 +271,9 @@ def hessian_dd(p: SolutionParams, pt: Point) -> list[list[dd.DD]]:
     carry ~31 digits.  The verification scan diagonalizes this matrix on its
     audited samples, to check spectrum_dd against the general Jacobi.
     """
-    et, h2, r2 = _dd_terms(p, pt)
-    nx = p.n_base - 1
-    d = p.total_dim
-    hess = [[dd.ZERO] * d for _ in range(d)]
-    for i in range(nx):
-        hess[i][i] = dd.mul_pow2(et, 2.0)
-        cross = dd.mul_f(et, 2.0 * pt.x[i])
-        hess[i][nx] = cross
-        hess[nx][i] = cross
-    hess[nx][nx] = dd.add(dd.mul(r2, et), h2)
-    return hess
+    et, h2, r2et = _dd_terms(p, pt)
+    cross = [dd.mul_f(et, 2.0 * v) for v in pt.x]
+    return arrow_rows(dd.mul_pow2(et, 2.0), cross, dd.add(r2et, h2), p.m, dd.ZERO)
 
 
 def spectrum_dd(p: SolutionParams, pt: Point) -> list[dd.DD]:
@@ -288,9 +293,8 @@ def spectrum_dd(p: SolutionParams, pt: Point) -> list[dd.DD]:
     a (h'' - r^2 e^t), not as a d - |c|^2, whose two terms both grow like r^2
     and cancel.  Same double-double constants as hessian_dd.
     """
-    et, h2, r2 = _dd_terms(p, pt)
+    et, h2, r2et = _dd_terms(p, pt)
     a = dd.mul_pow2(et, 2.0)
-    r2et = dd.mul(r2, et)
     d = dd.add(r2et, h2)
     half_gap = dd.mul_pow2(dd.sub(a, d), 0.5)
     c2 = dd.mul(a, dd.mul_pow2(r2et, 2.0))  # |c|^2 = 4 r^2 e^(2t)

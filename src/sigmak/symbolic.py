@@ -8,11 +8,12 @@ is ever stored, so dict equality is exact expression equality.
 Example:  r^2 e^t + 1/4 e^(-t)  ->  {(2, 1): Fraction(1), (0, -1): Fraction(1, 4)}
 
 This is enough to house every entry of the rotated Hessian of the solution
-ansatz (whose entries are 2e^t, 2r e^t and r^2 e^t + h''(t)) and therefore to
-expand sigma_1..sigma_n of it exactly (`sym_sigmas`), by the Faddeev-LeVerrier
-loop that also gives the float oracle (`symfunc.faddeev_leverrier`, run over
-this ring): the certification that sigma_k collapses to the constant 1, and
-that every sigma_j with j < k is positive, is a finite rational computation.
+ansatz (2e^t, 2r e^t and r^2 e^t + h''(t), laid out by solution.arrow_rows)
+and so to expand sigma_1..sigma_n of it exactly (`sym_sigmas`), by the
+Faddeev-LeVerrier loop that also gives the float oracle
+(`symfunc.faddeev_leverrier`, run over this ring): the certification that
+sigma_k collapses to the constant 1, and that every sigma_j with j < k is
+positive, is a finite rational computation.
 The Leibniz minor sums (`sigma_k_partition`) stay as the small-n oracle that
 shows where the binomial cancellation happens.
 """
@@ -25,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .errors import CapabilityError
-from .solution import SolutionParams
+from .solution import SolutionParams, arrow_rows
 from .symfunc import faddeev_leverrier
 
 Monomial = tuple[int, int]  # (a, b): r^a * e^(b*t)
@@ -272,19 +273,14 @@ def rotated_hessian_from_constants(
     b_const = Fraction(b_const)
     if a_const == 0:
         raise ValueError("leading constant A must be nonzero")
-    n = n_base
     h2 = sym_add(
         sym_term(1 / a_const, 0, -(k - 1)),
         sym_term(-b_const / a_const, 0, 1),
     )
-    rows = [[sym_zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n - 1):
-        rows[i][i] = sym_term(2, 0, 1)
-    corner = sym_term(2, 1, 1)
-    rows[0][n - 1] = corner
-    rows[n - 1][0] = dict(corner)
-    rows[n - 1][n - 1] = sym_add(sym_term(1, 2, 1), h2)
-    return SymMatrix.from_rows(rows)
+    # rotated so that x = (r, 0, ..., 0): the cross entries are 2r e^t, 0, ..., 0
+    cross = [sym_term(2, 1, 1)] + [sym_zero()] * (n_base - 2)
+    corner = sym_add(sym_term(1, 2, 1), h2)
+    return SymMatrix.from_rows(arrow_rows(sym_term(2, 0, 1), cross, corner, 0, sym_zero()))
 
 
 def build_rotated_hessian(n_base: int) -> SymMatrix:

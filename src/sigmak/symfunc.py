@@ -312,8 +312,9 @@ def _cyclic_jacobi(a: list[list], ring, tol: float, trace_tol: float) -> list:
 
     Ring-generic: ``ring`` supplies add, sub, mul, div, sqrt, the plane
     rotation ``rotate(c, s, x, y) = (c x - s y, s x + c y)``, ``lead`` (the
-    float that the skip rule, the off-diagonal norm and the sort read), zero
-    and one; ``FLOAT_RING`` and ``doubledouble.ring()`` are the two in use.
+    float that the skip rule and the off-diagonal norm read), zero and one,
+    and its values must sort by ``<`` as the numbers they stand for;
+    ``FLOAT_RING`` and ``doubledouble.ring()`` are the two in use.
     ``a`` is overwritten.  Sweeps stop once the off-diagonal Frobenius norm is
     at most ``tol``; a rotation is skipped when its pivot is at most
     tol / (2 dim).  Raises ConvergenceError, carrying that norm, when
@@ -372,7 +373,7 @@ def _cyclic_jacobi(a: list[list], ring, tol: float, trace_tol: float) -> list:
             f"{ring.name} eigenvalue sum drifted from the trace by {drift:g} "
             f"(tolerance {trace_tol:g})"
         )
-    diag.sort(key=lead)
+    diag.sort()
     return diag
 
 

@@ -14,7 +14,8 @@ identical points regardless of execution order.  Word number c (c = 0, 1,
 
 A uniform float in [0, 1) keeps the top 53 bits: (word >> 11) * 2**-53.
 Sample number i in total dimension D consumes words i*D .. i*D + D - 1, one
-per coordinate, x block first, then t, then the w block.
+per coordinate, x block first, then t, then the w block.  The x and w
+coordinates are uniform on [-x_radius, x_radius], t on t_range.
 
 Precision
 ---------
@@ -42,7 +43,6 @@ that its fast path assumes, independently of ``symbolic``.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 from . import doubledouble as dd
@@ -106,14 +106,9 @@ class SampleBox:
     t_range: tuple[float, float]
     count: int
     seed: int
-    w_radius: float = 0.0
 
     def __post_init__(self):
-        for name, values in (
-            ("x_radius", (self.x_radius,)),
-            ("t_range", self.t_range),
-            ("w_radius", (self.w_radius,)),
-        ):
+        for name, values in (("x_radius", (self.x_radius,)), ("t_range", self.t_range)):
             if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.x_radius > 0:
@@ -121,8 +116,6 @@ class SampleBox:
         t_lo, t_hi = self.t_range
         if not t_lo < t_hi:
             raise ValueError(f"t_range must satisfy t_min < t_max, got {self.t_range}")
-        if self.w_radius < 0:
-            raise ValueError(f"w_radius must be nonnegative, got {self.w_radius}")
         if self.count < 1:
             raise ValueError(f"count must be positive, got {self.count}")
         if not 0 <= self.seed <= MASK64:
@@ -133,15 +126,12 @@ class SampleBox:
 class ResidualReport:
     """Aggregated outcome of one verification scan."""
 
-    params_echo: SolutionParams
-    samples: int
     max_abs_residual: float
     argmax_point: Point
     cone_failures: int
     lemma_failures: int
     min_sigma_j: float
     phase_ok: bool | None
-    elapsed_seconds: float
 
 
 def sample_point(p: SolutionParams, box: SampleBox, index: int) -> Point:
@@ -152,12 +142,10 @@ def sample_point(p: SolutionParams, box: SampleBox, index: int) -> Point:
     coords = []
     for j in range(d):
         u = _unit_float(splitmix64(box.seed, base + j))
-        if j < p.n_base - 1:
-            coords.append(-box.x_radius + 2.0 * box.x_radius * u)
-        elif j == p.n_base - 1:
+        if j == p.n_base - 1:
             coords.append(t_lo + (t_hi - t_lo) * u)
         else:
-            coords.append(-box.w_radius + 2.0 * box.w_radius * u)
+            coords.append(-box.x_radius + 2.0 * box.x_radius * u)
     return Point.from_coords(p, coords)
 
 
@@ -168,15 +156,13 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
     eigenvalues and their e_1..e_d (see the module docstring); every 100th
     sample is also audited by _audit_sample.  A ConvergenceError raised by a
     sample, including a failed audit, names its index and point.  The report
-    is identical for identical (params, box), elapsed_seconds aside.
+    is a function of (params, box) alone.
     """
     for bound in box.t_range:
         _check_exponent(p, bound)
     _check_radius(
         p, box.x_radius, *box.t_range, f"x_radius = {box.x_radius:g} with t_range = {box.t_range}"
     )
-    start = time.perf_counter()
-
     k = p.k
     check_phase = p.n_base == 3 and p.m == 0
     max_resid, argmax_point = -1.0, None
@@ -207,15 +193,12 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
             phase_failures += 1
 
     return ResidualReport(
-        params_echo=p,
-        samples=box.count,
         max_abs_residual=max_resid,
         argmax_point=argmax_point,
         cone_failures=cone_failures,
         lemma_failures=lemma_failures,
         min_sigma_j=min_sigma_j,
         phase_ok=phase_failures == 0 if check_phase else None,
-        elapsed_seconds=time.perf_counter() - start,
     )
 
 
@@ -229,8 +212,7 @@ def _audit_sample(p: SolutionParams, pt: Point, lam_dd: list, sigma_k: float) ->
     """
     hess = hessian_dd(p, pt)
     fro = math.sqrt(sum(v * v for v in map(dd.to_float, lam_dd)))
-    # the Jacobi orders by hi alone; sort by (hi, lo) to pair like with like
-    by_jacobi = sorted(eigenvalues_symmetric_dd(hess))
+    by_jacobi = eigenvalues_symmetric_dd(hess)
     gap = max(abs(dd.to_float(dd.sub(x, y))) for x, y in zip(by_jacobi, lam_dd))
     tol = SPECTRUM_AUDIT_REL_TOL * (1.0 + fro)
     if not gap <= tol:

@@ -60,7 +60,7 @@ def scan_reports():
         "n=3,m=2": extend(derive_constants(3), 2),
     }
     box = SampleBox(
-        x_radius=3.0, t_range=(-2.0, 2.0), count=SCAN_SAMPLES, seed=SCAN_SEED, w_radius=3.0
+        x_radius=3.0, t_range=(-2.0, 2.0), count=SCAN_SAMPLES, seed=SCAN_SEED
     )
     return {label: residual_scan(p, box) for label, p in cases.items()}
 
@@ -157,7 +157,7 @@ def test_criterion_7_critical_phase(scan_reports):
     _record(
         "criterion 7 (n=3 phase = pi/2 at all samples)",
         rep.phase_ok is True,
-        f"phase_ok={rep.phase_ok} over {rep.samples} samples",
+        f"phase_ok={rep.phase_ok} over {SCAN_SAMPLES} samples",
     )
 
 

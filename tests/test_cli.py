@@ -124,6 +124,8 @@ class TestBadInput:
             (["eval", "-n", "3", "--point", "nan,0,0"], "point coordinate x"),
             (["eval", "-n", "3", "--point", "0,0,inf"], "point coordinate t"),
             (["eval", "-n", "3", "--point", "1e200,0,0"], "point x = (1e+200"),
+            (["eval", "-n", "3", "--point", "1,,0,0"], "field 2 of '1,,0,0' is empty"),
+            (["eval", "-n", "3", "--point", "1,0,0,"], "field 4 of '1,0,0,' is empty"),
         ],
     )
     def test_exits_2_naming_the_field(self, capsys, argv, field):
@@ -289,11 +291,15 @@ class TestConeCheck:
             ("2\n1 two\ntwo 1\n", "entry 'two' at row 1, column 2 is not a finite number"),
             ("2\n1e300 0\n0 1e300\n", "entries up to 1e+300 in dimension 2 could overflow"),
             ("1\n1e200\n", "entries up to 1e+200 in dimension 1 could overflow"),
+            (b"2\n1 \xff\n2 1\n", "'utf-8' codec can't decode byte 0xff in position 4"),
         ],
     )
     def test_bad_entries_exit_2_naming_the_file(self, capsys, tmp_path, text, named):
         path = tmp_path / "m.txt"
-        path.write_text(text)
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
         for argv in (["cone-check", "-k", "1"], ["phase-check"]):
             assert run(argv + ["--matrix-file", str(path)]) == 2
             err = capsys.readouterr().err

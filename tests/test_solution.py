@@ -177,11 +177,32 @@ class TestEvalJet:
 
     def test_radius_guard(self):
         p = derive_constants(3)
-        eval_jet(p, Point(x=(1e49, 0.0), t=2.0))
+        for func in (eval_jet, solution_value):
+            func(p, Point(x=(1e49, 0.0), t=2.0))
+            with pytest.raises(OverflowError, match=r"point x = \(1e\+200, 0.0\), t = 0.0"):
+                func(p, Point(x=(1e200, 0.0), t=0.0))
         with pytest.raises(OverflowError, match=r"point x = \(1e\+50, 0.0\)"):
             eval_jet(p, Point(x=(1e50, 0.0), t=2.0))
         with pytest.raises(OverflowError, match="Hessian norm"):
             eval_jet(p, Point(x=(0.0, 0.0), t=-400.0))
+        # u alone stays finite beyond the Hessian's guard
+        value = solution_value(p, Point(x=(1e50, 0.0), t=2.0))
+        assert value == pytest.approx(1e100 * math.exp(2.0), rel=1e-15)
+
+    def test_one_closed_form_evaluation_per_jet(self, monkeypatch):
+        # 2 exponentials for e^t and e^(-(k-1)t), 2 in the radius guard
+        import sigmak.solution
+
+        calls = []
+        exp = math.exp
+
+        def counting_exp(x):
+            calls.append(x)
+            return exp(x)
+
+        monkeypatch.setattr(sigmak.solution.math, "exp", counting_exp)
+        eval_jet(derive_constants(7), Point(x=(1.0, -0.5, 2.0, 0.3, -1.2, 0.7), t=0.4))
+        assert len(calls) == 4
 
     def test_value_matches_solution_value(self):
         p = derive_constants(5)
@@ -290,7 +311,8 @@ class TestSpectrumDD:
         assert len(lam) == p.total_dim
         assert lam == sorted(lam)
         fro = _fro(lam)
-        by_jacobi = sorted(eigenvalues_symmetric_dd(hessian_dd(p, pt)))
+        by_jacobi = eigenvalues_symmetric_dd(hessian_dd(p, pt))
+        assert by_jacobi == sorted(by_jacobi)
         assert _max_gap(lam, by_jacobi) <= SPECTRUM_AUDIT_REL_TOL * (1.0 + fro)
         by_numpy = np.linalg.eigvalsh(eval_jet(p, pt).hessian.entries)
         gaps = [abs(dd.to_float(x) - y) for x, y in zip(lam, by_numpy)]
@@ -301,7 +323,7 @@ class TestSpectrumDD:
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15, 17, 19, 21])
     def test_seeded_points(self, n, m):
         p = extend(derive_constants(n), m)
-        box = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=3, seed=1000 * n + m, w_radius=3.0)
+        box = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=3, seed=1000 * n + m)
         for i in range(box.count):
             self.assert_matches_oracles(p, sample_point(p, box, i))
 

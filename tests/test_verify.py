@@ -68,10 +68,9 @@ class TestGenerator:
 
     def test_w_coordinates_consume_stream_words(self):
         p = extend(P3, 2)
-        box = dataclasses.replace(BOX, w_radius=1.5)
-        pt = sample_point(p, box, 3)
+        pt = sample_point(p, BOX, 3)
         assert len(pt.w) == 2
-        assert all(abs(v) <= 1.5 for v in pt.w)
+        assert all(abs(v) <= BOX.x_radius for v in pt.w)
 
 
 class TestSampleBox:
@@ -84,8 +83,6 @@ class TestSampleBox:
             SampleBox(x_radius=1.0, t_range=(-1.0, 1.0), count=0, seed=0)
         with pytest.raises(ValueError):
             SampleBox(x_radius=1.0, t_range=(-1.0, 1.0), count=10, seed=-1)
-        with pytest.raises(ValueError):
-            SampleBox(x_radius=1.0, t_range=(-1.0, 1.0), count=10, seed=0, w_radius=-0.1)
 
     @pytest.mark.parametrize(
         "kwargs, field",
@@ -94,7 +91,6 @@ class TestSampleBox:
             ({"x_radius": math.nan}, "x_radius"),
             ({"t_range": (-math.inf, 1.0)}, "t_range"),
             ({"t_range": (-1.0, math.nan)}, "t_range"),
-            ({"w_radius": math.inf}, "w_radius"),
         ],
     )
     def test_non_finite_rejected(self, kwargs, field):
@@ -106,7 +102,6 @@ class TestSampleBox:
 class TestResidualScan:
     def test_n3_standard_box(self):
         rep = residual_scan(P3, BOX)
-        assert rep.samples == 1000
         assert rep.max_abs_residual <= 1e-10
         assert rep.cone_failures == 0
         assert rep.lemma_failures == 0
@@ -121,7 +116,7 @@ class TestResidualScan:
 
     def test_extended_solution_on_r5(self):
         p = extend(P3, 2)
-        box = dataclasses.replace(BOX, count=300, w_radius=3.0)
+        box = dataclasses.replace(BOX, count=300)
         rep = residual_scan(p, box)
         assert rep.max_abs_residual <= 1e-9
         assert rep.cone_failures == 0
@@ -130,9 +125,7 @@ class TestResidualScan:
     def test_deterministic_reports(self):
         a = residual_scan(P3, dataclasses.replace(BOX, count=200))
         b = residual_scan(P3, dataclasses.replace(BOX, count=200))
-        assert dataclasses.replace(a, elapsed_seconds=0.0) == dataclasses.replace(
-            b, elapsed_seconds=0.0
-        )
+        assert a == b
 
     def test_overflow_guard_on_t_range(self):
         box = SampleBox(x_radius=1.0, t_range=(-800.0, 800.0), count=10, seed=0)
@@ -312,7 +305,7 @@ class TestScanSigmasAgainstFloatOracles:
         )
 
         p = extend(derive_constants(n), m)
-        box = SampleBox(x_radius=1.0, t_range=(-1.0, 1.0), count=20, seed=11, w_radius=1.0)
+        box = SampleBox(x_radius=1.0, t_range=(-1.0, 1.0), count=20, seed=11)
         for i in range(box.count):
             pt = sample_point(p, box, i)
             lam = eigenvalues_symmetric_dd(hessian_dd(p, pt))
