@@ -36,8 +36,6 @@ from .symbolic import (
     verify_exact,
 )
 from .symfunc import (
-    SigmaVector,
-    Spectrum,
     SymmetricMatrix,
     eigenvalues_symmetric,
     elementary_symmetric,
@@ -65,9 +63,7 @@ __all__ = [
     "Point",
     "ResidualReport",
     "SampleBox",
-    "SigmaVector",
     "SolutionParams",
-    "Spectrum",
     "SymMatrix",
     "SymmetricMatrix",
     "build_rotated_hessian",

@@ -22,7 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-from .cone import gamma_k
+from .cone import ConeVerdict, gamma_k
 from .doubledouble import SPLIT_MAX
 from .errors import ConvergenceError
 from .solution import Point, SolutionParams, eval_jet, h_formula
@@ -71,12 +71,12 @@ def _report_payload(p: SolutionParams, box: SampleBox, rep: ResidualReport) -> d
     }
 
 
-def _verdict_payload(verdict) -> dict:
+def _verdict_payload(method: str, in_cone: bool, verdict: ConeVerdict) -> dict:
     return {
-        "method": verdict.method,
-        "in_cone": verdict.in_cone,
+        "method": method,
+        "in_cone": in_cone,
         "negative_count": verdict.negative_count,
-        "sigmas": list(verdict.sigmas.sigmas),
+        "sigmas": list(verdict.sigmas),
     }
 
 
@@ -287,20 +287,20 @@ def _cmd_verify_exact(ns) -> tuple[dict, int]:
 
 def _cmd_cone_check(ns) -> tuple[dict, int]:
     m = _read_matrix_file(ns.matrix_file)
-    by_sigma, by_lemma = gamma_k(m, ns.k)
+    verdict = gamma_k(m, ns.k)
     payload = {
         "command": "cone-check",
         "dim": m.dim,
         "k": ns.k,
-        "sigma_positivity": _verdict_payload(by_sigma),
-        "lemma": _verdict_payload(by_lemma),
+        "sigma_positivity": _verdict_payload("sigma_positivity", verdict.in_cone, verdict),
+        "lemma": _verdict_payload("lemma", verdict.lemma, verdict),
     }
-    return payload, 0 if by_sigma.in_cone else 1
+    return payload, 0 if verdict.in_cone else 1
 
 
 def _cmd_phase_check(ns) -> tuple[dict, int]:
     m = _read_matrix_file(ns.matrix_file)
-    values = eigenvalues_symmetric(m).values
+    values = eigenvalues_symmetric(m)
     phase = sl_phase(values)
     within = None
     if ns.expected is not None:

@@ -6,9 +6,12 @@ j = 1..k" as the authority, plus the cheaper sufficient test "sigma_k > 0 and
 at most one negative eigenvalue".  Boundary values (sigma_j numerically zero)
 count as outside: the equation must stay strictly elliptic.
 
-Both verdicts read one set of eigenvalues and their e_1..e_n
-(``cone_verdicts``): the scan passes its double-double values rounded to
-float64, ``gamma_k`` (behind ``cone-check``) one float Jacobi of the matrix.
+Both verdicts read one set of eigenvalues and their e_1..e_n, and
+``cone_verdicts`` returns them in one ``ConeVerdict`` per matrix: ``in_cone``
+(sigma positivity) and ``lemma``, beside the sigmas and the count of negative
+eigenvalues they were read from.  The scan passes its double-double values
+rounded to float64, ``gamma_k`` (behind ``cone-check``) one float Jacobi of
+the matrix.
 The characteristic polynomial and the principal-minor sums stay in
 ``sigmak.symfunc`` as the test oracles of these sigmas.
 """
@@ -18,35 +21,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .symfunc import (
-    SigmaVector,
-    SymmetricMatrix,
-    eigenvalues_symmetric,
-    elementary_symmetric,
-)
+from .symfunc import SymmetricMatrix, eigenvalues_symmetric, elementary_symmetric
 
 SIGMA_BOUNDARY_REL_TOL = 1e-12  # sigma_j <= tol*(1+fro^j) is not in the open cone
 NEGATIVE_EIG_REL_TOL = 1e-10  # lambda < -tol*(1+fro) counts as negative
 
-METHOD_SIGMA_POSITIVITY = "sigma_positivity"
-METHOD_LEMMA = "lemma"
-
 
 @dataclass(frozen=True)
 class ConeVerdict:
-    in_cone: bool
-    sigmas: SigmaVector
+    """Both cone verdicts of one matrix: ``in_cone`` by sigma positivity, and
+    ``lemma``, which more than one negative eigenvalue cannot pass."""
+
+    sigmas: tuple[float, ...]
     negative_count: int
-    method: str
+    in_cone: bool
+    lemma: bool
 
     def __post_init__(self):
-        if self.method not in (METHOD_SIGMA_POSITIVITY, METHOD_LEMMA):
-            raise ValueError(f"unknown cone method {self.method!r}")
-        if not 0 <= self.negative_count <= self.sigmas.n:
-            raise ValueError(
-                f"negative_count {self.negative_count} out of range 0..{self.sigmas.n}"
-            )
-        if self.method == METHOD_LEMMA and self.in_cone and self.negative_count > 1:
+        if self.lemma and self.negative_count > 1:
             raise ValueError("lemma verdict cannot accept more than one negative eigenvalue")
 
 
@@ -56,8 +48,8 @@ def count_negative_eigenvalues(values, fro: float) -> int:
     return sum(1 for v in values if v < thr)
 
 
-def cone_verdicts(values, sigmas, k: int) -> tuple[ConeVerdict, ConeVerdict]:
-    """The sigma-positivity and lemma verdicts of a matrix, in that order.
+def cone_verdicts(values, sigmas, k: int) -> ConeVerdict:
+    """The sigma-positivity and lemma verdicts of a matrix.
 
     `values` are its eigenvalues and `sigmas` its sigma_1..sigma_n.  Both
     thresholds scale with the Frobenius norm, here sqrt(sum of values^2):
@@ -69,24 +61,21 @@ def cone_verdicts(values, sigmas, k: int) -> tuple[ConeVerdict, ConeVerdict]:
     n = len(values)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    sv = SigmaVector(sigmas=tuple(sigmas))
+    sigmas = tuple(sigmas)
     fro = math.sqrt(sum(v * v for v in values))
     neg = count_negative_eigenvalues(values, fro)
     positive = [
-        sv.sigma(j) > SIGMA_BOUNDARY_REL_TOL * (1.0 + fro**j) for j in range(1, k + 1)
+        sigmas[j - 1] > SIGMA_BOUNDARY_REL_TOL * (1.0 + fro**j) for j in range(1, k + 1)
     ]
-    return (
-        ConeVerdict(all(positive), sv, neg, METHOD_SIGMA_POSITIVITY),
-        ConeVerdict(neg <= 1 and positive[-1], sv, neg, METHOD_LEMMA),
-    )
+    return ConeVerdict(sigmas, neg, all(positive), neg <= 1 and positive[-1])
 
 
-def gamma_k(m: SymmetricMatrix, k: int) -> tuple[ConeVerdict, ConeVerdict]:
+def gamma_k(m: SymmetricMatrix, k: int) -> ConeVerdict:
     """Both cone verdicts of m from one Jacobi diagonalization.
 
     The sigmas are e_1..e_n of its eigenvalues; see cone_verdicts.
     """
-    values = eigenvalues_symmetric(m).values
+    values = eigenvalues_symmetric(m)
     return cone_verdicts(values, elementary_symmetric(values), k)
 
 

@@ -141,11 +141,12 @@ def _check_exponent(p: SolutionParams, t: float) -> None:
 
 
 def _check_radius(
-    p: SolutionParams, x_radius: float, t_lo: float, t_hi: float, what: str
+    p: SolutionParams, x_radius: float, et_hi: float, e_decay_lo: float, what
 ) -> None:
     """Refuse |x_i| <= R = x_radius, t in [t_lo, t_hi] if Hessians could overflow.
 
-    The absolute Hessian entries sum to at most
+    The caller passes et_hi = e^t_hi and e_decay_lo = e^(-(k-1) t_lo).  The
+    absolute Hessian entries sum to at most
 
         F = (n-1) (2 + 4R + R^2) e^t_hi + e^(-(k-1) t_lo) / A + (B/A) e^t_hi,
 
@@ -155,36 +156,39 @@ def _check_radius(
     (1 + F)^d <= doubledouble.SPLIT_MAX = 2^996 keeps them all finite and in
     the range where Dekker's split is exact: on t in [-2, 2], x_radius up to
     ~2e49 for n = 3 and ~5e12 for n = 11.  `what` names the input in the
-    error.  Run _check_exponent on t_lo and t_hi first.
+    error: a Point, or a description of a box.  Run _check_exponent on t_lo
+    and t_hi first.
     """
-    et = math.exp(t_hi)
     bound = (
-        (p.n_base - 1) * (2.0 + 4.0 * x_radius + x_radius * x_radius) * et
-        + math.exp(-(p.k - 1) * t_lo) / float(p.A)
-        + float(p.B / p.A) * et
+        (p.n_base - 1) * (2.0 + 4.0 * x_radius + x_radius * x_radius) * et_hi
+        + e_decay_lo / float(p.A)
+        - float(p.h_coeff_growth) * et_hi  # h_coeff_growth = -B/A
     )
     if p.total_dim * math.log2(1.0 + bound) > math.log2(dd.SPLIT_MAX):
+        if isinstance(what, Point):
+            what = f"point x = {what.x}, t = {what.t}"
         raise OverflowError(
             f"{what} lets the Hessian norm reach {bound:.3g}; sigma_1..sigma_{p.total_dim} "
             f"stay finite only while (1 + that)^{p.total_dim} <= 2^996"
         )
 
 
-def _closed_form(p: SolutionParams, t: float) -> tuple[float, float, float, float]:
-    """e^t and h, h', h'' at t, from one e^t and one e^(-(k-1)t)."""
+def _closed_form(p: SolutionParams, t: float) -> tuple[float, float, float, float, float]:
+    """e^t, e^(-(k-1)t) and h, h', h'' at t, from those two exponentials."""
     _check_exponent(p, t)
     km1 = p.k - 1
-    decay = float(p.h_coeff_decay) * math.exp(-km1 * t)
+    e_decay = math.exp(-km1 * t)
+    decay = float(p.h_coeff_decay) * e_decay
     et = math.exp(t)
     growth = float(p.h_coeff_growth) * et
-    return et, decay + growth, -km1 * decay + growth, km1 * km1 * decay + growth
+    return et, e_decay, decay + growth, -km1 * decay + growth, km1 * km1 * decay + growth
 
 
 def h_eval(p: SolutionParams, t: float, order: int) -> float:
     """h, h' or h'' at t from the two-term closed form."""
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    return _closed_form(p, t)[1 + order]
+    return _closed_form(p, t)[2 + order]
 
 
 def h_formula(p: SolutionParams) -> str:
@@ -200,7 +204,7 @@ def solution_value(p: SolutionParams, pt: Point) -> float:
     Raises OverflowError, naming the point, when u is not finite there.
     """
     _check_point(p, pt)
-    et, h0, _, _ = _closed_form(p, pt.t)
+    et, _, h0, _, _ = _closed_form(p, pt.t)
     value = sum(v * v for v in pt.x) * et + h0
     if not math.isfinite(value):
         raise OverflowError(f"u overflows at point x = {pt.x}, t = {pt.t}")
@@ -242,8 +246,8 @@ def eval_jet(p: SolutionParams, pt: Point) -> Jet2:
     of the Hessian are identically zero.
     """
     _check_point(p, pt)
-    et, h0, h1, h2 = _closed_form(p, pt.t)
-    _check_radius(p, max(map(abs, pt.x)), pt.t, pt.t, f"point x = {pt.x}, t = {pt.t}")
+    et, e_decay, h0, h1, h2 = _closed_form(p, pt.t)
+    _check_radius(p, max(map(abs, pt.x)), et, e_decay, pt)
     r2et = sum(v * v for v in pt.x) * et
     cross = [2.0 * v * et for v in pt.x]
     gradient = (*cross, r2et + h1) + (0.0,) * p.m
@@ -252,11 +256,16 @@ def eval_jet(p: SolutionParams, pt: Point) -> Jet2:
 
 
 def _dd_terms(p: SolutionParams, pt: Point) -> tuple[dd.DD, dd.DD, dd.DD]:
-    """e^t, h''(t) and r^2 e^t in double-double, from e^t and e^(-(k-1)t)."""
+    """e^t, h''(t) and r^2 e^t in double-double, from e^t and e^(-(k-1)t).
+
+    Refuses the points that eval_jet refuses; the radius guard reads the
+    leading parts of the two exponentials.
+    """
     _check_point(p, pt)
     _check_exponent(p, pt.t)
     et = dd.exp(dd.from_float(pt.t))
     e_decay = dd.exp(dd.from_product(-(p.k - 1.0), pt.t))
+    _check_radius(p, max(map(abs, pt.x)), et[0], e_decay[0], pt)
     h2 = dd.add(dd.mul(p.h2_decay_dd, e_decay), dd.mul(p.h2_growth_dd, et))
     r2 = dd.ZERO
     for v in pt.x:

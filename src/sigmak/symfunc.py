@@ -133,37 +133,6 @@ class SymmetricMatrix:
         return [list(row) for row in self.entries]
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """All eigenvalues of a symmetric matrix, sorted ascending."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(a > b for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("eigenvalues must be sorted ascending")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class SigmaVector:
-    """sigma_1 .. sigma_n of an n x n symmetric matrix."""
-
-    sigmas: tuple[float, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.sigmas)
-
-    def sigma(self, j: int) -> float:
-        """1-based accessor: sigma(1) is the trace, sigma(n) the determinant."""
-        if not 1 <= j <= self.n:
-            raise ValueError(f"sigma index {j} out of range 1..{self.n}")
-        return self.sigmas[j - 1]
-
-
 def elementary_symmetric(values, add=operator.add, mul=operator.mul) -> list:
     """e_1 .. e_n of n values by one pass of the e_j recurrence, cost O(n^2).
 
@@ -272,27 +241,26 @@ def faddeev_leverrier(rows, add, mul, div, zero) -> list:
     return sigmas
 
 
-def sigma_all_via_charpoly(m: SymmetricMatrix) -> SigmaVector:
+def sigma_all_via_charpoly(m: SymmetricMatrix) -> tuple[float, ...]:
     """All sigma_1..sigma_n at once: ``faddeev_leverrier`` in float64, checked
     against (tr^2 - ||M||_F^2) / 2 and an LU determinant."""
     sigmas = faddeev_leverrier(m.entries, operator.add, operator.mul, operator.truediv, 0.0)
-    out = SigmaVector(sigmas=tuple(sigmas))
     # cheap self-checks against independent quantities
     fro = m.frobenius_norm()
     if m.dim >= 2:
         # sigma_2 = (tr^2 - ||M||_F^2) / 2, independent of the first product A M_2
         tr = m.trace()
         expected = (tr * tr - fro * fro) / 2.0
-        if abs(out.sigmas[1] - expected) > 1e-10 * (1.0 + fro * fro):
+        if abs(sigmas[1] - expected) > 1e-10 * (1.0 + fro * fro):
             raise ConvergenceError(
-                f"charpoly recursion lost sigma_2: {out.sigmas[1]} vs {expected}"
+                f"charpoly recursion lost sigma_2: {sigmas[1]} vs {expected}"
             )
     det = _lu_det(m.to_lists())
-    if abs(out.sigmas[-1] - det) > 1e-8 * (1.0 + fro**m.dim):
+    if abs(sigmas[-1] - det) > 1e-8 * (1.0 + fro**m.dim):
         raise ConvergenceError(
-            f"charpoly recursion lost the determinant: {out.sigmas[-1]} vs {det}"
+            f"charpoly recursion lost the determinant: {sigmas[-1]} vs {det}"
         )
-    return out
+    return tuple(sigmas)
 
 
 def _rotate(c: float, s: float, x: float, y: float) -> tuple[float, float]:
@@ -377,7 +345,7 @@ def _cyclic_jacobi(a: list[list], ring, tol: float, trace_tol: float) -> list:
     return diag
 
 
-def eigenvalues_symmetric(m: SymmetricMatrix) -> Spectrum:
+def eigenvalues_symmetric(m: SymmetricMatrix) -> tuple[float, ...]:
     """All eigenvalues by cyclic Jacobi in float64, sorted ascending.
 
     Converged when the off-diagonal Frobenius norm drops below
@@ -385,13 +353,12 @@ def eigenvalues_symmetric(m: SymmetricMatrix) -> Spectrum:
     the eigenvalue sum drifts from the trace by more than 1e-10 * (1 + ||M||_F).
     """
     fro = m.frobenius_norm()
-    values = _cyclic_jacobi(
+    return tuple(_cyclic_jacobi(
         m.to_lists(),
         FLOAT_RING,
         JACOBI_REL_TOL * (1.0 + fro),
         TRACE_REL_TOL * (1.0 + fro),
-    )
-    return Spectrum(values=tuple(values))
+    ))
 
 
 def eigenvalues_symmetric_dd(entries_dd: list[list[dd.DD]]) -> list[dd.DD]:

@@ -158,10 +158,12 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
     sample, including a failed audit, names its index and point.  The report
     is a function of (params, box) alone.
     """
-    for bound in box.t_range:
-        _check_exponent(p, bound)
+    t_lo, t_hi = box.t_range
+    _check_exponent(p, t_lo)
+    _check_exponent(p, t_hi)
     _check_radius(
-        p, box.x_radius, *box.t_range, f"x_radius = {box.x_radius:g} with t_range = {box.t_range}"
+        p, box.x_radius, math.exp(t_hi), math.exp(-(p.k - 1) * t_lo),
+        f"x_radius = {box.x_radius:g} with t_range = {box.t_range}",
     )
     k = p.k
     check_phase = p.n_base == 3 and p.m == 0
@@ -185,9 +187,9 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
         resid = abs(dd.to_float(dd.add_f(e[k - 1], -1.0)))
         if resid > max_resid:
             max_resid, argmax_point = resid, pt
-        by_sigma, by_lemma = cone_verdicts(lam, sigmas, k)
-        cone_failures += not by_sigma.in_cone
-        lemma_failures += not by_lemma.in_cone
+        verdict = cone_verdicts(lam, sigmas, k)
+        cone_failures += not verdict.in_cone
+        lemma_failures += not verdict.lemma
         min_sigma_j = min(min_sigma_j, *sigmas[:k])
         if check_phase and abs(sl_phase(lam) - CRITICAL_PHASE_N3) > PHASE_TOL:
             phase_failures += 1

@@ -490,6 +490,9 @@ class TestPayloadPins:
              "0195378c2bf0f848417ffd119195faf5de1fd1fdc5dc6ab1c6a3ae0d9acb00ce"),
             (["cone-check", "-k", "7", "--matrix-file", "matrix_14.txt"], 1,
              "bd62927dcbc44fe361c424abf0162342448f6e28a426cf7caf275910db306f28"),
+            # in the cone, and the lemma holds with one negative eigenvalue
+            (["cone-check", "-k", "2", "--matrix-file", "hessian.txt"], 0,
+             "45560abfb28af0d82d8e2d184b341a15ba132fcabb5605dda4113109bddb9a16"),
         ],
     )
     def test_payload_digest(self, capsys, tmp_path, monkeypatch, argv, code, digest):
@@ -500,6 +503,17 @@ class TestPayloadPins:
         payload.pop("elapsed_seconds")
         canonical = json.dumps(payload, sort_keys=True).encode()
         assert (got_code, hashlib.sha256(canonical).hexdigest()) == (code, digest)
+
+    def test_text_report_digest(self, capsys, tmp_path, monkeypatch):
+        # sha256 of the --output text stdout without its elapsed_seconds line
+        (tmp_path / "hessian.txt").write_text(HESSIAN_N3)
+        monkeypatch.chdir(tmp_path)
+        code = run(["cone-check", "-k", "2", "--matrix-file", "hessian.txt", "--output", "text"])
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        text = "".join(ln for ln in lines if not ln.startswith("elapsed_seconds"))
+        assert (code, hashlib.sha256(text.encode()).hexdigest()) == (
+            0, "277870d2c5077c6e09638eb8e6c9ca36b4b70bcc86bf90318cf3cb7319255996"
+        )
 
 
 class TestVerdictPins:

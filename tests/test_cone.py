@@ -6,14 +6,12 @@ import pytest
 from conftest import e_brute, random_rotation, rotate_exactly_symmetric
 from sigmak.cone import (
     ConeVerdict,
-    METHOD_LEMMA,
     cone_verdicts,
     count_negative_eigenvalues,
     deformation_monotonicity_check,
     gamma_k,
 )
 from sigmak.symfunc import (
-    SigmaVector,
     SymmetricMatrix,
     eigenvalues_symmetric,
     sigma_all_via_charpoly,
@@ -24,25 +22,25 @@ from sigmak.symfunc import (
 class TestSigmaPositivity:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_identity_in_cone(self, k):
-        verdict = gamma_k(SymmetricMatrix.identity(4), k)[0]
+        verdict = gamma_k(SymmetricMatrix.identity(4), k)
         assert verdict.in_cone
         assert verdict.negative_count == 0
 
     def test_solution_hessian_at_origin(self):
-        verdict = gamma_k(SymmetricMatrix.diagonal([2.0, 2.0, -0.75]), 2)[0]
+        verdict = gamma_k(SymmetricMatrix.diagonal([2.0, 2.0, -0.75]), 2)
         assert verdict.in_cone
-        assert verdict.sigmas.sigma(1) == pytest.approx(3.25)
-        assert verdict.sigmas.sigma(2) == pytest.approx(1.0)
+        assert verdict.sigmas[0] == pytest.approx(3.25)
+        assert verdict.sigmas[1] == pytest.approx(1.0)
 
     def test_negative_sigma2_rejected(self):
-        verdict = gamma_k(SymmetricMatrix.diagonal([-1.0, -1.0, 5.0]), 2)[0]
+        verdict = gamma_k(SymmetricMatrix.diagonal([-1.0, -1.0, 5.0]), 2)
         assert not verdict.in_cone
-        assert verdict.sigmas.sigma(1) == pytest.approx(3.0)
-        assert verdict.sigmas.sigma(2) == pytest.approx(-9.0)
+        assert verdict.sigmas[0] == pytest.approx(3.0)
+        assert verdict.sigmas[1] == pytest.approx(-9.0)
 
     def test_boundary_counts_as_outside(self):
         # sigma_1 = 0 exactly: not in the open cone
-        verdict = gamma_k(SymmetricMatrix.diagonal([1.0, -1.0]), 1)[0]
+        verdict = gamma_k(SymmetricMatrix.diagonal([1.0, -1.0]), 1)
         assert not verdict.in_cone
 
     def test_k_out_of_range(self):
@@ -52,29 +50,23 @@ class TestSigmaPositivity:
 
 class TestLemmaCheck:
     def test_one_negative_eigenvalue_accepted(self):
-        verdict = gamma_k(SymmetricMatrix.diagonal([2.0, 2.0, -0.75]), 2)[1]
-        assert verdict.in_cone
+        verdict = gamma_k(SymmetricMatrix.diagonal([2.0, 2.0, -0.75]), 2)
+        assert verdict.lemma
         assert verdict.negative_count == 1
 
     def test_positive_definite_accepted(self):
-        verdict = gamma_k(SymmetricMatrix.identity(3), 3)[1]
-        assert verdict.in_cone
+        verdict = gamma_k(SymmetricMatrix.identity(3), 3)
+        assert verdict.lemma
         assert verdict.negative_count == 0
 
     def test_two_negatives_rejected(self):
-        verdict = gamma_k(SymmetricMatrix.diagonal([-1.0, -2.0, 10.0]), 2)[1]
-        assert not verdict.in_cone
+        verdict = gamma_k(SymmetricMatrix.diagonal([-1.0, -2.0, 10.0]), 2)
+        assert not verdict.lemma
         assert verdict.negative_count == 2
 
     def test_verdict_invariant_enforced(self):
-        sv = SigmaVector(sigmas=(1.0, 1.0, 1.0))
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            ConeVerdict(in_cone=True, sigmas=sv, negative_count=2, method=METHOD_LEMMA)
-
-    def test_unknown_method_rejected(self):
-        sv = SigmaVector(sigmas=(1.0,))
-        with pytest.raises(ValueError, match="method"):
-            ConeVerdict(in_cone=True, sigmas=sv, negative_count=0, method="guess")
+            ConeVerdict(sigmas=(1.0, 1.0, 1.0), negative_count=2, in_cone=True, lemma=True)
 
 
 class TestLemmaSoundness:
@@ -94,9 +86,9 @@ class TestLemmaSoundness:
             m = rotate_exactly_symmetric(
                 SymmetricMatrix.diagonal(lams), random_rotation(rng, dim)
             )
-            by_sigma, by_lemma = gamma_k(m, k)
-            assert by_lemma.in_cone, (lams, k)
-            assert by_sigma.in_cone, (lams, k)
+            verdict = gamma_k(m, k)
+            assert verdict.lemma, (lams, k)
+            assert verdict.in_cone, (lams, k)
 
     def test_positive_definite_in_every_cone(self):
         rng = random.Random(5)
@@ -107,9 +99,9 @@ class TestLemmaSoundness:
                 SymmetricMatrix.diagonal(lams), random_rotation(rng, dim)
             )
             for k in range(1, dim + 1):
-                by_sigma, by_lemma = gamma_k(m, k)
-                assert by_sigma.in_cone
-                assert by_lemma.in_cone
+                verdict = gamma_k(m, k)
+                assert verdict.in_cone
+                assert verdict.lemma
 
 
 class TestCharpolyOracleParity:
@@ -131,21 +123,19 @@ class TestCharpolyOracleParity:
         m = SymmetricMatrix(a)
         fro = m.frobenius_norm()
         tols = [1e-8 * (1.0 + fro**j) for j in range(1, dim + 1)]
-        charpoly = sigma_all_via_charpoly(m).sigmas
+        charpoly = sigma_all_via_charpoly(m)
         minors = [sigma_via_minors(m, j) for j in range(1, dim + 1)]
         decided = all(abs(c) > tol for c, tol in zip(charpoly, tols))
-        values = eigenvalues_symmetric(m).values
+        values = eigenvalues_symmetric(m)
         for k in range(1, dim + 1):
-            verdicts = gamma_k(m, k)
-            sigmas = verdicts[0].sigmas.sigmas
-            for got, c, mn, tol in zip(sigmas, charpoly, minors, tols):
+            verdict = gamma_k(m, k)
+            for got, c, mn, tol in zip(verdict.sigmas, charpoly, minors, tols):
                 assert abs(got - c) <= tol and abs(got - mn) <= tol
             if decided:
                 by_charpoly = cone_verdicts(values, charpoly, k)
-                assert [v.in_cone for v in verdicts] == [v.in_cone for v in by_charpoly]
-                assert [v.negative_count for v in verdicts] == [
-                    v.negative_count for v in by_charpoly
-                ]
+                assert (verdict.in_cone, verdict.lemma, verdict.negative_count) == (
+                    by_charpoly.in_cone, by_charpoly.lemma, by_charpoly.negative_count
+                )
 
 
 class TestNegativeCount:
