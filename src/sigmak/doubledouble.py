@@ -8,6 +8,10 @@ precision can reach ~1e-8 for k = 4 on the standard sample box.  Carrying the
 residual pipeline (the Hessian's constants, its closed-form eigenvalues, the
 e_k recurrence) in double-double pushes that error below 1e-20.
 
+exp is the QD library's (Hida, Li and Bailey, ARITH 2001; see exp), with no
+division: against 50-digit decimals it is within 2^-104 relative on [-2, 2]
+and within ~3 * 2^-104 on [-30, 30].
+
 No FMA is assumed: products are split with Dekker's algorithm, which is exact
 while operands and products stay below ``SPLIT_MAX`` = 2**996 (~6.7e299);
 past that the split's ``_SPLITTER * a`` overflows.  Callers that could reach
@@ -134,35 +138,47 @@ def sqrt(x: DD) -> DD:
     return _fast_two_sum(s, (r[0] + r[1]) / (2.0 * s))
 
 
-def exp(x: DD) -> DD:
-    """exp of a double-double, via range reduction and a Taylor tail.
+# 1/j! for the Taylor terms of exp past r^2/2, as double-doubles
+_INV_FACTORIALS = tuple(from_fraction(Fraction(1, math.factorial(j))) for j in range(3, 14))
+# exp squares its reduced sum nine times, multiplying a relative error by 2^9 = 512
+_EXP_SQUARINGS = 9
+# a Taylor term below this adds under 2^-104 (the double-double unit) after the squarings
+_EXP_TAIL = 2.0**-104 / 2**_EXP_SQUARINGS
+# log(DBL_MAX) rounded down: e^x is finite for every double x up to it
+_EXP_MAX = 709.782712893384
 
-    exp(x) = 2**m * exp(rho) with rho = x - m*ln2, |rho| <= ln2/2.
+
+def exp(x: DD) -> DD:
+    """exp of a double-double, the QD library's algorithm.
+
+    Hida, Li and Bailey, "Algorithms for quad-double precision floating point
+    arithmetic" (ARITH 2001): reduce x = m ln2 + 512 r with |r| <= ln2/1024,
+    sum s = e^r - 1 = r + r^2/2 + sum_j r^j/j! with tabulated 1/j!, square
+    nine times by s <- 2s + s^2 (so 1 + s becomes e^(512 r)), then return
+    (1 + s) 2^m.  Raises OverflowError where e^x exceeds the largest double.
     """
-    if x[0] > 710.0:
+    if x[0] > _EXP_MAX:
         raise OverflowError("double-double exp overflow")
     if x[0] < -746.0:
         return ZERO
     m = round(x[0] / _LN2[0])
-    rho = sub(x, mul_f(_LN2, float(m)))
-    # Taylor sum of exp(rho); |rho| <= 0.347 so 26 terms reach ~1e-35
-    term = ONE
-    total = ONE
-    for j in range(1, 27):
-        term = mul(term, rho)
-        term = div_f(term, float(j))
-        total = add(total, term)
-        if abs(term[0]) < 1e-35 * abs(total[0]):
+    r = mul_pow2(sub(x, mul_f(_LN2, float(m))), 2.0**-_EXP_SQUARINGS)
+    power = mul(r, r)
+    s = add(r, mul_pow2(power, 0.5))
+    for inv_factorial in _INV_FACTORIALS:
+        power = mul(power, r)
+        term = mul(power, inv_factorial)
+        s = add(s, term)
+        if abs(term[0]) <= _EXP_TAIL:
             break
-    scale = math.ldexp(1.0, m)
-    return mul_pow2(total, scale)
-
-
-def div_f(x: DD, f: float) -> DD:
-    q1 = x[0] / f
-    r = sub(x, _two_prod(q1, f))
-    q2 = (r[0] + r[1]) / f
-    return _fast_two_sum(q1, q2)
+    for _ in range(_EXP_SQUARINGS):
+        s = add(mul_pow2(s, 2.0), mul(s, s))
+    s = add_f(s, 1.0)
+    try:
+        # each part scaled on its own: 2^m alone overflows for m = 1024
+        return math.ldexp(s[0], m), math.ldexp(s[1], m)
+    except OverflowError:
+        raise OverflowError("double-double exp overflow") from None
 
 
 def rotate(c: DD, s: DD, x: DD, y: DD) -> tuple[DD, DD]:

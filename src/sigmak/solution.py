@@ -256,16 +256,21 @@ def eval_jet(p: SolutionParams, pt: Point) -> Jet2:
 
 
 def _dd_terms(p: SolutionParams, pt: Point) -> tuple[dd.DD, dd.DD, dd.DD]:
-    """e^t, h''(t) and r^2 e^t in double-double, from e^t and e^(-(k-1)t).
+    """e^t, h''(t) and r^2 e^t in double-double, from one exponential.
 
+    e^(-(k-1)t) is 1/(e^t)^(k-1), by k - 2 products and one division.
     Refuses the points that eval_jet refuses; the radius guard reads the
-    leading parts of the two exponentials.
+    leading parts of e^t and of 1/(e^t)^(k-1), and runs before the division,
+    whose quotient must stay below doubledouble.SPLIT_MAX.
     """
     _check_point(p, pt)
     _check_exponent(p, pt.t)
     et = dd.exp(dd.from_float(pt.t))
-    e_decay = dd.exp(dd.from_product(-(p.k - 1.0), pt.t))
-    _check_radius(p, max(map(abs, pt.x)), et[0], e_decay[0], pt)
+    et_power = et
+    for _ in range(p.k - 2):
+        et_power = dd.mul(et_power, et)
+    _check_radius(p, max(map(abs, pt.x)), et[0], 1.0 / et_power[0], pt)
+    e_decay = dd.div(dd.ONE, et_power)
     h2 = dd.add(dd.mul(p.h2_decay_dd, e_decay), dd.mul(p.h2_growth_dd, et))
     r2 = dd.ZERO
     for v in pt.x:

@@ -20,13 +20,15 @@ coordinates are uniform on [-x_radius, x_radius], t on t_range.
 Precision
 ---------
 Each sample's spectrum is computed once, in double-double arithmetic, from
-the closed form of the Hessian's eigenvalues (``solution.spectrum_dd``), and
-fed to one pass of the e_j recurrence: at sample-box corners the
-cancellation in sigma_k is too severe for plain doubles to certify a 1e-9
-bound once k reaches 4.  The residual |sigma_k - 1|, the sigma vector behind
-the cone verdicts and min_sigma_j, the negative eigenvalue count and the
-n = 3 phase all come from those double-double values, rounded to float64
-only where a float threshold judges them.  The recurrence
+the closed form of the Hessian's eigenvalues (``solution.spectrum_dd``) and
+from one double-double exponential per sample (e^t; e^(-(k-1)t) is the
+reciprocal of its (k-1)-th power), and fed to one pass of the e_j
+recurrence: at sample-box corners the cancellation in sigma_k is too severe
+for plain doubles to certify a 1e-9 bound once k reaches 4.  The residual
+|sigma_k - 1|, the sigma vector behind the cone verdicts and min_sigma_j,
+the negative eigenvalue count and the n = 3 phase all come from those
+double-double values, rounded to float64 only where a float threshold
+judges them.  The recurrence
 (``symfunc.elementary_symmetric``), the verdicts (``cone.cone_verdicts``)
 and ``sl_phase`` are the ones that ``cone-check`` and ``phase-check`` apply
 to a float64 Jacobi.

@@ -477,11 +477,11 @@ class TestPayloadPins:
         "argv, code, digest",
         [
             (["verify", "-n", "3", "--samples", "200", "--seed", "0"], 0,
-             "4905d33857249060cead2ff6ee9e0658ffeb315ebf8ec8b9fe9d54d430ca2d09"),
+             "242a3dff3f1f61da692f3f1abccd01222e2f79c9737d3ee930700762f2674893"),
             (["verify", "-n", "3", "-m", "1", "--samples", "100", "--seed", "5"], 0,
-             "2f1783627bb01520387db27e177b9324e4c47c9d96fd1299b1dcd1a9990b2e49"),
+             "91c8644add989f804e24ff5c6a7d6b3432972f6fd453af4f3b2d1a90e70e4d2f"),
             (["verify", "-n", "7", "--samples", "50", "--seed", "0"], 0,
-             "91bb3eb5453f8a41024b4ddd83b912a82083b9bb2cb1f079c0aa23ce10989de8"),
+             "d074fba74f43ae4edbb39fae6bcf9aec89a7b6145c9fe929c2b4318aa931de4a"),
             (["phase-check", "--matrix-file", "hessian.txt"], 0,
              "2f1f6c7234e5460da3bb8896397ef8ab216ef64d338b9d30407c130b5be0ff31"),
             (["phase-check", "--matrix-file", "hessian.txt", "--expected", "1.5707963267948966"], 0,

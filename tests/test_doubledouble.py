@@ -76,6 +76,28 @@ class TestExactOracles:
             ref = Decimal(t).exp()
             assert abs(got - ref) <= Decimal("1e-28") * ref, t
 
+    def test_exp_within_four_units_on_the_sample_box(self):
+        # t in [-2, 2] is the scan's default box; 2^-102 is four units of 2^-104
+        rng = random.Random(11)
+        for _ in range(200):
+            t = rng.uniform(-2.0, 2.0)
+            got = as_decimal(dd.exp(dd.from_float(t)))
+            ref = Decimal(t).exp()
+            assert abs(got - ref) <= Decimal(2) ** -102 * ref, t
+
+    @pytest.mark.parametrize("t", [709.0, 709.5, 709.78])
+    def test_exp_near_the_largest_double(self, t):
+        # from 709.44 on, round(t / ln2) is 1024 and 2^1024 alone is no double
+        got = as_decimal(dd.exp(dd.from_float(t)))
+        ref = Decimal(t).exp()
+        assert abs(got - ref) <= Decimal("1e-28") * ref
+
+    @pytest.mark.parametrize("x", [(709.79, 0.0), (709.782712893384, 5e-14)])
+    def test_exp_overflow_is_named(self, x):
+        # the second lies past log(DBL_MAX) only through its low word
+        with pytest.raises(OverflowError, match="double-double exp overflow"):
+            dd.exp(x)
+
     def test_exp_of_dd_argument(self):
         # the low word of the argument must influence the result
         t = dd.from_product(3.0, 0.123456789123456789)

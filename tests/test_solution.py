@@ -1,4 +1,6 @@
 import math
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -293,6 +295,29 @@ class TestHessianDD:
         lam = eigenvalues_symmetric_dd(hessian_dd(p, pt))
         sigma = elementary_symmetric(lam, dd.add, dd.mul)[3]
         assert abs(dd.to_float(dd.add_f(sigma, -1.0))) < 1e-20
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
+    def test_h2_against_decimal(self, n):
+        # at x = 0 the t, t corner is h'' = (k-1)^2 decay e^(-(k-1)t) + growth e^t,
+        # with e^(-(k-1)t) taken as 1/(e^t)^(k-1)
+        p = derive_constants(n)
+        km1 = p.k - 1
+        rng = random.Random(n)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for _ in range(20):
+                t = rng.uniform(-2.0, 2.0)
+                h2 = hessian_dd(p, Point(x=(0.0,) * (n - 1), t=t))[n - 1][n - 1]
+                decay = (
+                    km1**2 * Decimal(p.h_coeff_decay.numerator) / p.h_coeff_decay.denominator
+                    * (-km1 * Decimal(t)).exp()
+                )
+                growth = (
+                    Decimal(p.h_coeff_growth.numerator) / p.h_coeff_growth.denominator
+                    * Decimal(t).exp()
+                )
+                err = abs(Decimal(h2[0]) + Decimal(h2[1]) - (decay + growth))
+                assert err <= Decimal("1e-30") * (abs(decay) + abs(growth)), t
 
 
 def _fro(values) -> float:

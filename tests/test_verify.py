@@ -234,6 +234,23 @@ class TestSpectrumAudit:
         assert BOX.count == 1000
         assert (len(jacobi), len(hessians)) == (10, 10)
 
+    def test_one_exponential_per_sample(self, monkeypatch):
+        # spectrum_dd takes e^(-(k-1)t) from e^t, and the 10 audited samples'
+        # hessian_dd takes its own e^t; a second dd.exp per call would make 2020
+        from sigmak import doubledouble as dd
+
+        calls = []
+        exp = dd.exp
+
+        def counting_exp(x):
+            calls.append(x)
+            return exp(x)
+
+        monkeypatch.setattr(dd, "exp", counting_exp)
+        residual_scan(P3, BOX)
+        assert BOX.count == 1000
+        assert len(calls) == 1010
+
     def test_audit_runs_past_the_minor_limit(self, monkeypatch):
         from sigmak.symfunc import MINOR_DIM_LIMIT
 
