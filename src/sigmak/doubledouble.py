@@ -16,6 +16,16 @@ No FMA is assumed: products are split with Dekker's algorithm, which is exact
 while operands and products stay below ``SPLIT_MAX`` = 2**996 (~6.7e299);
 past that the split's ``_SPLITTER * a`` overflows.  Callers that could reach
 it guard their inputs (see ``solution._check_radius``).
+
+Each of add, sub, add_f, mul and mul_f runs as one Python frame: Knuth's
+TwoSum, Dekker's TwoProd and the closing FastTwoSum are written out inside
+it, because in CPython a function call costs as much as the float operations
+it would wrap.  div and sqrt write out their closing FastTwoSum the same way.
+The float operations are the textbook composition's, in its order, so every
+result is the composition's bit for bit; tests/test_doubledouble.py keeps
+the composition and pins this.  exp, rotate and ring() are built from the
+public operations, looked up on the module, so a call counter installed here
+sees every operation.
 """
 
 from __future__ import annotations
@@ -38,37 +48,20 @@ ZERO: DD = (0.0, 0.0)
 ONE: DD = (1.0, 0.0)
 
 
-def _two_sum(a: float, b: float) -> DD:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _fast_two_sum(a: float, b: float) -> DD:
-    # requires |a| >= |b| (or a == 0)
-    s = a + b
-    return s, b - (s - a)
-
-
-def _two_prod(a: float, b: float) -> DD:
-    p = a * b
-    ca = _SPLITTER * a
-    ahi = ca - (ca - a)
-    alo = a - ahi
-    cb = _SPLITTER * b
-    bhi = cb - (cb - b)
-    blo = b - bhi
-    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, err
-
-
 def from_float(a: float) -> DD:
     return (float(a), 0.0)
 
 
 def from_product(a: float, b: float) -> DD:
-    """The exact product of two floats as a double-double."""
-    return _two_prod(a, b)
+    """The exact product of two floats as a double-double (Dekker's TwoProd)."""
+    p = a * b
+    c = _SPLITTER * a
+    ahi = c - (c - a)
+    alo = a - ahi
+    c = _SPLITTER * b
+    bhi = c - (c - b)
+    blo = b - bhi
+    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
 
 
 def from_fraction(q: Fraction) -> DD:
@@ -85,32 +78,71 @@ def neg(x: DD) -> DD:
     return (-x[0], -x[1])
 
 
+# In add, sub, add_f, mul and mul_f below: s, e = TwoSum(xh, yh) is
+#     s = xh + yh;  bb = s - xh;  e = (xh - (s - bb)) + (yh - bb)
+# Dekker's split of a into ahi + alo is
+#     c = _SPLITTER * a;  ahi = c - (c - a);  alo = a - ahi
+# and the closing FastTwoSum(s, e), which needs |s| >= |e|, is
+#     h = s + e;  return h, e - (h - s)
+
+
 def add(x: DD, y: DD) -> DD:
-    s, e = _two_sum(x[0], y[0])
-    e += x[1] + y[1]
-    return _fast_two_sum(s, e)
+    xh, xl = x
+    yh, yl = y
+    s = xh + yh
+    bb = s - xh
+    e = ((xh - (s - bb)) + (yh - bb)) + (xl + yl)
+    h = s + e
+    return h, e - (h - s)
 
 
 def sub(x: DD, y: DD) -> DD:
-    s, e = _two_sum(x[0], -y[0])
-    e += x[1] - y[1]
-    return _fast_two_sum(s, e)
+    xh, xl = x
+    yh, yl = y
+    b = -yh  # TwoSum(xh, -yh), the textbook sub's float operations
+    s = xh + b
+    bb = s - xh
+    e = ((xh - (s - bb)) + (b - bb)) + (xl - yl)
+    h = s + e
+    return h, e - (h - s)
 
 
 def add_f(x: DD, f: float) -> DD:
-    s, e = _two_sum(x[0], f)
-    return _fast_two_sum(s, e + x[1])
+    xh, xl = x
+    s = xh + f
+    bb = s - xh
+    e = ((xh - (s - bb)) + (f - bb)) + xl
+    h = s + e
+    return h, e - (h - s)
 
 
 def mul(x: DD, y: DD) -> DD:
-    p, e = _two_prod(x[0], y[0])
-    e += x[0] * y[1] + x[1] * y[0]
-    return _fast_two_sum(p, e)
+    xh, xl = x
+    yh, yl = y
+    p = xh * yh
+    c = _SPLITTER * xh
+    ahi = c - (c - xh)
+    alo = xh - ahi
+    c = _SPLITTER * yh
+    bhi = c - (c - yh)
+    blo = yh - bhi
+    e = (((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo) + (xh * yl + xl * yh)
+    h = p + e
+    return h, e - (h - p)
 
 
 def mul_f(x: DD, f: float) -> DD:
-    p, e = _two_prod(x[0], f)
-    return _fast_two_sum(p, e + x[1] * f)
+    xh, xl = x
+    p = xh * f
+    c = _SPLITTER * xh
+    ahi = c - (c - xh)
+    alo = xh - ahi
+    c = _SPLITTER * f
+    bhi = c - (c - f)
+    blo = f - bhi
+    e = (((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo) + xl * f
+    h = p + e
+    return h, e - (h - p)
 
 
 def mul_pow2(x: DD, f: float) -> DD:
@@ -119,23 +151,31 @@ def mul_pow2(x: DD, f: float) -> DD:
 
 
 def div(x: DD, y: DD) -> DD:
-    q1 = x[0] / y[0]
+    yh = y[0]
+    q1 = x[0] / yh
     r = sub(x, mul_f(y, q1))
-    q2 = r[0] / y[0]
+    q2 = r[0] / yh
     r = sub(r, mul_f(y, q2))
-    q3 = r[0] / y[0]
-    s, e = _fast_two_sum(q1, q2)
-    return _fast_two_sum(s, e + q3)
+    q3 = r[0] / yh
+    s = q1 + q2
+    e = (q2 - (s - q1)) + q3
+    h = s + e
+    return h, e - (h - s)
 
 
 def sqrt(x: DD) -> DD:
-    if x[0] == 0.0:
-        return ZERO
-    if x[0] < 0.0:
-        raise ValueError("square root of a negative double-double")
-    s = math.sqrt(x[0])
-    r = sub(x, _two_prod(s, s))
-    return _fast_two_sum(s, (r[0] + r[1]) / (2.0 * s))
+    xh = x[0]
+    if not xh > 0.0:
+        if xh == 0.0:
+            return ZERO
+        if xh < 0.0:
+            raise ValueError("square root of a negative double-double")
+        raise ValueError(f"square root of a nan double-double {x!r}")
+    s = math.sqrt(xh)
+    r = sub(x, from_product(s, s))
+    e = (r[0] + r[1]) / (2.0 * s)
+    h = s + e
+    return h, e - (h - s)
 
 
 # 1/j! for the Taylor terms of exp past r^2/2, as double-doubles
@@ -155,8 +195,11 @@ def exp(x: DD) -> DD:
     arithmetic" (ARITH 2001): reduce x = m ln2 + 512 r with |r| <= ln2/1024,
     sum s = e^r - 1 = r + r^2/2 + sum_j r^j/j! with tabulated 1/j!, square
     nine times by s <- 2s + s^2 (so 1 + s becomes e^(512 r)), then return
-    (1 + s) 2^m.  Raises OverflowError where e^x exceeds the largest double.
+    (1 + s) 2^m.  Raises OverflowError where e^x exceeds the largest double
+    and ValueError where either part of x is nan.
     """
+    if math.isnan(x[0]) or math.isnan(x[1]):
+        raise ValueError(f"exp of a nan double-double {x!r}")
     if x[0] > _EXP_MAX:
         raise OverflowError("double-double exp overflow")
     if x[0] < -746.0:

@@ -1,9 +1,12 @@
 import math
 import random
+import struct
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigmak import doubledouble as dd
 
@@ -24,6 +27,154 @@ def random_value(rng: random.Random) -> dd.DD:
     return dd.add_f((lo, 0.0), hi)
 
 
+# The textbook compositions: Knuth's TwoSum, FastTwoSum and Dekker's TwoProd as
+# functions, and each operation built from them.  doubledouble writes these
+# error-free transformations out inside every operation, one Python frame per
+# call; TestTextbookKernels holds it to these results bit for bit.
+_SPLITTER = 134217729.0  # 2**27 + 1
+
+
+def _two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _fast_two_sum(a, b):
+    s = a + b
+    return s, b - (s - a)
+
+
+def _two_prod(a, b):
+    p = a * b
+    ca = _SPLITTER * a
+    ahi = ca - (ca - a)
+    alo = a - ahi
+    cb = _SPLITTER * b
+    bhi = cb - (cb - b)
+    blo = b - bhi
+    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+    return p, err
+
+
+def _ref_add(x, y):
+    s, e = _two_sum(x[0], y[0])
+    e += x[1] + y[1]
+    return _fast_two_sum(s, e)
+
+
+def _ref_sub(x, y):
+    s, e = _two_sum(x[0], -y[0])
+    e += x[1] - y[1]
+    return _fast_two_sum(s, e)
+
+
+def _ref_add_f(x, f):
+    s, e = _two_sum(x[0], f)
+    return _fast_two_sum(s, e + x[1])
+
+
+def _ref_mul(x, y):
+    p, e = _two_prod(x[0], y[0])
+    e += x[0] * y[1] + x[1] * y[0]
+    return _fast_two_sum(p, e)
+
+
+def _ref_mul_f(x, f):
+    p, e = _two_prod(x[0], f)
+    return _fast_two_sum(p, e + x[1] * f)
+
+
+def _ref_div(x, y):
+    q1 = x[0] / y[0]
+    r = _ref_sub(x, _ref_mul_f(y, q1))
+    q2 = r[0] / y[0]
+    r = _ref_sub(r, _ref_mul_f(y, q2))
+    q3 = r[0] / y[0]
+    s, e = _fast_two_sum(q1, q2)
+    return _fast_two_sum(s, e + q3)
+
+
+def _ref_sqrt(x):
+    if x[0] == 0.0:
+        return dd.ZERO
+    if x[0] < 0.0:
+        raise ValueError("square root of a negative double-double")
+    s = math.sqrt(x[0])
+    r = _ref_sub(x, _two_prod(s, s))
+    return _fast_two_sum(s, (r[0] + r[1]) / (2.0 * s))
+
+
+def _kernel_cases(x, y, f):
+    return (
+        (dd.add, _ref_add, (x, y)),
+        (dd.sub, _ref_sub, (x, y)),
+        (dd.add_f, _ref_add_f, (x, f)),
+        (dd.mul, _ref_mul, (x, y)),
+        (dd.mul_f, _ref_mul_f, (x, f)),
+        (dd.div, _ref_div, (x, y)),
+        (dd.sqrt, _ref_sqrt, (x,)),
+        (dd.sqrt, _ref_sqrt, (dd.neg(x),)),
+        (dd.from_product, _two_prod, (x[0], f)),
+    )
+
+
+def _outcome(op, args):
+    try:
+        value = op(*args)
+    except (ZeroDivisionError, ValueError) as exc:
+        return type(exc)
+    # past SPLIT_MAX a split overflows into inf - inf; the sign of a nan made
+    # from two nans is not reproducible in CPython, so a nan part compares as
+    # "nan" and every other part by its bytes
+    return tuple("nan" if part != part else struct.pack("<d", part) for part in value)
+
+
+def _random_double(rng: random.Random) -> float:
+    sign = rng.choice((1.0, -1.0))
+    u = rng.random()
+    if u < 0.05:
+        return sign * 0.0
+    if u < 0.10:
+        return sign * rng.random() * 2.0**-1022  # subnormal
+    if u < 0.15:
+        return sign * 2.0 ** rng.randint(-1074, -1060)  # near 2^-1070
+    if u < 0.50:
+        return sign * rng.random() * 2.0 ** rng.randint(-1070, 990)
+    return sign * rng.random() * 2.0 ** rng.randint(-40, 40)
+
+
+def _random_pair(rng: random.Random) -> dd.DD:
+    hi = _random_double(rng)
+    u = rng.random()
+    if u < 0.2:
+        return (hi, 0.0)
+    if u < 0.3:
+        return (hi, _random_double(rng))  # any two doubles, normalized or not
+    return _fast_two_sum(hi, hi * rng.uniform(-(2.0**-53), 2.0**-53))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_normalized = st.builds(
+    lambda hi, t: _fast_two_sum(hi, hi * t * 2.0**-53), _finite, st.floats(-1.0, 1.0)
+)
+
+
+class TestTextbookKernels:
+    def test_seeded_operands_match_bit_for_bit(self):
+        rng = random.Random(2026)
+        for _ in range(20_000):
+            x, y, f = _random_pair(rng), _random_pair(rng), _random_double(rng)
+            for op, ref, args in _kernel_cases(x, y, f):
+                assert _outcome(op, args) == _outcome(ref, args), (op.__name__, args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_normalized, _normalized, _finite)
+    def test_normalized_operands_match_bit_for_bit(self, x, y, f):
+        for op, ref, args in _kernel_cases(x, y, f):
+            assert _outcome(op, args) == _outcome(ref, args), (op.__name__, args)
+
+
 class TestExactOracles:
     def test_field_ops_against_fractions(self):
         # +, -, * and / of doubles are exact rational operations, so Fraction
@@ -41,6 +192,11 @@ class TestExactOracles:
                 got = as_fraction(op(x, y))
                 err = abs(got - ref)
                 assert err <= Fraction(1, 10**29) * (1 + abs(ref)), op.__name__
+            # add_f and mul_f carry the scan's residual and every div and exp
+            f = y[0]
+            for op, ref in ((dd.add_f, fx + Fraction(f)), (dd.mul_f, fx * Fraction(f))):
+                got = as_fraction(op(x, f))
+                assert abs(got - ref) <= Fraction(1, 10**29) * (1 + abs(ref)), op.__name__
             if fy:
                 got = as_fraction(dd.div(x, y))
                 ref = fx / fy
@@ -107,6 +263,20 @@ class TestExactOracles:
         hi_only = as_decimal(dd.exp((t[0], 0.0)))
         assert hi_only != got
 
+    @pytest.mark.parametrize(
+        "op, x",
+        [(dd.exp, (math.nan, 0.0)), (dd.exp, (1.0, math.nan)), (dd.sqrt, (math.nan, 0.0))],
+        ids=["exp-nan-hi", "exp-nan-lo", "sqrt-nan-hi"],
+    )
+    def test_nan_is_refused_by_name(self, op, x):
+        with pytest.raises(ValueError, match="nan double-double"):
+            op(x)
+
+    def test_exp_of_infinities(self):
+        with pytest.raises(OverflowError, match="double-double exp overflow"):
+            dd.exp((math.inf, 0.0))
+        assert dd.exp((-math.inf, 0.0)) == dd.ZERO
+
     def test_exp_overflow_guard(self):
         with pytest.raises(OverflowError):
             dd.exp(dd.from_float(711.0))
@@ -126,7 +296,12 @@ class TestRepresentation:
         for _ in range(100):
             x = random_value(rng)
             y = random_value(rng)
-            for value in (dd.add(x, y), dd.mul(x, y), dd.div(x, y)):
+            positive = x if x[0] >= 0.0 else dd.neg(x)
+            f = y[0]
+            for value in (
+                dd.add(x, y), dd.sub(x, y), dd.add_f(x, f), dd.mul(x, y),
+                dd.mul_f(x, f), dd.div(x, y), dd.sqrt(positive),
+            ):
                 hi, lo = value
                 if hi != 0.0:
                     assert abs(lo) <= abs(hi) * 2.0**-52
