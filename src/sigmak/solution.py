@@ -14,10 +14,10 @@ The r^2 term of the expansion carries the coefficient
 -C(n-2, k-2) + C(n-2, k-1), which vanishes exactly when 2k = n + 1; that
 cancellation is what makes the ansatz work.  So n alone fixes the solution:
 ``SolutionParams(n)`` derives k, A, B and h's coefficients as exact
-rationals, once, together with the double-double coefficients of h'' that
-the scan uses.  Appending m dummy coordinates (on which u does not depend)
-extends a core solution in dimension n to dimension n + m without changing
-sigma_k.
+rationals, once, together with the double-double coefficients of h'' and
+the binomials C(n-2, j) that the scan uses.  Appending m dummy coordinates
+(on which u does not depend) extends a core solution in dimension n to
+dimension n + m without changing sigma_k.
 """
 
 from __future__ import annotations
@@ -39,7 +39,9 @@ class SolutionParams:
 
     Every other field is derived from n_base in __post_init__: k, the exact
     constants A, B and h = h_coeff_decay e^(-(k-1)t) + h_coeff_growth e^t,
-    and h'' = h2_decay_dd e^(-(k-1)t) + h2_growth_dd e^t in double-double.
+    h'' = h2_decay_dd e^(-(k-1)t) + h2_growth_dd e^t in double-double, and
+    arrow_binomials_dd[j] = C(n-2, j) for j = 0..k as exact double-doubles
+    (see arrow_sigmas).
     """
 
     n_base: int
@@ -51,6 +53,7 @@ class SolutionParams:
     h_coeff_growth: Fraction = field(init=False)
     h2_decay_dd: dd.DD = field(init=False, repr=False)
     h2_growth_dd: dd.DD = field(init=False, repr=False)
+    arrow_binomials_dd: tuple[dd.DD, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.n_base
@@ -67,6 +70,12 @@ class SolutionParams:
             "k": k, "A": a, "B": b, "h_coeff_decay": decay, "h_coeff_growth": growth,
             "h2_decay_dd": dd.mul_f(dd.from_fraction(decay), float((k - 1) ** 2)),
             "h2_growth_dd": dd.from_fraction(growth),
+            # hi + lo is C(n-2, j) exactly: the rest c - int(hi) is an integer
+            # below ulp(hi), so a double holds it while c < 2^106
+            "arrow_binomials_dd": tuple(
+                (float(c), float(c - int(float(c))))
+                for c in (math.comb(n - 2, j) for j in range(k + 1))
+            ),
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -255,67 +264,96 @@ def eval_jet(p: SolutionParams, pt: Point) -> Jet2:
     return Jet2(value=r2et + h0, gradient=gradient, hessian=SymmetricMatrix(hess))
 
 
-def _dd_terms(p: SolutionParams, pt: Point) -> tuple[dd.DD, dd.DD, dd.DD]:
-    """e^t, h''(t) and r^2 e^t in double-double, from one exponential.
+def dd_terms(p: SolutionParams, pt: Point) -> tuple[list[dd.DD], dd.DD, dd.DD]:
+    """The powers e^t, e^(2t), ..., e^((k-1)t), h''(t) and r^2 e^t in
+    double-double, from one exponential.
 
     e^(-(k-1)t) is 1/(e^t)^(k-1), by k - 2 products and one division.
     Refuses the points that eval_jet refuses; the radius guard reads the
     leading parts of e^t and of 1/(e^t)^(k-1), and runs before the division,
-    whose quotient must stay below doubledouble.SPLIT_MAX.
+    whose quotient must stay below doubledouble.SPLIT_MAX.  hessian_dd and
+    spectrum_sigmas_dd both read these terms, so the scan takes them once.
     """
     _check_point(p, pt)
     _check_exponent(p, pt.t)
     et = dd.exp(dd.from_float(pt.t))
-    et_power = et
+    et_powers = [et]
     for _ in range(p.k - 2):
-        et_power = dd.mul(et_power, et)
-    _check_radius(p, max(map(abs, pt.x)), et[0], 1.0 / et_power[0], pt)
-    e_decay = dd.div(dd.ONE, et_power)
+        et_powers.append(dd.mul(et_powers[-1], et))
+    _check_radius(p, max(map(abs, pt.x)), et[0], 1.0 / et_powers[-1][0], pt)
+    e_decay = dd.div(dd.ONE, et_powers[-1])
     h2 = dd.add(dd.mul(p.h2_decay_dd, e_decay), dd.mul(p.h2_growth_dd, et))
     r2 = dd.ZERO
     for v in pt.x:
         r2 = dd.add(r2, dd.from_product(v, v))
-    return et, h2, dd.mul(r2, et)
+    return et_powers, h2, dd.mul(r2, et)
 
 
-def hessian_dd(p: SolutionParams, pt: Point) -> list[list[dd.DD]]:
+def hessian_dd(p: SolutionParams, pt: Point, terms=None) -> list[list[dd.DD]]:
     """The Hessian with entries in double-double precision.
 
     Same closed form as eval_jet, but e^t, e^(-(k-1)t) and all entry products
-    carry ~31 digits.  The verification scan diagonalizes this matrix on its
-    audited samples, to check spectrum_dd against the general Jacobi.
+    carry ~31 digits.  `terms` is dd_terms(p, pt), taken here when not given.
+    The verification scan diagonalizes this matrix on its audited samples, to
+    check spectrum_sigmas_dd against the general Jacobi.
     """
-    et, h2, r2et = _dd_terms(p, pt)
+    et_powers, h2, r2et = dd_terms(p, pt) if terms is None else terms
+    et = et_powers[0]
     cross = [dd.mul_f(et, 2.0 * v) for v in pt.x]
     return arrow_rows(dd.mul_pow2(et, 2.0), cross, dd.add(r2et, h2), p.m, dd.ZERO)
 
 
-def spectrum_dd(p: SolutionParams, pt: Point) -> list[dd.DD]:
-    """The eigenvalues of hessian_dd(p, pt) in closed form, ascending.
+def spectrum_sigmas_dd(p: SolutionParams, terms) -> tuple[list[dd.DD], list[dd.DD]]:
+    """The eigenvalues of hessian_dd, ascending, and their sigma_1..sigma_k, in
+    closed form from `terms` = dd_terms(p, pt).
 
     On the x, t block the Hessian is the arrow matrix [[a I, c], [c^T, d]]
     with a = 2e^t, c = 2x e^t and d = r^2 e^t + h''; the w block is zero.  So
     its eigenvalues are a, with multiplicity n - 2 (the x directions
     orthogonal to c), m zeros, and the two eigenvalues of
-    [[a, |c|], [|c|, d]], the roots of mu^2 - (a + d) mu + det with
+    [[a, |c|], [|c|, d]], the roots of mu^2 - tr mu + det with tr = a + d and
 
         det = a d - |c|^2 = 2e^t h'' - 2r^2 e^(2t) = a (h'' - r^2 e^t).
 
-    The larger root is (a + d)/2 + sqrt(((a - d)/2)^2 + |c|^2) >= max(a, d) > 0,
-    a sum of two terms >= 0, since a + d = (2 - B/A + r^2) e^t + e^(-(k-1)t)/A
+    The larger root is tr/2 + sqrt(((a - d)/2)^2 + |c|^2) >= max(a, d) > 0,
+    a sum of two terms >= 0, since tr = (2 - B/A + r^2) e^t + e^(-(k-1)t)/A
     and B/A = 2(k-1)/k < 2.  The smaller is det / larger, with det formed as
-    a (h'' - r^2 e^t), not as a d - |c|^2, whose two terms both grow like r^2
-    and cancel.  Same double-double constants as hessian_dd.
+    a (h'' - r^2 e^t), never as a d - |c|^2, whose two terms both grow like
+    r^2 and cancel.  The sigmas come from the same a, tr and det by
+    arrow_sigmas, with a^j = 2^j e^(jt) from dd_terms' powers for j < k.
     """
-    et, h2, r2et = _dd_terms(p, pt)
-    a = dd.mul_pow2(et, 2.0)
+    et_powers, h2, r2et = terms
+    a = dd.mul_pow2(et_powers[0], 2.0)
     d = dd.add(r2et, h2)
+    tr = dd.add(a, d)
     half_gap = dd.mul_pow2(dd.sub(a, d), 0.5)
     c2 = dd.mul(a, dd.mul_pow2(r2et, 2.0))  # |c|^2 = 4 r^2 e^(2t)
-    larger = dd.add(
-        dd.mul_pow2(dd.add(a, d), 0.5), dd.sqrt(dd.add(dd.mul(half_gap, half_gap), c2))
-    )
-    smaller = dd.div(dd.mul(a, dd.sub(h2, r2et)), larger)
-    values = [smaller, larger] + [a] * (p.n_base - 2) + [dd.ZERO] * p.m
+    larger = dd.add(dd.mul_pow2(tr, 0.5), dd.sqrt(dd.add(dd.mul(half_gap, half_gap), c2)))
+    det = dd.mul(a, dd.sub(h2, r2et))
+    values = [dd.div(det, larger), larger] + [a] * (p.n_base - 2) + [dd.ZERO] * p.m
     values.sort()  # (hi, lo) tuples order as their values
-    return values
+    powers = [dd.mul_pow2(v, 2.0**j) for j, v in enumerate(et_powers, start=1)]
+    powers.append(dd.mul(powers[-1], a))
+    return values, arrow_sigmas(p.arrow_binomials_dd, powers, tr, det)
+
+
+def arrow_sigmas(binomials, powers, tr, det) -> list[dd.DD]:
+    """sigma_1..sigma_k of a spectrum made of a (n - 2 times), zeros, and two
+    roots with sum tr and product det, in double-double.
+
+    prod_i (1 + lambda_i x) = (1 + a x)^(n-2) (1 + tr x + det x^2), so with
+    g_j = C(n-2, j) a^j (g_0 = 1),
+
+        sigma_j = g_j + g_(j-1) tr + g_(j-2) det,
+
+    the last term from j = 2 on.  binomials[j] is C(n-2, j) and powers[j - 1]
+    is a^j, for j = 0..k and j = 1..k; k is len(powers).  That is 3k - 3
+    products and 2k - 1 sums, against ~d^2 / 2 of each for the e_j
+    recurrence over all d eigenvalues, which the scan's audit still runs.
+    """
+    g = [dd.ONE] + [dd.mul(c, power) for c, power in zip(binomials[1:], powers)]
+    sigmas = [dd.add(g[1], tr)]
+    for j in range(2, len(powers) + 1):
+        sigma = dd.add(g[j], dd.mul(g[j - 1], tr))
+        sigmas.append(dd.add(sigma, det if j == 2 else dd.mul(g[j - 2], det)))
+    return sigmas

@@ -5,9 +5,10 @@ sum of its k x k principal minors, equivalently (up to sign) a coefficient of
 its characteristic polynomial.  Each route is implemented separately so the
 three can serve as cross-checking oracles for one another:
 
-* cyclic Jacobi eigenvalues + the e_j recurrence: the route of every command
-  (the scan takes its eigenvalues in closed form, ``solution.spectrum_dd``,
-  and shares only the recurrence).  One ring-generic Jacobi runs in two
+* cyclic Jacobi eigenvalues + the e_j recurrence: the route of cone-check
+  and phase-check (the scan takes its eigenvalues and sigmas in closed form,
+  ``solution.spectrum_sigmas_dd``, and runs the Jacobi and the recurrence in
+  its 1% audit of that closed form).  One ring-generic Jacobi runs in two
   arithmetics: float64 for ``cone-check`` and ``phase-check``
   (``eigenvalues_symmetric``: off-diagonal target 1e-12 * (1 + ||M||_F),
   trace check 1e-10 * (1 + ||M||_F)) and double-double for the scan's 1%
@@ -137,7 +138,8 @@ def elementary_symmetric(values, add=operator.add, mul=operator.mul) -> list:
     """e_1 .. e_n of n values by one pass of the e_j recurrence, cost O(n^2).
 
     Ring-generic: the default operators serve floats, ints and Fractions (and
-    are exact on exact inputs); the scan passes ``dd.add`` and ``dd.mul``.
+    are exact on exact inputs); the scan's audit passes ``dd.add`` and
+    ``dd.mul``.
     The recurrence starts from e_1 = the first value, so it needs no ring
     constants; an empty input gives [].
     """

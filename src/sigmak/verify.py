@@ -19,27 +19,32 @@ coordinates are uniform on [-x_radius, x_radius], t on t_range.
 
 Precision
 ---------
-Each sample's spectrum is computed once, in double-double arithmetic, from
-the closed form of the Hessian's eigenvalues (``solution.spectrum_dd``) and
-from one double-double exponential per sample (e^t; e^(-(k-1)t) is the
-reciprocal of its (k-1)-th power), and fed to one pass of the e_j
-recurrence: at sample-box corners the cancellation in sigma_k is too severe
-for plain doubles to certify a 1e-9 bound once k reaches 4.  The residual
-|sigma_k - 1|, the sigma vector behind the cone verdicts and min_sigma_j,
-the negative eigenvalue count and the n = 3 phase all come from those
-double-double values, rounded to float64 only where a float threshold
-judges them.  The recurrence
-(``symfunc.elementary_symmetric``), the verdicts (``cone.cone_verdicts``)
-and ``sl_phase`` are the ones that ``cone-check`` and ``phase-check`` apply
-to a float64 Jacobi.
+Each sample's eigenvalues and sigma_1..sigma_k are computed once, in
+double-double arithmetic, in closed form (``solution.spectrum_sigmas_dd``)
+from one set of double-double terms (``solution.dd_terms``: one exponential
+e^t per sample; e^(-(k-1)t) is the reciprocal of its (k-1)-th power): at
+sample-box corners the cancellation in sigma_k is too severe for plain
+doubles to certify a 1e-9 bound once k reaches 4.  The Hessian is an arrow
+matrix, so its spectrum is a (n - 2 times), m zeros and the two roots of
+mu^2 - tr mu + det, and sigma_j is read off
+(1 + a x)^(n-2) (1 + tr x + det x^2) (``solution.arrow_sigmas``).  The
+residual |sigma_k - 1|, the sigma vector behind the cone verdicts and
+min_sigma_j, the negative eigenvalue count and the n = 3 phase all come from
+those double-double values, rounded to float64 only where a float threshold
+judges them.  The verdicts (``cone.cone_verdicts``) and ``sl_phase`` are the
+ones that ``cone-check`` and ``phase-check`` apply to a float64 Jacobi.
 
-Every 100th sample is audited without the closed form: the double-double
-Hessian (``solution.hessian_dd``) is diagonalized by the general cyclic
-Jacobi (``symfunc.eigenvalues_symmetric_dd``), whose eigenvalues must match
-the closed-form ones within SPECTRUM_AUDIT_REL_TOL * (1 + ||M||_F), and,
-up to dimension 14, sigma_k must match the sum of the k x k principal
-minors of the same matrix.  So the scan keeps checking the arrow structure
-that its fast path assumes, independently of ``symbolic``.
+Every 100th sample is audited by routes that do not assume the arrow
+structure, from the same double-double terms: the double-double Hessian
+(``solution.hessian_dd``) is diagonalized by the general cyclic Jacobi
+(``symfunc.eigenvalues_symmetric_dd``), whose eigenvalues must match the
+closed-form ones within SPECTRUM_AUDIT_REL_TOL * (1 + ||M||_F); the e_j
+recurrence (``symfunc.elementary_symmetric``) over the closed-form
+eigenvalues must give the structured sigma_1..sigma_k within
+SIGMA_AUDIT_UNITS * d * 2^-104 * e_j(|lambda|); and, up to dimension 14,
+sigma_k must match the sum of the k x k principal minors of the same
+matrix.  So the scan keeps checking the arrow structure that its fast path
+assumes, independently of ``symbolic``.
 """
 
 from __future__ import annotations
@@ -55,11 +60,12 @@ from .solution import (
     SolutionParams,
     _check_exponent,
     _check_radius,
+    dd_terms,
     eval_jet,
     h_eval,
     hessian_dd,
     solution_value,
-    spectrum_dd,
+    spectrum_sigmas_dd,
 )
 from .symfunc import (
     MINOR_DIM_LIMIT,
@@ -85,6 +91,23 @@ MINOR_AUDIT_STRIDE = 100  # audit the closed-form spectrum on 1% of samples
 # below 1e-26 * ||M||_F; the closed form and the two routes' Hessian entries
 # add a few more units.  A wrong closed form is wrong far above that.
 SPECTRUM_AUDIT_REL_TOL = 1e-26
+# The audit's bound on |structured sigma_j - recurrence e_j| over the same
+# closed-form eigenvalues, in units of d * 2^-104 * e_j(|lambda|), where
+# e_j(|lambda|) is the recurrence over the eigenvalues' absolute values
+# (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).  A
+# double-double product or sum errs by at most ~2 units of 2^-104 relative
+# to the product of the operands' magnitudes or to the sum of them.  The
+# recurrence passes each product of j eigenvalues through j - 1
+# multiplications and at most d additions, so it is within ~2(j + d) <= 4d
+# units of e_j(|lambda|).  The structured sigma_j adds three terms of at
+# most k + 1 factors each, and its tr and det are the two roots' sum and
+# product up to a few units of |mu_1| + |mu_2| and |mu_1 mu_2| (the roots
+# carry the rounding of one sqrt and one division); both are bounded by
+# the same e_j(|lambda|).  So 8 units of d * 2^-104 * e_j(|lambda|) cover
+# both routes; seeded scans at n = 3..13 stay within 1.15 units of
+# 2^-104 * e_j(|lambda|).  A wrong binomial or a det off by 1e-20 relative
+# misses the bound by ~10 decades.
+SIGMA_AUDIT_UNITS = 8.0
 WITNESS_MAX_DEGREE = 40
 
 
@@ -155,10 +178,10 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
     """Scan `box.count` seeded points; aggregate residual, cone and phase checks.
 
     Every check of a sample reads the same closed-form double-double
-    eigenvalues and their e_1..e_d (see the module docstring); every 100th
-    sample is also audited by _audit_sample.  A ConvergenceError raised by a
-    sample, including a failed audit, names its index and point.  The report
-    is a function of (params, box) alone.
+    eigenvalues and their sigma_1..sigma_k (see the module docstring);
+    every 100th sample is also audited by _audit_sample.  A ConvergenceError
+    raised by a sample, including a failed audit, names its index and point.
+    The report is a function of (params, box) alone.
     """
     t_lo, t_hi = box.t_range
     _check_exponent(p, t_lo)
@@ -175,12 +198,12 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
     for i in range(box.count):
         pt = sample_point(p, box, i)
         try:
-            lam_dd = spectrum_dd(p, pt)
-            e = elementary_symmetric(lam_dd, dd.add, dd.mul)
+            terms = dd_terms(p, pt)
+            lam_dd, e = spectrum_sigmas_dd(p, terms)
             sigmas = [dd.to_float(v) for v in e]
             lam = [dd.to_float(v) for v in lam_dd]
             if i % MINOR_AUDIT_STRIDE == 0:
-                _audit_sample(p, pt, lam_dd, sigmas[k - 1])
+                _audit_sample(p, pt, terms, lam_dd, e)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"sample {i} at {pt}: {exc}", offdiag_norm=exc.offdiag_norm
@@ -192,7 +215,7 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
         verdict = cone_verdicts(lam, sigmas, k)
         cone_failures += not verdict.in_cone
         lemma_failures += not verdict.lemma
-        min_sigma_j = min(min_sigma_j, *sigmas[:k])
+        min_sigma_j = min(min_sigma_j, *sigmas)
         if check_phase and abs(sl_phase(lam) - CRITICAL_PHASE_N3) > PHASE_TOL:
             phase_failures += 1
 
@@ -206,16 +229,20 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
     )
 
 
-def _audit_sample(p: SolutionParams, pt: Point, lam_dd: list, sigma_k: float) -> None:
-    """Check one sample's closed-form spectrum against the general routes.
+def _audit_sample(p: SolutionParams, pt: Point, terms, lam_dd: list, sigmas: list) -> None:
+    """Check one sample's closed-form spectrum and sigmas against the general routes.
 
-    The cyclic Jacobi of hessian_dd(p, pt) must give the eigenvalues lam_dd
-    within SPECTRUM_AUDIT_REL_TOL * (1 + ||M||_F), and, up to MINOR_DIM_LIMIT,
-    the sum of the k x k principal minors must give sigma_k within
-    1e-8 * (1 + ||M||_F^k).  Raises ConvergenceError otherwise.
+    `terms` are the dd_terms(p, pt) that lam_dd and sigmas came from.  The
+    cyclic Jacobi of hessian_dd(p, pt, terms) must give the eigenvalues
+    lam_dd within SPECTRUM_AUDIT_REL_TOL * (1 + ||M||_F); the e_j recurrence
+    over lam_dd must give sigma_1..sigma_k within
+    SIGMA_AUDIT_UNITS * d * 2^-104 * e_j(|lambda|); and, up to
+    MINOR_DIM_LIMIT, the sum of the k x k principal minors must give
+    sigma_k within 1e-8 * (1 + ||M||_F^k).  Raises ConvergenceError otherwise.
     """
-    hess = hessian_dd(p, pt)
-    fro = math.sqrt(sum(v * v for v in map(dd.to_float, lam_dd)))
+    hess = hessian_dd(p, pt, terms)
+    lam = [dd.to_float(v) for v in lam_dd]
+    fro = math.sqrt(sum(v * v for v in lam))
     by_jacobi = eigenvalues_symmetric_dd(hess)
     gap = max(abs(dd.to_float(dd.sub(x, y))) for x, y in zip(by_jacobi, lam_dd))
     tol = SPECTRUM_AUDIT_REL_TOL * (1.0 + fro)
@@ -224,9 +251,20 @@ def _audit_sample(p: SolutionParams, pt: Point, lam_dd: list, sigma_k: float) ->
             f"closed-form spectrum disagrees with the double-double Jacobi by "
             f"{gap:g} (tolerance {tol:g})"
         )
+    by_recurrence = elementary_symmetric(lam_dd, dd.add, dd.mul)
+    scales = elementary_symmetric([abs(v) for v in lam])
+    unit = SIGMA_AUDIT_UNITS * len(lam) * 2.0**-104
+    for j, (x, y, scale) in enumerate(zip(sigmas, by_recurrence, scales), start=1):
+        gap = abs(dd.to_float(dd.sub(x, y)))
+        if not gap <= unit * scale:
+            raise ConvergenceError(
+                f"structured sigma_{j} disagrees with the e_j recurrence by {gap:g} "
+                f"(tolerance {unit * scale:g})"
+            )
     if len(hess) <= MINOR_DIM_LIMIT:
         floats = SymmetricMatrix([[dd.to_float(v) for v in row] for row in hess])
         by_minors = sigma_via_minors(floats, p.k)
+        sigma_k = dd.to_float(sigmas[p.k - 1])
         if abs(by_minors - sigma_k) > 1e-8 * (1.0 + fro**p.k):
             raise ConvergenceError(f"minor-sum audit disagrees: {by_minors} vs {sigma_k}")
 

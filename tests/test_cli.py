@@ -477,11 +477,11 @@ class TestPayloadPins:
         "argv, code, digest",
         [
             (["verify", "-n", "3", "--samples", "200", "--seed", "0"], 0,
-             "242a3dff3f1f61da692f3f1abccd01222e2f79c9737d3ee930700762f2674893"),
+             "d664db4583c832b1e9abf014b11f0add5efe45e24c955a9297db53c0d8880db8"),
             (["verify", "-n", "3", "-m", "1", "--samples", "100", "--seed", "5"], 0,
-             "91c8644add989f804e24ff5c6a7d6b3432972f6fd453af4f3b2d1a90e70e4d2f"),
+             "1b78baadc0238c53d802c2bdeba8805be128952aeb9712cca336d807a2a5c648"),
             (["verify", "-n", "7", "--samples", "50", "--seed", "0"], 0,
-             "d074fba74f43ae4edbb39fae6bcf9aec89a7b6145c9fe929c2b4318aa931de4a"),
+             "ce43b2565f5454c38036622a596de2a35060819920de0e0f616fe83f012dd671"),
             (["phase-check", "--matrix-file", "hessian.txt"], 0,
              "2f1f6c7234e5460da3bb8896397ef8ab216ef64d338b9d30407c130b5be0ff31"),
             (["phase-check", "--matrix-file", "hessian.txt", "--expected", "1.5707963267948966"], 0,

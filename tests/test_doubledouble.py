@@ -1,7 +1,7 @@
 import math
 import random
 import struct
-from decimal import Decimal, getcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import pytest
@@ -102,7 +102,10 @@ def _ref_sqrt(x):
         raise ValueError("square root of a negative double-double")
     s = math.sqrt(x[0])
     r = _ref_sub(x, _two_prod(s, s))
-    return _fast_two_sum(s, (r[0] + r[1]) / (2.0 * s))
+    h, e = _fast_two_sum(s, (r[0] + r[1]) / (2.0 * s))
+    if h != h:
+        raise ValueError("square root of a non-finite or out-of-range double-double")
+    return h, e
 
 
 def _kernel_cases(x, y, f):
@@ -232,14 +235,34 @@ class TestExactOracles:
             ref = Decimal(t).exp()
             assert abs(got - ref) <= Decimal("1e-28") * ref, t
 
-    def test_exp_within_four_units_on_the_sample_box(self):
-        # t in [-2, 2] is the scan's default box; 2^-102 is four units of 2^-104
+    def test_exp_within_one_unit_on_the_sample_box(self):
+        # t in [-2, 2] is the scan's default box; one unit is 2^-104
         rng = random.Random(11)
         for _ in range(200):
             t = rng.uniform(-2.0, 2.0)
             got = as_decimal(dd.exp(dd.from_float(t)))
             ref = Decimal(t).exp()
-            assert abs(got - ref) <= Decimal(2) ** -102 * ref, t
+            assert abs(got - ref) <= Decimal(2) ** -104 * ref, t
+
+    def test_exp_within_one_unit_far_from_zero(self):
+        # |m| up to 433 in 2^m: the table, the reduction by ln2/64 and the
+        # scaling by ldexp all take part
+        rng = random.Random(12)
+        for _ in range(200):
+            t = rng.uniform(-300.0, 300.0)
+            got = as_decimal(dd.exp(dd.from_float(t)))
+            ref = Decimal(t).exp()
+            assert abs(got - ref) <= Decimal(2) ** -104 * ref, t
+
+    def test_exp_table_is_correctly_rounded(self):
+        # each 2^(j/64) as the double nearest it plus the double nearest the rest
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for j, entry in enumerate(dd._EXP2_TABLE):
+                exact = (Decimal(j) / 64 * Decimal(2).ln()).exp()
+                hi = float(exact)
+                assert entry == (hi, float(exact - Decimal(hi))), j
+        assert len(dd._EXP2_TABLE) == 64
 
     @pytest.mark.parametrize("t", [709.0, 709.5, 709.78])
     def test_exp_near_the_largest_double(self, t):
@@ -271,6 +294,16 @@ class TestExactOracles:
     def test_nan_is_refused_by_name(self, op, x):
         with pytest.raises(ValueError, match="nan double-double"):
             op(x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [(math.inf, 0.0), (1.0, math.nan), (4.0, math.inf)],
+        ids=["inf-hi", "nan-lo", "inf-lo"],
+    )
+    def test_sqrt_of_non_finite_is_refused_by_name(self, x):
+        with pytest.raises(ValueError, match="non-finite or out-of-range double-double") as info:
+            dd.sqrt(x)
+        assert repr(x) in str(info.value)
 
     def test_exp_of_infinities(self):
         with pytest.raises(OverflowError, match="double-double exp overflow"):

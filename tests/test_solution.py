@@ -11,6 +11,7 @@ from sigmak.solution import (
     Point,
     SolutionParams,
     cancellation_coefficient,
+    dd_terms,
     derive_constants,
     eval_jet,
     extend,
@@ -18,11 +19,11 @@ from sigmak.solution import (
     h_formula,
     hessian_dd,
     solution_value,
-    spectrum_dd,
+    spectrum_sigmas_dd,
 )
 from sigmak import doubledouble as dd
 from sigmak.symfunc import eigenvalues_symmetric, eigenvalues_symmetric_dd, elementary_symmetric
-from sigmak.verify import SPECTRUM_AUDIT_REL_TOL, SampleBox, sample_point
+from sigmak.verify import SIGMA_AUDIT_UNITS, SPECTRUM_AUDIT_REL_TOL, SampleBox, sample_point
 
 
 class TestCancellationCoefficient:
@@ -179,7 +180,7 @@ class TestEvalJet:
 
     def test_radius_guard(self):
         p = derive_constants(3)
-        hessians = (eval_jet, spectrum_dd, hessian_dd)
+        hessians = (eval_jet, dd_terms, hessian_dd)
         for func in hessians + (solution_value,):
             func(p, Point(x=(1e49, 0.0), t=2.0))
             with pytest.raises(OverflowError, match=r"point x = \(1e\+200, 0.0\), t = 0.0"):
@@ -334,7 +335,7 @@ class TestSpectrumDD:
     numpy's eigvalsh of the float Hessian."""
 
     def assert_matches_oracles(self, p, pt):
-        lam = spectrum_dd(p, pt)
+        lam, _ = spectrum_sigmas_dd(p, dd_terms(p, pt))
         assert len(lam) == p.total_dim
         assert lam == sorted(lam)
         fro = _fro(lam)
@@ -383,6 +384,8 @@ class TestSpectrumDD:
         lam, _ = self.assert_matches_oracles(p, pt)
         sigma_k = elementary_symmetric(lam, dd.add, dd.mul)[p.k - 1]
         assert abs(dd.to_float(dd.add_f(sigma_k, -1.0))) < 1e-20
+        _, sigmas = spectrum_sigmas_dd(p, dd_terms(p, pt))
+        assert abs(dd.to_float(dd.add_f(sigmas[p.k - 1], -1.0))) < 1e-20
 
     def test_negative_determinant_root(self):
         # n = 3, t = 0.5, x = (1, 0): h'' - r^2 e^t < 0, so det < 0 and the
@@ -397,3 +400,47 @@ class TestSpectrumDD:
         assert dd.to_float(lam[0]) * dd.to_float(lam[-1]) == pytest.approx(det, rel=1e-14)
         negatives = sum(dd.to_float(v) < 0.0 for v in lam)
         assert negatives == sum(dd.to_float(v) < 0.0 for v in by_jacobi) == 1
+
+
+class TestArrowSigmas:
+    """The structured sigma_1..sigma_k of spectrum_sigmas_dd against the e_j
+    recurrence over the same closed-form eigenvalues, within the scan audit's
+    bound SIGMA_AUDIT_UNITS * d * 2^-104 * e_j(|lambda|)."""
+
+    @pytest.mark.parametrize("m", [0, 2])
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
+    def test_matches_the_recurrence(self, n, m):
+        p = extend(derive_constants(n), m)
+        box = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=40, seed=100 * n + m)
+        unit = SIGMA_AUDIT_UNITS * p.total_dim * 2.0**-104
+        for i in range(box.count):
+            lam, sigmas = spectrum_sigmas_dd(p, dd_terms(p, sample_point(p, box, i)))
+            assert len(sigmas) == p.k
+            by_recurrence = elementary_symmetric(lam, dd.add, dd.mul)
+            scales = elementary_symmetric([abs(dd.to_float(v)) for v in lam])
+            for x, y, scale in zip(sigmas, by_recurrence, scales):
+                assert abs(dd.to_float(dd.sub(x, y))) <= unit * scale
+            assert abs(dd.to_float(dd.add_f(sigmas[-1], -1.0))) < 1e-20
+
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_exact_on_exact_inputs(self, n):
+        # a, tr and det small integers: every double-double operation is
+        # exact, so the formula must equal the recurrence over the roots
+        from sigmak.solution import arrow_sigmas
+
+        p = derive_constants(n)
+        a, mu = 3, (-2, 5)
+        powers = [dd.from_float(float(a**j)) for j in range(1, p.k + 1)]
+        tr, det = dd.from_float(float(sum(mu))), dd.from_float(float(mu[0] * mu[1]))
+        sigmas = arrow_sigmas(p.arrow_binomials_dd, powers, tr, det)
+        want = elementary_symmetric([a] * (n - 2) + list(mu))[: p.k]
+        assert [dd.to_float(v) for v in sigmas] == want
+        assert all(v[1] == 0.0 for v in sigmas)
+
+    def test_binomials_are_exact(self):
+        # at n = 71, C(69, j) passes 2^53 from j = 18 on and needs its low part
+        p = derive_constants(71)
+        assert [Fraction(hi) + Fraction(lo) for hi, lo in p.arrow_binomials_dd] == [
+            math.comb(69, j) for j in range(p.k + 1)
+        ]
+        assert any(lo != 0.0 for _, lo in p.arrow_binomials_dd)

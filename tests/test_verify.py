@@ -179,22 +179,25 @@ class TestSpectrumAudit:
     @staticmethod
     def shifted_spectrum(monkeypatch, first_shifted, rel_shift):
         # from call number first_shifted on, move the largest eigenvalue by
-        # rel_shift * (1 + ||M||_F)
+        # rel_shift * (1 + ||M||_F), and return the sigmas of the moved
+        # spectrum, as a closed form with that eigenvalue wrong throughout
         from sigmak import doubledouble as dd
         from sigmak import verify
+        from sigmak.symfunc import elementary_symmetric
 
         calls = []
-        exact = verify.spectrum_dd
+        exact = verify.spectrum_sigmas_dd
 
-        def shifted(p, pt):
-            lam = exact(p, pt)
+        def shifted(p, terms):
+            lam, sigmas = exact(p, terms)
             if len(calls) >= first_shifted:
                 fro = math.sqrt(sum(dd.to_float(v) ** 2 for v in lam))
                 lam[-1] = dd.add_f(lam[-1], rel_shift * (1.0 + fro))
-            calls.append(pt)
-            return lam
+                sigmas = elementary_symmetric(lam, dd.add, dd.mul)[: p.k]
+            calls.append(terms)
+            return lam, sigmas
 
-        monkeypatch.setattr(verify, "spectrum_dd", shifted)
+        monkeypatch.setattr(verify, "spectrum_sigmas_dd", shifted)
 
     @pytest.mark.parametrize("first_shifted", [0, 100])
     def test_a_wrong_eigenvalue_names_the_sample(self, monkeypatch, first_shifted):
@@ -235,8 +238,9 @@ class TestSpectrumAudit:
         assert (len(jacobi), len(hessians)) == (10, 10)
 
     def test_one_exponential_per_sample(self, monkeypatch):
-        # spectrum_dd takes e^(-(k-1)t) from e^t, and the 10 audited samples'
-        # hessian_dd takes its own e^t; a second dd.exp per call would make 2020
+        # dd_terms takes e^(-(k-1)t) from e^t, and the 10 audited samples'
+        # hessian_dd reads the same terms; a second dd.exp per sample would
+        # make 2000, one per audited Hessian 1010
         from sigmak import doubledouble as dd
 
         calls = []
@@ -249,7 +253,43 @@ class TestSpectrumAudit:
         monkeypatch.setattr(dd, "exp", counting_exp)
         residual_scan(P3, BOX)
         assert BOX.count == 1000
-        assert len(calls) == 1010
+        assert len(calls) == 1000
+
+    @pytest.mark.parametrize("n, m", [(3, 0), (7, 0), (5, 2)])
+    def test_a_wrong_binomial_names_the_sample(self, monkeypatch, n, m):
+        from sigmak import doubledouble as dd
+        from sigmak.errors import ConvergenceError
+
+        p = extend(derive_constants(n), m)
+        binomials = list(p.arrow_binomials_dd)
+        binomials[p.k - 1] = dd.add_f(binomials[p.k - 1], 1.0)
+        object.__setattr__(p, "arrow_binomials_dd", tuple(binomials))
+        with pytest.raises(ConvergenceError, match="structured sigma_") as info:
+            residual_scan(p, dataclasses.replace(BOX, count=3))
+        assert str(info.value).startswith(f"sample 0 at {sample_point(p, BOX, 0)}: ")
+
+    @pytest.mark.parametrize("first_perturbed", [0, 100])
+    def test_a_perturbed_determinant_names_the_sample(self, monkeypatch, first_perturbed):
+        # det moved by 1e-20 relative in the sigmas only, not in the roots
+        from sigmak import doubledouble as dd
+        from sigmak import solution
+        from sigmak.errors import ConvergenceError
+
+        calls = []
+        exact = solution.arrow_sigmas
+
+        def perturbed(binomials, powers, tr, det):
+            if len(calls) >= first_perturbed:
+                det = dd.mul(det, (1.0, 1e-20))
+            calls.append(det)
+            return exact(binomials, powers, tr, det)
+
+        monkeypatch.setattr(solution, "arrow_sigmas", perturbed)
+        p = derive_constants(7)
+        named = sample_point(p, BOX, first_perturbed)
+        with pytest.raises(ConvergenceError, match="structured sigma_2 disagrees") as info:
+            residual_scan(p, dataclasses.replace(BOX, count=250))
+        assert str(info.value).startswith(f"sample {first_perturbed} at {named}: ")
 
     def test_audit_runs_past_the_minor_limit(self, monkeypatch):
         from sigmak.symfunc import MINOR_DIM_LIMIT
