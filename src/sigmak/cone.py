@@ -6,7 +6,7 @@ j = 1..k" as the authority, plus the cheaper sufficient test "sigma_k > 0 and
 at most one negative eigenvalue".  Boundary values (sigma_j numerically zero)
 count as outside: the equation must stay strictly elliptic.
 
-Both verdicts read one set of eigenvalues and their e_1..e_n, and
+Both verdicts read one set of eigenvalues and their e_1..e_k, and
 ``cone_verdicts`` returns them in one ``ConeVerdict`` per matrix: ``in_cone``
 (sigma positivity) and ``lemma``, beside the sigmas and the count of negative
 eigenvalues they were read from.  The scan passes its double-double values
@@ -42,16 +42,11 @@ class ConeVerdict:
             raise ValueError("lemma verdict cannot accept more than one negative eigenvalue")
 
 
-def count_negative_eigenvalues(values, fro: float) -> int:
-    """Count eigenvalues below the scale-aware negativity threshold."""
-    thr = -NEGATIVE_EIG_REL_TOL * (1.0 + fro)
-    return sum(1 for v in values if v < thr)
-
-
 def cone_verdicts(values, sigmas, k: int) -> ConeVerdict:
     """The sigma-positivity and lemma verdicts of a matrix.
 
-    `values` are its eigenvalues and `sigmas` its sigma_1..sigma_n.  Both
+    `values` are its eigenvalues and `sigmas` its sigma_1..sigma_k or more
+    (the scan passes k, gamma_k all n).  Both
     thresholds scale with the Frobenius norm, here sqrt(sum of values^2):
     sigma_j must exceed 1e-12 * (1 + fro^j), and an eigenvalue counts as
     negative below -1e-10 * (1 + fro).  A True lemma verdict implies
@@ -62,8 +57,11 @@ def cone_verdicts(values, sigmas, k: int) -> ConeVerdict:
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     sigmas = tuple(sigmas)
+    if len(sigmas) < k:
+        raise ValueError(f"need sigma_1..sigma_{k}, got {len(sigmas)} sigmas")
     fro = math.sqrt(sum(v * v for v in values))
-    neg = count_negative_eigenvalues(values, fro)
+    neg_thr = -NEGATIVE_EIG_REL_TOL * (1.0 + fro)
+    neg = sum(1 for v in values if v < neg_thr)
     positive = [
         sigmas[j - 1] > SIGMA_BOUNDARY_REL_TOL * (1.0 + fro**j) for j in range(1, k + 1)
     ]
@@ -77,38 +75,3 @@ def gamma_k(m: SymmetricMatrix, k: int) -> ConeVerdict:
     """
     values = eigenvalues_symmetric(m)
     return cone_verdicts(values, elementary_symmetric(values), k)
-
-
-def deformation_monotonicity_check(lambdas, k: int, s_grid) -> bool:
-    """Check that shifting the one possibly-negative eigenvalue upward never
-    decreases e_k.
-
-    Requires lambdas[1:] >= 0 (only the first entry may be negative).  The
-    grid evaluation and the closed-form slope e_(k-1)(lambdas[1:]) must agree;
-    disagreement indicates a broken invariant and raises.
-    """
-    lams = [float(v) for v in lambdas]
-    n = len(lams)
-    if n < 1:
-        raise ValueError("need at least one eigenvalue")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
-    if any(v < 0.0 for v in lams[1:]):
-        raise ValueError("all eigenvalues after the first must be nonnegative")
-    grid = sorted(float(s) for s in s_grid)
-    if any(s < 0.0 for s in grid):
-        raise ValueError("deformation grid must be nonnegative")
-
-    vals = [elementary_symmetric([lams[0] + s] + lams[1:])[k - 1] for s in grid]
-    slack = 1e-12 * (1.0 + max((abs(v) for v in vals), default=0.0))
-    grid_monotone = all(b >= a - slack for a, b in zip(vals, vals[1:]))
-
-    slope = ([1.0] + elementary_symmetric(lams[1:]))[k - 1]  # e_(k-1), e_0 = 1
-    closed_monotone = slope >= 0.0
-
-    if grid_monotone != closed_monotone:
-        raise RuntimeError(
-            "grid and closed-form monotonicity checks disagree "
-            f"(grid {grid_monotone}, slope {slope})"
-        )
-    return grid_monotone

@@ -269,10 +269,12 @@ def exp(x: DD) -> DD:
     omitted term, r^11/11!, is below 0.1 units of 2^-104), and the result is
     2^m (T_j + T_j (e^r - 1)) with T_j = 2^(j/64) from a table.  Raises
     OverflowError where e^x exceeds the largest double and ValueError where
-    either part of x is nan.
+    either part of x is nan or the low part is infinite.
     """
     if math.isnan(x[0]) or math.isnan(x[1]):
         raise ValueError(f"exp of a nan double-double {x!r}")
+    if math.isinf(x[1]):
+        raise ValueError(f"exp of a double-double with an infinite low word {x!r}")
     if x[0] > _EXP_MAX:
         raise OverflowError("double-double exp overflow")
     if x[0] < -746.0:

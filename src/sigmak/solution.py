@@ -23,7 +23,8 @@ dimension n + m without changing sigma_k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import doubledouble as dd
@@ -31,6 +32,14 @@ from .symfunc import SymmetricMatrix
 
 # e^x overflows double precision near x = 709; refuse slightly earlier.
 OVERFLOW_EXPONENT = 700.0
+
+
+def _check_integers(obj, *names: str) -> None:
+    """Refuse, naming the field, an attribute of obj that is not an integer."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,6 +65,7 @@ class SolutionParams:
     arrow_binomials_dd: tuple[dd.DD, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        _check_integers(self, "n_base", "m")
         n = self.n_base
         if n < 3 or n % 2 == 0:
             raise ValueError(f"2k = n+1 requires odd n with n >= 3, got n = {n}")
@@ -134,11 +144,6 @@ def cancellation_coefficient(n: int, k: int) -> int:
 def derive_constants(n_base: int) -> SolutionParams:
     """The core (m = 0) solution in dimension n_base: ``SolutionParams(n_base)``."""
     return SolutionParams(n_base)
-
-
-def extend(p: SolutionParams, m: int) -> SolutionParams:
-    """The same solution viewed on m extra dummy coordinates (total dim n_base + m)."""
-    return replace(p, m=m)
 
 
 def _check_exponent(p: SolutionParams, t: float) -> None:
@@ -289,15 +294,15 @@ def dd_terms(p: SolutionParams, pt: Point) -> tuple[list[dd.DD], dd.DD, dd.DD]:
     return et_powers, h2, dd.mul(r2, et)
 
 
-def hessian_dd(p: SolutionParams, pt: Point, terms=None) -> list[list[dd.DD]]:
+def hessian_dd(p: SolutionParams, pt: Point, terms) -> list[list[dd.DD]]:
     """The Hessian with entries in double-double precision.
 
     Same closed form as eval_jet, but e^t, e^(-(k-1)t) and all entry products
-    carry ~31 digits.  `terms` is dd_terms(p, pt), taken here when not given.
-    The verification scan diagonalizes this matrix on its audited samples, to
-    check spectrum_sigmas_dd against the general Jacobi.
+    carry ~31 digits.  `terms` is dd_terms(p, pt).  The verification scan
+    diagonalizes this matrix on its audited samples, to check
+    spectrum_sigmas_dd against the general Jacobi.
     """
-    et_powers, h2, r2et = dd_terms(p, pt) if terms is None else terms
+    et_powers, h2, r2et = terms
     et = et_powers[0]
     cross = [dd.mul_f(et, 2.0 * v) for v in pt.x]
     return arrow_rows(dd.mul_pow2(et, 2.0), cross, dd.add(r2et, h2), p.m, dd.ZERO)

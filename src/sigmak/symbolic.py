@@ -101,30 +101,6 @@ def sym_mul(lhs: SymExpr, rhs: SymExpr) -> SymExpr:
     return out
 
 
-def sym_eval(expr: SymExpr, r, exp_t):
-    """Evaluate with r and e^t substituted; exact on Fraction inputs."""
-    total = 0 * r  # zero of the argument type
-    for (a, b), coeff in expr.items():
-        total += coeff * r**a * exp_t**b
-    return total
-
-
-def sym_format(expr: SymExpr) -> str:
-    if not expr:
-        return "0"
-    parts = []
-    for (a, b), coeff in sorted(expr.items()):
-        factors = [f"({coeff})"]
-        if a == 1:
-            factors.append("r")
-        elif a > 1:
-            factors.append(f"r^{a}")
-        if b != 0:
-            factors.append(f"exp({b}t)" if b != 1 else "exp(t)")
-        parts.append("*".join(factors))
-    return " + ".join(parts)
-
-
 @dataclass(frozen=True)
 class SymMatrix:
     """Square matrix of expressions, structurally symmetric."""
@@ -160,11 +136,6 @@ def sym_sigmas(m: SymMatrix) -> list[SymExpr]:
     return faddeev_leverrier(
         m.entries, sym_add, sym_mul, lambda e, j: sym_scale(e, Fraction(1, j)), {}
     )
-
-
-def sym_det(m: SymMatrix) -> SymExpr:
-    """Exact determinant: sigma_dim from the trace recursion."""
-    return sym_sigmas(m)[-1]
 
 
 def _det_leibniz(entries, idx) -> SymExpr:

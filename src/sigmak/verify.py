@@ -59,9 +59,9 @@ from .solution import (
     Point,
     SolutionParams,
     _check_exponent,
+    _check_integers,
     _check_radius,
     dd_terms,
-    eval_jet,
     h_eval,
     hessian_dd,
     solution_value,
@@ -133,6 +133,7 @@ class SampleBox:
     seed: int
 
     def __post_init__(self):
+        _check_integers(self, "count", "seed")
         for name, values in (("x_radius", (self.x_radius,)), ("t_range", self.t_range)):
             if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -351,17 +352,3 @@ def nonpoly_witness(p: SolutionParams, max_degree: int) -> list[float]:
         iterated_forward_difference(samples.__getitem__, d + 1)
         for d in range(1, max_degree + 1)
     ]
-
-
-def split_indicator(p: SolutionParams, pt: Point) -> SymmetricMatrix:
-    """Absolute off-diagonal Hessian entries at pt.
-
-    A coordinate-aligned split of u into independent variable groups would
-    force all cross-group entries to vanish identically, so any nonzero
-    off-diagonal entry rules the corresponding split out.  A single point
-    with zeros is inconclusive.
-    """
-    hess = eval_jet(p, pt).hessian.entries
-    return SymmetricMatrix(
-        [[abs(v) if i != j else 0.0 for j, v in enumerate(row)] for i, row in enumerate(hess)]
-    )

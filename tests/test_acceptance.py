@@ -32,7 +32,13 @@ import pytest
 import sigmak
 from conftest import e_brute, random_rotation, rotate_exactly_symmetric, random_symmetric
 from sigmak.cone import gamma_k
-from sigmak.solution import Point, cancellation_coefficient, derive_constants, eval_jet, extend
+from sigmak.solution import (
+    Point,
+    SolutionParams,
+    cancellation_coefficient,
+    derive_constants,
+    eval_jet,
+)
 from sigmak.symbolic import verify_exact
 from sigmak.symfunc import (
     SymmetricMatrix,
@@ -59,8 +65,8 @@ def scan_reports():
         "n=3": derive_constants(3),
         "n=5": derive_constants(5),
         "n=7": derive_constants(7),
-        "n=3,m=1": extend(derive_constants(3), 1),
-        "n=3,m=2": extend(derive_constants(3), 2),
+        "n=3,m=1": SolutionParams(3, 1),
+        "n=3,m=2": SolutionParams(3, 2),
     }
     box = SampleBox(
         x_radius=3.0, t_range=(-2.0, 2.0), count=SCAN_SAMPLES, seed=SCAN_SEED

@@ -7,8 +7,6 @@ from conftest import e_brute, random_rotation, rotate_exactly_symmetric
 from sigmak.cone import (
     ConeVerdict,
     cone_verdicts,
-    count_negative_eigenvalues,
-    deformation_monotonicity_check,
     gamma_k,
 )
 from sigmak.symfunc import (
@@ -141,33 +139,14 @@ class TestCharpolyOracleParity:
 class TestNegativeCount:
     def test_threshold_is_scale_aware(self):
         # a numerically-zero eigenvalue is not negative
-        assert count_negative_eigenvalues([-1e-14, 2.0], 2.0) == 0
-        assert count_negative_eigenvalues([-0.5, 2.0], 2.0) == 1
+        assert cone_verdicts([-1e-14, 2.0], [2.0, 0.0], 1).negative_count == 0
+        assert cone_verdicts([-0.5, 2.0], [1.5, -1.0], 1).negative_count == 1
 
 
-class TestDeformationMonotonicity:
-    def test_solution_spectrum_at_origin(self):
-        assert deformation_monotonicity_check([-0.75, 2.0, 2.0], 2, [0.0, 1.0, 2.0, 3.0])
-
-    def test_all_zeros(self):
-        assert deformation_monotonicity_check([0.0, 0.0, 0.0], 2, [0.0, 0.5, 1.0])
-
-    def test_e1_is_the_sum(self):
-        assert deformation_monotonicity_check([-1.0, 1.0], 1, [0.0, 2.0])
-
-    def test_grid_values_are_affine(self):
-        # e_2(-3/4 + s, 2, 2) = 1, 5, 9, 13 on s = 0..3
-        vals = [e_brute([-0.75 + s, 2.0, 2.0], 2) for s in range(4)]
-        assert vals == [1.0, 5.0, 9.0, 13.0]
-
-    def test_rejects_second_negative(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            deformation_monotonicity_check([-1.0, -0.5, 2.0], 2, [0.0, 1.0])
-
-    def test_rejects_negative_grid(self):
-        with pytest.raises(ValueError, match="grid"):
-            deformation_monotonicity_check([-1.0, 2.0], 1, [-1.0, 0.0])
-
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            deformation_monotonicity_check([1.0, 2.0], 3, [0.0, 1.0])
+class TestConeVerdictsInput:
+    def test_needs_at_least_k_sigmas(self):
+        with pytest.raises(ValueError, match=r"sigma_1\.\.sigma_2, got 1 sigmas"):
+            cone_verdicts([1.0, 2.0, 3.0], [6.0], 2)
+        # the scan passes exactly sigma_1..sigma_k
+        verdict = cone_verdicts([1.0, 2.0, 3.0], [6.0, 11.0], 2)
+        assert verdict.in_cone and verdict.lemma

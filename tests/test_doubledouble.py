@@ -287,13 +287,20 @@ class TestExactOracles:
         assert hi_only != got
 
     @pytest.mark.parametrize(
-        "op, x",
-        [(dd.exp, (math.nan, 0.0)), (dd.exp, (1.0, math.nan)), (dd.sqrt, (math.nan, 0.0))],
-        ids=["exp-nan-hi", "exp-nan-lo", "sqrt-nan-hi"],
+        "op, x, what",
+        [
+            (dd.exp, (math.nan, 0.0), "nan double-double"),
+            (dd.exp, (1.0, math.nan), "nan double-double"),
+            (dd.sqrt, (math.nan, 0.0), "nan double-double"),
+            (dd.exp, (1.0, math.inf), "infinite low word"),
+            (dd.exp, (1.0, -math.inf), "infinite low word"),
+        ],
+        ids=["exp-nan-hi", "exp-nan-lo", "sqrt-nan-hi", "exp-inf-lo", "exp-minus-inf-lo"],
     )
-    def test_nan_is_refused_by_name(self, op, x):
-        with pytest.raises(ValueError, match="nan double-double"):
+    def test_nan_is_refused_by_name(self, op, x, what):
+        with pytest.raises(ValueError, match=what) as info:
             op(x)
+        assert repr(x) in str(info.value)
 
     @pytest.mark.parametrize(
         "x",

@@ -1,0 +1,92 @@
+"""The names ``sigmak`` exports, the ones it no longer has, and the ones the
+benchmark in ``perfbench/`` reads (Tier-1 does not run ``perfbench/tests``)."""
+
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import sigmak
+
+EXPORTS = (
+    "CapabilityError",
+    "Certification",
+    "ConeVerdict",
+    "ConvergenceError",
+    "Point",
+    "ResidualReport",
+    "SampleBox",
+    "SolutionParams",
+    "SymmetricMatrix",
+    "cancellation_coefficient",
+    "derive_constants",
+    "eigenvalues_symmetric",
+    "elementary_symmetric",
+    "eval_jet",
+    "fd_hessian",
+    "gamma_k",
+    "h_formula",
+    "nonpoly_witness",
+    "residual_scan",
+    "sigma_all_via_charpoly",
+    "sigma_via_minors",
+    "sl_phase",
+    "verify_exact",
+)
+
+REMOVED = [
+    ("sigmak.verify", "split_indicator"),
+    ("sigmak.cone", "deformation_monotonicity_check"),
+    ("sigmak.cone", "count_negative_eigenvalues"),
+    ("sigmak.solution", "extend"),
+    ("sigmak.symbolic", "sym_det"),
+    ("sigmak.symbolic", "sym_format"),
+    ("sigmak.symbolic", "sym_eval"),
+]
+
+BENCHMARK_NAMES = [
+    ("sigmak", "derive_constants"),
+    ("sigmak", "cli"),
+    ("sigmak", "symbolic"),
+    ("sigmak.cli", "run"),
+    ("sigmak.symbolic", "verify_exact"),
+    ("sigmak.symbolic", "sym_sigma_k"),
+    ("sigmak.symbolic", "build_rotated_hessian"),
+    ("sigmak.symbolic", "rotated_hessian_from_constants"),
+    ("sigmak.symbolic", "sym_sub"),
+    ("sigmak.symbolic", "sym_const"),
+    ("sigmak.errors", "CapabilityError"),
+]
+
+
+def test_all_is_the_chosen_surface():
+    assert tuple(sigmak.__all__) == EXPORTS
+    for name in EXPORTS:
+        assert getattr(sigmak, name) is not None, name
+
+
+@pytest.mark.parametrize("module, name", REMOVED, ids=[n for _, n in REMOVED])
+def test_removed_names_are_gone(module, name):
+    assert not hasattr(importlib.import_module(module), name)
+    assert not hasattr(sigmak, name)
+
+
+@pytest.mark.parametrize(
+    "module, name", BENCHMARK_NAMES, ids=[f"{m}.{n}" for m, n in BENCHMARK_NAMES]
+)
+def test_benchmark_names_exist(module, name):
+    # as ``from module import name``, which also imports a submodule
+    assert hasattr(__import__(module, fromlist=[name]), name)
+
+
+def test_readme_quick_start_imports_are_exported():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    imported = [
+        name.strip()
+        for names in re.findall(r"^from sigmak import (.+)$", block, flags=re.MULTILINE)
+        for name in names.split(",")
+    ]
+    assert imported and set(imported) <= set(EXPORTS)

@@ -14,7 +14,6 @@ from sigmak.solution import (
     dd_terms,
     derive_constants,
     eval_jet,
-    extend,
     h_eval,
     h_formula,
     hessian_dd,
@@ -76,6 +75,15 @@ class TestDeriveConstants:
         with pytest.raises(ValueError, match="odd"):
             derive_constants(bad)
 
+    @pytest.mark.parametrize(
+        "args, field",
+        [((3.0,), "n_base"), (("3",), "n_base"), ((True,), "n_base"), ((3, 1.5), "m"),
+         ((3, 1.0), "m")],
+    )
+    def test_rejects_non_integers_naming_the_field(self, args, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SolutionParams(*args)
+
     def test_pascal_identity(self):
         # the constants in their closed forms, every derived field of
         # SolutionParams(n, m), and its double-double h'' coefficients bit for bit
@@ -90,8 +98,8 @@ class TestDeriveConstants:
             assert p.h2_decay_dd == dd.mul_f(dd.from_fraction(p.h_coeff_decay), float((k - 1) ** 2))
             assert p.h2_growth_dd == dd.from_fraction(p.h_coeff_growth)
             for m in range(3):
-                q = extend(p, m)
-                assert q == SolutionParams(n, m) and q.m == m
+                q = SolutionParams(n, m)
+                assert q.m == m
                 assert (q.k, q.A, q.B, q.h_coeff_decay, q.h_coeff_growth) == (
                     p.k, p.A, p.B, p.h_coeff_decay, p.h_coeff_growth
                 )
@@ -180,7 +188,7 @@ class TestEvalJet:
 
     def test_radius_guard(self):
         p = derive_constants(3)
-        hessians = (eval_jet, dd_terms, hessian_dd)
+        hessians = (eval_jet, dd_terms, lambda p, pt: hessian_dd(p, pt, dd_terms(p, pt)))
         for func in hessians + (solution_value,):
             func(p, Point(x=(1e49, 0.0), t=2.0))
             with pytest.raises(OverflowError, match=r"point x = \(1e\+200, 0.0\), t = 0.0"):
@@ -234,22 +242,21 @@ class TestEvalJet:
 
 class TestExtend:
     def test_zero_extension_is_identity(self):
-        p = derive_constants(3)
-        assert extend(p, 0) == p
+        assert SolutionParams(3, 0) == derive_constants(3)
 
     def test_padded_hessian_keeps_sigma_k(self):
-        p = extend(derive_constants(3), 1)
+        p = SolutionParams(3, 1)
         jet = eval_jet(p, Point(x=(0.0, 0.0), t=0.0, w=(1.7,)))
         assert jet.hessian.dim == 4
         assert sigma_brute(jet.hessian.to_lists(), 2) == pytest.approx(1.0)
 
     def test_two_dummy_coordinates_reach_dimension_five(self):
-        p = extend(derive_constants(3), 2)
+        p = SolutionParams(3, 2)
         assert p.total_dim == 5
         assert p.k == 2
 
     def test_w_rows_are_zero(self):
-        p = extend(derive_constants(3), 2)
+        p = SolutionParams(3, 2)
         jet = eval_jet(p, Point(x=(1.0, -2.0), t=0.5, w=(3.0, -4.0)))
         h = np.array(jet.hessian.entries)
         assert np.all(h[3:, :] == 0.0) and np.all(h[:, 3:] == 0.0)
@@ -257,7 +264,7 @@ class TestExtend:
 
     def test_negative_extension_rejected(self):
         with pytest.raises(ValueError):
-            extend(derive_constants(3), -1)
+            SolutionParams(3, -1)
 
 
 class TestResidualIdentity:
@@ -283,7 +290,7 @@ class TestHessianDD:
         p = derive_constants(5)
         pt = Point(x=(1.1, -0.4, 2.0, 0.0), t=-0.8)
         hfloat = eval_jet(p, pt).hessian.entries
-        hdd = hessian_dd(p, pt)
+        hdd = hessian_dd(p, pt, dd_terms(p, pt))
         for i in range(5):
             for j in range(5):
                 assert dd.to_float(hdd[i][j]) == pytest.approx(hfloat[i][j], rel=1e-14, abs=1e-14)
@@ -293,7 +300,7 @@ class TestHessianDD:
 
         p = derive_constants(7)
         pt = Point(x=(3.0,) * 6, t=2.0)
-        lam = eigenvalues_symmetric_dd(hessian_dd(p, pt))
+        lam = eigenvalues_symmetric_dd(hessian_dd(p, pt, dd_terms(p, pt)))
         sigma = elementary_symmetric(lam, dd.add, dd.mul)[3]
         assert abs(dd.to_float(dd.add_f(sigma, -1.0))) < 1e-20
 
@@ -308,7 +315,8 @@ class TestHessianDD:
             ctx.prec = 50
             for _ in range(20):
                 t = rng.uniform(-2.0, 2.0)
-                h2 = hessian_dd(p, Point(x=(0.0,) * (n - 1), t=t))[n - 1][n - 1]
+                pt = Point(x=(0.0,) * (n - 1), t=t)
+                h2 = hessian_dd(p, pt, dd_terms(p, pt))[n - 1][n - 1]
                 decay = (
                     km1**2 * Decimal(p.h_coeff_decay.numerator) / p.h_coeff_decay.denominator
                     * (-km1 * Decimal(t)).exp()
@@ -339,7 +347,7 @@ class TestSpectrumDD:
         assert len(lam) == p.total_dim
         assert lam == sorted(lam)
         fro = _fro(lam)
-        by_jacobi = eigenvalues_symmetric_dd(hessian_dd(p, pt))
+        by_jacobi = eigenvalues_symmetric_dd(hessian_dd(p, pt, dd_terms(p, pt)))
         assert by_jacobi == sorted(by_jacobi)
         assert _max_gap(lam, by_jacobi) <= SPECTRUM_AUDIT_REL_TOL * (1.0 + fro)
         by_numpy = np.linalg.eigvalsh(eval_jet(p, pt).hessian.entries)
@@ -350,7 +358,7 @@ class TestSpectrumDD:
     @pytest.mark.parametrize("m", [0, 1, 2])
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15, 17, 19, 21])
     def test_seeded_points(self, n, m):
-        p = extend(derive_constants(n), m)
+        p = SolutionParams(n, m)
         box = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=3, seed=1000 * n + m)
         for i in range(box.count):
             self.assert_matches_oracles(p, sample_point(p, box, i))
@@ -358,7 +366,7 @@ class TestSpectrumDD:
     @pytest.mark.parametrize("n", [3, 7])
     def test_origin_gives_a_and_d(self, n):
         # x = 0: c = 0, so the 2 x 2 block is diagonal with roots a and d
-        p = extend(derive_constants(n), 1)
+        p = SolutionParams(n, 1)
         for t in (-1.5, 0.0, 1.5):
             pt = Point(x=(0.0,) * (n - 1), t=t, w=(0.7,))
             lam, _ = self.assert_matches_oracles(p, pt)
@@ -410,7 +418,7 @@ class TestArrowSigmas:
     @pytest.mark.parametrize("m", [0, 2])
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
     def test_matches_the_recurrence(self, n, m):
-        p = extend(derive_constants(n), m)
+        p = SolutionParams(n, m)
         box = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=40, seed=100 * n + m)
         unit = SIGMA_AUDIT_UNITS * p.total_dim * 2.0**-104
         for i in range(box.count):

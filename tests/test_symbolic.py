@@ -18,9 +18,6 @@ from sigmak.symbolic import (
     sigma_k_partition,
     sym_add,
     sym_const,
-    sym_det,
-    sym_eval,
-    sym_format,
     sym_mul,
     sym_neg,
     sym_scale,
@@ -69,26 +66,19 @@ class TestArithmetic:
         assert sym_mul(sym_mul(a, b), c) == sym_mul(a, sym_mul(b, c))
         assert sym_mul(a, sym_add(b, c)) == sym_add(sym_mul(a, b), sym_mul(a, c))
 
-    @settings(max_examples=40, deadline=None)
-    @given(_exprs)
-    def test_float_eval_matches_exact_eval(self, expr):
-        r = Fraction(3, 7)
-        exp_t = Fraction(5, 4)
-        exact = sym_eval(expr, r, exp_t)
-        approx = sym_eval(expr, float(r), float(exp_t))
-        assert approx == pytest.approx(float(exact), rel=1e-12, abs=1e-12)
-
 
 class TestSymDet:
+    """The determinant is the last of sym_sigmas."""
+
     def test_rank_one_structure_vanishes(self):
         e_t, r_et, r2_et = sym_term(1, 0, 1), sym_term(1, 1, 1), sym_term(1, 2, 1)
         m = SymMatrix.from_rows([[e_t, r_et], [r_et, r2_et]])
-        assert sym_det(m) == {}
+        assert sym_sigmas(m)[-1] == {}
 
     def test_diagonal(self):
         two_et = sym_term(2, 0, 1)
         m = SymMatrix.from_rows([[two_et, {}], [{}, two_et]])
-        assert sym_det(m) == {(0, 2): Fraction(4)}
+        assert sym_sigmas(m)[-1] == {(0, 2): Fraction(4)}
 
     def test_corner_block_of_scaled_hessian(self):
         # [[2, 2r], [2r, r^2 + e^-t h'']] with h'' = (1/4)e^-t - e^t
@@ -99,7 +89,7 @@ class TestSymDet:
                 [sym_term(2, 1, 0), sym_add(sym_term(1, 2, 0), exp_neg_t_h2)],
             ]
         )
-        assert sym_det(m) == {
+        assert sym_sigmas(m)[-1] == {
             (2, 0): Fraction(-2),
             (0, -2): Fraction(1, 2),
             (0, 0): Fraction(-2),
@@ -109,7 +99,7 @@ class TestSymDet:
         # past the old Leibniz cap of dim 8: diag(2e^t, ..., 2e^t) in dim 12
         two_et = sym_term(2, 0, 1)
         rows = [[two_et if i == j else {} for j in range(12)] for i in range(12)]
-        assert sym_det(SymMatrix.from_rows(rows)) == {(0, 12): Fraction(2**12)}
+        assert sym_sigmas(SymMatrix.from_rows(rows))[-1] == {(0, 12): Fraction(2**12)}
 
     def test_structural_symmetry_enforced(self):
         with pytest.raises(ValueError, match="differ"):
@@ -291,11 +281,3 @@ class TestVerifyExact:
             )
             assert sym_sub(total, sym_const(1)) != {}
 
-
-class TestFormatting:
-    def test_zero(self):
-        assert sym_format({}) == "0"
-
-    def test_mixed_terms(self):
-        expr = sym_add(sym_term(Fraction(1, 4), 0, -1), sym_term(-1, 2, 1))
-        assert sym_format(expr) == "(1/4)*exp(-1t) + (-1)*r^2*exp(t)"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sigmak.errors import CapabilityError
-from sigmak.solution import Point, derive_constants, eval_jet, extend, h_eval
+from sigmak.solution import Point, SolutionParams, derive_constants, dd_terms, eval_jet, h_eval
 from sigmak.symfunc import SymmetricMatrix
 from sigmak.verify import (
     CRITICAL_PHASE_N3,
@@ -17,7 +17,6 @@ from sigmak.verify import (
     residual_scan,
     sample_point,
     sl_phase,
-    split_indicator,
     splitmix64,
 )
 
@@ -67,7 +66,7 @@ class TestGenerator:
         assert sample_point(P3, BOX, 17) != sample_point(P3, other, 17)
 
     def test_w_coordinates_consume_stream_words(self):
-        p = extend(P3, 2)
+        p = SolutionParams(3, 2)
         pt = sample_point(p, BOX, 3)
         assert len(pt.w) == 2
         assert all(abs(v) <= BOX.x_radius for v in pt.w)
@@ -98,6 +97,20 @@ class TestSampleBox:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             SampleBox(**fields)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"count": 2.5}, "count"),
+            ({"count": 10.0}, "count"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": "0"}, "seed"),
+        ],
+    )
+    def test_non_integer_rejected(self, kwargs, field):
+        fields = {"x_radius": 1.0, "t_range": (-1.0, 1.0), "count": 10, "seed": 0, **kwargs}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SampleBox(**fields)
+
 
 class TestResidualScan:
     def test_n3_standard_box(self):
@@ -115,7 +128,7 @@ class TestResidualScan:
         assert rep.phase_ok is None
 
     def test_extended_solution_on_r5(self):
-        p = extend(P3, 2)
+        p = SolutionParams(3, 2)
         box = dataclasses.replace(BOX, count=300)
         rep = residual_scan(p, box)
         assert rep.max_abs_residual <= 1e-9
@@ -260,7 +273,7 @@ class TestSpectrumAudit:
         from sigmak import doubledouble as dd
         from sigmak.errors import ConvergenceError
 
-        p = extend(derive_constants(n), m)
+        p = SolutionParams(n, m)
         binomials = list(p.arrow_binomials_dd)
         binomials[p.k - 1] = dd.add_f(binomials[p.k - 1], 1.0)
         object.__setattr__(p, "arrow_binomials_dd", tuple(binomials))
@@ -340,7 +353,8 @@ class TestResidualAgainstExactArithmetic:
         p = derive_constants(n)
         box = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=5, seed=77)
         for i in range(5):
-            hdd = hessian_dd(p, sample_point(p, box, i))
+            pt = sample_point(p, box, i)
+            hdd = hessian_dd(p, pt, dd_terms(p, pt))
             lam = eigenvalues_symmetric_dd(hdd)
             reported = dd.to_float(dd.add_f(elementary_symmetric(lam, dd.add, dd.mul)[p.k - 1], -1.0))
             truth = float(exact_sigma(hdd, p.k) - 1)
@@ -361,11 +375,11 @@ class TestScanSigmasAgainstFloatOracles:
             sigma_via_minors,
         )
 
-        p = extend(derive_constants(n), m)
+        p = SolutionParams(n, m)
         box = SampleBox(x_radius=1.0, t_range=(-1.0, 1.0), count=20, seed=11)
         for i in range(box.count):
             pt = sample_point(p, box, i)
-            lam = eigenvalues_symmetric_dd(hessian_dd(p, pt))
+            lam = eigenvalues_symmetric_dd(hessian_dd(p, pt, dd_terms(p, pt)))
             e = elementary_symmetric(lam, dd.add, dd.mul)
             hess = eval_jet(p, pt).hessian
             fro = hess.frobenius_norm()
@@ -449,29 +463,10 @@ class TestNonpolyWitness:
 
     def test_extension_rejected(self):
         with pytest.raises(ValueError, match="m = 0"):
-            nonpoly_witness(extend(P3, 1), 5)
+            nonpoly_witness(SolutionParams(3, 1), 5)
 
     def test_degree_bounds(self):
         with pytest.raises(ValueError):
             nonpoly_witness(P3, 0)
         with pytest.raises(CapabilityError):
             nonpoly_witness(P3, 41)
-
-
-class TestSplitIndicator:
-    def test_x_t_coupling_visible_off_axis(self):
-        si = split_indicator(P3, Point(x=(1.0, 0.0), t=0.0))
-        assert si.entries[0][2] == pytest.approx(2.0)
-        assert si.entries[1][2] == 0.0
-
-    def test_origin_is_inconclusive(self):
-        si = split_indicator(P3, Point(x=(0.0, 0.0), t=1.3))
-        assert np.all(np.array(si.entries) == 0.0)
-
-    def test_extension_coordinates_split_off(self):
-        p = extend(P3, 1)
-        si = split_indicator(p, Point(x=(1.0, 2.0), t=0.5, w=(9.0,)))
-        entries = np.array(si.entries)
-        assert np.all(entries[3, :] == 0.0)
-        assert np.all(entries[:, 3] == 0.0)
-        assert entries[0, 2] > 0.0
