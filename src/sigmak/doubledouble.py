@@ -19,15 +19,17 @@ while operands and products stay below ``SPLIT_MAX`` = 2**996 (~6.7e299);
 past that the split's ``_SPLITTER * a`` overflows.  Callers that could reach
 it guard their inputs (see ``solution._check_radius``).
 
-Each of add, sub, add_f, mul and mul_f runs as one Python frame: Knuth's
-TwoSum, Dekker's TwoProd and the closing FastTwoSum are written out inside
-it, because in CPython a function call costs as much as the float operations
-it would wrap.  div and sqrt write out their closing FastTwoSum the same way.
-The float operations are the textbook composition's, in its order, so every
+Every operation runs as one Python frame: Knuth's TwoSum, Dekker's TwoProd
+and the closing FastTwoSum are written out inside it, and so are the
+products, sums and differences that div, sqrt, exp and rotate are composed
+of, because in CPython a function call costs as much as the float operations
+it would wrap.  An operand that several products share is split once.  The
+float operations are the textbook composition's, in its order, so every
 result is the composition's bit for bit; tests/test_doubledouble.py keeps
-the composition and pins this.  exp, rotate and ring() are built from the
-public operations, looked up on the module, so a call counter installed here
-sees every operation.
+the composition and pins this.  So a call counter installed on this module
+counts each exp, div, sqrt and rotate as one call, not the products and
+sums inside it; ring() looks the operations up on the module, so the
+counter still sees every call the Jacobi makes.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def neg(x: DD) -> DD:
     return (-x[0], -x[1])
 
 
-# In add, sub, add_f, mul and mul_f below: s, e = TwoSum(xh, yh) is
+# In the operations below, s, e = TwoSum(xh, yh) is
 #     s = xh + yh;  bb = s - xh;  e = (xh - (s - bb)) + (yh - bb)
 # Dekker's split of a into ahi + alo is
 #     c = _SPLITTER * a;  ahi = c - (c - a);  alo = a - ahi
@@ -150,12 +152,44 @@ def mul_pow2(x: DD, f: float) -> DD:
 
 
 def div(x: DD, y: DD) -> DD:
-    yh = y[0]
-    q1 = x[0] / yh
-    r = sub(x, mul_f(y, q1))
-    q2 = r[0] / yh
-    r = sub(r, mul_f(y, q2))
-    q3 = r[0] / yh
+    # q1 = xh / yh, r = x - y q1, q2 = rh / yh, r -= y q2, q3 = rh / yh, each
+    # y q as mul_f(y, q) and each difference as sub; yh is split once
+    xh, xl = x
+    yh, yl = y
+    q1 = xh / yh
+    c = _SPLITTER * yh
+    yhi = c - (c - yh)
+    ylo = yh - yhi
+    # mul_f(y, q1)
+    p = yh * q1
+    c = _SPLITTER * q1
+    bhi = c - (c - q1)
+    blo = q1 - bhi
+    e = (((yhi * bhi - p) + yhi * blo + ylo * bhi) + ylo * blo) + yl * q1
+    ph = p + e
+    pl = e - (ph - p)
+    # sub(x, (ph, pl))
+    b = -ph
+    s = xh + b
+    bb = s - xh
+    e = ((xh - (s - bb)) + (b - bb)) + (xl - pl)
+    rh = s + e
+    rl = e - (rh - s)
+    q2 = rh / yh
+    # mul_f(y, q2)
+    p = yh * q2
+    c = _SPLITTER * q2
+    bhi = c - (c - q2)
+    blo = q2 - bhi
+    e = (((yhi * bhi - p) + yhi * blo + ylo * bhi) + ylo * blo) + yl * q2
+    ph = p + e
+    pl = e - (ph - p)
+    # sub((rh, rl), (ph, pl)): only its hi is read
+    b = -ph
+    s = rh + b
+    bb = s - rh
+    e = ((rh - (s - bb)) + (b - bb)) + (rl - pl)
+    q3 = (s + e) / yh
     s = q1 + q2
     e = (q2 - (s - q1)) + q3
     h = s + e
@@ -163,7 +197,7 @@ def div(x: DD, y: DD) -> DD:
 
 
 def sqrt(x: DD) -> DD:
-    xh = x[0]
+    xh, xl = x
     if not xh > 0.0:
         if xh == 0.0:
             return ZERO
@@ -171,8 +205,18 @@ def sqrt(x: DD) -> DD:
             raise ValueError("square root of a negative double-double")
         raise ValueError(f"square root of a nan double-double {x!r}")
     s = math.sqrt(xh)
-    r = sub(x, from_product(s, s))
-    e = (r[0] + r[1]) / (2.0 * s)
+    # r = sub(x, from_product(s, s)), then e = (rh + rl) / 2s
+    p = s * s
+    c = _SPLITTER * s
+    shi = c - (c - s)
+    slo = s - shi
+    pl = ((shi * shi - p) + shi * slo + slo * shi) + slo * slo
+    b = -p
+    t = xh + b
+    bb = t - xh
+    e = ((xh - (t - bb)) + (b - bb)) + (xl - pl)
+    rh = t + e
+    e = (rh + (e - (rh - t))) / (2.0 * s)
     h = s + e
     if h != h:  # an infinite part or a nan lo, or s * s past the largest double
         raise ValueError(f"square root of a non-finite or out-of-range double-double {x!r}")
@@ -189,6 +233,7 @@ _LN2_64_HI = 0.010830424696223417
 _LN2_64_LO: DD = (2.572804622327669e-14, -1.5746795524851787e-30)
 # 1/j! for j = 1..10, as double-doubles: exp's Horner sum for e^r - 1
 _EXP_TAYLOR = tuple(from_fraction(Fraction(1, math.factorial(j))) for j in range(1, 11))
+_EXP_HORNER = _EXP_TAYLOR[-2::-1]  # the coefficients that Horner's loop adds
 # 2^(j/64) for j = 0..63, each the correctly rounded double-double
 _EXP2_TABLE: tuple[DD, ...] = (
     (1.0, 0.0),
@@ -271,34 +316,144 @@ def exp(x: DD) -> DD:
     OverflowError where e^x exceeds the largest double and ValueError where
     either part of x is nan or the low part is infinite.
     """
-    if math.isnan(x[0]) or math.isnan(x[1]):
+    xh, xl = x
+    if math.isnan(xh) or math.isnan(xl):
         raise ValueError(f"exp of a nan double-double {x!r}")
-    if math.isinf(x[1]):
+    if math.isinf(xl):
         raise ValueError(f"exp of a double-double with an infinite low word {x!r}")
-    if x[0] > _EXP_MAX:
+    if xh > _EXP_MAX:
         raise OverflowError("double-double exp overflow")
-    if x[0] < -746.0:
+    if xh < -746.0:
         return ZERO
-    kk = round(x[0] * _EXP_STEPS)
+    kk = round(xh * _EXP_STEPS)
     m, j = divmod(kk, 64)
-    # x[0] - kk * hi is exact (Sterbenz: for kk != 0 the two lie within a
-    # factor of 2), and so is its TwoSum with x[1]
-    r = sub(add_f((x[1], 0.0), x[0] - kk * _LN2_64_HI), mul_f(_LN2_64_LO, float(kk)))
-    p = _EXP_TAYLOR[-1]
-    for coeff in _EXP_TAYLOR[-2::-1]:
-        p = add(coeff, mul(p, r))
-    t = _EXP2_TABLE[j]
-    s = add(t, mul(t, mul(p, r)))
+    # r = sub(add_f((xl, 0.0), xh - kk * hi), mul_f(_LN2_64_LO, kk)).
+    # xh - kk * hi is exact (Sterbenz: for kk != 0 the two lie within a
+    # factor of 2), and so is its TwoSum with xl
+    f = xh - kk * _LN2_64_HI
+    s = xl + f
+    bb = s - xl
+    e = ((xl - (s - bb)) + (f - bb)) + 0.0
+    ah = s + e
+    al = e - (ah - s)
+    lh, ll = _LN2_64_LO
+    f = float(kk)
+    p = lh * f
+    c = _SPLITTER * lh
+    ahi = c - (c - lh)
+    alo = lh - ahi
+    c = _SPLITTER * f
+    bhi = c - (c - f)
+    blo = f - bhi
+    e = (((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo) + ll * f
+    bh = p + e
+    b = -bh
+    s = ah + b
+    bb = s - ah
+    e = ((ah - (s - bb)) + (b - bb)) + (al - (e - (bh - p)))
+    rh = s + e
+    rl = e - (rh - s)
+    c = _SPLITTER * rh
+    rhi = c - (c - rh)
+    rlo = rh - rhi
+    # Horner: p = add(coeff, mul(p, r)) from the highest coefficient down,
+    # then p r, T_j p r and T_j + T_j p r, with mul and add written out
+    ph, pl = _EXP_TAYLOR[-1]
+    for th, tl in _EXP_HORNER:
+        p = ph * rh
+        c = _SPLITTER * ph
+        ahi = c - (c - ph)
+        alo = ph - ahi
+        e = (((ahi * rhi - p) + ahi * rlo + alo * rhi) + alo * rlo) + (ph * rl + pl * rh)
+        ah = p + e
+        al = e - (ah - p)
+        s = th + ah
+        bb = s - th
+        e = ((th - (s - bb)) + (ah - bb)) + (tl + al)
+        ph = s + e
+        pl = e - (ph - s)
+    p = ph * rh
+    c = _SPLITTER * ph
+    ahi = c - (c - ph)
+    alo = ph - ahi
+    e = (((ahi * rhi - p) + ahi * rlo + alo * rhi) + alo * rlo) + (ph * rl + pl * rh)
+    ah = p + e
+    al = e - (ah - p)
+    th, tl = _EXP2_TABLE[j]
+    p = th * ah
+    c = _SPLITTER * th
+    thi = c - (c - th)
+    tlo = th - thi
+    c = _SPLITTER * ah
+    ahi = c - (c - ah)
+    alo = ah - ahi
+    e = (((thi * ahi - p) + thi * alo + tlo * ahi) + tlo * alo) + (th * al + tl * ah)
+    ah = p + e
+    al = e - (ah - p)
+    s = th + ah
+    bb = s - th
+    e = ((th - (s - bb)) + (ah - bb)) + (tl + al)
+    h = s + e
     try:
         # each part scaled on its own: 2^m alone overflows for m = 1024
-        return math.ldexp(s[0], m), math.ldexp(s[1], m)
+        return math.ldexp(h, m), math.ldexp(e - (h - s), m)
     except OverflowError:
         raise OverflowError("double-double exp overflow") from None
 
 
 def rotate(c: DD, s: DD, x: DD, y: DD) -> tuple[DD, DD]:
-    """The plane rotation (c x - s y, s x + c y) of one pair of entries."""
-    return sub(mul(c, x), mul(s, y)), add(mul(s, x), mul(c, y))
+    """The plane rotation (c x - s y, s x + c y) of one pair of entries.
+
+    That is sub(mul(c, x), mul(s, y)) and add(mul(s, x), mul(c, y)), written
+    out with each operand's hi split once.
+    """
+    ch, cl = c
+    sh, sl = s
+    xh, xl = x
+    yh, yl = y
+    t = _SPLITTER * ch
+    c1 = t - (t - ch)
+    c2 = ch - c1
+    t = _SPLITTER * sh
+    s1 = t - (t - sh)
+    s2 = sh - s1
+    t = _SPLITTER * xh
+    x1 = t - (t - xh)
+    x2 = xh - x1
+    t = _SPLITTER * yh
+    y1 = t - (t - yh)
+    y2 = yh - y1
+    # mul(c, x) and mul(s, y)
+    p = ch * xh
+    e = (((c1 * x1 - p) + c1 * x2 + c2 * x1) + c2 * x2) + (ch * xl + cl * xh)
+    ah = p + e
+    al = e - (ah - p)
+    p = sh * yh
+    e = (((s1 * y1 - p) + s1 * y2 + s2 * y1) + s2 * y2) + (sh * yl + sl * yh)
+    bh = p + e
+    bl = e - (bh - p)
+    # sub
+    b = -bh
+    t = ah + b
+    bb = t - ah
+    e = ((ah - (t - bb)) + (b - bb)) + (al - bl)
+    uh = t + e
+    ul = e - (uh - t)
+    # mul(s, x) and mul(c, y)
+    p = sh * xh
+    e = (((s1 * x1 - p) + s1 * x2 + s2 * x1) + s2 * x2) + (sh * xl + sl * xh)
+    ah = p + e
+    al = e - (ah - p)
+    p = ch * yh
+    e = (((c1 * y1 - p) + c1 * y2 + c2 * y1) + c2 * y2) + (ch * yl + cl * yh)
+    bh = p + e
+    bl = e - (bh - p)
+    # add
+    t = ah + bh
+    bb = t - ah
+    e = ((ah - (t - bb)) + (bh - bb)) + (al + bl)
+    vh = t + e
+    return (uh, ul), (vh, e - (vh - t))
 
 
 def ring() -> SimpleNamespace:

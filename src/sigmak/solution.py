@@ -32,6 +32,7 @@ from .symfunc import SymmetricMatrix
 
 # e^x overflows double precision near x = 709; refuse slightly earlier.
 OVERFLOW_EXPONENT = 700.0
+_LOG2_SPLIT_MAX = math.log2(dd.SPLIT_MAX)  # 996.0
 
 
 def _check_integers(obj, *names: str) -> None:
@@ -48,7 +49,8 @@ class SolutionParams:
 
     Every other field is derived from n_base in __post_init__: k, the exact
     constants A, B and h = h_coeff_decay e^(-(k-1)t) + h_coeff_growth e^t,
-    h'' = h2_decay_dd e^(-(k-1)t) + h2_growth_dd e^t in double-double, and
+    A_float and h_coeffs_float = (h_coeff_decay, h_coeff_growth) rounded to
+    floats, h'' = h2_decay_dd e^(-(k-1)t) + h2_growth_dd e^t in double-double, and
     arrow_binomials_dd[j] = C(n-2, j) for j = 0..k as exact double-doubles
     (see arrow_sigmas).
     """
@@ -60,6 +62,8 @@ class SolutionParams:
     B: Fraction = field(init=False)
     h_coeff_decay: Fraction = field(init=False)
     h_coeff_growth: Fraction = field(init=False)
+    A_float: float = field(init=False, repr=False)
+    h_coeffs_float: tuple[float, float] = field(init=False, repr=False)
     h2_decay_dd: dd.DD = field(init=False, repr=False)
     h2_growth_dd: dd.DD = field(init=False, repr=False)
     arrow_binomials_dd: tuple[dd.DD, ...] = field(init=False, repr=False)
@@ -78,6 +82,7 @@ class SolutionParams:
         growth = -b / a
         derived = {
             "k": k, "A": a, "B": b, "h_coeff_decay": decay, "h_coeff_growth": growth,
+            "A_float": float(a), "h_coeffs_float": (float(decay), float(growth)),
             "h2_decay_dd": dd.mul_f(dd.from_fraction(decay), float((k - 1) ** 2)),
             "h2_growth_dd": dd.from_fraction(growth),
             # hi + lo is C(n-2, j) exactly: the rest c - int(hi) is an integer
@@ -104,11 +109,12 @@ class Point:
     w: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "w", tuple(float(v) for v in self.w))
-        for name, values in (("x", self.x), ("t", (self.t,)), ("w", self.w)):
-            if not all(math.isfinite(v) for v in values):
+        x, t, w = tuple(map(float, self.x)), float(self.t), tuple(map(float, self.w))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "w", w)
+        for name, values in (("x", x), ("t", (t,)), ("w", w)):
+            if not all(map(math.isfinite, values)):
                 raise ValueError(
                     f"point coordinate {name} must be finite, got {getattr(self, name)}"
                 )
@@ -175,10 +181,10 @@ def _check_radius(
     """
     bound = (
         (p.n_base - 1) * (2.0 + 4.0 * x_radius + x_radius * x_radius) * et_hi
-        + e_decay_lo / float(p.A)
-        - float(p.h_coeff_growth) * et_hi  # h_coeff_growth = -B/A
+        + e_decay_lo / p.A_float
+        - p.h_coeffs_float[1] * et_hi  # h_coeff_growth = -B/A
     )
-    if p.total_dim * math.log2(1.0 + bound) > math.log2(dd.SPLIT_MAX):
+    if p.total_dim * math.log2(1.0 + bound) > _LOG2_SPLIT_MAX:
         if isinstance(what, Point):
             what = f"point x = {what.x}, t = {what.t}"
         raise OverflowError(
@@ -191,10 +197,11 @@ def _closed_form(p: SolutionParams, t: float) -> tuple[float, float, float, floa
     """e^t, e^(-(k-1)t) and h, h', h'' at t, from those two exponentials."""
     _check_exponent(p, t)
     km1 = p.k - 1
+    decay_coeff, growth_coeff = p.h_coeffs_float
     e_decay = math.exp(-km1 * t)
-    decay = float(p.h_coeff_decay) * e_decay
+    decay = decay_coeff * e_decay
     et = math.exp(t)
-    growth = float(p.h_coeff_growth) * et
+    growth = growth_coeff * et
     return et, e_decay, decay + growth, -km1 * decay + growth, km1 * km1 * decay + growth
 
 

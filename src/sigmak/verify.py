@@ -12,10 +12,13 @@ identical points regardless of execution order.  Word number c (c = 0, 1,
     z = (z XOR (z >> 27)) * 0x94D049BB133111EB
     word = z XOR (z >> 31)
 
-A uniform float in [0, 1) keeps the top 53 bits: (word >> 11) * 2**-53.
+A uniform float u in [0, 1) keeps the top 53 bits: (word >> 11) * 2**-53.
 Sample number i in total dimension D consumes words i*D .. i*D + D - 1, one
 per coordinate, x block first, then t, then the w block.  The x and w
-coordinates are uniform on [-x_radius, x_radius], t on t_range.
+coordinates are -x_radius + (2 x_radius) u, uniform on [-x_radius,
+x_radius], and t is t_min + (t_max - t_min) u.  ``splitmix64_words`` returns
+a sample's D words in one call, stepping the state by the golden increment
+from word to word, and ``sample_point`` builds the Point from them directly.
 
 Precision
 ---------
@@ -111,16 +114,17 @@ SIGMA_AUDIT_UNITS = 8.0
 WITNESS_MAX_DEGREE = 40
 
 
-def splitmix64(seed: int, counter: int) -> int:
-    """Word `counter` of the counter-based splitmix64 stream for `seed`."""
-    z = (seed + (counter + 1) * _GOLDEN) & MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return (z ^ (z >> 31)) & MASK64
-
-
-def _unit_float(word: int) -> float:
-    return (word >> 11) * 2.0**-53
+def splitmix64_words(seed: int, first: int, count: int) -> list[int]:
+    """Words first .. first + count - 1 of the counter-based splitmix64 stream
+    for `seed`; word c mixes seed + (c+1) * _GOLDEN (mod 2^64)."""
+    state = (seed + first * _GOLDEN) & MASK64
+    words = []
+    for _ in range(count):
+        state = (state + _GOLDEN) & MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        words.append(z ^ (z >> 31))
+    return words
 
 
 @dataclass(frozen=True)
@@ -145,7 +149,7 @@ class SampleBox:
         if self.count < 1:
             raise ValueError(f"count must be positive, got {self.count}")
         if not 0 <= self.seed <= MASK64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -163,16 +167,13 @@ class ResidualReport:
 def sample_point(p: SolutionParams, box: SampleBox, index: int) -> Point:
     """Deterministic sample number `index`, uniform over the box."""
     d = p.total_dim
-    base = index * d
+    nx = p.n_base - 1
+    words = splitmix64_words(box.seed, index * d, d)
+    lo, width = -box.x_radius, 2.0 * box.x_radius
+    coords = [lo + width * ((word >> 11) * 2.0**-53) for word in words]
     t_lo, t_hi = box.t_range
-    coords = []
-    for j in range(d):
-        u = _unit_float(splitmix64(box.seed, base + j))
-        if j == p.n_base - 1:
-            coords.append(t_lo + (t_hi - t_lo) * u)
-        else:
-            coords.append(-box.x_radius + 2.0 * box.x_radius * u)
-    return Point.from_coords(p, coords)
+    t = t_lo + (t_hi - t_lo) * ((words[nx] >> 11) * 2.0**-53)
+    return Point(tuple(coords[:nx]), t, tuple(coords[nx + 1 :]))
 
 
 def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
@@ -201,8 +202,8 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
         try:
             terms = dd_terms(p, pt)
             lam_dd, e = spectrum_sigmas_dd(p, terms)
-            sigmas = [dd.to_float(v) for v in e]
-            lam = [dd.to_float(v) for v in lam_dd]
+            sigmas = [hi + lo for hi, lo in e]
+            lam = [hi + lo for hi, lo in lam_dd]
             if i % MINOR_AUDIT_STRIDE == 0:
                 _audit_sample(p, pt, terms, lam_dd, e)
         except ConvergenceError as exc:
@@ -210,7 +211,8 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
                 f"sample {i} at {pt}: {exc}", offdiag_norm=exc.offdiag_norm
             ) from exc
 
-        resid = abs(dd.to_float(dd.add_f(e[k - 1], -1.0)))
+        hi, lo = dd.add_f(e[k - 1], -1.0)
+        resid = abs(hi + lo)
         if resid > max_resid:
             max_resid, argmax_point = resid, pt
         verdict = cone_verdicts(lam, sigmas, k)

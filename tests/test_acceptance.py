@@ -17,7 +17,6 @@ checklist:
 10. verify runs are byte-identical across repeats.
 """
 
-import json
 import math
 import os
 import random
@@ -33,7 +32,6 @@ import sigmak
 from conftest import e_brute, random_rotation, rotate_exactly_symmetric, random_symmetric
 from sigmak.cone import gamma_k
 from sigmak.solution import (
-    Point,
     SolutionParams,
     cancellation_coefficient,
     derive_constants,

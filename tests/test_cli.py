@@ -126,6 +126,11 @@ class TestBadInput:
             (["eval", "-n", "3", "--point", "1e200,0,0"], "point x = (1e+200"),
             (["eval", "-n", "3", "--point", "1,,0,0"], "field 2 of '1,,0,0' is empty"),
             (["eval", "-n", "3", "--point", "1,0,0,"], "field 4 of '1,0,0,' is empty"),
+            (["verify", "-n", "3", "--seed", "-1"], "seed must fit in 64 unsigned bits, got -1"),
+            (
+                ["verify", "-n", "3", "--seed", "18446744073709551616"],
+                "seed must fit in 64 unsigned bits, got 18446744073709551616",
+            ),
         ],
     )
     def test_exits_2_naming_the_field(self, capsys, argv, field):

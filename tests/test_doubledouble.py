@@ -108,8 +108,41 @@ def _ref_sqrt(x):
     return h, e
 
 
-def _kernel_cases(x, y, f):
+def _ref_rotate(c, s, x, y):
+    return _ref_sub(_ref_mul(c, x), _ref_mul(s, y)), _ref_add(_ref_mul(s, x), _ref_mul(c, y))
+
+
+def _ref_exp(x):
+    # Tang's reduction and Horner sum over the compositions above, with the
+    # guards of dd.exp
+    if math.isnan(x[0]) or math.isnan(x[1]) or math.isinf(x[1]):
+        raise ValueError("exp of a nan double-double or of an infinite low word")
+    if x[0] > dd._EXP_MAX:
+        raise OverflowError("double-double exp overflow")
+    if x[0] < -746.0:
+        return dd.ZERO
+    kk = round(x[0] * dd._EXP_STEPS)
+    m, j = divmod(kk, 64)
+    r = _ref_sub(
+        _ref_add_f((x[1], 0.0), x[0] - kk * dd._LN2_64_HI),
+        _ref_mul_f(dd._LN2_64_LO, float(kk)),
+    )
+    p = dd._EXP_TAYLOR[-1]
+    for coeff in dd._EXP_TAYLOR[-2::-1]:
+        p = _ref_add(coeff, _ref_mul(p, r))
+    t = dd._EXP2_TABLE[j]
+    s = _ref_add(t, _ref_mul(t, _ref_mul(p, r)))
+    try:
+        return math.ldexp(s[0], m), math.ldexp(s[1], m)
+    except OverflowError:
+        raise OverflowError("double-double exp overflow") from None
+
+
+def _kernel_cases(x, y, f, z, w, t):
+    # z and w are rotate's third and fourth operands, t is exp's argument
     return (
+        (dd.rotate, _ref_rotate, (x, y, z, w)),
+        (dd.exp, _ref_exp, (t,)),
         (dd.add, _ref_add, (x, y)),
         (dd.sub, _ref_sub, (x, y)),
         (dd.add_f, _ref_add_f, (x, f)),
@@ -125,8 +158,10 @@ def _kernel_cases(x, y, f):
 def _outcome(op, args):
     try:
         value = op(*args)
-    except (ZeroDivisionError, ValueError) as exc:
+    except (ZeroDivisionError, ValueError, OverflowError) as exc:
         return type(exc)
+    if op is dd.rotate or op is _ref_rotate:
+        value = value[0] + value[1]
     # past SPLIT_MAX a split overflows into inf - inf; the sign of a nan made
     # from two nans is not reproducible in CPython, so a nan part compares as
     # "nan" and every other part by its bytes
@@ -157,10 +192,23 @@ def _random_pair(rng: random.Random) -> dd.DD:
     return _fast_two_sum(hi, hi * rng.uniform(-(2.0**-53), 2.0**-53))
 
 
+def _random_exp_argument(rng: random.Random) -> dd.DD:
+    # mostly where exp is finite and nonzero, some past either end
+    pair = _random_pair(rng)
+    if rng.random() < 0.9:
+        return (math.fmod(pair[0], 760.0), pair[1] * 2.0**-60)
+    return pair
+
+
+def _normalized_pairs(his):
+    return st.builds(
+        lambda hi, t: _fast_two_sum(hi, hi * t * 2.0**-53), his, st.floats(-1.0, 1.0)
+    )
+
+
 _finite = st.floats(allow_nan=False, allow_infinity=False)
-_normalized = st.builds(
-    lambda hi, t: _fast_two_sum(hi, hi * t * 2.0**-53), _finite, st.floats(-1.0, 1.0)
-)
+_normalized = _normalized_pairs(_finite)
+_exp_argument = _normalized_pairs(st.floats(-760.0, 760.0))
 
 
 class TestTextbookKernels:
@@ -168,13 +216,14 @@ class TestTextbookKernels:
         rng = random.Random(2026)
         for _ in range(20_000):
             x, y, f = _random_pair(rng), _random_pair(rng), _random_double(rng)
-            for op, ref, args in _kernel_cases(x, y, f):
+            z, w, t = _random_pair(rng), _random_pair(rng), _random_exp_argument(rng)
+            for op, ref, args in _kernel_cases(x, y, f, z, w, t):
                 assert _outcome(op, args) == _outcome(ref, args), (op.__name__, args)
 
     @settings(max_examples=300, deadline=None)
-    @given(_normalized, _normalized, _finite)
-    def test_normalized_operands_match_bit_for_bit(self, x, y, f):
-        for op, ref, args in _kernel_cases(x, y, f):
+    @given(_normalized, _normalized, _finite, _normalized, _normalized, _exp_argument)
+    def test_normalized_operands_match_bit_for_bit(self, x, y, f, z, w, t):
+        for op, ref, args in _kernel_cases(x, y, f, z, w, t):
             assert _outcome(op, args) == _outcome(ref, args), (op.__name__, args)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import e_brute, sigma_brute
+from conftest import sigma_brute
 from sigmak.solution import (
     Point,
     SolutionParams,

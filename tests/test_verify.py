@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from sigmak.errors import CapabilityError
-from sigmak.solution import Point, SolutionParams, derive_constants, dd_terms, eval_jet, h_eval
-from sigmak.symfunc import SymmetricMatrix
+from sigmak.solution import Point, SolutionParams, derive_constants, dd_terms, eval_jet
 from sigmak.verify import (
     CRITICAL_PHASE_N3,
     SampleBox,
@@ -17,7 +16,7 @@ from sigmak.verify import (
     residual_scan,
     sample_point,
     sl_phase,
-    splitmix64,
+    splitmix64_words,
 )
 
 P3 = derive_constants(3)
@@ -25,8 +24,8 @@ BOX = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=1000, seed=42)
 
 
 class TestGenerator:
-    def test_splitmix_reference_words(self):
-        # recompute the documented mix inline as the oracle
+    def test_stream_reference_words(self):
+        # recompute the documented mix inline, one word at a time, as the oracle
         def reference(seed, c):
             mask = (1 << 64) - 1
             z = (seed + (c + 1) * 0x9E3779B97F4A7C15) & mask
@@ -35,22 +34,21 @@ class TestGenerator:
             return (z ^ (z >> 31)) & mask
 
         for seed in (0, 42, 2**64 - 1):
-            for c in (0, 1, 2, 1000):
-                assert splitmix64(seed, c) == reference(seed, c)
+            for first in (0, 1, 2, 1000, 2**70):
+                for count in (0, 1, 13):
+                    expected = [reference(seed, first + i) for i in range(count)]
+                    assert splitmix64_words(seed, first, count) == expected
 
-    def test_splitmix_frozen_words(self):
+    def test_stream_frozen_words(self):
         # stream words another implementation must reproduce exactly
         # (seed 0, counter 0 is the canonical first splitmix64 output)
-        assert splitmix64(0, 0) == 16294208416658607535
-        assert splitmix64(0, 1) == 7960286522194355700
-        assert splitmix64(42, 0) == 13679457532755275413
-        assert splitmix64(42, 1) == 2949826092126892291
-        assert splitmix64(2**64 - 1, 0) == 16490336266968443936
-        assert splitmix64(12345, 678) == 9761773455441598619
+        assert splitmix64_words(0, 0, 2) == [16294208416658607535, 7960286522194355700]
+        assert splitmix64_words(42, 0, 2) == [13679457532755275413, 2949826092126892291]
+        assert splitmix64_words(2**64 - 1, 0, 1) == [16490336266968443936]
+        assert splitmix64_words(12345, 678, 1) == [9761773455441598619]
 
     def test_words_are_64_bit(self):
-        for c in range(50):
-            assert 0 <= splitmix64(7, c) < 2**64
+        assert all(0 <= word < 2**64 for word in splitmix64_words(7, 0, 50))
 
     def test_points_respect_the_box(self):
         for i in range(200):
@@ -72,6 +70,40 @@ class TestGenerator:
         assert all(abs(v) <= BOX.x_radius for v in pt.w)
 
 
+class TestSampleMapping:
+    """sample_point against the word -> coordinate mapping of verify's docstring."""
+
+    @staticmethod
+    def documented_points(p, box, count):
+        # sample i reads words i*d .. i*d + d - 1 of one stream: x block, t, w
+        d, nx = p.total_dim, p.n_base - 1
+        words = splitmix64_words(box.seed, 0, count * d)
+        t_lo, t_hi = box.t_range
+        points = []
+        for i in range(count):
+            u = [(word >> 11) * 2.0**-53 for word in words[i * d : (i + 1) * d]]
+            coords = [-box.x_radius + 2.0 * box.x_radius * v for v in u]
+            coords[nx] = t_lo + (t_hi - t_lo) * u[nx]
+            points.append(coords)
+        return points
+
+    @pytest.mark.parametrize(
+        "p, box",
+        [
+            (SolutionParams(3), BOX),
+            (SolutionParams(7), BOX),
+            (SolutionParams(5, 2), BOX),
+            (SolutionParams(5, 2), SampleBox(0.7, (-1.5, 0.25), count=1, seed=2**64 - 1)),
+        ],
+        ids=["n3", "n7", "n5-m2", "asymmetric-box"],
+    )
+    def test_bit_for_bit(self, p, box):
+        count = 2000
+        for i, coords in enumerate(self.documented_points(p, box, count)):
+            pt = sample_point(p, box, i)
+            assert [v.hex() for v in (*pt.x, pt.t, *pt.w)] == [v.hex() for v in coords], i
+
+
 class TestSampleBox:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -82,6 +114,11 @@ class TestSampleBox:
             SampleBox(x_radius=1.0, t_range=(-1.0, 1.0), count=0, seed=0)
         with pytest.raises(ValueError):
             SampleBox(x_radius=1.0, t_range=(-1.0, 1.0), count=10, seed=-1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_is_named(self, seed):
+        with pytest.raises(ValueError, match=f"seed must fit in 64 unsigned bits, got {seed}$"):
+            SampleBox(x_radius=1.0, t_range=(-1.0, 1.0), count=10, seed=seed)
 
     @pytest.mark.parametrize(
         "kwargs, field",
