@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -177,8 +178,24 @@ def _read_matrix_file(path: str) -> SymmetricMatrix:
         raise ValueError(f"matrix file {path}: {exc}")
 
 
+# argparse takes a token that starts with "-" for an option unless it reads
+# as -123 or -1.5, so "--point -1,0,0" and "--t-min -1e-1" lost their values.
+# No sigmak option looks like a number, so a token that starts with -digit,
+# -.digit or -inf is always a value.
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf)", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every _NEGATIVE_VALUE token as a value;
+    add_subparsers builds the subcommands' parsers from the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_VALUE
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sigmak",
         description="Construct and verify non-polynomial entire solutions of "
         "sigma_k(D^2 u) = 1 for 2k = n + 1.",

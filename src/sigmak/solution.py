@@ -278,34 +278,39 @@ def eval_jet(p: SolutionParams, pt: Point) -> Jet2:
 
 def dd_terms(p: SolutionParams, pt: Point) -> tuple[list[dd.DD], dd.DD, dd.DD]:
     """The powers e^t, e^(2t), ..., e^((k-1)t), h''(t) and r^2 e^t in
-    double-double, from one exponential.
+    double-double, from one double exponential E = math.exp(t).
 
-    e^(-(k-1)t) is 1/(e^t)^(k-1), by k - 2 products and one division.
-    Refuses the points that eval_jet refuses; the radius guard reads the
-    leading parts of e^t and of 1/(e^t)^(k-1), and runs before the division,
-    whose quotient must stay below doubledouble.SPLIT_MAX.  hessian_dd and
+    Every entry of D^2 u depends on t only through e^t, so terms formed from
+    (E, 0.0) are the exact terms at t* = ln E up to double-double rounding,
+    with |t* - t| <= 2^-53 for an exp within half an ulp.  Every term reads
+    the same E: e^(-(k-1)t) is 1/E^(k-1), by k - 2 products with E and one
+    division, never a second exponential, whose rounding would not match
+    E's.  Refuses the points that eval_jet refuses; the radius guard reads E
+    and the leading part of 1/E^(k-1), and runs before the division, whose
+    quotient must stay below doubledouble.SPLIT_MAX.  hessian_dd and
     spectrum_sigmas_dd both read these terms, so the scan takes them once.
     """
     _check_point(p, pt)
     _check_exponent(p, pt.t)
-    et = dd.exp(dd.from_float(pt.t))
-    et_powers = [et]
+    e = math.exp(pt.t)
+    et_powers = [(e, 0.0)]
     for _ in range(p.k - 2):
-        et_powers.append(dd.mul(et_powers[-1], et))
-    _check_radius(p, max(map(abs, pt.x)), et[0], 1.0 / et_powers[-1][0], pt)
+        et_powers.append(dd.mul_f(et_powers[-1], e))
+    _check_radius(p, max(map(abs, pt.x)), e, 1.0 / et_powers[-1][0], pt)
     e_decay = dd.div(dd.ONE, et_powers[-1])
-    h2 = dd.add(dd.mul(p.h2_decay_dd, e_decay), dd.mul(p.h2_growth_dd, et))
+    h2 = dd.add(dd.mul(p.h2_decay_dd, e_decay), dd.mul_f(p.h2_growth_dd, e))
     r2 = dd.ZERO
     for v in pt.x:
         r2 = dd.add(r2, dd.from_product(v, v))
-    return et_powers, h2, dd.mul(r2, et)
+    return et_powers, h2, dd.mul_f(r2, e)
 
 
 def hessian_dd(p: SolutionParams, pt: Point, terms) -> list[list[dd.DD]]:
     """The Hessian with entries in double-double precision.
 
-    Same closed form as eval_jet, but e^t, e^(-(k-1)t) and all entry products
-    carry ~31 digits.  `terms` is dd_terms(p, pt).  The verification scan
+    Same closed form as eval_jet, at t* = ln(fl(e^t)) (see dd_terms):
+    e^(-(k-1)t) and all entry products carry ~31 digits, and every entry
+    reads the same e^t.  `terms` is dd_terms(p, pt).  The verification scan
     diagonalizes this matrix on its audited samples, to check
     spectrum_sigmas_dd against the general Jacobi.
     """

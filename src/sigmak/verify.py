@@ -24,17 +24,23 @@ Precision
 ---------
 Each sample's eigenvalues and sigma_1..sigma_k are computed once, in
 double-double arithmetic, in closed form (``solution.spectrum_sigmas_dd``)
-from one set of double-double terms (``solution.dd_terms``: one exponential
-e^t per sample; e^(-(k-1)t) is the reciprocal of its (k-1)-th power): at
-sample-box corners the cancellation in sigma_k is too severe for plain
-doubles to certify a 1e-9 bound once k reaches 4.  The Hessian is an arrow
-matrix, so its spectrum is a (n - 2 times), m zeros and the two roots of
-mu^2 - tr mu + det, and sigma_j is read off
-(1 + a x)^(n-2) (1 + tr x + det x^2) (``solution.arrow_sigmas``).  The
-residual |sigma_k - 1|, the sigma vector behind the cone verdicts and
-min_sigma_j, the negative eigenvalue count and the n = 3 phase all come from
-those double-double values, rounded to float64 only where a float threshold
-judges them.  The verdicts (``cone.cone_verdicts``) and ``sl_phase`` are the
+from one set of double-double terms (``solution.dd_terms``): at sample-box
+corners the cancellation in sigma_k is too severe for plain doubles to
+certify a 1e-9 bound once k reaches 4.  Every entry of D^2 u depends on t
+only through e^t, so the terms take one double exponential E = math.exp(t)
+per sample and form e^(-(k-1)t) as 1/E^(k-1).  The scan thus evaluates the
+Hessian at t* = ln E, with |t* - t| <= 2^-53 for an exp within half an ulp,
+and every entry is consistent with that one E; sigma_k - 1 is then at
+double-double rounding whatever the last bit of E.  A second exponential
+for e^(-(k-1)t), each accurate to an ulp, leaves it at ~1e-16.  So the
+residual's last digits follow the platform's libm exp, as phase-check's
+atan already does.  The Hessian is an arrow matrix, so its spectrum is a
+(n - 2 times), m zeros and the two roots of mu^2 - tr mu + det, and sigma_j
+is read off (1 + a x)^(n-2) (1 + tr x + det x^2)
+(``solution.arrow_sigmas``).  The residual |sigma_k - 1|, the sigma vector
+behind the cone verdicts and min_sigma_j, the negative eigenvalue count and
+the n = 3 phase all come from those double-double values, rounded to
+float64 only where a float threshold judges them.  The verdicts (``cone.cone_verdicts``) and ``sl_phase`` are the
 ones that ``cone-check`` and ``phase-check`` apply to a float64 Jacobi.
 
 Every 100th sample is audited by routes that do not assume the arrow

@@ -137,6 +137,30 @@ class TestBadInput:
         assert run(argv) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "-n", "3", "--point", "-1,0,0.5"],
+            ["eval", "-n", "3", "--point", "-.5,0.25,-1e-1"],
+            ["verify", "-n", "3", "--samples", "20", "--t-min", "-1e-1"],
+            ["verify", "-n", "3", "--samples", "20", "--t-min", "-2.5E0", "--t-max", "-1e-3"],
+            ["verify", "-n", "3", "--samples", "5", "--t-min", "-inf"],
+            ["eval", "-n", "3", "--point", "-Infinity,0,0"],
+        ],
+    )
+    def test_negative_value_after_a_space(self, capsys, argv):
+        # argparse read these values as flags ("expected one argument"); the
+        # space-separated form must act as the --opt=value form
+        joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        outcomes = []
+        for form in (argv, joined):
+            code, payload, err = run_json(capsys, form)
+            if payload is not None:
+                payload.pop("elapsed_seconds")
+            outcomes.append((code, payload, err))
+        assert outcomes[0] == outcomes[1]
+        assert "expected one argument" not in outcomes[0][2]
+
     # a token is finite, non-finite, or a float literal that overflows to inf
     TOKENS = st.one_of(
         st.floats(allow_nan=True, allow_infinity=True).map(repr),
@@ -147,7 +171,7 @@ class TestBadInput:
     FIELD_NAMES = {
         "--x-radius": ("x_radius",),
         "--t-min": ("t_range", "|t|"),
-        "--point": ("point", "|t|"),
+        "--point": ("point coordinate", "point x =", "|t|"),
         "--matrix-file": ("is not a finite number", "could overflow"),
         "--expected": ("argument --expected: not a finite number",),
     }
@@ -482,11 +506,11 @@ class TestPayloadPins:
         "argv, code, digest",
         [
             (["verify", "-n", "3", "--samples", "200", "--seed", "0"], 0,
-             "d664db4583c832b1e9abf014b11f0add5efe45e24c955a9297db53c0d8880db8"),
+             "f82073bfc2e104e32f90cae148fca89413b84712e6e7ec2a138eed75d3c75f90"),
             (["verify", "-n", "3", "-m", "1", "--samples", "100", "--seed", "5"], 0,
-             "1b78baadc0238c53d802c2bdeba8805be128952aeb9712cca336d807a2a5c648"),
+             "45886c8f05a95e6359c7b1153c43d400b0d23b3a15c904c213d20a6a04ab5013"),
             (["verify", "-n", "7", "--samples", "50", "--seed", "0"], 0,
-             "ce43b2565f5454c38036622a596de2a35060819920de0e0f616fe83f012dd671"),
+             "6d15a7cdc44fe7a36ed3b0af890dcc46902e3063a019466c75a6a63cf443d0cb"),
             (["phase-check", "--matrix-file", "hessian.txt"], 0,
              "2f1f6c7234e5460da3bb8896397ef8ab216ef64d338b9d30407c130b5be0ff31"),
             (["phase-check", "--matrix-file", "hessian.txt", "--expected", "1.5707963267948966"], 0,

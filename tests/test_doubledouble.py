@@ -1,7 +1,7 @@
 import math
 import random
 import struct
-from decimal import Decimal, getcontext, localcontext
+from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
@@ -112,37 +112,10 @@ def _ref_rotate(c, s, x, y):
     return _ref_sub(_ref_mul(c, x), _ref_mul(s, y)), _ref_add(_ref_mul(s, x), _ref_mul(c, y))
 
 
-def _ref_exp(x):
-    # Tang's reduction and Horner sum over the compositions above, with the
-    # guards of dd.exp
-    if math.isnan(x[0]) or math.isnan(x[1]) or math.isinf(x[1]):
-        raise ValueError("exp of a nan double-double or of an infinite low word")
-    if x[0] > dd._EXP_MAX:
-        raise OverflowError("double-double exp overflow")
-    if x[0] < -746.0:
-        return dd.ZERO
-    kk = round(x[0] * dd._EXP_STEPS)
-    m, j = divmod(kk, 64)
-    r = _ref_sub(
-        _ref_add_f((x[1], 0.0), x[0] - kk * dd._LN2_64_HI),
-        _ref_mul_f(dd._LN2_64_LO, float(kk)),
-    )
-    p = dd._EXP_TAYLOR[-1]
-    for coeff in dd._EXP_TAYLOR[-2::-1]:
-        p = _ref_add(coeff, _ref_mul(p, r))
-    t = dd._EXP2_TABLE[j]
-    s = _ref_add(t, _ref_mul(t, _ref_mul(p, r)))
-    try:
-        return math.ldexp(s[0], m), math.ldexp(s[1], m)
-    except OverflowError:
-        raise OverflowError("double-double exp overflow") from None
-
-
-def _kernel_cases(x, y, f, z, w, t):
-    # z and w are rotate's third and fourth operands, t is exp's argument
+def _kernel_cases(x, y, f, z, w):
+    # z and w are rotate's third and fourth operands
     return (
         (dd.rotate, _ref_rotate, (x, y, z, w)),
-        (dd.exp, _ref_exp, (t,)),
         (dd.add, _ref_add, (x, y)),
         (dd.sub, _ref_sub, (x, y)),
         (dd.add_f, _ref_add_f, (x, f)),
@@ -158,7 +131,7 @@ def _kernel_cases(x, y, f, z, w, t):
 def _outcome(op, args):
     try:
         value = op(*args)
-    except (ZeroDivisionError, ValueError, OverflowError) as exc:
+    except (ZeroDivisionError, ValueError) as exc:
         return type(exc)
     if op is dd.rotate or op is _ref_rotate:
         value = value[0] + value[1]
@@ -192,14 +165,6 @@ def _random_pair(rng: random.Random) -> dd.DD:
     return _fast_two_sum(hi, hi * rng.uniform(-(2.0**-53), 2.0**-53))
 
 
-def _random_exp_argument(rng: random.Random) -> dd.DD:
-    # mostly where exp is finite and nonzero, some past either end
-    pair = _random_pair(rng)
-    if rng.random() < 0.9:
-        return (math.fmod(pair[0], 760.0), pair[1] * 2.0**-60)
-    return pair
-
-
 def _normalized_pairs(his):
     return st.builds(
         lambda hi, t: _fast_two_sum(hi, hi * t * 2.0**-53), his, st.floats(-1.0, 1.0)
@@ -208,7 +173,6 @@ def _normalized_pairs(his):
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _normalized = _normalized_pairs(_finite)
-_exp_argument = _normalized_pairs(st.floats(-760.0, 760.0))
 
 
 class TestTextbookKernels:
@@ -216,14 +180,14 @@ class TestTextbookKernels:
         rng = random.Random(2026)
         for _ in range(20_000):
             x, y, f = _random_pair(rng), _random_pair(rng), _random_double(rng)
-            z, w, t = _random_pair(rng), _random_pair(rng), _random_exp_argument(rng)
-            for op, ref, args in _kernel_cases(x, y, f, z, w, t):
+            z, w = _random_pair(rng), _random_pair(rng)
+            for op, ref, args in _kernel_cases(x, y, f, z, w):
                 assert _outcome(op, args) == _outcome(ref, args), (op.__name__, args)
 
     @settings(max_examples=300, deadline=None)
-    @given(_normalized, _normalized, _finite, _normalized, _normalized, _exp_argument)
-    def test_normalized_operands_match_bit_for_bit(self, x, y, f, z, w, t):
-        for op, ref, args in _kernel_cases(x, y, f, z, w, t):
+    @given(_normalized, _normalized, _finite, _normalized, _normalized)
+    def test_normalized_operands_match_bit_for_bit(self, x, y, f, z, w):
+        for op, ref, args in _kernel_cases(x, y, f, z, w):
             assert _outcome(op, args) == _outcome(ref, args), (op.__name__, args)
 
 
@@ -244,7 +208,7 @@ class TestExactOracles:
                 got = as_fraction(op(x, y))
                 err = abs(got - ref)
                 assert err <= Fraction(1, 10**29) * (1 + abs(ref)), op.__name__
-            # add_f and mul_f carry the scan's residual and every div and exp
+            # add_f and mul_f carry the scan's residual, its e^t terms and every div
             f = y[0]
             for op, ref in ((dd.add_f, fx + Fraction(f)), (dd.mul_f, fx * Fraction(f))):
                 got = as_fraction(op(x, f))
@@ -276,75 +240,12 @@ class TestExactOracles:
             ref = as_decimal(x).sqrt()
             assert abs(got - ref) <= Decimal("1e-28") * (1 + ref)
 
-    def test_exp_against_decimal(self):
-        rng = random.Random(4)
-        args = [rng.uniform(-30.0, 30.0) for _ in range(60)] + [0.0, 1.0, -1.0, 700.0]
-        for t in args:
-            got = as_decimal(dd.exp(dd.from_float(t)))
-            ref = Decimal(t).exp()
-            assert abs(got - ref) <= Decimal("1e-28") * ref, t
-
-    def test_exp_within_one_unit_on_the_sample_box(self):
-        # t in [-2, 2] is the scan's default box; one unit is 2^-104
-        rng = random.Random(11)
-        for _ in range(200):
-            t = rng.uniform(-2.0, 2.0)
-            got = as_decimal(dd.exp(dd.from_float(t)))
-            ref = Decimal(t).exp()
-            assert abs(got - ref) <= Decimal(2) ** -104 * ref, t
-
-    def test_exp_within_one_unit_far_from_zero(self):
-        # |m| up to 433 in 2^m: the table, the reduction by ln2/64 and the
-        # scaling by ldexp all take part
-        rng = random.Random(12)
-        for _ in range(200):
-            t = rng.uniform(-300.0, 300.0)
-            got = as_decimal(dd.exp(dd.from_float(t)))
-            ref = Decimal(t).exp()
-            assert abs(got - ref) <= Decimal(2) ** -104 * ref, t
-
-    def test_exp_table_is_correctly_rounded(self):
-        # each 2^(j/64) as the double nearest it plus the double nearest the rest
-        with localcontext() as ctx:
-            ctx.prec = 50
-            for j, entry in enumerate(dd._EXP2_TABLE):
-                exact = (Decimal(j) / 64 * Decimal(2).ln()).exp()
-                hi = float(exact)
-                assert entry == (hi, float(exact - Decimal(hi))), j
-        assert len(dd._EXP2_TABLE) == 64
-
-    @pytest.mark.parametrize("t", [709.0, 709.5, 709.78])
-    def test_exp_near_the_largest_double(self, t):
-        # from 709.44 on, round(t / ln2) is 1024 and 2^1024 alone is no double
-        got = as_decimal(dd.exp(dd.from_float(t)))
-        ref = Decimal(t).exp()
-        assert abs(got - ref) <= Decimal("1e-28") * ref
-
-    @pytest.mark.parametrize("x", [(709.79, 0.0), (709.782712893384, 5e-14)])
-    def test_exp_overflow_is_named(self, x):
-        # the second lies past log(DBL_MAX) only through its low word
-        with pytest.raises(OverflowError, match="double-double exp overflow"):
-            dd.exp(x)
-
-    def test_exp_of_dd_argument(self):
-        # the low word of the argument must influence the result
-        t = dd.from_product(3.0, 0.123456789123456789)
-        got = as_decimal(dd.exp(t))
-        ref = (Decimal(t[0]) + Decimal(t[1])).exp()
-        assert abs(got - ref) <= Decimal("1e-28") * ref
-        hi_only = as_decimal(dd.exp((t[0], 0.0)))
-        assert hi_only != got
-
     @pytest.mark.parametrize(
         "op, x, what",
         [
-            (dd.exp, (math.nan, 0.0), "nan double-double"),
-            (dd.exp, (1.0, math.nan), "nan double-double"),
             (dd.sqrt, (math.nan, 0.0), "nan double-double"),
-            (dd.exp, (1.0, math.inf), "infinite low word"),
-            (dd.exp, (1.0, -math.inf), "infinite low word"),
         ],
-        ids=["exp-nan-hi", "exp-nan-lo", "sqrt-nan-hi", "exp-inf-lo", "exp-minus-inf-lo"],
+        ids=["sqrt-nan-hi"],
     )
     def test_nan_is_refused_by_name(self, op, x, what):
         with pytest.raises(ValueError, match=what) as info:
@@ -360,16 +261,6 @@ class TestExactOracles:
         with pytest.raises(ValueError, match="non-finite or out-of-range double-double") as info:
             dd.sqrt(x)
         assert repr(x) in str(info.value)
-
-    def test_exp_of_infinities(self):
-        with pytest.raises(OverflowError, match="double-double exp overflow"):
-            dd.exp((math.inf, 0.0))
-        assert dd.exp((-math.inf, 0.0)) == dd.ZERO
-
-    def test_exp_overflow_guard(self):
-        with pytest.raises(OverflowError):
-            dd.exp(dd.from_float(711.0))
-        assert dd.exp(dd.from_float(-800.0)) == dd.ZERO
 
 
 class TestRepresentation:

@@ -306,8 +306,9 @@ class TestHessianDD:
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
     def test_h2_against_decimal(self, n):
-        # at x = 0 the t, t corner is h'' = (k-1)^2 decay e^(-(k-1)t) + growth e^t,
-        # with e^(-(k-1)t) taken as 1/(e^t)^(k-1)
+        # at x = 0 the t, t corner is h'' = (k-1)^2 decay e^(-(k-1)t) + growth e^t
+        # at t* = ln E, E = math.exp(t): dd_terms reads e^t as E and takes
+        # e^(-(k-1)t) as 1/E^(k-1)
         p = derive_constants(n)
         km1 = p.k - 1
         rng = random.Random(n)
@@ -317,14 +318,12 @@ class TestHessianDD:
                 t = rng.uniform(-2.0, 2.0)
                 pt = Point(x=(0.0,) * (n - 1), t=t)
                 h2 = hessian_dd(p, pt, dd_terms(p, pt))[n - 1][n - 1]
+                e = Decimal(math.exp(t))
                 decay = (
                     km1**2 * Decimal(p.h_coeff_decay.numerator) / p.h_coeff_decay.denominator
-                    * (-km1 * Decimal(t)).exp()
+                    / e**km1
                 )
-                growth = (
-                    Decimal(p.h_coeff_growth.numerator) / p.h_coeff_growth.denominator
-                    * Decimal(t).exp()
-                )
+                growth = Decimal(p.h_coeff_growth.numerator) / p.h_coeff_growth.denominator * e
                 err = abs(Decimal(h2[0]) + Decimal(h2[1]) - (decay + growth))
                 assert err <= Decimal("1e-30") * (abs(decay) + abs(growth)), t
 

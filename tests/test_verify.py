@@ -287,23 +287,13 @@ class TestSpectrumAudit:
         assert BOX.count == 1000
         assert (len(jacobi), len(hessians)) == (10, 10)
 
-    def test_one_exponential_per_sample(self, monkeypatch):
-        # dd_terms takes e^(-(k-1)t) from e^t, and the 10 audited samples'
-        # hessian_dd reads the same terms; a second dd.exp per sample would
-        # make 2000, one per audited Hessian 1010
-        from sigmak import doubledouble as dd
-
-        calls = []
-        exp = dd.exp
-
-        def counting_exp(x):
-            calls.append(x)
-            return exp(x)
-
-        monkeypatch.setattr(dd, "exp", counting_exp)
-        residual_scan(P3, BOX)
-        assert BOX.count == 1000
-        assert len(calls) == 1000
+    def test_one_exponential_per_sample(self):
+        # dd_terms reads e^t as the double math.exp(t) with a zero low word, and
+        # the audited samples' hessian_dd reads the same terms
+        for i in range(BOX.count):
+            pt = sample_point(P3, BOX, i)
+            got = dd_terms(P3, pt)[0][0]
+            assert tuple(map(float.hex, got)) == (math.exp(pt.t).hex(), "0x0.0p+0")
 
     @pytest.mark.parametrize("n, m", [(3, 0), (7, 0), (5, 2)])
     def test_a_wrong_binomial_names_the_sample(self, monkeypatch, n, m):
@@ -350,6 +340,48 @@ class TestSpectrumAudit:
         minors = self.count_calls(monkeypatch, "sigma_via_minors")
         residual_scan(p, dataclasses.replace(BOX, count=101))
         assert (len(jacobi), len(minors)) == (2, 0)
+
+
+class TestScanNegativeControls:
+    """The scan's residual fails when the solution is wrong, and it needs one
+    consistent e^t, not an accurate one."""
+
+    DEFAULT_BOX = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=2000, seed=0)
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_a_perturbed_growth_coefficient_fails_the_gate(self, n):
+        # the e^t coefficient of h'', -B/A, off by one part in 10^6
+        from sigmak import doubledouble as dd
+        from sigmak.cli import RESIDUAL_GATE
+
+        p = SolutionParams(n)
+        object.__setattr__(p, "h2_growth_dd", dd.mul_f(p.h2_growth_dd, 1.0 + 1e-6))
+        rep = residual_scan(p, dataclasses.replace(self.DEFAULT_BOX, count=500))
+        assert rep.max_abs_residual > RESIDUAL_GATE
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_the_residual_is_at_double_double_rounding(self, n):
+        rep = residual_scan(SolutionParams(n), self.DEFAULT_BOX)
+        assert rep.max_abs_residual <= 1e-20
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_a_second_exponential_breaks_the_residual(self, monkeypatch, n):
+        # e^(-(k-1)t) as math.exp(-(k-1)t): each exponential is within an ulp
+        # of its own value, but not the reciprocal of the other's power
+        from sigmak import doubledouble as dd
+        from sigmak import verify
+
+        def two_exponentials(p, pt):
+            et_powers, _, r2et = dd_terms(p, pt)
+            e_decay = (math.exp(-(p.k - 1) * pt.t), 0.0)
+            h2 = dd.add(
+                dd.mul(p.h2_decay_dd, e_decay), dd.mul_f(p.h2_growth_dd, et_powers[0][0])
+            )
+            return et_powers, h2, r2et
+
+        monkeypatch.setattr(verify, "dd_terms", two_exponentials)
+        rep = residual_scan(SolutionParams(n), self.DEFAULT_BOX)
+        assert rep.max_abs_residual > 1e-20
 
 
 class TestResidualAgainstExactArithmetic:
