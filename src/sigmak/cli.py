@@ -179,19 +179,22 @@ def _read_matrix_file(path: str) -> SymmetricMatrix:
 
 
 # argparse takes a token that starts with "-" for an option unless it reads
-# as -123 or -1.5, so "--point -1,0,0" and "--t-min -1e-1" lost their values.
-# No sigmak option looks like a number, so a token that starts with -digit,
-# -.digit or -inf is always a value.
-_NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf)", re.IGNORECASE)
+# as -123 or -1.5, so "--point -1,0,0" and "--t-min -1e-1" lost their values;
+# and it splits "-nan" into the option -n and the value "an" before it asks
+# whether the token is a negative number.  No sigmak option looks like a
+# number, so a token that starts with -digit, -.digit, -inf or -nan (in any
+# case) is always a value.
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that reads every _NEGATIVE_VALUE token as a value;
     add_subparsers builds the subcommands' parsers from the same class."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_VALUE
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_VALUE.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _build_parser() -> argparse.ArgumentParser:

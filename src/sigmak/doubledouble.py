@@ -15,15 +15,15 @@ it guard their inputs (see ``solution._check_radius``).
 
 Every operation runs as one Python frame: Knuth's TwoSum, Dekker's TwoProd
 and the closing FastTwoSum are written out inside it, and so are the
-products, sums and differences that div, sqrt and rotate are composed of,
-because in CPython a function call costs as much as the float operations it
-would wrap.  An operand that several products share is split once.  The
-float operations are the textbook composition's, in its order, so every
-result is the composition's bit for bit; tests/test_doubledouble.py keeps
-the composition and pins this.  So a call counter installed on this module
-counts each div, sqrt and rotate as one call, not the products and sums
-inside it; ring() looks the operations up on the module, so the counter
-still sees every call the Jacobi makes.
+products, sums and differences that div, sqrt, rotate and sum_squares are
+composed of, because in CPython a function call costs as much as the float
+operations it would wrap.  An operand that several products share is split
+once.  The float operations are the textbook composition's, in its order, so
+every result is the composition's bit for bit; tests/test_doubledouble.py
+keeps the composition and pins this.  So a call counter installed on this
+module counts each div, sqrt, rotate and sum_squares as one call, not the
+products and sums inside it; ring() looks the operations up on the module,
+so the counter still sees every call the Jacobi makes.
 """
 
 from __future__ import annotations
@@ -138,6 +138,26 @@ def mul_f(x: DD, f: float) -> DD:
     e = (((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo) + xl * f
     h = p + e
     return h, e - (h - p)
+
+
+def sum_squares(xs) -> DD:
+    """The sum of the squares of the floats xs, as the chain
+    r = add(r, from_product(v, v)) from r = ZERO, written out."""
+    rh = rl = 0.0
+    for a in xs:
+        # from_product(a, a)
+        p = a * a
+        c = _SPLITTER * a
+        ahi = c - (c - a)
+        alo = a - ahi
+        q = ((ahi * ahi - p) + ahi * alo + alo * ahi) + alo * alo
+        # add((rh, rl), (p, q))
+        s = rh + p
+        bb = s - rh
+        e = ((rh - (s - bb)) + (p - bb)) + (rl + q)
+        rh = s + e
+        rl = e - (rh - s)
+    return rh, rl
 
 
 def mul_pow2(x: DD, f: float) -> DD:

@@ -176,8 +176,8 @@ def _check_radius(
     (1 + F)^d <= doubledouble.SPLIT_MAX = 2^996 keeps them all finite and in
     the range where Dekker's split is exact: on t in [-2, 2], x_radius up to
     ~2e49 for n = 3 and ~5e12 for n = 11.  `what` names the input in the
-    error: a Point, or a description of a box.  Run _check_exponent on t_lo
-    and t_hi first.
+    error: the (x, t) of a point, or a description of a box.  Run
+    _check_exponent on t_lo and t_hi first.
     """
     bound = (
         (p.n_base - 1) * (2.0 + 4.0 * x_radius + x_radius * x_radius) * et_hi
@@ -185,8 +185,9 @@ def _check_radius(
         - p.h_coeffs_float[1] * et_hi  # h_coeff_growth = -B/A
     )
     if p.total_dim * math.log2(1.0 + bound) > _LOG2_SPLIT_MAX:
-        if isinstance(what, Point):
-            what = f"point x = {what.x}, t = {what.t}"
+        if not isinstance(what, str):
+            x, t = what
+            what = f"point x = {tuple(x)}, t = {t}"
         raise OverflowError(
             f"{what} lets the Hessian norm reach {bound:.3g}; sigma_1..sigma_{p.total_dim} "
             f"stay finite only while (1 + that)^{p.total_dim} <= 2^996"
@@ -268,7 +269,7 @@ def eval_jet(p: SolutionParams, pt: Point) -> Jet2:
     """
     _check_point(p, pt)
     et, e_decay, h0, h1, h2 = _closed_form(p, pt.t)
-    _check_radius(p, max(map(abs, pt.x)), et, e_decay, pt)
+    _check_radius(p, max(map(abs, pt.x)), et, e_decay, (pt.x, pt.t))
     r2et = sum(v * v for v in pt.x) * et
     cross = [2.0 * v * et for v in pt.x]
     gradient = (*cross, r2et + h1) + (0.0,) * p.m
@@ -276,9 +277,10 @@ def eval_jet(p: SolutionParams, pt: Point) -> Jet2:
     return Jet2(value=r2et + h0, gradient=gradient, hessian=SymmetricMatrix(hess))
 
 
-def dd_terms(p: SolutionParams, pt: Point) -> tuple[list[dd.DD], dd.DD, dd.DD]:
+def dd_terms(p: SolutionParams, x, t: float) -> tuple[list[dd.DD], dd.DD, dd.DD]:
     """The powers e^t, e^(2t), ..., e^((k-1)t), h''(t) and r^2 e^t in
-    double-double, from one double exponential E = math.exp(t).
+    double-double at the point with x block `x` (n - 1 floats) and t, from
+    one double exponential E = math.exp(t).
 
     Every entry of D^2 u depends on t only through e^t, so terms formed from
     (E, 0.0) are the exact terms at t* = ln E up to double-double rounding,
@@ -288,21 +290,18 @@ def dd_terms(p: SolutionParams, pt: Point) -> tuple[list[dd.DD], dd.DD, dd.DD]:
     E's.  Refuses the points that eval_jet refuses; the radius guard reads E
     and the leading part of 1/E^(k-1), and runs before the division, whose
     quotient must stay below doubledouble.SPLIT_MAX.  hessian_dd and
-    spectrum_sigmas_dd both read these terms, so the scan takes them once.
+    spectrum_sigmas_dd both read these terms, so the scan takes them once;
+    it passes plain floats, so that no Point is built per sample.
     """
-    _check_point(p, pt)
-    _check_exponent(p, pt.t)
-    e = math.exp(pt.t)
+    _check_exponent(p, t)
+    e = math.exp(t)
     et_powers = [(e, 0.0)]
     for _ in range(p.k - 2):
         et_powers.append(dd.mul_f(et_powers[-1], e))
-    _check_radius(p, max(map(abs, pt.x)), e, 1.0 / et_powers[-1][0], pt)
+    _check_radius(p, max(map(abs, x)), e, 1.0 / et_powers[-1][0], (x, t))
     e_decay = dd.div(dd.ONE, et_powers[-1])
     h2 = dd.add(dd.mul(p.h2_decay_dd, e_decay), dd.mul_f(p.h2_growth_dd, e))
-    r2 = dd.ZERO
-    for v in pt.x:
-        r2 = dd.add(r2, dd.from_product(v, v))
-    return et_powers, h2, dd.mul_f(r2, e)
+    return et_powers, h2, dd.mul_f(dd.sum_squares(x), e)
 
 
 def hessian_dd(p: SolutionParams, pt: Point, terms) -> list[list[dd.DD]]:
@@ -310,9 +309,9 @@ def hessian_dd(p: SolutionParams, pt: Point, terms) -> list[list[dd.DD]]:
 
     Same closed form as eval_jet, at t* = ln(fl(e^t)) (see dd_terms):
     e^(-(k-1)t) and all entry products carry ~31 digits, and every entry
-    reads the same e^t.  `terms` is dd_terms(p, pt).  The verification scan
-    diagonalizes this matrix on its audited samples, to check
-    spectrum_sigmas_dd against the general Jacobi.
+    reads the same e^t.  `terms` is dd_terms(p, pt.x, pt.t).  The
+    verification scan diagonalizes this matrix on its audited samples, to
+    check spectrum_sigmas_dd against the general Jacobi.
     """
     et_powers, h2, r2et = terms
     et = et_powers[0]
@@ -322,7 +321,7 @@ def hessian_dd(p: SolutionParams, pt: Point, terms) -> list[list[dd.DD]]:
 
 def spectrum_sigmas_dd(p: SolutionParams, terms) -> tuple[list[dd.DD], list[dd.DD]]:
     """The eigenvalues of hessian_dd, ascending, and their sigma_1..sigma_k, in
-    closed form from `terms` = dd_terms(p, pt).
+    closed form from `terms` = dd_terms(p, x, t).
 
     On the x, t block the Hessian is the arrow matrix [[a I, c], [c^T, d]]
     with a = 2e^t, c = 2x e^t and d = r^2 e^t + h''; the w block is zero.  So

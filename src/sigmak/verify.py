@@ -18,7 +18,10 @@ per coordinate, x block first, then t, then the w block.  The x and w
 coordinates are -x_radius + (2 x_radius) u, uniform on [-x_radius,
 x_radius], and t is t_min + (t_max - t_min) u.  ``splitmix64_words`` returns
 a sample's D words in one call, stepping the state by the golden increment
-from word to word, and ``sample_point`` builds the Point from them directly.
+from word to word.  The scan maps them to its x block and t as plain floats
+and builds no Point for a sample unless it audits the sample, reports it as
+the argmax or names it in an error; ``sample_point`` builds the Point of
+sample i from the same words by the same mapping.
 
 Precision
 ---------
@@ -40,8 +43,9 @@ is read off (1 + a x)^(n-2) (1 + tr x + det x^2)
 (``solution.arrow_sigmas``).  The residual |sigma_k - 1|, the sigma vector
 behind the cone verdicts and min_sigma_j, the negative eigenvalue count and
 the n = 3 phase all come from those double-double values, rounded to
-float64 only where a float threshold judges them.  The verdicts (``cone.cone_verdicts``) and ``sl_phase`` are the
-ones that ``cone-check`` and ``phase-check`` apply to a float64 Jacobi.
+float64 only where a float threshold judges them.  The verdicts
+(``cone.cone_flags``) and ``sl_phase`` are the ones that ``cone-check`` and
+``phase-check`` apply to a float64 Jacobi.
 
 Every 100th sample is audited by routes that do not assume the arrow
 structure, from the same double-double terms: the double-double Hessian
@@ -62,7 +66,7 @@ import math
 from dataclasses import dataclass
 
 from . import doubledouble as dd
-from .cone import cone_verdicts
+from .cone import cone_flags
 from .errors import CapabilityError, ConvergenceError
 from .solution import (
     Point,
@@ -173,13 +177,22 @@ class ResidualReport:
 def sample_point(p: SolutionParams, box: SampleBox, index: int) -> Point:
     """Deterministic sample number `index`, uniform over the box."""
     d = p.total_dim
+    return _point(p, box, splitmix64_words(box.seed, index * d, d))
+
+
+def _scaled(words, lo: float, width: float) -> list[float]:
+    """lo + width * u for each word's uniform u = (word >> 11) * 2^-53."""
+    return [lo + width * ((word >> 11) * 2.0**-53) for word in words]
+
+
+def _point(p: SolutionParams, box: SampleBox, words) -> Point:
+    """The Point of one sample's words: x block, then t, then w block."""
     nx = p.n_base - 1
-    words = splitmix64_words(box.seed, index * d, d)
     lo, width = -box.x_radius, 2.0 * box.x_radius
-    coords = [lo + width * ((word >> 11) * 2.0**-53) for word in words]
     t_lo, t_hi = box.t_range
-    t = t_lo + (t_hi - t_lo) * ((words[nx] >> 11) * 2.0**-53)
-    return Point(tuple(coords[:nx]), t, tuple(coords[nx + 1 :]))
+    (t,) = _scaled(words[nx : nx + 1], t_lo, t_hi - t_lo)
+    x = tuple(_scaled(words[:nx], lo, width))
+    return Point(x, t, tuple(_scaled(words[nx + 1 :], lo, width)))
 
 
 def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
@@ -189,7 +202,9 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
     eigenvalues and their sigma_1..sigma_k (see the module docstring);
     every 100th sample is also audited by _audit_sample.  A ConvergenceError
     raised by a sample, including a failed audit, names its index and point.
-    The report is a function of (params, box) alone.
+    The report is a function of (params, box) alone.  A sample is carried
+    as its words and its x block and t as floats; a Point is built only for
+    an audited sample, the reported argmax and the text of an error.
     """
     t_lo, t_hi = box.t_range
     _check_exponent(p, t_lo)
@@ -199,20 +214,25 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
         f"x_radius = {box.x_radius:g} with t_range = {box.t_range}",
     )
     k = p.k
+    d, nx = p.total_dim, p.n_base - 1
+    x_lo, x_width, t_width = -box.x_radius, 2.0 * box.x_radius, t_hi - t_lo
     check_phase = p.n_base == 3 and p.m == 0
-    max_resid, argmax_point = -1.0, None
+    max_resid, argmax_words = -1.0, None
     cone_failures = lemma_failures = phase_failures = 0
     min_sigma_j = math.inf
     for i in range(box.count):
-        pt = sample_point(p, box, i)
+        words = splitmix64_words(box.seed, i * d, d)
+        x = _scaled(words[:nx], x_lo, x_width)
+        (t,) = _scaled(words[nx : nx + 1], t_lo, t_width)
         try:
-            terms = dd_terms(p, pt)
+            terms = dd_terms(p, x, t)
             lam_dd, e = spectrum_sigmas_dd(p, terms)
             sigmas = [hi + lo for hi, lo in e]
             lam = [hi + lo for hi, lo in lam_dd]
             if i % MINOR_AUDIT_STRIDE == 0:
-                _audit_sample(p, pt, terms, lam_dd, e)
+                _audit_sample(p, _point(p, box, words), terms, lam_dd, e)
         except ConvergenceError as exc:
+            pt = _point(p, box, words)
             raise ConvergenceError(
                 f"sample {i} at {pt}: {exc}", offdiag_norm=exc.offdiag_norm
             ) from exc
@@ -220,17 +240,17 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
         hi, lo = dd.add_f(e[k - 1], -1.0)
         resid = abs(hi + lo)
         if resid > max_resid:
-            max_resid, argmax_point = resid, pt
-        verdict = cone_verdicts(lam, sigmas, k)
-        cone_failures += not verdict.in_cone
-        lemma_failures += not verdict.lemma
+            max_resid, argmax_words = resid, words
+        _, in_cone, lemma = cone_flags(lam, sigmas, k)
+        cone_failures += not in_cone
+        lemma_failures += not lemma
         min_sigma_j = min(min_sigma_j, *sigmas)
         if check_phase and abs(sl_phase(lam) - CRITICAL_PHASE_N3) > PHASE_TOL:
             phase_failures += 1
 
     return ResidualReport(
         max_abs_residual=max_resid,
-        argmax_point=argmax_point,
+        argmax_point=_point(p, box, argmax_words),
         cone_failures=cone_failures,
         lemma_failures=lemma_failures,
         min_sigma_j=min_sigma_j,
@@ -241,10 +261,10 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
 def _audit_sample(p: SolutionParams, pt: Point, terms, lam_dd: list, sigmas: list) -> None:
     """Check one sample's closed-form spectrum and sigmas against the general routes.
 
-    `terms` are the dd_terms(p, pt) that lam_dd and sigmas came from.  The
-    cyclic Jacobi of hessian_dd(p, pt, terms) must give the eigenvalues
-    lam_dd within SPECTRUM_AUDIT_REL_TOL * (1 + ||M||_F); the e_j recurrence
-    over lam_dd must give sigma_1..sigma_k within
+    `terms` are the dd_terms(p, pt.x, pt.t) that lam_dd and sigmas came
+    from.  The cyclic Jacobi of hessian_dd(p, pt, terms) must give the
+    eigenvalues lam_dd within SPECTRUM_AUDIT_REL_TOL * (1 + ||M||_F); the e_j
+    recurrence over lam_dd must give sigma_1..sigma_k within
     SIGMA_AUDIT_UNITS * d * 2^-104 * e_j(|lambda|); and, up to
     MINOR_DIM_LIMIT, the sum of the k x k principal minors must give
     sigma_k within 1e-8 * (1 + ||M||_F^k).  Raises ConvergenceError otherwise.

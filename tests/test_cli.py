@@ -131,6 +131,8 @@ class TestBadInput:
                 ["verify", "-n", "3", "--seed", "18446744073709551616"],
                 "seed must fit in 64 unsigned bits, got 18446744073709551616",
             ),
+            (["eval", "-n", "3", "--point", "-nan,0,0"], "point coordinate x"),
+            (["verify", "-n", "3", "--x-radius", "-nan"], "x_radius must be finite"),
         ],
     )
     def test_exits_2_naming_the_field(self, capsys, argv, field):
@@ -146,11 +148,14 @@ class TestBadInput:
             ["verify", "-n", "3", "--samples", "20", "--t-min", "-2.5E0", "--t-max", "-1e-3"],
             ["verify", "-n", "3", "--samples", "5", "--t-min", "-inf"],
             ["eval", "-n", "3", "--point", "-Infinity,0,0"],
+            ["eval", "-n", "3", "--point", "-nan,0,0"],
+            ["verify", "-n", "3", "--x-radius", "-nan"],
         ],
     )
     def test_negative_value_after_a_space(self, capsys, argv):
-        # argparse read these values as flags ("expected one argument"); the
-        # space-separated form must act as the --opt=value form
+        # argparse read these values as flags ("expected one argument", and
+        # -nan as -n with the value "an"); the space-separated form must act
+        # as the --opt=value form
         joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
         outcomes = []
         for form in (argv, joined):
@@ -411,6 +416,44 @@ class TestMatrixCommandsDiagonalizeOnce:
         assert calls["jacobi"] == 1
 
 
+class TestScanBuildsNoPerSampleObjects:
+    """The scan carries each sample as floats: it builds a Point only for an
+    audited sample and for the reported argmax, and no ConeVerdict at all."""
+
+    def test_verify_n7(self, capsys, monkeypatch):
+        from sigmak import cone, verify
+        from sigmak import doubledouble as dd
+        from sigmak.solution import Point
+
+        points = []
+        post_init = Point.__post_init__
+
+        def counted(pt):
+            points.append(pt)
+            post_init(pt)
+
+        def refuse(verdict):
+            raise AssertionError("the scan built a ConeVerdict")
+
+        # the argmax moves each time a sample's residual exceeds all before it
+        residuals = []
+        spectrum = verify.spectrum_sigmas_dd
+
+        def recorded(p, terms):
+            lam, sigmas = spectrum(p, terms)
+            residuals.append(abs(dd.to_float(dd.add_f(sigmas[p.k - 1], -1.0))))
+            return lam, sigmas
+
+        monkeypatch.setattr(Point, "__post_init__", counted)
+        monkeypatch.setattr(cone.ConeVerdict, "__post_init__", refuse)
+        monkeypatch.setattr(verify, "spectrum_sigmas_dd", recorded)
+        assert run(["verify", "-n", "7", "--samples", "500", "--seed", "0"]) == 0
+        updates = sum(r > max(residuals[:i], default=-1.0) for i, r in enumerate(residuals))
+        audited = -(-500 // verify.MINOR_AUDIT_STRIDE)
+        assert len(residuals) == 500
+        assert len(points) <= audited + updates + 1
+
+
 class TestLargeTracelessMatrix:
     # Its eigenvalues sum to 0 up to a rounding of ~1e-10: a trace check
     # relative to 1 + |trace| rather than to 1 + ||M||_F would refuse it.
@@ -617,6 +660,12 @@ class TestVerdictPins:
              "aa5a52becdd50ea8f51e01d111785fdf5867eed61813f7438b14b8caf302fcef"),
             (["verify", "-n", "7", "--samples", "50", "--seed", "0"], 0,
              "5020349c0c066b58b8594fffcdc0d0ea39cc46b265d457649c10e3d818fa6031"),
+            # failing scans: 3 and 36 cone and lemma failures, all at j = k,
+            # where the float rule 1e-12 (1 + fro^k) exceeds sigma_k = 1
+            (["verify", "-n", "9", "--samples", "1000", "--seed", "0"], 1,
+             "52d391dbe889bb5cf07b540ccbd180d5c86be0b9d2e225610cad59a47b647874"),
+            (["verify", "-n", "11", "--samples", "200", "--seed", "0"], 1,
+             "a6221d7f22a90bff9a1cafcf23842eff9f91758638e52b451989ae5c7e555362"),
         ],
     )
     def test_verdict_digest(self, capsys, argv, code, digest):

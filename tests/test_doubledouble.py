@@ -112,6 +112,13 @@ def _ref_rotate(c, s, x, y):
     return _ref_sub(_ref_mul(c, x), _ref_mul(s, y)), _ref_add(_ref_mul(s, x), _ref_mul(c, y))
 
 
+def _ref_sum_squares(xs):
+    r = dd.ZERO
+    for v in xs:
+        r = _ref_add(r, _two_prod(v, v))
+    return r
+
+
 def _kernel_cases(x, y, f, z, w):
     # z and w are rotate's third and fourth operands
     return (
@@ -125,6 +132,7 @@ def _kernel_cases(x, y, f, z, w):
         (dd.sqrt, _ref_sqrt, (x,)),
         (dd.sqrt, _ref_sqrt, (dd.neg(x),)),
         (dd.from_product, _two_prod, (x[0], f)),
+        (dd.sum_squares, _ref_sum_squares, ((x[0], f, y[1], z[0], w[0], y[0]),)),
     )
 
 

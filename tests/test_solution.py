@@ -188,7 +188,11 @@ class TestEvalJet:
 
     def test_radius_guard(self):
         p = derive_constants(3)
-        hessians = (eval_jet, dd_terms, lambda p, pt: hessian_dd(p, pt, dd_terms(p, pt)))
+        hessians = (
+            eval_jet,
+            lambda p, pt: dd_terms(p, pt.x, pt.t),
+            lambda p, pt: hessian_dd(p, pt, dd_terms(p, pt.x, pt.t)),
+        )
         for func in hessians + (solution_value,):
             func(p, Point(x=(1e49, 0.0), t=2.0))
             with pytest.raises(OverflowError, match=r"point x = \(1e\+200, 0.0\), t = 0.0"):
@@ -290,7 +294,7 @@ class TestHessianDD:
         p = derive_constants(5)
         pt = Point(x=(1.1, -0.4, 2.0, 0.0), t=-0.8)
         hfloat = eval_jet(p, pt).hessian.entries
-        hdd = hessian_dd(p, pt, dd_terms(p, pt))
+        hdd = hessian_dd(p, pt, dd_terms(p, pt.x, pt.t))
         for i in range(5):
             for j in range(5):
                 assert dd.to_float(hdd[i][j]) == pytest.approx(hfloat[i][j], rel=1e-14, abs=1e-14)
@@ -300,7 +304,7 @@ class TestHessianDD:
 
         p = derive_constants(7)
         pt = Point(x=(3.0,) * 6, t=2.0)
-        lam = eigenvalues_symmetric_dd(hessian_dd(p, pt, dd_terms(p, pt)))
+        lam = eigenvalues_symmetric_dd(hessian_dd(p, pt, dd_terms(p, pt.x, pt.t)))
         sigma = elementary_symmetric(lam, dd.add, dd.mul)[3]
         assert abs(dd.to_float(dd.add_f(sigma, -1.0))) < 1e-20
 
@@ -317,7 +321,7 @@ class TestHessianDD:
             for _ in range(20):
                 t = rng.uniform(-2.0, 2.0)
                 pt = Point(x=(0.0,) * (n - 1), t=t)
-                h2 = hessian_dd(p, pt, dd_terms(p, pt))[n - 1][n - 1]
+                h2 = hessian_dd(p, pt, dd_terms(p, pt.x, pt.t))[n - 1][n - 1]
                 e = Decimal(math.exp(t))
                 decay = (
                     km1**2 * Decimal(p.h_coeff_decay.numerator) / p.h_coeff_decay.denominator
@@ -342,11 +346,11 @@ class TestSpectrumDD:
     numpy's eigvalsh of the float Hessian."""
 
     def assert_matches_oracles(self, p, pt):
-        lam, _ = spectrum_sigmas_dd(p, dd_terms(p, pt))
+        lam, _ = spectrum_sigmas_dd(p, dd_terms(p, pt.x, pt.t))
         assert len(lam) == p.total_dim
         assert lam == sorted(lam)
         fro = _fro(lam)
-        by_jacobi = eigenvalues_symmetric_dd(hessian_dd(p, pt, dd_terms(p, pt)))
+        by_jacobi = eigenvalues_symmetric_dd(hessian_dd(p, pt, dd_terms(p, pt.x, pt.t)))
         assert by_jacobi == sorted(by_jacobi)
         assert _max_gap(lam, by_jacobi) <= SPECTRUM_AUDIT_REL_TOL * (1.0 + fro)
         by_numpy = np.linalg.eigvalsh(eval_jet(p, pt).hessian.entries)
@@ -391,7 +395,7 @@ class TestSpectrumDD:
         lam, _ = self.assert_matches_oracles(p, pt)
         sigma_k = elementary_symmetric(lam, dd.add, dd.mul)[p.k - 1]
         assert abs(dd.to_float(dd.add_f(sigma_k, -1.0))) < 1e-20
-        _, sigmas = spectrum_sigmas_dd(p, dd_terms(p, pt))
+        _, sigmas = spectrum_sigmas_dd(p, dd_terms(p, pt.x, pt.t))
         assert abs(dd.to_float(dd.add_f(sigmas[p.k - 1], -1.0))) < 1e-20
 
     def test_negative_determinant_root(self):
@@ -421,7 +425,8 @@ class TestArrowSigmas:
         box = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=40, seed=100 * n + m)
         unit = SIGMA_AUDIT_UNITS * p.total_dim * 2.0**-104
         for i in range(box.count):
-            lam, sigmas = spectrum_sigmas_dd(p, dd_terms(p, sample_point(p, box, i)))
+            pt = sample_point(p, box, i)
+            lam, sigmas = spectrum_sigmas_dd(p, dd_terms(p, pt.x, pt.t))
             assert len(sigmas) == p.k
             by_recurrence = elementary_symmetric(lam, dd.add, dd.mul)
             scales = elementary_symmetric([abs(dd.to_float(v)) for v in lam])

@@ -292,7 +292,7 @@ class TestSpectrumAudit:
         # the audited samples' hessian_dd reads the same terms
         for i in range(BOX.count):
             pt = sample_point(P3, BOX, i)
-            got = dd_terms(P3, pt)[0][0]
+            got = dd_terms(P3, pt.x, pt.t)[0][0]
             assert tuple(map(float.hex, got)) == (math.exp(pt.t).hex(), "0x0.0p+0")
 
     @pytest.mark.parametrize("n, m", [(3, 0), (7, 0), (5, 2)])
@@ -371,9 +371,9 @@ class TestScanNegativeControls:
         from sigmak import doubledouble as dd
         from sigmak import verify
 
-        def two_exponentials(p, pt):
-            et_powers, _, r2et = dd_terms(p, pt)
-            e_decay = (math.exp(-(p.k - 1) * pt.t), 0.0)
+        def two_exponentials(p, x, t):
+            et_powers, _, r2et = dd_terms(p, x, t)
+            e_decay = (math.exp(-(p.k - 1) * t), 0.0)
             h2 = dd.add(
                 dd.mul(p.h2_decay_dd, e_decay), dd.mul_f(p.h2_growth_dd, et_powers[0][0])
             )
@@ -423,7 +423,7 @@ class TestResidualAgainstExactArithmetic:
         box = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=5, seed=77)
         for i in range(5):
             pt = sample_point(p, box, i)
-            hdd = hessian_dd(p, pt, dd_terms(p, pt))
+            hdd = hessian_dd(p, pt, dd_terms(p, pt.x, pt.t))
             lam = eigenvalues_symmetric_dd(hdd)
             reported = dd.to_float(dd.add_f(elementary_symmetric(lam, dd.add, dd.mul)[p.k - 1], -1.0))
             truth = float(exact_sigma(hdd, p.k) - 1)
@@ -448,7 +448,7 @@ class TestScanSigmasAgainstFloatOracles:
         box = SampleBox(x_radius=1.0, t_range=(-1.0, 1.0), count=20, seed=11)
         for i in range(box.count):
             pt = sample_point(p, box, i)
-            lam = eigenvalues_symmetric_dd(hessian_dd(p, pt, dd_terms(p, pt)))
+            lam = eigenvalues_symmetric_dd(hessian_dd(p, pt, dd_terms(p, pt.x, pt.t)))
             e = elementary_symmetric(lam, dd.add, dd.mul)
             hess = eval_jet(p, pt).hessian
             fro = hess.frobenius_norm()
