@@ -9,11 +9,12 @@ Example:  r^2 e^t + 1/4 e^(-t)  ->  {(2, 1): Fraction(1), (0, -1): Fraction(1, 4
 
 This is enough to house every entry of the rotated Hessian of the solution
 ansatz (2e^t, 2r e^t and r^2 e^t + h''(t), laid out by solution.arrow_rows)
-and so to expand sigma_1..sigma_n of it exactly (`sym_sigmas`), by the
+and so to expand sigma_1..sigma_k of it exactly (`sym_sigmas`), by the
 Faddeev-LeVerrier loop that also gives the float oracle
-(`symfunc.faddeev_leverrier`, run over this ring): the certification that
-sigma_k collapses to the constant 1, and that every sigma_j with j < k is
-positive, is a finite rational computation.
+(`symfunc.faddeev_leverrier`, run over this ring, stopped at sigma_k): the
+certification that sigma_k collapses to the constant 1, and that every
+sigma_j with j < k is positive, is a finite rational computation that reads
+no sigma_j past k.
 The Leibniz minor sums (`sigma_k_partition`) stay as the small-n oracle that
 shows where the binomial cancellation happens.
 """
@@ -127,14 +128,17 @@ class SymMatrix:
         return cls(tuple(tuple(dict(e) for e in row) for row in rows))
 
 
-def sym_sigmas(m: SymMatrix) -> list[SymExpr]:
-    """Exact sigma_1..sigma_dim by ``symfunc.faddeev_leverrier`` over SymExpr.
+def sym_sigmas(m: SymMatrix, count: int | None = None) -> list[SymExpr]:
+    """Exact sigma_1..sigma_count (default: all dim of them) by
+    ``symfunc.faddeev_leverrier`` over SymExpr; a count outside 1..dim is
+    refused.  Each sigma_j is the same expression whatever the count.
 
     The ring operations are looked up on every call, never stored, so that a
     wrapper installed on ``sym_mul`` (a call counter) sees every product.
     """
     return faddeev_leverrier(
-        m.entries, sym_add, sym_mul, lambda e, j: sym_scale(e, Fraction(1, j)), {}
+        m.entries, sym_add, sym_mul, lambda e, j: sym_scale(e, Fraction(1, j)), {},
+        count=count,
     )
 
 
@@ -207,7 +211,7 @@ def sym_sigma_k(m: SymMatrix, k: int) -> SymExpr:
     """Exact sigma_k of a symbolic symmetric matrix."""
     if not 1 <= k <= m.dim:
         raise ValueError(f"k must be in 1..{m.dim}, got {k}")
-    return sym_sigmas(m)[k - 1]
+    return sym_sigmas(m, k)[k - 1]
 
 
 def first_nonpositive_sigma(sigmas: list[SymExpr], k: int) -> int | None:
@@ -297,8 +301,9 @@ def verify_exact(n_base: int) -> Certification:
     Appending inert coordinates leaves every sigma_j unchanged, so the
     certificate also covers the extensions to every n >= 2k - 1.
     """
-    sigmas = sym_sigmas(build_rotated_hessian(n_base))  # raises for even or too-small n_base
+    hessian = build_rotated_hessian(n_base)  # raises for even or too-small n_base
     k = (n_base + 1) // 2
+    sigmas = sym_sigmas(hessian, k)  # sigma_1..sigma_k: all that the claim reads
     return Certification(
         n_base=n_base,
         residual=sym_sub(sigmas[k - 1], sym_const(1)),

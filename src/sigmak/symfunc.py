@@ -16,9 +16,11 @@ three can serve as cross-checking oracles for one another:
   times the same scale); both stop after 50 sweeps,
 * explicit principal-minor enumeration with LU determinants: the scan's 1%
   audit of sigma_k, and a test oracle,
-* the Faddeev-LeVerrier trace recursion for all coefficients at once, one
-  ring-generic loop (``faddeev_leverrier``): a float64 test oracle with
-  sigma_2 and LU-determinant self-checks, and the exact ``symbolic.sym_sigmas``.
+* the Faddeev-LeVerrier trace recursion for sigma_1..sigma_count at once,
+  one ring-generic loop (``faddeev_leverrier``): a float64 test oracle for
+  all n coefficients with sigma_2 and LU-determinant self-checks, and the
+  exact ``symbolic.sym_sigmas``, which certifies from sigma_1..sigma_k
+  alone.
 """
 
 from __future__ import annotations
@@ -134,20 +136,29 @@ class SymmetricMatrix:
         return [list(row) for row in self.entries]
 
 
-def elementary_symmetric(values, add=operator.add, mul=operator.mul) -> list:
-    """e_1 .. e_n of n values by one pass of the e_j recurrence, cost O(n^2).
+def elementary_symmetric(values, add=operator.add, mul=operator.mul, count=None) -> list:
+    """e_1 .. e_n of n values by one pass of the e_j recurrence, cost O(n^2);
+    with a ``count``, only e_1 .. e_count, cost O(n count).
 
     Ring-generic: the default operators serve floats, ints and Fractions (and
     are exact on exact inputs); the scan's audit passes ``dd.add`` and
-    ``dd.mul``.
+    ``dd.mul``, and ``count`` = k.
     The recurrence starts from e_1 = the first value, so it needs no ring
-    constants; an empty input gives [].
+    constants; an empty input gives [].  The update of e_j reads only e_j
+    and e_(j-1), so each e_j kept under a count is the same value, bit for
+    bit, as without one.
     """
+    if count is not None and (isinstance(count, bool) or not isinstance(count, int) or count < 1):
+        raise ValueError(f"count must be a positive integer, got {count!r}")
     e = []
     for v in values:
         if e:
-            e.append(mul(v, e[-1]))
-            for j in range(len(e) - 2, 0, -1):
+            if count is None or len(e) < count:
+                e.append(mul(v, e[-1]))
+                top = len(e) - 2
+            else:
+                top = len(e) - 1
+            for j in range(top, 0, -1):
                 e[j] = add(e[j], mul(v, e[j - 1]))
             e[0] = add(e[0], v)
         else:
@@ -199,28 +210,36 @@ def sigma_via_minors(m: SymmetricMatrix, k: int) -> float:
     return total
 
 
-def faddeev_leverrier(rows, add, mul, div, zero) -> list:
-    """sigma_1..sigma_n of the symmetric matrix ``rows`` by the trace recursion.
+def faddeev_leverrier(rows, add, mul, div, zero, count=None) -> list:
+    """sigma_1..sigma_count of the symmetric matrix ``rows`` by the trace
+    recursion; ``count`` defaults to the dimension n, so all of them.
 
     The characteristic polynomial is lambda^n + c_1 lambda^(n-1) + ... + c_n
     with c_j = -tr(A M_j)/j, M_1 = I, M_(j+1) = A M_j + c_j I; then
-    sigma_j = (-1)^j c_j.  A M_1 = A is not formed, each product runs only
-    over the nonzero entries of A's rows (the solution Hessian is an arrow
-    matrix), and only the upper triangle of the symmetric A M_j is computed.
-    Ring-generic: ``div(x, j)`` divides by the integer j, and a falsy entry
-    is zero (0.0, or the empty SymExpr of ``symbolic.sym_sigmas``).
+    sigma_j = (-1)^j c_j.  sigma_j reads only A M_1 .. A M_j, so the
+    recursion stops at j = count: a certificate of sigma_k skips the
+    products for sigma_(k+1)..sigma_n, and each sigma_j it returns is the
+    one the full recursion gives.  A M_1 = A is not formed, each product
+    runs only over the nonzero entries of A's rows (the solution Hessian is
+    an arrow matrix), and only the upper triangle of the symmetric A M_j is
+    computed.  Ring-generic: ``div(x, j)`` divides by the integer j, and a
+    falsy entry is zero (0.0, or the empty SymExpr of ``symbolic.sym_sigmas``).
     """
     n = len(rows)
+    if count is None:
+        count = n
+    elif isinstance(count, bool) or not isinstance(count, int) or not 1 <= count <= n:
+        raise ValueError(f"count must be an integer in 1..{n} (the dimension), got {count!r}")
     # row i of a matrix as {column: entry} over its nonzero entries
     a_rows = [{col: e for col, e in enumerate(row) if e} for row in rows]
     prod = a_rows  # A M_j, here for j = 1
     sigmas = []
-    for j in range(1, n + 1):
+    for j in range(1, count + 1):
         trace = reduce(add, (row.get(i, zero) for i, row in enumerate(prod)), zero)
         sigmas.append(div(trace, j if j % 2 else -j))
-        c_j = div(trace, -j)
-        if j == n:
+        if j == count:
             break
+        c_j = div(trace, -j)
         mj = [dict(row) for row in prod]  # M_(j+1) = A M_j + c_j I
         for i, row in enumerate(mj):
             row[i] = add(row.get(i, zero), c_j)

@@ -280,8 +280,8 @@ def _audit_sample(p: SolutionParams, pt: Point, terms, lam_dd: list, sigmas: lis
             f"closed-form spectrum disagrees with the double-double Jacobi by "
             f"{gap:g} (tolerance {tol:g})"
         )
-    by_recurrence = elementary_symmetric(lam_dd, dd.add, dd.mul)
-    scales = elementary_symmetric([abs(v) for v in lam])
+    by_recurrence = elementary_symmetric(lam_dd, dd.add, dd.mul, p.k)
+    scales = elementary_symmetric([abs(v) for v in lam], count=p.k)
     unit = SIGMA_AUDIT_UNITS * len(lam) * 2.0**-104
     for j, (x, y, scale) in enumerate(zip(sigmas, by_recurrence, scales), start=1):
         gap = abs(dd.to_float(dd.sub(x, y)))

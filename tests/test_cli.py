@@ -140,6 +140,31 @@ class TestBadInput:
         assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--samples", "0", "count must be positive, got 0"),
+            ("--t-max", "800", "|t| = 800 exceeds the exponential overflow guard (700 for k = 2)"),
+            (
+                "--x-radius", "1e200",
+                "x_radius = 1e+200 with t_range = (-2.0, 2.0) lets the Hessian norm reach "
+                "inf; sigma_1..sigma_3 stay finite only while (1 + that)^3 <= 2^996",
+            ),
+        ],
+        ids=["samples", "t_range", "x_radius"],
+    )
+    def test_a_bad_box_is_refused_before_the_exact_gate(
+        self, capsys, monkeypatch, option, value, message
+    ):
+        # a box refused by SampleBox or by the scan's guards costs no exact
+        # certification of n, and reads as it did
+        def gate(n):
+            raise AssertionError(f"the exact gate ran for n = {n}")
+
+        monkeypatch.setattr(cli, "verify_exact", gate)
+        assert run(["verify", "-n", "3", option, value]) == 2
+        assert capsys.readouterr().err == f"sigmak: error: {message}\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["eval", "-n", "3", "--point", "-1,0,0.5"],

@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigmak import symbolic
 from sigmak.errors import CapabilityError
 from sigmak.solution import cancellation_coefficient, derive_constants
 from sigmak.symbolic import (
@@ -143,6 +145,40 @@ class TestSymSigmas:
     def test_scale(self):
         assert sym_scale(sym_term(3, 1, 1), Fraction(1, 3)) == {(1, 1): Fraction(1)}
         assert sym_scale(sym_term(3, 1, 1), 0) == {}
+
+
+class TestSigmaCount:
+    """sym_sigmas(m, c) stops the trace recursion at sigma_c; each sigma_j it
+    returns is the expression the full recursion gives."""
+
+    @pytest.mark.parametrize("n", range(3, 22, 2))
+    def test_prefix_of_the_full_recursion(self, n):
+        p = derive_constants(n)
+        for a_const, b_const in ((p.A, p.B), (p.A + 1, p.B), (p.A, p.B - 1)):
+            m = rotated_hessian_from_constants(n, p.k, a_const, b_const)
+            full = sym_sigmas(m)
+            for c in range(1, n + 1):
+                assert sym_sigmas(m, c) == full[:c]
+
+    @pytest.mark.parametrize("count", [0, 4, 2.5])
+    def test_count_outside_the_dimension_refused_by_name(self, count):
+        with pytest.raises(ValueError, match=rf"count must be an integer in 1\.\.3 .*got {count!r}"):
+            sym_sigmas(build_rotated_hessian(3), count)
+
+    @pytest.mark.parametrize("n", [3, 7, 13])
+    def test_exact_routes_ask_for_k(self, monkeypatch, n):
+        real = symbolic.faddeev_leverrier
+        asked = []
+
+        def recorder(*args, **kwargs):
+            asked.append(inspect.signature(real).bind(*args, **kwargs).arguments.get("count"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(symbolic, "faddeev_leverrier", recorder)
+        k = (n + 1) // 2
+        assert verify_exact(n).ok
+        sym_sigma_k(build_rotated_hessian(n), k)
+        assert asked == [k, k]
 
 
 class TestConeCertificate:

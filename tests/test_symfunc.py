@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -143,6 +144,30 @@ class TestSymmetricMatrix:
         assert m.entries == ((0.0, mean), (mean, 0.0))
 
 
+class TestElementarySymmetricCount:
+    """With a count the recurrence keeps e_1..e_count, each the value the
+    full recurrence gives, bit for bit."""
+
+    def test_prefix_on_floats_fractions_and_dd(self):
+        rng = random.Random(53)
+        for _ in range(40):
+            vals = [rng.uniform(-4.0, 4.0) for _ in range(rng.randrange(1, 12))]
+            rings = (
+                (vals, operator.add, operator.mul),
+                ([Fraction(v) for v in vals], operator.add, operator.mul),
+                ([dd.add_f(dd.from_product(v, v), v * 1e-17) for v in vals], dd.add, dd.mul),
+            )
+            for values, add, mul in rings:
+                full = elementary_symmetric(values, add, mul)
+                for c in range(1, len(values) + 2):
+                    assert elementary_symmetric(values, add, mul, c) == full[:c]
+
+    @pytest.mark.parametrize("count", [0, -1, 2.5, True])
+    def test_bad_count_refused(self, count):
+        with pytest.raises(ValueError, match=f"count must be a positive integer, got {count!r}"):
+            elementary_symmetric([1.0, 2.0], count=count)
+
+
 class TestSigmaViaMinors:
     def test_identity_3x3(self):
         assert sigma_via_minors(SymmetricMatrix.identity(3), 2) == pytest.approx(3.0)
@@ -203,6 +228,32 @@ class TestCharpoly:
         m = SymmetricMatrix([[3.0, 1.0, 0.5], [1.0, -2.0, 2.0], [0.5, 2.0, 1.0]])
         with pytest.raises(ConvergenceError, match=lost):
             sigma_all_via_charpoly(m)
+
+
+class TestFaddeevLeverrierCount:
+    """With a count the trace recursion stops at sigma_count; each sigma_j it
+    returns is the float the full recursion gives."""
+
+    @staticmethod
+    def sigmas(m, count=None):
+        return symfunc.faddeev_leverrier(
+            m.entries, operator.add, operator.mul, operator.truediv, 0.0, count
+        )
+
+    def test_prefix_on_random_symmetric_matrices(self):
+        rng = random.Random(61)
+        for _ in range(30):
+            m = random_symmetric(rng, rng.randrange(1, 10))
+            full = self.sigmas(m)
+            assert len(full) == m.dim
+            for c in range(1, m.dim + 1):
+                assert self.sigmas(m, c) == full[:c]
+
+    @pytest.mark.parametrize("count", [0, 4, 2.5, -1, True])
+    def test_count_outside_the_dimension_refused_by_name(self, count):
+        m = SymmetricMatrix.identity(3)
+        with pytest.raises(ValueError, match=rf"count must be an integer in 1\.\.3 \(the dimension\), got {count!r}"):
+            self.sigmas(m, count)
 
 
 class TestEigenvalues:
