@@ -24,7 +24,6 @@ from .symfunc import (
     eigenvalues_symmetric,
     elementary_symmetric,
     sigma_all_via_charpoly,
-    sigma_via_minors,
 )
 from .verify import (
     ResidualReport,
@@ -58,7 +57,6 @@ __all__ = [
     "nonpoly_witness",
     "residual_scan",
     "sigma_all_via_charpoly",
-    "sigma_via_minors",
     "sl_phase",
     "verify_exact",
 ]

@@ -293,17 +293,20 @@ def rotate(c: DD, s: DD, x: DD, y: DD) -> tuple[DD, DD]:
 
 
 def ring() -> SimpleNamespace:
-    """The double-double ring of symfunc's cyclic Jacobi.
+    """The double-double ring of symfunc's cyclic Jacobi and trace recursion.
 
     On its audited samples the scan diagonalizes the double-double Hessian
-    with the same cyclic Jacobi as cone-check and phase-check, carried in
-    this arithmetic, to check its closed-form spectrum (at sample-box
-    corners |sigma_k - 1| is below what plain doubles can resolve, see the
-    module docstring).  The skip rule and the off-diagonal norm read only the
-    leading float hi, which is the rounded value hi + lo; the ascending sort
-    compares (hi, lo) pairs, which order as their values.  The
-    operations are looked up on every call, never stored, so that a wrapper
-    installed on this module (a call counter) sees the Jacobi's calls too.
+    with the same cyclic Jacobi as cone-check and phase-check, and runs the
+    same Faddeev-LeVerrier recursion as the exact certificate, both carried
+    in this arithmetic, to check its closed-form spectrum and sigmas (at
+    sample-box corners |sigma_k - 1| is below what plain doubles can
+    resolve, see the module docstring).  The skip rule and the off-diagonal
+    norm read only the leading float hi, which is the rounded value hi + lo
+    and is zero only for a zero value, so it is also the recursion's zero
+    test; the ascending sort compares (hi, lo) pairs, which order as their
+    values.  The operations are looked up on every call, never stored, so
+    that a wrapper installed on this module (a call counter) sees the
+    Jacobi's and the recursion's calls too.
     """
     return SimpleNamespace(
         name="double-double", add=add, sub=sub, mul=mul, div=div, sqrt=sqrt,

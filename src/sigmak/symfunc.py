@@ -14,13 +14,14 @@ three can serve as cross-checking oracles for one another:
   trace check 1e-10 * (1 + ||M||_F)) and double-double for the scan's 1%
   audit of the closed form (``eigenvalues_symmetric_dd``: 1e-28 and 1e-24
   times the same scale); both stop after 50 sweeps,
-* explicit principal-minor enumeration with LU determinants: the scan's 1%
-  audit of sigma_k, and a test oracle,
+* explicit principal-minor enumeration with LU determinants, up to
+  dimension 14: a test oracle only,
 * the Faddeev-LeVerrier trace recursion for sigma_1..sigma_count at once,
-  one ring-generic loop (``faddeev_leverrier``): a float64 test oracle for
-  all n coefficients with sigma_2 and LU-determinant self-checks, and the
-  exact ``symbolic.sym_sigmas``, which certifies from sigma_1..sigma_k
-  alone.
+  one ring-generic loop (``faddeev_leverrier``) run over three rings: a
+  float64 test oracle for all n coefficients with sigma_2 and
+  LU-determinant self-checks; double-double in the scan's 1% audit of its
+  closed-form sigma_1..sigma_k, in any dimension; and the exact
+  ``symbolic.sym_sigmas``, which certifies from sigma_1..sigma_k alone.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ def sigma_via_minors(m: SymmetricMatrix, k: int) -> float:
     return total
 
 
-def faddeev_leverrier(rows, add, mul, div, zero, count=None) -> list:
+def faddeev_leverrier(rows, add, mul, div, zero, count=None, nonzero=bool) -> list:
     """sigma_1..sigma_count of the symmetric matrix ``rows`` by the trace
     recursion; ``count`` defaults to the dimension n, so all of them.
 
@@ -222,8 +223,11 @@ def faddeev_leverrier(rows, add, mul, div, zero, count=None) -> list:
     one the full recursion gives.  A M_1 = A is not formed, each product
     runs only over the nonzero entries of A's rows (the solution Hessian is
     an arrow matrix), and only the upper triangle of the symmetric A M_j is
-    computed.  Ring-generic: ``div(x, j)`` divides by the integer j, and a
-    falsy entry is zero (0.0, or the empty SymExpr of ``symbolic.sym_sigmas``).
+    computed.  Ring-generic: ``div(x, j)`` divides by the integer j, and an
+    entry e is zero when ``nonzero(e)`` is falsy.  The default reads the
+    entry's truthiness (0.0, or the empty SymExpr of
+    ``symbolic.sym_sigmas``); a double-double ``(0.0, 0.0)`` is a truthy
+    tuple, so the scan's audit passes ``doubledouble.ring().lead``.
     """
     n = len(rows)
     if count is None:
@@ -231,7 +235,7 @@ def faddeev_leverrier(rows, add, mul, div, zero, count=None) -> list:
     elif isinstance(count, bool) or not isinstance(count, int) or not 1 <= count <= n:
         raise ValueError(f"count must be an integer in 1..{n} (the dimension), got {count!r}")
     # row i of a matrix as {column: entry} over its nonzero entries
-    a_rows = [{col: e for col, e in enumerate(row) if e} for row in rows]
+    a_rows = [{col: e for col, e in enumerate(row) if nonzero(e)} for row in rows]
     prod = a_rows  # A M_j, here for j = 1
     sigmas = []
     for j in range(1, count + 1):
@@ -243,7 +247,7 @@ def faddeev_leverrier(rows, add, mul, div, zero, count=None) -> list:
         mj = [dict(row) for row in prod]  # M_(j+1) = A M_j + c_j I
         for i, row in enumerate(mj):
             row[i] = add(row.get(i, zero), c_j)
-            if not row[i]:
+            if not nonzero(row[i]):
                 del row[i]
         prod = [{} for _ in range(n)]
         for i, a_row in enumerate(a_rows):
@@ -255,7 +259,7 @@ def faddeev_leverrier(rows, add, mul, div, zero, count=None) -> list:
                         acc[col] = add(acc[col], term) if col in acc else term
         for i, row in enumerate(prod):
             for col, entry in list(row.items()):
-                if not entry:
+                if not nonzero(entry):
                     del row[col]
                 elif col > i:
                     prod[col][i] = entry

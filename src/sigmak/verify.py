@@ -54,10 +54,12 @@ structure, from the same double-double terms: the double-double Hessian
 closed-form ones within SPECTRUM_AUDIT_REL_TOL * (1 + ||M||_F); the e_j
 recurrence (``symfunc.elementary_symmetric``) over the closed-form
 eigenvalues must give the structured sigma_1..sigma_k within
-SIGMA_AUDIT_UNITS * d * 2^-104 * e_j(|lambda|); and, up to dimension 14,
-sigma_k must match the sum of the k x k principal minors of the same
-matrix.  So the scan keeps checking the arrow structure that its fast path
-assumes, independently of ``symbolic``.
+SIGMA_AUDIT_UNITS * d * 2^-104 * e_j(|lambda|); and the Faddeev-LeVerrier
+trace recursion (``symfunc.faddeev_leverrier``, the loop that ``symbolic``
+runs over exact expressions) over the double-double Hessian must give them
+within SIGMA_AUDIT_UNITS * d * 2^-104 * (1 + ||M||_F)^j.  The audit takes
+the same path in every dimension.  So the scan keeps checking the arrow
+structure that its fast path assumes, without calling ``symbolic``.
 """
 
 from __future__ import annotations
@@ -81,11 +83,10 @@ from .solution import (
     spectrum_sigmas_dd,
 )
 from .symfunc import (
-    MINOR_DIM_LIMIT,
     SymmetricMatrix,
     eigenvalues_symmetric_dd,
     elementary_symmetric,
-    sigma_via_minors,
+    faddeev_leverrier,
 )
 
 MASK64 = (1 << 64) - 1
@@ -93,7 +94,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 PHASE_TOL = 1e-9
 CRITICAL_PHASE_N3 = math.pi / 2
-MINOR_AUDIT_STRIDE = 100  # audit the closed-form spectrum on 1% of samples
+AUDIT_STRIDE = 100  # audit the closed-form spectrum and sigmas on 1% of samples
 # The audit's bound on |Jacobi - closed form| per eigenvalue, relative to
 # 1 + ||M||_F.  The Jacobi stops once the off-diagonal Frobenius norm of its
 # rotated matrix is at most DD_JACOBI_REL_TOL * (1 + ||M||_F) = 1e-28 * (...);
@@ -120,6 +121,21 @@ SPECTRUM_AUDIT_REL_TOL = 1e-26
 # both routes; seeded scans at n = 3..13 stay within 1.15 units of
 # 2^-104 * e_j(|lambda|).  A wrong binomial or a det off by 1e-20 relative
 # misses the bound by ~10 decades.
+# The same 8 units bound |structured sigma_j - trace recursion sigma_j|, the
+# recursion (symfunc.faddeev_leverrier) run over the audited dd Hessian, in
+# units of d * 2^-104 * (1 + ||M||_F)^j: its terms cancel, so it is measured
+# against their size, not against e_j(|lambda|).  sigma_j = +-tr(A M_j) / j,
+# and tr(A M_j) sums d diagonal entries of at most d products each, so it is
+# within ~2(d + d) = 4d units of tr(|A| |M_j|).  Each earlier step's error
+# reaches M_j through products with A, which scale it by at most
+# ||A||_F = ||M||_F, so the j steps' errors add up to ~4d j units of terms
+# of size (1 + ||M||_F)^j, and the division by j takes that back to 4d.
+# tr(|A| |M_j|) / j stays near 2 (1 + ||M||_F)^j (at most 2.12 over 100
+# seeded Hessians at each odd n = 3..21), hence 8 units; the same audits
+# stay within 0.08 units.  At j = k the bound reaches sigma_k = 1 around
+# n = 21 (1.45 on the standard box, 5.6e-3 at n = 19), so from there on
+# this route cannot catch a wrong sigma_k; the Jacobi and the recurrence
+# still check it.
 SIGMA_AUDIT_UNITS = 8.0
 WITNESS_MAX_DEGREE = 40
 
@@ -229,7 +245,7 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
             lam_dd, e = spectrum_sigmas_dd(p, terms)
             sigmas = [hi + lo for hi, lo in e]
             lam = [hi + lo for hi, lo in lam_dd]
-            if i % MINOR_AUDIT_STRIDE == 0:
+            if i % AUDIT_STRIDE == 0:
                 _audit_sample(p, _point(p, box, words), terms, lam_dd, e)
         except ConvergenceError as exc:
             pt = _point(p, box, words)
@@ -265,9 +281,10 @@ def _audit_sample(p: SolutionParams, pt: Point, terms, lam_dd: list, sigmas: lis
     from.  The cyclic Jacobi of hessian_dd(p, pt, terms) must give the
     eigenvalues lam_dd within SPECTRUM_AUDIT_REL_TOL * (1 + ||M||_F); the e_j
     recurrence over lam_dd must give sigma_1..sigma_k within
-    SIGMA_AUDIT_UNITS * d * 2^-104 * e_j(|lambda|); and, up to
-    MINOR_DIM_LIMIT, the sum of the k x k principal minors must give
-    sigma_k within 1e-8 * (1 + ||M||_F^k).  Raises ConvergenceError otherwise.
+    SIGMA_AUDIT_UNITS * d * 2^-104 * e_j(|lambda|); and the trace recursion
+    over the same dd Hessian must give them within SIGMA_AUDIT_UNITS * d *
+    2^-104 * (1 + ||M||_F)^j, in any dimension.  Raises ConvergenceError
+    otherwise.
     """
     hess = hessian_dd(p, pt, terms)
     lam = [dd.to_float(v) for v in lam_dd]
@@ -280,22 +297,24 @@ def _audit_sample(p: SolutionParams, pt: Point, terms, lam_dd: list, sigmas: lis
             f"closed-form spectrum disagrees with the double-double Jacobi by "
             f"{gap:g} (tolerance {tol:g})"
         )
-    by_recurrence = elementary_symmetric(lam_dd, dd.add, dd.mul, p.k)
-    scales = elementary_symmetric([abs(v) for v in lam], count=p.k)
+    ring = dd.ring()
+    by_recursion = faddeev_leverrier(
+        hess, ring.add, ring.mul, lambda x, j: ring.div(x, dd.from_float(j)), ring.zero,
+        count=p.k, nonzero=ring.lead,
+    )
     unit = SIGMA_AUDIT_UNITS * len(lam) * 2.0**-104
-    for j, (x, y, scale) in enumerate(zip(sigmas, by_recurrence, scales), start=1):
-        gap = abs(dd.to_float(dd.sub(x, y)))
-        if not gap <= unit * scale:
-            raise ConvergenceError(
-                f"structured sigma_{j} disagrees with the e_j recurrence by {gap:g} "
-                f"(tolerance {unit * scale:g})"
-            )
-    if len(hess) <= MINOR_DIM_LIMIT:
-        floats = SymmetricMatrix([[dd.to_float(v) for v in row] for row in hess])
-        by_minors = sigma_via_minors(floats, p.k)
-        sigma_k = dd.to_float(sigmas[p.k - 1])
-        if abs(by_minors - sigma_k) > 1e-8 * (1.0 + fro**p.k):
-            raise ConvergenceError(f"minor-sum audit disagrees: {by_minors} vs {sigma_k}")
+    for route, values, scales in (
+        ("the e_j recurrence", elementary_symmetric(lam_dd, dd.add, dd.mul, p.k),
+         elementary_symmetric([abs(v) for v in lam], count=p.k)),
+        ("the trace recursion", by_recursion, [(1.0 + fro) ** j for j in range(1, p.k + 1)]),
+    ):
+        for j, (x, y, scale) in enumerate(zip(sigmas, values, scales), start=1):
+            gap = abs(dd.to_float(dd.sub(x, y)))
+            if not gap <= unit * scale:
+                raise ConvergenceError(
+                    f"structured sigma_{j} disagrees with {route} by {gap:g} "
+                    f"(tolerance {unit * scale:g})"
+                )
 
 
 def central_hessian(func, coords, step: float) -> list[list[float]]:

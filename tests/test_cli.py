@@ -474,7 +474,7 @@ class TestScanBuildsNoPerSampleObjects:
         monkeypatch.setattr(verify, "spectrum_sigmas_dd", recorded)
         assert run(["verify", "-n", "7", "--samples", "500", "--seed", "0"]) == 0
         updates = sum(r > max(residuals[:i], default=-1.0) for i, r in enumerate(residuals))
-        audited = -(-500 // verify.MINOR_AUDIT_STRIDE)
+        audited = -(-500 // verify.AUDIT_STRIDE)
         assert len(residuals) == 500
         assert len(points) <= audited + updates + 1
 

@@ -30,7 +30,6 @@ EXPORTS = (
     "nonpoly_witness",
     "residual_scan",
     "sigma_all_via_charpoly",
-    "sigma_via_minors",
     "sl_phase",
     "verify_exact",
 )

@@ -256,6 +256,46 @@ class TestFaddeevLeverrierCount:
             self.sigmas(m, count)
 
 
+class TestFaddeevLeverrierZeroTest:
+    """Over double-doubles the recursion takes the ring's zero test, so it
+    skips the same zero entries as the float run: a (0.0, 0.0) entry is a
+    truthy tuple."""
+
+    def test_dd_run_skips_the_zeros_the_float_run_skips(self, monkeypatch):
+        from sigmak.solution import Point, SolutionParams, eval_jet
+
+        p = SolutionParams(7, 2)
+        pt = Point((0.5, -1.0, 2.0, 0.0, 1.5, -0.3), 0.7, (0.25, -0.5))
+        floats = eval_jet(p, pt).hessian.entries
+        products = []
+
+        def counted_product(x, y):
+            products.append((x, y))
+            return x * y
+
+        by_float = symfunc.faddeev_leverrier(
+            floats, operator.add, counted_product, operator.truediv, 0.0, count=p.k
+        )
+        dd_products = []
+        real_mul = dd.mul
+
+        def counted_mul(x, y):
+            dd_products.append((x, y))
+            return real_mul(x, y)
+
+        monkeypatch.setattr(dd, "mul", counted_mul)
+        ring = dd.ring()
+        by_dd = symfunc.faddeev_leverrier(
+            [[dd.from_float(v) for v in row] for row in floats],
+            ring.add, ring.mul, lambda x, j: ring.div(x, dd.from_float(j)), ring.zero,
+            count=p.k, nonzero=ring.lead,
+        )
+        assert len(dd_products) == len(products) > 0
+        fro = math.hypot(*(v for row in floats for v in row))
+        for j, (x, y) in enumerate(zip(by_dd, by_float), start=1):
+            assert abs(dd.to_float(x) - y) <= 1e-13 * (1.0 + fro) ** j
+
+
 class TestEigenvalues:
     def test_diagonal_sorted(self):
         spectrum = eigenvalues_symmetric(SymmetricMatrix.diagonal([3.0, 1.0, 2.0]))

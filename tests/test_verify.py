@@ -223,8 +223,9 @@ class TestResidualScan:
 
 
 class TestSpectrumAudit:
-    """The scan's closed-form spectrum is checked by the general dd Jacobi on
-    every MINOR_AUDIT_STRIDE-th sample, in any dimension."""
+    """The scan's closed-form spectrum and sigmas are checked by the general
+    dd Jacobi and the dd trace recursion on every AUDIT_STRIDE-th sample, in
+    any dimension."""
 
     @staticmethod
     def shifted_spectrum(monkeypatch, first_shifted, rel_shift):
@@ -259,12 +260,21 @@ class TestSpectrumAudit:
             residual_scan(P3, dataclasses.replace(BOX, count=250))
         assert str(info.value).startswith(f"sample {first_shifted} at {named}: ")
 
-    def test_a_shift_within_the_tolerance_passes(self, monkeypatch):
+    @pytest.mark.parametrize("n", [3, 13])
+    def test_a_shift_within_the_jacobi_tolerance_fails_the_trace_recursion(
+        self, monkeypatch, n
+    ):
+        # a tenth of the Jacobi's tolerance passes the Jacobi, and the e_j
+        # recurrence reads the moved spectrum; the trace recursion over the
+        # Hessian itself does not
+        from sigmak.errors import ConvergenceError
         from sigmak.verify import SPECTRUM_AUDIT_REL_TOL
 
+        p = derive_constants(n)
         self.shifted_spectrum(monkeypatch, 0, SPECTRUM_AUDIT_REL_TOL / 10.0)
-        rep = residual_scan(P3, dataclasses.replace(BOX, count=250))
-        assert rep.cone_failures == 0
+        with pytest.raises(ConvergenceError, match="disagrees with the trace recursion") as info:
+            residual_scan(p, dataclasses.replace(BOX, count=3))
+        assert str(info.value).startswith(f"sample 0 at {sample_point(p, BOX, 0)}: ")
 
     @staticmethod
     def count_calls(monkeypatch, name):
@@ -273,9 +283,9 @@ class TestSpectrumAudit:
         calls = []
         original = getattr(verify, name)
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(verify, name, counted)
         return calls
@@ -283,9 +293,10 @@ class TestSpectrumAudit:
     def test_one_jacobi_per_hundred_samples(self, monkeypatch):
         jacobi = self.count_calls(monkeypatch, "eigenvalues_symmetric_dd")
         hessians = self.count_calls(monkeypatch, "hessian_dd")
+        recursions = self.count_calls(monkeypatch, "faddeev_leverrier")
         residual_scan(P3, BOX)
         assert BOX.count == 1000
-        assert (len(jacobi), len(hessians)) == (10, 10)
+        assert (len(jacobi), len(hessians), len(recursions)) == (10, 10, 10)
 
     def test_one_exponential_per_sample(self):
         # dd_terms reads e^t as the double math.exp(t) with a zero low word, and
@@ -334,12 +345,16 @@ class TestSpectrumAudit:
     def test_audit_runs_past_the_minor_limit(self, monkeypatch):
         from sigmak.symfunc import MINOR_DIM_LIMIT
 
+        # the principal-minor oracle stops at MINOR_DIM_LIMIT; the audit's
+        # Jacobi and trace recursion run once per audited sample past it
         p = derive_constants(15)
         assert p.total_dim > MINOR_DIM_LIMIT
         jacobi = self.count_calls(monkeypatch, "eigenvalues_symmetric_dd")
-        minors = self.count_calls(monkeypatch, "sigma_via_minors")
+        recursions = self.count_calls(monkeypatch, "faddeev_leverrier")
         residual_scan(p, dataclasses.replace(BOX, count=101))
-        assert (len(jacobi), len(minors)) == (2, 0)
+        assert (len(jacobi), len(recursions)) == (2, 2)
+        for args, kwargs in recursions:
+            assert (len(args[0]), kwargs["count"]) == (p.total_dim, p.k)
 
 
 class TestScanNegativeControls:
