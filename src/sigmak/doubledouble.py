@@ -301,9 +301,8 @@ def ring() -> SimpleNamespace:
     in this arithmetic, to check its closed-form spectrum and sigmas (at
     sample-box corners |sigma_k - 1| is below what plain doubles can
     resolve, see the module docstring).  The skip rule and the off-diagonal
-    norm read only the leading float hi, which is the rounded value hi + lo
-    and is zero only for a zero value, so it is also the recursion's zero
-    test; the ascending sort compares (hi, lo) pairs, which order as their
+    norm read only the leading float hi, which is the rounded value hi + lo;
+    the ascending sort compares (hi, lo) pairs, which order as their
     values.  The operations are looked up on every call, never stored, so
     that a wrapper installed on this module (a call counter) sees the
     Jacobi's and the recursion's calls too.

@@ -211,7 +211,7 @@ def sigma_via_minors(m: SymmetricMatrix, k: int) -> float:
     return total
 
 
-def faddeev_leverrier(rows, add, mul, div, zero, count=None, nonzero=bool) -> list:
+def faddeev_leverrier(rows, add, mul, div, zero, count=None) -> list:
     """sigma_1..sigma_count of the symmetric matrix ``rows`` by the trace
     recursion; ``count`` defaults to the dimension n, so all of them.
 
@@ -224,10 +224,10 @@ def faddeev_leverrier(rows, add, mul, div, zero, count=None, nonzero=bool) -> li
     runs only over the nonzero entries of A's rows (the solution Hessian is
     an arrow matrix), and only the upper triangle of the symmetric A M_j is
     computed.  Ring-generic: ``div(x, j)`` divides by the integer j, and an
-    entry e is zero when ``nonzero(e)`` is falsy.  The default reads the
-    entry's truthiness (0.0, or the empty SymExpr of
-    ``symbolic.sym_sigmas``); a double-double ``(0.0, 0.0)`` is a truthy
-    tuple, so the scan's audit passes ``doubledouble.ring().lead``.
+    entry is zero when it equals ``zero``: 0.0 (which -0.0 equals), the
+    double-double ``(0.0, 0.0)`` (a normalized value with hi = 0 has lo = 0),
+    or the empty SymExpr of ``symbolic.sym_sigmas`` (``sym_add`` and
+    ``sym_mul`` drop cancelled terms).
     """
     n = len(rows)
     if count is None:
@@ -235,7 +235,7 @@ def faddeev_leverrier(rows, add, mul, div, zero, count=None, nonzero=bool) -> li
     elif isinstance(count, bool) or not isinstance(count, int) or not 1 <= count <= n:
         raise ValueError(f"count must be an integer in 1..{n} (the dimension), got {count!r}")
     # row i of a matrix as {column: entry} over its nonzero entries
-    a_rows = [{col: e for col, e in enumerate(row) if nonzero(e)} for row in rows]
+    a_rows = [{col: e for col, e in enumerate(row) if e != zero} for row in rows]
     prod = a_rows  # A M_j, here for j = 1
     sigmas = []
     for j in range(1, count + 1):
@@ -247,7 +247,7 @@ def faddeev_leverrier(rows, add, mul, div, zero, count=None, nonzero=bool) -> li
         mj = [dict(row) for row in prod]  # M_(j+1) = A M_j + c_j I
         for i, row in enumerate(mj):
             row[i] = add(row.get(i, zero), c_j)
-            if not nonzero(row[i]):
+            if row[i] == zero:
                 del row[i]
         prod = [{} for _ in range(n)]
         for i, a_row in enumerate(a_rows):
@@ -259,7 +259,7 @@ def faddeev_leverrier(rows, add, mul, div, zero, count=None, nonzero=bool) -> li
                         acc[col] = add(acc[col], term) if col in acc else term
         for i, row in enumerate(prod):
             for col, entry in list(row.items()):
-                if not nonzero(entry):
+                if entry == zero:
                     del row[col]
                 elif col > i:
                     prod[col][i] = entry

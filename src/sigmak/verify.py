@@ -300,7 +300,7 @@ def _audit_sample(p: SolutionParams, pt: Point, terms, lam_dd: list, sigmas: lis
     ring = dd.ring()
     by_recursion = faddeev_leverrier(
         hess, ring.add, ring.mul, lambda x, j: ring.div(x, dd.from_float(j)), ring.zero,
-        count=p.k, nonzero=ring.lead,
+        count=p.k,
     )
     unit = SIGMA_AUDIT_UNITS * len(lam) * 2.0**-104
     for route, values, scales in (

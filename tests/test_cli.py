@@ -252,6 +252,24 @@ class TestVerifyBeyondCertifiedRange:
         assert payload["checks_passed"] is False
         assert payload["report"]["max_abs_residual"] <= 1e-9
 
+    @pytest.mark.parametrize(
+        "argv, residual",
+        [
+            # the README's known conservative failures: Hessian entries ~e^28
+            # and ~1e25 pass the scan's audit (no exit 2) and fail only the
+            # fixed residual gate
+            (["verify", "-n", "3", "--samples", "50", "--t-min", "27", "--t-max", "28"], 8e-7),
+            (["verify", "-n", "5", "--samples", "50", "--x-radius", "1e12"], 6e-5),
+        ],
+    )
+    def test_huge_entries_fail_the_residual_gate(self, capsys, argv, residual):
+        code, payload, _ = run_json(capsys, argv)
+        assert code == 1
+        assert payload["exact_certified"] is True
+        assert payload["checks_passed"] is False
+        assert payload["residual_gate"] < payload["report"]["max_abs_residual"]
+        assert payload["report"]["max_abs_residual"] == pytest.approx(residual, rel=0.1)
+
 
 class TestVerifyExact:
     def test_n7(self, capsys):

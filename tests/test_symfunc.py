@@ -257,9 +257,9 @@ class TestFaddeevLeverrierCount:
 
 
 class TestFaddeevLeverrierZeroTest:
-    """Over double-doubles the recursion takes the ring's zero test, so it
-    skips the same zero entries as the float run: a (0.0, 0.0) entry is a
-    truthy tuple."""
+    """Over double-doubles the recursion skips the entries equal to the ring's
+    zero, as the float run does: a (0.0, 0.0) entry is a truthy tuple, so
+    truthiness would count it as nonzero."""
 
     def test_dd_run_skips_the_zeros_the_float_run_skips(self, monkeypatch):
         from sigmak.solution import Point, SolutionParams, eval_jet
@@ -288,7 +288,7 @@ class TestFaddeevLeverrierZeroTest:
         by_dd = symfunc.faddeev_leverrier(
             [[dd.from_float(v) for v in row] for row in floats],
             ring.add, ring.mul, lambda x, j: ring.div(x, dd.from_float(j)), ring.zero,
-            count=p.k, nonzero=ring.lead,
+            count=p.k,
         )
         assert len(dd_products) == len(products) > 0
         fro = math.hypot(*(v for row in floats for v in row))
