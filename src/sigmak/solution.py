@@ -171,13 +171,13 @@ def _check_radius(
         F = (n-1) (2 + 4R + R^2) e^t_hi + e^(-(k-1) t_lo) / A + (B/A) e^t_hi,
 
     which bounds ||D^2 u||_F and every eigenvalue.  In dimension d every
-    partial sum and product of the e_j recurrence, and fro**j (j <= k) in the
-    cone thresholds and the minor audit, is then at most (1 + F)^d.  Requiring
-    (1 + F)^d <= doubledouble.SPLIT_MAX = 2^996 keeps them all finite and in
-    the range where Dekker's split is exact: on t in [-2, 2], x_radius up to
-    ~2e49 for n = 3 and ~5e12 for n = 11.  `what` names the input in the
-    error: the (x, t) of a point, or a description of a box.  Run
-    _check_exponent on t_lo and t_hi first.
+    partial sum and product of the e_j recurrence, fro**j (j <= k) in the
+    cone thresholds and the trace-recursion audit's scales (1 + F)^j, is
+    then at most (1 + F)^d.  Requiring (1 + F)^d <= doubledouble.SPLIT_MAX =
+    2^996 keeps them all finite and in the range where Dekker's split is
+    exact: on t in [-2, 2], x_radius up to ~2e49 for n = 3 and ~5e12 for
+    n = 11.  `what` names the input in the error: the (x, t) of a point, or
+    a description of a box.  Run _check_exponent on t_lo and t_hi first.
     """
     bound = (
         (p.n_base - 1) * (2.0 + 4.0 * x_radius + x_radius * x_radius) * et_hi
@@ -304,18 +304,19 @@ def dd_terms(p: SolutionParams, x, t: float) -> tuple[list[dd.DD], dd.DD, dd.DD]
     return et_powers, h2, dd.mul_f(dd.sum_squares(x), e)
 
 
-def hessian_dd(p: SolutionParams, pt: Point, terms) -> list[list[dd.DD]]:
+def hessian_dd(p: SolutionParams, x, terms) -> list[list[dd.DD]]:
     """The Hessian with entries in double-double precision.
 
     Same closed form as eval_jet, at t* = ln(fl(e^t)) (see dd_terms):
     e^(-(k-1)t) and all entry products carry ~31 digits, and every entry
-    reads the same e^t.  `terms` is dd_terms(p, pt.x, pt.t).  The
-    verification scan diagonalizes this matrix on its audited samples, to
-    check spectrum_sigmas_dd against the general Jacobi.
+    reads the same e^t.  `x` is the x block as floats, like dd_terms', and
+    `terms` is dd_terms(p, x, t).  The verification scan diagonalizes this
+    matrix on its audited samples, to check spectrum_sigmas_dd against the
+    general Jacobi.
     """
     et_powers, h2, r2et = terms
     et = et_powers[0]
-    cross = [dd.mul_f(et, 2.0 * v) for v in pt.x]
+    cross = [dd.mul_f(et, 2.0 * v) for v in x]
     return arrow_rows(dd.mul_pow2(et, 2.0), cross, dd.add(r2et, h2), p.m, dd.ZERO)
 
 

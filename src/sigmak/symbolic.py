@@ -15,31 +15,18 @@ Faddeev-LeVerrier loop that also gives the float oracle
 certification that sigma_k collapses to the constant 1, and that every
 sigma_j with j < k is positive, is a finite rational computation that reads
 no sigma_j past k.
-The Leibniz minor sums (`sigma_k_partition`) stay as the small-n oracle that
-shows where the binomial cancellation happens.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
 
-from .errors import CapabilityError
 from .solution import SolutionParams, arrow_rows
 from .symfunc import faddeev_leverrier
 
 Monomial = tuple[int, int]  # (a, b): r^a * e^(b*t)
 SymExpr = dict[Monomial, Fraction]
-
-SIGMA_WORK_LIMIT = 10**7  # C(dim, k) * k! permutation products
-
-# partition of the k-subsets by membership of the r-coupled row (index 0)
-# and the t row (index dim-1)
-CLASS_WITH_R_AND_T = "with_r_and_t"
-CLASS_WITH_T_WITHOUT_R = "with_t_without_r"
-CLASS_WITHOUT_T = "without_t"
 
 
 def sym_zero() -> SymExpr:
@@ -140,71 +127,6 @@ def sym_sigmas(m: SymMatrix, count: int | None = None) -> list[SymExpr]:
         m.entries, sym_add, sym_mul, lambda e, j: sym_scale(e, Fraction(1, j)), {},
         count=count,
     )
-
-
-def _det_leibniz(entries, idx) -> SymExpr:
-    k = len(idx)
-    total: SymExpr = {}
-    for perm in permutations(range(k)):
-        prod: SymExpr | None = None
-        for row, col in enumerate(perm):
-            entry = entries[idx[row]][idx[col]]
-            if not entry:
-                prod = None
-                break
-            prod = dict(entry) if prod is None else sym_mul(prod, entry)
-        if prod is None:
-            continue
-        inversions = sum(
-            1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b]
-        )
-        total = sym_add(total, prod if inversions % 2 == 0 else sym_neg(prod))
-    return total
-
-
-@dataclass(frozen=True)
-class SigmaPartition:
-    """sigma_k split over the three classes of principal minors.
-
-    Minors are classified by whether they include the r-coupled row (index 0)
-    and the t row (the last index); the class subtotals sum to sigma_k.
-    """
-
-    subtotals: dict[str, SymExpr]
-    counts: dict[str, int]
-    total: SymExpr
-
-
-def sigma_k_partition(m: SymMatrix, k: int) -> SigmaPartition:
-    """All k x k principal minors of m, summed per class and in total."""
-    n = m.dim
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
-    work = math.comb(n, k) * math.factorial(k)
-    if work > SIGMA_WORK_LIMIT:
-        raise CapabilityError(
-            f"sigma_{k} of a {n}x{n} symbolic matrix needs {work} permutation "
-            f"products, over the {SIGMA_WORK_LIMIT} limit"
-        )
-    subtotals = {
-        CLASS_WITH_R_AND_T: {},
-        CLASS_WITH_T_WITHOUT_R: {},
-        CLASS_WITHOUT_T: {},
-    }
-    counts = dict.fromkeys(subtotals, 0)
-    total: SymExpr = {}
-    for idx in combinations(range(n), k):
-        if n - 1 not in idx:
-            cls = CLASS_WITHOUT_T
-        elif 0 in idx:
-            cls = CLASS_WITH_R_AND_T
-        else:
-            cls = CLASS_WITH_T_WITHOUT_R
-        minor = _det_leibniz(m.entries, idx)
-        subtotals[cls] = sym_add(subtotals[cls], minor)
-        counts[cls] += 1
-        total = sym_add(total, minor)
-    return SigmaPartition(subtotals=subtotals, counts=counts, total=total)
 
 
 def sym_sigma_k(m: SymMatrix, k: int) -> SymExpr:

@@ -19,8 +19,8 @@ coordinates are -x_radius + (2 x_radius) u, uniform on [-x_radius,
 x_radius], and t is t_min + (t_max - t_min) u.  ``splitmix64_words`` returns
 a sample's D words in one call, stepping the state by the golden increment
 from word to word.  The scan maps them to its x block and t as plain floats
-and builds no Point for a sample unless it audits the sample, reports it as
-the argmax or names it in an error; ``sample_point`` builds the Point of
+and builds no Point for a sample unless it reports it as the argmax or
+names it in an error; ``sample_point`` builds the Point of
 sample i from the same words by the same mapping.
 
 Precision
@@ -220,7 +220,7 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
     raised by a sample, including a failed audit, names its index and point.
     The report is a function of (params, box) alone.  A sample is carried
     as its words and its x block and t as floats; a Point is built only for
-    an audited sample, the reported argmax and the text of an error.
+    the reported argmax and the text of an error.
     """
     t_lo, t_hi = box.t_range
     _check_exponent(p, t_lo)
@@ -246,7 +246,7 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
             sigmas = [hi + lo for hi, lo in e]
             lam = [hi + lo for hi, lo in lam_dd]
             if i % AUDIT_STRIDE == 0:
-                _audit_sample(p, _point(p, box, words), terms, lam_dd, e)
+                _audit_sample(p, x, terms, lam_dd, e)
         except ConvergenceError as exc:
             pt = _point(p, box, words)
             raise ConvergenceError(
@@ -274,19 +274,19 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
     )
 
 
-def _audit_sample(p: SolutionParams, pt: Point, terms, lam_dd: list, sigmas: list) -> None:
+def _audit_sample(p: SolutionParams, x, terms, lam_dd: list, sigmas: list) -> None:
     """Check one sample's closed-form spectrum and sigmas against the general routes.
 
-    `terms` are the dd_terms(p, pt.x, pt.t) that lam_dd and sigmas came
-    from.  The cyclic Jacobi of hessian_dd(p, pt, terms) must give the
-    eigenvalues lam_dd within SPECTRUM_AUDIT_REL_TOL * (1 + ||M||_F); the e_j
-    recurrence over lam_dd must give sigma_1..sigma_k within
-    SIGMA_AUDIT_UNITS * d * 2^-104 * e_j(|lambda|); and the trace recursion
+    `x` is the sample's x block as floats and `terms` the dd_terms(p, x, t)
+    that lam_dd and sigmas came from.  The cyclic Jacobi of hessian_dd(p, x,
+    terms) must give the eigenvalues lam_dd within SPECTRUM_AUDIT_REL_TOL *
+    (1 + ||M||_F); the e_j recurrence over lam_dd must give sigma_1..sigma_k
+    within SIGMA_AUDIT_UNITS * d * 2^-104 * e_j(|lambda|); and the trace recursion
     over the same dd Hessian must give them within SIGMA_AUDIT_UNITS * d *
     2^-104 * (1 + ||M||_F)^j, in any dimension.  Raises ConvergenceError
     otherwise.
     """
-    hess = hessian_dd(p, pt, terms)
+    hess = hessian_dd(p, x, terms)
     lam = [dd.to_float(v) for v in lam_dd]
     fro = math.sqrt(sum(v * v for v in lam))
     by_jacobi = eigenvalues_symmetric_dd(hess)

@@ -42,6 +42,9 @@ REMOVED = [
     ("sigmak.symbolic", "sym_det"),
     ("sigmak.symbolic", "sym_format"),
     ("sigmak.symbolic", "sym_eval"),
+    ("sigmak.symbolic", "sigma_k_partition"),
+    ("sigmak.symbolic", "SigmaPartition"),
+    ("sigmak.symbolic", "SIGMA_WORK_LIMIT"),
 ]
 
 BENCHMARK_NAMES = [

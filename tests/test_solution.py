@@ -191,7 +191,7 @@ class TestEvalJet:
         hessians = (
             eval_jet,
             lambda p, pt: dd_terms(p, pt.x, pt.t),
-            lambda p, pt: hessian_dd(p, pt, dd_terms(p, pt.x, pt.t)),
+            lambda p, pt: hessian_dd(p, pt.x, dd_terms(p, pt.x, pt.t)),
         )
         for func in hessians + (solution_value,):
             func(p, Point(x=(1e49, 0.0), t=2.0))
@@ -294,7 +294,7 @@ class TestHessianDD:
         p = derive_constants(5)
         pt = Point(x=(1.1, -0.4, 2.0, 0.0), t=-0.8)
         hfloat = eval_jet(p, pt).hessian.entries
-        hdd = hessian_dd(p, pt, dd_terms(p, pt.x, pt.t))
+        hdd = hessian_dd(p, pt.x, dd_terms(p, pt.x, pt.t))
         for i in range(5):
             for j in range(5):
                 assert dd.to_float(hdd[i][j]) == pytest.approx(hfloat[i][j], rel=1e-14, abs=1e-14)
@@ -304,7 +304,7 @@ class TestHessianDD:
 
         p = derive_constants(7)
         pt = Point(x=(3.0,) * 6, t=2.0)
-        lam = eigenvalues_symmetric_dd(hessian_dd(p, pt, dd_terms(p, pt.x, pt.t)))
+        lam = eigenvalues_symmetric_dd(hessian_dd(p, pt.x, dd_terms(p, pt.x, pt.t)))
         sigma = elementary_symmetric(lam, dd.add, dd.mul)[3]
         assert abs(dd.to_float(dd.add_f(sigma, -1.0))) < 1e-20
 
@@ -321,7 +321,7 @@ class TestHessianDD:
             for _ in range(20):
                 t = rng.uniform(-2.0, 2.0)
                 pt = Point(x=(0.0,) * (n - 1), t=t)
-                h2 = hessian_dd(p, pt, dd_terms(p, pt.x, pt.t))[n - 1][n - 1]
+                h2 = hessian_dd(p, pt.x, dd_terms(p, pt.x, pt.t))[n - 1][n - 1]
                 e = Decimal(math.exp(t))
                 decay = (
                     km1**2 * Decimal(p.h_coeff_decay.numerator) / p.h_coeff_decay.denominator
@@ -350,7 +350,7 @@ class TestSpectrumDD:
         assert len(lam) == p.total_dim
         assert lam == sorted(lam)
         fro = _fro(lam)
-        by_jacobi = eigenvalues_symmetric_dd(hessian_dd(p, pt, dd_terms(p, pt.x, pt.t)))
+        by_jacobi = eigenvalues_symmetric_dd(hessian_dd(p, pt.x, dd_terms(p, pt.x, pt.t)))
         assert by_jacobi == sorted(by_jacobi)
         assert _max_gap(lam, by_jacobi) <= SPECTRUM_AUDIT_REL_TOL * (1.0 + fro)
         by_numpy = np.linalg.eigvalsh(eval_jet(p, pt).hessian.entries)

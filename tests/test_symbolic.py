@@ -6,18 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sigma_brute
 from sigmak import symbolic
-from sigmak.errors import CapabilityError
 from sigmak.solution import cancellation_coefficient, derive_constants
 from sigmak.symbolic import (
-    CLASS_WITH_R_AND_T,
-    CLASS_WITH_T_WITHOUT_R,
-    CLASS_WITHOUT_T,
     SymMatrix,
     build_rotated_hessian,
     first_nonpositive_sigma,
     rotated_hessian_from_constants,
-    sigma_k_partition,
     sym_add,
     sym_const,
     sym_mul,
@@ -124,19 +120,42 @@ def _sym_matrices(draw):
     return SymMatrix.from_rows(rows)
 
 
+class _Ring:
+    """A SymExpr with the +, - and * that conftest.sigma_brute uses; 0 + x is x."""
+
+    def __init__(self, expr):
+        self.expr = expr
+
+    def __add__(self, other):
+        return self if other == 0 else _Ring(sym_add(self.expr, other.expr))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Ring(sym_neg(self.expr))
+
+    def __mul__(self, other):
+        return _Ring(sym_mul(self.expr, other.expr))
+
+
+def _minor_sums(m):
+    """sigma_1..sigma_dim of m as cofactor minor sums over SymExpr."""
+    rows = [[_Ring(e) for e in row] for row in m.entries]
+    return [sigma_brute(rows, j).expr for j in range(1, m.dim + 1)]
+
+
 class TestSymSigmas:
     @settings(max_examples=40, deadline=None)
     @given(_sym_matrices())
     def test_trace_recursion_matches_minor_sums(self, m):
         sigmas = sym_sigmas(m)
         assert len(sigmas) == m.dim
-        for j, sigma in enumerate(sigmas, start=1):
-            assert sigma == sigma_k_partition(m, j).total
+        assert sigmas == _minor_sums(m)
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_rotated_hessian_matches_minor_sums(self, n):
         m = build_rotated_hessian(n)
-        assert sym_sigmas(m) == [sigma_k_partition(m, j).total for j in range(1, n + 1)]
+        assert sym_sigmas(m) == _minor_sums(m)
 
     def test_sigma_k_index_checked(self):
         with pytest.raises(ValueError, match="k must be"):
@@ -239,42 +258,6 @@ class TestRotatedHessian:
         m = build_rotated_hessian(7)
         assert m.entries[1][2] == {}
         assert m.entries[2][5] == {}
-
-
-class TestSigmaPartition:
-    @pytest.mark.parametrize("n", [3, 5, 7, 9])
-    def test_class_counts_are_binomials(self, n):
-        k = (n + 1) // 2
-        part = sigma_k_partition(build_rotated_hessian(n), k)
-        assert part.counts == {
-            CLASS_WITH_R_AND_T: math.comb(n - 2, k - 2),
-            CLASS_WITH_T_WITHOUT_R: math.comb(n - 2, k - 1),
-            CLASS_WITHOUT_T: math.comb(n - 1, k),
-        }
-        assert sum(part.counts.values()) == math.comb(n, k)
-
-    @pytest.mark.parametrize("n", [3, 5, 7])
-    def test_subtotals_sum_to_total(self, n):
-        k = (n + 1) // 2
-        part = sigma_k_partition(build_rotated_hessian(n), k)
-        acc = {}
-        for sub in part.subtotals.values():
-            acc = sym_add(acc, sub)
-        assert acc == part.total
-
-    def test_n3_corner_class_subtotal(self):
-        part = sigma_k_partition(build_rotated_hessian(3), 2)
-        assert part.subtotals[CLASS_WITH_R_AND_T] == {
-            (2, 2): Fraction(-2),
-            (0, 0): Fraction(1, 2),
-            (0, 2): Fraction(-2),
-        }
-
-    def test_work_guard(self):
-        one = sym_const(1)
-        rows = [[one if i == j else {} for j in range(14)] for i in range(14)]
-        with pytest.raises(CapabilityError, match="permutation"):
-            sigma_k_partition(SymMatrix.from_rows(rows), 10)
 
 
 class TestCancellation:

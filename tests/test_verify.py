@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sigma_brute
 from sigmak.errors import CapabilityError
 from sigmak.solution import Point, SolutionParams, derive_constants, dd_terms, eval_jet
 from sigmak.verify import (
@@ -406,42 +407,20 @@ class TestResidualAgainstExactArithmetic:
         # exact Fraction minors give the true sigma_k of the same matrix; the
         # reported residual must match it, not merely be small
         from fractions import Fraction
-        from itertools import combinations, permutations
 
         from sigmak import doubledouble as dd
         from sigmak.solution import hessian_dd
         from sigmak.symfunc import eigenvalues_symmetric_dd, elementary_symmetric
 
-        def exact_sigma(hdd, k):
-            dim = len(hdd)
-            exact = [[Fraction(e[0]) + Fraction(e[1]) for e in row] for row in hdd]
-            total = Fraction(0)
-            for idx in combinations(range(dim), k):
-                sub = [[exact[i][j] for j in idx] for i in idx]
-                for perm in permutations(range(k)):
-                    prod = Fraction(1)
-                    zero = False
-                    for r, c in enumerate(perm):
-                        if sub[r][c] == 0:
-                            zero = True
-                            break
-                        prod *= sub[r][c]
-                    if zero:
-                        continue
-                    inv = sum(
-                        1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b]
-                    )
-                    total += -prod if inv % 2 else prod
-            return total
-
         p = derive_constants(n)
         box = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=5, seed=77)
         for i in range(5):
             pt = sample_point(p, box, i)
-            hdd = hessian_dd(p, pt, dd_terms(p, pt.x, pt.t))
+            hdd = hessian_dd(p, pt.x, dd_terms(p, pt.x, pt.t))
             lam = eigenvalues_symmetric_dd(hdd)
             reported = dd.to_float(dd.add_f(elementary_symmetric(lam, dd.add, dd.mul)[p.k - 1], -1.0))
-            truth = float(exact_sigma(hdd, p.k) - 1)
+            exact = [[Fraction(e[0]) + Fraction(e[1]) for e in row] for row in hdd]
+            truth = float(sigma_brute(exact, p.k) - 1)
             assert abs(reported - truth) < 1e-24
 
 
@@ -463,7 +442,7 @@ class TestScanSigmasAgainstFloatOracles:
         box = SampleBox(x_radius=1.0, t_range=(-1.0, 1.0), count=20, seed=11)
         for i in range(box.count):
             pt = sample_point(p, box, i)
-            lam = eigenvalues_symmetric_dd(hessian_dd(p, pt, dd_terms(p, pt.x, pt.t)))
+            lam = eigenvalues_symmetric_dd(hessian_dd(p, pt.x, dd_terms(p, pt.x, pt.t)))
             e = elementary_symmetric(lam, dd.add, dd.mul)
             hess = eval_jet(p, pt).hessian
             fro = hess.frobenius_norm()
