@@ -9,7 +9,7 @@ README's quick start and the benchmark call; import the rest from its module.
 """
 
 from .cone import ConeVerdict, gamma_k
-from .errors import CapabilityError, ConvergenceError
+from .errors import ConvergenceError
 from .solution import (
     Point,
     SolutionParams,
@@ -19,25 +19,12 @@ from .solution import (
     h_formula,
 )
 from .symbolic import Certification, verify_exact
-from .symfunc import (
-    SymmetricMatrix,
-    eigenvalues_symmetric,
-    elementary_symmetric,
-    sigma_all_via_charpoly,
-)
-from .verify import (
-    ResidualReport,
-    SampleBox,
-    fd_hessian,
-    nonpoly_witness,
-    residual_scan,
-    sl_phase,
-)
+from .symfunc import SymmetricMatrix, eigenvalues_symmetric, elementary_symmetric
+from .verify import ResidualReport, SampleBox, residual_scan, sl_phase
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapabilityError",
     "Certification",
     "ConeVerdict",
     "ConvergenceError",
@@ -51,12 +38,9 @@ __all__ = [
     "eigenvalues_symmetric",
     "elementary_symmetric",
     "eval_jet",
-    "fd_hessian",
     "gamma_k",
     "h_formula",
-    "nonpoly_witness",
     "residual_scan",
-    "sigma_all_via_charpoly",
     "sl_phase",
     "verify_exact",
 ]

@@ -14,8 +14,9 @@ rounded to float64.  Two wrappers keep them in one ``ConeVerdict`` per
 matrix, beside the sigmas they were read from: ``cone_verdicts``, which
 also checks k and the number of sigmas, and ``gamma_k`` (behind
 ``cone-check``), which reads them off one float Jacobi of the matrix.
-The characteristic polynomial and the principal-minor sums stay in
-``sigmak.symfunc`` as the test oracles of these sigmas.
+The tests check these sigmas against the characteristic polynomial (the
+trace recursion ``symfunc.faddeev_leverrier`` in float64) and against the
+principal-minor sums (LAPACK determinants).
 """
 
 from __future__ import annotations

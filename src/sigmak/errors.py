@@ -4,9 +4,10 @@
 class CapabilityError(ValueError):
     """A structural limit of the implementation was exceeded.
 
-    Raised when a request is well-formed but outside what this code is built
-    to handle (e.g. principal-minor enumeration beyond the dimension cap),
-    as opposed to a plain invalid argument.
+    Meant for a request that is well-formed but outside what this code is
+    built to handle, as opposed to a plain invalid argument.  Nothing in
+    sigmak raises it; it stays defined because the benchmark in
+    ``perfbench/`` imports it.
     """
 
 

@@ -10,7 +10,7 @@ Example:  r^2 e^t + 1/4 e^(-t)  ->  {(2, 1): Fraction(1), (0, -1): Fraction(1, 4
 This is enough to house every entry of the rotated Hessian of the solution
 ansatz (2e^t, 2r e^t and r^2 e^t + h''(t), laid out by solution.arrow_rows)
 and so to expand sigma_1..sigma_k of it exactly (`sym_sigmas`), by the
-Faddeev-LeVerrier loop that also gives the float oracle
+Faddeev-LeVerrier loop that also audits the scan in double-double
 (`symfunc.faddeev_leverrier`, run over this ring, stopped at sigma_k): the
 certification that sigma_k collapses to the constant 1, and that every
 sigma_j with j < k is positive, is a finite rational computation that reads

@@ -1,9 +1,10 @@
-"""Elementary symmetric functions of symmetric matrices, three independent ways.
+"""Elementary symmetric functions of symmetric matrices, two independent ways.
 
 sigma_k of a real symmetric matrix is e_k of its eigenvalues, equivalently the
 sum of its k x k principal minors, equivalently (up to sign) a coefficient of
-its characteristic polynomial.  Each route is implemented separately so the
-three can serve as cross-checking oracles for one another:
+its characteristic polynomial.  The library computes it by two routes, each
+implemented separately so that one can check the other; the principal-minor
+sum is left to the tests, which take it from LAPACK determinants:
 
 * cyclic Jacobi eigenvalues + the e_j recurrence: the route of cone-check
   and phase-check (the scan takes its eigenvalues and sigmas in closed form,
@@ -14,14 +15,11 @@ three can serve as cross-checking oracles for one another:
   trace check 1e-10 * (1 + ||M||_F)) and double-double for the scan's 1%
   audit of the closed form (``eigenvalues_symmetric_dd``: 1e-28 and 1e-24
   times the same scale); both stop after 50 sweeps,
-* explicit principal-minor enumeration with LU determinants, up to
-  dimension 14: a test oracle only,
 * the Faddeev-LeVerrier trace recursion for sigma_1..sigma_count at once,
-  one ring-generic loop (``faddeev_leverrier``) run over three rings: a
-  float64 test oracle for all n coefficients with sigma_2 and
-  LU-determinant self-checks; double-double in the scan's 1% audit of its
-  closed-form sigma_1..sigma_k, in any dimension; and the exact
-  ``symbolic.sym_sigmas``, which certifies from sigma_1..sigma_k alone.
+  one ring-generic loop (``faddeev_leverrier``): double-double in the
+  scan's 1% audit of its closed-form sigma_1..sigma_k, in any dimension,
+  and exact in ``symbolic.sym_sigmas``, which certifies from
+  sigma_1..sigma_k alone; the tests also run it in float64.
 """
 
 from __future__ import annotations
@@ -30,16 +28,13 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
 from types import SimpleNamespace
 
 from . import doubledouble as dd
-from .errors import CapabilityError, ConvergenceError
+from .errors import ConvergenceError
 
 # Mirrored entries further apart than this are not symmetric up to noise.
 SYMMETRY_TOL = 1e-12
-# C(14,7) = 3432 minors is still cheap; past that the oracle role is pointless.
-MINOR_DIM_LIMIT = 14
 JACOBI_MAX_SWEEPS = 50
 # Off-diagonal Frobenius targets of the cyclic Jacobi, relative to 1 + ||M||_F.
 JACOBI_REL_TOL = 1e-12
@@ -127,9 +122,6 @@ class SymmetricMatrix:
     def dim(self) -> int:
         return len(self.entries)
 
-    def trace(self) -> float:
-        return sum(row[i] for i, row in enumerate(self.entries))
-
     def frobenius_norm(self) -> float:
         return math.hypot(*(v for row in self.entries for v in row))
 
@@ -165,50 +157,6 @@ def elementary_symmetric(values, add=operator.add, mul=operator.mul, count=None)
         else:
             e.append(v)
     return e
-
-
-def _lu_det(a: list[list[float]]) -> float:
-    """Determinant by in-place LU elimination with partial pivoting."""
-    n = len(a)
-    det = 1.0
-    for col in range(n):
-        piv = col
-        best = abs(a[col][col])
-        for r in range(col + 1, n):
-            v = abs(a[r][col])
-            if v > best:
-                best, piv = v, r
-        if a[piv][col] == 0.0:
-            return 0.0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        pivval = a[col][col]
-        det *= pivval
-        row_c = a[col]
-        for r in range(col + 1, n):
-            row_r = a[r]
-            f = row_r[col] / pivval
-            if f != 0.0:
-                for c in range(col + 1, n):
-                    row_r[c] -= f * row_c[c]
-    return det
-
-
-def sigma_via_minors(m: SymmetricMatrix, k: int) -> float:
-    """sigma_k as the explicit sum of all k x k principal minors."""
-    n = m.dim
-    if n > MINOR_DIM_LIMIT:
-        raise CapabilityError(
-            f"principal-minor enumeration is capped at dim {MINOR_DIM_LIMIT}, got {n}"
-        )
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
-    rows = m.entries
-    total = 0.0
-    for idx in combinations(range(n), k):
-        total += _lu_det([[rows[i][j] for j in idx] for i in idx])
-    return total
 
 
 def faddeev_leverrier(rows, add, mul, div, zero, count=None) -> list:
@@ -264,22 +212,6 @@ def faddeev_leverrier(rows, add, mul, div, zero, count=None) -> list:
                 elif col > i:
                     prod[col][i] = entry
     return sigmas
-
-
-def sigma_all_via_charpoly(m: SymmetricMatrix) -> tuple[float, ...]:
-    """All sigma_1..sigma_n at once: ``faddeev_leverrier`` in float64, checked
-    against (tr^2 - ||M||_F^2) / 2."""
-    sigmas = faddeev_leverrier(m.entries, operator.add, operator.mul, operator.truediv, 0.0)
-    if m.dim >= 2:
-        # sigma_2 = (tr^2 - ||M||_F^2) / 2, independent of the first product A M_2
-        fro = m.frobenius_norm()
-        tr = m.trace()
-        expected = (tr * tr - fro * fro) / 2.0
-        if abs(sigmas[1] - expected) > 1e-10 * (1.0 + fro * fro):
-            raise ConvergenceError(
-                f"charpoly recursion lost sigma_2: {sigmas[1]} vs {expected}"
-            )
-    return tuple(sigmas)
 
 
 def _rotate(c: float, s: float, x: float, y: float) -> tuple[float, float]:

@@ -60,6 +60,11 @@ runs over exact expressions) over the double-double Hessian must give them
 within SIGMA_AUDIT_UNITS * d * 2^-104 * (1 + ||M||_F)^j.  The audit takes
 the same path in every dimension.  So the scan keeps checking the arrow
 structure that its fast path assumes, without calling ``symbolic``.
+
+Two numeric cross-checks of the solution live with the tests, in
+``tests/conftest.py``: the finite-difference Hessian of u (against
+``eval_jet``) and the divided differences of h that witness that u is no
+polynomial.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ from dataclasses import dataclass
 
 from . import doubledouble as dd
 from .cone import cone_flags
-from .errors import CapabilityError, ConvergenceError
+from .errors import ConvergenceError
 from .solution import (
     Point,
     SolutionParams,
@@ -77,13 +82,10 @@ from .solution import (
     _check_integers,
     _check_radius,
     dd_terms,
-    h_eval,
     hessian_dd,
-    solution_value,
     spectrum_sigmas_dd,
 )
 from .symfunc import (
-    SymmetricMatrix,
     eigenvalues_symmetric_dd,
     elementary_symmetric,
     faddeev_leverrier,
@@ -137,7 +139,6 @@ SPECTRUM_AUDIT_REL_TOL = 1e-26
 # this route cannot catch a wrong sigma_k; the Jacobi and the recurrence
 # still check it.
 SIGMA_AUDIT_UNITS = 8.0
-WITNESS_MAX_DEGREE = 40
 
 
 def splitmix64_words(seed: int, first: int, count: int) -> list[int]:
@@ -290,7 +291,7 @@ def _audit_sample(p: SolutionParams, x, terms, lam_dd: list, sigmas: list) -> No
     lam = [dd.to_float(v) for v in lam_dd]
     fro = math.sqrt(sum(v * v for v in lam))
     by_jacobi = eigenvalues_symmetric_dd(hess)
-    gap = max(abs(dd.to_float(dd.sub(x, y))) for x, y in zip(by_jacobi, lam_dd))
+    gap = max(abs(dd.to_float(dd.sub(mu, nu))) for mu, nu in zip(by_jacobi, lam_dd))
     tol = SPECTRUM_AUDIT_REL_TOL * (1.0 + fro)
     if not gap <= tol:
         raise ConvergenceError(
@@ -299,7 +300,7 @@ def _audit_sample(p: SolutionParams, x, terms, lam_dd: list, sigmas: list) -> No
         )
     ring = dd.ring()
     by_recursion = faddeev_leverrier(
-        hess, ring.add, ring.mul, lambda x, j: ring.div(x, dd.from_float(j)), ring.zero,
+        hess, ring.add, ring.mul, lambda trace, j: ring.div(trace, dd.from_float(j)), ring.zero,
         count=p.k,
     )
     unit = SIGMA_AUDIT_UNITS * len(lam) * 2.0**-104
@@ -308,8 +309,8 @@ def _audit_sample(p: SolutionParams, x, terms, lam_dd: list, sigmas: list) -> No
          elementary_symmetric([abs(v) for v in lam], count=p.k)),
         ("the trace recursion", by_recursion, [(1.0 + fro) ** j for j in range(1, p.k + 1)]),
     ):
-        for j, (x, y, scale) in enumerate(zip(sigmas, values, scales), start=1):
-            gap = abs(dd.to_float(dd.sub(x, y)))
+        for j, (structured, other, scale) in enumerate(zip(sigmas, values, scales), start=1):
+            gap = abs(dd.to_float(dd.sub(structured, other)))
             if not gap <= unit * scale:
                 raise ConvergenceError(
                     f"structured sigma_{j} disagrees with {route} by {gap:g} "
@@ -317,85 +318,6 @@ def _audit_sample(p: SolutionParams, x, terms, lam_dd: list, sigmas: list) -> No
                 )
 
 
-def central_hessian(func, coords, step: float) -> list[list[float]]:
-    """Hessian of a scalar function by central second differences.
-
-    Diagonal entries use the three-point stencil, off-diagonal entries the
-    four-point cross stencil; the result is averaged with its transpose.
-    """
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
-    base = [float(c) for c in coords]
-    d = len(base)
-    f0 = func(base)
-
-    def at(*moves):
-        shifted = list(base)
-        for idx, delta in moves:
-            shifted[idx] += delta
-        return func(shifted)
-
-    hess = [[0.0] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                hess[i][i] = (at((i, step)) - 2.0 * f0 + at((i, -step))) / (step * step)
-            else:
-                hess[i][j] = (
-                    at((i, step), (j, step)) - at((i, step), (j, -step))
-                    - at((i, -step), (j, step)) + at((i, -step), (j, -step))
-                ) / (4.0 * step * step)
-    return [[(hess[i][j] + hess[j][i]) / 2.0 for j in range(d)] for i in range(d)]
-
-
-def fd_hessian(p: SolutionParams, pt: Point, step: float) -> SymmetricMatrix:
-    """Finite-difference Hessian of u at pt: an oracle for eval_jet."""
-
-    def func(flat):
-        return solution_value(p, Point.from_coords(p, flat))
-
-    coords = list(pt.x) + [pt.t] + list(pt.w)
-    return SymmetricMatrix(central_hessian(func, coords, step))
-
-
 def sl_phase(values) -> float:
     """Sum of arctangents of the eigenvalues (the Lagrangian phase of the graph)."""
     return sum(math.atan(v) for v in values)
-
-
-def iterated_forward_difference(func, order: int) -> float:
-    """Order-fold forward difference of func at 0, 1, ..., order, via the
-    binomial sum."""
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    total = 0.0
-    for j in range(order + 1):
-        coeff = math.comb(order, j)
-        term = coeff * func(j)
-        total += term if (order - j) % 2 == 0 else -term
-    return total
-
-
-def nonpoly_witness(p: SolutionParams, max_degree: int) -> list[float]:
-    """Divided-difference witnesses that u is not a polynomial.
-
-    Entry d (d = 1..max_degree) is the (d+1)-fold forward difference of
-    t -> u(0, t) at unit spacing from t = 0.  A polynomial of degree <= d
-    would make entry d exactly zero; for the constructed solution every entry
-    is a nonzero two-term exponential expression.
-    """
-    if p.m != 0:
-        raise ValueError("the witness is defined for the core solution (m = 0)")
-    if max_degree < 1:
-        raise ValueError(f"max_degree must be >= 1, got {max_degree}")
-    if max_degree > WITNESS_MAX_DEGREE:
-        raise CapabilityError(
-            f"witness degrees are capped at {WITNESS_MAX_DEGREE} "
-            f"(difference magnitudes overflow usefulness), got {max_degree}"
-        )
-    # u(0, t) = h(t)
-    samples = [h_eval(p, float(j), 0) for j in range(max_degree + 2)]
-    return [
-        iterated_forward_difference(samples.__getitem__, d + 1)
-        for d in range(1, max_degree + 1)
-    ]

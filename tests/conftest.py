@@ -1,17 +1,21 @@
 """Shared brute-force oracles and random-input builders for the test suite.
 
 The oracles deliberately use the dumbest correct algorithms available
-(subset enumeration, cofactor expansion) so they share no code path with the
-implementations they check.
+(subset enumeration, cofactor expansion, LAPACK determinants, central
+difference stencils, numpy's iterated differences) so they share no code
+path with the implementations they check.  ``charpoly_sigmas`` is the one
+exception, named here as such.
 """
 
 import math
+import operator
 import random
 from itertools import combinations
 
 import numpy as np
 
-from sigmak.symfunc import SymmetricMatrix
+from sigmak.solution import Point, h_eval, solution_value
+from sigmak.symfunc import SymmetricMatrix, faddeev_leverrier
 
 
 def e_brute(values, k):
@@ -49,6 +53,71 @@ def sigma_brute(matrix_rows, k):
         sub = [[matrix_rows[i][j] for j in idx] for i in idx]
         total = total + det_cofactor(sub)
     return total
+
+
+def sigma_minors(m: SymmetricMatrix, k: int) -> float:
+    """sigma_k as the sum of the k x k principal minors' LAPACK determinants."""
+    a = np.array(m.entries)
+    return float(np.linalg.det([a[np.ix_(s, s)] for s in combinations(range(m.dim), k)]).sum())
+
+
+def charpoly_sigmas(m: SymmetricMatrix) -> tuple[float, ...]:
+    """sigma_1..sigma_n by the library's own trace recursion run in float64.
+
+    Not an oracle: it is one of the three routes that acceptance criterion 8
+    compares, beside the Jacobi eigenvalues' e_j and ``sigma_minors``.
+    """
+    return tuple(faddeev_leverrier(m.entries, operator.add, operator.mul, operator.truediv, 0.0))
+
+
+def central_hessian(func, coords, step: float) -> list[list[float]]:
+    """Hessian of a scalar function by central second differences.
+
+    Diagonal entries use the three-point stencil, off-diagonal entries the
+    four-point cross stencil; the result is averaged with its transpose.
+    """
+    base = [float(c) for c in coords]
+    d = len(base)
+    f0 = func(base)
+
+    def at(*moves):
+        shifted = list(base)
+        for idx, delta in moves:
+            shifted[idx] += delta
+        return func(shifted)
+
+    hess = [[0.0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            if i == j:
+                hess[i][i] = (at((i, step)) - 2.0 * f0 + at((i, -step))) / (step * step)
+            else:
+                hess[i][j] = (
+                    at((i, step), (j, step)) - at((i, step), (j, -step))
+                    - at((i, -step), (j, step)) + at((i, -step), (j, -step))
+                ) / (4.0 * step * step)
+    return [[(hess[i][j] + hess[j][i]) / 2.0 for j in range(d)] for i in range(d)]
+
+
+def fd_hessian(p, pt: Point, step: float) -> SymmetricMatrix:
+    """Finite-difference Hessian of u at pt: an oracle for eval_jet."""
+
+    def func(flat):
+        return solution_value(p, Point.from_coords(p, flat))
+
+    coords = list(pt.x) + [pt.t] + list(pt.w)
+    return SymmetricMatrix(central_hessian(func, coords, step))
+
+
+def nonpoly_witness(p, max_degree: int) -> list[float]:
+    """Divided-difference witnesses that u is not a polynomial.
+
+    Entry d (d = 1..max_degree) is the (d+1)-fold forward difference of
+    t -> u(0, t) = h(t) at unit spacing from t = 0.  A polynomial of degree
+    <= d would make entry d exactly zero.
+    """
+    samples = [h_eval(p, float(t), 0) for t in range(max_degree + 2)]
+    return [float(np.diff(samples, n=d + 1)[0]) for d in range(1, max_degree + 1)]
 
 
 def random_symmetric(rng: random.Random, dim: int, scale: float = 5.0) -> SymmetricMatrix:

@@ -29,7 +29,16 @@ from pathlib import Path
 import pytest
 
 import sigmak
-from conftest import e_brute, random_rotation, rotate_exactly_symmetric, random_symmetric
+from conftest import (
+    charpoly_sigmas,
+    e_brute,
+    fd_hessian,
+    nonpoly_witness,
+    random_rotation,
+    random_symmetric,
+    rotate_exactly_symmetric,
+    sigma_minors,
+)
 from sigmak.cone import gamma_k
 from sigmak.solution import (
     SolutionParams,
@@ -38,14 +47,8 @@ from sigmak.solution import (
     eval_jet,
 )
 from sigmak.symbolic import verify_exact
-from sigmak.symfunc import (
-    SymmetricMatrix,
-    eigenvalues_symmetric,
-    elementary_symmetric,
-    sigma_all_via_charpoly,
-    sigma_via_minors,
-)
-from sigmak.verify import SampleBox, fd_hessian, nonpoly_witness, residual_scan, sample_point
+from sigmak.symfunc import SymmetricMatrix, eigenvalues_symmetric, elementary_symmetric
+from sigmak.verify import SampleBox, residual_scan, sample_point
 
 SCAN_SAMPLES = 10_000
 SCAN_SEED = 0
@@ -177,12 +180,12 @@ def test_criterion_8_oracle_agreement():
         m = random_symmetric(rng, dim)
         fro = m.frobenius_norm()
         spectrum = eigenvalues_symmetric(m)
-        sv = sigma_all_via_charpoly(m)
+        sv = charpoly_sigmas(m)
         by_eigs = elementary_symmetric(spectrum)
         for k in range(1, dim + 1):
             tol = 1e-8 * (1.0 + fro**k)
             by_eig = by_eigs[k - 1]
-            by_minors = sigma_via_minors(m, k)
+            by_minors = sigma_minors(m, k)
             gap = max(abs(by_minors - by_eig), abs(sv[k - 1] - by_eig))
             worst_gap = max(worst_gap, gap / tol)
             if gap > tol:

@@ -436,15 +436,7 @@ class TestMatrixCommandsDiagonalizeOnce:
             counts["jacobi"] += 1
             return jacobi(*args)
 
-        def refuse(*args):
-            raise AssertionError("a command called the characteristic polynomial")
-
         monkeypatch.setattr(symfunc, "_cyclic_jacobi", counted)
-        for module in list(sys.modules.values()):
-            if module and module.__name__.startswith("sigmak") and hasattr(
-                module, "sigma_all_via_charpoly"
-            ):
-                monkeypatch.setattr(module, "sigma_all_via_charpoly", refuse)
         return counts
 
     @pytest.mark.parametrize("k", [1, 2, 3])

@@ -3,18 +3,19 @@ import random
 import numpy as np
 import pytest
 
-from conftest import e_brute, random_rotation, rotate_exactly_symmetric
+from conftest import (
+    charpoly_sigmas,
+    e_brute,
+    random_rotation,
+    rotate_exactly_symmetric,
+    sigma_minors,
+)
 from sigmak.cone import (
     ConeVerdict,
     cone_verdicts,
     gamma_k,
 )
-from sigmak.symfunc import (
-    SymmetricMatrix,
-    eigenvalues_symmetric,
-    sigma_all_via_charpoly,
-    sigma_via_minors,
-)
+from sigmak.symfunc import SymmetricMatrix, eigenvalues_symmetric
 
 
 class TestSigmaPositivity:
@@ -121,8 +122,8 @@ class TestCharpolyOracleParity:
         m = SymmetricMatrix(a)
         fro = m.frobenius_norm()
         tols = [1e-8 * (1.0 + fro**j) for j in range(1, dim + 1)]
-        charpoly = sigma_all_via_charpoly(m)
-        minors = [sigma_via_minors(m, j) for j in range(1, dim + 1)]
+        charpoly = charpoly_sigmas(m)
+        minors = [sigma_minors(m, j) for j in range(1, dim + 1)]
         decided = all(abs(c) > tol for c, tol in zip(charpoly, tols))
         values = eigenvalues_symmetric(m)
         for k in range(1, dim + 1):

@@ -275,7 +275,7 @@ class TestResidualIdentity:
     @pytest.mark.parametrize("n", [3, 5])
     def test_all_three_float_paths_near_one(self, n):
         # double precision resolves the identity to 1e-9 through k = 3
-        from sigmak.symfunc import sigma_all_via_charpoly, sigma_via_minors
+        from conftest import charpoly_sigmas, sigma_minors
         from sigmak.verify import SampleBox, sample_point
 
         p = derive_constants(n)
@@ -283,8 +283,8 @@ class TestResidualIdentity:
         for i in range(50):
             jet = eval_jet(p, sample_point(p, box, i))
             by_eig = elementary_symmetric(eigenvalues_symmetric(jet.hessian))[p.k - 1]
-            by_minors = sigma_via_minors(jet.hessian, p.k)
-            by_charpoly = sigma_all_via_charpoly(jet.hessian)[p.k - 1]
+            by_minors = sigma_minors(jet.hessian, p.k)
+            by_charpoly = charpoly_sigmas(jet.hessian)[p.k - 1]
             for value in (by_eig, by_minors, by_charpoly):
                 assert value == pytest.approx(1.0, rel=1e-9)
 
