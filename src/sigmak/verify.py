@@ -23,6 +23,12 @@ and builds no Point for a sample unless it reports it as the argmax or
 names it in an error; ``sample_point`` builds the Point of
 sample i from the same words by the same mapping.
 
+Since sample i depends on (seed, i) alone, a scan splits its samples into
+contiguous ranges, one per CPU that the process may run on, scans the first
+range itself and each other one in a forked worker, and merges the ranges'
+partial reports in range order by the rules of one loop over all samples.
+The report, and any error, are the same however many CPUs run the scan.
+
 Precision
 ---------
 Each sample's eigenvalues and sigma_1..sigma_k are computed once, in
@@ -70,6 +76,9 @@ polynomial.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 from . import doubledouble as dd
@@ -97,6 +106,15 @@ _GOLDEN = 0x9E3779B97F4A7C15
 PHASE_TOL = 1e-9
 CRITICAL_PHASE_N3 = math.pi / 2
 AUDIT_STRIDE = 100  # audit the closed-form spectrum and sigmas on 1% of samples
+# A scan forks a worker only for a range of at least this many samples.  A
+# worker costs a few ms beyond its samples: the fork (~1.2 ms in a 35 MB
+# parent), 2-3 ms before the child runs, and copy-on-write faults in both
+# processes (~250 in the parent, ~400 in the child per scan).  Against
+# ~44 us per n = 3 sample, the cheapest dimension, two ranges of 100 lost
+# (9.3 ms against 8.8 in one range) and two of 200 won (13.8 against 18.2);
+# at n = 7, two ranges of 250 took 23.7 ms against 36.8 (medians of 40
+# interleaved scans, CPython 3.11 with numpy loaded, 2-vCPU x86-64 Linux).
+MIN_RANGE_SAMPLES = 200
 # The audit's bound on |Jacobi - closed form| per eigenvalue, relative to
 # 1 + ||M||_F.  The Jacobi stops once the off-diagonal Frobenius norm of its
 # rotated matrix is at most DD_JACOBI_REL_TOL * (1 + ||M||_F) = 1e-28 * (...);
@@ -219,9 +237,10 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
     eigenvalues and their sigma_1..sigma_k (see the module docstring);
     every 100th sample is also audited by _audit_sample.  A ConvergenceError
     raised by a sample, including a failed audit, names its index and point.
-    The report is a function of (params, box) alone.  A sample is carried
-    as its words and its x block and t as floats; a Point is built only for
-    the reported argmax and the text of an error.
+    The report is a function of (params, box) alone, however many CPUs scan
+    the samples (see _scan_ranges).  A sample is carried as its words and
+    its x block and t as floats; a Point is built only for the reported
+    argmax and the text of an error.
     """
     t_lo, t_hi = box.t_range
     _check_exponent(p, t_lo)
@@ -230,14 +249,154 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
         p, box.x_radius, math.exp(t_hi), math.exp(-(p.k - 1) * t_lo),
         f"x_radius = {box.x_radius:g} with t_range = {box.t_range}",
     )
+    max_resid, argmax = -1.0, None
+    cone_failures = lemma_failures = phase_failures = 0
+    min_sigma_j = math.inf
+    # a later range's sample wins only by a strictly larger residual or a
+    # strictly smaller sigma, as it does when one loop reads all samples
+    for resid, index, cones, lemmas, sigma, phases in _scan_ranges(p, box):
+        if resid > max_resid:
+            max_resid, argmax = resid, index
+        cone_failures += cones
+        lemma_failures += lemmas
+        phase_failures += phases
+        min_sigma_j = min(min_sigma_j, sigma)
+    d = p.total_dim
+    check_phase = p.n_base == 3 and p.m == 0
+    return ResidualReport(
+        max_abs_residual=max_resid,
+        argmax_point=_point(p, box, splitmix64_words(box.seed, argmax * d, d)),
+        cone_failures=cone_failures,
+        lemma_failures=lemma_failures,
+        min_sigma_j=min_sigma_j,
+        phase_ok=phase_failures == 0 if check_phase else None,
+    )
+
+
+def _sample_ranges(count: int) -> list[tuple[int, int]]:
+    """Contiguous (start, stop) ranges covering samples 0 .. count - 1.
+
+    One range per CPU this process may run on, but a single range where
+    os.fork or os.sched_getaffinity is missing, and never a range of fewer
+    than MIN_RANGE_SAMPLES samples (one range holds them all then).
+    """
+    cpus = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    ranges = max(1, min(cpus, count // MIN_RANGE_SAMPLES))
+    bounds = [count * r // ranges for r in range(ranges + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _scan_ranges(p: SolutionParams, box: SampleBox) -> list[tuple]:
+    """_scan_range of each sample range, in range order.
+
+    The first range is scanned in this process, each other one in a worker
+    forked for it, which sends back its partial report, or the exception
+    that stopped it, pickled over a pipe.  The first range in order whose
+    scan raised decides the error, as the lowest failing sample does in one
+    loop; a worker that ends without a report is an OSError naming its
+    range.  Workers are killed and reaped on every way out, so none outlives
+    the call.
+    """
+    first, *others = _sample_ranges(box.count)
+    workers = []  # (pid, read end of its pipe, its range), not yet reaped
+    try:
+        if others:
+            # a forked child starts on its parent's CPU, and the kernel was
+            # seen to leave it there, sharing that CPU, for as long as its
+            # range took (two ranges of 250 n = 7 samples took 42.5 ms, one
+            # range 35.7); so this thread forks each worker from a CPU of its
+            # own and then moves to the next one, and each process takes
+            # back the whole set, which leaves a running task where it is
+            allowed = os.sched_getaffinity(0)
+            cpus = sorted(allowed)
+            os.sched_setaffinity(0, {cpus[0]})
+            try:
+                for cpu, (start, stop) in zip(cpus[1:], others):
+                    workers.append(_fork_range(p, box, start, stop, allowed))
+                    os.sched_setaffinity(0, {cpu})
+            finally:
+                os.sched_setaffinity(0, allowed)
+        parts = [_scan_range(p, box, *first)]
+        while workers:
+            pid, pipe, (start, stop) = workers[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del workers[0]
+            if status != 0:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise OSError(
+                    f"the scan worker of samples {start} to {stop - 1} ended without "
+                    f"a report ({how})"
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            parts.append(value)
+        return parts
+    finally:
+        for pid, pipe, _ in workers:
+            pipe.close()
+            try:
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass
+
+
+def _fork_range(p: SolutionParams, box: SampleBox, start: int, stop: int, allowed: set):
+    """Fork a worker that takes back the CPU set `allowed`, scans samples
+    start .. stop - 1 and pickles (True, partial report) or (False,
+    exception) into a pipe; return its pid, the pipe's read end and (start,
+    stop)."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        # the worker never returns into its caller's frames: it leaves by
+        # os._exit, with status 0 only once its outcome is written
+        status = 1
+        try:
+            os.close(read_fd)
+            os.sched_setaffinity(0, allowed)
+            try:
+                outcome = (True, _scan_range(p, box, start, stop))
+            except Exception as exc:
+                outcome = (False, exc)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(outcome))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb"), (start, stop)
+
+
+def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tuple:
+    """Scan samples start .. stop - 1 of the box.
+
+    Returns the range's partial report: the largest residual and the index
+    of the first sample that reached it (None while no residual exceeded
+    -1), the cone and lemma failure counts, the smallest sigma_j and the
+    phase failure count.  Sample i is audited when i % AUDIT_STRIDE == 0.
+    """
+    t_lo, t_hi = box.t_range
     k = p.k
     d, nx = p.total_dim, p.n_base - 1
     x_lo, x_width, t_width = -box.x_radius, 2.0 * box.x_radius, t_hi - t_lo
     check_phase = p.n_base == 3 and p.m == 0
-    max_resid, argmax_words = -1.0, None
+    max_resid, argmax = -1.0, None
     cone_failures = lemma_failures = phase_failures = 0
     min_sigma_j = math.inf
-    for i in range(box.count):
+    for i in range(start, stop):
         words = splitmix64_words(box.seed, i * d, d)
         x = _scaled(words[:nx], x_lo, x_width)
         (t,) = _scaled(words[nx : nx + 1], t_lo, t_width)
@@ -257,22 +416,14 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
         hi, lo = dd.add_f(e[k - 1], -1.0)
         resid = abs(hi + lo)
         if resid > max_resid:
-            max_resid, argmax_words = resid, words
+            max_resid, argmax = resid, i
         _, in_cone, lemma = cone_flags(lam, sigmas, k)
         cone_failures += not in_cone
         lemma_failures += not lemma
         min_sigma_j = min(min_sigma_j, *sigmas)
         if check_phase and abs(sl_phase(lam) - CRITICAL_PHASE_N3) > PHASE_TOL:
             phase_failures += 1
-
-    return ResidualReport(
-        max_abs_residual=max_resid,
-        argmax_point=_point(p, box, argmax_words),
-        cone_failures=cone_failures,
-        lemma_failures=lemma_failures,
-        min_sigma_j=min_sigma_j,
-        phase_ok=phase_failures == 0 if check_phase else None,
-    )
+    return max_resid, argmax, cone_failures, lemma_failures, min_sigma_j, phase_failures
 
 
 def _audit_sample(p: SolutionParams, x, terms, lam_dd: list, sigmas: list) -> None:

@@ -1,18 +1,23 @@
-"""Shared brute-force oracles and random-input builders for the test suite.
+"""Shared brute-force oracles, random-input builders and fixtures for the test suite.
 
 The oracles deliberately use the dumbest correct algorithms available
 (subset enumeration, cofactor expansion, LAPACK determinants, central
 difference stencils, numpy's iterated differences) so they share no code
 path with the implementations they check.  ``charpoly_sigmas`` is the one
 exception, named here as such.
+
+``visible_cpus`` and ``one_cpu`` set the CPUs that ``residual_scan`` sees,
+and so the number of sample ranges it splits a scan into.
 """
 
 import math
 import operator
+import os
 import random
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from sigmak.solution import Point, h_eval, solution_value
 from sigmak.symfunc import SymmetricMatrix, faddeev_leverrier
@@ -154,3 +159,28 @@ def random_rotation(rng: random.Random, dim: int, rotations: int | None = None) 
 def rotate_exactly_symmetric(m: SymmetricMatrix, q: np.ndarray) -> SymmetricMatrix:
     b = q.T @ m.entries @ q
     return SymmetricMatrix((b + b.T) / 2.0)
+
+
+@pytest.fixture
+def visible_cpus(monkeypatch):
+    """A function that makes a scan see `count` CPUs and split its samples
+    into up to `count` ranges: os.sched_getaffinity reports CPUs 0 .. count
+    - 1, and os.sched_setaffinity, which places the scan's workers on them,
+    does nothing, since most of those CPUs need not exist."""
+
+    def restrict(count: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None, raising=False)
+
+    return restrict
+
+
+@pytest.fixture
+def one_cpu(visible_cpus):
+    """One visible CPU: a scan runs every sample in this process, as one loop.
+
+    For tests that count calls, or keep call-numbered state, in functions
+    they patch: a forked worker runs its samples on its own copy of that
+    state, which the test never sees.
+    """
+    visible_cpus(1)

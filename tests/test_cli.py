@@ -451,6 +451,7 @@ class TestMatrixCommandsDiagonalizeOnce:
         assert calls["jacobi"] == 1
 
 
+@pytest.mark.usefixtures("one_cpu")
 class TestScanBuildsNoPerSampleObjects:
     """The scan carries each sample as floats, audited ones included: it
     builds one Point, for the reported argmax, and no ConeVerdict at all."""

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -253,6 +254,7 @@ class TestSpectrumAudit:
 
         monkeypatch.setattr(verify, "spectrum_sigmas_dd", shifted)
 
+    @pytest.mark.usefixtures("one_cpu")
     @pytest.mark.parametrize("first_shifted", [0, 100])
     def test_a_wrong_eigenvalue_names_the_sample(self, monkeypatch, first_shifted):
         from sigmak.errors import ConvergenceError
@@ -263,6 +265,7 @@ class TestSpectrumAudit:
             residual_scan(P3, dataclasses.replace(BOX, count=250))
         assert str(info.value).startswith(f"sample {first_shifted} at {named}: ")
 
+    @pytest.mark.usefixtures("one_cpu")
     @pytest.mark.parametrize("n", [3, 13])
     def test_a_shift_within_the_jacobi_tolerance_fails_the_trace_recursion(
         self, monkeypatch, n
@@ -293,6 +296,7 @@ class TestSpectrumAudit:
         monkeypatch.setattr(verify, name, counted)
         return calls
 
+    @pytest.mark.usefixtures("one_cpu")
     def test_one_jacobi_per_hundred_samples(self, monkeypatch):
         jacobi = self.count_calls(monkeypatch, "eigenvalues_symmetric_dd")
         hessians = self.count_calls(monkeypatch, "hessian_dd")
@@ -322,6 +326,7 @@ class TestSpectrumAudit:
             residual_scan(p, dataclasses.replace(BOX, count=3))
         assert str(info.value).startswith(f"sample 0 at {sample_point(p, BOX, 0)}: ")
 
+    @pytest.mark.usefixtures("one_cpu")
     @pytest.mark.parametrize("first_perturbed", [0, 100])
     def test_a_perturbed_determinant_names_the_sample(self, monkeypatch, first_perturbed):
         # det moved by 1e-20 relative in the sigmas only, not in the roots
@@ -345,6 +350,7 @@ class TestSpectrumAudit:
             residual_scan(p, dataclasses.replace(BOX, count=250))
         assert str(info.value).startswith(f"sample {first_perturbed} at {named}: ")
 
+    @pytest.mark.usefixtures("one_cpu")
     def test_audit_runs_past_the_minor_limit(self, monkeypatch):
         # at dimension 15 a principal-minor sum takes C(15, 8) = 6435 minors;
         # the audit's Jacobi and trace recursion run once per audited sample
@@ -355,6 +361,192 @@ class TestSpectrumAudit:
         assert (len(jacobi), len(recursions)) == (2, 2)
         for args, kwargs in recursions:
             assert (len(args[0]), kwargs["count"]) == (p.total_dim, p.k)
+
+
+class TestSampleRanges:
+    """A scan splits its samples into contiguous ranges, one per visible CPU,
+    and scans all but the first in forked workers; how many ranges there are
+    never shows in the report, in an error or in the processes left."""
+
+    SEED0 = dataclasses.replace(BOX, seed=0)
+    ALLOWED = getattr(os, "sched_getaffinity", lambda pid: set())(0)  # at import
+
+    @staticmethod
+    def assert_no_children():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("p, box", [
+        (P3, BOX),
+        (SolutionParams(3, 1), BOX),
+        (SolutionParams(7), BOX),
+        (SolutionParams(9), SEED0),
+        (P3, dataclasses.replace(BOX, count=1001)),
+    ], ids=["n3", "n3-m1", "n7", "n9-failing", "n3-1001"])
+    def test_the_worker_count_never_changes_the_report(self, visible_cpus, p, box):
+        reports = [residual_scan(p, box)]  # on every CPU this process may use
+        self.assert_no_children()
+        for cpus in (1, 3):
+            visible_cpus(cpus)
+            reports.append(residual_scan(p, box))
+            self.assert_no_children()
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        if p.n_base == 9:
+            # samples 342, 607 and 837 fail the float cone rule at j = k: in
+            # every range but the first of three, and in both of two
+            assert (reports[0].cone_failures, reports[0].lemma_failures) == (3, 3)
+
+    def test_the_merge_follows_the_one_loop_rules(self, visible_cpus, monkeypatch):
+        # every sample's sigma_k is 1 + 2^-60, so the one-loop argmax is
+        # sample 0 and a later range may not take it on a tie; sample 900,
+        # in the last of three ranges, has the smallest sigma_1
+        from sigmak import verify
+
+        exact = verify.spectrum_sigmas_dd
+        smallest = sample_point(P3, BOX, 900).t
+
+        def tied(p, terms):
+            lam, sigmas = exact(p, terms)
+            if terms[0][0] == (math.exp(smallest), 0.0):  # e^t of sample 900
+                sigmas[0] = (0.5, 0.0)
+            return lam, sigmas[:-1] + [(1.0, 2.0**-60)]
+
+        monkeypatch.setattr(verify, "spectrum_sigmas_dd", tied)
+        monkeypatch.setattr(verify, "_audit_sample", lambda *args: None)
+        visible_cpus(3)
+        rep = residual_scan(P3, BOX)
+        assert rep.max_abs_residual == 2.0**-60
+        assert rep.argmax_point == sample_point(P3, BOX, 0)
+        assert rep.min_sigma_j == 0.5
+
+    @pytest.mark.skipif(len(ALLOWED) < 2, reason="needs two CPUs")
+    def test_the_callers_cpus_are_given_back(self, monkeypatch):
+        # the scan moves this thread from CPU to CPU while it forks its workers
+        from sigmak.errors import ConvergenceError
+
+        assert os.sched_getaffinity(0) == self.ALLOWED
+        residual_scan(P3, BOX)
+        assert os.sched_getaffinity(0) == self.ALLOWED
+        self.plant(monkeypatch, P3, BOX, [900])
+        with pytest.raises(ConvergenceError, match="^sample 900 at "):
+            residual_scan(P3, BOX)
+        assert os.sched_getaffinity(0) == self.ALLOWED
+        self.assert_no_children()
+
+    def test_ranges_are_contiguous_and_not_too_short(self, visible_cpus):
+        from sigmak.verify import MIN_RANGE_SAMPLES, _sample_ranges
+
+        visible_cpus(3)
+        assert _sample_ranges(1000) == [(0, 333), (333, 666), (666, 1000)]
+        for count, ranges in ((3 * MIN_RANGE_SAMPLES - 1, 2), (2 * MIN_RANGE_SAMPLES - 1, 1)):
+            got = _sample_ranges(count)
+            assert len(got) == ranges
+            assert [start for start, _ in got] == [0] + [stop for _, stop in got[:-1]]
+            assert got[-1][1] == count
+            assert min(stop - start for start, stop in got) >= MIN_RANGE_SAMPLES
+        visible_cpus(1)
+        assert _sample_ranges(10000) == [(0, 10000)]
+
+    def test_one_cpu_forks_nothing(self, one_cpu, monkeypatch):
+        def refuse():
+            raise AssertionError("a one-CPU scan forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        assert residual_scan(P3, dataclasses.replace(BOX, count=200)).phase_ok is True
+
+    @staticmethod
+    def plant(monkeypatch, p, box, indices, action=None):
+        # samples `indices` fail in whichever process scans them: each is
+        # recognized by its t, and raises a ConvergenceError whose
+        # offdiag_norm is its index, or runs `action` if one is given
+        from sigmak import verify
+        from sigmak.errors import ConvergenceError
+
+        planted = {sample_point(p, box, i).t: i for i in indices}
+        exact = verify.dd_terms
+
+        def failing(p, x, t):
+            if t in planted:
+                if action is not None:
+                    action()
+                raise ConvergenceError(f"planted at {planted[t]}", offdiag_norm=planted[t])
+            return exact(p, x, t)
+
+        monkeypatch.setattr(verify, "dd_terms", failing)
+
+    @pytest.mark.parametrize("indices", [[700], [450, 800], [100, 800]])
+    def test_a_failure_names_the_lowest_sample_however_many_run(
+        self, visible_cpus, monkeypatch, indices
+    ):
+        from sigmak.errors import ConvergenceError
+
+        self.plant(monkeypatch, P3, BOX, indices)
+        errors = []
+        for cpus in (1, 3):
+            visible_cpus(cpus)
+            with pytest.raises(ConvergenceError) as info:
+                residual_scan(P3, BOX)
+            errors.append(info.value)
+            self.assert_no_children()
+        first = indices[0]
+        assert str(errors[0]) == str(errors[1])
+        assert str(errors[1]).startswith(f"sample {first} at {sample_point(P3, BOX, first)}: ")
+        assert errors[0].offdiag_norm == errors[1].offdiag_norm == first
+
+    def test_a_worker_audits_by_the_global_sample_index(self, visible_cpus, monkeypatch):
+        # sample 700 is the 34th of the third range of three: an audit of
+        # every 100th sample counted within the range would pass it over
+        from sigmak import verify
+        from sigmak.errors import ConvergenceError
+
+        x = list(sample_point(P3, BOX, 700).x)
+        exact = verify._audit_sample
+
+        def audit(p, xs, *args):
+            if xs == x:
+                raise ConvergenceError("audited")
+            return exact(p, xs, *args)
+
+        monkeypatch.setattr(verify, "_audit_sample", audit)
+        visible_cpus(3)
+        with pytest.raises(ConvergenceError, match="^sample 700 at .*: audited$"):
+            residual_scan(P3, BOX)
+        self.assert_no_children()
+
+    def test_a_killed_worker_is_an_error_naming_its_range(
+        self, visible_cpus, monkeypatch, capsys
+    ):
+        import signal
+
+        from sigmak.cli import run
+
+        parent = os.getpid()
+
+        def die():
+            if os.getpid() == parent:
+                raise AssertionError("sample 800 was not scanned in a worker")
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        box = dataclasses.replace(BOX, seed=0)
+        self.plant(monkeypatch, P3, box, [800], action=die)
+        visible_cpus(3)
+        assert run(["verify", "-n", "3", "--samples", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "sigmak: error: the scan worker of samples 666 to 999 ended without a "
+            f"report (killed by signal {int(signal.SIGKILL)})\n"
+        )
+        self.assert_no_children()
+
+    def test_an_interrupt_here_reaps_the_workers(self, visible_cpus, monkeypatch):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        self.plant(monkeypatch, P3, BOX, [200], action=interrupt)
+        visible_cpus(3)
+        with pytest.raises(KeyboardInterrupt):
+            residual_scan(P3, BOX)
+        self.assert_no_children()
 
 
 class TestScanNegativeControls:
