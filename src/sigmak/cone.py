@@ -10,10 +10,9 @@ Both verdicts read one set of eigenvalues and their e_1..e_k.
 ``cone_flags`` holds both thresholds and returns the count of negative
 eigenvalues, ``in_cone`` (sigma positivity) and ``lemma`` as three plain
 values; the scan calls it on every sample, with its double-double values
-rounded to float64.  Two wrappers keep them in one ``ConeVerdict`` per
-matrix, beside the sigmas they were read from: ``cone_verdicts``, which
-also checks k and the number of sigmas, and ``gamma_k`` (behind
-``cone-check``), which reads them off one float Jacobi of the matrix.
+rounded to float64.  ``gamma_k`` (behind ``cone-check``) checks k, reads
+them off one float Jacobi of the matrix and keeps them in one
+``ConeVerdict``, beside the sigmas they were read from.
 The tests check these sigmas against the characteristic polynomial (the
 trace recursion ``symfunc.faddeev_leverrier`` in float64) and against the
 principal-minor sums (LAPACK determinants).
@@ -66,22 +65,14 @@ def cone_flags(values, sigmas, k: int) -> tuple[int, bool, bool]:
     return neg, all(positive), neg <= 1 and positive[-1]
 
 
-def cone_verdicts(values, sigmas, k: int) -> ConeVerdict:
-    """The cone_flags of a matrix in one ConeVerdict, beside its sigmas;
-    refuses a k outside 1..len(values) or fewer than k sigmas."""
-    n = len(values)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
-    sigmas = tuple(sigmas)
-    if len(sigmas) < k:
-        raise ValueError(f"need sigma_1..sigma_{k}, got {len(sigmas)} sigmas")
-    return ConeVerdict(sigmas, *cone_flags(values, sigmas, k))
-
-
 def gamma_k(m: SymmetricMatrix, k: int) -> ConeVerdict:
-    """Both cone verdicts of m from one Jacobi diagonalization.
+    """Both cone verdicts of m from one Jacobi diagonalization; refuses a
+    k outside 1..m.dim.
 
     The sigmas are e_1..e_n of its eigenvalues; see cone_flags.
     """
+    if not 1 <= k <= m.dim:
+        raise ValueError(f"k must be in 1..{m.dim}, got {k}")
     values = eigenvalues_symmetric(m)
-    return cone_verdicts(values, elementary_symmetric(values), k)
+    sigmas = tuple(elementary_symmetric(values))
+    return ConeVerdict(sigmas, *cone_flags(values, sigmas, k))

@@ -13,6 +13,9 @@ while operands and products stay below ``SPLIT_MAX`` = 2**996 (~6.7e299);
 past that the split's ``_SPLITTER * a`` overflows.  Callers that could reach
 it guard their inputs (see ``solution._check_radius``).
 
+The operations are add, sub, mul, mul_pow2 (exact scaling by a power of
+two), div, sqrt, rotate (one plane rotation of a pair of entries) and
+sum_squares (of floats); a float f enters the others as ``(f, 0.0)``.
 Every operation runs as one Python frame: Knuth's TwoSum, Dekker's TwoProd
 and the closing FastTwoSum are written out inside it, and so are the
 products, sums and differences that div, sqrt, rotate and sum_squares are
@@ -47,18 +50,6 @@ def from_float(a: float) -> DD:
     return (float(a), 0.0)
 
 
-def from_product(a: float, b: float) -> DD:
-    """The exact product of two floats as a double-double (Dekker's TwoProd)."""
-    p = a * b
-    c = _SPLITTER * a
-    ahi = c - (c - a)
-    alo = a - ahi
-    c = _SPLITTER * b
-    bhi = c - (c - b)
-    blo = b - bhi
-    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-
-
 def from_fraction(q: Fraction) -> DD:
     hi = float(q)
     lo = float(q - Fraction(hi))
@@ -69,14 +60,12 @@ def to_float(x: DD) -> float:
     return x[0] + x[1]
 
 
-def neg(x: DD) -> DD:
-    return (-x[0], -x[1])
-
-
 # In the operations below, s, e = TwoSum(xh, yh) is
 #     s = xh + yh;  bb = s - xh;  e = (xh - (s - bb)) + (yh - bb)
 # Dekker's split of a into ahi + alo is
 #     c = _SPLITTER * a;  ahi = c - (c - a);  alo = a - ahi
+# the exact product p, e = TwoProd(a, b) of two floats is, with a and b split,
+#     p = a * b;  e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
 # and the closing FastTwoSum(s, e), which needs |s| >= |e|, is
 #     h = s + e;  return h, e - (h - s)
 
@@ -102,15 +91,6 @@ def sub(x: DD, y: DD) -> DD:
     return h, e - (h - s)
 
 
-def add_f(x: DD, f: float) -> DD:
-    xh, xl = x
-    s = xh + f
-    bb = s - xh
-    e = ((xh - (s - bb)) + (f - bb)) + xl
-    h = s + e
-    return h, e - (h - s)
-
-
 def mul(x: DD, y: DD) -> DD:
     xh, xl = x
     yh, yl = y
@@ -126,26 +106,12 @@ def mul(x: DD, y: DD) -> DD:
     return h, e - (h - p)
 
 
-def mul_f(x: DD, f: float) -> DD:
-    xh, xl = x
-    p = xh * f
-    c = _SPLITTER * xh
-    ahi = c - (c - xh)
-    alo = xh - ahi
-    c = _SPLITTER * f
-    bhi = c - (c - f)
-    blo = f - bhi
-    e = (((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo) + xl * f
-    h = p + e
-    return h, e - (h - p)
-
-
 def sum_squares(xs) -> DD:
     """The sum of the squares of the floats xs, as the chain
-    r = add(r, from_product(v, v)) from r = ZERO, written out."""
+    r = add(r, TwoProd(v, v)) from r = ZERO, written out."""
     rh = rl = 0.0
     for a in xs:
-        # from_product(a, a)
+        # TwoProd(a, a)
         p = a * a
         c = _SPLITTER * a
         ahi = c - (c - a)
@@ -167,14 +133,15 @@ def mul_pow2(x: DD, f: float) -> DD:
 
 def div(x: DD, y: DD) -> DD:
     # q1 = xh / yh, r = x - y q1, q2 = rh / yh, r -= y q2, q3 = rh / yh, each
-    # y q as mul_f(y, q) and each difference as sub; yh is split once
+    # y q as y_q(y, q): p, e = TwoProd(yh, q), then FastTwoSum(p, e + yl q);
+    # each difference as sub; yh is split once
     xh, xl = x
     yh, yl = y
     q1 = xh / yh
     c = _SPLITTER * yh
     yhi = c - (c - yh)
     ylo = yh - yhi
-    # mul_f(y, q1)
+    # y_q(y, q1)
     p = yh * q1
     c = _SPLITTER * q1
     bhi = c - (c - q1)
@@ -190,7 +157,7 @@ def div(x: DD, y: DD) -> DD:
     rh = s + e
     rl = e - (rh - s)
     q2 = rh / yh
-    # mul_f(y, q2)
+    # y_q(y, q2)
     p = yh * q2
     c = _SPLITTER * q2
     bhi = c - (c - q2)
@@ -219,7 +186,7 @@ def sqrt(x: DD) -> DD:
             raise ValueError("square root of a negative double-double")
         raise ValueError(f"square root of a nan double-double {x!r}")
     s = math.sqrt(xh)
-    # r = sub(x, from_product(s, s)), then e = (rh + rl) / 2s
+    # r = sub(x, TwoProd(s, s)), then e = (rh + rl) / 2s
     p = s * s
     c = _SPLITTER * s
     shi = c - (c - s)

@@ -83,7 +83,7 @@ class SolutionParams:
         derived = {
             "k": k, "A": a, "B": b, "h_coeff_decay": decay, "h_coeff_growth": growth,
             "A_float": float(a), "h_coeffs_float": (float(decay), float(growth)),
-            "h2_decay_dd": dd.mul_f(dd.from_fraction(decay), float((k - 1) ** 2)),
+            "h2_decay_dd": dd.mul(dd.from_fraction(decay), dd.from_float((k - 1) ** 2)),
             "h2_growth_dd": dd.from_fraction(growth),
             # hi + lo is C(n-2, j) exactly: the rest c - int(hi) is an integer
             # below ulp(hi), so a double holds it while c < 2^106
@@ -294,14 +294,14 @@ def dd_terms(p: SolutionParams, x, t: float) -> tuple[list[dd.DD], dd.DD, dd.DD]
     it passes plain floats, so that no Point is built per sample.
     """
     _check_exponent(p, t)
-    e = math.exp(t)
-    et_powers = [(e, 0.0)]
+    et = (math.exp(t), 0.0)
+    et_powers = [et]
     for _ in range(p.k - 2):
-        et_powers.append(dd.mul_f(et_powers[-1], e))
-    _check_radius(p, max(map(abs, x)), e, 1.0 / et_powers[-1][0], (x, t))
+        et_powers.append(dd.mul(et_powers[-1], et))
+    _check_radius(p, max(map(abs, x)), et[0], 1.0 / et_powers[-1][0], (x, t))
     e_decay = dd.div(dd.ONE, et_powers[-1])
-    h2 = dd.add(dd.mul(p.h2_decay_dd, e_decay), dd.mul_f(p.h2_growth_dd, e))
-    return et_powers, h2, dd.mul_f(dd.sum_squares(x), e)
+    h2 = dd.add(dd.mul(p.h2_decay_dd, e_decay), dd.mul(p.h2_growth_dd, et))
+    return et_powers, h2, dd.mul(dd.sum_squares(x), et)
 
 
 def hessian_dd(p: SolutionParams, x, terms) -> list[list[dd.DD]]:
@@ -316,7 +316,7 @@ def hessian_dd(p: SolutionParams, x, terms) -> list[list[dd.DD]]:
     """
     et_powers, h2, r2et = terms
     et = et_powers[0]
-    cross = [dd.mul_f(et, 2.0 * v) for v in x]
+    cross = [dd.mul(et, (2.0 * v, 0.0)) for v in x]
     return arrow_rows(dd.mul_pow2(et, 2.0), cross, dd.add(r2et, h2), p.m, dd.ZERO)
 
 

@@ -89,51 +89,27 @@ def sym_mul(lhs: SymExpr, rhs: SymExpr) -> SymExpr:
     return out
 
 
-@dataclass(frozen=True)
-class SymMatrix:
-    """Square matrix of expressions, structurally symmetric."""
-
-    entries: tuple[tuple[SymExpr, ...], ...]
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("matrix dimension must be >= 1")
-        for row in self.entries:
-            if len(row) != self.dim:
-                raise ValueError("entry grid is not square")
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    @classmethod
-    def from_rows(cls, rows) -> "SymMatrix":
-        return cls(tuple(tuple(dict(e) for e in row) for row in rows))
-
-
-def sym_sigmas(m: SymMatrix, count: int | None = None) -> list[SymExpr]:
-    """Exact sigma_1..sigma_count (default: all dim of them) by
-    ``symfunc.faddeev_leverrier`` over SymExpr; a count outside 1..dim is
-    refused.  Each sigma_j is the same expression whatever the count.
+def sym_sigmas(rows, count: int | None = None) -> list[SymExpr]:
+    """Exact sigma_1..sigma_count (default: all n of them) of the symmetric
+    matrix ``rows`` of SymExpr entries, by ``symfunc.faddeev_leverrier`` over
+    SymExpr, which refuses rows that are not square and symmetric and a
+    count outside 1..n.  Each sigma_j is the same expression whatever the
+    count.
 
     The ring operations are looked up on every call, never stored, so that a
     wrapper installed on ``sym_mul`` (a call counter) sees every product.
     """
     return faddeev_leverrier(
-        m.entries, sym_add, sym_mul, lambda e, j: sym_scale(e, Fraction(1, j)), {},
+        rows, sym_add, sym_mul, lambda e, j: sym_scale(e, Fraction(1, j)), {},
         count=count,
     )
 
 
-def sym_sigma_k(m: SymMatrix, k: int) -> SymExpr:
-    """Exact sigma_k of a symbolic symmetric matrix."""
-    if not 1 <= k <= m.dim:
-        raise ValueError(f"k must be in 1..{m.dim}, got {k}")
-    return sym_sigmas(m, k)[k - 1]
+def sym_sigma_k(rows, k: int) -> SymExpr:
+    """Exact sigma_k of a symmetric matrix of SymExpr entries, as rows."""
+    if not 1 <= k <= len(rows):
+        raise ValueError(f"k must be in 1..{len(rows)}, got {k}")
+    return sym_sigmas(rows, k)[k - 1]
 
 
 def first_nonpositive_sigma(sigmas: list[SymExpr], k: int) -> int | None:
@@ -156,7 +132,7 @@ def first_nonpositive_sigma(sigmas: list[SymExpr], k: int) -> int | None:
 
 def rotated_hessian_from_constants(
     n_base: int, k: int, a_const: Fraction, b_const: Fraction
-) -> SymMatrix:
+) -> list[list[SymExpr]]:
     """The rotated Hessian with h'' = (1/A) e^(-(k-1)t) - (B/A) e^t.
 
     Accepts arbitrary constants so a certification run can also demonstrate
@@ -177,11 +153,11 @@ def rotated_hessian_from_constants(
     # rotated so that x = (r, 0, ..., 0): the cross entries are 2r e^t, 0, ..., 0
     cross = [sym_term(2, 1, 1)] + [sym_zero()] * (n_base - 2)
     corner = sym_add(sym_term(1, 2, 1), h2)
-    return SymMatrix.from_rows(arrow_rows(sym_term(2, 0, 1), cross, corner, 0, sym_zero()))
+    return arrow_rows(sym_term(2, 0, 1), cross, corner, 0, sym_zero())
 
 
-def build_rotated_hessian(n_base: int) -> SymMatrix:
-    """The rotated Hessian of the constructed solution in dimension n_base."""
+def build_rotated_hessian(n_base: int) -> list[list[SymExpr]]:
+    """The rotated Hessian of the constructed solution in dimension n_base, as rows."""
     p = SolutionParams(n_base)
     return rotated_hessian_from_constants(n_base, p.k, p.A, p.B)
 

@@ -175,9 +175,22 @@ def faddeev_leverrier(rows, add, mul, div, zero, count=None) -> list:
     entry is zero when it equals ``zero``: 0.0 (which -0.0 equals), the
     double-double ``(0.0, 0.0)`` (a normalized value with hi = 0 has lo = 0),
     or the empty SymExpr of ``symbolic.sym_sigmas`` (``sym_add`` and
-    ``sym_mul`` drop cancelled terms).
+    ``sym_mul`` drop cancelled terms).  Since only that upper triangle is
+    formed, rows that are empty, not square or not exactly symmetric are
+    refused, naming the first row or mirrored pair (from 1) at fault.
     """
     n = len(rows)
+    if not n:
+        raise ValueError("matrix dimension must be >= 1")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"expected a square matrix, got {len(row)} entries in row {i + 1}")
+        for j in range(i):
+            if row[j] != rows[j][i]:
+                raise ValueError(
+                    f"matrix is not symmetric: entries ({i + 1}, {j + 1}) and "
+                    f"({j + 1}, {i + 1}) differ"
+                )
     if count is None:
         count = n
     elif isinstance(count, bool) or not isinstance(count, int) or not 1 <= count <= n:

@@ -20,8 +20,8 @@ x_radius], and t is t_min + (t_max - t_min) u.  ``splitmix64_words`` returns
 a sample's D words in one call, stepping the state by the golden increment
 from word to word.  The scan maps them to its x block and t as plain floats
 and builds no Point for a sample unless it reports it as the argmax or
-names it in an error; ``sample_point`` builds the Point of
-sample i from the same words by the same mapping.
+names it in an error; then ``sample_point`` builds the Point of sample i
+from the same words by the same mapping.
 
 Since sample i depends on (seed, i) alone, a scan splits its samples into
 contiguous ranges, one per CPU that the process may run on, scans the first
@@ -210,24 +210,20 @@ class ResidualReport:
 
 
 def sample_point(p: SolutionParams, box: SampleBox, index: int) -> Point:
-    """Deterministic sample number `index`, uniform over the box."""
-    d = p.total_dim
-    return _point(p, box, splitmix64_words(box.seed, index * d, d))
-
-
-def _scaled(words, lo: float, width: float) -> list[float]:
-    """lo + width * u for each word's uniform u = (word >> 11) * 2^-53."""
-    return [lo + width * ((word >> 11) * 2.0**-53) for word in words]
-
-
-def _point(p: SolutionParams, box: SampleBox, words) -> Point:
-    """The Point of one sample's words: x block, then t, then w block."""
-    nx = p.n_base - 1
+    """Deterministic sample number `index`, uniform over the box: the Point
+    of its words, x block, then t, then w block."""
+    d, nx = p.total_dim, p.n_base - 1
+    words = splitmix64_words(box.seed, index * d, d)
     lo, width = -box.x_radius, 2.0 * box.x_radius
     t_lo, t_hi = box.t_range
     (t,) = _scaled(words[nx : nx + 1], t_lo, t_hi - t_lo)
     x = tuple(_scaled(words[:nx], lo, width))
     return Point(x, t, tuple(_scaled(words[nx + 1 :], lo, width)))
+
+
+def _scaled(words, lo: float, width: float) -> list[float]:
+    """lo + width * u for each word's uniform u = (word >> 11) * 2^-53."""
+    return [lo + width * ((word >> 11) * 2.0**-53) for word in words]
 
 
 def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
@@ -261,11 +257,10 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
         lemma_failures += lemmas
         phase_failures += phases
         min_sigma_j = min(min_sigma_j, sigma)
-    d = p.total_dim
     check_phase = p.n_base == 3 and p.m == 0
     return ResidualReport(
         max_abs_residual=max_resid,
-        argmax_point=_point(p, box, splitmix64_words(box.seed, argmax * d, d)),
+        argmax_point=sample_point(p, box, argmax),
         cone_failures=cone_failures,
         lemma_failures=lemma_failures,
         min_sigma_j=min_sigma_j,
@@ -273,16 +268,12 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
     )
 
 
-def _sample_ranges(count: int) -> list[tuple[int, int]]:
+def _sample_ranges(count: int, cpus: int) -> list[tuple[int, int]]:
     """Contiguous (start, stop) ranges covering samples 0 .. count - 1.
 
-    One range per CPU this process may run on, but a single range where
-    os.fork or os.sched_getaffinity is missing, and never a range of fewer
-    than MIN_RANGE_SAMPLES samples (one range holds them all then).
+    One range for each of `cpus` CPUs, but at least one, and never a range
+    of fewer than MIN_RANGE_SAMPLES samples (one range holds them all then).
     """
-    cpus = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
     ranges = max(1, min(cpus, count // MIN_RANGE_SAMPLES))
     bounds = [count * r // ranges for r in range(ranges + 1)]
     return list(zip(bounds, bounds[1:]))
@@ -297,9 +288,14 @@ def _scan_ranges(p: SolutionParams, box: SampleBox) -> list[tuple]:
     scan raised decides the error, as the lowest failing sample does in one
     loop; a worker that ends without a report is an OSError naming its
     range.  Workers are killed and reaped on every way out, so none outlives
-    the call.
+    the call.  There is one range per CPU this process may run on, a set
+    read once, and a single range where os.fork or os.sched_getaffinity is
+    missing.
     """
-    first, *others = _sample_ranges(box.count)
+    allowed = set()
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        allowed = os.sched_getaffinity(0)
+    first, *others = _sample_ranges(box.count, len(allowed))
     workers = []  # (pid, read end of its pipe, its range), not yet reaped
     try:
         if others:
@@ -309,7 +305,6 @@ def _scan_ranges(p: SolutionParams, box: SampleBox) -> list[tuple]:
             # range 35.7); so this thread forks each worker from a CPU of its
             # own and then moves to the next one, and each process takes
             # back the whole set, which leaves a running task where it is
-            allowed = os.sched_getaffinity(0)
             cpus = sorted(allowed)
             os.sched_setaffinity(0, {cpus[0]})
             try:
@@ -408,12 +403,12 @@ def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tup
             if i % AUDIT_STRIDE == 0:
                 _audit_sample(p, x, terms, lam_dd, e)
         except ConvergenceError as exc:
-            pt = _point(p, box, words)
+            pt = sample_point(p, box, i)
             raise ConvergenceError(
                 f"sample {i} at {pt}: {exc}", offdiag_norm=exc.offdiag_norm
             ) from exc
 
-        hi, lo = dd.add_f(e[k - 1], -1.0)
+        hi, lo = dd.sub(e[k - 1], dd.ONE)
         resid = abs(hi + lo)
         if resid > max_resid:
             max_resid, argmax = resid, i

@@ -587,6 +587,13 @@ class TestPayloadPins:
             # in the cone, and the lemma holds with one negative eigenvalue
             (["cone-check", "-k", "2", "--matrix-file", "hessian.txt"], 0,
              "45560abfb28af0d82d8e2d184b341a15ba132fcabb5605dda4113109bddb9a16"),
+            # the float cone rule's known failures at j = k (see TestVerdictPins)
+            (["verify", "-n", "9", "--samples", "1000", "--seed", "0"], 1,
+             "38c036db3b31a8e76b926bc4586210df48c360785092bfc68f5e9de28b721746"),
+            (["verify", "-n", "5", "-m", "2", "--samples", "300", "--seed", "3"], 0,
+             "08b2674829eb539149862e76e83ff614bfdc47bb95966d7abe87310507896ee4"),
+            (["verify", "-n", "13", "--samples", "200", "--seed", "0"], 1,
+             "cc02fb329311f71d671abfd67e701445a14a390bbf2f05627cb48990ce984e31"),
         ],
     )
     def test_payload_digest(self, capsys, tmp_path, monkeypatch, argv, code, digest):

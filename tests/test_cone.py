@@ -12,7 +12,7 @@ from conftest import (
 )
 from sigmak.cone import (
     ConeVerdict,
-    cone_verdicts,
+    cone_flags,
     gamma_k,
 )
 from sigmak.symfunc import SymmetricMatrix, eigenvalues_symmetric
@@ -42,9 +42,14 @@ class TestSigmaPositivity:
         verdict = gamma_k(SymmetricMatrix.diagonal([1.0, -1.0]), 1)
         assert not verdict.in_cone
 
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            gamma_k(SymmetricMatrix.identity(2), 3)
+    def test_k_out_of_range(self, monkeypatch):
+        # refused before the Jacobi runs
+        from sigmak import cone
+
+        monkeypatch.setattr(cone, "eigenvalues_symmetric", None)
+        for k in (0, 3):
+            with pytest.raises(ValueError, match=rf"^k must be in 1\.\.2, got {k}$"):
+                gamma_k(SymmetricMatrix.identity(2), k)
 
 
 class TestLemmaCheck:
@@ -131,23 +136,20 @@ class TestCharpolyOracleParity:
             for got, c, mn, tol in zip(verdict.sigmas, charpoly, minors, tols):
                 assert abs(got - c) <= tol and abs(got - mn) <= tol
             if decided:
-                by_charpoly = cone_verdicts(values, charpoly, k)
-                assert (verdict.in_cone, verdict.lemma, verdict.negative_count) == (
-                    by_charpoly.in_cone, by_charpoly.lemma, by_charpoly.negative_count
+                assert (verdict.negative_count, verdict.in_cone, verdict.lemma) == (
+                    cone_flags(values, charpoly, k)
                 )
 
 
 class TestNegativeCount:
     def test_threshold_is_scale_aware(self):
         # a numerically-zero eigenvalue is not negative
-        assert cone_verdicts([-1e-14, 2.0], [2.0, 0.0], 1).negative_count == 0
-        assert cone_verdicts([-0.5, 2.0], [1.5, -1.0], 1).negative_count == 1
+        assert cone_flags([-1e-14, 2.0], [2.0, 0.0], 1)[0] == 0
+        assert cone_flags([-0.5, 2.0], [1.5, -1.0], 1)[0] == 1
 
 
-class TestConeVerdictsInput:
-    def test_needs_at_least_k_sigmas(self):
-        with pytest.raises(ValueError, match=r"sigma_1\.\.sigma_2, got 1 sigmas"):
-            cone_verdicts([1.0, 2.0, 3.0], [6.0], 2)
-        # the scan passes exactly sigma_1..sigma_k
-        verdict = cone_verdicts([1.0, 2.0, 3.0], [6.0, 11.0], 2)
-        assert verdict.in_cone and verdict.lemma
+class TestConeFlagsInput:
+    def test_reads_only_sigma_1_to_k(self):
+        # the scan passes exactly sigma_1..sigma_k; gamma_k passes all n
+        assert cone_flags([1.0, 2.0, 3.0], [6.0, 11.0], 2) == (0, True, True)
+        assert cone_flags([1.0, 2.0, 3.0], [6.0, 11.0, -1.0], 2) == (0, True, True)

@@ -1,10 +1,15 @@
 """No module-level name of the library goes unread.
 
 Each ``src/sigmak`` module is parsed with ``ast``.  A module-level ``def``,
-``class`` or assignment must be read somewhere in the package: as an
-``ast.Name`` in a load context, as the attribute of an attribute chain
-(``module.name``), or as a name that a ``from ... import`` imports.  A helper
-whose last caller was deleted then fails Tier-1 instead of lingering.
+``class`` or assignment must be read somewhere in the package, and a read
+names the module it reads from: a bare ``ast.Name`` in a load context reads
+the module that defines it, or the one it was imported from by a
+``from .module import name``, which counts as a read itself; ``alias.name``
+reads the module ``alias`` stands for, where that is a package module
+(``from . import doubledouble as dd``), and nothing otherwise.  So a local
+variable or an attribute of some other object that happens to share a
+module-level name does not keep it alive.  A helper whose last caller was
+deleted then fails Tier-1 instead of lingering.
 
 Private names (one leading underscore) have no other reader.  A public name
 may also be in ``sigmak.__all__`` (``__init__.py`` imports each of those, so
@@ -24,9 +29,7 @@ FILES = sorted(PACKAGE.glob("*.py"))
 OUTSIDE_READERS = {
     "solution.h_eval": "closed form of h: test_solution pins it, conftest's witness reads it",
     "solution.solution_value": "closed form of u: test_solution pins it, conftest.fd_hessian too",
-    "verify.sample_point": "perfbench's tracing; the documented way to rebuild sample i",
     "symbolic.sym_sigma_k": "perfbench's certify workload",
-    "doubledouble.from_product": "the TwoProd that test_doubledouble composes",
     "errors.CapabilityError": "perfbench's workloads import it",
 }
 
@@ -47,23 +50,43 @@ def _defined(tree: ast.Module, private: bool):
                 yield name, node.lineno
 
 
-def _read(trees) -> set[str]:
-    read = set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
-    return read
+def _reads(module: str, tree: ast.Module, modules: set[str]) -> set[tuple[str, str]]:
+    """(module, name) for each read of a module-level name in the tree of
+    `module`; `modules` are the modules of the package."""
+    aliases = {}  # local name -> the package module it stands for
+    imported = {}  # local name -> (module, name) it was imported as
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in modules:
+                    aliases[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom):
+            source = (node.module or "").split(".")[-1]
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if source in modules:
+                    reads.add((source, alias.name))
+                    imported[local] = (source, alias.name)
+                elif alias.name in modules:  # from . import module
+                    aliases[local] = alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(imported.get(node.id, (module, node.id)))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases:
+                reads.add((aliases[node.value.id], node.attr))
+    return reads
 
 
 def _unread(paths, path: Path, private: bool):
     trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in paths}
-    read = _read(trees.values())
-    return [(name, line) for name, line in _defined(trees[path], private) if name not in read]
+    modules = {p.stem for p in paths}
+    read = set().union(*(_reads(p.stem, tree, modules) for p, tree in trees.items()))
+    return [
+        (name, line) for name, line in _defined(trees[path], private)
+        if (path.stem, name) not in read
+    ]
 
 
 def dead_private_names(paths, path: Path) -> list[str]:
@@ -111,3 +134,23 @@ def test_the_scan_sees_a_dead_public_name(tmp_path):
     init.write_text("from .lib import exported\n__all__ = ['exported']\n")
     user.write_text("from . import lib\nprint(lib.used())\n")
     assert dead_public_names([lib, init, user], lib) == {"lib.dead", "lib.Dead"}
+
+
+def test_a_read_names_its_module(tmp_path):
+    # a local variable, a parameter or another object's attribute that
+    # shares a name with lib's function does not read it
+    lib, other = tmp_path / "lib.py", tmp_path / "other.py"
+    lib.write_text(
+        "def neg(x):\n    return -x\n"
+        "def helper():\n    pass\n"
+        "def dotted():\n    pass\n"
+        "def imported():\n    pass\n"
+        "def local():\n    return 1\n"
+        "VALUE = local()\n"
+    )
+    other.write_text(
+        "from . import lib as ops\nfrom .lib import imported as renamed\n"
+        "def neg_all(obj, neg, VALUE):\n"
+        "    return obj.helper(), ops.dotted(), renamed(), neg, VALUE\n"
+    )
+    assert dead_public_names([lib, other], lib) == {"lib.neg", "lib.helper", "lib.VALUE"}

@@ -24,7 +24,7 @@ def as_fraction(x) -> Fraction:
 def random_value(rng: random.Random) -> dd.DD:
     hi = rng.uniform(-100.0, 100.0)
     lo = hi * rng.uniform(-1e-17, 1e-17)
-    return dd.add_f((lo, 0.0), hi)
+    return dd.add((lo, 0.0), (hi, 0.0))
 
 
 # The textbook compositions: Knuth's TwoSum, FastTwoSum and Dekker's TwoProd as
@@ -69,11 +69,6 @@ def _ref_sub(x, y):
     return _fast_two_sum(s, e)
 
 
-def _ref_add_f(x, f):
-    s, e = _two_sum(x[0], f)
-    return _fast_two_sum(s, e + x[1])
-
-
 def _ref_mul(x, y):
     p, e = _two_prod(x[0], y[0])
     e += x[0] * y[1] + x[1] * y[0]
@@ -81,6 +76,7 @@ def _ref_mul(x, y):
 
 
 def _ref_mul_f(x, f):
+    # the product y q that div is composed of
     p, e = _two_prod(x[0], f)
     return _fast_two_sum(p, e + x[1] * f)
 
@@ -125,13 +121,11 @@ def _kernel_cases(x, y, f, z, w):
         (dd.rotate, _ref_rotate, (x, y, z, w)),
         (dd.add, _ref_add, (x, y)),
         (dd.sub, _ref_sub, (x, y)),
-        (dd.add_f, _ref_add_f, (x, f)),
         (dd.mul, _ref_mul, (x, y)),
-        (dd.mul_f, _ref_mul_f, (x, f)),
+        (dd.mul, _ref_mul, (x, (f, 0.0))),
         (dd.div, _ref_div, (x, y)),
         (dd.sqrt, _ref_sqrt, (x,)),
-        (dd.sqrt, _ref_sqrt, (dd.neg(x),)),
-        (dd.from_product, _two_prod, (x[0], f)),
+        (dd.sqrt, _ref_sqrt, ((-x[0], -x[1]),)),
         (dd.sum_squares, _ref_sum_squares, ((x[0], f, y[1], z[0], w[0], y[0]),)),
     )
 
@@ -198,6 +192,28 @@ class TestTextbookKernels:
         for op, ref, args in _kernel_cases(x, y, f, z, w):
             assert _outcome(op, args) == _outcome(ref, args), (op.__name__, args)
 
+    def test_a_float_operand_rounds_as_a_float_kernel_would(self):
+        # mul(x, (f, 0.0)) adds only x_hi * 0.0 to the terms of the textbook
+        # product of x by the float f, so its value is that product's (a zero
+        # may change sign), and sub(x, ONE) is the float sum x + (-1.0) bit
+        # for bit: the scan's e^t products and its residual sigma_k - 1
+        def value(op, args):
+            try:
+                hi, lo = op(*args)
+            except (ZeroDivisionError, ValueError) as exc:
+                return type(exc)
+            return tuple("nan" if part != part else part for part in (hi, lo))
+
+        def add_float(x, f):
+            s, e = _two_sum(x[0], f)
+            return _fast_two_sum(s, e + x[1])
+
+        rng = random.Random(2027)
+        for _ in range(20_000):
+            x, f = _random_pair(rng), _random_double(rng)
+            assert value(dd.mul, (x, (f, 0.0))) == value(_ref_mul_f, (x, f)), (x, f)
+            assert _outcome(dd.sub, (x, dd.ONE)) == _outcome(add_float, (x, -1.0)), x
+
 
 class TestExactOracles:
     def test_field_ops_against_fractions(self):
@@ -216,10 +232,10 @@ class TestExactOracles:
                 got = as_fraction(op(x, y))
                 err = abs(got - ref)
                 assert err <= Fraction(1, 10**29) * (1 + abs(ref)), op.__name__
-            # add_f and mul_f carry the scan's residual, its e^t terms and every div
+            # the scan's residual sigma_k - 1 and its products by e^t
             f = y[0]
-            for op, ref in ((dd.add_f, fx + Fraction(f)), (dd.mul_f, fx * Fraction(f))):
-                got = as_fraction(op(x, f))
+            for op, z, ref in ((dd.sub, dd.ONE, fx - 1), (dd.mul, (f, 0.0), fx * Fraction(f))):
+                got = as_fraction(op(x, z))
                 assert abs(got - ref) <= Fraction(1, 10**29) * (1 + abs(ref)), op.__name__
             if fy:
                 got = as_fraction(dd.div(x, y))
@@ -231,7 +247,7 @@ class TestExactOracles:
         for _ in range(200):
             a = rng.uniform(-1e6, 1e6)
             b = rng.uniform(-1e6, 1e6)
-            assert as_fraction(dd.from_product(a, b)) == Fraction(a) * Fraction(b)
+            assert as_fraction(dd.mul((a, 0.0), (b, 0.0))) == Fraction(a) * Fraction(b)
 
     def test_from_fraction_round_trip(self):
         for q in (Fraction(1, 3), Fraction(-31, 24), Fraction(1, 17920), Fraction(22, 7)):
@@ -241,9 +257,7 @@ class TestExactOracles:
     def test_sqrt_against_decimal(self):
         rng = random.Random(3)
         for _ in range(100):
-            x = dd.from_product(rng.uniform(0.001, 1000.0), rng.uniform(0.001, 1000.0))
-            if x[0] < 0:
-                x = dd.neg(x)
+            x = dd.mul((rng.uniform(0.001, 1000.0), 0.0), (rng.uniform(0.001, 1000.0), 0.0))
             got = as_decimal(dd.sqrt(x))
             ref = as_decimal(x).sqrt()
             assert abs(got - ref) <= Decimal("1e-28") * (1 + ref)
@@ -284,11 +298,9 @@ class TestRepresentation:
         for _ in range(100):
             x = random_value(rng)
             y = random_value(rng)
-            positive = x if x[0] >= 0.0 else dd.neg(x)
-            f = y[0]
+            positive = x if x[0] >= 0.0 else (-x[0], -x[1])
             for value in (
-                dd.add(x, y), dd.sub(x, y), dd.add_f(x, f), dd.mul(x, y),
-                dd.mul_f(x, f), dd.div(x, y), dd.sqrt(positive),
+                dd.add(x, y), dd.sub(x, y), dd.mul(x, y), dd.div(x, y), dd.sqrt(positive),
             ):
                 hi, lo = value
                 if hi != 0.0:
@@ -300,4 +312,4 @@ class TestRepresentation:
         assert as_fraction(doubled) == as_fraction(x) * 2
 
     def test_to_float_collapses(self):
-        assert dd.to_float(dd.from_product(3.0, 1.0 / 3.0)) == pytest.approx(1.0)
+        assert dd.to_float(dd.mul((3.0, 0.0), (1.0 / 3.0, 0.0))) == pytest.approx(1.0)

@@ -49,6 +49,13 @@ REMOVED = [
     ("sigmak.verify", "nonpoly_witness"),
     ("sigmak.verify", "iterated_forward_difference"),
     ("sigmak.verify", "WITNESS_MAX_DEGREE"),
+    ("sigmak.doubledouble", "add_f"),
+    ("sigmak.doubledouble", "mul_f"),
+    ("sigmak.doubledouble", "from_product"),
+    ("sigmak.doubledouble", "neg"),
+    ("sigmak.symbolic", "SymMatrix"),
+    ("sigmak.cone", "cone_verdicts"),
+    ("sigmak.verify", "_point"),
 ]
 
 BENCHMARK_NAMES = [

@@ -95,7 +95,7 @@ class TestDeriveConstants:
             assert p.B == 2**k * math.comb(n - 1, k)
             assert p.h_coeff_decay * p.A * (k - 1) ** 2 == 1
             assert p.h_coeff_growth == -p.B / p.A
-            assert p.h2_decay_dd == dd.mul_f(dd.from_fraction(p.h_coeff_decay), float((k - 1) ** 2))
+            assert p.h2_decay_dd == dd.mul(dd.from_fraction(p.h_coeff_decay), dd.from_float((k - 1) ** 2))
             assert p.h2_growth_dd == dd.from_fraction(p.h_coeff_growth)
             for m in range(3):
                 q = SolutionParams(n, m)
@@ -306,7 +306,7 @@ class TestHessianDD:
         pt = Point(x=(3.0,) * 6, t=2.0)
         lam = eigenvalues_symmetric_dd(hessian_dd(p, pt.x, dd_terms(p, pt.x, pt.t)))
         sigma = elementary_symmetric(lam, dd.add, dd.mul)[3]
-        assert abs(dd.to_float(dd.add_f(sigma, -1.0))) < 1e-20
+        assert abs(dd.to_float(dd.sub(sigma, dd.ONE))) < 1e-20
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
     def test_h2_against_decimal(self, n):
@@ -394,9 +394,9 @@ class TestSpectrumDD:
         pt = Point(x=(3.0, -3.0) * ((n - 1) // 2), t=t)
         lam, _ = self.assert_matches_oracles(p, pt)
         sigma_k = elementary_symmetric(lam, dd.add, dd.mul)[p.k - 1]
-        assert abs(dd.to_float(dd.add_f(sigma_k, -1.0))) < 1e-20
+        assert abs(dd.to_float(dd.sub(sigma_k, dd.ONE))) < 1e-20
         _, sigmas = spectrum_sigmas_dd(p, dd_terms(p, pt.x, pt.t))
-        assert abs(dd.to_float(dd.add_f(sigmas[p.k - 1], -1.0))) < 1e-20
+        assert abs(dd.to_float(dd.sub(sigmas[p.k - 1], dd.ONE))) < 1e-20
 
     def test_negative_determinant_root(self):
         # n = 3, t = 0.5, x = (1, 0): h'' - r^2 e^t < 0, so det < 0 and the
@@ -432,7 +432,7 @@ class TestArrowSigmas:
             scales = elementary_symmetric([abs(dd.to_float(v)) for v in lam])
             for x, y, scale in zip(sigmas, by_recurrence, scales):
                 assert abs(dd.to_float(dd.sub(x, y))) <= unit * scale
-            assert abs(dd.to_float(dd.add_f(sigmas[-1], -1.0))) < 1e-20
+            assert abs(dd.to_float(dd.sub(sigmas[-1], dd.ONE))) < 1e-20
 
     @pytest.mark.parametrize("n", [3, 5, 9])
     def test_exact_on_exact_inputs(self, n):

@@ -10,7 +10,6 @@ from conftest import sigma_brute
 from sigmak import symbolic
 from sigmak.solution import cancellation_coefficient, derive_constants
 from sigmak.symbolic import (
-    SymMatrix,
     build_rotated_hessian,
     first_nonpositive_sigma,
     rotated_hessian_from_constants,
@@ -70,23 +69,21 @@ class TestSymDet:
 
     def test_rank_one_structure_vanishes(self):
         e_t, r_et, r2_et = sym_term(1, 0, 1), sym_term(1, 1, 1), sym_term(1, 2, 1)
-        m = SymMatrix.from_rows([[e_t, r_et], [r_et, r2_et]])
+        m = [[e_t, r_et], [r_et, r2_et]]
         assert sym_sigmas(m)[-1] == {}
 
     def test_diagonal(self):
         two_et = sym_term(2, 0, 1)
-        m = SymMatrix.from_rows([[two_et, {}], [{}, two_et]])
+        m = [[two_et, {}], [{}, two_et]]
         assert sym_sigmas(m)[-1] == {(0, 2): Fraction(4)}
 
     def test_corner_block_of_scaled_hessian(self):
         # [[2, 2r], [2r, r^2 + e^-t h'']] with h'' = (1/4)e^-t - e^t
         exp_neg_t_h2 = sym_add(sym_term(Fraction(1, 4), 0, -2), sym_const(-1))
-        m = SymMatrix.from_rows(
-            [
-                [sym_const(2), sym_term(2, 1, 0)],
-                [sym_term(2, 1, 0), sym_add(sym_term(1, 2, 0), exp_neg_t_h2)],
-            ]
-        )
+        m = [
+            [sym_const(2), sym_term(2, 1, 0)],
+            [sym_term(2, 1, 0), sym_add(sym_term(1, 2, 0), exp_neg_t_h2)],
+        ]
         assert sym_sigmas(m)[-1] == {
             (2, 0): Fraction(-2),
             (0, -2): Fraction(1, 2),
@@ -97,11 +94,7 @@ class TestSymDet:
         # past the old Leibniz cap of dim 8: diag(2e^t, ..., 2e^t) in dim 12
         two_et = sym_term(2, 0, 1)
         rows = [[two_et if i == j else {} for j in range(12)] for i in range(12)]
-        assert sym_sigmas(SymMatrix.from_rows(rows))[-1] == {(0, 12): Fraction(2**12)}
-
-    def test_structural_symmetry_enforced(self):
-        with pytest.raises(ValueError, match="differ"):
-            SymMatrix.from_rows([[sym_const(1), sym_const(2)], [sym_const(3), sym_const(1)]])
+        assert sym_sigmas(rows)[-1] == {(0, 12): Fraction(2**12)}
 
 
 _small_exprs = st.dictionaries(
@@ -117,7 +110,7 @@ def _sym_matrices(draw):
     for i in range(dim):
         for j in range(i, dim):
             rows[i][j] = rows[j][i] = draw(_small_exprs)
-    return SymMatrix.from_rows(rows)
+    return rows
 
 
 class _Ring:
@@ -139,9 +132,9 @@ class _Ring:
 
 
 def _minor_sums(m):
-    """sigma_1..sigma_dim of m as cofactor minor sums over SymExpr."""
-    rows = [[_Ring(e) for e in row] for row in m.entries]
-    return [sigma_brute(rows, j).expr for j in range(1, m.dim + 1)]
+    """sigma_1..sigma_n of the rows m as cofactor minor sums over SymExpr."""
+    rows = [[_Ring(e) for e in row] for row in m]
+    return [sigma_brute(rows, j).expr for j in range(1, len(m) + 1)]
 
 
 class TestSymSigmas:
@@ -149,7 +142,7 @@ class TestSymSigmas:
     @given(_sym_matrices())
     def test_trace_recursion_matches_minor_sums(self, m):
         sigmas = sym_sigmas(m)
-        assert len(sigmas) == m.dim
+        assert len(sigmas) == len(m)
         assert sigmas == _minor_sums(m)
 
     @pytest.mark.parametrize("n", [3, 5, 7])
@@ -235,12 +228,12 @@ class TestRotatedHessian:
     def test_n3_entries(self):
         m = build_rotated_hessian(3)
         two_et = sym_term(2, 0, 1)
-        assert m.entries[0][0] == two_et
-        assert m.entries[1][1] == two_et
-        assert m.entries[0][2] == sym_term(2, 1, 1)
-        assert m.entries[0][1] == {}
+        assert m[0][0] == two_et
+        assert m[1][1] == two_et
+        assert m[0][2] == sym_term(2, 1, 1)
+        assert m[0][1] == {}
         # r^2 e^t + (1/4) e^-t - e^t
-        assert m.entries[2][2] == {
+        assert m[2][2] == {
             (2, 1): Fraction(1),
             (0, -1): Fraction(1, 4),
             (0, 1): Fraction(-1),
@@ -248,7 +241,7 @@ class TestRotatedHessian:
 
     def test_n5_h2_term(self):
         m = build_rotated_hessian(5)
-        assert m.entries[4][4] == {
+        assert m[4][4] == {
             (2, 1): Fraction(1),
             (0, -2): Fraction(1, 24),
             (0, 1): Fraction(-4, 3),
@@ -256,8 +249,8 @@ class TestRotatedHessian:
 
     def test_bulk_off_diagonal_is_zero(self):
         m = build_rotated_hessian(7)
-        assert m.entries[1][2] == {}
-        assert m.entries[2][5] == {}
+        assert m[1][2] == {}
+        assert m[2][5] == {}
 
 
 class TestCancellation:

@@ -19,6 +19,7 @@ from conftest import (
 from sigmak import doubledouble as dd
 from sigmak import symfunc
 from sigmak.errors import ConvergenceError
+from sigmak.symbolic import sym_add, sym_const, sym_mul, sym_scale
 from sigmak.symfunc import (
     SymmetricMatrix,
     eigenvalues_symmetric,
@@ -160,7 +161,8 @@ class TestElementarySymmetricCount:
             rings = (
                 (vals, operator.add, operator.mul),
                 ([Fraction(v) for v in vals], operator.add, operator.mul),
-                ([dd.add_f(dd.from_product(v, v), v * 1e-17) for v in vals], dd.add, dd.mul),
+                ([dd.add(dd.mul((v, 0.0), (v, 0.0)), (v * 1e-17, 0.0)) for v in vals],
+                 dd.add, dd.mul),
             )
             for values, add, mul in rings:
                 full = elementary_symmetric(values, add, mul)
@@ -236,6 +238,45 @@ class TestFaddeevLeverrierCount:
         m = SymmetricMatrix.identity(3)
         with pytest.raises(ValueError, match=rf"count must be an integer in 1\.\.3 \(the dimension\), got {count!r}"):
             self.sigmas(m, count)
+
+
+class TestFaddeevLeverrierInput:
+    """The recursion forms only the upper triangle of each A M_j, so in each
+    of its rings it refuses rows that are empty, not square or not exactly
+    symmetric, naming the row or the mirrored pair (from 1)."""
+
+    RINGS = {
+        "float": (float, operator.add, operator.mul, operator.truediv, 0.0),
+        "double-double": (
+            dd.from_float, dd.add, dd.mul, lambda x, j: dd.div(x, dd.from_float(j)), dd.ZERO,
+        ),
+        "SymExpr": (
+            sym_const, sym_add, sym_mul, lambda e, j: sym_scale(e, Fraction(1, j)), {},
+        ),
+    }
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_an_asymmetric_pair_is_named(self, ring):
+        lift, add, mul, div, zero = self.RINGS[ring]
+        rows = [[lift(v) for v in row] for row in ([1, 2, 0], [2, 1, 3], [0, 4, 1])]
+        with pytest.raises(ValueError, match=r"^matrix is not symmetric: entries \(3, 2\) "
+                                             r"and \(2, 3\) differ$"):
+            symfunc.faddeev_leverrier(rows, add, mul, div, zero)
+        rows[2][1] = lift(3)
+        # det [[1, 2, 0], [2, 1, 3], [0, 3, 1]] = 1 (1 - 9) - 2 (2 - 0) = -12
+        assert symfunc.faddeev_leverrier(rows, add, mul, div, zero)[-1] == lift(-12)
+
+    @pytest.mark.parametrize("ring", RINGS)
+    @pytest.mark.parametrize("shape, message", [
+        ([], r"^matrix dimension must be >= 1$"),
+        ([[1, 2], [2]], r"^expected a square matrix, got 1 entries in row 2$"),
+        ([[1, 2, 0], [2, 1]], r"^expected a square matrix, got 3 entries in row 1$"),
+    ], ids=["empty", "short-row", "wide-rows"])
+    def test_rows_that_are_not_square_are_refused(self, ring, shape, message):
+        lift, add, mul, div, zero = self.RINGS[ring]
+        rows = [[lift(v) for v in row] for row in shape]
+        with pytest.raises(ValueError, match=message):
+            symfunc.faddeev_leverrier(rows, add, mul, div, zero)
 
 
 class TestFaddeevLeverrierZeroTest:
@@ -387,8 +428,8 @@ class TestDoubleDoubleVariants:
         # seeded with e_0 = 1, e_j = 0, including products by ONE
         rng = random.Random(47)
         for _ in range(500):
-            vals = [dd.add_f(dd.from_product(rng.uniform(-9, 9), rng.uniform(-9, 9)),
-                             rng.uniform(-1e-17, 1e-17)) for _ in range(rng.randrange(1, 12))]
+            vals = [dd.add(dd.mul((rng.uniform(-9, 9), 0.0), (rng.uniform(-9, 9), 0.0)),
+                           (rng.uniform(-1e-17, 1e-17), 0.0)) for _ in range(rng.randrange(1, 12))]
             e = [dd.ONE] + [dd.ZERO] * len(vals)
             for i, v in enumerate(vals, start=1):
                 for j in range(i, 0, -1):

@@ -247,7 +247,7 @@ class TestSpectrumAudit:
             lam, sigmas = exact(p, terms)
             if len(calls) >= first_shifted:
                 fro = math.sqrt(sum(dd.to_float(v) ** 2 for v in lam))
-                lam[-1] = dd.add_f(lam[-1], rel_shift * (1.0 + fro))
+                lam[-1] = dd.add(lam[-1], (rel_shift * (1.0 + fro), 0.0))
                 sigmas = elementary_symmetric(lam, dd.add, dd.mul)[: p.k]
             calls.append(terms)
             return lam, sigmas
@@ -320,7 +320,7 @@ class TestSpectrumAudit:
 
         p = SolutionParams(n, m)
         binomials = list(p.arrow_binomials_dd)
-        binomials[p.k - 1] = dd.add_f(binomials[p.k - 1], 1.0)
+        binomials[p.k - 1] = dd.add(binomials[p.k - 1], dd.ONE)
         object.__setattr__(p, "arrow_binomials_dd", tuple(binomials))
         with pytest.raises(ConvergenceError, match="structured sigma_") as info:
             residual_scan(p, dataclasses.replace(BOX, count=3))
@@ -433,19 +433,35 @@ class TestSampleRanges:
         assert os.sched_getaffinity(0) == self.ALLOWED
         self.assert_no_children()
 
-    def test_ranges_are_contiguous_and_not_too_short(self, visible_cpus):
+    def test_ranges_are_contiguous_and_not_too_short(self):
         from sigmak.verify import MIN_RANGE_SAMPLES, _sample_ranges
 
-        visible_cpus(3)
-        assert _sample_ranges(1000) == [(0, 333), (333, 666), (666, 1000)]
+        assert _sample_ranges(1000, 3) == [(0, 333), (333, 666), (666, 1000)]
         for count, ranges in ((3 * MIN_RANGE_SAMPLES - 1, 2), (2 * MIN_RANGE_SAMPLES - 1, 1)):
-            got = _sample_ranges(count)
+            got = _sample_ranges(count, 3)
             assert len(got) == ranges
             assert [start for start, _ in got] == [0] + [stop for _, stop in got[:-1]]
             assert got[-1][1] == count
             assert min(stop - start for start, stop in got) >= MIN_RANGE_SAMPLES
+        assert _sample_ranges(10000, 1) == [(0, 10000)]
+        assert _sample_ranges(10000, 0) == [(0, 10000)]  # no CPU set to read
+
+    def test_the_cpu_set_is_read_once(self, visible_cpus, monkeypatch):
+        # the set shrinks from two CPUs to one after its first read: a scan
+        # that split its samples by the first read and forked by a second
+        # one scanned only the first of its two ranges
         visible_cpus(1)
-        assert _sample_ranges(10000) == [(0, 10000)]
+        serial = residual_scan(SolutionParams(9), self.SEED0)
+        reads = []
+
+        def shrinking(pid):
+            reads.append(pid)
+            return {0, 1} if len(reads) == 1 else {0}
+
+        monkeypatch.setattr(os, "sched_getaffinity", shrinking)
+        assert residual_scan(SolutionParams(9), self.SEED0) == serial
+        assert (serial.cone_failures, len(reads)) == (3, 1)
+        self.assert_no_children()
 
     def test_one_cpu_forks_nothing(self, one_cpu, monkeypatch):
         def refuse():
@@ -562,7 +578,7 @@ class TestScanNegativeControls:
         from sigmak.cli import RESIDUAL_GATE
 
         p = SolutionParams(n)
-        object.__setattr__(p, "h2_growth_dd", dd.mul_f(p.h2_growth_dd, 1.0 + 1e-6))
+        object.__setattr__(p, "h2_growth_dd", dd.mul(p.h2_growth_dd, (1.0 + 1e-6, 0.0)))
         rep = residual_scan(p, dataclasses.replace(self.DEFAULT_BOX, count=500))
         assert rep.max_abs_residual > RESIDUAL_GATE
 
@@ -582,7 +598,7 @@ class TestScanNegativeControls:
             et_powers, _, r2et = dd_terms(p, x, t)
             e_decay = (math.exp(-(p.k - 1) * t), 0.0)
             h2 = dd.add(
-                dd.mul(p.h2_decay_dd, e_decay), dd.mul_f(p.h2_growth_dd, et_powers[0][0])
+                dd.mul(p.h2_decay_dd, e_decay), dd.mul(p.h2_growth_dd, et_powers[0])
             )
             return et_powers, h2, r2et
 
@@ -609,7 +625,8 @@ class TestResidualAgainstExactArithmetic:
             pt = sample_point(p, box, i)
             hdd = hessian_dd(p, pt.x, dd_terms(p, pt.x, pt.t))
             lam = eigenvalues_symmetric_dd(hdd)
-            reported = dd.to_float(dd.add_f(elementary_symmetric(lam, dd.add, dd.mul)[p.k - 1], -1.0))
+            sigma_k = elementary_symmetric(lam, dd.add, dd.mul)[p.k - 1]
+            reported = dd.to_float(dd.sub(sigma_k, dd.ONE))
             exact = [[Fraction(e[0]) + Fraction(e[1]) for e in row] for row in hdd]
             truth = float(sigma_brute(exact, p.k) - 1)
             assert abs(reported - truth) < 1e-24
