@@ -19,7 +19,7 @@ from .solution import (
     h_formula,
 )
 from .symbolic import Certification, verify_exact
-from .symfunc import SymmetricMatrix, eigenvalues_symmetric, elementary_symmetric
+from .symfunc import eigenvalues_symmetric, elementary_symmetric
 from .verify import ResidualReport, SampleBox, residual_scan, sl_phase
 
 __version__ = "0.1.0"
@@ -32,7 +32,6 @@ __all__ = [
     "ResidualReport",
     "SampleBox",
     "SolutionParams",
-    "SymmetricMatrix",
     "cancellation_coefficient",
     "derive_constants",
     "eigenvalues_symmetric",

@@ -28,7 +28,7 @@ from .doubledouble import SPLIT_MAX
 from .errors import ConvergenceError
 from .solution import Point, SolutionParams, eval_jet, h_formula
 from .symbolic import Certification, verify_exact
-from .symfunc import SymmetricMatrix, eigenvalues_symmetric
+from .symfunc import eigenvalues_symmetric, symmetrized
 from .verify import (
     PHASE_TOL,
     ResidualReport,
@@ -116,8 +116,9 @@ def _finite_float(raw: str) -> float:
     return value
 
 
-def _read_matrix_file(path: str) -> SymmetricMatrix:
-    """Plain UTF-8 text: first line the dimension, then dim rows of dim numbers.
+def _read_matrix_file(path: str) -> tuple[tuple[float, ...], ...]:
+    """The symmetrized float rows of a matrix file: plain UTF-8 text, first
+    line the dimension, then dim rows of dim numbers.
 
     Every entry must be a finite number; a bad one is named by its row and
     column (1-based, counting rows after the dimension line), and so is the
@@ -173,7 +174,7 @@ def _read_matrix_file(path: str) -> SymmetricMatrix:
             f"could overflow; (1 + dim * max|entry|)^{max(dim, 2)} must stay <= 2^996"
         )
     try:
-        return SymmetricMatrix.symmetrized(rows)
+        return symmetrized(rows)
     except ValueError as exc:  # the rows are square and finite: only asymmetry
         raise ValueError(f"matrix file {path}: {exc}")
 
@@ -268,7 +269,7 @@ def _cmd_eval(ns) -> tuple[dict, int]:
         "point": _point_payload(pt),
         "value": jet.value,
         "gradient": list(jet.gradient),
-        "hessian": jet.hessian.to_lists(),
+        "hessian": [list(row) for row in jet.hessian],
     }
     return payload, 0
 
@@ -308,11 +309,11 @@ def _cmd_verify_exact(ns) -> tuple[dict, int]:
 
 
 def _cmd_cone_check(ns) -> tuple[dict, int]:
-    m = _read_matrix_file(ns.matrix_file)
-    verdict = gamma_k(m, ns.k)
+    rows = _read_matrix_file(ns.matrix_file)
+    verdict = gamma_k(rows, ns.k)
     payload = {
         "command": "cone-check",
-        "dim": m.dim,
+        "dim": len(rows),
         "k": ns.k,
         "sigma_positivity": _verdict_payload("sigma_positivity", verdict.in_cone, verdict),
         "lemma": _verdict_payload("lemma", verdict.lemma, verdict),
@@ -321,15 +322,15 @@ def _cmd_cone_check(ns) -> tuple[dict, int]:
 
 
 def _cmd_phase_check(ns) -> tuple[dict, int]:
-    m = _read_matrix_file(ns.matrix_file)
-    values = eigenvalues_symmetric(m)
+    rows = _read_matrix_file(ns.matrix_file)
+    values = eigenvalues_symmetric(rows)
     phase = sl_phase(values)
     within = None
     if ns.expected is not None:
         within = abs(phase - ns.expected) <= PHASE_TOL
     payload = {
         "command": "phase-check",
-        "dim": m.dim,
+        "dim": len(rows),
         "phase": phase,
         "eigenvalues": list(values),
         "expected": ns.expected,

@@ -11,8 +11,8 @@ Both verdicts read one set of eigenvalues and their e_1..e_k.
 eigenvalues, ``in_cone`` (sigma positivity) and ``lemma`` as three plain
 values; the scan calls it on every sample, with its double-double values
 rounded to float64.  ``gamma_k`` (behind ``cone-check``) checks k, reads
-them off one float Jacobi of the matrix and keeps them in one
-``ConeVerdict``, beside the sigmas they were read from.
+them off one float Jacobi of the matrix, given as symmetric float rows, and
+keeps them in one ``ConeVerdict``, beside the sigmas they were read from.
 The tests check these sigmas against the characteristic polynomial (the
 trace recursion ``symfunc.faddeev_leverrier`` in float64) and against the
 principal-minor sums (LAPACK determinants).
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .symfunc import SymmetricMatrix, eigenvalues_symmetric, elementary_symmetric
+from .symfunc import eigenvalues_symmetric, elementary_symmetric
 
 SIGMA_BOUNDARY_REL_TOL = 1e-12  # sigma_j <= tol*(1+fro^j) is not in the open cone
 NEGATIVE_EIG_REL_TOL = 1e-10  # lambda < -tol*(1+fro) counts as negative
@@ -65,14 +65,18 @@ def cone_flags(values, sigmas, k: int) -> tuple[int, bool, bool]:
     return neg, all(positive), neg <= 1 and positive[-1]
 
 
-def gamma_k(m: SymmetricMatrix, k: int) -> ConeVerdict:
-    """Both cone verdicts of m from one Jacobi diagonalization; refuses a
-    k outside 1..m.dim.
+def gamma_k(rows, k: int) -> ConeVerdict:
+    """Both cone verdicts of symmetric float rows from one Jacobi
+    diagonalization; refuses, before the Jacobi, a k that is a bool, not an
+    integer or outside 1..dim, and refuses the rows that
+    eigenvalues_symmetric refuses.
 
     The sigmas are e_1..e_n of its eigenvalues; see cone_flags.
     """
-    if not 1 <= k <= m.dim:
-        raise ValueError(f"k must be in 1..{m.dim}, got {k}")
-    values = eigenvalues_symmetric(m)
+    n = len(rows)
+    # empty rows are left to eigenvalues_symmetric, which names them
+    if n and (isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= n):
+        raise ValueError(f"k must be in 1..{n}, got {k!r}")
+    values = eigenvalues_symmetric(rows)
     sigmas = tuple(elementary_symmetric(values))
     return ConeVerdict(sigmas, *cone_flags(values, sigmas, k))

@@ -28,17 +28,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import doubledouble as dd
-from .symfunc import SymmetricMatrix
 
 # e^x overflows double precision near x = 709; refuse slightly earlier.
 OVERFLOW_EXPONENT = 700.0
 _LOG2_SPLIT_MAX = math.log2(dd.SPLIT_MAX)  # 996.0
 
 
-def _check_integers(obj, *names: str) -> None:
-    """Refuse, naming the field, an attribute of obj that is not an integer."""
-    for name in names:
-        value = getattr(obj, name)
+def _check_integers(**values) -> None:
+    """Refuse, naming it, a value that is a bool or not an integer."""
+    for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
@@ -69,7 +67,7 @@ class SolutionParams:
     arrow_binomials_dd: tuple[dd.DD, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_integers(self, "n_base", "m")
+        _check_integers(n_base=self.n_base, m=self.m)
         n = self.n_base
         if n < 3 or n % 2 == 0:
             raise ValueError(f"2k = n+1 requires odd n with n >= 3, got n = {n}")
@@ -133,15 +131,17 @@ class Point:
 
 @dataclass(frozen=True)
 class Jet2:
-    """Value, gradient and Hessian of u at a point."""
+    """Value, gradient and Hessian of u at a point; the Hessian as rows, a
+    tuple of float tuples."""
 
     value: float
     gradient: tuple[float, ...]
-    hessian: SymmetricMatrix
+    hessian: tuple[tuple[float, ...], ...]
 
 
 def cancellation_coefficient(n: int, k: int) -> int:
     """The exact integer -C(n-2, k-2) + C(n-2, k-1): zero iff 2k = n + 1."""
+    _check_integers(n=n, k=k)
     if not 2 <= k <= n - 1:
         raise ValueError(f"k must be in 2..{n - 1}, got {k}")
     return -math.comb(n - 2, k - 2) + math.comb(n - 2, k - 1)
@@ -274,7 +274,7 @@ def eval_jet(p: SolutionParams, pt: Point) -> Jet2:
     cross = [2.0 * v * et for v in pt.x]
     gradient = (*cross, r2et + h1) + (0.0,) * p.m
     hess = arrow_rows(2.0 * et, cross, r2et + h2, p.m, 0.0)
-    return Jet2(value=r2et + h0, gradient=gradient, hessian=SymmetricMatrix(hess))
+    return Jet2(value=r2et + h0, gradient=gradient, hessian=tuple(map(tuple, hess)))
 
 
 def dd_terms(p: SolutionParams, x, t: float) -> tuple[list[dd.DD], dd.DD, dd.DD]:

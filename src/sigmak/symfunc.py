@@ -20,13 +20,18 @@ sum is left to the tests, which take it from LAPACK determinants:
   scan's 1% audit of its closed-form sigma_1..sigma_k, in any dimension,
   and exact in ``symbolic.sym_sigmas``, which certifies from
   sigma_1..sigma_k alone; the tests also run it in float64.
+
+A matrix is its rows in every ring.  A float matrix is a tuple of float
+tuples: ``eigenvalues_symmetric`` takes any rows (numpy arrays too) through
+one boundary that refuses empty, non-square and non-finite input, then
+asymmetric input, as ``faddeev_leverrier`` does in its rings;
+``symmetrized`` averages rows that are symmetric only up to noise.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import reduce
 from types import SimpleNamespace
 
@@ -50,10 +55,12 @@ TRACE_REL_TOL = 1e-10
 DD_TRACE_REL_TOL = 1e-24
 
 
-def _float_rows(entries) -> tuple[tuple[float, ...], ...]:
-    """Any sequence of rows (numpy arrays too) as a square tuple of float tuples."""
+def _float_rows(rows) -> tuple[tuple[float, ...], ...]:
+    """Any sequence of rows (numpy arrays too) as a square tuple of float
+    tuples; refuses empty, non-square and non-finite input, naming the row
+    and column (from 1)."""
     try:
-        rows = tuple(tuple(map(float, row)) for row in entries)
+        rows = tuple(tuple(map(float, row)) for row in rows)
     except TypeError:
         raise ValueError("expected a square matrix given as a sequence of rows")
     if not rows:
@@ -67,6 +74,23 @@ def _float_rows(entries) -> tuple[tuple[float, ...], ...]:
     return rows
 
 
+def _check_symmetric(rows) -> None:
+    """Refuse rows, from any ring, that are empty, not square or not exactly
+    symmetric, naming the first row or mirrored pair (from 1) at fault."""
+    n = len(rows)
+    if not n:
+        raise ValueError("matrix dimension must be >= 1")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"expected a square matrix, got {len(row)} entries in row {i + 1}")
+        for j in range(i):
+            if row[j] != rows[j][i]:
+                raise ValueError(
+                    f"matrix is not symmetric: entries ({i + 1}, {j + 1}) and "
+                    f"({j + 1}, {i + 1}) differ"
+                )
+
+
 def _mean(v: float, w: float) -> float:
     """(v + w) / 2, halving first only where v + w overflows (near the float
     maximum), so that subnormals keep the exactly rounded form."""
@@ -74,59 +98,23 @@ def _mean(v: float, w: float) -> float:
     return total / 2.0 if math.isfinite(total) else v / 2.0 + w / 2.0
 
 
-@dataclass(frozen=True)
-class SymmetricMatrix:
-    """Dense real symmetric matrix, immutable: a tuple of float tuples, one per row.
-
-    Construction rejects a non-finite entry, naming its row and column (from
-    1), and input that is not exactly symmetric; use :meth:`symmetrized` for
-    data that is symmetric only up to noise.
-    """
-
-    entries: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        rows = _float_rows(self.entries)
-        if any(row[j] != rows[j][i] for i, row in enumerate(rows) for j in range(i)):
-            raise ValueError("matrix is not exactly symmetric")
-        object.__setattr__(self, "entries", rows)
-
-    @classmethod
-    def diagonal(cls, values) -> "SymmetricMatrix":
-        n = len(values)
-        return cls([[v if i == j else 0.0 for j in range(n)] for i, v in enumerate(values)])
-
-    @classmethod
-    def identity(cls, dim: int) -> "SymmetricMatrix":
-        return cls.diagonal([1.0] * dim)
-
-    @classmethod
-    def symmetrized(cls, entries) -> "SymmetricMatrix":
-        """Average nearly-symmetric input with its transpose; beyond
-        SYMMETRY_TOL, name the worst pair of mirrored entries."""
-        rows = _float_rows(entries)
-        gap, i, j = 0.0, 1, 1
-        for p, row in enumerate(rows):
-            for q in range(p + 1, len(rows)):
-                if abs(row[q] - rows[q][p]) > gap:
-                    gap, i, j = abs(row[q] - rows[q][p]), p + 1, q + 1
-        if gap > SYMMETRY_TOL:
-            raise ValueError(
-                f"matrix asymmetry {gap:g} between entries ({i}, {j}) and ({j}, {i}) "
-                f"exceeds tolerance {SYMMETRY_TOL:g}"
-            )
-        return cls([[v if i == j else _mean(v, rows[j][i]) for j, v in enumerate(row)]
-                    for i, row in enumerate(rows)])
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def frobenius_norm(self) -> float:
-        return math.hypot(*(v for row in self.entries for v in row))
-
-    def to_lists(self) -> list[list[float]]:
-        return [list(row) for row in self.entries]
+def symmetrized(rows) -> tuple[tuple[float, ...], ...]:
+    """Float rows averaged with their transpose, for data that is symmetric
+    only up to noise; refuses what ``_float_rows`` refuses and, beyond
+    SYMMETRY_TOL, names the worst pair of mirrored entries."""
+    rows = _float_rows(rows)
+    gap, i, j = 0.0, 1, 1
+    for p, row in enumerate(rows):
+        for q in range(p + 1, len(rows)):
+            if abs(row[q] - rows[q][p]) > gap:
+                gap, i, j = abs(row[q] - rows[q][p]), p + 1, q + 1
+    if gap > SYMMETRY_TOL:
+        raise ValueError(
+            f"matrix asymmetry {gap:g} between entries ({i}, {j}) and ({j}, {i}) "
+            f"exceeds tolerance {SYMMETRY_TOL:g}"
+        )
+    return tuple(tuple(v if i == j else _mean(v, rows[j][i]) for j, v in enumerate(row))
+                 for i, row in enumerate(rows))
 
 
 def elementary_symmetric(values, add=operator.add, mul=operator.mul, count=None) -> list:
@@ -179,18 +167,8 @@ def faddeev_leverrier(rows, add, mul, div, zero, count=None) -> list:
     formed, rows that are empty, not square or not exactly symmetric are
     refused, naming the first row or mirrored pair (from 1) at fault.
     """
+    _check_symmetric(rows)
     n = len(rows)
-    if not n:
-        raise ValueError("matrix dimension must be >= 1")
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError(f"expected a square matrix, got {len(row)} entries in row {i + 1}")
-        for j in range(i):
-            if row[j] != rows[j][i]:
-                raise ValueError(
-                    f"matrix is not symmetric: entries ({i + 1}, {j + 1}) and "
-                    f"({j + 1}, {i + 1}) differ"
-                )
     if count is None:
         count = n
     elif isinstance(count, bool) or not isinstance(count, int) or not 1 <= count <= n:
@@ -309,16 +287,23 @@ def _cyclic_jacobi(a: list[list], ring, tol: float, trace_tol: float) -> list:
     return diag
 
 
-def eigenvalues_symmetric(m: SymmetricMatrix) -> tuple[float, ...]:
-    """All eigenvalues by cyclic Jacobi in float64, sorted ascending.
+def eigenvalues_symmetric(rows) -> tuple[float, ...]:
+    """All eigenvalues of symmetric float rows by cyclic Jacobi in float64,
+    sorted ascending.
 
-    Converged when the off-diagonal Frobenius norm drops below
-    1e-12 * (1 + ||M||_F); raises ConvergenceError after 50 sweeps, or when
-    the eigenvalue sum drifts from the trace by more than 1e-10 * (1 + ||M||_F).
+    Refuses rows that are empty, not square, not finite (checked first, by
+    row and column) or not exactly symmetric (by mirrored pair).  Converged
+    when the off-diagonal Frobenius norm drops below 1e-12 * (1 + ||M||_F);
+    raises ConvergenceError after 50 sweeps, or when the eigenvalue sum
+    drifts from the trace by more than 1e-10 * (1 + ||M||_F).
     """
-    fro = m.frobenius_norm()
+    rows = _float_rows(rows)
+    _check_symmetric(rows)
+    # every entry in row order: the stopping test reads fro, so another
+    # summation could move an eigenvalue's last bit
+    fro = math.hypot(*(v for row in rows for v in row))
     return tuple(_cyclic_jacobi(
-        m.to_lists(),
+        [list(row) for row in rows],
         FLOAT_RING,
         JACOBI_REL_TOL * (1.0 + fro),
         TRACE_REL_TOL * (1.0 + fro),

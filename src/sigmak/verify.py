@@ -182,7 +182,7 @@ class SampleBox:
     seed: int
 
     def __post_init__(self):
-        _check_integers(self, "count", "seed")
+        _check_integers(count=self.count, seed=self.seed)
         for name, values in (("x_radius", (self.x_radius,)), ("t_range", self.t_range)):
             if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

@@ -4,7 +4,8 @@ The oracles deliberately use the dumbest correct algorithms available
 (subset enumeration, cofactor expansion, LAPACK determinants, central
 difference stencils, numpy's iterated differences) so they share no code
 path with the implementations they check.  ``charpoly_sigmas`` is the one
-exception, named here as such.
+exception, named here as such.  A matrix is its rows, as in the library:
+the builders return tuples of float tuples, and the oracles take any rows.
 
 ``visible_cpus`` and ``one_cpu`` set the CPUs that ``residual_scan`` sees,
 and so the number of sample ranges it splits a scan into.
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from sigmak.solution import Point, h_eval, solution_value
-from sigmak.symfunc import SymmetricMatrix, faddeev_leverrier
+from sigmak.symfunc import faddeev_leverrier
 
 
 def e_brute(values, k):
@@ -60,19 +61,19 @@ def sigma_brute(matrix_rows, k):
     return total
 
 
-def sigma_minors(m: SymmetricMatrix, k: int) -> float:
-    """sigma_k as the sum of the k x k principal minors' LAPACK determinants."""
-    a = np.array(m.entries)
-    return float(np.linalg.det([a[np.ix_(s, s)] for s in combinations(range(m.dim), k)]).sum())
+def sigma_minors(m, k: int) -> float:
+    """sigma_k of rows as the sum of the k x k principal minors' LAPACK determinants."""
+    a = np.array(m)
+    return float(np.linalg.det([a[np.ix_(s, s)] for s in combinations(range(len(m)), k)]).sum())
 
 
-def charpoly_sigmas(m: SymmetricMatrix) -> tuple[float, ...]:
+def charpoly_sigmas(m) -> tuple[float, ...]:
     """sigma_1..sigma_n by the library's own trace recursion run in float64.
 
     Not an oracle: it is one of the three routes that acceptance criterion 8
     compares, beside the Jacobi eigenvalues' e_j and ``sigma_minors``.
     """
-    return tuple(faddeev_leverrier(m.entries, operator.add, operator.mul, operator.truediv, 0.0))
+    return tuple(faddeev_leverrier(m, operator.add, operator.mul, operator.truediv, 0.0))
 
 
 def central_hessian(func, coords, step: float) -> list[list[float]]:
@@ -104,14 +105,14 @@ def central_hessian(func, coords, step: float) -> list[list[float]]:
     return [[(hess[i][j] + hess[j][i]) / 2.0 for j in range(d)] for i in range(d)]
 
 
-def fd_hessian(p, pt: Point, step: float) -> SymmetricMatrix:
+def fd_hessian(p, pt: Point, step: float) -> list[list[float]]:
     """Finite-difference Hessian of u at pt: an oracle for eval_jet."""
 
     def func(flat):
         return solution_value(p, Point.from_coords(p, flat))
 
     coords = list(pt.x) + [pt.t] + list(pt.w)
-    return SymmetricMatrix(central_hessian(func, coords, step))
+    return central_hessian(func, coords, step)
 
 
 def nonpoly_witness(p, max_degree: int) -> list[float]:
@@ -125,14 +126,26 @@ def nonpoly_witness(p, max_degree: int) -> list[float]:
     return [float(np.diff(samples, n=d + 1)[0]) for d in range(1, max_degree + 1)]
 
 
-def random_symmetric(rng: random.Random, dim: int, scale: float = 5.0) -> SymmetricMatrix:
+def diagonal(values) -> tuple[tuple[float, ...], ...]:
+    """The diagonal matrix of `values`, as rows."""
+    return tuple(
+        tuple(float(v) if i == j else 0.0 for j in range(len(values))) for i, v in enumerate(values)
+    )
+
+
+def frobenius_norm(m) -> float:
+    """||M||_F of rows, summed in row order."""
+    return math.hypot(*(v for row in m for v in row))
+
+
+def random_symmetric(rng: random.Random, dim: int, scale: float = 5.0) -> tuple[tuple[float, ...], ...]:
     a = np.empty((dim, dim))
     for i in range(dim):
         for j in range(i, dim):
             v = rng.uniform(-scale, scale)
             a[i, j] = v
             a[j, i] = v
-    return SymmetricMatrix(a)
+    return tuple(map(tuple, a.tolist()))
 
 
 def random_rotation(rng: random.Random, dim: int, rotations: int | None = None) -> np.ndarray:
@@ -156,9 +169,10 @@ def random_rotation(rng: random.Random, dim: int, rotations: int | None = None) 
     return q
 
 
-def rotate_exactly_symmetric(m: SymmetricMatrix, q: np.ndarray) -> SymmetricMatrix:
-    b = q.T @ m.entries @ q
-    return SymmetricMatrix((b + b.T) / 2.0)
+def rotate_exactly_symmetric(m, q: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    """Q^T M Q of rows M, averaged with its transpose so that it is exactly symmetric."""
+    b = q.T @ np.array(m) @ q
+    return tuple(map(tuple, ((b + b.T) / 2.0).tolist()))
 
 
 @pytest.fixture

@@ -31,8 +31,10 @@ import pytest
 import sigmak
 from conftest import (
     charpoly_sigmas,
+    diagonal,
     e_brute,
     fd_hessian,
+    frobenius_norm,
     nonpoly_witness,
     random_rotation,
     random_symmetric,
@@ -47,7 +49,7 @@ from sigmak.solution import (
     eval_jet,
 )
 from sigmak.symbolic import verify_exact
-from sigmak.symfunc import SymmetricMatrix, eigenvalues_symmetric, elementary_symmetric
+from sigmak.symfunc import eigenvalues_symmetric, elementary_symmetric
 from sigmak.verify import SampleBox, residual_scan, sample_point
 
 SCAN_SAMPLES = 10_000
@@ -135,7 +137,7 @@ def test_criterion_5_lemma_soundness():
         if e_brute(lams, k) <= 1e-8 * (1.0 + fro**k):
             continue  # hypotheses need sigma_k > 0 with a resolvable margin
         accepted += 1
-        m = rotate_exactly_symmetric(SymmetricMatrix.diagonal(lams), random_rotation(rng, dim))
+        m = rotate_exactly_symmetric(diagonal(lams), random_rotation(rng, dim))
         verdict = gamma_k(m, k)
         if not verdict.in_cone:
             counterexamples += 1
@@ -178,7 +180,7 @@ def test_criterion_8_oracle_agreement():
     for _ in range(1000):
         dim = rng.randrange(1, 9)
         m = random_symmetric(rng, dim)
-        fro = m.frobenius_norm()
+        fro = frobenius_norm(m)
         spectrum = eigenvalues_symmetric(m)
         sv = charpoly_sigmas(m)
         by_eigs = elementary_symmetric(spectrum)
@@ -196,8 +198,8 @@ def test_criterion_8_oracle_agreement():
     fd_ok = True
     for i in range(100):
         pt = sample_point(p3, box, i)
-        closed = eval_jet(p3, pt).hessian.entries
-        fd = fd_hessian(p3, pt, 1e-5).entries
+        closed = eval_jet(p3, pt).hessian
+        fd = fd_hessian(p3, pt, 1e-5)
         if any(
             abs(f - c) > 1e-4 * (1.0 + abs(c))
             for fd_row, closed_row in zip(fd, closed)

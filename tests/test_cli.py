@@ -594,6 +594,11 @@ class TestPayloadPins:
              "08b2674829eb539149862e76e83ff614bfdc47bb95966d7abe87310507896ee4"),
             (["verify", "-n", "13", "--samples", "200", "--seed", "0"], 1,
              "cc02fb329311f71d671abfd67e701445a14a390bbf2f05627cb48990ce984e31"),
+            # the two eval calls of CI: value, gradient and Hessian rows
+            (["eval", "-n", "7", "-m", "2", "--point", "1,-0.5,2,0.3,-1.2,0.7,0.4,0.1,0.2"], 0,
+             "064f273ca1d539e92aa34bda7f895839b13d99fee5102602e1e734f75ae3d56d"),
+            (["eval", "-n", "3", "--point", "-1,0,0.5"], 0,
+             "532cc2fbde3347ef4cb36b6d59c0de2c7b1fb07bad76efe5889ebe4d5fdd85ca"),
         ],
     )
     def test_payload_digest(self, capsys, tmp_path, monkeypatch, argv, code, digest):

@@ -5,7 +5,9 @@ import pytest
 
 from conftest import (
     charpoly_sigmas,
+    diagonal,
     e_brute,
+    frobenius_norm,
     random_rotation,
     rotate_exactly_symmetric,
     sigma_minors,
@@ -15,56 +17,70 @@ from sigmak.cone import (
     cone_flags,
     gamma_k,
 )
-from sigmak.symfunc import SymmetricMatrix, eigenvalues_symmetric
+from sigmak.symfunc import eigenvalues_symmetric
 
 
 class TestSigmaPositivity:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_identity_in_cone(self, k):
-        verdict = gamma_k(SymmetricMatrix.identity(4), k)
+        verdict = gamma_k(diagonal([1.0] * 4), k)
         assert verdict.in_cone
         assert verdict.negative_count == 0
 
     def test_solution_hessian_at_origin(self):
-        verdict = gamma_k(SymmetricMatrix.diagonal([2.0, 2.0, -0.75]), 2)
+        verdict = gamma_k(diagonal([2.0, 2.0, -0.75]), 2)
         assert verdict.in_cone
         assert verdict.sigmas[0] == pytest.approx(3.25)
         assert verdict.sigmas[1] == pytest.approx(1.0)
 
     def test_negative_sigma2_rejected(self):
-        verdict = gamma_k(SymmetricMatrix.diagonal([-1.0, -1.0, 5.0]), 2)
+        verdict = gamma_k(diagonal([-1.0, -1.0, 5.0]), 2)
         assert not verdict.in_cone
         assert verdict.sigmas[0] == pytest.approx(3.0)
         assert verdict.sigmas[1] == pytest.approx(-9.0)
 
     def test_boundary_counts_as_outside(self):
         # sigma_1 = 0 exactly: not in the open cone
-        verdict = gamma_k(SymmetricMatrix.diagonal([1.0, -1.0]), 1)
+        verdict = gamma_k(diagonal([1.0, -1.0]), 1)
         assert not verdict.in_cone
 
     def test_k_out_of_range(self, monkeypatch):
-        # refused before the Jacobi runs
+        # refused before the Jacobi runs; a bool or a float is not a k
         from sigmak import cone
 
         monkeypatch.setattr(cone, "eigenvalues_symmetric", None)
-        for k in (0, 3):
+        for k in (0, 3, True, 2.0):
             with pytest.raises(ValueError, match=rf"^k must be in 1\.\.2, got {k}$"):
-                gamma_k(SymmetricMatrix.identity(2), k)
+                gamma_k(diagonal([1.0] * 2), k)
+
+
+class TestGammaKInput:
+    """gamma_k refuses the float rows that eigenvalues_symmetric refuses."""
+
+    @pytest.mark.parametrize("rows, message", [
+        ([], r"^matrix dimension must be >= 1$"),
+        ([[1.0, 0.0], [0.0]], r"^expected a square matrix, got 1 entries in row 2$"),
+        ([[1.0, 0.0], [float("nan"), 1.0]], r"^matrix entry nan at row 2, column 1 is not finite$"),
+        ([[1.0, 0.5], [0.0, 1.0]], r"^matrix is not symmetric: entries \(2, 1\) and \(1, 2\) differ$"),
+    ], ids=["empty", "short-row", "non-finite", "asymmetric"])
+    def test_bad_rows_are_named(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            gamma_k(rows, 1)
 
 
 class TestLemmaCheck:
     def test_one_negative_eigenvalue_accepted(self):
-        verdict = gamma_k(SymmetricMatrix.diagonal([2.0, 2.0, -0.75]), 2)
+        verdict = gamma_k(diagonal([2.0, 2.0, -0.75]), 2)
         assert verdict.lemma
         assert verdict.negative_count == 1
 
     def test_positive_definite_accepted(self):
-        verdict = gamma_k(SymmetricMatrix.identity(3), 3)
+        verdict = gamma_k(diagonal([1.0] * 3), 3)
         assert verdict.lemma
         assert verdict.negative_count == 0
 
     def test_two_negatives_rejected(self):
-        verdict = gamma_k(SymmetricMatrix.diagonal([-1.0, -2.0, 10.0]), 2)
+        verdict = gamma_k(diagonal([-1.0, -2.0, 10.0]), 2)
         assert not verdict.lemma
         assert verdict.negative_count == 2
 
@@ -88,7 +104,7 @@ class TestLemmaSoundness:
                 continue
             accepted += 1
             m = rotate_exactly_symmetric(
-                SymmetricMatrix.diagonal(lams), random_rotation(rng, dim)
+                diagonal(lams), random_rotation(rng, dim)
             )
             verdict = gamma_k(m, k)
             assert verdict.lemma, (lams, k)
@@ -100,7 +116,7 @@ class TestLemmaSoundness:
             dim = rng.randrange(1, 7)
             lams = [rng.uniform(0.1, 4.0) for _ in range(dim)]
             m = rotate_exactly_symmetric(
-                SymmetricMatrix.diagonal(lams), random_rotation(rng, dim)
+                diagonal(lams), random_rotation(rng, dim)
             )
             for k in range(1, dim + 1):
                 verdict = gamma_k(m, k)
@@ -124,8 +140,8 @@ class TestCharpolyOracleParity:
         if definite:
             shift = max(0.0, -float(np.linalg.eigvalsh(a)[0]))
             a = a + (shift + float(rng.uniform(0.05, 1.0))) * np.eye(dim)
-        m = SymmetricMatrix(a)
-        fro = m.frobenius_norm()
+        m = tuple(map(tuple, a.tolist()))
+        fro = frobenius_norm(m)
         tols = [1e-8 * (1.0 + fro**j) for j in range(1, dim + 1)]
         charpoly = charpoly_sigmas(m)
         minors = [sigma_minors(m, j) for j in range(1, dim + 1)]

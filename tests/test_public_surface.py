@@ -17,7 +17,6 @@ EXPORTS = (
     "ResidualReport",
     "SampleBox",
     "SolutionParams",
-    "SymmetricMatrix",
     "cancellation_coefficient",
     "derive_constants",
     "eigenvalues_symmetric",
@@ -56,6 +55,7 @@ REMOVED = [
     ("sigmak.symbolic", "SymMatrix"),
     ("sigmak.cone", "cone_verdicts"),
     ("sigmak.verify", "_point"),
+    ("sigmak.symfunc", "SymmetricMatrix"),
 ]
 
 BENCHMARK_NAMES = [

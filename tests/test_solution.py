@@ -44,6 +44,15 @@ class TestCancellationCoefficient:
             cancellation_coefficient(5, 1)
         with pytest.raises(ValueError):
             cancellation_coefficient(5, 5)
+        # a bool or a float is refused by name, not run as an integer
+        for n, k, named in [
+            (5.0, 3, "n must be an integer, got 5.0"),
+            (True, 2, "n must be an integer, got True"),
+            (5, 2.0, "k must be an integer, got 2.0"),
+            (5, True, "k must be an integer, got True"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{named}$"):
+                cancellation_coefficient(n, k)
 
 
 class TestDeriveConstants:
@@ -145,7 +154,7 @@ class TestEvalJet:
         p = derive_constants(3)
         jet = eval_jet(p, Point(x=(0.0, 0.0), t=0.0))
         assert jet.value == pytest.approx(-0.75)
-        np.testing.assert_allclose(jet.hessian.entries, np.diag([2.0, 2.0, -0.75]))
+        np.testing.assert_allclose(jet.hessian, np.diag([2.0, 2.0, -0.75]))
         assert elementary_symmetric(eigenvalues_symmetric(jet.hessian))[1] == pytest.approx(1.0)
 
     def test_unit_x_n3(self):
@@ -154,7 +163,7 @@ class TestEvalJet:
         assert jet.value == pytest.approx(0.25)
         assert jet.gradient == pytest.approx((2.0, 0.0, -0.25))
         np.testing.assert_allclose(
-            jet.hessian.entries,
+            jet.hessian,
             [[2.0, 0.0, 2.0], [0.0, 2.0, 0.0], [2.0, 0.0, 0.25]],
         )
 
@@ -162,7 +171,7 @@ class TestEvalJet:
         p = derive_constants(5)
         jet = eval_jet(p, Point(x=(0.0,) * 4, t=0.0))
         np.testing.assert_allclose(
-            jet.hessian.entries, np.diag([2.0, 2.0, 2.0, 2.0, -31.0 / 24.0])
+            jet.hessian, np.diag([2.0, 2.0, 2.0, 2.0, -31.0 / 24.0])
         )
         spectrum = eigenvalues_symmetric(jet.hessian)
         assert elementary_symmetric(spectrum)[2] == pytest.approx(1.0, abs=1e-12)
@@ -251,8 +260,8 @@ class TestExtend:
     def test_padded_hessian_keeps_sigma_k(self):
         p = SolutionParams(3, 1)
         jet = eval_jet(p, Point(x=(0.0, 0.0), t=0.0, w=(1.7,)))
-        assert jet.hessian.dim == 4
-        assert sigma_brute(jet.hessian.to_lists(), 2) == pytest.approx(1.0)
+        assert len(jet.hessian) == 4
+        assert sigma_brute(jet.hessian, 2) == pytest.approx(1.0)
 
     def test_two_dummy_coordinates_reach_dimension_five(self):
         p = SolutionParams(3, 2)
@@ -262,7 +271,7 @@ class TestExtend:
     def test_w_rows_are_zero(self):
         p = SolutionParams(3, 2)
         jet = eval_jet(p, Point(x=(1.0, -2.0), t=0.5, w=(3.0, -4.0)))
-        h = np.array(jet.hessian.entries)
+        h = np.array(jet.hessian)
         assert np.all(h[3:, :] == 0.0) and np.all(h[:, 3:] == 0.0)
         assert jet.gradient[3:] == (0.0, 0.0)
 
@@ -293,7 +302,7 @@ class TestHessianDD:
     def test_matches_float_hessian(self):
         p = derive_constants(5)
         pt = Point(x=(1.1, -0.4, 2.0, 0.0), t=-0.8)
-        hfloat = eval_jet(p, pt).hessian.entries
+        hfloat = eval_jet(p, pt).hessian
         hdd = hessian_dd(p, pt.x, dd_terms(p, pt.x, pt.t))
         for i in range(5):
             for j in range(5):
@@ -353,7 +362,7 @@ class TestSpectrumDD:
         by_jacobi = eigenvalues_symmetric_dd(hessian_dd(p, pt.x, dd_terms(p, pt.x, pt.t)))
         assert by_jacobi == sorted(by_jacobi)
         assert _max_gap(lam, by_jacobi) <= SPECTRUM_AUDIT_REL_TOL * (1.0 + fro)
-        by_numpy = np.linalg.eigvalsh(eval_jet(p, pt).hessian.entries)
+        by_numpy = np.linalg.eigvalsh(eval_jet(p, pt).hessian)
         gaps = [abs(dd.to_float(x) - y) for x, y in zip(lam, by_numpy)]
         assert max(gaps) <= 1e-14 * (1.0 + fro)
         return lam, by_jacobi

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import (
     charpoly_sigmas,
+    diagonal,
     e_brute,
+    frobenius_norm,
     random_rotation,
     random_symmetric,
     rotate_exactly_symmetric,
@@ -21,7 +23,6 @@ from sigmak import symfunc
 from sigmak.errors import ConvergenceError
 from sigmak.symbolic import sym_add, sym_const, sym_mul, sym_scale
 from sigmak.symfunc import (
-    SymmetricMatrix,
     eigenvalues_symmetric,
     eigenvalues_symmetric_dd,
     elementary_symmetric,
@@ -81,26 +82,32 @@ class TestElementarySymmetric:
 
 
 class TestSymmetricMatrix:
+    """A float matrix is its rows.  eigenvalues_symmetric (and gamma_k, see
+    test_cone) refuses rows that are not exactly symmetric; symmetrized
+    averages rows that are symmetric up to noise.  Both refuse rows that are
+    empty, not square or not finite, naming the row and column (from 1)."""
+
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="not exactly symmetric"):
-            SymmetricMatrix([[1.0, 2.0], [2.0000001, 1.0]])
+        with pytest.raises(ValueError, match=r"^matrix is not symmetric: entries \(2, 1\) "
+                                             r"and \(1, 2\) differ$"):
+            eigenvalues_symmetric([[1.0, 2.0], [2.0000001, 1.0]])
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            SymmetricMatrix([[1.0, 2.0, 3.0], [2.0, 1.0, 0.0]])
+        for rows, message in [
+            ([], r"^matrix dimension must be >= 1$"),
+            ([[1.0, 2.0, 3.0], [2.0, 1.0, 0.0]], r"^expected a square matrix, got 3 entries in row 1$"),
+            ([[1.0, 2.0], [2.0]], r"^expected a square matrix, got 1 entries in row 2$"),
+            (3.0, r"^expected a square matrix given as a sequence of rows$"),
+        ]:
+            for build in (eigenvalues_symmetric, symfunc.symmetrized):
+                with pytest.raises(ValueError, match=message):
+                    build(rows)
 
     def test_dim_one(self):
-        m = SymmetricMatrix([[4.0]])
-        assert m.dim == 1 and m.entries == ((4.0,),)
+        assert symfunc.symmetrized([[4]]) == ((4.0,),)
+        assert eigenvalues_symmetric(((4.0,),)) == (4.0,)
 
-    def test_entries_are_readonly(self):
-        m = SymmetricMatrix.identity(3)
-        with pytest.raises(TypeError):
-            m.entries[0][0] = 5.0
-        with pytest.raises(AttributeError):
-            m.entries = ((5.0,),)
-
-    @pytest.mark.parametrize("build", [SymmetricMatrix, SymmetricMatrix.symmetrized])
+    @pytest.mark.parametrize("build", [eigenvalues_symmetric, symfunc.symmetrized])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "cells, named",
@@ -113,28 +120,28 @@ class TestSymmetricMatrix:
         ids=["first-diagonal", "last-diagonal", "mirrored-pair", "lower-triangle"],
     )
     def test_rejects_non_finite_entry(self, build, bad, cells, named):
+        # finiteness is checked before symmetry: a lone non-finite entry
+        # off the diagonal is named as such, not as an asymmetric pair
         rows = [[1.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 3.0]]
         for i, j in cells:
             rows[i][j] = bad
-        with pytest.raises(ValueError, match=f"matrix entry {bad} at {named} is not finite"):
+        with pytest.raises(ValueError, match=f"^matrix entry {bad} at {named} is not finite$"):
             build(rows)
 
     def test_stores_plain_float_tuples_from_any_rows(self):
-        m = SymmetricMatrix(np.array([[1, 2], [2, 3]]))
-        assert m.entries == ((1.0, 2.0), (2.0, 3.0))
-        assert all(type(v) is float for row in m.entries for v in row)
-        assert m == SymmetricMatrix(([1.0, 2.0], (2.0, 3.0)))
-        assert hash(m) == hash(SymmetricMatrix([[1.0, 2.0], [2.0, 3.0]]))
-        assert m.to_lists() == [[1.0, 2.0], [2.0, 3.0]]
-        assert m.frobenius_norm() == math.sqrt(18.0)
+        rows = symfunc.symmetrized(np.array([[1, 2], [2, 3]]))
+        assert rows == ((1.0, 2.0), (2.0, 3.0))
+        assert all(type(v) is float for row in rows for v in row)
+        assert eigenvalues_symmetric(np.array([[2, 0], [0, 1]])) == (1.0, 2.0)
 
     def test_symmetrized_within_tolerance(self):
-        m = SymmetricMatrix.symmetrized([[1.0, 2.0 + 1e-13], [2.0, 1.0]])
-        assert m.entries[0][1] == m.entries[1][0]
+        rows = symfunc.symmetrized([[1.0, 2.0 + 1e-13], [2.0, 1.0]])
+        assert rows[0][1] == rows[1][0]
 
     def test_symmetrized_rejects_beyond_tolerance(self):
-        with pytest.raises(ValueError, match="asymmetry"):
-            SymmetricMatrix.symmetrized([[1.0, 2.1], [2.0, 1.0]])
+        with pytest.raises(ValueError, match=r"^matrix asymmetry 0\.1 between entries \(1, 2\) "
+                                             r"and \(2, 1\) exceeds tolerance 1e-12$"):
+            symfunc.symmetrized([[1.0, 2.1], [2.0, 1.0]])
 
     @pytest.mark.parametrize(
         "v, w, mean",
@@ -146,8 +153,8 @@ class TestSymmetricMatrix:
         ],
     )
     def test_symmetrized_mean_of_mirrored_entries(self, v, w, mean):
-        m = SymmetricMatrix.symmetrized([[0.0, v], [w, 0.0]])
-        assert m.entries == ((0.0, mean), (mean, 0.0))
+        rows = symfunc.symmetrized([[0.0, v], [w, 0.0]])
+        assert rows == ((0.0, mean), (mean, 0.0))
 
 
 class TestElementarySymmetricCount:
@@ -179,38 +186,38 @@ class TestSigmaViaMinors:
     """Value pins of the tests' principal-minor sum, conftest.sigma_minors."""
 
     def test_identity_3x3(self):
-        assert sigma_minors(SymmetricMatrix.identity(3), 2) == pytest.approx(3.0)
+        assert sigma_minors(diagonal([1.0] * 3), 2) == pytest.approx(3.0)
 
     def test_single_2x2_determinant(self):
-        m = SymmetricMatrix([[2.0, 4.0], [4.0, 3.0]])
+        m = [[2.0, 4.0], [4.0, 3.0]]
         assert sigma_minors(m, 2) == pytest.approx(-10.0)
 
     def test_matches_elementary_symmetric_on_diagonal(self):
-        m = SymmetricMatrix.diagonal([1.0, 2.0, 3.0])
+        m = diagonal([1.0, 2.0, 3.0])
         assert sigma_minors(m, 2) == pytest.approx(11.0)
 
 
 class TestCharpoly:
     def test_diag_123(self):
-        sv = charpoly_sigmas(SymmetricMatrix.diagonal([1.0, 2.0, 3.0]))
+        sv = charpoly_sigmas(diagonal([1.0, 2.0, 3.0]))
         # (x-1)(x-2)(x-3) expanded
         assert sv == pytest.approx((6.0, 11.0, 6.0))
 
     @pytest.mark.parametrize("n", [1, 2, 4, 7])
     def test_identity_gives_binomials(self, n):
-        sv = charpoly_sigmas(SymmetricMatrix.identity(n))
+        sv = charpoly_sigmas(diagonal([1.0] * n))
         assert sv == pytest.approx(tuple(math.comb(n, j) for j in range(1, n + 1)))
 
     def test_zero_matrix(self):
-        sv = charpoly_sigmas(SymmetricMatrix(np.zeros((4, 4))))
+        sv = charpoly_sigmas(np.zeros((4, 4)))
         assert sv == (0.0, 0.0, 0.0, 0.0)
 
     def test_trace_and_det_invariants(self):
-        m = SymmetricMatrix([[3.0, 1.0, 0.5], [1.0, -2.0, 2.0], [0.5, 2.0, 1.0]])
+        m = [[3.0, 1.0, 0.5], [1.0, -2.0, 2.0], [0.5, 2.0, 1.0]]
         sv = charpoly_sigmas(m)
-        tr = float(np.trace(m.entries))
+        tr = float(np.trace(m))
         assert abs(sv[0] - tr) <= 1e-10 * (1 + abs(tr))
-        det = float(np.linalg.det(m.entries))
+        det = float(np.linalg.det(m))
         assert abs(sv[2] - det) <= 1e-10 * (1 + abs(det))
 
 
@@ -221,7 +228,7 @@ class TestFaddeevLeverrierCount:
     @staticmethod
     def sigmas(m, count=None):
         return symfunc.faddeev_leverrier(
-            m.entries, operator.add, operator.mul, operator.truediv, 0.0, count
+            m, operator.add, operator.mul, operator.truediv, 0.0, count
         )
 
     def test_prefix_on_random_symmetric_matrices(self):
@@ -229,13 +236,13 @@ class TestFaddeevLeverrierCount:
         for _ in range(30):
             m = random_symmetric(rng, rng.randrange(1, 10))
             full = self.sigmas(m)
-            assert len(full) == m.dim
-            for c in range(1, m.dim + 1):
+            assert len(full) == len(m)
+            for c in range(1, len(m) + 1):
                 assert self.sigmas(m, c) == full[:c]
 
     @pytest.mark.parametrize("count", [0, 4, 2.5, -1, True])
     def test_count_outside_the_dimension_refused_by_name(self, count):
-        m = SymmetricMatrix.identity(3)
+        m = diagonal([1.0] * 3)
         with pytest.raises(ValueError, match=rf"count must be an integer in 1\.\.3 \(the dimension\), got {count!r}"):
             self.sigmas(m, count)
 
@@ -289,7 +296,7 @@ class TestFaddeevLeverrierZeroTest:
 
         p = SolutionParams(7, 2)
         pt = Point((0.5, -1.0, 2.0, 0.0, 1.5, -0.3), 0.7, (0.25, -0.5))
-        floats = eval_jet(p, pt).hessian.entries
+        floats = eval_jet(p, pt).hessian
         products = []
 
         def counted_product(x, y):
@@ -321,21 +328,21 @@ class TestFaddeevLeverrierZeroTest:
 
 class TestEigenvalues:
     def test_diagonal_sorted(self):
-        spectrum = eigenvalues_symmetric(SymmetricMatrix.diagonal([3.0, 1.0, 2.0]))
+        spectrum = eigenvalues_symmetric(diagonal([3.0, 1.0, 2.0]))
         assert spectrum == pytest.approx((1.0, 2.0, 3.0))
 
     def test_reflection(self):
-        spectrum = eigenvalues_symmetric(SymmetricMatrix([[0.0, 1.0], [1.0, 0.0]]))
+        spectrum = eigenvalues_symmetric([[0.0, 1.0], [1.0, 0.0]])
         assert spectrum == pytest.approx((-1.0, 1.0))
 
     def test_solution_hessian_spectrum(self):
         # D^2 u at x=(1,0), t=0 for the n=3 solution; its 2-minors sum to 1
-        m = SymmetricMatrix([[2.0, 0.0, 2.0], [0.0, 2.0, 0.0], [2.0, 0.0, 0.25]])
+        m = [[2.0, 0.0, 2.0], [0.0, 2.0, 0.0], [2.0, 0.0, 0.25]]
         spectrum = eigenvalues_symmetric(m)
         assert elementary_symmetric(spectrum)[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_dim_one(self):
-        spectrum = eigenvalues_symmetric(SymmetricMatrix([[7.0]]))
+        spectrum = eigenvalues_symmetric([[7.0]])
         assert spectrum == (7.0,)
 
     def test_matches_numpy_on_random_matrices(self):
@@ -343,8 +350,8 @@ class TestEigenvalues:
         for _ in range(25):
             m = random_symmetric(rng, rng.randrange(2, 9))
             mine = eigenvalues_symmetric(m)
-            ref = np.linalg.eigvalsh(m.entries)
-            np.testing.assert_allclose(mine, ref, rtol=1e-9, atol=1e-9 * (1 + m.frobenius_norm()))
+            ref = np.linalg.eigvalsh(m)
+            np.testing.assert_allclose(mine, ref, rtol=1e-9, atol=1e-9 * (1 + frobenius_norm(m)))
 
 
 class TestCrossAlgorithmInvariants:
@@ -353,7 +360,7 @@ class TestCrossAlgorithmInvariants:
         for _ in range(60):
             dim = rng.randrange(1, 9)
             m = random_symmetric(rng, dim)
-            fro = m.frobenius_norm()
+            fro = frobenius_norm(m)
             spectrum = eigenvalues_symmetric(m)
             sv = charpoly_sigmas(m)
             by_eigs = elementary_symmetric(spectrum)
@@ -371,7 +378,7 @@ class TestCrossAlgorithmInvariants:
             dim = rng.randrange(2, 7)
             m = random_symmetric(rng, dim)
             rotated = rotate_exactly_symmetric(m, random_rotation(rng, dim))
-            fro = m.frobenius_norm()
+            fro = frobenius_norm(m)
             for k in range(1, dim + 1):
                 a = sigma_minors(m, k)
                 b = sigma_minors(rotated, k)
@@ -383,7 +390,7 @@ class TestCrossAlgorithmInvariants:
             dim = rng.randrange(1, 7)
             m = random_symmetric(rng, dim, scale=2.0)
             c = rng.uniform(0.2, 3.0)
-            scaled = SymmetricMatrix(c * np.array(m.entries))
+            scaled = c * np.array(m)
             sv = charpoly_sigmas(m)
             sv_scaled = charpoly_sigmas(scaled)
             for k in range(1, dim + 1):
@@ -403,10 +410,10 @@ class TestDoubleDoubleVariants:
         rng = random.Random(13)
         for _ in range(10):
             m = random_symmetric(rng, rng.randrange(2, 6))
-            entries = [[dd.from_float(v) for v in row] for row in m.to_lists()]
+            entries = [[dd.from_float(v) for v in row] for row in m]
             lam = [dd.to_float(v) for v in eigenvalues_symmetric_dd(entries)]
             ref = eigenvalues_symmetric(m)
-            np.testing.assert_allclose(lam, ref, rtol=1e-10, atol=1e-10 * (1 + m.frobenius_norm()))
+            np.testing.assert_allclose(lam, ref, rtol=1e-10, atol=1e-10 * (1 + frobenius_norm(m)))
 
     def test_dd_elementary_symmetric_exact(self):
         vals = [dd.from_float(v) for v in (2.0, 2.0, -0.75)]
@@ -470,26 +477,26 @@ class TestJacobiFailurePaths:
     def test_float_trace_check_is_wired(self, monkeypatch):
         monkeypatch.setattr(symfunc, "TRACE_REL_TOL", -1.0)
         with pytest.raises(ConvergenceError, match="float64 eigenvalue sum drifted from the trace"):
-            eigenvalues_symmetric(SymmetricMatrix(self.ROWS))
+            eigenvalues_symmetric(self.ROWS)
 
     def test_float_sweep_cap(self, monkeypatch):
         monkeypatch.setattr(symfunc, "JACOBI_MAX_SWEEPS", 0)
-        m = SymmetricMatrix(self.ROWS)
+        m = self.ROWS
         with pytest.raises(ConvergenceError, match="float64 Jacobi did not converge in 0 sweeps") as info:
             eigenvalues_symmetric(m)
-        assert info.value.offdiag_norm > symfunc.JACOBI_REL_TOL * (1.0 + m.frobenius_norm())
+        assert info.value.offdiag_norm > symfunc.JACOBI_REL_TOL * (1.0 + frobenius_norm(m))
 
     def test_dd_sweep_cap(self, monkeypatch):
         monkeypatch.setattr(symfunc, "JACOBI_MAX_SWEEPS", 0)
         entries = [[dd.from_float(v) for v in row] for row in self.ROWS]
-        fro = SymmetricMatrix(self.ROWS).frobenius_norm()
+        fro = frobenius_norm(self.ROWS)
         with pytest.raises(ConvergenceError, match="double-double Jacobi did not converge in 0 sweeps") as info:
             eigenvalues_symmetric_dd(entries)
         assert info.value.offdiag_norm > symfunc.DD_JACOBI_REL_TOL * (1.0 + fro)
 
     def test_diagonal_input_needs_no_sweep(self, monkeypatch):
         monkeypatch.setattr(symfunc, "JACOBI_MAX_SWEEPS", 0)
-        assert eigenvalues_symmetric(SymmetricMatrix.diagonal([2.0, -1.0])) == (-1.0, 2.0)
+        assert eigenvalues_symmetric(diagonal([2.0, -1.0])) == (-1.0, 2.0)
 
 
 class TestNearTracelessMatrices:
@@ -506,8 +513,7 @@ class TestNearTracelessMatrices:
                 for j in range(i, dim):
                     a[i, j] = a[j, i] = rng.uniform(-scale, scale)
             a[np.diag_indices(dim)] -= np.trace(a) / dim
-            m = SymmetricMatrix(a)
-            got = eigenvalues_symmetric(m)
+            got = eigenvalues_symmetric(a)
             np.testing.assert_allclose(
-                got, np.linalg.eigvalsh(a), rtol=0, atol=1e-12 * m.frobenius_norm()
+                got, np.linalg.eigvalsh(a), rtol=0, atol=1e-12 * frobenius_norm(a)
             )
