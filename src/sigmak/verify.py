@@ -16,12 +16,14 @@ A uniform float u in [0, 1) keeps the top 53 bits: (word >> 11) * 2**-53.
 Sample number i in total dimension D consumes words i*D .. i*D + D - 1, one
 per coordinate, x block first, then t, then the w block.  The x and w
 coordinates are -x_radius + (2 x_radius) u, uniform on [-x_radius,
-x_radius], and t is t_min + (t_max - t_min) u.  ``splitmix64_words`` returns
-a sample's D words in one call, stepping the state by the golden increment
-from word to word.  The scan maps them to its x block and t as plain floats
-and builds no Point for a sample unless it reports it as the argmax or
-names it in an error; then ``sample_point`` builds the Point of sample i
-from the same words by the same mapping.
+x_radius], and t is t_min + (t_max - t_min) u.  A scan draws the words of
+its samples one block of AUDIT_STRIDE samples at a time, from the start of
+its range, in one ``splitmix64_words`` call that mixes all of the block's
+words together in the lanes of one Python int; each word is bit for bit the
+one defined above.  The scan maps them to a sample's x block and t as plain
+floats, skips the w words, and builds no Point for a sample unless it
+reports it as the argmax or names it in an error; then ``sample_point``
+builds the Point of sample i from its D words by the same mapping.
 
 Since sample i depends on (seed, i) alone, a scan splits its samples into
 contiguous ranges, one per CPU that the process may run on, scans the first
@@ -79,6 +81,8 @@ import math
 import os
 import pickle
 import signal
+import sys
+from array import array
 from dataclasses import dataclass
 
 from . import doubledouble as dd
@@ -102,10 +106,13 @@ from .symfunc import (
 
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_LOW_HALF = b"\xff" * 8 + bytes(8)  # a 128-bit lane's low 64 bits, little-endian
 
 PHASE_TOL = 1e-9
 CRITICAL_PHASE_N3 = math.pi / 2
-AUDIT_STRIDE = 100  # audit the closed-form spectrum and sigmas on 1% of samples
+# audit the closed-form spectrum and sigmas on 1% of samples; a scan also
+# draws its words this many samples at a time
+AUDIT_STRIDE = 100
 # A scan forks a worker only for a range of at least this many samples.  A
 # worker costs a few ms beyond its samples: the fork (~1.2 ms in a 35 MB
 # parent), 2-3 ms before the child runs, and copy-on-write faults in both
@@ -161,15 +168,37 @@ SIGMA_AUDIT_UNITS = 8.0
 
 def splitmix64_words(seed: int, first: int, count: int) -> list[int]:
     """Words first .. first + count - 1 of the counter-based splitmix64 stream
-    for `seed`; word c mixes seed + (c+1) * _GOLDEN (mod 2^64)."""
-    state = (seed + first * _GOLDEN) & MASK64
-    words = []
-    for _ in range(count):
-        state = (state + _GOLDEN) & MASK64
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        words.append(z ^ (z >> 31))
-    return words
+    for `seed`; word c mixes seed + (c+1) * _GOLDEN (mod 2^64).
+
+    The words are mixed together, in one Python int of `count` 128-bit
+    lanes.  Lane j starts as the counter (first + j + 1) mod 2^64, which
+    wraps to 0 past 2^64 - 1, written through array('Q') and read by
+    int.from_bytes in little-endian byte order (byteswapped first on a
+    big-endian host).  Times the 64-bit golden increment or a mix constant,
+    plus the seed, a lane's value stays below 2^128, so no carry crosses
+    into the next lane; each product, and each xor with a right shift,
+    which moves the next lane's low bits into this lane's high half, is
+    masked to the low 64 bits of every lane before the next step reads it.
+    The words are the lanes' low halves, read back the same way.
+    """
+    start = (first + 1) & MASK64
+    head = min(count, MASK64 + 1 - start)  # counters before the wrap to 0
+    counters = array("Q", range(start, start + head))
+    counters.extend(range(count - head))
+    lanes = array("Q", bytes(16 * count))
+    lanes[::2] = counters
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    mask = int.from_bytes(_LOW_HALF * count, "little")
+    z = int.from_bytes(lanes.tobytes(), "little") * _GOLDEN
+    z = (z + int.from_bytes((seed & MASK64).to_bytes(16, "little") * count, "little")) & mask
+    z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+    z ^= z >> 31
+    lanes = array("Q", z.to_bytes(16 * count, "little"))
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes[::2].tolist()
 
 
 @dataclass(frozen=True)
@@ -213,17 +242,14 @@ def sample_point(p: SolutionParams, box: SampleBox, index: int) -> Point:
     """Deterministic sample number `index`, uniform over the box: the Point
     of its words, x block, then t, then w block."""
     d, nx = p.total_dim, p.n_base - 1
-    words = splitmix64_words(box.seed, index * d, d)
+    u = [(word >> 11) * 2.0**-53 for word in splitmix64_words(box.seed, index * d, d)]
     lo, width = -box.x_radius, 2.0 * box.x_radius
     t_lo, t_hi = box.t_range
-    (t,) = _scaled(words[nx : nx + 1], t_lo, t_hi - t_lo)
-    x = tuple(_scaled(words[:nx], lo, width))
-    return Point(x, t, tuple(_scaled(words[nx + 1 :], lo, width)))
-
-
-def _scaled(words, lo: float, width: float) -> list[float]:
-    """lo + width * u for each word's uniform u = (word >> 11) * 2^-53."""
-    return [lo + width * ((word >> 11) * 2.0**-53) for word in words]
+    return Point(
+        tuple(lo + width * v for v in u[:nx]),
+        t_lo + (t_hi - t_lo) * u[nx],
+        tuple(lo + width * v for v in u[nx + 1 :]),
+    )
 
 
 def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
@@ -382,6 +408,8 @@ def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tup
     of the first sample that reached it (None while no residual exceeded
     -1), the cone and lemma failure counts, the smallest sigma_j and the
     phase failure count.  Sample i is audited when i % AUDIT_STRIDE == 0.
+    The words are drawn one block of AUDIT_STRIDE samples at a time, from
+    `start`, so a range of any length holds one block's words at once.
     """
     t_lo, t_hi = box.t_range
     k = p.k
@@ -391,33 +419,35 @@ def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tup
     max_resid, argmax = -1.0, None
     cone_failures = lemma_failures = phase_failures = 0
     min_sigma_j = math.inf
-    for i in range(start, stop):
-        words = splitmix64_words(box.seed, i * d, d)
-        x = _scaled(words[:nx], x_lo, x_width)
-        (t,) = _scaled(words[nx : nx + 1], t_lo, t_width)
-        try:
-            terms = dd_terms(p, x, t)
-            lam_dd, e = spectrum_sigmas_dd(p, terms)
-            sigmas = [hi + lo for hi, lo in e]
-            lam = [hi + lo for hi, lo in lam_dd]
-            if i % AUDIT_STRIDE == 0:
-                _audit_sample(p, x, terms, lam_dd, e)
-        except ConvergenceError as exc:
-            pt = sample_point(p, box, i)
-            raise ConvergenceError(
-                f"sample {i} at {pt}: {exc}", offdiag_norm=exc.offdiag_norm
-            ) from exc
+    for block in range(start, stop, AUDIT_STRIDE):
+        size = min(AUDIT_STRIDE, stop - block)
+        words = splitmix64_words(box.seed, block * d, size * d)
+        for i, at in zip(range(block, block + size), range(0, size * d, d)):
+            x = [x_lo + x_width * ((word >> 11) * 2.0**-53) for word in words[at : at + nx]]
+            t = t_lo + t_width * ((words[at + nx] >> 11) * 2.0**-53)
+            try:
+                terms = dd_terms(p, x, t)
+                lam_dd, e = spectrum_sigmas_dd(p, terms)
+                sigmas = [hi + lo for hi, lo in e]
+                lam = [hi + lo for hi, lo in lam_dd]
+                if i % AUDIT_STRIDE == 0:
+                    _audit_sample(p, x, terms, lam_dd, e)
+            except ConvergenceError as exc:
+                pt = sample_point(p, box, i)
+                raise ConvergenceError(
+                    f"sample {i} at {pt}: {exc}", offdiag_norm=exc.offdiag_norm
+                ) from exc
 
-        hi, lo = dd.sub(e[k - 1], dd.ONE)
-        resid = abs(hi + lo)
-        if resid > max_resid:
-            max_resid, argmax = resid, i
-        _, in_cone, lemma = cone_flags(lam, sigmas, k)
-        cone_failures += not in_cone
-        lemma_failures += not lemma
-        min_sigma_j = min(min_sigma_j, *sigmas)
-        if check_phase and abs(sl_phase(lam) - CRITICAL_PHASE_N3) > PHASE_TOL:
-            phase_failures += 1
+            hi, lo = dd.sub(e[k - 1], dd.ONE)
+            resid = abs(hi + lo)
+            if resid > max_resid:
+                max_resid, argmax = resid, i
+            _, in_cone, lemma = cone_flags(lam, sigmas, k)
+            cone_failures += not in_cone
+            lemma_failures += not lemma
+            min_sigma_j = min(min_sigma_j, *sigmas)
+            if check_phase and abs(sl_phase(lam) - CRITICAL_PHASE_N3) > PHASE_TOL:
+                phase_failures += 1
     return max_resid, argmax, cone_failures, lemma_failures, min_sigma_j, phase_failures
 
 

@@ -38,9 +38,11 @@ class TestGenerator:
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
             return (z ^ (z >> 31)) & mask
 
+        # counts around one lane-packed block of 100 words and past a dozen
+        # blocks; the counter wraps mod 2^64 inside a call from 2^64 - 5
         for seed in (0, 42, 2**64 - 1):
-            for first in (0, 1, 2, 1000, 2**70):
-                for count in (0, 1, 13):
+            for first in (0, 1, 2, 1000, 2**64 - 5, 2**70):
+                for count in (0, 1, 2, 13, 99, 100, 101, 1301):
                     expected = [reference(seed, first + i) for i in range(count)]
                     assert splitmix64_words(seed, first, count) == expected
 
@@ -564,6 +566,82 @@ class TestSampleRanges:
         with pytest.raises(KeyboardInterrupt):
             residual_scan(P3, BOX)
         self.assert_no_children()
+
+
+class TestSampleBlocks:
+    """A range draws its samples' words one block of AUDIT_STRIDE samples at
+    a time, from its start, and scans the same samples as one-sample ranges."""
+
+    @staticmethod
+    def one_loop(parts):
+        # the merge rules of residual_scan over partial reports in range order
+        max_resid, argmax, cones, lemmas, sigma, phases = -1.0, None, 0, 0, math.inf, 0
+        for resid, index, cone, lemma, smallest, phase in parts:
+            if resid > max_resid:
+                max_resid, argmax = resid, index
+            cones, lemmas, phases = cones + cone, lemmas + lemma, phases + phase
+            sigma = min(sigma, smallest)
+        return max_resid, argmax, cones, lemmas, sigma, phases
+
+    @pytest.mark.parametrize("n, m", [(3, 0), (7, 0), (5, 2)])
+    @pytest.mark.parametrize("start, stop", [(37, 450), (99, 101), (0, 1)])
+    def test_a_range_scans_its_samples_one_by_one(self, monkeypatch, n, m, start, stop):
+        # the (x, t) of every sample and the x of every audit, in scan order,
+        # are sample_point's, by the range and by its one-sample ranges, and
+        # the range's partial report is their one-loop merge: a block that
+        # drops, repeats or shifts a sample, or reads a w word as t, fails
+        from sigmak import verify
+
+        p = SolutionParams(n, m)
+        seen = []
+        terms_of, audit = verify.dd_terms, verify._audit_sample
+
+        def recorded_terms(p, x, t):
+            seen.append(("sample", list(x), t))
+            return terms_of(p, x, t)
+
+        def recorded_audit(p, x, *args):
+            seen.append(("audit", list(x)))
+            return audit(p, x, *args)
+
+        monkeypatch.setattr(verify, "dd_terms", recorded_terms)
+        monkeypatch.setattr(verify, "_audit_sample", recorded_audit)
+        whole = verify._scan_range(p, BOX, start, stop)
+        by_range = seen.copy()
+        seen.clear()
+        parts = [verify._scan_range(p, BOX, i, i + 1) for i in range(start, stop)]
+        expected = []
+        for i in range(start, stop):
+            pt = sample_point(p, BOX, i)
+            expected.append(("sample", list(pt.x), pt.t))
+            if i % 100 == 0:
+                expected.append(("audit", list(pt.x)))
+        assert by_range == expected and seen == expected
+        assert whole == self.one_loop(parts)
+
+    def test_one_generator_call_per_block(self, monkeypatch):
+        from sigmak import verify
+
+        calls = TestSpectrumAudit.count_calls(monkeypatch, "splitmix64_words")
+        verify._scan_range(P3, BOX, 0, 1000)
+        assert [args[1:] for args, _ in calls] == [(300 * b, 300) for b in range(10)]
+
+    def test_memory_is_bounded_by_one_block(self):
+        # one block of 100 n = 3 samples (300 words in 128-bit lanes, their
+        # list and the mix's temporaries) peaks near 50 kB; the 6000 words of
+        # the whole range drawn at once peak near 670 kB (CPython 3.11)
+        import tracemalloc
+
+        from sigmak import verify
+
+        verify._scan_range(P3, BOX, 0, 101)  # the audit's first-call set-up
+        tracemalloc.start()
+        try:
+            verify._scan_range(P3, BOX, 3000, 5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000
 
 
 class TestScanNegativeControls:
