@@ -14,27 +14,23 @@ past that the split's ``_SPLITTER * a`` overflows.  Callers that could reach
 it guard their inputs (see ``solution._check_radius``).
 
 The operations are add, sub, mul, mul_pow2 (exact scaling by a power of
-two), div, sqrt, rotate (one plane rotation of a pair of entries) and
-sum_squares (of floats); a float f enters the others as ``(f, 0.0)``.
-Every operation runs as one Python frame: Knuth's TwoSum, Dekker's TwoProd
-and the closing FastTwoSum are written out inside it, and so are the
-products, sums and differences that div, sqrt, rotate and sum_squares are
-composed of, because in CPython a function call costs as much as the float
-operations it would wrap.  An operand that several products share is split
-once.  The float operations are the textbook composition's, in its order, so
-every result is the composition's bit for bit; tests/test_doubledouble.py
-keeps the composition and pins this.  So a call counter installed on this
-module counts each div, sqrt, rotate and sum_squares as one call, not the
-products and sums inside it; ring() looks the operations up on the module,
-so the counter still sees every call the Jacobi makes.
+two), div, sqrt and sum_squares (of floats); a float f enters the others as
+``(f, 0.0)``.  Every operation runs as one Python frame: Knuth's TwoSum,
+Dekker's TwoProd and the closing FastTwoSum are written out inside it, and
+so are the products, sums and differences that div, sqrt and sum_squares
+are composed of, because in CPython a function call costs as much as the
+float operations it would wrap.  An operand that several products share is
+split once.  The float operations are the textbook composition's, in its
+order, so every result is the composition's bit for bit;
+tests/test_doubledouble.py keeps the composition and pins this.  So a call
+counter installed on this module counts each div, sqrt and sum_squares as
+one call, not the products and sums inside it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import itemgetter
-from types import SimpleNamespace
 
 DD = tuple[float, float]
 
@@ -202,79 +198,3 @@ def sqrt(x: DD) -> DD:
     if h != h:  # an infinite part or a nan lo, or s * s past the largest double
         raise ValueError(f"square root of a non-finite or out-of-range double-double {x!r}")
     return h, e - (h - s)
-
-
-def rotate(c: DD, s: DD, x: DD, y: DD) -> tuple[DD, DD]:
-    """The plane rotation (c x - s y, s x + c y) of one pair of entries.
-
-    That is sub(mul(c, x), mul(s, y)) and add(mul(s, x), mul(c, y)), written
-    out with each operand's hi split once.
-    """
-    ch, cl = c
-    sh, sl = s
-    xh, xl = x
-    yh, yl = y
-    t = _SPLITTER * ch
-    c1 = t - (t - ch)
-    c2 = ch - c1
-    t = _SPLITTER * sh
-    s1 = t - (t - sh)
-    s2 = sh - s1
-    t = _SPLITTER * xh
-    x1 = t - (t - xh)
-    x2 = xh - x1
-    t = _SPLITTER * yh
-    y1 = t - (t - yh)
-    y2 = yh - y1
-    # mul(c, x) and mul(s, y)
-    p = ch * xh
-    e = (((c1 * x1 - p) + c1 * x2 + c2 * x1) + c2 * x2) + (ch * xl + cl * xh)
-    ah = p + e
-    al = e - (ah - p)
-    p = sh * yh
-    e = (((s1 * y1 - p) + s1 * y2 + s2 * y1) + s2 * y2) + (sh * yl + sl * yh)
-    bh = p + e
-    bl = e - (bh - p)
-    # sub
-    b = -bh
-    t = ah + b
-    bb = t - ah
-    e = ((ah - (t - bb)) + (b - bb)) + (al - bl)
-    uh = t + e
-    ul = e - (uh - t)
-    # mul(s, x) and mul(c, y)
-    p = sh * xh
-    e = (((s1 * x1 - p) + s1 * x2 + s2 * x1) + s2 * x2) + (sh * xl + sl * xh)
-    ah = p + e
-    al = e - (ah - p)
-    p = ch * yh
-    e = (((c1 * y1 - p) + c1 * y2 + c2 * y1) + c2 * y2) + (ch * yl + cl * yh)
-    bh = p + e
-    bl = e - (bh - p)
-    # add
-    t = ah + bh
-    bb = t - ah
-    e = ((ah - (t - bb)) + (bh - bb)) + (al + bl)
-    vh = t + e
-    return (uh, ul), (vh, e - (vh - t))
-
-
-def ring() -> SimpleNamespace:
-    """The double-double ring of symfunc's cyclic Jacobi and trace recursion.
-
-    On its audited samples the scan diagonalizes the double-double Hessian
-    with the same cyclic Jacobi as cone-check and phase-check, and runs the
-    same Faddeev-LeVerrier recursion as the exact certificate, both carried
-    in this arithmetic, to check its closed-form spectrum and sigmas (at
-    sample-box corners |sigma_k - 1| is below what plain doubles can
-    resolve, see the module docstring).  The skip rule and the off-diagonal
-    norm read only the leading float hi, which is the rounded value hi + lo;
-    the ascending sort compares (hi, lo) pairs, which order as their
-    values.  The operations are looked up on every call, never stored, so
-    that a wrapper installed on this module (a call counter) sees the
-    Jacobi's and the recursion's calls too.
-    """
-    return SimpleNamespace(
-        name="double-double", add=add, sub=sub, mul=mul, div=div, sqrt=sqrt,
-        rotate=rotate, lead=itemgetter(0), zero=ZERO, one=ONE,
-    )

@@ -172,8 +172,8 @@ def _check_radius(
 
     which bounds ||D^2 u||_F and every eigenvalue.  In dimension d every
     partial sum and product of the e_j recurrence, fro**j (j <= k) in the
-    cone thresholds and the trace-recursion audit's scales (1 + F)^j, is
-    then at most (1 + F)^d.  Requiring (1 + F)^d <= doubledouble.SPLIT_MAX =
+    cone thresholds and the exact audit's quotients by D^j (j <= d) are then
+    at most (1 + F)^d.  Requiring (1 + F)^d <= doubledouble.SPLIT_MAX =
     2^996 keeps them all finite and in the range where Dekker's split is
     exact: on t in [-2, 2], x_radius up to ~2e49 for n = 3 and ~5e12 for
     n = 11.  `what` names the input in the error: the (x, t) of a point, or
@@ -247,7 +247,7 @@ def arrow_rows(a, cross, corner, m: int, zero) -> list[list]:
     On the x, t block it is the arrow matrix [[a I, c], [c^T, corner]], with
     a = 2e^t on the x diagonal, c = `cross` = 2x e^t in the t row and column
     and corner = r^2 e^t + h''(t); then m rows and columns of `zero` for w.
-    eval_jet (float64), hessian_dd (double-double) and
+    eval_jet (float64), exact_hessian (integers, scaled) and
     symbolic.rotated_hessian_from_constants (exact, x = (r, 0, ..., 0)) each
     compute these entries in their own arithmetic and place them here.
     """
@@ -289,9 +289,9 @@ def dd_terms(p: SolutionParams, x, t: float) -> tuple[list[dd.DD], dd.DD, dd.DD]
     division, never a second exponential, whose rounding would not match
     E's.  Refuses the points that eval_jet refuses; the radius guard reads E
     and the leading part of 1/E^(k-1), and runs before the division, whose
-    quotient must stay below doubledouble.SPLIT_MAX.  hessian_dd and
-    spectrum_sigmas_dd both read these terms, so the scan takes them once;
-    it passes plain floats, so that no Point is built per sample.
+    quotient must stay below doubledouble.SPLIT_MAX.  spectrum_sigmas_dd
+    reads these terms, and the scan's audit reads E from them; the scan
+    passes plain floats, so that no Point is built per sample.
     """
     _check_exponent(p, t)
     et = (math.exp(t), 0.0)
@@ -304,25 +304,42 @@ def dd_terms(p: SolutionParams, x, t: float) -> tuple[list[dd.DD], dd.DD, dd.DD]
     return et_powers, h2, dd.mul(dd.sum_squares(x), et)
 
 
-def hessian_dd(p: SolutionParams, x, terms) -> list[list[dd.DD]]:
-    """The Hessian with entries in double-double precision.
+def exact_hessian(p: SolutionParams, x, et: float) -> tuple[int, list[list[int]], tuple]:
+    """u's Hessian M at t* = ln et, exactly: a scale D > 0, the rows of the
+    integer matrix N = D M, and the closed form's (D a, D tr, D^2 det).
 
-    Same closed form as eval_jet, at t* = ln(fl(e^t)) (see dd_terms):
-    e^(-(k-1)t) and all entry products carry ~31 digits, and every entry
-    reads the same e^t.  `x` is the x block as floats, like dd_terms', and
-    `terms` is dd_terms(p, x, t).  The verification scan diagonalizes this
-    matrix on its audited samples, to check spectrum_sigmas_dd against the
-    general Jacobi.
+    `x` is the x block as floats and `et` the double E = fl(e^t) that
+    dd_terms reads, so every input is rational: E = P / 2^e, x_i = X_i / 2^F
+    over one power of two, and the exact constants A and B of
+    h'' = e^(-(k-1)t) / A - (B/A) e^t.  For integers A and B,
+    D = A P^(k-1) 2^(2F+e) and, with W = A P^k,
+
+        D a = 2^(2F+1) W,  D c_i = 2^(F+1) W X_i,  D r^2 e^t = W sum X_i^2,
+        D h'' = 2^(2F+ek) - 2^(2F) B P^k,
+
+    each formed by integer operations (a denominator of A or B, as in a
+    perturbed control, multiplies D).  tr = a + d and det = a (h'' - r^2 e^t)
+    are spectrum_sigmas_dd's, from the same terms.
     """
-    et_powers, h2, r2et = terms
-    et = et_powers[0]
-    cross = [dd.mul(et, (2.0 * v, 0.0)) for v in x]
-    return arrow_rows(dd.mul_pow2(et, 2.0), cross, dd.add(r2et, h2), p.m, dd.ZERO)
+    big_p, two_e = et.as_integer_ratio()
+    e = two_e.bit_length() - 1
+    ratios = [v.as_integer_ratio() for v in x]
+    f = max(two_f.bit_length() for _, two_f in ratios) - 1
+    xs = [num << (f + 1 - two_f.bit_length()) for num, two_f in ratios]
+    a_num, a_den, b_num, b_den = p.A.numerator, p.A.denominator, p.B.numerator, p.B.denominator
+    power = big_p ** (p.k - 1)
+    scale = a_num * b_den * power << (2 * f + e)
+    w = a_num * b_den * power * big_p
+    a = w << (2 * f + 1)
+    r2et = w * sum(v * v for v in xs)
+    h2 = (a_den * b_den << (2 * f + e * p.k)) - (b_num * a_den * power * big_p << (2 * f))
+    rows = arrow_rows(a, [w * v << (f + 1) for v in xs], r2et + h2, p.m, 0)
+    return scale, rows, (a, a + r2et + h2, a * (h2 - r2et))
 
 
 def spectrum_sigmas_dd(p: SolutionParams, terms) -> tuple[list[dd.DD], list[dd.DD]]:
-    """The eigenvalues of hessian_dd, ascending, and their sigma_1..sigma_k, in
-    closed form from `terms` = dd_terms(p, x, t).
+    """The eigenvalues of u's Hessian, ascending, and their sigma_1..sigma_k,
+    in double-double, in closed form from `terms` = dd_terms(p, x, t).
 
     On the x, t block the Hessian is the arrow matrix [[a I, c], [c^T, d]]
     with a = 2e^t, c = 2x e^t and d = r^2 e^t + h''; the w block is zero.  So
@@ -366,7 +383,7 @@ def arrow_sigmas(binomials, powers, tr, det) -> list[dd.DD]:
     the last term from j = 2 on.  binomials[j] is C(n-2, j) and powers[j - 1]
     is a^j, for j = 0..k and j = 1..k; k is len(powers).  That is 3k - 3
     products and 2k - 1 sums, against ~d^2 / 2 of each for the e_j
-    recurrence over all d eigenvalues, which the scan's audit still runs.
+    recurrence over all d eigenvalues.
     """
     g = [dd.ONE] + [dd.mul(c, power) for c, power in zip(binomials[1:], powers)]
     sigmas = [dd.add(g[1], tr)]

@@ -7,19 +7,17 @@ implemented separately so that one can check the other; the principal-minor
 sum is left to the tests, which take it from LAPACK determinants:
 
 * cyclic Jacobi eigenvalues + the e_j recurrence: the route of cone-check
-  and phase-check (the scan takes its eigenvalues and sigmas in closed form,
-  ``solution.spectrum_sigmas_dd``, and runs the Jacobi and the recurrence in
-  its 1% audit of that closed form).  One ring-generic Jacobi runs in two
-  arithmetics: float64 for ``cone-check`` and ``phase-check``
-  (``eigenvalues_symmetric``: off-diagonal target 1e-12 * (1 + ||M||_F),
-  trace check 1e-10 * (1 + ||M||_F)) and double-double for the scan's 1%
-  audit of the closed form (``eigenvalues_symmetric_dd``: 1e-28 and 1e-24
-  times the same scale); both stop after 50 sweeps,
+  and phase-check, in float64 (``eigenvalues_symmetric``: off-diagonal
+  target 1e-12 * (1 + ||M||_F), trace check 1e-10 * (1 + ||M||_F), at most
+  50 sweeps).  The scan takes its eigenvalues and sigmas in closed form
+  (``solution.spectrum_sigmas_dd``) and audits them exactly, with no
+  Jacobi; its audit runs the recurrence only over the eigenvalues' absolute
+  values, for the scale of its double-double bounds,
 * the Faddeev-LeVerrier trace recursion for sigma_1..sigma_count at once,
-  one ring-generic loop (``faddeev_leverrier``): double-double in the
-  scan's 1% audit of its closed-form sigma_1..sigma_k, in any dimension,
-  and exact in ``symbolic.sym_sigmas``, which certifies from
-  sigma_1..sigma_k alone; the tests also run it in float64.
+  one ring-generic loop (``faddeev_leverrier``): over exact expressions in
+  ``symbolic.sym_sigmas``, which certifies from sigma_1..sigma_k alone, and
+  over ints in the scan's exact audit where the closed form's eigenvalues
+  coincide (as at x = 0); the tests also run it in float64.
 
 A matrix is its rows in every ring.  A float matrix is a tuple of float
 tuples: ``eigenvalues_symmetric`` takes any rows (numpy arrays too) through
@@ -33,26 +31,22 @@ from __future__ import annotations
 import math
 import operator
 from functools import reduce
-from types import SimpleNamespace
 
-from . import doubledouble as dd
 from .errors import ConvergenceError
 
 # Mirrored entries further apart than this are not symmetric up to noise.
 SYMMETRY_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 50
-# Off-diagonal Frobenius targets of the cyclic Jacobi, relative to 1 + ||M||_F.
+# The cyclic Jacobi's off-diagonal Frobenius target, relative to 1 + ||M||_F.
 JACOBI_REL_TOL = 1e-12
-DD_JACOBI_REL_TOL = 1e-28
-# Bounds on the drift of the eigenvalue sum from the trace, relative to
+# The bound on the drift of the eigenvalue sum from the trace, relative to
 # 1 + ||M||_F: the scale of the rounding, whatever the trace itself.  Each
 # rotation moves a[p][p] and a[q][q] by -t*apq and +t*apq, so the trace
 # changes only by the rounding of two additions, a unit in the last place
-# (2^-53 ~1.1e-16 in float64, 2^-104 ~5e-32 in double-double) times ||M||_F.
-# Even 50 sweeps of a 31 x 31 matrix stay below 1e-11 resp. 1e-26 times
-# ||M||_F; a lost or mis-signed rotation moves it by |t*apq| instead.
+# (2^-53 ~1.1e-16) times ||M||_F.  Even 50 sweeps of a 31 x 31 matrix stay
+# below 1e-11 times ||M||_F; a lost or mis-signed rotation moves it by
+# |t*apq| instead.
 TRACE_REL_TOL = 1e-10
-DD_TRACE_REL_TOL = 1e-24
 
 
 def _float_rows(rows) -> tuple[tuple[float, ...], ...]:
@@ -122,8 +116,8 @@ def elementary_symmetric(values, add=operator.add, mul=operator.mul, count=None)
     with a ``count``, only e_1 .. e_count, cost O(n count).
 
     Ring-generic: the default operators serve floats, ints and Fractions (and
-    are exact on exact inputs); the scan's audit passes ``dd.add`` and
-    ``dd.mul``, and ``count`` = k.
+    are exact on exact inputs); other rings pass their own add and mul.  The
+    scan's audit passes absolute values and ``count`` = k.
     The recurrence starts from e_1 = the first value, so it needs no ring
     constants; an empty input gives [].  The update of e_j reads only e_j
     and e_(j-1), so each e_j kept under a count is the same value, bit for
@@ -160,10 +154,9 @@ def faddeev_leverrier(rows, add, mul, div, zero, count=None) -> list:
     runs only over the nonzero entries of A's rows (the solution Hessian is
     an arrow matrix), and only the upper triangle of the symmetric A M_j is
     computed.  Ring-generic: ``div(x, j)`` divides by the integer j, and an
-    entry is zero when it equals ``zero``: 0.0 (which -0.0 equals), the
-    double-double ``(0.0, 0.0)`` (a normalized value with hi = 0 has lo = 0),
-    or the empty SymExpr of ``symbolic.sym_sigmas`` (``sym_add`` and
-    ``sym_mul`` drop cancelled terms).  Since only that upper triangle is
+    entry is zero when it equals ``zero``: the int 0, 0.0 (which -0.0
+    equals), or the empty SymExpr of ``symbolic.sym_sigmas`` (``sym_add``
+    and ``sym_mul`` drop cancelled terms).  Since only that upper triangle is
     formed, rows that are empty, not square or not exactly symmetric are
     refused, naming the first row or mirrored pair (from 1) at fault.
     """
@@ -205,50 +198,33 @@ def faddeev_leverrier(rows, add, mul, div, zero, count=None) -> list:
     return sigmas
 
 
-def _rotate(c: float, s: float, x: float, y: float) -> tuple[float, float]:
-    return c * x - s * y, s * x + c * y
+def _cyclic_jacobi(a: list[list[float]], tol: float, trace_tol: float) -> list[float]:
+    """Eigenvalues of the symmetric float matrix ``a`` by cyclic Jacobi, ascending.
 
-
-# The float64 ring of the cyclic Jacobi; doubledouble.ring() is the other one.
-FLOAT_RING = SimpleNamespace(
-    name="float64", add=operator.add, sub=operator.sub, mul=operator.mul,
-    div=operator.truediv, sqrt=math.sqrt, rotate=_rotate, lead=float,
-    zero=0.0, one=1.0,
-)
-
-
-def _cyclic_jacobi(a: list[list], ring, tol: float, trace_tol: float) -> list:
-    """Eigenvalues of the symmetric matrix ``a`` by cyclic Jacobi, ascending.
-
-    Ring-generic: ``ring`` supplies add, sub, mul, div, sqrt, the plane
-    rotation ``rotate(c, s, x, y) = (c x - s y, s x + c y)``, ``lead`` (the
-    float that the skip rule and the off-diagonal norm read), zero and one,
-    and its values must sort by ``<`` as the numbers they stand for;
-    ``FLOAT_RING`` and ``doubledouble.ring()`` are the two in use.
     ``a`` is overwritten.  Sweeps stop once the off-diagonal Frobenius norm is
     at most ``tol``; a rotation is skipped when its pivot is at most
     tol / (2 dim).  Raises ConvergenceError, carrying that norm, when
     JACOBI_MAX_SWEEPS sweeps do not reach ``tol``, and when the eigenvalue sum
     drifts from the trace by more than ``trace_tol``.
     """
-    add, sub, mul, div, sqrt = ring.add, ring.sub, ring.mul, ring.div, ring.sqrt
-    rotate, lead, zero, one = ring.rotate, ring.lead, ring.zero, ring.one
     n = len(a)
-    trace = reduce(add, (a[i][i] for i in range(n)), zero)
+    trace = 0.0
+    for i in range(n):
+        trace += a[i][i]
     skip = tol / (2.0 * n)
     for sweep in range(JACOBI_MAX_SWEEPS + 1):
         off2 = 0.0
         for p in range(n - 1):
             row_p = a[p]
             for q in range(p + 1, n):
-                h = lead(row_p[q])
+                h = row_p[q]
                 off2 += h * h
         off = math.sqrt(2.0 * off2)
         if off <= tol:
             break
         if sweep == JACOBI_MAX_SWEEPS:
             raise ConvergenceError(
-                f"{ring.name} Jacobi did not converge in {JACOBI_MAX_SWEEPS} "
+                f"float64 Jacobi did not converge in {JACOBI_MAX_SWEEPS} "
                 f"sweeps (off-diagonal norm {off:g}, target {tol:g})",
                 offdiag_norm=off,
             )
@@ -256,35 +232,36 @@ def _cyclic_jacobi(a: list[list], ring, tol: float, trace_tol: float) -> list:
             row_p = a[p]
             for q in range(p + 1, n):
                 apq = row_p[q]
-                if abs(lead(apq)) <= skip:
+                if abs(apq) <= skip:
                     continue
                 row_q = a[q]
                 app = row_p[p]
                 aqq = row_q[q]
                 # t = sign(theta) / (|theta| + sqrt(theta^2 + 1))
-                theta = div(sub(aqq, app), add(apq, apq))
-                root = sqrt(add(mul(theta, theta), one))
-                t = div(one, add(theta, root) if lead(theta) >= 0.0 else sub(theta, root))
-                c = div(one, sqrt(add(mul(t, t), one)))
-                s = mul(t, c)
+                theta = (aqq - app) / (apq + apq)
+                root = math.sqrt(theta * theta + 1.0)
+                t = 1.0 / (theta + root if theta >= 0.0 else theta - root)
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
                 for i, row_i in enumerate(a):
                     if i != p and i != q:
-                        x, y = rotate(c, s, row_i[p], row_i[q])
-                        row_i[p] = row_p[i] = x
-                        row_i[q] = row_q[i] = y
-                tapq = mul(t, apq)
-                row_p[p] = sub(app, tapq)
-                row_q[q] = add(aqq, tapq)
-                row_p[q] = row_q[p] = zero
-    diag = [a[i][i] for i in range(n)]
-    drift = abs(lead(sub(reduce(add, diag, zero), trace)))
+                        x, y = row_i[p], row_i[q]
+                        row_i[p] = row_p[i] = c * x - s * y
+                        row_i[q] = row_q[i] = s * x + c * y
+                tapq = t * apq
+                row_p[p] = app - tapq
+                row_q[q] = aqq + tapq
+                row_p[q] = row_q[p] = 0.0
+    total = 0.0
+    for i in range(n):
+        total += a[i][i]
+    drift = abs(total - trace)
     if drift > trace_tol:
         raise ConvergenceError(
-            f"{ring.name} eigenvalue sum drifted from the trace by {drift:g} "
+            f"float64 eigenvalue sum drifted from the trace by {drift:g} "
             f"(tolerance {trace_tol:g})"
         )
-    diag.sort()
-    return diag
+    return sorted(a[i][i] for i in range(n))
 
 
 def eigenvalues_symmetric(rows) -> tuple[float, ...]:
@@ -303,28 +280,5 @@ def eigenvalues_symmetric(rows) -> tuple[float, ...]:
     # summation could move an eigenvalue's last bit
     fro = math.hypot(*(v for row in rows for v in row))
     return tuple(_cyclic_jacobi(
-        [list(row) for row in rows],
-        FLOAT_RING,
-        JACOBI_REL_TOL * (1.0 + fro),
-        TRACE_REL_TOL * (1.0 + fro),
+        [list(row) for row in rows], JACOBI_REL_TOL * (1.0 + fro), TRACE_REL_TOL * (1.0 + fro)
     ))
-
-
-def eigenvalues_symmetric_dd(entries_dd: list[list[dd.DD]]) -> list[dd.DD]:
-    """Cyclic Jacobi on a symmetric matrix of double-double entries, ascending.
-
-    Converged when the off-diagonal norm drops below 1e-28 * (1 + ||M||_F);
-    raises ConvergenceError after 50 sweeps, or when the eigenvalue sum drifts
-    from the trace by more than 1e-24 * (1 + ||M||_F).
-    """
-    fro2 = 0.0
-    for row in entries_dd:
-        for hi, _ in row:
-            fro2 += hi * hi
-    fro = math.sqrt(fro2)
-    return _cyclic_jacobi(
-        [row[:] for row in entries_dd],
-        dd.ring(),
-        DD_JACOBI_REL_TOL * (1.0 + fro),
-        DD_TRACE_REL_TOL * (1.0 + fro),
-    )

@@ -55,19 +55,25 @@ float64 only where a float threshold judges them.  The verdicts
 (``cone.cone_flags``) and ``sl_phase`` are the ones that ``cone-check`` and
 ``phase-check`` apply to a float64 Jacobi.
 
-Every 100th sample is audited by routes that do not assume the arrow
-structure, from the same double-double terms: the double-double Hessian
-(``solution.hessian_dd``) is diagonalized by the general cyclic Jacobi
-(``symfunc.eigenvalues_symmetric_dd``), whose eigenvalues must match the
-closed-form ones within SPECTRUM_AUDIT_REL_TOL * (1 + ||M||_F); the e_j
-recurrence (``symfunc.elementary_symmetric``) over the closed-form
-eigenvalues must give the structured sigma_1..sigma_k within
-SIGMA_AUDIT_UNITS * d * 2^-104 * e_j(|lambda|); and the Faddeev-LeVerrier
-trace recursion (``symfunc.faddeev_leverrier``, the loop that ``symbolic``
-runs over exact expressions) over the double-double Hessian must give them
-within SIGMA_AUDIT_UNITS * d * 2^-104 * (1 + ||M||_F)^j.  The audit takes
-the same path in every dimension.  So the scan keeps checking the arrow
-structure that its fast path assumes, without calling ``symbolic``.
+Every 100th sample is audited exactly, at its own point (_audit_sample).
+Its inputs are rational: the x block and E = fl(e^t) are dyadic floats, and
+A and B are exact.  So the Hessian M at t* = ln E, the one the scan's terms
+stand for, is N / D for the integer matrix N that ``solution.exact_hessian``
+forms by integer operations alone, with D = A P^(k-1) 2^(2F+e) for
+E = P / 2^e and x_i = X_i / 2^F.  With no tolerance, N must have the closed
+form's spectrum: alpha = D a (n - 2 times), 0 (m times) and the roots of
+y^2 - tau y + delta (tau = D tr, delta = D^2 det), so (N - alpha I)
+(N^2 - tau N + delta I), times N when m > 0, must vanish, and the power
+sums tr N^i must match; where two of those values coincide, as at x = 0,
+N's whole characteristic polynomial, by the trace recursion
+(``symfunc.faddeev_leverrier``) over ints, must be the closed form's
+instead.  Read off that spectrum, sigma_k(N) must be D^k, the claim
+sigma_k = 1 at that point, and sigma_j(N) > 0 for j < k.  The closed-form
+double-double eigenvalues must then lie within SPECTRUM_AUDIT_REL_TOL *
+(1 + ||M||_F) of the exact ones, and the structured sigma_j within
+SIGMA_AUDIT_UNITS * d * 2^-104 * e_j(|lambda|) of sigma_j(N) / D^j.  The
+audit takes the same path in every dimension and none of its checks loses
+meaning as n grows; it needs no Jacobi and does not call ``symbolic``.
 
 Two numeric cross-checks of the solution live with the tests, in
 ``tests/conftest.py``: the finite-difference Hessian of u (against
@@ -78,6 +84,7 @@ polynomial.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import pickle
 import signal
@@ -95,14 +102,10 @@ from .solution import (
     _check_integers,
     _check_radius,
     dd_terms,
-    hessian_dd,
+    exact_hessian,
     spectrum_sigmas_dd,
 )
-from .symfunc import (
-    eigenvalues_symmetric_dd,
-    elementary_symmetric,
-    faddeev_leverrier,
-)
+from .symfunc import elementary_symmetric, faddeev_leverrier
 
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -122,47 +125,30 @@ AUDIT_STRIDE = 100
 # at n = 7, two ranges of 250 took 23.7 ms against 36.8 (medians of 40
 # interleaved scans, CPython 3.11 with numpy loaded, 2-vCPU x86-64 Linux).
 MIN_RANGE_SAMPLES = 200
-# The audit's bound on |Jacobi - closed form| per eigenvalue, relative to
-# 1 + ||M||_F.  The Jacobi stops once the off-diagonal Frobenius norm of its
-# rotated matrix is at most DD_JACOBI_REL_TOL * (1 + ||M||_F) = 1e-28 * (...);
-# by Weyl's inequality, dropping that off-diagonal part moves no eigenvalue
-# by more than its norm.  The rest is double-double rounding, a few units of
-# 2^-104 ~5e-32 times ||M||_F per step: each rotation perturbs the matrix by
-# that much, and even 50 sweeps of a 31 x 31 matrix (23250 rotations) stay
-# below 1e-26 * ||M||_F; the closed form and the two routes' Hessian entries
-# add a few more units.  A wrong closed form is wrong far above that.
+# The audit's bound on |closed-form eigenvalue - exact eigenvalue|, relative
+# to 1 + ||M||_F.  a = 2E is exact in double-double; the larger root,
+# tr/2 + sqrt(((a - d)/2)^2 + |c|^2), and the smaller, a (h'' - r^2 e^t) over
+# the larger, each take a few double-double operations on operands of at
+# most a few ||M||_F (|c|, |d| and a are at most the larger root), so each
+# errs by a few units of 2^-104 ~5e-32 times ||M||_F; the constants 1/A and
+# B/A of h'' carry one double-double rounding each, and the exact roots are
+# known within 2^-101 (see _audit_sample).  Seeded audits at every odd
+# n = 3..31 and on boxes up to x_radius 2e49 or t in [27, 28] stay within
+# 0.93 units of 2^-104 (1 + ||M||_F); 1e-26 is ~2e5 units.  A wrong closed
+# form is wrong far above that.
 SPECTRUM_AUDIT_REL_TOL = 1e-26
-# The audit's bound on |structured sigma_j - recurrence e_j| over the same
-# closed-form eigenvalues, in units of d * 2^-104 * e_j(|lambda|), where
-# e_j(|lambda|) is the recurrence over the eigenvalues' absolute values
-# (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).  A
-# double-double product or sum errs by at most ~2 units of 2^-104 relative
-# to the product of the operands' magnitudes or to the sum of them.  The
-# recurrence passes each product of j eigenvalues through j - 1
-# multiplications and at most d additions, so it is within ~2(j + d) <= 4d
-# units of e_j(|lambda|).  The structured sigma_j adds three terms of at
-# most k + 1 factors each, and its tr and det are the two roots' sum and
-# product up to a few units of |mu_1| + |mu_2| and |mu_1 mu_2| (the roots
-# carry the rounding of one sqrt and one division); both are bounded by
-# the same e_j(|lambda|).  So 8 units of d * 2^-104 * e_j(|lambda|) cover
-# both routes; seeded scans at n = 3..13 stay within 1.15 units of
-# 2^-104 * e_j(|lambda|).  A wrong binomial or a det off by 1e-20 relative
-# misses the bound by ~10 decades.
-# The same 8 units bound |structured sigma_j - trace recursion sigma_j|, the
-# recursion (symfunc.faddeev_leverrier) run over the audited dd Hessian, in
-# units of d * 2^-104 * (1 + ||M||_F)^j: its terms cancel, so it is measured
-# against their size, not against e_j(|lambda|).  sigma_j = +-tr(A M_j) / j,
-# and tr(A M_j) sums d diagonal entries of at most d products each, so it is
-# within ~2(d + d) = 4d units of tr(|A| |M_j|).  Each earlier step's error
-# reaches M_j through products with A, which scale it by at most
-# ||A||_F = ||M||_F, so the j steps' errors add up to ~4d j units of terms
-# of size (1 + ||M||_F)^j, and the division by j takes that back to 4d.
-# tr(|A| |M_j|) / j stays near 2 (1 + ||M||_F)^j (at most 2.12 over 100
-# seeded Hessians at each odd n = 3..21), hence 8 units; the same audits
-# stay within 0.08 units.  At j = k the bound reaches sigma_k = 1 around
-# n = 21 (1.45 on the standard box, 5.6e-3 at n = 19), so from there on
-# this route cannot catch a wrong sigma_k; the Jacobi and the recurrence
-# still check it.
+# The audit's bound on |structured sigma_j - sigma_j(N) / D^j|, in units of
+# d * 2^-104 * e_j(|lambda|), where e_j(|lambda|) is the e_j recurrence over
+# the eigenvalues' absolute values (Higham, Accuracy and Stability of
+# Numerical Algorithms, ch. 3).  A double-double product or sum errs by at
+# most ~2 units of 2^-104 relative to the product of the operands'
+# magnitudes or to the sum of them.  The structured sigma_j adds three
+# terms of at most k + 1 factors each, and its tr and det carry the
+# rounding of the terms they are formed from, a few units of |mu_1| +
+# |mu_2| and of |mu_1 mu_2| for the two roots mu; both are bounded by the
+# same e_j(|lambda|).  Seeded audits on the boxes above stay within 0.15
+# units.  A wrong binomial or a det off by 1e-20 relative misses the bound
+# by ~10 decades.
 SIGMA_AUDIT_UNITS = 8.0
 
 
@@ -452,46 +438,158 @@ def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tup
 
 
 def _audit_sample(p: SolutionParams, x, terms, lam_dd: list, sigmas: list) -> None:
-    """Check one sample's closed-form spectrum and sigmas against the general routes.
+    """Check one sample's closed-form spectrum and sigmas exactly, at its own
+    point, as the module docstring describes.
 
     `x` is the sample's x block as floats and `terms` the dd_terms(p, x, t)
-    that lam_dd and sigmas came from.  The cyclic Jacobi of hessian_dd(p, x,
-    terms) must give the eigenvalues lam_dd within SPECTRUM_AUDIT_REL_TOL *
-    (1 + ||M||_F); the e_j recurrence over lam_dd must give sigma_1..sigma_k
-    within SIGMA_AUDIT_UNITS * d * 2^-104 * e_j(|lambda|); and the trace recursion
-    over the same dd Hessian must give them within SIGMA_AUDIT_UNITS * d *
-    2^-104 * (1 + ||M||_F)^j, in any dimension.  Raises ConvergenceError
-    otherwise.
+    that lam_dd and sigmas came from; the Hessian is taken at t* = ln E for
+    the terms' E.  Raises ConvergenceError naming the check that failed and
+    its exact residual, over the power of D it scales with.
     """
-    hess = hessian_dd(p, x, terms)
+    n, k, m = p.n_base, p.k, p.m
+    scale, rows, (alpha, tau, delta) = exact_hessian(p, x, terms[0][0][0])
+    # the closed form's quadratic, shifted to N - alpha I: y^2 + beta y + gamma
+    beta, gamma = 2 * alpha - tau, alpha * (alpha - tau) + delta
+    disc = tau * tau - 4 * delta
+    if gamma and disc and (delta or not m):  # with alpha > 0, the values are distinct
+        _check_spectrum(rows, alpha, beta, gamma, m, scale)
+        exact = _arrow_sigmas(n, alpha, tau, delta, k)
+    else:
+        exact = _arrow_sigmas(n, alpha, tau, delta, n + m)
+        by_recursion = faddeev_leverrier(rows, operator.add, operator.mul, _exact_div, 0)
+        for j, (got, want) in enumerate(zip(by_recursion, exact), start=1):
+            if got != want:
+                raise ConvergenceError(
+                    f"exact sigma_{j}(N) differs from the closed form's by "
+                    f"{(got - want) / scale**j:g} D^{j}"
+                )
+        del exact[k:]
+    powers = [scale**j for j in range(1, k + 1)]
+    if exact[-1] != powers[-1]:
+        raise ConvergenceError(
+            f"exact sigma_{k}(N) - D^{k} is {(exact[-1] - powers[-1]) / powers[-1]:.17g} "
+            f"D^{k}, not 0"
+        )
+    for j, (sigma, power) in enumerate(zip(exact[:-1], powers), start=1):
+        if sigma <= 0:
+            raise ConvergenceError(f"exact sigma_{j}(N) is {sigma / power:.17g} D^{j}, not positive")
+
     lam = [dd.to_float(v) for v in lam_dd]
     fro = math.sqrt(sum(v * v for v in lam))
-    by_jacobi = eigenvalues_symmetric_dd(hess)
-    gap = max(abs(dd.to_float(dd.sub(mu, nu))) for mu, nu in zip(by_jacobi, lam_dd))
+    # the exact eigenvalues as integers over den = 2^(shift + 1) D >= 2^101;
+    # a root's integer is within 1 of den times the root
+    shift = max(0, 100 - scale.bit_length())
+    den, root = scale << (shift + 1), math.isqrt(disc << 2 * shift)
+    exact_lam = sorted(
+        [alpha << (shift + 1)] * (n - 2) + [0] * m + [(tau << shift) - root, (tau << shift) + root]
+    )
+    gap = max(_gap(mu, nu, den) for mu, nu in zip(lam_dd, exact_lam))
     tol = SPECTRUM_AUDIT_REL_TOL * (1.0 + fro)
     if not gap <= tol:
         raise ConvergenceError(
-            f"closed-form spectrum disagrees with the double-double Jacobi by "
-            f"{gap:g} (tolerance {tol:g})"
+            f"closed-form spectrum disagrees with the exact eigenvalues by {gap:g} "
+            f"(tolerance {tol:g})"
         )
-    ring = dd.ring()
-    by_recursion = faddeev_leverrier(
-        hess, ring.add, ring.mul, lambda trace, j: ring.div(trace, dd.from_float(j)), ring.zero,
-        count=p.k,
-    )
     unit = SIGMA_AUDIT_UNITS * len(lam) * 2.0**-104
-    for route, values, scales in (
-        ("the e_j recurrence", elementary_symmetric(lam_dd, dd.add, dd.mul, p.k),
-         elementary_symmetric([abs(v) for v in lam], count=p.k)),
-        ("the trace recursion", by_recursion, [(1.0 + fro) ** j for j in range(1, p.k + 1)]),
+    scales = elementary_symmetric([abs(v) for v in lam], count=k)
+    for j, (structured, sigma, power, size) in enumerate(
+        zip(sigmas, exact, powers, scales), start=1
     ):
-        for j, (structured, other, scale) in enumerate(zip(sigmas, values, scales), start=1):
-            gap = abs(dd.to_float(dd.sub(structured, other)))
-            if not gap <= unit * scale:
+        gap = _gap(structured, sigma, power)
+        if not gap <= unit * size:
+            raise ConvergenceError(
+                f"structured sigma_{j} disagrees with the exact sigma_{j}(N) / D^{j} by "
+                f"{gap:g} (tolerance {unit * size:g})"
+            )
+
+
+def _check_spectrum(rows, alpha: int, beta: int, gamma: int, m: int, scale: int) -> None:
+    """Check exactly that the integer matrix `rows` = N has the eigenvalues
+    alpha (d - m - 2 times), 0 (m times) and alpha plus each root of
+    y^2 + beta y + gamma, given that these take 3 (m = 0) or 4 distinct values.
+
+    In N' = N - alpha I those values are 0, -alpha and the two roots, so
+    N' (N' + alpha I)^[m > 0] (N'^2 + beta N' + gamma I) = 0 puts every
+    eigenvalue of N' on one of them; tr N'^i for i = 1 .. (values - 1) then
+    fixes how often each occurs, since distinct values make that Vandermonde
+    system regular.  The product is applied to each unit vector by Horner's
+    rule, over N's nonzero entries.  Raises ConvergenceError naming the
+    first entry or power sum that differs, over the power of D it scales
+    with.
+    """
+    d = len(rows)
+    cols = [[] for _ in range(d)]  # column c of N' as (row, entry), entries nonzero
+    for i, row in enumerate(rows):
+        for c, entry in enumerate(row):
+            if i == c:
+                entry -= alpha
+            if entry:
+                cols[c].append((i, entry))
+    # the product is y (y^(l-1) + coeffs[0] y^(l-2) + ... + coeffs[-1]), l = degree
+    coeffs = [beta, gamma] if not m else [alpha + beta, alpha * beta + gamma, alpha * gamma]
+    degree = len(coeffs) + 1
+    raw = [0] * len(coeffs)  # raw[i]: sum over j of entry j of the Horner step i
+    for j in range(d):
+        vector = [0] * d
+        vector[j] = 1
+        for i in range(degree):
+            product = [0] * d
+            for c, value in enumerate(vector):
+                if value:
+                    for row, entry in cols[c]:
+                        product[row] += entry * value
+            vector = product
+            if i < len(coeffs):
+                raw[i] += vector[j]
+                vector[j] += coeffs[i]
+        for row, value in enumerate(vector):
+            if value:
                 raise ConvergenceError(
-                    f"structured sigma_{j} disagrees with {route} by {gap:g} "
-                    f"(tolerance {unit * scale:g})"
+                    f"entry ({row + 1}, {j + 1}) of the closed form's annihilating "
+                    f"polynomial at N is {value / scale**degree:g} D^{degree}, not 0"
                 )
+    # step i's sum is tr N'^i + coeffs[0] tr N'^(i-1) + ... + coeffs[i-2] tr N'
+    traces, sums = [], [2, -beta]  # the two roots' power sums, by Newton's identities
+    for i, step in enumerate(raw, start=1):
+        traces.append(step - sum(c * t for c, t in zip(coeffs, reversed(traces))))
+        if i > 1:
+            sums.append(-beta * sums[-1] - gamma * sums[-2])
+        diff = traces[-1] - sums[i] - m * (-alpha) ** i
+        if diff:
+            raise ConvergenceError(
+                f"tr (N - alpha I)^{i} differs from the closed form's by "
+                f"{diff / scale**i:g} D^{i}"
+            )
+
+
+def _arrow_sigmas(n: int, alpha: int, tau: int, delta: int, count: int) -> list[int]:
+    """sigma_1..sigma_count of alpha (n - 2 times), zeros and the roots of
+    y^2 - tau y + delta: the coefficients of (1 + alpha y)^(n-2) (1 + tau y +
+    delta y^2), as solution.arrow_sigmas reads them in double-double; a
+    separate loop, so that the audit does not check that function by
+    itself."""
+    g, power = [1], 1  # g_j = C(n-2, j) alpha^j
+    for j in range(1, count + 1):
+        power *= alpha
+        g.append(math.comb(n - 2, j) * power)
+    return [
+        g[j] + g[j - 1] * tau + (g[j - 2] * delta if j > 1 else 0) for j in range(1, count + 1)
+    ]
+
+
+def _exact_div(value: int, j: int) -> int:
+    """value / j in the trace recursion over ints, where it is exact."""
+    quotient, remainder = divmod(value, j)
+    if remainder:
+        raise ConvergenceError(f"the trace recursion over ints left a remainder dividing by {j}")
+    return quotient
+
+
+def _gap(value: dd.DD, num: int, den: int) -> float:
+    """|hi + lo - num / den| for the double-double (hi, lo) and den > 0,
+    rounded once."""
+    (h_num, h_den), (l_num, l_den) = value[0].as_integer_ratio(), value[1].as_integer_ratio()
+    return abs((h_num * l_den + l_num * h_den) * den - num * h_den * l_den) / (h_den * l_den * den)
 
 
 def sl_phase(values) -> float:

@@ -20,7 +20,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from sigmak.solution import Point, h_eval, solution_value
+from sigmak import doubledouble as dd
+from sigmak.solution import Point, dd_terms, h_eval, solution_value
 from sigmak.symfunc import faddeev_leverrier
 
 
@@ -74,6 +75,21 @@ def charpoly_sigmas(m) -> tuple[float, ...]:
     compares, beside the Jacobi eigenvalues' e_j and ``sigma_minors``.
     """
     return tuple(faddeev_leverrier(m, operator.add, operator.mul, operator.truediv, 0.0))
+
+
+def dd_hessian(p, pt):
+    """u's Hessian at pt with the double-double entries that dd_terms gives:
+    2E on the x diagonal, 2xE in the t row and column, r^2 E + h'' in the
+    corner, then the zero w block."""
+    et_powers, h2, r2et = dd_terms(p, pt.x, pt.t)
+    et = et_powers[0]
+    nx, dim = p.n_base - 1, p.total_dim
+    rows = [[dd.ZERO] * dim for _ in range(dim)]
+    for i, v in enumerate(pt.x):
+        rows[i][i] = dd.mul_pow2(et, 2.0)
+        rows[i][nx] = rows[nx][i] = dd.mul(et, (2.0 * v, 0.0))
+    rows[nx][nx] = dd.add(r2et, h2)
+    return rows
 
 
 def central_hessian(func, coords, step: float) -> list[list[float]]:

@@ -503,7 +503,8 @@ class TestLargeTracelessMatrix:
 
 
 class TestJacobiFailureExits2:
-    """A Jacobi that cannot converge or loses the trace is a numerical failure."""
+    """A Jacobi that cannot converge or loses the trace is a numerical failure,
+    and so is a failed exact audit of a scan sample."""
 
     ROWS = [[2.0, 0.5, 0.0], [0.5, 2.0, 1.0], [0.0, 1.0, -0.75]]
 
@@ -524,11 +525,14 @@ class TestJacobiFailureExits2:
             assert f"sigmak: numerical failure: {message}" in out.err, out.err
 
     def test_scan_names_the_sample(self, capsys, monkeypatch):
-        monkeypatch.setattr(symfunc, "JACOBI_MAX_SWEEPS", 0)
+        from sigmak import verify
+
+        monkeypatch.setattr(verify, "SPECTRUM_AUDIT_REL_TOL", -1.0)
         assert run(["verify", "-n", "3", "--samples", "3", "--seed", "0"]) == 2
-        err = capsys.readouterr().err
-        assert "sigmak: numerical failure: sample 0 at " in err, err
-        assert "double-double Jacobi did not converge in 0 sweeps" in err
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "sigmak: numerical failure: sample 0 at " in out.err, out.err
+        assert "closed-form spectrum disagrees with the exact eigenvalues by " in out.err
 
 
 # The n = 3 solution Hessian at x = (1.25, -0.5), t = 0.3, as eval computes it.

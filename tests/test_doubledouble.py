@@ -104,10 +104,6 @@ def _ref_sqrt(x):
     return h, e
 
 
-def _ref_rotate(c, s, x, y):
-    return _ref_sub(_ref_mul(c, x), _ref_mul(s, y)), _ref_add(_ref_mul(s, x), _ref_mul(c, y))
-
-
 def _ref_sum_squares(xs):
     r = dd.ZERO
     for v in xs:
@@ -116,9 +112,8 @@ def _ref_sum_squares(xs):
 
 
 def _kernel_cases(x, y, f, z, w):
-    # z and w are rotate's third and fourth operands
+    # z and w feed sum_squares' floats
     return (
-        (dd.rotate, _ref_rotate, (x, y, z, w)),
         (dd.add, _ref_add, (x, y)),
         (dd.sub, _ref_sub, (x, y)),
         (dd.mul, _ref_mul, (x, y)),
@@ -135,8 +130,6 @@ def _outcome(op, args):
         value = op(*args)
     except (ZeroDivisionError, ValueError) as exc:
         return type(exc)
-    if op is dd.rotate or op is _ref_rotate:
-        value = value[0] + value[1]
     # past SPLIT_MAX a split overflows into inf - inf; the sign of a nan made
     # from two nans is not reproducible in CPython, so a nan part compares as
     # "nan" and every other part by its bytes

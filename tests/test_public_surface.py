@@ -56,6 +56,13 @@ REMOVED = [
     ("sigmak.cone", "cone_verdicts"),
     ("sigmak.verify", "_point"),
     ("sigmak.symfunc", "SymmetricMatrix"),
+    ("sigmak.symfunc", "eigenvalues_symmetric_dd"),
+    ("sigmak.symfunc", "DD_JACOBI_REL_TOL"),
+    ("sigmak.symfunc", "DD_TRACE_REL_TOL"),
+    ("sigmak.symfunc", "FLOAT_RING"),
+    ("sigmak.doubledouble", "rotate"),
+    ("sigmak.doubledouble", "ring"),
+    ("sigmak.solution", "hessian_dd"),
 ]
 
 BENCHMARK_NAMES = [

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import sigma_brute
+from conftest import dd_hessian, sigma_brute
 from sigmak.solution import (
     Point,
     SolutionParams,
@@ -15,14 +15,14 @@ from sigmak.solution import (
     derive_constants,
     eval_jet,
     h_eval,
+    exact_hessian,
     h_formula,
-    hessian_dd,
     solution_value,
     spectrum_sigmas_dd,
 )
 from sigmak import doubledouble as dd
-from sigmak.symfunc import eigenvalues_symmetric, eigenvalues_symmetric_dd, elementary_symmetric
-from sigmak.verify import SIGMA_AUDIT_UNITS, SPECTRUM_AUDIT_REL_TOL, SampleBox, sample_point
+from sigmak.symfunc import eigenvalues_symmetric, elementary_symmetric
+from sigmak.verify import SIGMA_AUDIT_UNITS, SampleBox, _audit_sample, sample_point
 
 
 class TestCancellationCoefficient:
@@ -197,11 +197,7 @@ class TestEvalJet:
 
     def test_radius_guard(self):
         p = derive_constants(3)
-        hessians = (
-            eval_jet,
-            lambda p, pt: dd_terms(p, pt.x, pt.t),
-            lambda p, pt: hessian_dd(p, pt.x, dd_terms(p, pt.x, pt.t)),
-        )
+        hessians = (eval_jet, lambda p, pt: dd_terms(p, pt.x, pt.t))
         for func in hessians + (solution_value,):
             func(p, Point(x=(1e49, 0.0), t=2.0))
             with pytest.raises(OverflowError, match=r"point x = \(1e\+200, 0.0\), t = 0.0"):
@@ -299,29 +295,29 @@ class TestResidualIdentity:
 
 
 class TestHessianDD:
+    """The double-double terms of u's Hessian (dd_terms) and the closed-form
+    spectrum and sigmas they give."""
+
     def test_matches_float_hessian(self):
         p = derive_constants(5)
         pt = Point(x=(1.1, -0.4, 2.0, 0.0), t=-0.8)
         hfloat = eval_jet(p, pt).hessian
-        hdd = hessian_dd(p, pt.x, dd_terms(p, pt.x, pt.t))
+        hdd = dd_hessian(p, pt)
         for i in range(5):
             for j in range(5):
                 assert dd.to_float(hdd[i][j]) == pytest.approx(hfloat[i][j], rel=1e-14, abs=1e-14)
 
     def test_residual_is_tiny_in_dd(self):
-        from sigmak.symfunc import eigenvalues_symmetric_dd
-
         p = derive_constants(7)
         pt = Point(x=(3.0,) * 6, t=2.0)
-        lam = eigenvalues_symmetric_dd(hessian_dd(p, pt.x, dd_terms(p, pt.x, pt.t)))
-        sigma = elementary_symmetric(lam, dd.add, dd.mul)[3]
-        assert abs(dd.to_float(dd.sub(sigma, dd.ONE))) < 1e-20
+        _, sigmas = spectrum_sigmas_dd(p, dd_terms(p, pt.x, pt.t))
+        assert abs(dd.to_float(dd.sub(sigmas[3], dd.ONE))) < 1e-20
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
     def test_h2_against_decimal(self, n):
-        # at x = 0 the t, t corner is h'' = (k-1)^2 decay e^(-(k-1)t) + growth e^t
-        # at t* = ln E, E = math.exp(t): dd_terms reads e^t as E and takes
-        # e^(-(k-1)t) as 1/E^(k-1)
+        # h'' = (k-1)^2 decay e^(-(k-1)t) + growth e^t at t* = ln E,
+        # E = math.exp(t): dd_terms reads e^t as E and takes e^(-(k-1)t) as
+        # 1/E^(k-1)
         p = derive_constants(n)
         km1 = p.k - 1
         rng = random.Random(n)
@@ -329,8 +325,7 @@ class TestHessianDD:
             ctx.prec = 50
             for _ in range(20):
                 t = rng.uniform(-2.0, 2.0)
-                pt = Point(x=(0.0,) * (n - 1), t=t)
-                h2 = hessian_dd(p, pt.x, dd_terms(p, pt.x, pt.t))[n - 1][n - 1]
+                h2 = dd_terms(p, (0.0,) * (n - 1), t)[1]
                 e = Decimal(math.exp(t))
                 decay = (
                     km1**2 * Decimal(p.h_coeff_decay.numerator) / p.h_coeff_decay.denominator
@@ -341,31 +336,95 @@ class TestHessianDD:
                 assert err <= Decimal("1e-30") * (abs(decay) + abs(growth)), t
 
 
+def fraction_hessian(p, x, et):
+    """u's Hessian at t* = ln et in Fractions, from h's two coefficients."""
+    e, xs = Fraction(et), [Fraction(v) for v in x]
+    h2 = p.h_coeff_decay * (p.k - 1) ** 2 / e ** (p.k - 1) + p.h_coeff_growth * e
+    nx, dim = len(xs), p.total_dim
+    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    for i, v in enumerate(xs):
+        rows[i][i] = 2 * e
+        rows[i][nx] = rows[nx][i] = 2 * v * e
+    rows[nx][nx] = sum(v * v for v in xs) * e + h2
+    return rows
+
+
+class TestExactHessian:
+    """exact_hessian: u's Hessian at t* = ln E as an integer matrix N over a
+    scale D, with the closed form's D a, D tr and D^2 det."""
+
+    @pytest.mark.parametrize("n, m", [(3, 0), (7, 0), (5, 2), (21, 0)])
+    def test_is_the_scaled_rational_hessian(self, n, m):
+        p = SolutionParams(n, m)
+        box = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=10, seed=10 * n + m)
+        nx = n - 1
+        for i in range(box.count):
+            pt = sample_point(p, box, i)
+            et = math.exp(pt.t)
+            scale, rows, (a, tr, det) = exact_hessian(p, pt.x, et)
+            want = fraction_hessian(p, pt.x, et)
+            assert type(scale) is int and scale > 0
+            assert all(type(v) is int for row in rows for v in row)
+            assert [[Fraction(v, scale) for v in row] for row in rows] == want
+            assert Fraction(a, scale) == want[0][0] == 2 * Fraction(et)
+            assert Fraction(tr, scale) == want[0][0] + want[nx][nx]
+            c2 = sum(want[i][nx] ** 2 for i in range(nx))
+            assert Fraction(det, scale**2) == want[0][0] * want[nx][nx] - c2
+
+    def test_scale_is_the_documented_one(self):
+        # E = 3 / 2^2 and x = X / 2^3: D = A P^(k-1) 2^(2F+e) = A 3^2 2^8
+        p = derive_constants(5)
+        scale, rows, _ = exact_hessian(p, (0.5, -1.25, 3.0, 0.125), 0.75)
+        assert scale == int(p.A) * 3**2 * 2**8
+        want = fraction_hessian(p, (0.5, -1.25, 3.0, 0.125), 0.75)
+        assert rows == [[scale * v for v in row] for row in want]
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_sigma_k_is_exactly_d_to_the_k(self, n):
+        # principal minors by cofactor expansion, over ints
+        p = derive_constants(n)
+        box = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=3, seed=n)
+        for i in range(box.count):
+            pt = sample_point(p, box, i)
+            scale, rows, _ = exact_hessian(p, pt.x, math.exp(pt.t))
+            assert sigma_brute(rows, p.k) == scale**p.k
+            assert all(sigma_brute(rows, j) > 0 for j in range(1, p.k))
+
+    def test_a_perturbed_constant_is_carried_exactly(self):
+        # B off by one part in 10^6 is a Fraction: D takes its denominator,
+        # and sigma_k(N) is no longer D^k
+        p = derive_constants(3)
+        object.__setattr__(p, "B", p.B * Fraction(1_000_001, 1_000_000))
+        scale, rows, _ = exact_hessian(p, (0.5, -1.5), 1.25)
+        assert [[Fraction(v, scale) for v in row] for row in rows] == [
+            [Fraction(5, 2), 0, Fraction(5, 4)],
+            [0, Fraction(5, 2), Fraction(-15, 4)],
+            [Fraction(5, 4), Fraction(-15, 4),
+             Fraction(5, 2) * Fraction(5, 4) + 1 / (p.A * Fraction(5, 4)) - p.B / p.A * Fraction(5, 4)],
+        ]
+        assert sigma_brute(rows, 2) != scale**2
+
+
 def _fro(values) -> float:
     return math.sqrt(sum(dd.to_float(v) ** 2 for v in values))
 
 
-def _max_gap(xs, ys) -> float:
-    return max(abs(dd.to_float(dd.sub(x, y))) for x, y in zip(xs, ys))
-
-
 class TestSpectrumDD:
-    """The closed-form spectrum against the general routes that the scan no
-    longer runs on every sample: the double-double Jacobi of hessian_dd and
-    numpy's eigvalsh of the float Hessian."""
+    """The closed-form spectrum against the scan's exact audit at the same
+    point (the integer Hessian's spectrum, then the double-double values
+    within the audit's bounds) and numpy's eigvalsh of the float Hessian."""
 
     def assert_matches_oracles(self, p, pt):
-        lam, _ = spectrum_sigmas_dd(p, dd_terms(p, pt.x, pt.t))
+        terms = dd_terms(p, pt.x, pt.t)
+        lam, sigmas = spectrum_sigmas_dd(p, terms)
         assert len(lam) == p.total_dim
         assert lam == sorted(lam)
         fro = _fro(lam)
-        by_jacobi = eigenvalues_symmetric_dd(hessian_dd(p, pt.x, dd_terms(p, pt.x, pt.t)))
-        assert by_jacobi == sorted(by_jacobi)
-        assert _max_gap(lam, by_jacobi) <= SPECTRUM_AUDIT_REL_TOL * (1.0 + fro)
+        _audit_sample(p, list(pt.x), terms, lam, sigmas)
         by_numpy = np.linalg.eigvalsh(eval_jet(p, pt).hessian)
         gaps = [abs(dd.to_float(x) - y) for x, y in zip(lam, by_numpy)]
         assert max(gaps) <= 1e-14 * (1.0 + fro)
-        return lam, by_jacobi
+        return lam, by_numpy
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15, 17, 19, 21])
@@ -415,11 +474,11 @@ class TestSpectrumDD:
         et = math.exp(0.5)
         det = 2.0 * et * h_eval(p, 0.5, 2) - 2.0 * et * et
         assert det < 0.0
-        lam, by_jacobi = self.assert_matches_oracles(p, pt)
+        lam, by_numpy = self.assert_matches_oracles(p, pt)
         assert dd.to_float(lam[0]) < 0.0
         assert dd.to_float(lam[0]) * dd.to_float(lam[-1]) == pytest.approx(det, rel=1e-14)
         negatives = sum(dd.to_float(v) < 0.0 for v in lam)
-        assert negatives == sum(dd.to_float(v) < 0.0 for v in by_jacobi) == 1
+        assert negatives == sum(v < 0.0 for v in by_numpy) == 1
 
 
 class TestArrowSigmas:

@@ -22,11 +22,8 @@ from sigmak import doubledouble as dd
 from sigmak import symfunc
 from sigmak.errors import ConvergenceError
 from sigmak.symbolic import sym_add, sym_const, sym_mul, sym_scale
-from sigmak.symfunc import (
-    eigenvalues_symmetric,
-    eigenvalues_symmetric_dd,
-    elementary_symmetric,
-)
+from sigmak.symfunc import eigenvalues_symmetric, elementary_symmetric
+from sigmak.verify import _exact_div
 
 
 def e_k(values, k):
@@ -254,6 +251,7 @@ class TestFaddeevLeverrierInput:
 
     RINGS = {
         "float": (float, operator.add, operator.mul, operator.truediv, 0.0),
+        "int": (int, operator.add, operator.mul, _exact_div, 0),
         "double-double": (
             dd.from_float, dd.add, dd.mul, lambda x, j: dd.div(x, dd.from_float(j)), dd.ZERO,
         ),
@@ -291,7 +289,7 @@ class TestFaddeevLeverrierZeroTest:
     zero, as the float run does: a (0.0, 0.0) entry is a truthy tuple, so
     truthiness would count it as nonzero."""
 
-    def test_dd_run_skips_the_zeros_the_float_run_skips(self, monkeypatch):
+    def test_dd_run_skips_the_zeros_the_float_run_skips(self):
         from sigmak.solution import Point, SolutionParams, eval_jet
 
         p = SolutionParams(7, 2)
@@ -307,17 +305,14 @@ class TestFaddeevLeverrierZeroTest:
             floats, operator.add, counted_product, operator.truediv, 0.0, count=p.k
         )
         dd_products = []
-        real_mul = dd.mul
 
         def counted_mul(x, y):
             dd_products.append((x, y))
-            return real_mul(x, y)
+            return dd.mul(x, y)
 
-        monkeypatch.setattr(dd, "mul", counted_mul)
-        ring = dd.ring()
         by_dd = symfunc.faddeev_leverrier(
             [[dd.from_float(v) for v in row] for row in floats],
-            ring.add, ring.mul, lambda x, j: ring.div(x, dd.from_float(j)), ring.zero,
+            dd.add, counted_mul, lambda x, j: dd.div(x, dd.from_float(j)), dd.ZERO,
             count=p.k,
         )
         assert len(dd_products) == len(products) > 0
@@ -399,22 +394,6 @@ class TestCrossAlgorithmInvariants:
 
 
 class TestDoubleDoubleVariants:
-    def test_dd_eigenvalues_on_diagonal(self):
-        entries = [[dd.from_float(0.0)] * 3 for _ in range(3)]
-        for i, v in enumerate([3.0, 1.0, 2.0]):
-            entries[i][i] = dd.from_float(v)
-        lam = eigenvalues_symmetric_dd(entries)
-        assert [dd.to_float(v) for v in lam] == [1.0, 2.0, 3.0]
-
-    def test_dd_eigenvalues_match_float_path(self):
-        rng = random.Random(13)
-        for _ in range(10):
-            m = random_symmetric(rng, rng.randrange(2, 6))
-            entries = [[dd.from_float(v) for v in row] for row in m]
-            lam = [dd.to_float(v) for v in eigenvalues_symmetric_dd(entries)]
-            ref = eigenvalues_symmetric(m)
-            np.testing.assert_allclose(lam, ref, rtol=1e-10, atol=1e-10 * (1 + frobenius_norm(m)))
-
     def test_dd_elementary_symmetric_exact(self):
         vals = [dd.from_float(v) for v in (2.0, 2.0, -0.75)]
         out = [dd.to_float(v) for v in elementary_symmetric(vals, dd.add, dd.mul)]
@@ -443,34 +422,9 @@ class TestDoubleDoubleVariants:
                     e[j] = dd.add(e[j], dd.mul(v, e[j - 1]))
             assert elementary_symmetric(vals, dd.add, dd.mul) == e[1:]
 
-    def test_a_counter_on_the_module_sees_the_jacobi(self, monkeypatch):
-        # the ring is built from doubledouble's functions when the Jacobi
-        # runs, so wrappers installed on the module count its calls
-        counts = dict.fromkeys(("div", "sqrt"), 0)
-        for name in counts:
-
-            def counted(*args, name=name, original=getattr(dd, name)):
-                counts[name] += 1
-                return original(*args)
-
-            monkeypatch.setattr(dd, name, counted)
-        rows = ((2.0, 1.0, 0.5), (1.0, 3.0, -1.0), (0.5, -1.0, 1.0))
-        eigenvalues_symmetric_dd([[dd.from_float(v) for v in row] for row in rows])
-        # every rotation takes three divisions and two square roots
-        assert counts["sqrt"] > 0
-        assert 2 * counts["div"] == 3 * counts["sqrt"]
-
-    def test_dd_trace_check_is_wired(self, monkeypatch):
-        from sigmak import symfunc
-
-        monkeypatch.setattr(symfunc, "DD_TRACE_REL_TOL", -1.0)
-        entries = [[dd.from_float(v) for v in row] for row in ((2.0, 1.0), (1.0, 3.0))]
-        with pytest.raises(ConvergenceError, match="drifted from the trace"):
-            eigenvalues_symmetric_dd(entries)
-
 
 class TestJacobiFailurePaths:
-    """Both arithmetics of the one cyclic Jacobi raise on the same failures."""
+    """The float64 cyclic Jacobi raises on its two failures, naming them."""
 
     ROWS = ((2.0, 1.0, 0.5), (1.0, 3.0, -1.0), (0.5, -1.0, 1.0))
 
@@ -485,14 +439,6 @@ class TestJacobiFailurePaths:
         with pytest.raises(ConvergenceError, match="float64 Jacobi did not converge in 0 sweeps") as info:
             eigenvalues_symmetric(m)
         assert info.value.offdiag_norm > symfunc.JACOBI_REL_TOL * (1.0 + frobenius_norm(m))
-
-    def test_dd_sweep_cap(self, monkeypatch):
-        monkeypatch.setattr(symfunc, "JACOBI_MAX_SWEEPS", 0)
-        entries = [[dd.from_float(v) for v in row] for row in self.ROWS]
-        fro = frobenius_norm(self.ROWS)
-        with pytest.raises(ConvergenceError, match="double-double Jacobi did not converge in 0 sweeps") as info:
-            eigenvalues_symmetric_dd(entries)
-        assert info.value.offdiag_norm > symfunc.DD_JACOBI_REL_TOL * (1.0 + fro)
 
     def test_diagonal_input_needs_no_sweep(self, monkeypatch):
         monkeypatch.setattr(symfunc, "JACOBI_MAX_SWEEPS", 0)

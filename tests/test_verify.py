@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     central_hessian,
     charpoly_sigmas,
+    dd_hessian,
     fd_hessian,
     frobenius_norm,
     nonpoly_witness,
@@ -203,25 +204,14 @@ class TestResidualScan:
         assert math.isfinite(rep.min_sigma_j)
 
     def test_convergence_error_names_the_sample(self, monkeypatch):
-        from sigmak import symfunc
+        from sigmak import verify
         from sigmak.errors import ConvergenceError
 
-        monkeypatch.setattr(symfunc, "DD_TRACE_REL_TOL", -1.0)
+        monkeypatch.setattr(verify, "SPECTRUM_AUDIT_REL_TOL", -1.0)
         first = sample_point(P3, BOX, 0)
-        with pytest.raises(ConvergenceError, match="drifted from the trace") as info:
+        with pytest.raises(ConvergenceError, match="closed-form spectrum disagrees") as info:
             residual_scan(P3, dataclasses.replace(BOX, count=3))
         assert str(info.value).startswith(f"sample 0 at {first}: ")
-
-    def test_unconverged_jacobi_names_the_sample(self, monkeypatch):
-        from sigmak import symfunc
-        from sigmak.errors import ConvergenceError
-
-        monkeypatch.setattr(symfunc, "JACOBI_MAX_SWEEPS", 0)
-        first = sample_point(P3, BOX, 0)
-        with pytest.raises(ConvergenceError, match="double-double Jacobi did not converge") as info:
-            residual_scan(P3, dataclasses.replace(BOX, count=3))
-        assert str(info.value).startswith(f"sample 0 at {first}: ")
-        assert info.value.offdiag_norm > 0.0
 
     def test_argmax_point_is_reproducible(self):
         rep = residual_scan(P3, dataclasses.replace(BOX, count=200))
@@ -230,9 +220,8 @@ class TestResidualScan:
 
 
 class TestSpectrumAudit:
-    """The scan's closed-form spectrum and sigmas are checked by the general
-    dd Jacobi and the dd trace recursion on every AUDIT_STRIDE-th sample, in
-    any dimension."""
+    """The scan's closed-form spectrum and sigmas are checked exactly, at the
+    sample's own point, on every AUDIT_STRIDE-th sample, in any dimension."""
 
     @staticmethod
     def shifted_spectrum(monkeypatch, first_shifted, rel_shift):
@@ -264,24 +253,27 @@ class TestSpectrumAudit:
 
         self.shifted_spectrum(monkeypatch, first_shifted, 1e-20)
         named = sample_point(P3, BOX, first_shifted)
-        with pytest.raises(ConvergenceError, match="closed-form spectrum disagrees") as info:
+        with pytest.raises(
+            ConvergenceError, match="closed-form spectrum disagrees with the exact eigenvalues"
+        ) as info:
             residual_scan(P3, dataclasses.replace(BOX, count=250))
         assert str(info.value).startswith(f"sample {first_shifted} at {named}: ")
 
     @pytest.mark.usefixtures("one_cpu")
     @pytest.mark.parametrize("n", [3, 13])
-    def test_a_shift_within_the_jacobi_tolerance_fails_the_trace_recursion(
+    def test_a_shift_below_the_spectrum_tolerance_fails_the_sigmas(
         self, monkeypatch, n
     ):
-        # a tenth of the Jacobi's tolerance passes the Jacobi, and the e_j
-        # recurrence reads the moved spectrum; the trace recursion over the
-        # Hessian itself does not
+        # a tenth of the eigenvalues' tolerance passes their comparison; the
+        # sigmas of the moved spectrum miss the exact sigma_j(N) / D^j
         from sigmak.errors import ConvergenceError
         from sigmak.verify import SPECTRUM_AUDIT_REL_TOL
 
         p = derive_constants(n)
         self.shifted_spectrum(monkeypatch, 0, SPECTRUM_AUDIT_REL_TOL / 10.0)
-        with pytest.raises(ConvergenceError, match="disagrees with the trace recursion") as info:
+        with pytest.raises(
+            ConvergenceError, match=r"structured sigma_\d+ disagrees with the exact sigma_"
+        ) as info:
             residual_scan(p, dataclasses.replace(BOX, count=3))
         assert str(info.value).startswith(f"sample 0 at {sample_point(p, BOX, 0)}: ")
 
@@ -300,17 +292,17 @@ class TestSpectrumAudit:
         return calls
 
     @pytest.mark.usefixtures("one_cpu")
-    def test_one_jacobi_per_hundred_samples(self, monkeypatch):
-        jacobi = self.count_calls(monkeypatch, "eigenvalues_symmetric_dd")
-        hessians = self.count_calls(monkeypatch, "hessian_dd")
+    def test_one_audit_per_hundred_samples(self, monkeypatch):
+        hessians = self.count_calls(monkeypatch, "exact_hessian")
+        spectra = self.count_calls(monkeypatch, "_check_spectrum")
         recursions = self.count_calls(monkeypatch, "faddeev_leverrier")
         residual_scan(P3, BOX)
         assert BOX.count == 1000
-        assert (len(jacobi), len(hessians), len(recursions)) == (10, 10, 10)
+        assert (len(hessians), len(spectra), len(recursions)) == (10, 10, 0)
 
     def test_one_exponential_per_sample(self):
-        # dd_terms reads e^t as the double math.exp(t) with a zero low word, and
-        # the audited samples' hessian_dd reads the same terms
+        # dd_terms reads e^t as the double math.exp(t) with a zero low word,
+        # and the audit reads that double from the terms
         for i in range(BOX.count):
             pt = sample_point(P3, BOX, i)
             got = dd_terms(P3, pt.x, pt.t)[0][0]
@@ -349,21 +341,189 @@ class TestSpectrumAudit:
         monkeypatch.setattr(solution, "arrow_sigmas", perturbed)
         p = derive_constants(7)
         named = sample_point(p, BOX, first_perturbed)
-        with pytest.raises(ConvergenceError, match="structured sigma_2 disagrees") as info:
+        with pytest.raises(
+            ConvergenceError, match="structured sigma_2 disagrees with the exact sigma_2"
+        ) as info:
             residual_scan(p, dataclasses.replace(BOX, count=250))
         assert str(info.value).startswith(f"sample {first_perturbed} at {named}: ")
 
     @pytest.mark.usefixtures("one_cpu")
     def test_audit_runs_past_the_minor_limit(self, monkeypatch):
         # at dimension 15 a principal-minor sum takes C(15, 8) = 6435 minors;
-        # the audit's Jacobi and trace recursion run once per audited sample
+        # the audit forms the whole integer Hessian once per audited sample
         p = derive_constants(15)
-        jacobi = self.count_calls(monkeypatch, "eigenvalues_symmetric_dd")
-        recursions = self.count_calls(monkeypatch, "faddeev_leverrier")
+        spectra = self.count_calls(monkeypatch, "_check_spectrum")
         residual_scan(p, dataclasses.replace(BOX, count=101))
-        assert (len(jacobi), len(recursions)) == (2, 2)
-        for args, kwargs in recursions:
-            assert (len(args[0]), kwargs["count"]) == (p.total_dim, p.k)
+        assert len(spectra) == 2
+        for args, _ in spectra:
+            rows = args[0]
+            assert len(rows) == p.total_dim
+            assert all(type(v) is int for row in rows for v in row)
+
+
+class TestExactAudit:
+    """_audit_sample decides with no tolerance that the integer Hessian N = D M
+    at the sample's point has the closed form's spectrum, that sigma_k(N) is
+    D^k and that sigma_1..sigma_(k-1) are positive, and names what fails."""
+
+    @staticmethod
+    def audit(p, x, t):
+        from sigmak.solution import spectrum_sigmas_dd
+        from sigmak.verify import _audit_sample
+
+        terms = dd_terms(p, list(x), t)
+        lam, sigmas = spectrum_sigmas_dd(p, terms)
+        _audit_sample(p, list(x), terms, lam, sigmas)
+
+    @pytest.mark.parametrize(
+        "n, m", [(n, 0) for n in range(3, 32, 2)] + [(5, 2)], ids=lambda v: str(v)
+    )
+    def test_seeded_points_pass(self, n, m):
+        p = SolutionParams(n, m)
+        box = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=20, seed=n + 1000 * m)
+        for i in range(box.count):
+            pt = sample_point(p, box, i)
+            self.audit(p, pt.x, pt.t)
+
+    @pytest.mark.parametrize("n, box", [
+        (3, SampleBox(x_radius=3.0, t_range=(27.0, 28.0), count=20, seed=0)),
+        (5, SampleBox(x_radius=1e12, t_range=(-2.0, 2.0), count=20, seed=0)),
+        (3, SampleBox(x_radius=2e49, t_range=(-2.0, 2.0), count=20, seed=5)),
+        (11, SampleBox(x_radius=4e12, t_range=(-2.0, 2.0), count=20, seed=5)),
+    ], ids=["t27", "x1e12", "x2e49", "n11-x4e12"])
+    def test_huge_entries_pass(self, n, box):
+        # the float residual gate's conservative failures are no audit failure
+        p = derive_constants(n)
+        for i in range(box.count):
+            pt = sample_point(p, box, i * 100)
+            self.audit(p, pt.x, pt.t)
+
+    @pytest.mark.parametrize("n, m", [(3, 0), (7, 0), (3, 2), (7, 1)])
+    def test_the_origin_takes_the_whole_characteristic_polynomial(self, monkeypatch, n, m):
+        # at x = 0 the roots of y^2 - tau y + delta are alpha and the corner,
+        # so the values coincide and the trace recursion over ints decides
+        recursions = TestSpectrumAudit.count_calls(monkeypatch, "faddeev_leverrier")
+        spectra = TestSpectrumAudit.count_calls(monkeypatch, "_check_spectrum")
+        p = SolutionParams(n, m)
+        for t in (-1.5, 0.0, 1.5):
+            self.audit(p, (0.0,) * (n - 1), t)
+        assert (len(recursions), len(spectra)) == (3, 0)
+        assert all(kwargs == {} for _, kwargs in recursions)  # all d sigmas
+
+    @pytest.mark.parametrize("n, m, x", [
+        (3, 0, (0.5, -1.0)), (7, 0, (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)), (5, 2, (1.0, 0.0, -2.0, 0.5)),
+    ], ids=["n3", "n7-origin", "n5-m2"])
+    def test_a_perturbed_b_names_sigma_k_minus_d_to_the_k(self, n, m, x):
+        # sigma_k = A e^((k-1)t) h'' + B e^(kt), so B' = B (1 + 1e-6) in h''
+        # alone leaves sigma_k - 1 = -1e-6 B E^k
+        from fractions import Fraction
+
+        from sigmak.errors import ConvergenceError
+
+        p = SolutionParams(n, m)
+        want = -1e-6 * float(p.B) * math.exp(0.3) ** p.k
+        object.__setattr__(p, "B", p.B * Fraction(1_000_001, 1_000_000))
+        with pytest.raises(ConvergenceError) as info:
+            self.audit(p, x, 0.3)
+        prefix = f"exact sigma_{p.k}(N) - D^{p.k} is "
+        text = str(info.value)
+        assert text.startswith(prefix) and text.endswith(f" D^{p.k}, not 0"), text
+        assert float(text[len(prefix):].split()[0]) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n, m, entry", [
+        (3, 0, (0, 1)), (7, 0, (2, 2)), (7, 0, (6, 6)), (5, 2, (5, 5)), (5, 2, (0, 5)),
+    ], ids=["x-x", "x-diagonal", "corner", "w-diagonal", "x-w"])
+    def test_a_planted_wrong_entry_names_the_annihilating_polynomial(
+        self, monkeypatch, n, m, entry
+    ):
+        # one entry of the integer Hessian (and its mirror) off by one; the
+        # closed form's alpha, tau and delta are left as they were
+        from sigmak import verify
+        from sigmak.errors import ConvergenceError
+
+        builder = verify.exact_hessian
+
+        def planted(*args):
+            scale, rows, closed_form = builder(*args)
+            i, j = entry
+            rows[i][j] += 1
+            if i != j:
+                rows[j][i] += 1
+            return scale, rows, closed_form
+
+        monkeypatch.setattr(verify, "exact_hessian", planted)
+        p = SolutionParams(n, m)
+        degree = 4 if m else 3
+        with pytest.raises(
+            ConvergenceError,
+            match=rf"^entry \(\d+, \d+\) of the closed form's annihilating polynomial at N "
+                  rf"is -?[0-9.e+-]+ D\^{degree}, not 0$",
+        ):
+            self.audit(p, (0.75, -1.5, 2.0, 0.25, -3.0, 1.0)[: n - 1], 0.4)
+
+    def test_wrong_multiplicities_name_a_power_sum(self, monkeypatch):
+        # alpha I is annihilated by the closed form's polynomial, but it has
+        # the value alpha d times; tr (N - alpha I) tells them apart
+        from sigmak import verify
+        from sigmak.errors import ConvergenceError
+
+        builder = verify.exact_hessian
+
+        def scalar(*args):
+            scale, rows, closed_form = builder(*args)
+            alpha = closed_form[0]
+            return scale, [[alpha if i == j else 0 for j in range(3)] for i in range(3)], closed_form
+
+        monkeypatch.setattr(verify, "exact_hessian", scalar)
+        with pytest.raises(
+            ConvergenceError, match=r"^tr \(N - alpha I\)\^1 differs from the closed form's by "
+        ):
+            self.audit(P3, (0.5, -1.0), 0.4)
+
+    def test_a_planted_wrong_entry_at_the_origin_names_the_characteristic_polynomial(
+        self, monkeypatch
+    ):
+        from sigmak import verify
+        from sigmak.errors import ConvergenceError
+
+        builder = verify.exact_hessian
+
+        def planted(*args):
+            scale, rows, closed_form = builder(*args)
+            rows[0][1] = rows[1][0] = 1
+            return scale, rows, closed_form
+
+        monkeypatch.setattr(verify, "exact_hessian", planted)
+        with pytest.raises(ConvergenceError, match=r"^exact sigma_2\(N\) differs from the closed"):
+            self.audit(P3, (0.0, 0.0), 0.4)
+
+    def test_the_exact_division_refuses_a_remainder(self):
+        from sigmak.errors import ConvergenceError
+        from sigmak.verify import _exact_div
+
+        assert _exact_div(-12, 3) == -4 and _exact_div(12, -4) == -3
+        with pytest.raises(ConvergenceError, match="remainder dividing by 5"):
+            _exact_div(12, 5)
+
+    @pytest.mark.parametrize("factor, shown", [(-1, "-[0-9.e+]+"), (0, "0")])
+    def test_a_sigma_that_is_not_positive_is_named(self, monkeypatch, factor, shown):
+        # sigma_1 of the closed form's spectrum read as negative, or as 0,
+        # which is outside the cone too
+        from sigmak import verify
+        from sigmak.errors import ConvergenceError
+
+        exact = verify._arrow_sigmas
+
+        def scaled_first(*args):
+            sigmas = exact(*args)
+            sigmas[0] *= factor
+            return sigmas
+
+        monkeypatch.setattr(verify, "_arrow_sigmas", scaled_first)
+        with pytest.raises(
+            ConvergenceError, match=rf"^exact sigma_1\(N\) is {shown} D\^1, not positive$"
+        ):
+            self.audit(derive_constants(5), (0.5, -1.0, 2.0, 0.25), 0.1)
 
 
 class TestSampleRanges:
@@ -646,20 +806,60 @@ class TestSampleBlocks:
 
 class TestScanNegativeControls:
     """The scan's residual fails when the solution is wrong, and it needs one
-    consistent e^t, not an accurate one."""
+    consistent e^t, not an accurate one.  The exact audit of sample 0 stops
+    such a scan first, so the gate controls run with the audit stubbed out,
+    and each has a twin that asserts what the audit names."""
 
     DEFAULT_BOX = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=2000, seed=0)
 
-    @pytest.mark.parametrize("n", [3, 7])
-    def test_a_perturbed_growth_coefficient_fails_the_gate(self, n):
+    @staticmethod
+    def perturbed_growth(n):
         # the e^t coefficient of h'', -B/A, off by one part in 10^6
         from sigmak import doubledouble as dd
-        from sigmak.cli import RESIDUAL_GATE
 
         p = SolutionParams(n)
         object.__setattr__(p, "h2_growth_dd", dd.mul(p.h2_growth_dd, (1.0 + 1e-6, 0.0)))
+        return p
+
+    @staticmethod
+    def two_exponentials(monkeypatch):
+        # e^(-(k-1)t) as math.exp(-(k-1)t): each exponential is within an ulp
+        # of its own value, but not the reciprocal of the other's power
+        from sigmak import doubledouble as dd
+        from sigmak import verify
+
+        def terms(p, x, t):
+            et_powers, _, r2et = dd_terms(p, x, t)
+            e_decay = (math.exp(-(p.k - 1) * t), 0.0)
+            h2 = dd.add(
+                dd.mul(p.h2_decay_dd, e_decay), dd.mul(p.h2_growth_dd, et_powers[0])
+            )
+            return et_powers, h2, r2et
+
+        monkeypatch.setattr(verify, "dd_terms", terms)
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_a_perturbed_growth_coefficient_fails_the_gate(self, monkeypatch, n):
+        from sigmak import verify
+        from sigmak.cli import RESIDUAL_GATE
+
+        monkeypatch.setattr(verify, "_audit_sample", lambda *args: None)
+        p = self.perturbed_growth(n)
         rep = residual_scan(p, dataclasses.replace(self.DEFAULT_BOX, count=500))
         assert rep.max_abs_residual > RESIDUAL_GATE
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_a_perturbed_growth_coefficient_fails_the_audit(self, n):
+        # the exact Hessian reads the exact B/A; the dd roots miss its roots
+        from sigmak.errors import ConvergenceError
+
+        p = self.perturbed_growth(n)
+        with pytest.raises(ConvergenceError) as info:
+            residual_scan(p, dataclasses.replace(self.DEFAULT_BOX, count=500))
+        text = str(info.value)
+        assert text.startswith(f"sample 0 at {sample_point(p, self.DEFAULT_BOX, 0)}: ")
+        gap = float(text.split("disagrees with the exact eigenvalues by ")[1].split()[0])
+        assert 1e-9 < gap < 1e-3
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_the_residual_is_at_double_double_rounding(self, n):
@@ -668,22 +868,27 @@ class TestScanNegativeControls:
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_a_second_exponential_breaks_the_residual(self, monkeypatch, n):
-        # e^(-(k-1)t) as math.exp(-(k-1)t): each exponential is within an ulp
-        # of its own value, but not the reciprocal of the other's power
-        from sigmak import doubledouble as dd
         from sigmak import verify
 
-        def two_exponentials(p, x, t):
-            et_powers, _, r2et = dd_terms(p, x, t)
-            e_decay = (math.exp(-(p.k - 1) * t), 0.0)
-            h2 = dd.add(
-                dd.mul(p.h2_decay_dd, e_decay), dd.mul(p.h2_growth_dd, et_powers[0])
-            )
-            return et_powers, h2, r2et
-
-        monkeypatch.setattr(verify, "dd_terms", two_exponentials)
+        monkeypatch.setattr(verify, "_audit_sample", lambda *args: None)
+        self.two_exponentials(monkeypatch)
         rep = residual_scan(SolutionParams(n), self.DEFAULT_BOX)
         assert rep.max_abs_residual > 1e-20
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_a_second_exponential_fails_the_audit(self, monkeypatch, n):
+        # the exact Hessian at t* = ln E reads E alone; h'' from a second
+        # exponential is off by about an ulp, far above the dd tolerance
+        from sigmak.errors import ConvergenceError
+
+        self.two_exponentials(monkeypatch)
+        p = SolutionParams(n)
+        with pytest.raises(ConvergenceError) as info:
+            residual_scan(p, self.DEFAULT_BOX)
+        text = str(info.value)
+        assert text.startswith(f"sample 0 at {sample_point(p, self.DEFAULT_BOX, 0)}: ")
+        gap = float(text.split("disagrees with the exact eigenvalues by ")[1].split()[0])
+        assert 1e-20 < gap < 1e-12
 
 
 class TestResidualAgainstExactArithmetic:
@@ -691,22 +896,19 @@ class TestResidualAgainstExactArithmetic:
     def test_dd_residual_equals_exact_rational_residual(self, n):
         # every double-double Hessian entry is the exact rational hi + lo, so
         # exact Fraction minors give the true sigma_k of the same matrix; the
-        # reported residual must match it, not merely be small
+        # scan's closed-form residual must match it, not merely be small
         from fractions import Fraction
 
         from sigmak import doubledouble as dd
-        from sigmak.solution import hessian_dd
-        from sigmak.symfunc import eigenvalues_symmetric_dd, elementary_symmetric
+        from sigmak.solution import spectrum_sigmas_dd
 
         p = derive_constants(n)
         box = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=5, seed=77)
         for i in range(5):
             pt = sample_point(p, box, i)
-            hdd = hessian_dd(p, pt.x, dd_terms(p, pt.x, pt.t))
-            lam = eigenvalues_symmetric_dd(hdd)
-            sigma_k = elementary_symmetric(lam, dd.add, dd.mul)[p.k - 1]
-            reported = dd.to_float(dd.sub(sigma_k, dd.ONE))
-            exact = [[Fraction(e[0]) + Fraction(e[1]) for e in row] for row in hdd]
+            _, sigmas = spectrum_sigmas_dd(p, dd_terms(p, pt.x, pt.t))
+            reported = dd.to_float(dd.sub(sigmas[p.k - 1], dd.ONE))
+            exact = [[Fraction(e[0]) + Fraction(e[1]) for e in row] for row in dd_hessian(p, pt)]
             truth = float(sigma_brute(exact, p.k) - 1)
             assert abs(reported - truth) < 1e-24
 
@@ -714,17 +916,17 @@ class TestResidualAgainstExactArithmetic:
 class TestScanSigmasAgainstFloatOracles:
     @pytest.mark.parametrize("n, m", [(3, 0), (5, 0), (7, 0), (3, 2)])
     def test_dd_sigmas_match_charpoly_and_minors(self, n, m):
-        # the scan's sigma_1..sigma_d come from the dd eigenvalues; the float
+        # sigma_1..sigma_d of the scan's closed-form dd eigenvalues; the float
         # charpoly and the principal-minor sums must agree at moderate points
         from sigmak import doubledouble as dd
-        from sigmak.solution import hessian_dd
-        from sigmak.symfunc import eigenvalues_symmetric_dd, elementary_symmetric
+        from sigmak.solution import spectrum_sigmas_dd
+        from sigmak.symfunc import elementary_symmetric
 
         p = SolutionParams(n, m)
         box = SampleBox(x_radius=1.0, t_range=(-1.0, 1.0), count=20, seed=11)
         for i in range(box.count):
             pt = sample_point(p, box, i)
-            lam = eigenvalues_symmetric_dd(hessian_dd(p, pt.x, dd_terms(p, pt.x, pt.t)))
+            lam, _ = spectrum_sigmas_dd(p, dd_terms(p, pt.x, pt.t))
             e = elementary_symmetric(lam, dd.add, dd.mul)
             hess = eval_jet(p, pt).hessian
             fro = frobenius_norm(hess)
