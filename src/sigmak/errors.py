@@ -12,10 +12,12 @@ class CapabilityError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative numerical method failed to converge.
+    """An iterative numerical method failed to converge, or an exact check
+    failed.
 
     Carries the final off-diagonal Frobenius norm when raised by the Jacobi
-    eigenvalue solver.
+    eigenvalue solver.  The scan's exact audit raises it too, naming the
+    check that failed and its exact residual, with no off-diagonal norm.
     """
 
     def __init__(self, message: str, offdiag_norm: float | None = None):

@@ -206,31 +206,11 @@ def _closed_form(p: SolutionParams, t: float) -> tuple[float, float, float, floa
     return et, e_decay, decay + growth, -km1 * decay + growth, km1 * km1 * decay + growth
 
 
-def h_eval(p: SolutionParams, t: float, order: int) -> float:
-    """h, h' or h'' at t from the two-term closed form."""
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    return _closed_form(p, t)[2 + order]
-
-
 def h_formula(p: SolutionParams) -> str:
     """Human-readable closed form of h, e.g. '(1/4)*exp(-t) + (-1)*exp(t)'."""
     km1 = p.k - 1
     exponent = "-t" if km1 == 1 else f"-{km1}t"
     return f"({p.h_coeff_decay})*exp({exponent}) + ({p.h_coeff_growth})*exp(t)"
-
-
-def solution_value(p: SolutionParams, pt: Point) -> float:
-    """u at a point: r^2 e^t + h(t); independent of the w coordinates.
-
-    Raises OverflowError, naming the point, when u is not finite there.
-    """
-    _check_point(p, pt)
-    et, _, h0, _, _ = _closed_form(p, pt.t)
-    value = sum(v * v for v in pt.x) * et + h0
-    if not math.isfinite(value):
-        raise OverflowError(f"u overflows at point x = {pt.x}, t = {pt.t}")
-    return value
 
 
 def _check_point(p: SolutionParams, pt: Point) -> None:

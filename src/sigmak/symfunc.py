@@ -14,10 +14,9 @@ sum is left to the tests, which take it from LAPACK determinants:
   Jacobi; its audit runs the recurrence only over the eigenvalues' absolute
   values, for the scale of its double-double bounds,
 * the Faddeev-LeVerrier trace recursion for sigma_1..sigma_count at once,
-  one ring-generic loop (``faddeev_leverrier``): over exact expressions in
-  ``symbolic.sym_sigmas``, which certifies from sigma_1..sigma_k alone, and
-  over ints in the scan's exact audit where the closed form's eigenvalues
-  coincide (as at x = 0); the tests also run it in float64.
+  one ring-generic loop (``faddeev_leverrier``): in the library only over
+  exact expressions, in ``symbolic.sym_sigmas``, which certifies from
+  sigma_1..sigma_k alone; the tests also run it over ints and in float64.
 
 A matrix is its rows in every ring.  A float matrix is a tuple of float
 tuples: ``eigenvalues_symmetric`` takes any rows (numpy arrays too) through

@@ -64,10 +64,10 @@ E = P / 2^e and x_i = X_i / 2^F.  With no tolerance, N must have the closed
 form's spectrum: alpha = D a (n - 2 times), 0 (m times) and the roots of
 y^2 - tau y + delta (tau = D tr, delta = D^2 det), so (N - alpha I)
 (N^2 - tau N + delta I), times N when m > 0, must vanish, and the power
-sums tr N^i must match; where two of those values coincide, as at x = 0,
-N's whole characteristic polynomial, by the trace recursion
-(``symfunc.faddeev_leverrier``) over ints, must be the closed form's
-instead.  Read off that spectrum, sigma_k(N) must be D^k, the claim
+sums tr N^i must match.  That decides N's spectrum even where two of those
+values coincide, as at x = 0: every eigenvalue of N is then a root of the
+product, and power sums below its degree fix how often each distinct root
+occurs.  Read off that spectrum, sigma_k(N) must be D^k, the claim
 sigma_k = 1 at that point, and sigma_j(N) > 0 for j < k.  The closed-form
 double-double eigenvalues must then lie within SPECTRUM_AUDIT_REL_TOL *
 (1 + ||M||_F) of the exact ones, and the structured sigma_j within
@@ -84,7 +84,6 @@ polynomial.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import pickle
 import signal
@@ -105,7 +104,7 @@ from .solution import (
     exact_hessian,
     spectrum_sigmas_dd,
 )
-from .symfunc import elementary_symmetric, faddeev_leverrier
+from .symfunc import elementary_symmetric
 
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -450,20 +449,8 @@ def _audit_sample(p: SolutionParams, x, terms, lam_dd: list, sigmas: list) -> No
     scale, rows, (alpha, tau, delta) = exact_hessian(p, x, terms[0][0][0])
     # the closed form's quadratic, shifted to N - alpha I: y^2 + beta y + gamma
     beta, gamma = 2 * alpha - tau, alpha * (alpha - tau) + delta
-    disc = tau * tau - 4 * delta
-    if gamma and disc and (delta or not m):  # with alpha > 0, the values are distinct
-        _check_spectrum(rows, alpha, beta, gamma, m, scale)
-        exact = _arrow_sigmas(n, alpha, tau, delta, k)
-    else:
-        exact = _arrow_sigmas(n, alpha, tau, delta, n + m)
-        by_recursion = faddeev_leverrier(rows, operator.add, operator.mul, _exact_div, 0)
-        for j, (got, want) in enumerate(zip(by_recursion, exact), start=1):
-            if got != want:
-                raise ConvergenceError(
-                    f"exact sigma_{j}(N) differs from the closed form's by "
-                    f"{(got - want) / scale**j:g} D^{j}"
-                )
-        del exact[k:]
+    _check_spectrum(rows, alpha, beta, gamma, m, scale)
+    exact = _arrow_sigmas(n, alpha, tau, delta, k)
     powers = [scale**j for j in range(1, k + 1)]
     if exact[-1] != powers[-1]:
         raise ConvergenceError(
@@ -479,7 +466,7 @@ def _audit_sample(p: SolutionParams, x, terms, lam_dd: list, sigmas: list) -> No
     # the exact eigenvalues as integers over den = 2^(shift + 1) D >= 2^101;
     # a root's integer is within 1 of den times the root
     shift = max(0, 100 - scale.bit_length())
-    den, root = scale << (shift + 1), math.isqrt(disc << 2 * shift)
+    den, root = scale << (shift + 1), math.isqrt((tau * tau - 4 * delta) << 2 * shift)
     exact_lam = sorted(
         [alpha << (shift + 1)] * (n - 2) + [0] * m + [(tau << shift) - root, (tau << shift) + root]
     )
@@ -506,14 +493,17 @@ def _audit_sample(p: SolutionParams, x, terms, lam_dd: list, sigmas: list) -> No
 def _check_spectrum(rows, alpha: int, beta: int, gamma: int, m: int, scale: int) -> None:
     """Check exactly that the integer matrix `rows` = N has the eigenvalues
     alpha (d - m - 2 times), 0 (m times) and alpha plus each root of
-    y^2 + beta y + gamma, given that these take 3 (m = 0) or 4 distinct values.
+    y^2 + beta y + gamma, whether or not some of these values coincide.
 
     In N' = N - alpha I those values are 0, -alpha and the two roots, so
     N' (N' + alpha I)^[m > 0] (N'^2 + beta N' + gamma I) = 0 puts every
-    eigenvalue of N' on one of them; tr N'^i for i = 1 .. (values - 1) then
-    fixes how often each occurs, since distinct values make that Vandermonde
-    system regular.  The product is applied to each unit vector by Horner's
-    rule, over N's nonzero entries.  Raises ConvergenceError naming the
+    eigenvalue of N' on one of the L distinct roots of that product, L at
+    most its degree; with tr N'^0 = d, tr N'^i for i = 1 .. degree - 1 then
+    fixes how often each root occurs, since the Vandermonde system on L
+    distinct values is regular.  The roots repeat where gamma = 0 (x = 0),
+    where beta^2 = 4 gamma, or where the closed form's delta = 0 with
+    m > 0; that only lowers L.  The product is applied to each unit vector
+    by Horner's rule, over N's nonzero entries.  Raises ConvergenceError naming the
     first entry or power sum that differs, over the power of D it scales
     with.
     """
@@ -575,14 +565,6 @@ def _arrow_sigmas(n: int, alpha: int, tau: int, delta: int, count: int) -> list[
     return [
         g[j] + g[j - 1] * tau + (g[j - 2] * delta if j > 1 else 0) for j in range(1, count + 1)
     ]
-
-
-def _exact_div(value: int, j: int) -> int:
-    """value / j in the trace recursion over ints, where it is exact."""
-    quotient, remainder = divmod(value, j)
-    if remainder:
-        raise ConvergenceError(f"the trace recursion over ints left a remainder dividing by {j}")
-    return quotient
 
 
 def _gap(value: dd.DD, num: int, den: int) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from sigmak import doubledouble as dd
-from sigmak.solution import Point, dd_terms, h_eval, solution_value
+from sigmak.solution import Point, dd_terms, eval_jet
 from sigmak.symfunc import faddeev_leverrier
 
 
@@ -125,7 +125,7 @@ def fd_hessian(p, pt: Point, step: float) -> list[list[float]]:
     """Finite-difference Hessian of u at pt: an oracle for eval_jet."""
 
     def func(flat):
-        return solution_value(p, Point.from_coords(p, flat))
+        return eval_jet(p, Point.from_coords(p, flat)).value
 
     coords = list(pt.x) + [pt.t] + list(pt.w)
     return central_hessian(func, coords, step)
@@ -138,7 +138,8 @@ def nonpoly_witness(p, max_degree: int) -> list[float]:
     t -> u(0, t) = h(t) at unit spacing from t = 0.  A polynomial of degree
     <= d would make entry d exactly zero.
     """
-    samples = [h_eval(p, float(t), 0) for t in range(max_degree + 2)]
+    origin, w = (0.0,) * (p.n_base - 1), (0.0,) * p.m
+    samples = [eval_jet(p, Point(origin, float(t), w)).value for t in range(max_degree + 2)]
     return [float(np.diff(samples, n=d + 1)[0]) for d in range(1, max_degree + 1)]
 
 

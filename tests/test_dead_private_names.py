@@ -27,8 +27,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sigmak"
 FILES = sorted(PACKAGE.glob("*.py"))
 
 OUTSIDE_READERS = {
-    "solution.h_eval": "closed form of h: test_solution pins it, conftest's witness reads it",
-    "solution.solution_value": "closed form of u: test_solution pins it, conftest.fd_hessian too",
     "symbolic.sym_sigma_k": "perfbench's certify workload",
     "errors.CapabilityError": "perfbench's workloads import it",
 }

@@ -63,6 +63,9 @@ REMOVED = [
     ("sigmak.doubledouble", "rotate"),
     ("sigmak.doubledouble", "ring"),
     ("sigmak.solution", "hessian_dd"),
+    ("sigmak.verify", "_exact_div"),
+    ("sigmak.solution", "h_eval"),
+    ("sigmak.solution", "solution_value"),
 ]
 
 BENCHMARK_NAMES = [

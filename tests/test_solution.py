@@ -14,10 +14,8 @@ from sigmak.solution import (
     dd_terms,
     derive_constants,
     eval_jet,
-    h_eval,
     exact_hessian,
     h_formula,
-    solution_value,
     spectrum_sigmas_dd,
 )
 from sigmak import doubledouble as dd
@@ -115,18 +113,26 @@ class TestDeriveConstants:
                 assert (q.h2_decay_dd, q.h2_growth_dd) == (p.h2_decay_dd, p.h2_growth_dd)
 
 
+def h_jet(p, t, order):
+    """h, h' or h'' at t, as eval_jet gives them at x = 0: the value, the
+    gradient's t entry and the Hessian's t, t entry."""
+    nx = p.n_base - 1
+    jet = eval_jet(p, Point((0.0,) * nx, t, (0.0,) * p.m))
+    return (jet.value, jet.gradient[nx], jet.hessian[nx][nx])[order]
+
+
 class TestHEval:
     def test_value_at_zero(self):
         p = derive_constants(3)
-        assert h_eval(p, 0.0, 0) == pytest.approx(-0.75)
+        assert h_jet(p, 0.0, 0) == pytest.approx(-0.75)
 
     def test_second_derivative_at_zero(self):
         p = derive_constants(3)
-        assert h_eval(p, 0.0, 2) == pytest.approx(-0.75)
+        assert h_jet(p, 0.0, 2) == pytest.approx(-0.75)
 
     def test_value_at_log_two(self):
         p = derive_constants(3)
-        assert h_eval(p, math.log(2.0), 0) == pytest.approx(-15.0 / 8.0)
+        assert h_jet(p, math.log(2.0), 0) == pytest.approx(-15.0 / 8.0)
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_h2_solves_its_defining_equation(self, n):
@@ -136,17 +142,13 @@ class TestHEval:
         a, b, k = float(p.A), float(p.B), p.k
         for t in (-1.0, 0.0, 1.0):
             rhs = (1.0 - b * math.exp(k * t)) / (a * math.exp((k - 1) * t))
-            assert h_eval(p, t, 2) == pytest.approx(rhs, rel=1e-12)
-
-    def test_invalid_order(self):
-        with pytest.raises(ValueError, match="order"):
-            h_eval(derive_constants(3), 0.0, 3)
+            assert h_jet(p, t, 2) == pytest.approx(rhs, rel=1e-12)
 
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):
-            h_eval(derive_constants(3), 701.0, 0)
+            h_jet(derive_constants(3), 701.0, 0)
         with pytest.raises(OverflowError):
-            h_eval(derive_constants(5), -360.0, 0)  # (k-1)=2 doubles the exponent
+            h_jet(derive_constants(5), -360.0, 0)  # (k-1)=2 doubles the exponent
 
 
 class TestEvalJet:
@@ -197,19 +199,14 @@ class TestEvalJet:
 
     def test_radius_guard(self):
         p = derive_constants(3)
-        hessians = (eval_jet, lambda p, pt: dd_terms(p, pt.x, pt.t))
-        for func in hessians + (solution_value,):
+        for func in (eval_jet, lambda p, pt: dd_terms(p, pt.x, pt.t)):
             func(p, Point(x=(1e49, 0.0), t=2.0))
             with pytest.raises(OverflowError, match=r"point x = \(1e\+200, 0.0\), t = 0.0"):
                 func(p, Point(x=(1e200, 0.0), t=0.0))
-        for func in hessians:
             with pytest.raises(OverflowError, match=r"point x = \(1e\+50, 0.0\)"):
                 func(p, Point(x=(1e50, 0.0), t=2.0))
             with pytest.raises(OverflowError, match="Hessian norm"):
                 func(p, Point(x=(0.0, 0.0), t=-400.0))
-        # u alone stays finite beyond the Hessian's guard
-        value = solution_value(p, Point(x=(1e50, 0.0), t=2.0))
-        assert value == pytest.approx(1e100 * math.exp(2.0), rel=1e-15)
 
     def test_one_closed_form_evaluation_per_jet(self, monkeypatch):
         # e^t and e^(-(k-1)t), shared by the closed form and the radius guard
@@ -226,10 +223,19 @@ class TestEvalJet:
         eval_jet(derive_constants(7), Point(x=(1.0, -0.5, 2.0, 0.3, -1.2, 0.7), t=0.4))
         assert len(calls) == 2
 
-    def test_value_matches_solution_value(self):
+    def test_value_is_r_squared_e_t_plus_h(self):
+        # u = r^2 e^t + h_coeff_decay e^(-(k-1)t) + h_coeff_growth e^t, in
+        # 40-digit decimals from the exact coefficients
         p = derive_constants(5)
         pt = Point(x=(0.3, -1.2, 0.0, 2.5), t=0.7)
-        assert eval_jet(p, pt).value == solution_value(p, pt)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            t = Decimal(pt.t)
+            decay, growth = (Decimal(c.numerator) / c.denominator
+                             for c in (p.h_coeff_decay, p.h_coeff_growth))
+            r2 = sum(Decimal(v) ** 2 for v in pt.x)
+            want = (r2 + growth) * t.exp() + decay * (-(p.k - 1) * t).exp()
+        assert eval_jet(p, pt).value == pytest.approx(float(want), rel=1e-15)
 
     def test_gradient_matches_finite_differences(self):
         p = derive_constants(3)
@@ -243,8 +249,8 @@ class TestEvalJet:
             up[i] += eps
             dn[i] -= eps
             fd = (
-                solution_value(p, Point.from_coords(p, up))
-                - solution_value(p, Point.from_coords(p, dn))
+                eval_jet(p, Point.from_coords(p, up)).value
+                - eval_jet(p, Point.from_coords(p, dn)).value
             ) / (2 * eps)
             assert jet.gradient[i] == pytest.approx(fd, abs=1e-7)
 
@@ -442,7 +448,7 @@ class TestSpectrumDD:
             pt = Point(x=(0.0,) * (n - 1), t=t, w=(0.7,))
             lam, _ = self.assert_matches_oracles(p, pt)
             a = 2.0 * math.exp(t)
-            d = h_eval(p, t, 2)
+            d = h_jet(p, t, 2)
             expected = sorted([a] * (n - 1) + [d, 0.0])
             assert [dd.to_float(v) for v in lam] == pytest.approx(expected, rel=1e-14, abs=1e-14)
 
@@ -472,7 +478,7 @@ class TestSpectrumDD:
         p = derive_constants(3)
         pt = Point(x=(1.0, 0.0), t=0.5)
         et = math.exp(0.5)
-        det = 2.0 * et * h_eval(p, 0.5, 2) - 2.0 * et * et
+        det = 2.0 * et * h_jet(p, 0.5, 2) - 2.0 * et * et
         assert det < 0.0
         lam, by_numpy = self.assert_matches_oracles(p, pt)
         assert dd.to_float(lam[0]) < 0.0

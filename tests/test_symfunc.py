@@ -23,7 +23,13 @@ from sigmak import symfunc
 from sigmak.errors import ConvergenceError
 from sigmak.symbolic import sym_add, sym_const, sym_mul, sym_scale
 from sigmak.symfunc import eigenvalues_symmetric, elementary_symmetric
-from sigmak.verify import _exact_div
+
+
+def exact_div(value: int, j: int) -> int:
+    """value / j over ints, refusing a remainder: the int ring's division."""
+    quotient, remainder = divmod(value, j)
+    assert not remainder, (value, j)
+    return quotient
 
 
 def e_k(values, k):
@@ -251,7 +257,7 @@ class TestFaddeevLeverrierInput:
 
     RINGS = {
         "float": (float, operator.add, operator.mul, operator.truediv, 0.0),
-        "int": (int, operator.add, operator.mul, _exact_div, 0),
+        "int": (int, operator.add, operator.mul, exact_div, 0),
         "double-double": (
             dd.from_float, dd.add, dd.mul, lambda x, j: dd.div(x, dd.from_float(j)), dd.ZERO,
         ),

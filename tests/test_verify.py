@@ -1,6 +1,9 @@
 import dataclasses
+import itertools
 import math
 import os
+import re
+import types
 
 import numpy as np
 import pytest
@@ -295,10 +298,9 @@ class TestSpectrumAudit:
     def test_one_audit_per_hundred_samples(self, monkeypatch):
         hessians = self.count_calls(monkeypatch, "exact_hessian")
         spectra = self.count_calls(monkeypatch, "_check_spectrum")
-        recursions = self.count_calls(monkeypatch, "faddeev_leverrier")
         residual_scan(P3, BOX)
         assert BOX.count == 1000
-        assert (len(hessians), len(spectra), len(recursions)) == (10, 10, 0)
+        assert (len(hessians), len(spectra)) == (10, 10)
 
     def test_one_exponential_per_sample(self):
         # dd_terms reads e^t as the double math.exp(t) with a zero low word,
@@ -401,14 +403,96 @@ class TestExactAudit:
     @pytest.mark.parametrize("n, m", [(3, 0), (7, 0), (3, 2), (7, 1)])
     def test_the_origin_takes_the_whole_characteristic_polynomial(self, monkeypatch, n, m):
         # at x = 0 the roots of y^2 - tau y + delta are alpha and the corner,
-        # so the values coincide and the trace recursion over ints decides
-        recursions = TestSpectrumAudit.count_calls(monkeypatch, "faddeev_leverrier")
+        # so the values coincide; the annihilating polynomial and the power
+        # sums still decide N's whole spectrum, as at every other point
         spectra = TestSpectrumAudit.count_calls(monkeypatch, "_check_spectrum")
         p = SolutionParams(n, m)
         for t in (-1.5, 0.0, 1.5):
             self.audit(p, (0.0,) * (n - 1), t)
-        assert (len(recursions), len(spectra)) == (3, 0)
-        assert all(kwargs == {} for _, kwargs in recursions)  # all d sigmas
+        assert len(spectra) == 3
+
+    @staticmethod
+    def plant_diagonal(monkeypatch, p, x, t, planted):
+        """Let the audit at (x, t) read the diagonal matrix and the closed
+        form that planted(scale, alpha, tau, delta) returns, as (values,
+        (alpha, tau, delta)), in place of exact_hessian's."""
+        from sigmak import verify
+        from sigmak.solution import exact_hessian
+
+        scale, _, closed_form = exact_hessian(p, list(x), dd_terms(p, list(x), t)[0][0][0])
+        values, closed_form = planted(scale, *closed_form)
+        rows = [[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)]
+        monkeypatch.setattr(verify, "exact_hessian", lambda *args: (scale, rows, closed_form))
+
+    @pytest.mark.parametrize("n, m", [(n, m) for n in (3, 5, 7) for m in range(3)])
+    def test_at_the_origin_only_the_true_multiset_passes(self, monkeypatch, n, m):
+        # at x = 0, N is diagonal: alpha (n - 1 times), the corner and m
+        # zeros; every multiset of n + m values over {alpha, corner, 0} is
+        # planted as a diagonal N, and the spectrum check refuses all but N's
+        from sigmak.errors import ConvergenceError
+        from sigmak.solution import exact_hessian
+
+        p = SolutionParams(n, m)
+        x, t = (0.0,) * (n - 1), 0.4
+        _, rows, _ = exact_hessian(p, list(x), dd_terms(p, list(x), t)[0][0][0])
+        alpha, corner = rows[0][0], rows[n - 1][n - 1]
+        assert len({alpha, corner, 0}) == 3
+        multisets = list(itertools.combinations_with_replacement((alpha, corner, 0), n + m))
+        assert len(multisets) == math.comb(n + m + 2, 2)
+        passed = []
+        for values in multisets:
+            self.plant_diagonal(monkeypatch, p, x, t, lambda _, *form: (values, form))
+            try:
+                self.audit(p, x, t)
+            except ConvergenceError as exc:
+                assert re.match(r"entry \(|tr \(N - alpha I\)", str(exc)), str(exc)
+            else:
+                passed.append(sorted(values))
+        assert passed == [sorted([alpha] * (n - 1) + [corner] + [0] * m)]
+
+    @pytest.mark.parametrize("n, m, roots", [
+        (3, 1, "0, tau"), (5, 2, "0, tau"), (3, 0, "tau, tau"), (5, 2, "tau, tau"),
+    ], ids=["delta-n3-m1", "delta-n5-m2", "disc-n3", "disc-n5-m2"])
+    def test_a_planted_coincident_spectrum_is_decided_by_sigma_k(self, monkeypatch, n, m, roots):
+        # a diagonal N with the spectrum that a closed form claims whose
+        # quadratic has the roots 0 and tau (delta = 0, where 0 is also the
+        # w block's value) or tau twice (tau^2 = 4 delta): the spectrum check
+        # passes, and sigma_k(N) = D^k, the claim, is what fails
+        from sigmak.errors import ConvergenceError
+
+        def planted(scale, alpha, tau, delta):
+            mu, nu = (0, tau) if roots == "0, tau" else (tau, tau)
+            return [alpha] * (n - 2) + [0] * m + [mu, nu], (alpha, mu + nu, mu * nu)
+
+        p = SolutionParams(n, m)
+        x = (0.75, -1.5, 2.0, 0.25)[: n - 1]
+        self.plant_diagonal(monkeypatch, p, x, 0.4, planted)
+        spectra = TestSpectrumAudit.count_calls(monkeypatch, "_check_spectrum")
+        k = p.k
+        with pytest.raises(
+            ConvergenceError,
+            match=rf"^exact sigma_{k}\(N\) - D\^{k} is -?[0-9.e+-]+ D\^{k}, not 0$",
+        ):
+            self.audit(p, x, 0.4)
+        assert len(spectra) == 1
+
+    def test_a_wrong_multiplicity_at_delta_zero_names_a_power_sum(self, monkeypatch):
+        # the closed form claims alpha 3 times, 0 3 times and tau; the planted
+        # N has alpha 4 times, 0 twice and tau, each value a root of the
+        # annihilating polynomial, so tr (N - alpha I) tells them apart
+        from sigmak.errors import ConvergenceError
+
+        p = SolutionParams(5, 2)
+        x = (0.75, -1.5, 2.0, 0.25)
+
+        def planted(scale, alpha, tau, delta):
+            return [alpha] * 4 + [0] * 2 + [tau], (alpha, tau, 0)
+
+        self.plant_diagonal(monkeypatch, p, x, 0.4, planted)
+        with pytest.raises(
+            ConvergenceError, match=r"^tr \(N - alpha I\)\^1 differs from the closed form's by "
+        ):
+            self.audit(p, x, 0.4)
 
     @pytest.mark.parametrize("n, m, x", [
         (3, 0, (0.5, -1.0)), (7, 0, (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)), (5, 2, (1.0, 0.0, -2.0, 0.5)),
@@ -480,9 +564,11 @@ class TestExactAudit:
         ):
             self.audit(P3, (0.5, -1.0), 0.4)
 
-    def test_a_planted_wrong_entry_at_the_origin_names_the_characteristic_polynomial(
+    def test_a_planted_wrong_entry_at_the_origin_names_the_annihilating_polynomial(
         self, monkeypatch
     ):
+        # at x = 0 the closed form's values coincide; the x block [[alpha, 1],
+        # [1, alpha]] has alpha - 1 and alpha + 1, which are none of them
         from sigmak import verify
         from sigmak.errors import ConvergenceError
 
@@ -494,16 +580,12 @@ class TestExactAudit:
             return scale, rows, closed_form
 
         monkeypatch.setattr(verify, "exact_hessian", planted)
-        with pytest.raises(ConvergenceError, match=r"^exact sigma_2\(N\) differs from the closed"):
+        with pytest.raises(
+            ConvergenceError,
+            match=r"^entry \(\d+, \d+\) of the closed form's annihilating polynomial at N "
+                  r"is -?[0-9.e+-]+ D\^3, not 0$",
+        ):
             self.audit(P3, (0.0, 0.0), 0.4)
-
-    def test_the_exact_division_refuses_a_remainder(self):
-        from sigmak.errors import ConvergenceError
-        from sigmak.verify import _exact_div
-
-        assert _exact_div(-12, 3) == -4 and _exact_div(12, -4) == -3
-        with pytest.raises(ConvergenceError, match="remainder dividing by 5"):
-            _exact_div(12, 5)
 
     @pytest.mark.parametrize("factor, shown", [(-1, "-[0-9.e+]+"), (0, "0")])
     def test_a_sigma_that_is_not_positive_is_named(self, monkeypatch, factor, shown):
@@ -1000,10 +1082,11 @@ class TestNonpolyWitness:
         # the witness reads zero where u(0, t) is a polynomial: h a cubic
         import conftest
 
-        def cubic(p, t, order):
-            return 2.0 * t**3 - t**2 + 4.0 * t - 9.0
+        def cubic(p, pt):
+            t = pt.t
+            return types.SimpleNamespace(value=2.0 * t**3 - t**2 + 4.0 * t - 9.0)
 
-        monkeypatch.setattr(conftest, "h_eval", cubic)
+        monkeypatch.setattr(conftest, "eval_jet", cubic)
         w = nonpoly_witness(P3, 4)
         assert w[2:] == pytest.approx([0.0, 0.0], abs=1e-9)
         # one order lower does not annihilate: delta^3 (2t^3) = 12
