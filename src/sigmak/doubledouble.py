@@ -10,21 +10,23 @@ sigma_1..sigma_k) in double-double pushes that error below 1e-20.
 
 No FMA is assumed: products are split with Dekker's algorithm, which is exact
 while operands and products stay below ``SPLIT_MAX`` = 2**996 (~6.7e299);
-past that the split's ``_SPLITTER * a`` overflows.  Callers that could reach
+past that the split's ``SPLITTER * a`` overflows.  Callers that could reach
 it guard their inputs (see ``solution._check_radius``).
 
-The operations are add, sub, mul, mul_pow2 (exact scaling by a power of
-two), div, sqrt and sum_squares (of floats); a float f enters the others as
+The operations are sub, mul, div and sqrt; a float f enters them as
 ``(f, 0.0)``.  Every operation runs as one Python frame: Knuth's TwoSum,
 Dekker's TwoProd and the closing FastTwoSum are written out inside it, and
-so are the products, sums and differences that div, sqrt and sum_squares
-are composed of, because in CPython a function call costs as much as the
-float operations it would wrap.  An operand that several products share is
-split once.  The float operations are the textbook composition's, in its
-order, so every result is the composition's bit for bit;
-tests/test_doubledouble.py keeps the composition and pins this.  So a call
-counter installed on this module counts each div, sqrt and sum_squares as
-one call, not the products and sums inside it.
+so are the products, sums and differences that div and sqrt are composed
+of, because in CPython a function call costs as much as the float
+operations it would wrap.  An operand that several products share is split
+once.  The float operations are the textbook composition's, in its order,
+so every result is the composition's bit for bit; tests/test_doubledouble.py
+keeps the composition and pins this.  So a call counter installed on this
+module counts each div and sqrt as one call, not the products and sums
+inside it.  The scan's per-sample kernel, ``solution.spectrum_dd``, writes
+its own sums and products out the same way, with ``SPLITTER``, and calls
+only div and sqrt here; no library code adds two double-doubles anywhere
+else, so this module has no add.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from fractions import Fraction
 
 DD = tuple[float, float]
 
-_SPLITTER = 134217729.0  # 2**27 + 1
-# _SPLITTER * a overflows once |a| reaches 2**1024 / (2**27 + 1), just under 2**997
+SPLITTER = 134217729.0  # 2**27 + 1
+# SPLITTER * a overflows once |a| reaches 2**1024 / (2**27 + 1), just under 2**997
 SPLIT_MAX = 2.0**996
 
 ZERO: DD = (0.0, 0.0)
@@ -59,21 +61,11 @@ def to_float(x: DD) -> float:
 # In the operations below, s, e = TwoSum(xh, yh) is
 #     s = xh + yh;  bb = s - xh;  e = (xh - (s - bb)) + (yh - bb)
 # Dekker's split of a into ahi + alo is
-#     c = _SPLITTER * a;  ahi = c - (c - a);  alo = a - ahi
+#     c = SPLITTER * a;  ahi = c - (c - a);  alo = a - ahi
 # the exact product p, e = TwoProd(a, b) of two floats is, with a and b split,
 #     p = a * b;  e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
 # and the closing FastTwoSum(s, e), which needs |s| >= |e|, is
 #     h = s + e;  return h, e - (h - s)
-
-
-def add(x: DD, y: DD) -> DD:
-    xh, xl = x
-    yh, yl = y
-    s = xh + yh
-    bb = s - xh
-    e = ((xh - (s - bb)) + (yh - bb)) + (xl + yl)
-    h = s + e
-    return h, e - (h - s)
 
 
 def sub(x: DD, y: DD) -> DD:
@@ -91,40 +83,15 @@ def mul(x: DD, y: DD) -> DD:
     xh, xl = x
     yh, yl = y
     p = xh * yh
-    c = _SPLITTER * xh
+    c = SPLITTER * xh
     ahi = c - (c - xh)
     alo = xh - ahi
-    c = _SPLITTER * yh
+    c = SPLITTER * yh
     bhi = c - (c - yh)
     blo = yh - bhi
     e = (((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo) + (xh * yl + xl * yh)
     h = p + e
     return h, e - (h - p)
-
-
-def sum_squares(xs) -> DD:
-    """The sum of the squares of the floats xs, as the chain
-    r = add(r, TwoProd(v, v)) from r = ZERO, written out."""
-    rh = rl = 0.0
-    for a in xs:
-        # TwoProd(a, a)
-        p = a * a
-        c = _SPLITTER * a
-        ahi = c - (c - a)
-        alo = a - ahi
-        q = ((ahi * ahi - p) + ahi * alo + alo * ahi) + alo * alo
-        # add((rh, rl), (p, q))
-        s = rh + p
-        bb = s - rh
-        e = ((rh - (s - bb)) + (p - bb)) + (rl + q)
-        rh = s + e
-        rl = e - (rh - s)
-    return rh, rl
-
-
-def mul_pow2(x: DD, f: float) -> DD:
-    # exact when f is a power of two
-    return (x[0] * f, x[1] * f)
 
 
 def div(x: DD, y: DD) -> DD:
@@ -134,12 +101,12 @@ def div(x: DD, y: DD) -> DD:
     xh, xl = x
     yh, yl = y
     q1 = xh / yh
-    c = _SPLITTER * yh
+    c = SPLITTER * yh
     yhi = c - (c - yh)
     ylo = yh - yhi
     # y_q(y, q1)
     p = yh * q1
-    c = _SPLITTER * q1
+    c = SPLITTER * q1
     bhi = c - (c - q1)
     blo = q1 - bhi
     e = (((yhi * bhi - p) + yhi * blo + ylo * bhi) + ylo * blo) + yl * q1
@@ -155,7 +122,7 @@ def div(x: DD, y: DD) -> DD:
     q2 = rh / yh
     # y_q(y, q2)
     p = yh * q2
-    c = _SPLITTER * q2
+    c = SPLITTER * q2
     bhi = c - (c - q2)
     blo = q2 - bhi
     e = (((yhi * bhi - p) + yhi * blo + ylo * bhi) + ylo * blo) + yl * q2
@@ -184,7 +151,7 @@ def sqrt(x: DD) -> DD:
     s = math.sqrt(xh)
     # r = sub(x, TwoProd(s, s)), then e = (rh + rl) / 2s
     p = s * s
-    c = _SPLITTER * s
+    c = SPLITTER * s
     shi = c - (c - s)
     slo = s - shi
     pl = ((shi * shi - p) + shi * slo + slo * shi) + slo * slo

@@ -18,6 +18,12 @@ rationals, once, together with the double-double coefficients of h'' and
 the binomials C(n-2, j) that the scan uses.  Appending m dummy coordinates
 (on which u does not depend) extends a core solution in dimension n to
 dimension n + m without changing sigma_k.
+
+The scan's per-sample work is one function, ``spectrum_dd``: from one
+double exponential it forms the Hessian's terms, its closed-form
+eigenvalues and sigma_1..sigma_k in double-double, with the arithmetic
+written out in one Python frame.  ``exact_hessian`` gives the scan's audit
+the same Hessian exactly, as an integer matrix.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ class SolutionParams:
     A_float and h_coeffs_float = (h_coeff_decay, h_coeff_growth) rounded to
     floats, h'' = h2_decay_dd e^(-(k-1)t) + h2_growth_dd e^t in double-double, and
     arrow_binomials_dd[j] = C(n-2, j) for j = 0..k as exact double-doubles
-    (see arrow_sigmas).
+    (see spectrum_dd).
     """
 
     n_base: int
@@ -257,31 +263,298 @@ def eval_jet(p: SolutionParams, pt: Point) -> Jet2:
     return Jet2(value=r2et + h0, gradient=gradient, hessian=tuple(map(tuple, hess)))
 
 
-def dd_terms(p: SolutionParams, x, t: float) -> tuple[list[dd.DD], dd.DD, dd.DD]:
-    """The powers e^t, e^(2t), ..., e^((k-1)t), h''(t) and r^2 e^t in
-    double-double at the point with x block `x` (n - 1 floats) and t, from
-    one double exponential E = math.exp(t).
+def spectrum_dd(p: SolutionParams, x, t: float) -> tuple[float, list[dd.DD], list[dd.DD]]:
+    """E = math.exp(t), then the eigenvalues of u's Hessian at the point with
+    x block `x` (n - 1 floats) and t, ascending, and their sigma_1..sigma_k,
+    in double-double, in closed form from that one double exponential.
 
-    Every entry of D^2 u depends on t only through e^t, so terms formed from
-    (E, 0.0) are the exact terms at t* = ln E up to double-double rounding,
-    with |t* - t| <= 2^-53 for an exp within half an ulp.  Every term reads
-    the same E: e^(-(k-1)t) is 1/E^(k-1), by k - 2 products with E and one
-    division, never a second exponential, whose rounding would not match
-    E's.  Refuses the points that eval_jet refuses; the radius guard reads E
-    and the leading part of 1/E^(k-1), and runs before the division, whose
-    quotient must stay below doubledouble.SPLIT_MAX.  spectrum_sigmas_dd
-    reads these terms, and the scan's audit reads E from them; the scan
-    passes plain floats, so that no Point is built per sample.
+    Terms.  Every entry of D^2 u depends on t only through e^t, so terms
+    formed from (E, 0.0) are the exact terms at t* = ln E up to
+    double-double rounding, with |t* - t| <= 2^-53 for an exp within half an
+    ulp.  The powers e^(jt), j < k, are products with E; e^(-(k-1)t) is
+    1/E^(k-1), never a second exponential, whose rounding would not match
+    E's; h'' = h2_decay_dd e^(-(k-1)t) + h2_growth_dd e^t, and r^2 e^t is the
+    sum of the exact squares of x times E.  Refuses the points that eval_jet
+    refuses; the radius guard reads E and the leading part of 1/E^(k-1),
+    and runs before the division, whose quotient must stay below
+    doubledouble.SPLIT_MAX.
+
+    Spectrum.  On the x, t block the Hessian is the arrow matrix
+    [[a I, c], [c^T, d]] with a = 2e^t, c = 2x e^t and d = r^2 e^t + h''; the
+    w block is zero.  So its eigenvalues are a, with multiplicity n - 2 (the
+    x directions orthogonal to c), m zeros, and the two eigenvalues of
+    [[a, |c|], [|c|, d]], the roots of mu^2 - tr mu + det with tr = a + d and
+
+        det = a d - |c|^2 = 2e^t h'' - 2r^2 e^(2t) = a (h'' - r^2 e^t).
+
+    The larger root is tr/2 + sqrt(((a - d)/2)^2 + |c|^2) >= max(a, d) > 0,
+    a sum of two terms >= 0, since tr = (2 - B/A + r^2) e^t + e^(-(k-1)t)/A
+    and B/A = 2(k-1)/k < 2.  The smaller is det / larger, with det formed as
+    a (h'' - r^2 e^t), never as a d - |c|^2, whose two terms both grow like
+    r^2 and cancel.
+
+    Sigmas.  prod_i (1 + lambda_i y) = (1 + a y)^(n-2) (1 + tr y + det y^2),
+    so with g_j = C(n-2, j) a^j (g_0 = 1, a^j = 2^j e^(jt) for j < k),
+
+        sigma_j = g_j + g_(j-1) tr + g_(j-2) det,
+
+    the last term from j = 2 on: 3k - 3 products and 2k - 1 sums, against
+    ~d^2 / 2 of each for the e_j recurrence over all d eigenvalues.
+
+    Every double-double operation but the final sqrt and det / larger
+    (doubledouble.sqrt and doubledouble.div) is written out here, in one
+    Python frame, as doubledouble writes out each of its operations:
+    Knuth's TwoSum, Dekker's split and TwoProd and the closing FastTwoSum
+    in locals, with E, a, tr and det, which several products share, split
+    once.  The float operations are those of the double-double add, sub,
+    mul and div composed as the formulas above read, so every value is that
+    composition's bit for bit; tests/conftest.py keeps the composition and
+    tests/test_solution.py pins this.  The scan passes x and t as plain
+    floats, so that no Point is built per sample, and its audit reads E.
     """
     _check_exponent(p, t)
-    et = (math.exp(t), 0.0)
-    et_powers = [et]
+    split = dd.SPLITTER
+    E = math.exp(t)
+    c = split * E
+    ehi = c - (c - E)
+    elo = E - ehi
+    # e^(jt) for j = 1 .. k - 1, each the product of the last one and (E, 0.0)
+    et_powers = [(E, 0.0)]
+    ph, pl = E, 0.0
     for _ in range(p.k - 2):
-        et_powers.append(dd.mul(et_powers[-1], et))
-    _check_radius(p, max(map(abs, x)), et[0], 1.0 / et_powers[-1][0], (x, t))
-    e_decay = dd.div(dd.ONE, et_powers[-1])
-    h2 = dd.add(dd.mul(p.h2_decay_dd, e_decay), dd.mul(p.h2_growth_dd, et))
-    return et_powers, h2, dd.mul(dd.sum_squares(x), et)
+        prod = ph * E
+        c = split * ph
+        xhi = c - (c - ph)
+        xlo = ph - xhi
+        e = (((xhi * ehi - prod) + xhi * elo + xlo * ehi) + xlo * elo) + (ph * 0.0 + pl * E)
+        ph = prod + e
+        pl = e - (ph - prod)
+        et_powers.append((ph, pl))
+    _check_radius(p, max(map(abs, x)), E, 1.0 / ph, (x, t))
+
+    # e^(-(k-1)t) = (1.0, 0.0) / (ph, pl), as doubledouble.div
+    q1 = 1.0 / ph
+    c = split * ph
+    yhi = c - (c - ph)
+    ylo = ph - yhi
+    prod = ph * q1
+    c = split * q1
+    xhi = c - (c - q1)
+    xlo = q1 - xhi
+    e = (((yhi * xhi - prod) + yhi * xlo + ylo * xhi) + ylo * xlo) + pl * q1
+    sh = prod + e
+    sl = e - (sh - prod)
+    b = -sh
+    s = 1.0 + b
+    bb = s - 1.0
+    e = ((1.0 - (s - bb)) + (b - bb)) + (0.0 - sl)
+    rh = s + e
+    rl = e - (rh - s)
+    q2 = rh / ph
+    prod = ph * q2
+    c = split * q2
+    xhi = c - (c - q2)
+    xlo = q2 - xhi
+    e = (((yhi * xhi - prod) + yhi * xlo + ylo * xhi) + ylo * xlo) + pl * q2
+    sh = prod + e
+    sl = e - (sh - prod)
+    b = -sh
+    s = rh + b
+    bb = s - rh
+    e = ((rh - (s - bb)) + (b - bb)) + (rl - sl)
+    q3 = (s + e) / ph
+    s = q1 + q2
+    e = (q2 - (s - q1)) + q3
+    decay_h = s + e
+    decay_l = e - (decay_h - s)
+
+    # h'' = h2_decay_dd (decay_h, decay_l) + h2_growth_dd (E, 0.0)
+    xh, xl = p.h2_decay_dd
+    prod = xh * decay_h
+    c = split * xh
+    xhi = c - (c - xh)
+    xlo = xh - xhi
+    c = split * decay_h
+    yhi = c - (c - decay_h)
+    ylo = decay_h - yhi
+    e = (((xhi * yhi - prod) + xhi * ylo + xlo * yhi) + xlo * ylo) + (xh * decay_l + xl * decay_h)
+    uh = prod + e
+    ul = e - (uh - prod)
+    xh, xl = p.h2_growth_dd
+    prod = xh * E
+    c = split * xh
+    xhi = c - (c - xh)
+    xlo = xh - xhi
+    e = (((xhi * ehi - prod) + xhi * elo + xlo * ehi) + xlo * elo) + (xh * 0.0 + xl * E)
+    vh = prod + e
+    vl = e - (vh - prod)
+    s = uh + vh
+    bb = s - uh
+    e = ((uh - (s - bb)) + (vh - bb)) + (ul + vl)
+    h2h = s + e
+    h2l = e - (h2h - s)
+
+    # r^2 e^t: the chain r = r + TwoProd(v, v) from r = 0, times (E, 0.0)
+    rh = rl = 0.0
+    for v in x:
+        prod = v * v
+        c = split * v
+        xhi = c - (c - v)
+        xlo = v - xhi
+        q = ((xhi * xhi - prod) + xhi * xlo + xlo * xhi) + xlo * xlo
+        s = rh + prod
+        bb = s - rh
+        e = ((rh - (s - bb)) + (prod - bb)) + (rl + q)
+        rh = s + e
+        rl = e - (rh - s)
+    prod = rh * E
+    c = split * rh
+    xhi = c - (c - rh)
+    xlo = rh - xhi
+    e = (((xhi * ehi - prod) + xhi * elo + xlo * ehi) + xlo * elo) + (rh * 0.0 + rl * E)
+    r2h = prod + e
+    r2l = e - (r2h - prod)
+
+    # a = 2 (E, 0.0), split once; d = r^2 e^t + h''; tr = a + d
+    ah, al = E * 2.0, 0.0
+    c = split * ah
+    ahi = c - (c - ah)
+    alo = ah - ahi
+    s = r2h + h2h
+    bb = s - r2h
+    e = ((r2h - (s - bb)) + (h2h - bb)) + (r2l + h2l)
+    dh = s + e
+    dl = e - (dh - s)
+    s = ah + dh
+    bb = s - ah
+    e = ((ah - (s - bb)) + (dh - bb)) + (al + dl)
+    trh = s + e
+    trl = e - (trh - s)
+
+    # larger root = tr/2 + sqrt(((a - d)/2)^2 + a (2 r^2 e^t)), |c|^2 = 4 r^2 e^(2t)
+    b = -dh
+    s = ah + b
+    bb = s - ah
+    e = ((ah - (s - bb)) + (b - bb)) + (al - dl)
+    gh = s + e
+    gl = e - (gh - s)
+    gh, gl = gh * 0.5, gl * 0.5
+    prod = gh * gh
+    c = split * gh
+    xhi = c - (c - gh)
+    xlo = gh - xhi
+    e = (((xhi * xhi - prod) + xhi * xlo + xlo * xhi) + xlo * xlo) + (gh * gl + gl * gh)
+    uh = prod + e
+    ul = e - (uh - prod)
+    yh, yl = r2h * 2.0, r2l * 2.0
+    prod = ah * yh
+    c = split * yh
+    yhi = c - (c - yh)
+    ylo = yh - yhi
+    e = (((ahi * yhi - prod) + ahi * ylo + alo * yhi) + alo * ylo) + (ah * yl + al * yh)
+    vh = prod + e
+    vl = e - (vh - prod)
+    s = uh + vh
+    bb = s - uh
+    e = ((uh - (s - bb)) + (vh - bb)) + (ul + vl)
+    sh = s + e
+    root_h, root_l = dd.sqrt((sh, e - (sh - s)))
+    xh, xl = trh * 0.5, trl * 0.5
+    s = xh + root_h
+    bb = s - xh
+    e = ((xh - (s - bb)) + (root_h - bb)) + (xl + root_l)
+    lh = s + e
+    larger = (lh, e - (lh - s))
+
+    # det = a (h'' - r^2 e^t), split once
+    b = -r2h
+    s = h2h + b
+    bb = s - h2h
+    e = ((h2h - (s - bb)) + (b - bb)) + (h2l - r2l)
+    yh = s + e
+    yl = e - (yh - s)
+    prod = ah * yh
+    c = split * yh
+    yhi = c - (c - yh)
+    ylo = yh - yhi
+    e = (((ahi * yhi - prod) + ahi * ylo + alo * yhi) + alo * ylo) + (ah * yl + al * yh)
+    deth = prod + e
+    detl = e - (deth - prod)
+    c = split * deth
+    dethi = c - (c - deth)
+    detlo = deth - dethi
+
+    a = (ah, al)
+    values = [dd.div((deth, detl), larger), larger] + [a] * (p.n_base - 2) + [dd.ZERO] * p.m
+    values.sort()  # (hi, lo) tuples order as their values
+
+    # g_j = C(n-2, j) a^j for j = 1 .. k, a^j = 2^j e^(jt) for j < k and
+    # a^k = a^(k-1) a; each g_j as its hi, its lo and the split of its hi
+    powers = []
+    for j, (ph, pl) in enumerate(et_powers, start=1):
+        f = 2.0**j
+        powers.append((ph * f, pl * f))
+    wh, wl = powers[-1]
+    prod = wh * ah
+    c = split * wh
+    xhi = c - (c - wh)
+    xlo = wh - xhi
+    e = (((xhi * ahi - prod) + xhi * alo + xlo * ahi) + xlo * alo) + (wh * al + wl * ah)
+    uh = prod + e
+    powers.append((uh, e - (uh - prod)))
+    g = []
+    for (xh, xl), (yh, yl) in zip(p.arrow_binomials_dd[1:], powers):
+        prod = xh * yh
+        c = split * xh
+        xhi = c - (c - xh)
+        xlo = xh - xhi
+        c = split * yh
+        yhi = c - (c - yh)
+        ylo = yh - yhi
+        e = (((xhi * yhi - prod) + xhi * ylo + xlo * yhi) + xlo * ylo) + (xh * yl + xl * yh)
+        uh = prod + e
+        c = split * uh
+        xhi = c - (c - uh)
+        g.append((uh, e - (uh - prod), xhi, uh - xhi))
+
+    # sigma_1 = g_1 + tr; sigma_j = (g_j + g_(j-1) tr) + (det or g_(j-2) det)
+    xh, xl = g[0][:2]
+    s = xh + trh
+    bb = s - xh
+    e = ((xh - (s - bb)) + (trh - bb)) + (xl + trl)
+    uh = s + e
+    sigmas = [(uh, e - (uh - s))]
+    c = split * trh
+    thi = c - (c - trh)
+    tlo = trh - thi
+    for j in range(2, len(g) + 1):
+        xh, xl, xhi, xlo = g[j - 2]
+        prod = xh * trh
+        e = (((xhi * thi - prod) + xhi * tlo + xlo * thi) + xlo * tlo) + (xh * trl + xl * trh)
+        uh = prod + e
+        ul = e - (uh - prod)
+        xh, xl = g[j - 1][:2]
+        s = xh + uh
+        bb = s - xh
+        e = ((xh - (s - bb)) + (uh - bb)) + (xl + ul)
+        sh = s + e
+        sl = e - (sh - s)
+        if j == 2:
+            vh, vl = deth, detl
+        else:
+            xh, xl, xhi, xlo = g[j - 3]
+            prod = xh * deth
+            e = (((xhi * dethi - prod) + xhi * detlo + xlo * dethi) + xlo * detlo) + (
+                xh * detl + xl * deth
+            )
+            vh = prod + e
+            vl = e - (vh - prod)
+        s = sh + vh
+        bb = s - sh
+        e = ((sh - (s - bb)) + (vh - bb)) + (sl + vl)
+        uh = s + e
+        sigmas.append((uh, e - (uh - s)))
+    return E, values, sigmas
 
 
 def exact_hessian(p: SolutionParams, x, et: float) -> tuple[int, list[list[int]], tuple]:
@@ -289,7 +562,7 @@ def exact_hessian(p: SolutionParams, x, et: float) -> tuple[int, list[list[int]]
     integer matrix N = D M, and the closed form's (D a, D tr, D^2 det).
 
     `x` is the x block as floats and `et` the double E = fl(e^t) that
-    dd_terms reads, so every input is rational: E = P / 2^e, x_i = X_i / 2^F
+    spectrum_dd returns, so every input is rational: E = P / 2^e, x_i = X_i / 2^F
     over one power of two, and the exact constants A and B of
     h'' = e^(-(k-1)t) / A - (B/A) e^t.  For integers A and B,
     D = A P^(k-1) 2^(2F+e) and, with W = A P^k,
@@ -299,7 +572,7 @@ def exact_hessian(p: SolutionParams, x, et: float) -> tuple[int, list[list[int]]
 
     each formed by integer operations (a denominator of A or B, as in a
     perturbed control, multiplies D).  tr = a + d and det = a (h'' - r^2 e^t)
-    are spectrum_sigmas_dd's, from the same terms.
+    are spectrum_dd's, at the same E.
     """
     big_p, two_e = et.as_integer_ratio()
     e = two_e.bit_length() - 1
@@ -315,59 +588,3 @@ def exact_hessian(p: SolutionParams, x, et: float) -> tuple[int, list[list[int]]
     h2 = (a_den * b_den << (2 * f + e * p.k)) - (b_num * a_den * power * big_p << (2 * f))
     rows = arrow_rows(a, [w * v << (f + 1) for v in xs], r2et + h2, p.m, 0)
     return scale, rows, (a, a + r2et + h2, a * (h2 - r2et))
-
-
-def spectrum_sigmas_dd(p: SolutionParams, terms) -> tuple[list[dd.DD], list[dd.DD]]:
-    """The eigenvalues of u's Hessian, ascending, and their sigma_1..sigma_k,
-    in double-double, in closed form from `terms` = dd_terms(p, x, t).
-
-    On the x, t block the Hessian is the arrow matrix [[a I, c], [c^T, d]]
-    with a = 2e^t, c = 2x e^t and d = r^2 e^t + h''; the w block is zero.  So
-    its eigenvalues are a, with multiplicity n - 2 (the x directions
-    orthogonal to c), m zeros, and the two eigenvalues of
-    [[a, |c|], [|c|, d]], the roots of mu^2 - tr mu + det with tr = a + d and
-
-        det = a d - |c|^2 = 2e^t h'' - 2r^2 e^(2t) = a (h'' - r^2 e^t).
-
-    The larger root is tr/2 + sqrt(((a - d)/2)^2 + |c|^2) >= max(a, d) > 0,
-    a sum of two terms >= 0, since tr = (2 - B/A + r^2) e^t + e^(-(k-1)t)/A
-    and B/A = 2(k-1)/k < 2.  The smaller is det / larger, with det formed as
-    a (h'' - r^2 e^t), never as a d - |c|^2, whose two terms both grow like
-    r^2 and cancel.  The sigmas come from the same a, tr and det by
-    arrow_sigmas, with a^j = 2^j e^(jt) from dd_terms' powers for j < k.
-    """
-    et_powers, h2, r2et = terms
-    a = dd.mul_pow2(et_powers[0], 2.0)
-    d = dd.add(r2et, h2)
-    tr = dd.add(a, d)
-    half_gap = dd.mul_pow2(dd.sub(a, d), 0.5)
-    c2 = dd.mul(a, dd.mul_pow2(r2et, 2.0))  # |c|^2 = 4 r^2 e^(2t)
-    larger = dd.add(dd.mul_pow2(tr, 0.5), dd.sqrt(dd.add(dd.mul(half_gap, half_gap), c2)))
-    det = dd.mul(a, dd.sub(h2, r2et))
-    values = [dd.div(det, larger), larger] + [a] * (p.n_base - 2) + [dd.ZERO] * p.m
-    values.sort()  # (hi, lo) tuples order as their values
-    powers = [dd.mul_pow2(v, 2.0**j) for j, v in enumerate(et_powers, start=1)]
-    powers.append(dd.mul(powers[-1], a))
-    return values, arrow_sigmas(p.arrow_binomials_dd, powers, tr, det)
-
-
-def arrow_sigmas(binomials, powers, tr, det) -> list[dd.DD]:
-    """sigma_1..sigma_k of a spectrum made of a (n - 2 times), zeros, and two
-    roots with sum tr and product det, in double-double.
-
-    prod_i (1 + lambda_i x) = (1 + a x)^(n-2) (1 + tr x + det x^2), so with
-    g_j = C(n-2, j) a^j (g_0 = 1),
-
-        sigma_j = g_j + g_(j-1) tr + g_(j-2) det,
-
-    the last term from j = 2 on.  binomials[j] is C(n-2, j) and powers[j - 1]
-    is a^j, for j = 0..k and j = 1..k; k is len(powers).  That is 3k - 3
-    products and 2k - 1 sums, against ~d^2 / 2 of each for the e_j
-    recurrence over all d eigenvalues.
-    """
-    g = [dd.ONE] + [dd.mul(c, power) for c, power in zip(binomials[1:], powers)]
-    sigmas = [dd.add(g[1], tr)]
-    for j in range(2, len(powers) + 1):
-        sigma = dd.add(g[j], dd.mul(g[j - 1], tr))
-        sigmas.append(dd.add(sigma, det if j == 2 else dd.mul(g[j - 2], det)))
-    return sigmas

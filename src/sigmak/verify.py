@@ -34,30 +34,30 @@ The report, and any error, are the same however many CPUs run the scan.
 Precision
 ---------
 Each sample's eigenvalues and sigma_1..sigma_k are computed once, in
-double-double arithmetic, in closed form (``solution.spectrum_sigmas_dd``)
-from one set of double-double terms (``solution.dd_terms``): at sample-box
-corners the cancellation in sigma_k is too severe for plain doubles to
-certify a 1e-9 bound once k reaches 4.  Every entry of D^2 u depends on t
-only through e^t, so the terms take one double exponential E = math.exp(t)
-per sample and form e^(-(k-1)t) as 1/E^(k-1).  The scan thus evaluates the
-Hessian at t* = ln E, with |t* - t| <= 2^-53 for an exp within half an ulp,
-and every entry is consistent with that one E; sigma_k - 1 is then at
-double-double rounding whatever the last bit of E.  A second exponential
-for e^(-(k-1)t), each accurate to an ulp, leaves it at ~1e-16.  So the
-residual's last digits follow the platform's libm exp, as phase-check's
-atan already does.  The Hessian is an arrow matrix, so its spectrum is a
-(n - 2 times), m zeros and the two roots of mu^2 - tr mu + det, and sigma_j
-is read off (1 + a x)^(n-2) (1 + tr x + det x^2)
-(``solution.arrow_sigmas``).  The residual |sigma_k - 1|, the sigma vector
-behind the cone verdicts and min_sigma_j, the negative eigenvalue count and
-the n = 3 phase all come from those double-double values, rounded to
-float64 only where a float threshold judges them.  The verdicts
-(``cone.cone_flags``) and ``sl_phase`` are the ones that ``cone-check`` and
-``phase-check`` apply to a float64 Jacobi.
+double-double arithmetic, in closed form, by one kernel
+(``solution.spectrum_dd``) that writes the double-double operations out in
+one Python frame: at sample-box corners the cancellation in sigma_k is too
+severe for plain doubles to certify a 1e-9 bound once k reaches 4.  Every
+entry of D^2 u depends on t only through e^t, so the kernel takes one
+double exponential E = math.exp(t) per sample and forms e^(-(k-1)t) as
+1/E^(k-1).  The scan thus evaluates the Hessian at t* = ln E, with
+|t* - t| <= 2^-53 for an exp within half an ulp, and every entry is
+consistent with that one E; sigma_k - 1 is then at double-double rounding
+whatever the last bit of E.  A second exponential for e^(-(k-1)t), each
+accurate to an ulp, leaves it at ~1e-16.  So the residual's last digits
+follow the platform's libm exp, as phase-check's atan already does.  The
+Hessian is an arrow matrix, so its spectrum is a (n - 2 times), m zeros
+and the two roots of mu^2 - tr mu + det, and sigma_j is read off
+(1 + a x)^(n-2) (1 + tr x + det x^2).  The residual |sigma_k - 1|, the
+sigma vector behind the cone verdicts and min_sigma_j, the negative
+eigenvalue count and the n = 3 phase all come from those double-double
+values, rounded to float64 only where a float threshold judges them.  The
+verdicts (``cone.cone_flags``) and ``sl_phase`` are the ones that
+``cone-check`` and ``phase-check`` apply to a float64 Jacobi.
 
 Every 100th sample is audited exactly, at its own point (_audit_sample).
 Its inputs are rational: the x block and E = fl(e^t) are dyadic floats, and
-A and B are exact.  So the Hessian M at t* = ln E, the one the scan's terms
+A and B are exact.  So the Hessian M at t* = ln E, the one the scan's values
 stand for, is N / D for the integer matrix N that ``solution.exact_hessian``
 forms by integer operations alone, with D = A P^(k-1) 2^(2F+e) for
 E = P / 2^e and x_i = X_i / 2^F.  With no tolerance, N must have the closed
@@ -100,9 +100,8 @@ from .solution import (
     _check_exponent,
     _check_integers,
     _check_radius,
-    dd_terms,
     exact_hessian,
-    spectrum_sigmas_dd,
+    spectrum_dd,
 )
 from .symfunc import elementary_symmetric
 
@@ -116,13 +115,14 @@ CRITICAL_PHASE_N3 = math.pi / 2
 # draws its words this many samples at a time
 AUDIT_STRIDE = 100
 # A scan forks a worker only for a range of at least this many samples.  A
-# worker costs a few ms beyond its samples: the fork (~1.2 ms in a 35 MB
-# parent), 2-3 ms before the child runs, and copy-on-write faults in both
-# processes (~250 in the parent, ~400 in the child per scan).  Against
-# ~44 us per n = 3 sample, the cheapest dimension, two ranges of 100 lost
-# (9.3 ms against 8.8 in one range) and two of 200 won (13.8 against 18.2);
-# at n = 7, two ranges of 250 took 23.7 ms against 36.8 (medians of 40
-# interleaved scans, CPython 3.11 with numpy loaded, 2-vCPU x86-64 Linux).
+# worker costs a few ms beyond its samples: the fork (~0.8 ms in a 30 MB
+# parent), ~1 ms before the child runs, and copy-on-write faults in both
+# processes (~240 in the parent, ~415 in the child per scan).  Against
+# 20-30 us per n = 3 sample, the cheapest dimension, two ranges of 100 lost
+# (6.8 ms against 4.0-6.2 in one range) and two of 200 won (10.1-10.7
+# against 11.7-12.1); at n = 7, two ranges of 250 took 13.4-15.9 ms against
+# 20.6-21.1 (medians of 40 interleaved scans in each of three runs, CPython
+# 3.11 with numpy loaded, 2-vCPU x86-64 Linux).
 MIN_RANGE_SAMPLES = 200
 # The audit's bound on |closed-form eigenvalue - exact eigenvalue|, relative
 # to 1 + ||M||_F.  a = 2E is exact in double-double; the larger root,
@@ -411,12 +411,11 @@ def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tup
             x = [x_lo + x_width * ((word >> 11) * 2.0**-53) for word in words[at : at + nx]]
             t = t_lo + t_width * ((words[at + nx] >> 11) * 2.0**-53)
             try:
-                terms = dd_terms(p, x, t)
-                lam_dd, e = spectrum_sigmas_dd(p, terms)
+                et, lam_dd, e = spectrum_dd(p, x, t)
                 sigmas = [hi + lo for hi, lo in e]
                 lam = [hi + lo for hi, lo in lam_dd]
                 if i % AUDIT_STRIDE == 0:
-                    _audit_sample(p, x, terms, lam_dd, e)
+                    _audit_sample(p, x, et, lam_dd, e)
             except ConvergenceError as exc:
                 pt = sample_point(p, box, i)
                 raise ConvergenceError(
@@ -436,17 +435,17 @@ def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tup
     return max_resid, argmax, cone_failures, lemma_failures, min_sigma_j, phase_failures
 
 
-def _audit_sample(p: SolutionParams, x, terms, lam_dd: list, sigmas: list) -> None:
+def _audit_sample(p: SolutionParams, x, et: float, lam_dd: list, sigmas: list) -> None:
     """Check one sample's closed-form spectrum and sigmas exactly, at its own
     point, as the module docstring describes.
 
-    `x` is the sample's x block as floats and `terms` the dd_terms(p, x, t)
-    that lam_dd and sigmas came from; the Hessian is taken at t* = ln E for
-    the terms' E.  Raises ConvergenceError naming the check that failed and
+    `x` is the sample's x block as floats, and et, lam_dd and sigmas are
+    what spectrum_dd(p, x, t) returned for it; the Hessian is taken at
+    t* = ln et.  Raises ConvergenceError naming the check that failed and
     its exact residual, over the power of D it scales with.
     """
     n, k, m = p.n_base, p.k, p.m
-    scale, rows, (alpha, tau, delta) = exact_hessian(p, x, terms[0][0][0])
+    scale, rows, (alpha, tau, delta) = exact_hessian(p, x, et)
     # the closed form's quadratic, shifted to N - alpha I: y^2 + beta y + gamma
     beta, gamma = 2 * alpha - tau, alpha * (alpha - tau) + delta
     _check_spectrum(rows, alpha, beta, gamma, m, scale)
@@ -555,8 +554,8 @@ def _check_spectrum(rows, alpha: int, beta: int, gamma: int, m: int, scale: int)
 def _arrow_sigmas(n: int, alpha: int, tau: int, delta: int, count: int) -> list[int]:
     """sigma_1..sigma_count of alpha (n - 2 times), zeros and the roots of
     y^2 - tau y + delta: the coefficients of (1 + alpha y)^(n-2) (1 + tau y +
-    delta y^2), as solution.arrow_sigmas reads them in double-double; a
-    separate loop, so that the audit does not check that function by
+    delta y^2), as solution.spectrum_dd reads them in double-double; a
+    separate loop, so that the audit does not check that kernel by
     itself."""
     g, power = [1], 1  # g_j = C(n-2, j) alpha^j
     for j in range(1, count + 1):

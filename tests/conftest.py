@@ -3,9 +3,12 @@
 The oracles deliberately use the dumbest correct algorithms available
 (subset enumeration, cofactor expansion, LAPACK determinants, central
 difference stencils, numpy's iterated differences) so they share no code
-path with the implementations they check.  ``charpoly_sigmas`` is the one
-exception, named here as such.  A matrix is its rows, as in the library:
-the builders return tuples of float tuples, and the oracles take any rows.
+path with the implementations they check.  ``charpoly_sigmas`` is one
+exception, named here as such.  The other is the scan kernel's composition
+(``composed_spectrum_dd`` and the functions it calls), which is a reference
+for bit-for-bit equality, not for accuracy, and so calls doubledouble's
+operations.  A matrix is its rows, as in the library: the builders return
+tuples of float tuples, and the oracles take any rows.
 
 ``visible_cpus`` and ``one_cpu`` set the CPUs that ``residual_scan`` sees,
 and so the number of sample ranges it splits a scan into.
@@ -21,7 +24,7 @@ import numpy as np
 import pytest
 
 from sigmak import doubledouble as dd
-from sigmak.solution import Point, dd_terms, eval_jet
+from sigmak.solution import Point, _check_exponent, _check_radius, eval_jet
 from sigmak.symfunc import faddeev_leverrier
 
 
@@ -77,18 +80,119 @@ def charpoly_sigmas(m) -> tuple[float, ...]:
     return tuple(faddeev_leverrier(m, operator.add, operator.mul, operator.truediv, 0.0))
 
 
+# The scan's double-double kernel as the composition of double-double
+# operations that solution.spectrum_dd writes out in one frame: dd_terms ->
+# spectrum_sigmas_dd -> arrow_sigmas over dd_add, Dekker's TwoProd, the
+# exact scaling mul_pow2, and doubledouble's sub, mul, div and sqrt.  The
+# kernel's eigenvalues and sigmas are pinned to these bit for bit
+# (test_solution.py), and tests that need the kernel's intermediate terms,
+# or a seam inside it, read them here.  dd_add and sum_squares are pinned
+# to the textbook kernels of test_doubledouble.py, which takes two_prod
+# from here.
+_SPLITTER = 134217729.0  # 2**27 + 1
+
+
+def dd_add(x, y):
+    """The double-double sum: TwoSum of the leading parts, plus both
+    trailing parts, then FastTwoSum."""
+    xh, xl = x
+    yh, yl = y
+    s = xh + yh
+    bb = s - xh
+    e = ((xh - (s - bb)) + (yh - bb)) + (xl + yl)
+    h = s + e
+    return h, e - (h - s)
+
+
+def two_prod(a: float, b: float):
+    """Dekker's exact product p + e of two floats."""
+    p = a * b
+    ca = _SPLITTER * a
+    ahi = ca - (ca - a)
+    alo = a - ahi
+    cb = _SPLITTER * b
+    bhi = cb - (cb - b)
+    blo = b - bhi
+    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+
+
+def sum_squares(xs):
+    """The sum of the squares of the floats xs: r = add(r, TwoProd(v, v))
+    from r = ZERO."""
+    r = dd.ZERO
+    for v in xs:
+        r = dd_add(r, two_prod(v, v))
+    return r
+
+
+def mul_pow2(x, f: float):
+    """x times f, exact when f is a power of two."""
+    return (x[0] * f, x[1] * f)
+
+
+def dd_terms(p, x, t: float):
+    """The powers e^t, ..., e^((k-1)t), h''(t) and r^2 e^t in double-double,
+    from E = math.exp(t), with the kernel's guards in the kernel's order."""
+    _check_exponent(p, t)
+    et = (math.exp(t), 0.0)
+    et_powers = [et]
+    for _ in range(p.k - 2):
+        et_powers.append(dd.mul(et_powers[-1], et))
+    _check_radius(p, max(map(abs, x)), et[0], 1.0 / et_powers[-1][0], (x, t))
+    e_decay = dd.div(dd.ONE, et_powers[-1])
+    h2 = dd_add(dd.mul(p.h2_decay_dd, e_decay), dd.mul(p.h2_growth_dd, et))
+    return et_powers, h2, dd.mul(sum_squares(x), et)
+
+
+def spectrum_sigmas_dd(p, terms):
+    """The eigenvalues, ascending, and sigma_1..sigma_k from dd_terms' terms
+    (see solution.spectrum_dd for the closed form)."""
+    et_powers, h2, r2et = terms
+    a = mul_pow2(et_powers[0], 2.0)
+    d = dd_add(r2et, h2)
+    tr = dd_add(a, d)
+    half_gap = mul_pow2(dd.sub(a, d), 0.5)
+    c2 = dd.mul(a, mul_pow2(r2et, 2.0))  # |c|^2 = 4 r^2 e^(2t)
+    larger = dd_add(mul_pow2(tr, 0.5), dd.sqrt(dd_add(dd.mul(half_gap, half_gap), c2)))
+    det = dd.mul(a, dd.sub(h2, r2et))
+    values = [dd.div(det, larger), larger] + [a] * (p.n_base - 2) + [dd.ZERO] * p.m
+    values.sort()
+    powers = [mul_pow2(v, 2.0**j) for j, v in enumerate(et_powers, start=1)]
+    powers.append(dd.mul(powers[-1], a))
+    return values, arrow_sigmas(p.arrow_binomials_dd, powers, tr, det)
+
+
+def arrow_sigmas(binomials, powers, tr, det):
+    """sigma_j = g_j + g_(j-1) tr + g_(j-2) det, g_j = binomials[j] powers[j - 1]."""
+    g = [dd.ONE] + [dd.mul(c, power) for c, power in zip(binomials[1:], powers)]
+    sigmas = [dd_add(g[1], tr)]
+    for j in range(2, len(powers) + 1):
+        sigma = dd_add(g[j], dd.mul(g[j - 1], tr))
+        sigmas.append(dd_add(sigma, det if j == 2 else dd.mul(g[j - 2], det)))
+    return sigmas
+
+
+def composed_spectrum_dd(p, x, t: float):
+    """solution.spectrum_dd(p, x, t) as the composition: (E, eigenvalues,
+    sigmas).  The module globals it calls are looked up at call time, so a
+    test may patch dd_terms or arrow_sigmas here and pass this function to
+    the scan in the kernel's place."""
+    terms = dd_terms(p, x, t)
+    return (terms[0][0][0], *spectrum_sigmas_dd(p, terms))
+
+
 def dd_hessian(p, pt):
-    """u's Hessian at pt with the double-double entries that dd_terms gives:
-    2E on the x diagonal, 2xE in the t row and column, r^2 E + h'' in the
-    corner, then the zero w block."""
+    """u's Hessian at pt with the double-double entries of the terms that
+    dd_terms gives: 2E on the x diagonal, 2xE in the t row and column,
+    r^2 E + h'' in the corner, then the zero w block."""
     et_powers, h2, r2et = dd_terms(p, pt.x, pt.t)
     et = et_powers[0]
     nx, dim = p.n_base - 1, p.total_dim
     rows = [[dd.ZERO] * dim for _ in range(dim)]
     for i, v in enumerate(pt.x):
-        rows[i][i] = dd.mul_pow2(et, 2.0)
+        rows[i][i] = mul_pow2(et, 2.0)
         rows[i][nx] = rows[nx][i] = dd.mul(et, (2.0 * v, 0.0))
-    rows[nx][nx] = dd.add(r2et, h2)
+    rows[nx][nx] = dd_add(r2et, h2)
     return rows
 
 

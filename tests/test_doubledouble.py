@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dd_add, mul_pow2, sum_squares, two_prod
 from sigmak import doubledouble as dd
 
 getcontext().prec = 60
@@ -24,16 +25,15 @@ def as_fraction(x) -> Fraction:
 def random_value(rng: random.Random) -> dd.DD:
     hi = rng.uniform(-100.0, 100.0)
     lo = hi * rng.uniform(-1e-17, 1e-17)
-    return dd.add((lo, 0.0), (hi, 0.0))
+    return dd_add((lo, 0.0), (hi, 0.0))
 
 
-# The textbook compositions: Knuth's TwoSum, FastTwoSum and Dekker's TwoProd as
-# functions, and each operation built from them.  doubledouble writes these
-# error-free transformations out inside every operation, one Python frame per
-# call; TestTextbookKernels holds it to these results bit for bit.
-_SPLITTER = 134217729.0  # 2**27 + 1
-
-
+# The textbook compositions: Knuth's TwoSum, FastTwoSum and Dekker's TwoProd
+# (conftest's two_prod) as functions, and each operation built from them.
+# doubledouble writes these error-free transformations out inside every
+# operation, one Python frame per call, and so does conftest's dd_add, the
+# add of the scan kernel's test composition; TestTextbookKernels holds them,
+# and that composition's sum_squares, to these results bit for bit.
 def _two_sum(a, b):
     s = a + b
     bb = s - a
@@ -43,18 +43,6 @@ def _two_sum(a, b):
 def _fast_two_sum(a, b):
     s = a + b
     return s, b - (s - a)
-
-
-def _two_prod(a, b):
-    p = a * b
-    ca = _SPLITTER * a
-    ahi = ca - (ca - a)
-    alo = a - ahi
-    cb = _SPLITTER * b
-    bhi = cb - (cb - b)
-    blo = b - bhi
-    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, err
 
 
 def _ref_add(x, y):
@@ -70,14 +58,14 @@ def _ref_sub(x, y):
 
 
 def _ref_mul(x, y):
-    p, e = _two_prod(x[0], y[0])
+    p, e = two_prod(x[0], y[0])
     e += x[0] * y[1] + x[1] * y[0]
     return _fast_two_sum(p, e)
 
 
 def _ref_mul_f(x, f):
     # the product y q that div is composed of
-    p, e = _two_prod(x[0], f)
+    p, e = two_prod(x[0], f)
     return _fast_two_sum(p, e + x[1] * f)
 
 
@@ -97,7 +85,7 @@ def _ref_sqrt(x):
     if x[0] < 0.0:
         raise ValueError("square root of a negative double-double")
     s = math.sqrt(x[0])
-    r = _ref_sub(x, _two_prod(s, s))
+    r = _ref_sub(x, two_prod(s, s))
     h, e = _fast_two_sum(s, (r[0] + r[1]) / (2.0 * s))
     if h != h:
         raise ValueError("square root of a non-finite or out-of-range double-double")
@@ -107,21 +95,21 @@ def _ref_sqrt(x):
 def _ref_sum_squares(xs):
     r = dd.ZERO
     for v in xs:
-        r = _ref_add(r, _two_prod(v, v))
+        r = _ref_add(r, two_prod(v, v))
     return r
 
 
 def _kernel_cases(x, y, f, z, w):
     # z and w feed sum_squares' floats
     return (
-        (dd.add, _ref_add, (x, y)),
+        (dd_add, _ref_add, (x, y)),
         (dd.sub, _ref_sub, (x, y)),
         (dd.mul, _ref_mul, (x, y)),
         (dd.mul, _ref_mul, (x, (f, 0.0))),
         (dd.div, _ref_div, (x, y)),
         (dd.sqrt, _ref_sqrt, (x,)),
         (dd.sqrt, _ref_sqrt, ((-x[0], -x[1]),)),
-        (dd.sum_squares, _ref_sum_squares, ((x[0], f, y[1], z[0], w[0], y[0]),)),
+        (sum_squares, _ref_sum_squares, ((x[0], f, y[1], z[0], w[0], y[0]),)),
     )
 
 
@@ -218,7 +206,7 @@ class TestExactOracles:
             y = random_value(rng)
             fx, fy = as_fraction(x), as_fraction(y)
             for op, ref in (
-                (dd.add, fx + fy),
+                (dd_add, fx + fy),
                 (dd.sub, fx - fy),
                 (dd.mul, fx * fy),
             ):
@@ -293,7 +281,7 @@ class TestRepresentation:
             y = random_value(rng)
             positive = x if x[0] >= 0.0 else (-x[0], -x[1])
             for value in (
-                dd.add(x, y), dd.sub(x, y), dd.mul(x, y), dd.div(x, y), dd.sqrt(positive),
+                dd_add(x, y), dd.sub(x, y), dd.mul(x, y), dd.div(x, y), dd.sqrt(positive),
             ):
                 hi, lo = value
                 if hi != 0.0:
@@ -301,7 +289,7 @@ class TestRepresentation:
 
     def test_mul_pow2_is_exact(self):
         x = dd.from_fraction(Fraction(1, 3))
-        doubled = dd.mul_pow2(x, 2.0)
+        doubled = mul_pow2(x, 2.0)
         assert as_fraction(doubled) == as_fraction(x) * 2
 
     def test_to_float_collapses(self):

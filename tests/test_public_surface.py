@@ -66,6 +66,12 @@ REMOVED = [
     ("sigmak.verify", "_exact_div"),
     ("sigmak.solution", "h_eval"),
     ("sigmak.solution", "solution_value"),
+    ("sigmak.solution", "dd_terms"),
+    ("sigmak.solution", "spectrum_sigmas_dd"),
+    ("sigmak.solution", "arrow_sigmas"),
+    ("sigmak.doubledouble", "add"),
+    ("sigmak.doubledouble", "sum_squares"),
+    ("sigmak.doubledouble", "mul_pow2"),
 ]
 
 BENCHMARK_NAMES = [

@@ -6,17 +6,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import dd_hessian, sigma_brute
+from conftest import (
+    arrow_sigmas,
+    composed_spectrum_dd,
+    dd_add,
+    dd_hessian,
+    dd_terms,
+    sigma_brute,
+)
 from sigmak.solution import (
     Point,
     SolutionParams,
     cancellation_coefficient,
-    dd_terms,
     derive_constants,
     eval_jet,
     exact_hessian,
     h_formula,
-    spectrum_sigmas_dd,
+    spectrum_dd,
 )
 from sigmak import doubledouble as dd
 from sigmak.symfunc import eigenvalues_symmetric, elementary_symmetric
@@ -199,7 +205,7 @@ class TestEvalJet:
 
     def test_radius_guard(self):
         p = derive_constants(3)
-        for func in (eval_jet, lambda p, pt: dd_terms(p, pt.x, pt.t)):
+        for func in (eval_jet, lambda p, pt: spectrum_dd(p, pt.x, pt.t)):
             func(p, Point(x=(1e49, 0.0), t=2.0))
             with pytest.raises(OverflowError, match=r"point x = \(1e\+200, 0.0\), t = 0.0"):
                 func(p, Point(x=(1e200, 0.0), t=0.0))
@@ -301,8 +307,9 @@ class TestResidualIdentity:
 
 
 class TestHessianDD:
-    """The double-double terms of u's Hessian (dd_terms) and the closed-form
-    spectrum and sigmas they give."""
+    """The double-double terms of u's Hessian, as the kernel's composition
+    (conftest's dd_terms) forms them, and the closed-form sigmas of
+    spectrum_dd."""
 
     def test_matches_float_hessian(self):
         p = derive_constants(5)
@@ -316,14 +323,14 @@ class TestHessianDD:
     def test_residual_is_tiny_in_dd(self):
         p = derive_constants(7)
         pt = Point(x=(3.0,) * 6, t=2.0)
-        _, sigmas = spectrum_sigmas_dd(p, dd_terms(p, pt.x, pt.t))
+        _, _, sigmas = spectrum_dd(p, pt.x, pt.t)
         assert abs(dd.to_float(dd.sub(sigmas[3], dd.ONE))) < 1e-20
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
     def test_h2_against_decimal(self, n):
         # h'' = (k-1)^2 decay e^(-(k-1)t) + growth e^t at t* = ln E,
-        # E = math.exp(t): dd_terms reads e^t as E and takes e^(-(k-1)t) as
-        # 1/E^(k-1)
+        # E = math.exp(t): the kernel reads e^t as E and takes e^(-(k-1)t) as
+        # 1/E^(k-1); its composition's h'' is the one it forms
         p = derive_constants(n)
         km1 = p.k - 1
         rng = random.Random(n)
@@ -421,12 +428,11 @@ class TestSpectrumDD:
     within the audit's bounds) and numpy's eigvalsh of the float Hessian."""
 
     def assert_matches_oracles(self, p, pt):
-        terms = dd_terms(p, pt.x, pt.t)
-        lam, sigmas = spectrum_sigmas_dd(p, terms)
+        et, lam, sigmas = spectrum_dd(p, pt.x, pt.t)
         assert len(lam) == p.total_dim
         assert lam == sorted(lam)
         fro = _fro(lam)
-        _audit_sample(p, list(pt.x), terms, lam, sigmas)
+        _audit_sample(p, list(pt.x), et, lam, sigmas)
         by_numpy = np.linalg.eigvalsh(eval_jet(p, pt).hessian)
         gaps = [abs(dd.to_float(x) - y) for x, y in zip(lam, by_numpy)]
         assert max(gaps) <= 1e-14 * (1.0 + fro)
@@ -467,9 +473,9 @@ class TestSpectrumDD:
         p = derive_constants(n)
         pt = Point(x=(3.0, -3.0) * ((n - 1) // 2), t=t)
         lam, _ = self.assert_matches_oracles(p, pt)
-        sigma_k = elementary_symmetric(lam, dd.add, dd.mul)[p.k - 1]
+        sigma_k = elementary_symmetric(lam, dd_add, dd.mul)[p.k - 1]
         assert abs(dd.to_float(dd.sub(sigma_k, dd.ONE))) < 1e-20
-        _, sigmas = spectrum_sigmas_dd(p, dd_terms(p, pt.x, pt.t))
+        _, _, sigmas = spectrum_dd(p, pt.x, pt.t)
         assert abs(dd.to_float(dd.sub(sigmas[p.k - 1], dd.ONE))) < 1e-20
 
     def test_negative_determinant_root(self):
@@ -488,7 +494,7 @@ class TestSpectrumDD:
 
 
 class TestArrowSigmas:
-    """The structured sigma_1..sigma_k of spectrum_sigmas_dd against the e_j
+    """The structured sigma_1..sigma_k of spectrum_dd against the e_j
     recurrence over the same closed-form eigenvalues, within the scan audit's
     bound SIGMA_AUDIT_UNITS * d * 2^-104 * e_j(|lambda|)."""
 
@@ -500,9 +506,9 @@ class TestArrowSigmas:
         unit = SIGMA_AUDIT_UNITS * p.total_dim * 2.0**-104
         for i in range(box.count):
             pt = sample_point(p, box, i)
-            lam, sigmas = spectrum_sigmas_dd(p, dd_terms(p, pt.x, pt.t))
+            _, lam, sigmas = spectrum_dd(p, pt.x, pt.t)
             assert len(sigmas) == p.k
-            by_recurrence = elementary_symmetric(lam, dd.add, dd.mul)
+            by_recurrence = elementary_symmetric(lam, dd_add, dd.mul)
             scales = elementary_symmetric([abs(dd.to_float(v)) for v in lam])
             for x, y, scale in zip(sigmas, by_recurrence, scales):
                 assert abs(dd.to_float(dd.sub(x, y))) <= unit * scale
@@ -511,9 +517,8 @@ class TestArrowSigmas:
     @pytest.mark.parametrize("n", [3, 5, 9])
     def test_exact_on_exact_inputs(self, n):
         # a, tr and det small integers: every double-double operation is
-        # exact, so the formula must equal the recurrence over the roots
-        from sigmak.solution import arrow_sigmas
-
+        # exact, so the formula must equal the recurrence over the roots; the
+        # kernel's composition takes them as arguments
         p = derive_constants(n)
         a, mu = 3, (-2, 5)
         powers = [dd.from_float(float(a**j)) for j in range(1, p.k + 1)]
@@ -530,3 +535,64 @@ class TestArrowSigmas:
             math.comb(69, j) for j in range(p.k + 1)
         ]
         assert any(lo != 0.0 for _, lo in p.arrow_binomials_dd)
+
+
+class TestKernelPin:
+    """spectrum_dd is conftest's composition dd_terms -> spectrum_sigmas_dd ->
+    arrow_sigmas written out in one frame: the same E, eigenvalues and sigmas,
+    float.hex for float.hex, and the same guard errors, by type and message."""
+
+    @staticmethod
+    def outcome(kernel, p, x, t):
+        try:
+            et, lam, sigmas = kernel(p, list(x), t)
+        except (OverflowError, ZeroDivisionError, ValueError) as exc:
+            return type(exc), str(exc)
+        return et.hex(), [tuple(map(float.hex, v)) for v in lam + sigmas]
+
+    @staticmethod
+    def samples(p, box):
+        return [(pt.x, pt.t) for pt in (sample_point(p, box, i) for i in range(box.count))]
+
+    def assert_pinned(self, p, points):
+        for x, t in points:
+            want = self.outcome(composed_spectrum_dd, p, x, t)
+            assert self.outcome(spectrum_dd, p, x, t) == want, (p.n_base, p.m, x, t)
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("n", range(3, 32, 2))
+    def test_seeded_points_origin_and_corners(self, n, m):
+        p = SolutionParams(n, m)
+        box = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=200, seed=100 * n + m)
+        points = self.samples(p, box)
+        nx = n - 1
+        for t in (-2.0, -0.5, 0.0, 2.0):
+            points += [((0.0,) * nx, t), ((3.0,) * nx, t), ((3.0, -3.0) * (nx // 2), t)]
+        self.assert_pinned(p, points)
+
+    @pytest.mark.parametrize("n, box", [
+        (3, SampleBox(x_radius=2e49, t_range=(-2.0, 2.0), count=300, seed=1)),
+        (7, SampleBox(x_radius=1e-300, t_range=(-2.0, 2.0), count=300, seed=2)),
+        (3, SampleBox(x_radius=3.0, t_range=(27.0, 28.0), count=300, seed=3)),
+        (5, SampleBox(x_radius=3.0, t_range=(-6.0, 6.0), count=300, seed=4)),
+        (11, SampleBox(x_radius=5e12, t_range=(-2.0, 2.0), count=300, seed=5)),
+        # C(69, j) needs its low word from j = 18 on
+        (71, SampleBox(x_radius=1.0, t_range=(-1.0, 1.0), count=50, seed=6)),
+    ], ids=["x2e49", "x1e-300", "t27", "t6", "n11-x5e12", "n71"])
+    def test_extreme_boxes(self, n, box):
+        p = derive_constants(n)
+        self.assert_pinned(p, self.samples(p, box))
+
+    @pytest.mark.parametrize("n, x, t, error", [
+        (3, (0.0, 0.0), 700.5, "exponential overflow guard"),
+        (7, (0.0,) * 6, -233.5, "exponential overflow guard"),
+        (3, (1e200, 0.0), 0.0, "Hessian norm"),
+        (3, (1e50, 0.0), 2.0, "Hessian norm"),
+        (3, (0.0, 0.0), -400.0, "Hessian norm"),
+        (11, (6e12,) * 10, 2.0, "Hessian norm"),
+    ])
+    def test_guard_errors_match(self, n, x, t, error):
+        p = derive_constants(n)
+        with pytest.raises(OverflowError, match=error):
+            spectrum_dd(p, list(x), t)
+        self.assert_pinned(p, [(x, t)])

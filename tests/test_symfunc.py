@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     charpoly_sigmas,
+    dd_add,
     diagonal,
     e_brute,
     frobenius_norm,
@@ -171,8 +172,8 @@ class TestElementarySymmetricCount:
             rings = (
                 (vals, operator.add, operator.mul),
                 ([Fraction(v) for v in vals], operator.add, operator.mul),
-                ([dd.add(dd.mul((v, 0.0), (v, 0.0)), (v * 1e-17, 0.0)) for v in vals],
-                 dd.add, dd.mul),
+                ([dd_add(dd.mul((v, 0.0), (v, 0.0)), (v * 1e-17, 0.0)) for v in vals],
+                 dd_add, dd.mul),
             )
             for values, add, mul in rings:
                 full = elementary_symmetric(values, add, mul)
@@ -259,7 +260,7 @@ class TestFaddeevLeverrierInput:
         "float": (float, operator.add, operator.mul, operator.truediv, 0.0),
         "int": (int, operator.add, operator.mul, exact_div, 0),
         "double-double": (
-            dd.from_float, dd.add, dd.mul, lambda x, j: dd.div(x, dd.from_float(j)), dd.ZERO,
+            dd.from_float, dd_add, dd.mul, lambda x, j: dd.div(x, dd.from_float(j)), dd.ZERO,
         ),
         "SymExpr": (
             sym_const, sym_add, sym_mul, lambda e, j: sym_scale(e, Fraction(1, j)), {},
@@ -318,7 +319,7 @@ class TestFaddeevLeverrierZeroTest:
 
         by_dd = symfunc.faddeev_leverrier(
             [[dd.from_float(v) for v in row] for row in floats],
-            dd.add, counted_mul, lambda x, j: dd.div(x, dd.from_float(j)), dd.ZERO,
+            dd_add, counted_mul, lambda x, j: dd.div(x, dd.from_float(j)), dd.ZERO,
             count=p.k,
         )
         assert len(dd_products) == len(products) > 0
@@ -402,14 +403,14 @@ class TestCrossAlgorithmInvariants:
 class TestDoubleDoubleVariants:
     def test_dd_elementary_symmetric_exact(self):
         vals = [dd.from_float(v) for v in (2.0, 2.0, -0.75)]
-        out = [dd.to_float(v) for v in elementary_symmetric(vals, dd.add, dd.mul)]
+        out = [dd.to_float(v) for v in elementary_symmetric(vals, dd_add, dd.mul)]
         assert out == [3.25, 1.0, -3.0]
 
     def test_dd_elementary_symmetric_matches_exact_recurrence(self):
         rng = random.Random(29)
         for _ in range(20):
             vals = [rng.uniform(-4.0, 4.0) for _ in range(rng.randrange(1, 9))]
-            out = elementary_symmetric([dd.from_float(v) for v in vals], dd.add, dd.mul)
+            out = elementary_symmetric([dd.from_float(v) for v in vals], dd_add, dd.mul)
             exact = elementary_symmetric([Fraction(v) for v in vals])
             for j, (got, want) in enumerate(zip(out, exact), start=1):
                 assert abs(Fraction(got[0]) + Fraction(got[1]) - want) < 1e-25 * (1 + 4.0**j)
@@ -420,13 +421,13 @@ class TestDoubleDoubleVariants:
         # seeded with e_0 = 1, e_j = 0, including products by ONE
         rng = random.Random(47)
         for _ in range(500):
-            vals = [dd.add(dd.mul((rng.uniform(-9, 9), 0.0), (rng.uniform(-9, 9), 0.0)),
+            vals = [dd_add(dd.mul((rng.uniform(-9, 9), 0.0), (rng.uniform(-9, 9), 0.0)),
                            (rng.uniform(-1e-17, 1e-17), 0.0)) for _ in range(rng.randrange(1, 12))]
             e = [dd.ONE] + [dd.ZERO] * len(vals)
             for i, v in enumerate(vals, start=1):
                 for j in range(i, 0, -1):
-                    e[j] = dd.add(e[j], dd.mul(v, e[j - 1]))
-            assert elementary_symmetric(vals, dd.add, dd.mul) == e[1:]
+                    e[j] = dd_add(e[j], dd.mul(v, e[j - 1]))
+            assert elementary_symmetric(vals, dd_add, dd.mul) == e[1:]
 
 
 class TestJacobiFailurePaths:

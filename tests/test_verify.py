@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     central_hessian,
     charpoly_sigmas,
+    dd_add,
     dd_hessian,
     fd_hessian,
     frobenius_norm,
@@ -18,7 +19,7 @@ from conftest import (
     sigma_brute,
     sigma_minors,
 )
-from sigmak.solution import Point, SolutionParams, derive_constants, dd_terms, eval_jet
+from sigmak.solution import Point, SolutionParams, derive_constants, eval_jet, spectrum_dd
 from sigmak.verify import (
     CRITICAL_PHASE_N3,
     SampleBox,
@@ -236,18 +237,18 @@ class TestSpectrumAudit:
         from sigmak.symfunc import elementary_symmetric
 
         calls = []
-        exact = verify.spectrum_sigmas_dd
+        exact = verify.spectrum_dd
 
-        def shifted(p, terms):
-            lam, sigmas = exact(p, terms)
+        def shifted(p, x, t):
+            et, lam, sigmas = exact(p, x, t)
             if len(calls) >= first_shifted:
                 fro = math.sqrt(sum(dd.to_float(v) ** 2 for v in lam))
-                lam[-1] = dd.add(lam[-1], (rel_shift * (1.0 + fro), 0.0))
-                sigmas = elementary_symmetric(lam, dd.add, dd.mul)[: p.k]
-            calls.append(terms)
-            return lam, sigmas
+                lam[-1] = dd_add(lam[-1], (rel_shift * (1.0 + fro), 0.0))
+                sigmas = elementary_symmetric(lam, dd_add, dd.mul)[: p.k]
+            calls.append(t)
+            return et, lam, sigmas
 
-        monkeypatch.setattr(verify, "spectrum_sigmas_dd", shifted)
+        monkeypatch.setattr(verify, "spectrum_dd", shifted)
 
     @pytest.mark.usefixtures("one_cpu")
     @pytest.mark.parametrize("first_shifted", [0, 100])
@@ -302,13 +303,19 @@ class TestSpectrumAudit:
         assert BOX.count == 1000
         assert (len(hessians), len(spectra)) == (10, 10)
 
-    def test_one_exponential_per_sample(self):
-        # dd_terms reads e^t as the double math.exp(t) with a zero low word,
-        # and the audit reads that double from the terms
+    @pytest.mark.usefixtures("one_cpu")
+    def test_one_exponential_per_sample(self, monkeypatch):
+        # the kernel reads e^t as the double math.exp(t) and returns it, and
+        # the audit reads that double
         for i in range(BOX.count):
             pt = sample_point(P3, BOX, i)
-            got = dd_terms(P3, pt.x, pt.t)[0][0]
-            assert tuple(map(float.hex, got)) == (math.exp(pt.t).hex(), "0x0.0p+0")
+            got = spectrum_dd(P3, pt.x, pt.t)[0]
+            assert got.hex() == math.exp(pt.t).hex()
+        audits = self.count_calls(monkeypatch, "_audit_sample")
+        residual_scan(P3, BOX)
+        assert [args[2].hex() for args, _ in audits] == [
+            math.exp(sample_point(P3, BOX, i).t).hex() for i in range(0, BOX.count, 100)
+        ]
 
     @pytest.mark.parametrize("n, m", [(3, 0), (7, 0), (5, 2)])
     def test_a_wrong_binomial_names_the_sample(self, monkeypatch, n, m):
@@ -317,7 +324,7 @@ class TestSpectrumAudit:
 
         p = SolutionParams(n, m)
         binomials = list(p.arrow_binomials_dd)
-        binomials[p.k - 1] = dd.add(binomials[p.k - 1], dd.ONE)
+        binomials[p.k - 1] = dd_add(binomials[p.k - 1], dd.ONE)
         object.__setattr__(p, "arrow_binomials_dd", tuple(binomials))
         with pytest.raises(ConvergenceError, match="structured sigma_") as info:
             residual_scan(p, dataclasses.replace(BOX, count=3))
@@ -326,13 +333,15 @@ class TestSpectrumAudit:
     @pytest.mark.usefixtures("one_cpu")
     @pytest.mark.parametrize("first_perturbed", [0, 100])
     def test_a_perturbed_determinant_names_the_sample(self, monkeypatch, first_perturbed):
-        # det moved by 1e-20 relative in the sigmas only, not in the roots
+        # det moved by 1e-20 relative in the sigmas only, not in the roots:
+        # the scan runs the kernel's composition, which has that seam
+        import conftest
         from sigmak import doubledouble as dd
-        from sigmak import solution
+        from sigmak import verify
         from sigmak.errors import ConvergenceError
 
         calls = []
-        exact = solution.arrow_sigmas
+        exact = conftest.arrow_sigmas
 
         def perturbed(binomials, powers, tr, det):
             if len(calls) >= first_perturbed:
@@ -340,7 +349,8 @@ class TestSpectrumAudit:
             calls.append(det)
             return exact(binomials, powers, tr, det)
 
-        monkeypatch.setattr(solution, "arrow_sigmas", perturbed)
+        monkeypatch.setattr(conftest, "arrow_sigmas", perturbed)
+        monkeypatch.setattr(verify, "spectrum_dd", conftest.composed_spectrum_dd)
         p = derive_constants(7)
         named = sample_point(p, BOX, first_perturbed)
         with pytest.raises(
@@ -370,12 +380,10 @@ class TestExactAudit:
 
     @staticmethod
     def audit(p, x, t):
-        from sigmak.solution import spectrum_sigmas_dd
         from sigmak.verify import _audit_sample
 
-        terms = dd_terms(p, list(x), t)
-        lam, sigmas = spectrum_sigmas_dd(p, terms)
-        _audit_sample(p, list(x), terms, lam, sigmas)
+        et, lam, sigmas = spectrum_dd(p, list(x), t)
+        _audit_sample(p, list(x), et, lam, sigmas)
 
     @pytest.mark.parametrize(
         "n, m", [(n, 0) for n in range(3, 32, 2)] + [(5, 2)], ids=lambda v: str(v)
@@ -419,7 +427,7 @@ class TestExactAudit:
         from sigmak import verify
         from sigmak.solution import exact_hessian
 
-        scale, _, closed_form = exact_hessian(p, list(x), dd_terms(p, list(x), t)[0][0][0])
+        scale, _, closed_form = exact_hessian(p, list(x), spectrum_dd(p, list(x), t)[0])
         values, closed_form = planted(scale, *closed_form)
         rows = [[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)]
         monkeypatch.setattr(verify, "exact_hessian", lambda *args: (scale, rows, closed_form))
@@ -434,7 +442,7 @@ class TestExactAudit:
 
         p = SolutionParams(n, m)
         x, t = (0.0,) * (n - 1), 0.4
-        _, rows, _ = exact_hessian(p, list(x), dd_terms(p, list(x), t)[0][0][0])
+        _, rows, _ = exact_hessian(p, list(x), spectrum_dd(p, list(x), t)[0])
         alpha, corner = rows[0][0], rows[n - 1][n - 1]
         assert len({alpha, corner, 0}) == 3
         multisets = list(itertools.combinations_with_replacement((alpha, corner, 0), n + m))
@@ -647,16 +655,16 @@ class TestSampleRanges:
         # in the last of three ranges, has the smallest sigma_1
         from sigmak import verify
 
-        exact = verify.spectrum_sigmas_dd
+        exact = verify.spectrum_dd
         smallest = sample_point(P3, BOX, 900).t
 
-        def tied(p, terms):
-            lam, sigmas = exact(p, terms)
-            if terms[0][0] == (math.exp(smallest), 0.0):  # e^t of sample 900
+        def tied(p, x, t):
+            et, lam, sigmas = exact(p, x, t)
+            if et == math.exp(smallest):  # e^t of sample 900
                 sigmas[0] = (0.5, 0.0)
-            return lam, sigmas[:-1] + [(1.0, 2.0**-60)]
+            return et, lam, sigmas[:-1] + [(1.0, 2.0**-60)]
 
-        monkeypatch.setattr(verify, "spectrum_sigmas_dd", tied)
+        monkeypatch.setattr(verify, "spectrum_dd", tied)
         monkeypatch.setattr(verify, "_audit_sample", lambda *args: None)
         visible_cpus(3)
         rep = residual_scan(P3, BOX)
@@ -724,7 +732,7 @@ class TestSampleRanges:
         from sigmak.errors import ConvergenceError
 
         planted = {sample_point(p, box, i).t: i for i in indices}
-        exact = verify.dd_terms
+        exact = verify.spectrum_dd
 
         def failing(p, x, t):
             if t in planted:
@@ -733,7 +741,7 @@ class TestSampleRanges:
                 raise ConvergenceError(f"planted at {planted[t]}", offdiag_norm=planted[t])
             return exact(p, x, t)
 
-        monkeypatch.setattr(verify, "dd_terms", failing)
+        monkeypatch.setattr(verify, "spectrum_dd", failing)
 
     @pytest.mark.parametrize("indices", [[700], [450, 800], [100, 800]])
     def test_a_failure_names_the_lowest_sample_however_many_run(
@@ -836,17 +844,17 @@ class TestSampleBlocks:
 
         p = SolutionParams(n, m)
         seen = []
-        terms_of, audit = verify.dd_terms, verify._audit_sample
+        kernel, audit = verify.spectrum_dd, verify._audit_sample
 
-        def recorded_terms(p, x, t):
+        def recorded_kernel(p, x, t):
             seen.append(("sample", list(x), t))
-            return terms_of(p, x, t)
+            return kernel(p, x, t)
 
         def recorded_audit(p, x, *args):
             seen.append(("audit", list(x)))
             return audit(p, x, *args)
 
-        monkeypatch.setattr(verify, "dd_terms", recorded_terms)
+        monkeypatch.setattr(verify, "spectrum_dd", recorded_kernel)
         monkeypatch.setattr(verify, "_audit_sample", recorded_audit)
         whole = verify._scan_range(p, BOX, start, stop)
         by_range = seen.copy()
@@ -906,19 +914,24 @@ class TestScanNegativeControls:
     @staticmethod
     def two_exponentials(monkeypatch):
         # e^(-(k-1)t) as math.exp(-(k-1)t): each exponential is within an ulp
-        # of its own value, but not the reciprocal of the other's power
+        # of its own value, but not the reciprocal of the other's power; the
+        # scan runs the kernel's composition, with that term replaced
+        import conftest
         from sigmak import doubledouble as dd
         from sigmak import verify
 
+        exact = conftest.dd_terms
+
         def terms(p, x, t):
-            et_powers, _, r2et = dd_terms(p, x, t)
+            et_powers, _, r2et = exact(p, x, t)
             e_decay = (math.exp(-(p.k - 1) * t), 0.0)
-            h2 = dd.add(
+            h2 = dd_add(
                 dd.mul(p.h2_decay_dd, e_decay), dd.mul(p.h2_growth_dd, et_powers[0])
             )
             return et_powers, h2, r2et
 
-        monkeypatch.setattr(verify, "dd_terms", terms)
+        monkeypatch.setattr(conftest, "dd_terms", terms)
+        monkeypatch.setattr(verify, "spectrum_dd", conftest.composed_spectrum_dd)
 
     @pytest.mark.parametrize("n", [3, 7])
     def test_a_perturbed_growth_coefficient_fails_the_gate(self, monkeypatch, n):
@@ -982,13 +995,12 @@ class TestResidualAgainstExactArithmetic:
         from fractions import Fraction
 
         from sigmak import doubledouble as dd
-        from sigmak.solution import spectrum_sigmas_dd
 
         p = derive_constants(n)
         box = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=5, seed=77)
         for i in range(5):
             pt = sample_point(p, box, i)
-            _, sigmas = spectrum_sigmas_dd(p, dd_terms(p, pt.x, pt.t))
+            _, _, sigmas = spectrum_dd(p, pt.x, pt.t)
             reported = dd.to_float(dd.sub(sigmas[p.k - 1], dd.ONE))
             exact = [[Fraction(e[0]) + Fraction(e[1]) for e in row] for row in dd_hessian(p, pt)]
             truth = float(sigma_brute(exact, p.k) - 1)
@@ -1001,15 +1013,14 @@ class TestScanSigmasAgainstFloatOracles:
         # sigma_1..sigma_d of the scan's closed-form dd eigenvalues; the float
         # charpoly and the principal-minor sums must agree at moderate points
         from sigmak import doubledouble as dd
-        from sigmak.solution import spectrum_sigmas_dd
         from sigmak.symfunc import elementary_symmetric
 
         p = SolutionParams(n, m)
         box = SampleBox(x_radius=1.0, t_range=(-1.0, 1.0), count=20, seed=11)
         for i in range(box.count):
             pt = sample_point(p, box, i)
-            lam, _ = spectrum_sigmas_dd(p, dd_terms(p, pt.x, pt.t))
-            e = elementary_symmetric(lam, dd.add, dd.mul)
+            _, lam, _ = spectrum_dd(p, pt.x, pt.t)
+            e = elementary_symmetric(lam, dd_add, dd.mul)
             hess = eval_jet(p, pt).hessian
             fro = frobenius_norm(hess)
             charpoly = charpoly_sigmas(hess)
