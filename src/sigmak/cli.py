@@ -28,7 +28,7 @@ from .doubledouble import SPLIT_MAX
 from .errors import ConvergenceError
 from .solution import Point, SolutionParams, eval_jet, h_formula
 from .symbolic import Certification, verify_exact
-from .symfunc import eigenvalues_symmetric, symmetrized
+from .symfunc import eigenvalues_symmetric
 from .verify import (
     PHASE_TOL,
     ResidualReport,
@@ -39,6 +39,9 @@ from .verify import (
 
 # a scan on the standard box passes only if the worst residual stays below this
 RESIDUAL_GATE = 1e-9
+# mirrored entries of a matrix file further apart than this are not
+# symmetric up to noise
+SYMMETRY_TOL = 1e-12
 
 
 def _params_payload(p: SolutionParams) -> dict:
@@ -116,21 +119,25 @@ def _finite_float(raw: str) -> float:
     return value
 
 
-def _read_matrix_file(path: str) -> tuple[tuple[float, ...], ...]:
-    """The symmetrized float rows of a matrix file: plain UTF-8 text, first
-    line the dimension, then dim rows of dim numbers.
+def _read_matrix_file(path: str) -> list[list[float]]:
+    """The symmetrized float rows of a matrix file: UTF-8 text (a leading
+    byte-order mark is skipped), first line the dimension, then dim rows of
+    dim numbers.
 
-    Every entry must be a finite number; a bad one is named by its row and
-    column (1-based, counting rows after the dimension line), and so is the
-    worst mirrored pair of an asymmetry beyond symfunc.SYMMETRY_TOL.  The file
-    is refused when F = dim * max|entry|, which bounds the Frobenius norm and
-    every eigenvalue, has (1 + F)^max(dim, 2) > SPLIT_MAX = 2^996: below that
-    the fro**j (j <= dim) of the cone thresholds, the e_j products of the
-    eigenvalues (|sigma_j| <= (1 + F)^dim) and the squares in the norms stay
-    finite.
+    One loop checks every entry: each must be a finite number, and a bad one
+    is named by its row and column (1-based, counting rows after the
+    dimension line).  The file is then refused when F = dim * max|entry|,
+    which bounds the Frobenius norm and every eigenvalue, has
+    (1 + F)^max(dim, 2) > SPLIT_MAX = 2^996: below that the fro**j (j <= dim)
+    of the cone thresholds, the e_j products of the eigenvalues
+    (|sigma_j| <= (1 + F)^dim) and the squares in the norms stay finite.  A
+    second loop replaces each mirrored pair by its mean (v + w) / 2, which
+    stays finite since the guard keeps every entry of a dim >= 2 file below
+    2^498, and names the first worst pair of an asymmetry beyond
+    SYMMETRY_TOL.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"matrix file {path}: {exc}")
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -150,6 +157,7 @@ def _read_matrix_file(path: str) -> tuple[tuple[float, ...], ...]:
             f"matrix file {path}: expected {dim} rows after the dimension line"
         )
     rows = []
+    biggest = 0.0
     for i, ln in enumerate(lines[1:], start=1):
         tokens = ln.split()
         if len(tokens) != dim:
@@ -166,17 +174,26 @@ def _read_matrix_file(path: str) -> tuple[tuple[float, ...], ...]:
                     "is not a finite number"
                 )
             row.append(value)
+        biggest = max(biggest, *map(abs, row))
         rows.append(row)
-    biggest = max(abs(v) for row in rows for v in row)
     if max(dim, 2) * math.log2(1.0 + dim * biggest) > math.log2(SPLIT_MAX):
         raise OverflowError(
             f"matrix file {path}: entries up to {biggest:.3g} in dimension {dim} "
             f"could overflow; (1 + dim * max|entry|)^{max(dim, 2)} must stay <= 2^996"
         )
-    try:
-        return symmetrized(rows)
-    except ValueError as exc:  # the rows are square and finite: only asymmetry
-        raise ValueError(f"matrix file {path}: {exc}")
+    gap, i, j = 0.0, 1, 1
+    for p, row in enumerate(rows):
+        for q in range(p + 1, dim):
+            v, w = row[q], rows[q][p]
+            if abs(v - w) > gap:
+                gap, i, j = abs(v - w), p + 1, q + 1
+            row[q] = rows[q][p] = (v + w) / 2.0
+    if gap > SYMMETRY_TOL:
+        raise ValueError(
+            f"matrix file {path}: matrix asymmetry {gap:g} between entries ({i}, {j}) "
+            f"and ({j}, {i}) exceeds tolerance {SYMMETRY_TOL:g}"
+        )
+    return rows
 
 
 # argparse takes a token that starts with "-" for an option unless it reads

@@ -10,8 +10,8 @@ Example:  r^2 e^t + 1/4 e^(-t)  ->  {(2, 1): Fraction(1), (0, -1): Fraction(1, 4
 This is enough to house every entry of the rotated Hessian of the solution
 ansatz (2e^t, 2r e^t and r^2 e^t + h''(t), laid out by solution.arrow_rows)
 and so to expand sigma_1..sigma_k of it exactly (`sym_sigmas`), by the
-Faddeev-LeVerrier loop that also audits the scan in double-double
-(`symfunc.faddeev_leverrier`, run over this ring, stopped at sigma_k): the
+ring-generic Faddeev-LeVerrier loop (`symfunc.faddeev_leverrier`, run over
+this ring, stopped at sigma_k; the tests also run it over ints and floats): the
 certification that sigma_k collapses to the constant 1, and that every
 sigma_j with j < k is positive, is a finite rational computation that reads
 no sigma_j past k.

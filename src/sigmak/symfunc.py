@@ -21,8 +21,9 @@ sum is left to the tests, which take it from LAPACK determinants:
 A matrix is its rows in every ring.  A float matrix is a tuple of float
 tuples: ``eigenvalues_symmetric`` takes any rows (numpy arrays too) through
 one boundary that refuses empty, non-square and non-finite input, then
-asymmetric input, as ``faddeev_leverrier`` does in its rings;
-``symmetrized`` averages rows that are symmetric only up to noise.
+asymmetric input, as ``faddeev_leverrier`` does in its rings.  Rows that are
+symmetric only up to noise are averaged where they are read, by the
+``cone-check`` and ``phase-check`` file reader (``cli._read_matrix_file``).
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from functools import reduce
 
 from .errors import ConvergenceError
 
-# Mirrored entries further apart than this are not symmetric up to noise.
-SYMMETRY_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 50
 # The cyclic Jacobi's off-diagonal Frobenius target, relative to 1 + ||M||_F.
 JACOBI_REL_TOL = 1e-12
@@ -82,32 +81,6 @@ def _check_symmetric(rows) -> None:
                     f"matrix is not symmetric: entries ({i + 1}, {j + 1}) and "
                     f"({j + 1}, {i + 1}) differ"
                 )
-
-
-def _mean(v: float, w: float) -> float:
-    """(v + w) / 2, halving first only where v + w overflows (near the float
-    maximum), so that subnormals keep the exactly rounded form."""
-    total = v + w
-    return total / 2.0 if math.isfinite(total) else v / 2.0 + w / 2.0
-
-
-def symmetrized(rows) -> tuple[tuple[float, ...], ...]:
-    """Float rows averaged with their transpose, for data that is symmetric
-    only up to noise; refuses what ``_float_rows`` refuses and, beyond
-    SYMMETRY_TOL, names the worst pair of mirrored entries."""
-    rows = _float_rows(rows)
-    gap, i, j = 0.0, 1, 1
-    for p, row in enumerate(rows):
-        for q in range(p + 1, len(rows)):
-            if abs(row[q] - rows[q][p]) > gap:
-                gap, i, j = abs(row[q] - rows[q][p]), p + 1, q + 1
-    if gap > SYMMETRY_TOL:
-        raise ValueError(
-            f"matrix asymmetry {gap:g} between entries ({i}, {j}) and ({j}, {i}) "
-            f"exceeds tolerance {SYMMETRY_TOL:g}"
-        )
-    return tuple(tuple(v if i == j else _mean(v, rows[j][i]) for j, v in enumerate(row))
-                 for i, row in enumerate(rows))
 
 
 def elementary_symmetric(values, add=operator.add, mul=operator.mul, count=None) -> list:

@@ -427,28 +427,121 @@ class TestPhaseCheck:
 
 
 class TestMatrixCommandsDiagonalizeOnce:
+    """One Jacobi per matrix command, and one conversion of the rows the file
+    reader has checked: at the boundary of eigenvalues_symmetric."""
+
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"jacobi": 0}
-        jacobi = symfunc._cyclic_jacobi
+        counts = {}
 
-        def counted(*args):
-            counts["jacobi"] += 1
-            return jacobi(*args)
+        def count(name):
+            counts[name] = 0
+            wrapped = getattr(symfunc, name)
 
-        monkeypatch.setattr(symfunc, "_cyclic_jacobi", counted)
+            def counted(*args):
+                counts[name] += 1
+                return wrapped(*args)
+
+            monkeypatch.setattr(symfunc, name, counted)
+
+        count("_cyclic_jacobi")
+        count("_float_rows")
         return counts
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_cone_check(self, capsys, matrix_file, calls, k):
         path = matrix_file([[2.0, 0.5, 0.0], [0.5, 2.0, 1.0], [0.0, 1.0, -0.75]])
         assert run(["cone-check", "--matrix-file", path, "-k", str(k)]) in (0, 1)
-        assert calls["jacobi"] == 1
+        assert calls == {"_cyclic_jacobi": 1, "_float_rows": 1}
 
     def test_phase_check(self, capsys, matrix_file, calls):
         path = matrix_file([[2.0, 0.5, 0.0], [0.5, 2.0, 1.0], [0.0, 1.0, -0.75]])
         assert run(["phase-check", "--matrix-file", path, "--expected", "0.5"]) == 1
-        assert calls["jacobi"] == 1
+        assert calls == {"_cyclic_jacobi": 1, "_float_rows": 1}
+
+
+def payloads(capsys, path):
+    """The cone-check payload for every k and the phase-check payload of a
+    matrix file, elapsed_seconds removed, with their exit codes."""
+    dim = len(cli._read_matrix_file(path))
+    argvs = [["cone-check", "-k", str(k)] for k in range(1, dim + 1)] + [["phase-check"]]
+    got = []
+    for argv in argvs:
+        code, payload, err = run_json(capsys, argv + ["--matrix-file", path])
+        assert payload is not None, err
+        payload.pop("elapsed_seconds")
+        got.append((code, payload))
+    return got
+
+
+class TestMatrixFileReader:
+    """The file reader checks every entry, then averages each mirrored pair
+    to (v + w) / 2, which the overflow guard keeps finite."""
+
+    def test_a_pair_within_tolerance_reads_as_its_mean(self, capsys, matrix_file, tmp_path):
+        noisy = payloads(capsys, matrix_file([[1.0, 2.0 + 1e-13], [2.0, 1.0]]))
+        mean = (2.0 + 1e-13 + 2.0) / 2.0
+        (tmp_path / "mean.txt").write_text(f"2\n1.0 {mean!r}\n{mean!r} 1.0\n")
+        assert noisy == payloads(capsys, str(tmp_path / "mean.txt"))
+
+    @pytest.mark.parametrize(
+        "v, w, mean",
+        [
+            (5e-324, 5e-324, 5e-324),  # v / 2 + w / 2 would round to 0
+            (2.0 + 1e-13, 2.0, (2.0 + 1e-13 + 2.0) / 2.0),
+            (-2.0, -2.0 - 1e-13, (-2.0 - 1e-13 - 2.0) / 2.0),
+            # the largest entry the overflow guard lets into a 2 x 2 file
+            (float.fromhex("0x1.0000000000058p+497"),) * 3,
+        ],
+        ids=["subnormal", "noise-above", "noise-below", "guard-edge"],
+    )
+    def test_a_mirrored_pair_becomes_its_mean(self, matrix_file, v, w, mean):
+        assert cli._read_matrix_file(matrix_file([[0.0, v], [w, 0.0]])) == [
+            [0.0, mean], [mean, 0.0]
+        ]
+
+    @pytest.mark.parametrize(
+        "v", [float.fromhex("0x1.0000000000059p+497"), 1e308, -1.7e308],
+        ids=["past-guard-edge", "1e+308", "-1.7e+308"],
+    )
+    def test_a_pair_past_the_guard_is_refused(self, capsys, matrix_file, v):
+        path = matrix_file([[0.0, v], [v, 0.0]])
+        for argv in (["cone-check", "-k", "1"], ["phase-check"]):
+            assert run(argv + ["--matrix-file", path]) == 2
+            err = capsys.readouterr().err
+            named = f"entries up to {abs(v):.3g} in dimension 2 could overflow"
+            assert f"matrix file {path}: {named}" in err, err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "cells, named",
+        [
+            ([(0, 0)], "row 1, column 1"),
+            ([(2, 2)], "row 3, column 3"),
+            ([(1, 2), (2, 1)], "row 2, column 3"),
+            ([(2, 0)], "row 3, column 1"),
+        ],
+        ids=["first-diagonal", "last-diagonal", "mirrored-pair", "lower-triangle"],
+    )
+    def test_a_non_finite_entry_is_named(self, capsys, matrix_file, bad, cells, named):
+        # finiteness is checked before symmetry: a lone non-finite entry
+        # off the diagonal is named as such, not as an asymmetric pair
+        rows = [[1.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 3.0]]
+        for i, j in cells:
+            rows[i][j] = bad
+        path = matrix_file(rows)
+        assert run(["phase-check", "--matrix-file", path]) == 2
+        err = capsys.readouterr().err
+        assert f"matrix file {path}: entry '{bad}' at {named} is not a finite number" in err, err
+
+    def test_a_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        text = "3\n2 0.5 0\n0.5000000000001 2 0\n0 0 -0.75\n"
+        (tmp_path / "plain.txt").write_text(text, encoding="utf-8")
+        (tmp_path / "bom.txt").write_text(text, encoding="utf-8-sig")
+        assert (tmp_path / "bom.txt").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert payloads(capsys, str(tmp_path / "bom.txt")) == payloads(
+            capsys, str(tmp_path / "plain.txt")
+        )
 
 
 @pytest.mark.usefixtures("one_cpu")

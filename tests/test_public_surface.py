@@ -72,6 +72,9 @@ REMOVED = [
     ("sigmak.doubledouble", "add"),
     ("sigmak.doubledouble", "sum_squares"),
     ("sigmak.doubledouble", "mul_pow2"),
+    ("sigmak.symfunc", "symmetrized"),
+    ("sigmak.symfunc", "_mean"),
+    ("sigmak.symfunc", "SYMMETRY_TOL"),
 ]
 
 BENCHMARK_NAMES = [

@@ -87,9 +87,10 @@ class TestElementarySymmetric:
 
 class TestSymmetricMatrix:
     """A float matrix is its rows.  eigenvalues_symmetric (and gamma_k, see
-    test_cone) refuses rows that are not exactly symmetric; symmetrized
-    averages rows that are symmetric up to noise.  Both refuse rows that are
-    empty, not square or not finite, naming the row and column (from 1)."""
+    test_cone) refuses rows that are empty, not square or not finite, naming
+    the row and column (from 1), and then rows that are not exactly
+    symmetric.  Rows symmetric up to noise are averaged by the matrix file
+    reader (test_cli.TestMatrixFileReader)."""
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match=r"^matrix is not symmetric: entries \(2, 1\) "
@@ -103,15 +104,13 @@ class TestSymmetricMatrix:
             ([[1.0, 2.0], [2.0]], r"^expected a square matrix, got 1 entries in row 2$"),
             (3.0, r"^expected a square matrix given as a sequence of rows$"),
         ]:
-            for build in (eigenvalues_symmetric, symfunc.symmetrized):
-                with pytest.raises(ValueError, match=message):
-                    build(rows)
+            with pytest.raises(ValueError, match=message):
+                eigenvalues_symmetric(rows)
 
     def test_dim_one(self):
-        assert symfunc.symmetrized([[4]]) == ((4.0,),)
         assert eigenvalues_symmetric(((4.0,),)) == (4.0,)
 
-    @pytest.mark.parametrize("build", [eigenvalues_symmetric, symfunc.symmetrized])
+    @pytest.mark.parametrize("build", [eigenvalues_symmetric])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "cells, named",
@@ -133,32 +132,10 @@ class TestSymmetricMatrix:
             build(rows)
 
     def test_stores_plain_float_tuples_from_any_rows(self):
-        rows = symfunc.symmetrized(np.array([[1, 2], [2, 3]]))
+        rows = symfunc._float_rows(np.array([[1, 2], [2, 3]]))
         assert rows == ((1.0, 2.0), (2.0, 3.0))
         assert all(type(v) is float for row in rows for v in row)
         assert eigenvalues_symmetric(np.array([[2, 0], [0, 1]])) == (1.0, 2.0)
-
-    def test_symmetrized_within_tolerance(self):
-        rows = symfunc.symmetrized([[1.0, 2.0 + 1e-13], [2.0, 1.0]])
-        assert rows[0][1] == rows[1][0]
-
-    def test_symmetrized_rejects_beyond_tolerance(self):
-        with pytest.raises(ValueError, match=r"^matrix asymmetry 0\.1 between entries \(1, 2\) "
-                                             r"and \(2, 1\) exceeds tolerance 1e-12$"):
-            symfunc.symmetrized([[1.0, 2.1], [2.0, 1.0]])
-
-    @pytest.mark.parametrize(
-        "v, w, mean",
-        [
-            (1e308, 1e308, 1e308),  # v + w overflows: halve first
-            (-1.7e308, -1.7e308, -1.7e308),
-            (5e-324, 5e-324, 5e-324),  # v / 2 + w / 2 would round to 0
-            (2.0 + 1e-13, 2.0, (2.0 + 1e-13 + 2.0) / 2.0),
-        ],
-    )
-    def test_symmetrized_mean_of_mirrored_entries(self, v, w, mean):
-        rows = symfunc.symmetrized([[0.0, v], [w, 0.0]])
-        assert rows == ((0.0, mean), (mean, 0.0))
 
 
 class TestElementarySymmetricCount:
