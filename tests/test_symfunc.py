@@ -19,6 +19,7 @@ from conftest import (
     rotate_exactly_symmetric,
     sigma_minors,
 )
+from sigmak import cli
 from sigmak import doubledouble as dd
 from sigmak import symfunc
 from sigmak.errors import ConvergenceError
@@ -136,6 +137,16 @@ class TestSymmetricMatrix:
         assert rows == ((1.0, 2.0), (2.0, 3.0))
         assert all(type(v) is float for row in rows for v in row)
         assert eigenvalues_symmetric(np.array([[2, 0], [0, 1]])) == (1.0, 2.0)
+
+    def test_symmetrized_rejects_beyond_tolerance(self, tmp_path):
+        # the matrix file reader is the one symmetrizer: a mirrored pair
+        # further apart than SYMMETRY_TOL is named, not averaged
+        path = tmp_path / "matrix.txt"
+        path.write_text("2\n1.0 2.1\n2.0 1.0\n")
+        with pytest.raises(ValueError, match=r"^matrix file .*: matrix asymmetry 0\.1 between "
+                                             r"entries \(1, 2\) and \(2, 1\) exceeds "
+                                             r"tolerance 1e-12$"):
+            cli._read_matrix_file(str(path))
 
 
 class TestElementarySymmetricCount:
