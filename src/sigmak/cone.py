@@ -9,10 +9,11 @@ count as outside: the equation must stay strictly elliptic.
 Both verdicts read one set of eigenvalues and their e_1..e_k.
 ``cone_flags`` holds both thresholds and returns the count of negative
 eigenvalues, ``in_cone`` (sigma positivity) and ``lemma`` as three plain
-values; the scan calls it on every sample, with its double-double values
-rounded to float64.  ``gamma_k`` (behind ``cone-check``) checks k, reads
-them off one float Jacobi of the matrix, given as symmetric float rows, and
-keeps them in one ``ConeVerdict``, beside the sigmas they were read from.
+values.  ``gamma_k`` (behind ``cone-check``) checks k, reads them off one
+float Jacobi of the matrix, given as symmetric float rows, and keeps them
+in one ``ConeVerdict``, beside the sigmas they were read from.  The scan
+calls only ``sigmas_positive``, the sigma threshold of ``cone_flags``, on
+every sample, with a norm read off its spectrum's invariants.
 The tests check these sigmas against the characteristic polynomial (the
 trace recursion ``symfunc.faddeev_leverrier`` in float64) and against the
 principal-minor sums (LAPACK determinants).
@@ -59,10 +60,13 @@ def cone_flags(values, sigmas, k: int) -> tuple[int, bool, bool]:
     fro = math.sqrt(sum([v * v for v in values]))
     neg_thr = -NEGATIVE_EIG_REL_TOL * (1.0 + fro)
     neg = len([v for v in values if v < neg_thr])
-    positive = [
-        sigmas[j - 1] > SIGMA_BOUNDARY_REL_TOL * (1.0 + fro**j) for j in range(1, k + 1)
-    ]
+    positive = sigmas_positive(sigmas, fro, k)
     return neg, all(positive), neg <= 1 and positive[-1]
+
+
+def sigmas_positive(sigmas, fro: float, k: int) -> list[bool]:
+    """sigma_j > 1e-12 * (1 + fro^j) for j = 1..k, fro the Frobenius norm."""
+    return [sigmas[j - 1] > SIGMA_BOUNDARY_REL_TOL * (1.0 + fro**j) for j in range(1, k + 1)]
 
 
 def gamma_k(rows, k: int) -> ConeVerdict:

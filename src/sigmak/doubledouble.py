@@ -25,8 +25,10 @@ keeps the composition and pins this.  So a call counter installed on this
 module counts each div and sqrt as one call, not the products and sums
 inside it.  The scan's per-sample kernel, ``solution.spectrum_dd``, writes
 its own sums and products out the same way, with ``SPLITTER``, and calls
-only div and sqrt here; no library code adds two double-doubles anywhere
-else, so this module has no add.
+nothing here; the scan takes one sub per sample for its residual, and
+``solution.eigenvalues_dd``, on the audited samples only, one div and one
+sqrt.  No library code adds two double-doubles anywhere else, so this
+module has no add.
 """
 
 from __future__ import annotations

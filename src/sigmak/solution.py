@@ -20,10 +20,11 @@ the binomials C(n-2, j) that the scan uses.  Appending m dummy coordinates
 dimension n + m without changing sigma_k.
 
 The scan's per-sample work is one function, ``spectrum_dd``: from one
-double exponential it forms the Hessian's terms, its closed-form
-eigenvalues and sigma_1..sigma_k in double-double, with the arithmetic
-written out in one Python frame.  ``exact_hessian`` gives the scan's audit
-the same Hessian exactly, as an integer matrix.
+double exponential it forms the Hessian's terms and sigma_1..sigma_k in
+double-double, with the arithmetic written out in one Python frame.  The
+scan's audit reads the closed-form eigenvalues off those terms
+(``eigenvalues_dd``), and ``exact_hessian`` gives it the same Hessian
+exactly, as an integer matrix.
 """
 
 from __future__ import annotations
@@ -263,10 +264,11 @@ def eval_jet(p: SolutionParams, pt: Point) -> Jet2:
     return Jet2(value=r2et + h0, gradient=gradient, hessian=tuple(map(tuple, hess)))
 
 
-def spectrum_dd(p: SolutionParams, x, t: float) -> tuple[float, list[dd.DD], list[dd.DD]]:
-    """E = math.exp(t), then the eigenvalues of u's Hessian at the point with
-    x block `x` (n - 1 floats) and t, ascending, and their sigma_1..sigma_k,
-    in double-double, in closed form from that one double exponential.
+def spectrum_dd(p: SolutionParams, x, t: float) -> tuple[float, tuple, list[dd.DD]]:
+    """E = math.exp(t), the terms (a, tr, det, d, r^2 e^t) of u's Hessian at
+    the point with x block `x` (n - 1 floats) and t, and its
+    sigma_1..sigma_k, in double-double, in closed form from that one double
+    exponential.
 
     Terms.  Every entry of D^2 u depends on t only through e^t, so terms
     formed from (E, 0.0) are the exact terms at t* = ln E up to
@@ -285,13 +287,11 @@ def spectrum_dd(p: SolutionParams, x, t: float) -> tuple[float, list[dd.DD], lis
     x directions orthogonal to c), m zeros, and the two eigenvalues of
     [[a, |c|], [|c|, d]], the roots of mu^2 - tr mu + det with tr = a + d and
 
-        det = a d - |c|^2 = 2e^t h'' - 2r^2 e^(2t) = a (h'' - r^2 e^t).
+        det = a d - |c|^2 = 2e^t h'' - 2r^2 e^(2t) = a (h'' - r^2 e^t),
 
-    The larger root is tr/2 + sqrt(((a - d)/2)^2 + |c|^2) >= max(a, d) > 0,
-    a sum of two terms >= 0, since tr = (2 - B/A + r^2) e^t + e^(-(k-1)t)/A
-    and B/A = 2(k-1)/k < 2.  The smaller is det / larger, with det formed as
-    a (h'' - r^2 e^t), never as a d - |c|^2, whose two terms both grow like
-    r^2 and cancel.
+    formed as the last, never as a d - |c|^2, whose two terms both grow like
+    r^2 and cancel.  The kernel stops at the sigmas: eigenvalues_dd forms
+    the roots from the terms it returns.
 
     Sigmas.  prod_i (1 + lambda_i y) = (1 + a y)^(n-2) (1 + tr y + det y^2),
     so with g_j = C(n-2, j) a^j (g_0 = 1, a^j = 2^j e^(jt) for j < k),
@@ -301,16 +301,16 @@ def spectrum_dd(p: SolutionParams, x, t: float) -> tuple[float, list[dd.DD], lis
     the last term from j = 2 on: 3k - 3 products and 2k - 1 sums, against
     ~d^2 / 2 of each for the e_j recurrence over all d eigenvalues.
 
-    Every double-double operation but the final sqrt and det / larger
-    (doubledouble.sqrt and doubledouble.div) is written out here, in one
-    Python frame, as doubledouble writes out each of its operations:
-    Knuth's TwoSum, Dekker's split and TwoProd and the closing FastTwoSum
-    in locals, with E, a, tr and det, which several products share, split
-    once.  The float operations are those of the double-double add, sub,
-    mul and div composed as the formulas above read, so every value is that
+    Every double-double operation is written out here, in one Python frame,
+    as doubledouble writes out each of its operations: Knuth's TwoSum,
+    Dekker's split and TwoProd and the closing FastTwoSum in locals, with E,
+    a, tr and det, which several products share, split once.  The float
+    operations are those of the double-double add, sub, mul and div
+    composed as the formulas above read, so every value is that
     composition's bit for bit; tests/conftest.py keeps the composition and
-    tests/test_solution.py pins this.  The scan passes x and t as plain
-    floats, so that no Point is built per sample, and its audit reads E.
+    tests/test_solution.py pins this.  The scan calls it on every sample,
+    with x and t as plain floats, so that no Point is built per sample; its
+    audit reads E and the terms.
     """
     _check_exponent(p, t)
     split = dd.SPLITTER
@@ -431,41 +431,6 @@ def spectrum_dd(p: SolutionParams, x, t: float) -> tuple[float, list[dd.DD], lis
     trh = s + e
     trl = e - (trh - s)
 
-    # larger root = tr/2 + sqrt(((a - d)/2)^2 + a (2 r^2 e^t)), |c|^2 = 4 r^2 e^(2t)
-    b = -dh
-    s = ah + b
-    bb = s - ah
-    e = ((ah - (s - bb)) + (b - bb)) + (al - dl)
-    gh = s + e
-    gl = e - (gh - s)
-    gh, gl = gh * 0.5, gl * 0.5
-    prod = gh * gh
-    c = split * gh
-    xhi = c - (c - gh)
-    xlo = gh - xhi
-    e = (((xhi * xhi - prod) + xhi * xlo + xlo * xhi) + xlo * xlo) + (gh * gl + gl * gh)
-    uh = prod + e
-    ul = e - (uh - prod)
-    yh, yl = r2h * 2.0, r2l * 2.0
-    prod = ah * yh
-    c = split * yh
-    yhi = c - (c - yh)
-    ylo = yh - yhi
-    e = (((ahi * yhi - prod) + ahi * ylo + alo * yhi) + alo * ylo) + (ah * yl + al * yh)
-    vh = prod + e
-    vl = e - (vh - prod)
-    s = uh + vh
-    bb = s - uh
-    e = ((uh - (s - bb)) + (vh - bb)) + (ul + vl)
-    sh = s + e
-    root_h, root_l = dd.sqrt((sh, e - (sh - s)))
-    xh, xl = trh * 0.5, trl * 0.5
-    s = xh + root_h
-    bb = s - xh
-    e = ((xh - (s - bb)) + (root_h - bb)) + (xl + root_l)
-    lh = s + e
-    larger = (lh, e - (lh - s))
-
     # det = a (h'' - r^2 e^t), split once
     b = -r2h
     s = h2h + b
@@ -483,10 +448,6 @@ def spectrum_dd(p: SolutionParams, x, t: float) -> tuple[float, list[dd.DD], lis
     c = split * deth
     dethi = c - (c - deth)
     detlo = deth - dethi
-
-    a = (ah, al)
-    values = [dd.div((deth, detl), larger), larger] + [a] * (p.n_base - 2) + [dd.ZERO] * p.m
-    values.sort()  # (hi, lo) tuples order as their values
 
     # g_j = C(n-2, j) a^j for j = 1 .. k, a^j = 2^j e^(jt) for j < k and
     # a^k = a^(k-1) a; each g_j as its hi, its lo and the split of its hi
@@ -554,7 +515,61 @@ def spectrum_dd(p: SolutionParams, x, t: float) -> tuple[float, list[dd.DD], lis
         e = ((sh - (s - bb)) + (vh - bb)) + (sl + vl)
         uh = s + e
         sigmas.append((uh, e - (uh - s)))
-    return E, values, sigmas
+    return E, ((ah, al), (trh, trl), (deth, detl), (dh, dl), (r2h, r2l)), sigmas
+
+
+def eigenvalues_dd(p: SolutionParams, terms) -> list[dd.DD]:
+    """The eigenvalues, ascending, from the terms (a, tr, det, d, r^2 e^t) of
+    spectrum_dd: a (n - 2 times), m zeros and the roots of mu^2 - tr mu + det.
+
+    The larger root is tr/2 + sqrt(((a - d)/2)^2 + |c|^2) >= max(a, d) > 0,
+    a sum of two terms >= 0, since tr = (2 - B/A + r^2) e^t + e^(-(k-1)t)/A
+    and B/A = 2(k-1)/k < 2; the smaller is det / larger, so neither cancels.
+    Written out as spectrum_dd is, but for doubledouble's sqrt and div.
+    """
+    (ah, al), (trh, trl), det, (dh, dl), (r2h, r2l) = terms
+    split = dd.SPLITTER
+    c = split * ah
+    ahi = c - (c - ah)
+    alo = ah - ahi
+    # the larger root = tr/2 + sqrt(((a - d)/2)^2 + a (2 r^2 e^t)), |c|^2 = 4 r^2 e^(2t)
+    b = -dh
+    s = ah + b
+    bb = s - ah
+    e = ((ah - (s - bb)) + (b - bb)) + (al - dl)
+    gh = s + e
+    gl = e - (gh - s)
+    gh, gl = gh * 0.5, gl * 0.5
+    prod = gh * gh
+    c = split * gh
+    xhi = c - (c - gh)
+    xlo = gh - xhi
+    e = (((xhi * xhi - prod) + xhi * xlo + xlo * xhi) + xlo * xlo) + (gh * gl + gl * gh)
+    uh = prod + e
+    ul = e - (uh - prod)
+    yh, yl = r2h * 2.0, r2l * 2.0
+    prod = ah * yh
+    c = split * yh
+    yhi = c - (c - yh)
+    ylo = yh - yhi
+    e = (((ahi * yhi - prod) + ahi * ylo + alo * yhi) + alo * ylo) + (ah * yl + al * yh)
+    vh = prod + e
+    vl = e - (vh - prod)
+    s = uh + vh
+    bb = s - uh
+    e = ((uh - (s - bb)) + (vh - bb)) + (ul + vl)
+    sh = s + e
+    root_h, root_l = dd.sqrt((sh, e - (sh - s)))
+    xh, xl = trh * 0.5, trl * 0.5
+    s = xh + root_h
+    bb = s - xh
+    e = ((xh - (s - bb)) + (root_h - bb)) + (xl + root_l)
+    lh = s + e
+    larger = (lh, e - (lh - s))
+
+    values = [dd.div(det, larger), larger] + [(ah, al)] * (p.n_base - 2) + [dd.ZERO] * p.m
+    values.sort()  # (hi, lo) tuples order as their values
+    return values
 
 
 def exact_hessian(p: SolutionParams, x, et: float) -> tuple[int, list[list[int]], tuple]:

@@ -9,8 +9,9 @@ sum is left to the tests, which take it from LAPACK determinants:
 * cyclic Jacobi eigenvalues + the e_j recurrence: the route of cone-check
   and phase-check, in float64 (``eigenvalues_symmetric``: off-diagonal
   target 1e-12 * (1 + ||M||_F), trace check 1e-10 * (1 + ||M||_F), at most
-  50 sweeps).  The scan takes its eigenvalues and sigmas in closed form
-  (``solution.spectrum_dd``) and audits them exactly, with no Jacobi; its
+  50 sweeps).  The scan takes its sigmas, and on its audited samples its
+  eigenvalues, in closed form (``solution.spectrum_dd`` and
+  ``solution.eigenvalues_dd``) and audits them exactly, with no Jacobi; its
   audit runs the recurrence only over the eigenvalues' absolute values, for
   the scale of its double-double bounds,
 * the Faddeev-LeVerrier trace recursion for sigma_1..sigma_count at once,

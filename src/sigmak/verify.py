@@ -33,7 +33,7 @@ The report, and any error, are the same however many CPUs run the scan.
 
 Precision
 ---------
-Each sample's eigenvalues and sigma_1..sigma_k are computed once, in
+Each sample's Hessian terms and sigma_1..sigma_k are computed once, in
 double-double arithmetic, in closed form, by one kernel
 (``solution.spectrum_dd``) that writes the double-double operations out in
 one Python frame: at sample-box corners the cancellation in sigma_k is too
@@ -48,12 +48,15 @@ accurate to an ulp, leaves it at ~1e-16.  So the residual's last digits
 follow the platform's libm exp, as phase-check's atan already does.  The
 Hessian is an arrow matrix, so its spectrum is a (n - 2 times), m zeros
 and the two roots of mu^2 - tr mu + det, and sigma_j is read off
-(1 + a x)^(n-2) (1 + tr x + det x^2).  The residual |sigma_k - 1|, the
-sigma vector behind the cone verdicts and min_sigma_j, the negative
-eigenvalue count and the n = 3 phase all come from those double-double
-values, rounded to float64 only where a float threshold judges them.  The
-verdicts (``cone.cone_flags``) and ``sl_phase`` are the ones that
-``cone-check`` and ``phase-check`` apply to a float64 Jacobi.
+(1 + a x)^(n-2) (1 + tr x + det x^2).  A sample is judged from that
+spectrum's invariants, rounded to float64 only where a float threshold
+judges them: the sigmas give the residual |sigma_k - 1|, min_sigma_j and
+the cone verdicts (``cone.sigmas_positive``, as in ``cone-check``), with
+fro = sqrt((n - 2) a^2 + tr^2 - 2 det); only the smaller root can be
+negative, so the lemma verdict is sigma_k's positivity; and the n = 3 phase
+is atan(a) + atan2(tr, 1 - det) = arg prod (1 + i lambda).  A non-finite
+residual, sigma or fro is a ConvergenceError.  The roots, and with them
+one doubledouble.div and one sqrt, are formed for audited samples alone.
 
 Every 100th sample is audited exactly, at its own point (_audit_sample).
 Its inputs are rational: the x block and E = fl(e^t) are dyadic floats, and
@@ -92,7 +95,7 @@ from array import array
 from dataclasses import dataclass
 
 from . import doubledouble as dd
-from .cone import cone_flags
+from .cone import sigmas_positive
 from .errors import ConvergenceError
 from .solution import (
     Point,
@@ -100,6 +103,7 @@ from .solution import (
     _check_exponent,
     _check_integers,
     _check_radius,
+    eigenvalues_dd,
     exact_hessian,
     spectrum_dd,
 )
@@ -118,11 +122,12 @@ AUDIT_STRIDE = 100
 # worker costs a few ms beyond its samples: the fork (~0.8 ms in a 30 MB
 # parent), ~1 ms before the child runs, and copy-on-write faults in both
 # processes (~240 in the parent, ~415 in the child per scan).  Against
-# 20-30 us per n = 3 sample, the cheapest dimension, two ranges of 100 lost
-# (6.8 ms against 4.0-6.2 in one range) and two of 200 won (10.1-10.7
-# against 11.7-12.1); at n = 7, two ranges of 250 took 13.4-15.9 ms against
-# 20.6-21.1 (medians of 40 interleaved scans in each of three runs, CPython
-# 3.11 with numpy loaded, 2-vCPU x86-64 Linux).
+# 12-14 us per n = 3 sample, the cheapest dimension, two ranges of 200 lost
+# (5.2-5.6 ms against 4.9-5.0 in one range) and two of 250 won (5.7-6.5
+# against 6.2-6.8); at n = 7 two of 200 won (6.6-7.6 against 7.4-8.2) and
+# two of 250 took 7.6-8.0 ms against 9.2-9.6 (medians of 40 interleaved
+# scans in each of three runs, CPython 3.11.7 with numpy loaded, 2-vCPU
+# x86-64 Linux).  200 lies between the two break-evens.
 MIN_RANGE_SAMPLES = 200
 # The audit's bound on |closed-form eigenvalue - exact eigenvalue|, relative
 # to 1 + ||M||_F.  a = 2E is exact in double-double; the larger root,
@@ -240,10 +245,10 @@ def sample_point(p: SolutionParams, box: SampleBox, index: int) -> Point:
 def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
     """Scan `box.count` seeded points; aggregate residual, cone and phase checks.
 
-    Every check of a sample reads the same closed-form double-double
-    eigenvalues and their sigma_1..sigma_k (see the module docstring);
-    every 100th sample is also audited by _audit_sample.  A ConvergenceError
-    raised by a sample, including a failed audit, names its index and point.
+    Every check of a sample reads the same closed-form double-double terms
+    and sigma_1..sigma_k (see the module docstring); every 100th sample is
+    also audited by _audit_sample.  A ConvergenceError raised by a sample,
+    including a failed audit, names its index and point.
     The report is a function of (params, box) alone, however many CPUs scan
     the samples (see _scan_ranges).  A sample is carried as its words and
     its x block and t as floats; a Point is built only for the reported
@@ -397,7 +402,7 @@ def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tup
     `start`, so a range of any length holds one block's words at once.
     """
     t_lo, t_hi = box.t_range
-    k = p.k
+    k, n2 = p.k, p.n_base - 2
     d, nx = p.total_dim, p.n_base - 1
     x_lo, x_width, t_width = -box.x_radius, 2.0 * box.x_radius, t_hi - t_lo
     check_phase = p.n_base == 3 and p.m == 0
@@ -411,40 +416,56 @@ def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tup
             x = [x_lo + x_width * ((word >> 11) * 2.0**-53) for word in words[at : at + nx]]
             t = t_lo + t_width * ((words[at + nx] >> 11) * 2.0**-53)
             try:
-                et, lam_dd, e = spectrum_dd(p, x, t)
+                et, terms, e = spectrum_dd(p, x, t)
+                (a, _), (tr_hi, tr_lo), (det_hi, det_lo), _, _ = terms
+                tr, det = tr_hi + tr_lo, det_hi + det_lo
+                # sum lambda^2 = (n-2) a^2 + tr^2 - 2 det, and tr^2 - 2 det =
+                # mu_1^2 + mu_2^2 >= tr^2 / 2 for the two roots: no cancellation
+                fro = math.sqrt(n2 * a * a + tr * tr - 2.0 * det)
                 sigmas = [hi + lo for hi, lo in e]
-                lam = [hi + lo for hi, lo in lam_dd]
+                hi, lo = dd.sub(e[k - 1], dd.ONE)
+                resid = abs(hi + lo)
+                if not math.isfinite(resid + fro + sum(sigmas)):
+                    raise ConvergenceError(
+                        f"non-finite value: |sigma_{k} - 1| = {resid}, fro = {fro}, "
+                        f"sigma_1..sigma_{k} = {sigmas}"
+                    )
                 if i % AUDIT_STRIDE == 0:
-                    _audit_sample(p, x, et, lam_dd, e)
+                    _audit_sample(p, x, et, terms, e)
             except ConvergenceError as exc:
                 pt = sample_point(p, box, i)
                 raise ConvergenceError(
                     f"sample {i} at {pt}: {exc}", offdiag_norm=exc.offdiag_norm
                 ) from exc
 
-            hi, lo = dd.sub(e[k - 1], dd.ONE)
-            resid = abs(hi + lo)
             if resid > max_resid:
                 max_resid, argmax = resid, i
-            _, in_cone, lemma = cone_flags(lam, sigmas, k)
-            cone_failures += not in_cone
-            lemma_failures += not lemma
+            # a > 0, the zeros and the larger root are never negative, so at
+            # most one eigenvalue is: the lemma verdict is sigma_k's positivity
+            positive = sigmas_positive(sigmas, fro, k)
+            cone_failures += not all(positive)
+            lemma_failures += not positive[-1]
             min_sigma_j = min(min_sigma_j, *sigmas)
-            if check_phase and abs(sl_phase(lam) - CRITICAL_PHASE_N3) > PHASE_TOL:
+            # sum of arctan over a and the roots: arg (1 + i a) (1 - det + i tr)
+            if check_phase and abs(
+                math.atan(a) + math.atan2(tr, 1.0 - det) - CRITICAL_PHASE_N3
+            ) > PHASE_TOL:
                 phase_failures += 1
     return max_resid, argmax, cone_failures, lemma_failures, min_sigma_j, phase_failures
 
 
-def _audit_sample(p: SolutionParams, x, et: float, lam_dd: list, sigmas: list) -> None:
+def _audit_sample(p: SolutionParams, x, et: float, terms: tuple, sigmas: list) -> None:
     """Check one sample's closed-form spectrum and sigmas exactly, at its own
     point, as the module docstring describes.
 
-    `x` is the sample's x block as floats, and et, lam_dd and sigmas are
+    `x` is the sample's x block as floats, and et, terms and sigmas are
     what spectrum_dd(p, x, t) returned for it; the Hessian is taken at
-    t* = ln et.  Raises ConvergenceError naming the check that failed and
+    t* = ln et, and the closed-form eigenvalues are eigenvalues_dd's of
+    the terms.  Raises ConvergenceError naming the check that failed and
     its exact residual, over the power of D it scales with.
     """
     n, k, m = p.n_base, p.k, p.m
+    lam_dd = eigenvalues_dd(p, terms)
     scale, rows, (alpha, tau, delta) = exact_hessian(p, x, et)
     # the closed form's quadratic, shifted to N - alpha I: y^2 + beta y + gamma
     beta, gamma = 2 * alpha - tau, alpha * (alpha - tau) + delta

@@ -5,10 +5,11 @@ The oracles deliberately use the dumbest correct algorithms available
 difference stencils, numpy's iterated differences) so they share no code
 path with the implementations they check.  ``charpoly_sigmas`` is one
 exception, named here as such.  The other is the scan kernel's composition
-(``composed_spectrum_dd`` and the functions it calls), which is a reference
-for bit-for-bit equality, not for accuracy, and so calls doubledouble's
-operations.  A matrix is its rows, as in the library: the builders return
-tuples of float tuples, and the oracles take any rows.
+(``composed_spectrum_dd``, ``composed_eigenvalues_dd`` and the functions
+they call), which is a reference for bit-for-bit equality, not for
+accuracy, and so calls doubledouble's operations.  A matrix is its rows, as
+in the library: the builders return tuples of float tuples, and the oracles
+take any rows.
 
 ``visible_cpus`` and ``one_cpu`` set the CPUs that ``residual_scan`` sees,
 and so the number of sample ranges it splits a scan into.
@@ -83,12 +84,13 @@ def charpoly_sigmas(m) -> tuple[float, ...]:
 # The scan's double-double kernel as the composition of double-double
 # operations that solution.spectrum_dd writes out in one frame: dd_terms ->
 # spectrum_sigmas_dd -> arrow_sigmas over dd_add, Dekker's TwoProd, the
-# exact scaling mul_pow2, and doubledouble's sub, mul, div and sqrt.  The
-# kernel's eigenvalues and sigmas are pinned to these bit for bit
-# (test_solution.py), and tests that need the kernel's intermediate terms,
-# or a seam inside it, read them here.  dd_add and sum_squares are pinned
-# to the textbook kernels of test_doubledouble.py, which takes two_prod
-# from here.
+# exact scaling mul_pow2, and doubledouble's sub, mul and div; and
+# solution.eigenvalues_dd as composed_eigenvalues_dd, over those and
+# doubledouble's sqrt.  The kernel's terms and sigmas, and the eigenvalues
+# of its terms, are pinned to these bit for bit (test_solution.py), and
+# tests that need the kernel's intermediate terms, or a seam inside it, read
+# them here.  dd_add and sum_squares are pinned to the textbook kernels of
+# test_doubledouble.py, which takes two_prod from here.
 _SPLITTER = 134217729.0  # 2**27 + 1
 
 
@@ -145,21 +147,29 @@ def dd_terms(p, x, t: float):
 
 
 def spectrum_sigmas_dd(p, terms):
-    """The eigenvalues, ascending, and sigma_1..sigma_k from dd_terms' terms
-    (see solution.spectrum_dd for the closed form)."""
+    """The kernel's terms (a, tr, det, d, r^2 e^t) and sigma_1..sigma_k from
+    dd_terms' terms (see solution.spectrum_dd for the closed form)."""
     et_powers, h2, r2et = terms
     a = mul_pow2(et_powers[0], 2.0)
     d = dd_add(r2et, h2)
     tr = dd_add(a, d)
+    det = dd.mul(a, dd.sub(h2, r2et))
+    powers = [mul_pow2(v, 2.0**j) for j, v in enumerate(et_powers, start=1)]
+    powers.append(dd.mul(powers[-1], a))
+    return (a, tr, det, d, r2et), arrow_sigmas(p.arrow_binomials_dd, powers, tr, det)
+
+
+def composed_eigenvalues_dd(p, terms):
+    """solution.eigenvalues_dd(p, terms) as the composition: the larger root
+    tr/2 + sqrt(((a - d)/2)^2 + |c|^2), det over it, a and the zeros,
+    ascending."""
+    a, tr, det, d, r2et = terms
     half_gap = mul_pow2(dd.sub(a, d), 0.5)
     c2 = dd.mul(a, mul_pow2(r2et, 2.0))  # |c|^2 = 4 r^2 e^(2t)
     larger = dd_add(mul_pow2(tr, 0.5), dd.sqrt(dd_add(dd.mul(half_gap, half_gap), c2)))
-    det = dd.mul(a, dd.sub(h2, r2et))
     values = [dd.div(det, larger), larger] + [a] * (p.n_base - 2) + [dd.ZERO] * p.m
     values.sort()
-    powers = [mul_pow2(v, 2.0**j) for j, v in enumerate(et_powers, start=1)]
-    powers.append(dd.mul(powers[-1], a))
-    return values, arrow_sigmas(p.arrow_binomials_dd, powers, tr, det)
+    return values
 
 
 def arrow_sigmas(binomials, powers, tr, det):
@@ -173,10 +183,10 @@ def arrow_sigmas(binomials, powers, tr, det):
 
 
 def composed_spectrum_dd(p, x, t: float):
-    """solution.spectrum_dd(p, x, t) as the composition: (E, eigenvalues,
-    sigmas).  The module globals it calls are looked up at call time, so a
-    test may patch dd_terms or arrow_sigmas here and pass this function to
-    the scan in the kernel's place."""
+    """solution.spectrum_dd(p, x, t) as the composition: (E, terms, sigmas).
+    The module globals it calls are looked up at call time, so a test may
+    patch dd_terms or arrow_sigmas here and pass this function to the scan
+    in the kernel's place."""
     terms = dd_terms(p, x, t)
     return (terms[0][0][0], *spectrum_sigmas_dd(p, terms))
 

@@ -737,12 +737,18 @@ class TestVerdictPins:
              "aa5a52becdd50ea8f51e01d111785fdf5867eed61813f7438b14b8caf302fcef"),
             (["verify", "-n", "7", "--samples", "50", "--seed", "0"], 0,
              "5020349c0c066b58b8594fffcdc0d0ea39cc46b265d457649c10e3d818fa6031"),
-            # failing scans: 3 and 36 cone and lemma failures, all at j = k,
-            # where the float rule 1e-12 (1 + fro^k) exceeds sigma_k = 1
+            # failing scans: 3, 36, 188 and 419 cone and lemma failures, all
+            # at j = k, where the float rule 1e-12 (1 + fro^k) exceeds
+            # sigma_k = 1; a sample with fro^k within rounding of 1e12 would
+            # move a count, so these pin how the scan forms fro
             (["verify", "-n", "9", "--samples", "1000", "--seed", "0"], 1,
              "52d391dbe889bb5cf07b540ccbd180d5c86be0b9d2e225610cad59a47b647874"),
             (["verify", "-n", "11", "--samples", "200", "--seed", "0"], 1,
              "a6221d7f22a90bff9a1cafcf23842eff9f91758638e52b451989ae5c7e555362"),
+            (["verify", "-n", "11", "--samples", "1000", "--seed", "0"], 1,
+             "4d5a9de90bc7d512237cd439a4007f9f6fd6728eb5376de0677b81c53bd9329c"),
+            (["verify", "-n", "13", "--samples", "1000", "--seed", "0"], 1,
+             "afb36d913d862000841e92ef51f2ec0e8c72953cca0217e7fe6dac2c5b357606"),
         ],
     )
     def test_verdict_digest(self, capsys, argv, code, digest):

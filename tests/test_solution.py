@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     arrow_sigmas,
+    composed_eigenvalues_dd,
     composed_spectrum_dd,
     dd_add,
     dd_hessian,
@@ -19,6 +20,7 @@ from sigmak.solution import (
     SolutionParams,
     cancellation_coefficient,
     derive_constants,
+    eigenvalues_dd,
     eval_jet,
     exact_hessian,
     h_formula,
@@ -428,11 +430,12 @@ class TestSpectrumDD:
     within the audit's bounds) and numpy's eigvalsh of the float Hessian."""
 
     def assert_matches_oracles(self, p, pt):
-        et, lam, sigmas = spectrum_dd(p, pt.x, pt.t)
+        et, terms, sigmas = spectrum_dd(p, pt.x, pt.t)
+        lam = eigenvalues_dd(p, terms)
         assert len(lam) == p.total_dim
         assert lam == sorted(lam)
         fro = _fro(lam)
-        _audit_sample(p, list(pt.x), et, lam, sigmas)
+        _audit_sample(p, list(pt.x), et, terms, sigmas)
         by_numpy = np.linalg.eigvalsh(eval_jet(p, pt).hessian)
         gaps = [abs(dd.to_float(x) - y) for x, y in zip(lam, by_numpy)]
         assert max(gaps) <= 1e-14 * (1.0 + fro)
@@ -506,7 +509,8 @@ class TestArrowSigmas:
         unit = SIGMA_AUDIT_UNITS * p.total_dim * 2.0**-104
         for i in range(box.count):
             pt = sample_point(p, box, i)
-            _, lam, sigmas = spectrum_dd(p, pt.x, pt.t)
+            _, terms, sigmas = spectrum_dd(p, pt.x, pt.t)
+            lam = eigenvalues_dd(p, terms)
             assert len(sigmas) == p.k
             by_recurrence = elementary_symmetric(lam, dd_add, dd.mul)
             scales = elementary_symmetric([abs(dd.to_float(v)) for v in lam])
@@ -539,16 +543,18 @@ class TestArrowSigmas:
 
 class TestKernelPin:
     """spectrum_dd is conftest's composition dd_terms -> spectrum_sigmas_dd ->
-    arrow_sigmas written out in one frame: the same E, eigenvalues and sigmas,
+    arrow_sigmas written out in one frame, and eigenvalues_dd is
+    composed_eigenvalues_dd: the same E, terms, sigmas and eigenvalues,
     float.hex for float.hex, and the same guard errors, by type and message."""
 
     @staticmethod
-    def outcome(kernel, p, x, t):
+    def outcome(kernel, roots, p, x, t):
         try:
-            et, lam, sigmas = kernel(p, list(x), t)
+            et, terms, sigmas = kernel(p, list(x), t)
+            lam = roots(p, terms)
         except (OverflowError, ZeroDivisionError, ValueError) as exc:
             return type(exc), str(exc)
-        return et.hex(), [tuple(map(float.hex, v)) for v in lam + sigmas]
+        return et.hex(), [tuple(map(float.hex, v)) for v in [*terms, *sigmas, *lam]]
 
     @staticmethod
     def samples(p, box):
@@ -556,8 +562,9 @@ class TestKernelPin:
 
     def assert_pinned(self, p, points):
         for x, t in points:
-            want = self.outcome(composed_spectrum_dd, p, x, t)
-            assert self.outcome(spectrum_dd, p, x, t) == want, (p.n_base, p.m, x, t)
+            want = self.outcome(composed_spectrum_dd, composed_eigenvalues_dd, p, x, t)
+            got = self.outcome(spectrum_dd, eigenvalues_dd, p, x, t)
+            assert got == want, (p.n_base, p.m, x, t)
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     @pytest.mark.parametrize("n", range(3, 32, 2))

@@ -19,7 +19,14 @@ from conftest import (
     sigma_brute,
     sigma_minors,
 )
-from sigmak.solution import Point, SolutionParams, derive_constants, eval_jet, spectrum_dd
+from sigmak.solution import (
+    Point,
+    SolutionParams,
+    derive_constants,
+    eigenvalues_dd,
+    eval_jet,
+    spectrum_dd,
+)
 from sigmak.verify import (
     CRITICAL_PHASE_N3,
     SampleBox,
@@ -229,26 +236,32 @@ class TestSpectrumAudit:
 
     @staticmethod
     def shifted_spectrum(monkeypatch, first_shifted, rel_shift):
-        # from call number first_shifted on, move the largest eigenvalue by
-        # rel_shift * (1 + ||M||_F), and return the sigmas of the moved
-        # spectrum, as a closed form with that eigenvalue wrong throughout
+        # from kernel call number first_shifted on, move the largest
+        # eigenvalue by rel_shift * (1 + ||M||_F) and return the sigmas of
+        # the moved spectrum, as a closed form with that eigenvalue wrong
+        # throughout; the audit reads the moved eigenvalues of those terms
         from sigmak import doubledouble as dd
         from sigmak import verify
         from sigmak.symfunc import elementary_symmetric
 
-        calls = []
-        exact = verify.spectrum_dd
+        calls, moved = [], {}
+        kernel, roots = verify.spectrum_dd, verify.eigenvalues_dd
 
         def shifted(p, x, t):
-            et, lam, sigmas = exact(p, x, t)
+            et, terms, sigmas = kernel(p, x, t)
             if len(calls) >= first_shifted:
+                lam = roots(p, terms)
                 fro = math.sqrt(sum(dd.to_float(v) ** 2 for v in lam))
                 lam[-1] = dd_add(lam[-1], (rel_shift * (1.0 + fro), 0.0))
                 sigmas = elementary_symmetric(lam, dd_add, dd.mul)[: p.k]
+                moved[terms] = lam
             calls.append(t)
-            return et, lam, sigmas
+            return et, terms, sigmas
 
         monkeypatch.setattr(verify, "spectrum_dd", shifted)
+        monkeypatch.setattr(
+            verify, "eigenvalues_dd", lambda p, terms: moved.get(terms) or roots(p, terms)
+        )
 
     @pytest.mark.usefixtures("one_cpu")
     @pytest.mark.parametrize("first_shifted", [0, 100])
@@ -282,17 +295,19 @@ class TestSpectrumAudit:
         assert str(info.value).startswith(f"sample 0 at {sample_point(p, BOX, 0)}: ")
 
     @staticmethod
-    def count_calls(monkeypatch, name):
+    def count_calls(monkeypatch, name, module=None):
+        # calls of `name` as looked up in `module`, by default sigmak.verify
         from sigmak import verify
 
+        module = module or verify
         calls = []
-        original = getattr(verify, name)
+        original = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls.append((args, kwargs))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(verify, name, counted)
+        monkeypatch.setattr(module, name, counted)
         return calls
 
     @pytest.mark.usefixtures("one_cpu")
@@ -302,6 +317,18 @@ class TestSpectrumAudit:
         residual_scan(P3, BOX)
         assert BOX.count == 1000
         assert (len(hessians), len(spectra)) == (10, 10)
+
+    @pytest.mark.usefixtures("one_cpu")
+    def test_the_roots_only_on_audited_samples(self, monkeypatch):
+        # every sample takes the kernel; only the audited ones take the
+        # roots, and with them the double-double sqrt and div
+        from sigmak import doubledouble as dd
+
+        calls = [self.count_calls(monkeypatch, name) for name in ("spectrum_dd", "eigenvalues_dd")]
+        calls += [self.count_calls(monkeypatch, name, dd) for name in ("sqrt", "div")]
+        residual_scan(P3, BOX)
+        assert BOX.count == 1000
+        assert [len(c) for c in calls] == [1000, 10, 10, 10]
 
     @pytest.mark.usefixtures("one_cpu")
     def test_one_exponential_per_sample(self, monkeypatch):
@@ -382,8 +409,8 @@ class TestExactAudit:
     def audit(p, x, t):
         from sigmak.verify import _audit_sample
 
-        et, lam, sigmas = spectrum_dd(p, list(x), t)
-        _audit_sample(p, list(x), et, lam, sigmas)
+        et, terms, sigmas = spectrum_dd(p, list(x), t)
+        _audit_sample(p, list(x), et, terms, sigmas)
 
     @pytest.mark.parametrize(
         "n, m", [(n, 0) for n in range(3, 32, 2)] + [(5, 2)], ids=lambda v: str(v)
@@ -659,10 +686,10 @@ class TestSampleRanges:
         smallest = sample_point(P3, BOX, 900).t
 
         def tied(p, x, t):
-            et, lam, sigmas = exact(p, x, t)
+            et, terms, sigmas = exact(p, x, t)
             if et == math.exp(smallest):  # e^t of sample 900
                 sigmas[0] = (0.5, 0.0)
-            return et, lam, sigmas[:-1] + [(1.0, 2.0**-60)]
+            return et, terms, sigmas[:-1] + [(1.0, 2.0**-60)]
 
         monkeypatch.setattr(verify, "spectrum_dd", tied)
         monkeypatch.setattr(verify, "_audit_sample", lambda *args: None)
@@ -816,6 +843,115 @@ class TestSampleRanges:
         with pytest.raises(KeyboardInterrupt):
             residual_scan(P3, BOX)
         self.assert_no_children()
+
+
+class TestNonFiniteValues:
+    """A non-finite residual, sigma or Frobenius norm stops the scan with a
+    ConvergenceError naming the first sample that has one, however many
+    CPUs run it: a nan residual compares larger than no other, so unchecked
+    it would leave a report of the other samples, or no argmax at all when
+    every sample has one."""
+
+    @staticmethod
+    def plant(monkeypatch, where, samples):
+        # a nan sigma_k, or a nan tr (and with it fro), at the samples
+        # `samples` (all when None), each recognized by its t
+        from sigmak import verify
+
+        planted = None if samples is None else {sample_point(P3, BOX, i).t for i in samples}
+        exact = verify.spectrum_dd
+
+        def kernel(p, x, t):
+            et, terms, sigmas = exact(p, x, t)
+            if planted is None or t in planted:
+                if where == "sigma_k":
+                    sigmas[-1] = (math.nan, 0.0)
+                else:
+                    terms = (terms[0], (math.nan, 0.0), *terms[2:])
+            return et, terms, sigmas
+
+        monkeypatch.setattr(verify, "spectrum_dd", kernel)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("where, shown", [
+        ("sigma_k", r"\|sigma_2 - 1\| = nan"), ("tr", r"fro = nan"),
+    ], ids=["sigma_k", "fro"])
+    @pytest.mark.parametrize("samples, first", [([700], 700), (None, 0)], ids=["one", "all"])
+    def test_the_first_non_finite_sample_is_named(
+        self, visible_cpus, monkeypatch, cpus, where, shown, samples, first
+    ):
+        from sigmak.errors import ConvergenceError
+
+        self.plant(monkeypatch, where, samples)
+        visible_cpus(cpus)
+        with pytest.raises(ConvergenceError, match=f"non-finite value: .*{shown}") as info:
+            residual_scan(P3, BOX)
+        assert str(info.value).startswith(f"sample {first} at {sample_point(P3, BOX, first)}: ")
+        TestSampleRanges.assert_no_children()
+
+    def test_the_cli_exits_2_naming_the_sample(self, one_cpu, monkeypatch, capsys):
+        from sigmak.cli import run
+
+        self.plant(monkeypatch, "sigma_k", [37])
+        assert run(["verify", "-n", "3", "--samples", "1000", "--seed", "42"]) == 2
+        err = capsys.readouterr().err
+        named = f"sample 37 at {sample_point(P3, BOX, 37)}: "
+        assert err.startswith(f"sigmak: numerical failure: {named}non-finite value: ")
+
+
+class TestVerdictsAgainstTheRoots:
+    """The scan judges a sample from its spectrum's invariants, not from its
+    eigenvalues: fro from (n - 2) a^2 + tr^2 - 2 det, the lemma verdict as
+    sigma_k's positivity and the n = 3 phase as arg (1 + i a) (1 - det +
+    i tr).  One-sample ranges of seeded samples at odd n = 3..31, m in
+    {0, 2}, and on boxes out to x_radius 2e49 (n = 3) and 4e12 (n = 11) and
+    t in [27, 28], take each verdict against cone_flags and sl_phase on the
+    closed-form eigenvalues of eigenvalues_dd."""
+
+    CASES = [
+        (SolutionParams(n, m), SampleBox(3.0, (-2.0, 2.0), count=30, seed=n + 100 * m))
+        for n in range(3, 32, 2) for m in (0, 2)
+    ] + [
+        (P3, SampleBox(2e49, (-2.0, 2.0), count=100, seed=5)),
+        (P3, SampleBox(3.0, (27.0, 28.0), count=100, seed=6)),
+        (derive_constants(11), SampleBox(4e12, (-2.0, 2.0), count=30, seed=7)),
+    ]
+
+    @pytest.mark.parametrize("p, box", CASES, ids=[
+        f"n{p.n_base}-m{p.m}-x{b.x_radius:g}-t{b.t_range[0]:g}" for p, b in CASES
+    ])
+    def test_scan_verdicts_match_the_eigenvalues(self, monkeypatch, p, box):
+        from sigmak import cone, verify
+        from sigmak.cone import cone_flags
+
+        norms = []
+
+        def recorded(sigmas, fro, k):
+            norms.append(fro)
+            return cone.sigmas_positive(sigmas, fro, k)
+
+        monkeypatch.setattr(verify, "sigmas_positive", recorded)
+        monkeypatch.setattr(verify, "_audit_sample", lambda *args: None)
+        failures = 0
+        for i in range(box.count):
+            pt = sample_point(p, box, i)
+            _, terms, e = spectrum_dd(p, pt.x, pt.t)
+            lam = [hi + lo for hi, lo in eigenvalues_dd(p, terms)]
+            sigmas = [hi + lo for hi, lo in e]
+            neg, in_cone, lemma = cone_flags(lam, sigmas, p.k)
+            assert neg <= 1
+            if p.n_base == 3 and p.m == 0:
+                # the scan's phase fails by more than 1e-15 off sl_phase(lam)
+                monkeypatch.setattr(verify, "CRITICAL_PHASE_N3", sl_phase(lam))
+                monkeypatch.setattr(verify, "PHASE_TOL", 1e-15)
+            norms.clear()
+            _, _, cones, lemmas, _, phases = verify._scan_range(p, box, i, i + 1)
+            assert (cones, lemmas, phases) == (not in_cone, not lemma, 0), i
+            fro = math.sqrt(sum([v * v for v in lam]))
+            assert abs(norms[0] - fro) <= 4 * math.ulp(fro), i
+            failures += cones
+        if p.n_base >= 11 and box.x_radius == 3.0:
+            assert failures > 0  # samples past the float rule's threshold
 
 
 class TestSampleBlocks:
@@ -1019,7 +1155,7 @@ class TestScanSigmasAgainstFloatOracles:
         box = SampleBox(x_radius=1.0, t_range=(-1.0, 1.0), count=20, seed=11)
         for i in range(box.count):
             pt = sample_point(p, box, i)
-            _, lam, _ = spectrum_dd(p, pt.x, pt.t)
+            lam = eigenvalues_dd(p, spectrum_dd(p, pt.x, pt.t)[1])
             e = elementary_symmetric(lam, dd_add, dd.mul)
             hess = eval_jet(p, pt).hessian
             fro = frobenius_norm(hess)
