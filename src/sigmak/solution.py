@@ -22,9 +22,9 @@ dimension n + m without changing sigma_k.
 The scan's per-sample work is one function, ``spectrum_dd``: from one
 double exponential it forms the Hessian's terms and sigma_1..sigma_k in
 double-double, with the arithmetic written out in one Python frame.  The
-scan's audit reads the closed-form eigenvalues off those terms
-(``eigenvalues_dd``), and ``exact_hessian`` gives it the same Hessian
-exactly, as an integer matrix.
+scan's audit takes the same Hessian exactly, as an integer matrix, from
+``exact_hessian``, and checks those sigmas against it; no eigenvalue is
+formed in double-double.
 """
 
 from __future__ import annotations
@@ -265,7 +265,7 @@ def eval_jet(p: SolutionParams, pt: Point) -> Jet2:
 
 
 def spectrum_dd(p: SolutionParams, x, t: float) -> tuple[float, tuple, list[dd.DD]]:
-    """E = math.exp(t), the terms (a, tr, det, d, r^2 e^t) of u's Hessian at
+    """E = math.exp(t), the terms (a, tr, det) of u's Hessian at
     the point with x block `x` (n - 1 floats) and t, and its
     sigma_1..sigma_k, in double-double, in closed form from that one double
     exponential.
@@ -290,8 +290,8 @@ def spectrum_dd(p: SolutionParams, x, t: float) -> tuple[float, tuple, list[dd.D
         det = a d - |c|^2 = 2e^t h'' - 2r^2 e^(2t) = a (h'' - r^2 e^t),
 
     formed as the last, never as a d - |c|^2, whose two terms both grow like
-    r^2 and cancel.  The kernel stops at the sigmas: eigenvalues_dd forms
-    the roots from the terms it returns.
+    r^2 and cancel.  The kernel stops at the sigmas and returns the terms
+    a, tr and det that the scan's verdicts read; it forms no root.
 
     Sigmas.  prod_i (1 + lambda_i y) = (1 + a y)^(n-2) (1 + tr y + det y^2),
     so with g_j = C(n-2, j) a^j (g_0 = 1, a^j = 2^j e^(jt) for j < k),
@@ -305,12 +305,12 @@ def spectrum_dd(p: SolutionParams, x, t: float) -> tuple[float, tuple, list[dd.D
     as doubledouble writes out each of its operations: Knuth's TwoSum,
     Dekker's split and TwoProd and the closing FastTwoSum in locals, with E,
     a, tr and det, which several products share, split once.  The float
-    operations are those of the double-double add, sub, mul and div
-    composed as the formulas above read, so every value is that
+    operations are those of the textbook double-double add, sub, mul and
+    div composed as the formulas above read, so every value is that
     composition's bit for bit; tests/conftest.py keeps the composition and
     tests/test_solution.py pins this.  The scan calls it on every sample,
     with x and t as plain floats, so that no Point is built per sample; its
-    audit reads E and the terms.
+    audit reads E and the sigmas.
     """
     _check_exponent(p, t)
     split = dd.SPLITTER
@@ -332,7 +332,9 @@ def spectrum_dd(p: SolutionParams, x, t: float) -> tuple[float, tuple, list[dd.D
         et_powers.append((ph, pl))
     _check_radius(p, max(map(abs, x)), E, 1.0 / ph, (x, t))
 
-    # e^(-(k-1)t) = (1.0, 0.0) / (ph, pl), as doubledouble.div
+    # e^(-(k-1)t) = (1.0, 0.0) / (ph, pl): the textbook double-double
+    # division, q1 = 1 / ph, then two corrections, each over ph, of the rest
+    # less (ph, pl) q, ph split once
     q1 = 1.0 / ph
     c = split * ph
     yhi = c - (c - ph)
@@ -515,61 +517,7 @@ def spectrum_dd(p: SolutionParams, x, t: float) -> tuple[float, tuple, list[dd.D
         e = ((sh - (s - bb)) + (vh - bb)) + (sl + vl)
         uh = s + e
         sigmas.append((uh, e - (uh - s)))
-    return E, ((ah, al), (trh, trl), (deth, detl), (dh, dl), (r2h, r2l)), sigmas
-
-
-def eigenvalues_dd(p: SolutionParams, terms) -> list[dd.DD]:
-    """The eigenvalues, ascending, from the terms (a, tr, det, d, r^2 e^t) of
-    spectrum_dd: a (n - 2 times), m zeros and the roots of mu^2 - tr mu + det.
-
-    The larger root is tr/2 + sqrt(((a - d)/2)^2 + |c|^2) >= max(a, d) > 0,
-    a sum of two terms >= 0, since tr = (2 - B/A + r^2) e^t + e^(-(k-1)t)/A
-    and B/A = 2(k-1)/k < 2; the smaller is det / larger, so neither cancels.
-    Written out as spectrum_dd is, but for doubledouble's sqrt and div.
-    """
-    (ah, al), (trh, trl), det, (dh, dl), (r2h, r2l) = terms
-    split = dd.SPLITTER
-    c = split * ah
-    ahi = c - (c - ah)
-    alo = ah - ahi
-    # the larger root = tr/2 + sqrt(((a - d)/2)^2 + a (2 r^2 e^t)), |c|^2 = 4 r^2 e^(2t)
-    b = -dh
-    s = ah + b
-    bb = s - ah
-    e = ((ah - (s - bb)) + (b - bb)) + (al - dl)
-    gh = s + e
-    gl = e - (gh - s)
-    gh, gl = gh * 0.5, gl * 0.5
-    prod = gh * gh
-    c = split * gh
-    xhi = c - (c - gh)
-    xlo = gh - xhi
-    e = (((xhi * xhi - prod) + xhi * xlo + xlo * xhi) + xlo * xlo) + (gh * gl + gl * gh)
-    uh = prod + e
-    ul = e - (uh - prod)
-    yh, yl = r2h * 2.0, r2l * 2.0
-    prod = ah * yh
-    c = split * yh
-    yhi = c - (c - yh)
-    ylo = yh - yhi
-    e = (((ahi * yhi - prod) + ahi * ylo + alo * yhi) + alo * ylo) + (ah * yl + al * yh)
-    vh = prod + e
-    vl = e - (vh - prod)
-    s = uh + vh
-    bb = s - uh
-    e = ((uh - (s - bb)) + (vh - bb)) + (ul + vl)
-    sh = s + e
-    root_h, root_l = dd.sqrt((sh, e - (sh - s)))
-    xh, xl = trh * 0.5, trl * 0.5
-    s = xh + root_h
-    bb = s - xh
-    e = ((xh - (s - bb)) + (root_h - bb)) + (xl + root_l)
-    lh = s + e
-    larger = (lh, e - (lh - s))
-
-    values = [dd.div(det, larger), larger] + [(ah, al)] * (p.n_base - 2) + [dd.ZERO] * p.m
-    values.sort()  # (hi, lo) tuples order as their values
-    return values
+    return E, ((ah, al), (trh, trl), (deth, detl)), sigmas
 
 
 def exact_hessian(p: SolutionParams, x, et: float) -> tuple[int, list[list[int]], tuple]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .solution import SolutionParams, arrow_rows
+from .solution import SolutionParams, _check_integers, arrow_rows
 from .symfunc import faddeev_leverrier
 
 Monomial = tuple[int, int]  # (a, b): r^a * e^(b*t)
@@ -136,8 +136,9 @@ def rotated_hessian_from_constants(
     """The rotated Hessian with h'' = (1/A) e^(-(k-1)t) - (B/A) e^t.
 
     Accepts arbitrary constants so a certification run can also demonstrate
-    that perturbed constants fail.
+    that perturbed constants fail; n_base and k must be integers, not bools.
     """
+    _check_integers(n_base=n_base, k=k)
     if n_base < 2:
         raise ValueError(f"n_base must be >= 2, got {n_base}")
     if not 1 <= k <= n_base:

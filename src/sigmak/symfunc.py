@@ -9,11 +9,9 @@ sum is left to the tests, which take it from LAPACK determinants:
 * cyclic Jacobi eigenvalues + the e_j recurrence: the route of cone-check
   and phase-check, in float64 (``eigenvalues_symmetric``: off-diagonal
   target 1e-12 * (1 + ||M||_F), trace check 1e-10 * (1 + ||M||_F), at most
-  50 sweeps).  The scan takes its sigmas, and on its audited samples its
-  eigenvalues, in closed form (``solution.spectrum_dd`` and
-  ``solution.eigenvalues_dd``) and audits them exactly, with no Jacobi; its
-  audit runs the recurrence only over the eigenvalues' absolute values, for
-  the scale of its double-double bounds,
+  50 sweeps).  The scan takes its sigmas in closed form
+  (``solution.spectrum_dd``) and audits them exactly, with no Jacobi and no
+  eigenvalue,
 * the Faddeev-LeVerrier trace recursion for sigma_1..sigma_count at once,
   one ring-generic loop (``faddeev_leverrier``): in the library only over
   exact expressions, in ``symbolic.sym_sigmas``, which certifies from
@@ -84,29 +82,19 @@ def _check_symmetric(rows) -> None:
                 )
 
 
-def elementary_symmetric(values, add=operator.add, mul=operator.mul, count=None) -> list:
-    """e_1 .. e_n of n values by one pass of the e_j recurrence, cost O(n^2);
-    with a ``count``, only e_1 .. e_count, cost O(n count).
+def elementary_symmetric(values, add=operator.add, mul=operator.mul) -> list:
+    """e_1 .. e_n of n values by one pass of the e_j recurrence, cost O(n^2).
 
     Ring-generic: the default operators serve floats, ints and Fractions (and
-    are exact on exact inputs); other rings pass their own add and mul.  The
-    scan's audit passes absolute values and ``count`` = k.
+    are exact on exact inputs); other rings pass their own add and mul.
     The recurrence starts from e_1 = the first value, so it needs no ring
-    constants; an empty input gives [].  The update of e_j reads only e_j
-    and e_(j-1), so each e_j kept under a count is the same value, bit for
-    bit, as without one.
+    constants; an empty input gives [].
     """
-    if count is not None and (isinstance(count, bool) or not isinstance(count, int) or count < 1):
-        raise ValueError(f"count must be a positive integer, got {count!r}")
     e = []
     for v in values:
         if e:
-            if count is None or len(e) < count:
-                e.append(mul(v, e[-1]))
-                top = len(e) - 2
-            else:
-                top = len(e) - 1
-            for j in range(top, 0, -1):
+            e.append(mul(v, e[-1]))
+            for j in range(len(e) - 2, 0, -1):
                 e[j] = add(e[j], mul(v, e[j - 1]))
             e[0] = add(e[0], v)
         else:

@@ -55,8 +55,8 @@ the cone verdicts (``cone.sigmas_positive``, as in ``cone-check``), with
 fro = sqrt((n - 2) a^2 + tr^2 - 2 det); only the smaller root can be
 negative, so the lemma verdict is sigma_k's positivity; and the n = 3 phase
 is atan(a) + atan2(tr, 1 - det) = arg prod (1 + i lambda).  A non-finite
-residual, sigma or fro is a ConvergenceError.  The roots, and with them
-one doubledouble.div and one sqrt, are formed for audited samples alone.
+residual, sigma or fro is a ConvergenceError.  No eigenvalue is formed:
+the scan reads a, tr, det and the sigmas, and its audit checks the sigmas.
 
 Every 100th sample is audited exactly, at its own point (_audit_sample).
 Its inputs are rational: the x block and E = fl(e^t) are dyadic floats, and
@@ -71,12 +71,18 @@ sums tr N^i must match.  That decides N's spectrum even where two of those
 values coincide, as at x = 0: every eigenvalue of N is then a root of the
 product, and power sums below its degree fix how often each distinct root
 occurs.  Read off that spectrum, sigma_k(N) must be D^k, the claim
-sigma_k = 1 at that point, and sigma_j(N) > 0 for j < k.  The closed-form
-double-double eigenvalues must then lie within SPECTRUM_AUDIT_REL_TOL *
-(1 + ||M||_F) of the exact ones, and the structured sigma_j within
-SIGMA_AUDIT_UNITS * d * 2^-104 * e_j(|lambda|) of sigma_j(N) / D^j.  The
-audit takes the same path in every dimension and none of its checks loses
-meaning as n grows; it needs no Jacobi and does not call ``symbolic``.
+sigma_k = 1 at that point, and sigma_j(N) > 0 for j < k.  The structured
+sigma_j must then lie within SIGMA_AUDIT_UNITS * d * 2^-104 * e_j(|lambda|)
+of sigma_j(N) / D^j.  The scale e_j(|lambda|) comes from the same integers,
+with no root: it is the coefficient of y^j in
+(1 + alpha y)^(n-2) (1 + s y + |delta| y^2) over D^j (alpha = D a > 0),
+where s = |tau| when
+delta >= 0 and otherwise s = isqrt(tau^2 - 4 delta) + 1, an integer upper
+bound of D (|mu_1| + |mu_2|) for the two roots mu, which makes the scale an
+upper bound too.  So the audit reads what the scan reports from, E and the
+sigmas, and forms no eigenvalue.  It takes the same path in every dimension
+and none of its checks loses meaning as n grows; it needs no Jacobi and
+does not call ``symbolic``.
 
 Two numeric cross-checks of the solution live with the tests, in
 ``tests/conftest.py``: the finite-difference Hessian of u (against
@@ -103,11 +109,9 @@ from .solution import (
     _check_exponent,
     _check_integers,
     _check_radius,
-    eigenvalues_dd,
     exact_hessian,
     spectrum_dd,
 )
-from .symfunc import elementary_symmetric
 
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -129,30 +133,21 @@ AUDIT_STRIDE = 100
 # scans in each of three runs, CPython 3.11.7 with numpy loaded, 2-vCPU
 # x86-64 Linux).  200 lies between the two break-evens.
 MIN_RANGE_SAMPLES = 200
-# The audit's bound on |closed-form eigenvalue - exact eigenvalue|, relative
-# to 1 + ||M||_F.  a = 2E is exact in double-double; the larger root,
-# tr/2 + sqrt(((a - d)/2)^2 + |c|^2), and the smaller, a (h'' - r^2 e^t) over
-# the larger, each take a few double-double operations on operands of at
-# most a few ||M||_F (|c|, |d| and a are at most the larger root), so each
-# errs by a few units of 2^-104 ~5e-32 times ||M||_F; the constants 1/A and
-# B/A of h'' carry one double-double rounding each, and the exact roots are
-# known within 2^-101 (see _audit_sample).  Seeded audits at every odd
-# n = 3..31 and on boxes up to x_radius 2e49 or t in [27, 28] stay within
-# 0.93 units of 2^-104 (1 + ||M||_F); 1e-26 is ~2e5 units.  A wrong closed
-# form is wrong far above that.
-SPECTRUM_AUDIT_REL_TOL = 1e-26
 # The audit's bound on |structured sigma_j - sigma_j(N) / D^j|, in units of
-# d * 2^-104 * e_j(|lambda|), where e_j(|lambda|) is the e_j recurrence over
-# the eigenvalues' absolute values (Higham, Accuracy and Stability of
-# Numerical Algorithms, ch. 3).  A double-double product or sum errs by at
-# most ~2 units of 2^-104 relative to the product of the operands'
-# magnitudes or to the sum of them.  The structured sigma_j adds three
-# terms of at most k + 1 factors each, and its tr and det carry the
-# rounding of the terms they are formed from, a few units of |mu_1| +
-# |mu_2| and of |mu_1 mu_2| for the two roots mu; both are bounded by the
-# same e_j(|lambda|).  Seeded audits on the boxes above stay within 0.15
-# units.  A wrong binomial or a det off by 1e-20 relative misses the bound
-# by ~10 decades.
+# d * 2^-104 * e_j(|lambda|), where e_j(|lambda|) is e_j over the
+# eigenvalues' absolute values (Higham, Accuracy and Stability of Numerical
+# Algorithms, ch. 3), read off N's integers as the audit does.  A
+# double-double product or sum errs by at most ~2 units of 2^-104 relative
+# to the product of the operands' magnitudes or to the sum of them.  The
+# structured sigma_j adds three terms of at most k + 1 factors each, and its
+# tr and det carry the rounding of the terms they are formed from, a few
+# units of |mu_1| + |mu_2| and of |mu_1 mu_2| for the two roots mu; both are
+# bounded by the same e_j(|lambda|).  Seeded audits at every odd n = 3..31
+# with m in {0, 2}, and on the boxes x_radius 2e49 (n = 3), 4e12 (n = 11)
+# and 1e12 (n = 5) and t in [27, 28] (n = 3), stay within 0.15 units.  A
+# wrong binomial misses the bound by over 25 decades, h'' from a perturbed
+# growth coefficient or from a second exponential by over 12, and a det off
+# by 1e-20 relative by ~9.
 SIGMA_AUDIT_UNITS = 8.0
 
 
@@ -416,8 +411,7 @@ def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tup
             x = [x_lo + x_width * ((word >> 11) * 2.0**-53) for word in words[at : at + nx]]
             t = t_lo + t_width * ((words[at + nx] >> 11) * 2.0**-53)
             try:
-                et, terms, e = spectrum_dd(p, x, t)
-                (a, _), (tr_hi, tr_lo), (det_hi, det_lo), _, _ = terms
+                et, ((a, _), (tr_hi, tr_lo), (det_hi, det_lo)), e = spectrum_dd(p, x, t)
                 tr, det = tr_hi + tr_lo, det_hi + det_lo
                 # sum lambda^2 = (n-2) a^2 + tr^2 - 2 det, and tr^2 - 2 det =
                 # mu_1^2 + mu_2^2 >= tr^2 / 2 for the two roots: no cancellation
@@ -431,7 +425,7 @@ def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tup
                         f"sigma_1..sigma_{k} = {sigmas}"
                     )
                 if i % AUDIT_STRIDE == 0:
-                    _audit_sample(p, x, et, terms, e)
+                    _audit_sample(p, x, et, e)
             except ConvergenceError as exc:
                 pt = sample_point(p, box, i)
                 raise ConvergenceError(
@@ -454,18 +448,16 @@ def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tup
     return max_resid, argmax, cone_failures, lemma_failures, min_sigma_j, phase_failures
 
 
-def _audit_sample(p: SolutionParams, x, et: float, terms: tuple, sigmas: list) -> None:
-    """Check one sample's closed-form spectrum and sigmas exactly, at its own
-    point, as the module docstring describes.
+def _audit_sample(p: SolutionParams, x, et: float, sigmas: list) -> None:
+    """Check one sample's structured sigmas exactly, at its own point, as the
+    module docstring describes.
 
-    `x` is the sample's x block as floats, and et, terms and sigmas are
-    what spectrum_dd(p, x, t) returned for it; the Hessian is taken at
-    t* = ln et, and the closed-form eigenvalues are eigenvalues_dd's of
-    the terms.  Raises ConvergenceError naming the check that failed and
+    `x` is the sample's x block as floats, and et and sigmas are what
+    spectrum_dd(p, x, t) returned for it; the Hessian is taken at
+    t* = ln et.  Raises ConvergenceError naming the check that failed and
     its exact residual, over the power of D it scales with.
     """
     n, k, m = p.n_base, p.k, p.m
-    lam_dd = eigenvalues_dd(p, terms)
     scale, rows, (alpha, tau, delta) = exact_hessian(p, x, et)
     # the closed form's quadratic, shifted to N - alpha I: y^2 + beta y + gamma
     beta, gamma = 2 * alpha - tau, alpha * (alpha - tau) + delta
@@ -481,32 +473,20 @@ def _audit_sample(p: SolutionParams, x, et: float, terms: tuple, sigmas: list) -
         if sigma <= 0:
             raise ConvergenceError(f"exact sigma_{j}(N) is {sigma / power:.17g} D^{j}, not positive")
 
-    lam = [dd.to_float(v) for v in lam_dd]
-    fro = math.sqrt(sum(v * v for v in lam))
-    # the exact eigenvalues as integers over den = 2^(shift + 1) D >= 2^101;
-    # a root's integer is within 1 of den times the root
-    shift = max(0, 100 - scale.bit_length())
-    den, root = scale << (shift + 1), math.isqrt((tau * tau - 4 * delta) << 2 * shift)
-    exact_lam = sorted(
-        [alpha << (shift + 1)] * (n - 2) + [0] * m + [(tau << shift) - root, (tau << shift) + root]
-    )
-    gap = max(_gap(mu, nu, den) for mu, nu in zip(lam_dd, exact_lam))
-    tol = SPECTRUM_AUDIT_REL_TOL * (1.0 + fro)
-    if not gap <= tol:
-        raise ConvergenceError(
-            f"closed-form spectrum disagrees with the exact eigenvalues by {gap:g} "
-            f"(tolerance {tol:g})"
-        )
-    unit = SIGMA_AUDIT_UNITS * len(lam) * 2.0**-104
-    scales = elementary_symmetric([abs(v) for v in lam], count=k)
+    # D^j e_j(|lambda|), or a bound above it: alpha > 0, and the roots of
+    # y^2 - tau y + delta have |mu_1 mu_2| = |delta| and |mu_1| + |mu_2| =
+    # |tau| when they share a sign, their distance sqrt(tau^2 - 4 delta)
+    # otherwise, at most s
+    s = abs(tau) if delta >= 0 else math.isqrt(tau * tau - 4 * delta) + 1
+    unit = SIGMA_AUDIT_UNITS * p.total_dim * 2.0**-104
     for j, (structured, sigma, power, size) in enumerate(
-        zip(sigmas, exact, powers, scales), start=1
+        zip(sigmas, exact, powers, _arrow_sigmas(n, alpha, s, abs(delta), k)), start=1
     ):
-        gap = _gap(structured, sigma, power)
-        if not gap <= unit * size:
+        gap, tol = _gap(structured, sigma, power), unit * (size / power)
+        if not gap <= tol:
             raise ConvergenceError(
                 f"structured sigma_{j} disagrees with the exact sigma_{j}(N) / D^{j} by "
-                f"{gap:g} (tolerance {unit * size:g})"
+                f"{gap:g} (tolerance {tol:g})"
             )
 
 
@@ -577,7 +557,8 @@ def _arrow_sigmas(n: int, alpha: int, tau: int, delta: int, count: int) -> list[
     y^2 - tau y + delta: the coefficients of (1 + alpha y)^(n-2) (1 + tau y +
     delta y^2), as solution.spectrum_dd reads them in double-double; a
     separate loop, so that the audit does not check that kernel by
-    itself."""
+    itself.  Over alpha > 0, |mu_1| + |mu_2| and |delta| they are the scale
+    D^j e_j(|lambda|) of the audit's bound."""
     g, power = [1], 1  # g_j = C(n-2, j) alpha^j
     for j in range(1, count + 1):
         power *= alpha

@@ -5,11 +5,12 @@ The oracles deliberately use the dumbest correct algorithms available
 difference stencils, numpy's iterated differences) so they share no code
 path with the implementations they check.  ``charpoly_sigmas`` is one
 exception, named here as such.  The other is the scan kernel's composition
-(``composed_spectrum_dd``, ``composed_eigenvalues_dd`` and the functions
-they call), which is a reference for bit-for-bit equality, not for
-accuracy, and so calls doubledouble's operations.  A matrix is its rows, as
-in the library: the builders return tuples of float tuples, and the oracles
-take any rows.
+(``composed_spectrum_dd`` and the functions it calls), which is a reference
+for bit-for-bit equality, not for accuracy, and so calls doubledouble's
+operations; ``composed_eigenvalues_dd`` reads the closed-form eigenvalues
+off that composition's terms, for the tests that need them.  A matrix is
+its rows, as in the library: the builders return tuples of float tuples,
+and the oracles take any rows.
 
 ``visible_cpus`` and ``one_cpu`` set the CPUs that ``residual_scan`` sees,
 and so the number of sample ranges it splits a scan into.
@@ -84,14 +85,22 @@ def charpoly_sigmas(m) -> tuple[float, ...]:
 # The scan's double-double kernel as the composition of double-double
 # operations that solution.spectrum_dd writes out in one frame: dd_terms ->
 # spectrum_sigmas_dd -> arrow_sigmas over dd_add, Dekker's TwoProd, the
-# exact scaling mul_pow2, and doubledouble's sub, mul and div; and
-# solution.eigenvalues_dd as composed_eigenvalues_dd, over those and
-# doubledouble's sqrt.  The kernel's terms and sigmas, and the eigenvalues
-# of its terms, are pinned to these bit for bit (test_solution.py), and
-# tests that need the kernel's intermediate terms, or a seam inside it, read
-# them here.  dd_add and sum_squares are pinned to the textbook kernels of
-# test_doubledouble.py, which takes two_prod from here.
+# exact scaling mul_pow2, doubledouble's sub and mul, and the textbook
+# division dd_div.  The kernel's E, terms and sigmas are pinned to these bit
+# for bit (test_solution.py), and tests that need the kernel's intermediate
+# terms, or a seam inside it, read them here.  composed_eigenvalues_dd forms
+# the closed-form eigenvalues from the composition's five terms, with
+# dd_sqrt and dd_div; the library forms none.  dd_add and sum_squares are
+# pinned to the textbook kernels of test_doubledouble.py, which takes
+# two_prod, two_sum, fast_two_sum and mul_f from here and tests dd_div and
+# dd_sqrt against exact oracles.
 _SPLITTER = 134217729.0  # 2**27 + 1
+DD_ZERO = (0.0, 0.0)
+
+
+def to_float(x) -> float:
+    """The double-double (hi, lo) rounded to one float."""
+    return x[0] + x[1]
 
 
 def dd_add(x, y):
@@ -118,10 +127,60 @@ def two_prod(a: float, b: float):
     return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
 
 
+def two_sum(a: float, b: float):
+    """Knuth's exact sum s + e of two floats."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def fast_two_sum(a: float, b: float):
+    """The exact sum s + e of two floats with |a| >= |b|."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def mul_f(x, f: float):
+    """The double-double x times the float f, the product y q that dd_div is
+    composed of."""
+    p, e = two_prod(x[0], f)
+    return fast_two_sum(p, e + x[1] * f)
+
+
+def dd_div(x, y):
+    """The double-double quotient: q1 = xh / yh, r = x - y q1, q2 = rh / yh,
+    r -= y q2, q3 = rh / yh, then q1 + q2 + q3 by two FastTwoSums."""
+    q1 = x[0] / y[0]
+    r = dd.sub(x, mul_f(y, q1))
+    q2 = r[0] / y[0]
+    r = dd.sub(r, mul_f(y, q2))
+    q3 = r[0] / y[0]
+    s, e = fast_two_sum(q1, q2)
+    return fast_two_sum(s, e + q3)
+
+
+def dd_sqrt(x):
+    """The double-double square root: s = sqrt(xh) and one Newton step,
+    s + (x - s^2) / 2s; refuses a negative, nan or non-finite x by name."""
+    xh = x[0]
+    if not xh > 0.0:
+        if xh == 0.0:
+            return DD_ZERO
+        if xh < 0.0:
+            raise ValueError("square root of a negative double-double")
+        raise ValueError(f"square root of a nan double-double {x!r}")
+    s = math.sqrt(xh)
+    r = dd.sub(x, two_prod(s, s))
+    h, e = fast_two_sum(s, (r[0] + r[1]) / (2.0 * s))
+    if h != h:  # an infinite part or a nan lo, or s * s past the largest double
+        raise ValueError(f"square root of a non-finite or out-of-range double-double {x!r}")
+    return h, e
+
+
 def sum_squares(xs):
     """The sum of the squares of the floats xs: r = add(r, TwoProd(v, v))
     from r = ZERO."""
-    r = dd.ZERO
+    r = DD_ZERO
     for v in xs:
         r = dd_add(r, two_prod(v, v))
     return r
@@ -141,7 +200,7 @@ def dd_terms(p, x, t: float):
     for _ in range(p.k - 2):
         et_powers.append(dd.mul(et_powers[-1], et))
     _check_radius(p, max(map(abs, x)), et[0], 1.0 / et_powers[-1][0], (x, t))
-    e_decay = dd.div(dd.ONE, et_powers[-1])
+    e_decay = dd_div(dd.ONE, et_powers[-1])
     h2 = dd_add(dd.mul(p.h2_decay_dd, e_decay), dd.mul(p.h2_growth_dd, et))
     return et_powers, h2, dd.mul(sum_squares(x), et)
 
@@ -159,15 +218,17 @@ def spectrum_sigmas_dd(p, terms):
     return (a, tr, det, d, r2et), arrow_sigmas(p.arrow_binomials_dd, powers, tr, det)
 
 
-def composed_eigenvalues_dd(p, terms):
-    """solution.eigenvalues_dd(p, terms) as the composition: the larger root
-    tr/2 + sqrt(((a - d)/2)^2 + |c|^2), det over it, a and the zeros,
-    ascending."""
-    a, tr, det, d, r2et = terms
+def composed_eigenvalues_dd(p, x, t: float):
+    """The closed-form eigenvalues at (x, t) from the composition's terms
+    (a, tr, det, d, r^2 e^t), ascending: the larger root
+    tr/2 + sqrt(((a - d)/2)^2 + |c|^2), det over it, a and the zeros.  The
+    larger root is a sum of two terms >= 0 and the smaller det / larger, so
+    neither cancels."""
+    a, tr, det, d, r2et = spectrum_sigmas_dd(p, dd_terms(p, x, t))[0]
     half_gap = mul_pow2(dd.sub(a, d), 0.5)
     c2 = dd.mul(a, mul_pow2(r2et, 2.0))  # |c|^2 = 4 r^2 e^(2t)
-    larger = dd_add(mul_pow2(tr, 0.5), dd.sqrt(dd_add(dd.mul(half_gap, half_gap), c2)))
-    values = [dd.div(det, larger), larger] + [a] * (p.n_base - 2) + [dd.ZERO] * p.m
+    larger = dd_add(mul_pow2(tr, 0.5), dd_sqrt(dd_add(dd.mul(half_gap, half_gap), c2)))
+    values = [dd_div(det, larger), larger] + [a] * (p.n_base - 2) + [DD_ZERO] * p.m
     values.sort()
     return values
 
@@ -183,12 +244,13 @@ def arrow_sigmas(binomials, powers, tr, det):
 
 
 def composed_spectrum_dd(p, x, t: float):
-    """solution.spectrum_dd(p, x, t) as the composition: (E, terms, sigmas).
-    The module globals it calls are looked up at call time, so a test may
-    patch dd_terms or arrow_sigmas here and pass this function to the scan
-    in the kernel's place."""
+    """solution.spectrum_dd(p, x, t) as the composition: (E, (a, tr, det),
+    sigmas).  The module globals it calls are looked up at call time, so a
+    test may patch dd_terms or arrow_sigmas here and pass this function to
+    the scan in the kernel's place."""
     terms = dd_terms(p, x, t)
-    return (terms[0][0][0], *spectrum_sigmas_dd(p, terms))
+    five, sigmas = spectrum_sigmas_dd(p, terms)
+    return terms[0][0][0], five[:3], sigmas
 
 
 def dd_hessian(p, pt):
@@ -198,7 +260,7 @@ def dd_hessian(p, pt):
     et_powers, h2, r2et = dd_terms(p, pt.x, pt.t)
     et = et_powers[0]
     nx, dim = p.n_base - 1, p.total_dim
-    rows = [[dd.ZERO] * dim for _ in range(dim)]
+    rows = [[DD_ZERO] * dim for _ in range(dim)]
     for i, v in enumerate(pt.x):
         rows[i][i] = mul_pow2(et, 2.0)
         rows[i][nx] = rows[nx][i] = dd.mul(et, (2.0 * v, 0.0))

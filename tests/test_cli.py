@@ -620,12 +620,12 @@ class TestJacobiFailureExits2:
     def test_scan_names_the_sample(self, capsys, monkeypatch):
         from sigmak import verify
 
-        monkeypatch.setattr(verify, "SPECTRUM_AUDIT_REL_TOL", -1.0)
+        monkeypatch.setattr(verify, "SIGMA_AUDIT_UNITS", -1.0)
         assert run(["verify", "-n", "3", "--samples", "3", "--seed", "0"]) == 2
         out = capsys.readouterr()
         assert out.out == ""
         assert "sigmak: numerical failure: sample 0 at " in out.err, out.err
-        assert "closed-form spectrum disagrees with the exact eigenvalues by " in out.err
+        assert "structured sigma_1 disagrees with the exact sigma_1(N) / D^1 by " in out.err
 
 
 # The n = 3 solution Hessian at x = (1.25, -0.5), t = 0.3, as eval computes it.

@@ -8,7 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dd_add, mul_pow2, sum_squares, two_prod
+from conftest import (
+    DD_ZERO,
+    dd_add,
+    dd_div,
+    dd_sqrt,
+    fast_two_sum,
+    mul_f,
+    mul_pow2,
+    sum_squares,
+    to_float,
+    two_prod,
+    two_sum,
+)
 from sigmak import doubledouble as dd
 
 getcontext().prec = 60
@@ -28,72 +40,35 @@ def random_value(rng: random.Random) -> dd.DD:
     return dd_add((lo, 0.0), (hi, 0.0))
 
 
-# The textbook compositions: Knuth's TwoSum, FastTwoSum and Dekker's TwoProd
-# (conftest's two_prod) as functions, and each operation built from them.
-# doubledouble writes these error-free transformations out inside every
-# operation, one Python frame per call, and so does conftest's dd_add, the
-# add of the scan kernel's test composition; TestTextbookKernels holds them,
-# and that composition's sum_squares, to these results bit for bit.
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _fast_two_sum(a, b):
-    s = a + b
-    return s, b - (s - a)
-
-
+# The textbook compositions: each operation built from Knuth's TwoSum,
+# FastTwoSum and Dekker's TwoProd as functions (conftest's two_sum,
+# fast_two_sum and two_prod).  doubledouble writes these error-free
+# transformations out inside every operation, one Python frame per call, and
+# so does conftest's dd_add, the add of the scan kernel's test composition;
+# TestTextbookKernels holds them, and that composition's sum_squares, to these
+# results bit for bit.  The composition's division and square root, conftest's
+# dd_div and dd_sqrt, are textbook compositions themselves; TestExactOracles
+# and TestRepresentation check them.
 def _ref_add(x, y):
-    s, e = _two_sum(x[0], y[0])
+    s, e = two_sum(x[0], y[0])
     e += x[1] + y[1]
-    return _fast_two_sum(s, e)
+    return fast_two_sum(s, e)
 
 
 def _ref_sub(x, y):
-    s, e = _two_sum(x[0], -y[0])
+    s, e = two_sum(x[0], -y[0])
     e += x[1] - y[1]
-    return _fast_two_sum(s, e)
+    return fast_two_sum(s, e)
 
 
 def _ref_mul(x, y):
     p, e = two_prod(x[0], y[0])
     e += x[0] * y[1] + x[1] * y[0]
-    return _fast_two_sum(p, e)
-
-
-def _ref_mul_f(x, f):
-    # the product y q that div is composed of
-    p, e = two_prod(x[0], f)
-    return _fast_two_sum(p, e + x[1] * f)
-
-
-def _ref_div(x, y):
-    q1 = x[0] / y[0]
-    r = _ref_sub(x, _ref_mul_f(y, q1))
-    q2 = r[0] / y[0]
-    r = _ref_sub(r, _ref_mul_f(y, q2))
-    q3 = r[0] / y[0]
-    s, e = _fast_two_sum(q1, q2)
-    return _fast_two_sum(s, e + q3)
-
-
-def _ref_sqrt(x):
-    if x[0] == 0.0:
-        return dd.ZERO
-    if x[0] < 0.0:
-        raise ValueError("square root of a negative double-double")
-    s = math.sqrt(x[0])
-    r = _ref_sub(x, two_prod(s, s))
-    h, e = _fast_two_sum(s, (r[0] + r[1]) / (2.0 * s))
-    if h != h:
-        raise ValueError("square root of a non-finite or out-of-range double-double")
-    return h, e
+    return fast_two_sum(p, e)
 
 
 def _ref_sum_squares(xs):
-    r = dd.ZERO
+    r = DD_ZERO
     for v in xs:
         r = _ref_add(r, two_prod(v, v))
     return r
@@ -106,18 +81,12 @@ def _kernel_cases(x, y, f, z, w):
         (dd.sub, _ref_sub, (x, y)),
         (dd.mul, _ref_mul, (x, y)),
         (dd.mul, _ref_mul, (x, (f, 0.0))),
-        (dd.div, _ref_div, (x, y)),
-        (dd.sqrt, _ref_sqrt, (x,)),
-        (dd.sqrt, _ref_sqrt, ((-x[0], -x[1]),)),
         (sum_squares, _ref_sum_squares, ((x[0], f, y[1], z[0], w[0], y[0]),)),
     )
 
 
 def _outcome(op, args):
-    try:
-        value = op(*args)
-    except (ZeroDivisionError, ValueError) as exc:
-        return type(exc)
+    value = op(*args)
     # past SPLIT_MAX a split overflows into inf - inf; the sign of a nan made
     # from two nans is not reproducible in CPython, so a nan part compares as
     # "nan" and every other part by its bytes
@@ -145,12 +114,12 @@ def _random_pair(rng: random.Random) -> dd.DD:
         return (hi, 0.0)
     if u < 0.3:
         return (hi, _random_double(rng))  # any two doubles, normalized or not
-    return _fast_two_sum(hi, hi * rng.uniform(-(2.0**-53), 2.0**-53))
+    return fast_two_sum(hi, hi * rng.uniform(-(2.0**-53), 2.0**-53))
 
 
 def _normalized_pairs(his):
     return st.builds(
-        lambda hi, t: _fast_two_sum(hi, hi * t * 2.0**-53), his, st.floats(-1.0, 1.0)
+        lambda hi, t: fast_two_sum(hi, hi * t * 2.0**-53), his, st.floats(-1.0, 1.0)
     )
 
 
@@ -179,20 +148,16 @@ class TestTextbookKernels:
         # may change sign), and sub(x, ONE) is the float sum x + (-1.0) bit
         # for bit: the scan's e^t products and its residual sigma_k - 1
         def value(op, args):
-            try:
-                hi, lo = op(*args)
-            except (ZeroDivisionError, ValueError) as exc:
-                return type(exc)
-            return tuple("nan" if part != part else part for part in (hi, lo))
+            return tuple("nan" if part != part else part for part in op(*args))
 
         def add_float(x, f):
-            s, e = _two_sum(x[0], f)
-            return _fast_two_sum(s, e + x[1])
+            s, e = two_sum(x[0], f)
+            return fast_two_sum(s, e + x[1])
 
         rng = random.Random(2027)
         for _ in range(20_000):
             x, f = _random_pair(rng), _random_double(rng)
-            assert value(dd.mul, (x, (f, 0.0))) == value(_ref_mul_f, (x, f)), (x, f)
+            assert value(dd.mul, (x, (f, 0.0))) == value(mul_f, (x, f)), (x, f)
             assert _outcome(dd.sub, (x, dd.ONE)) == _outcome(add_float, (x, -1.0)), x
 
 
@@ -219,7 +184,7 @@ class TestExactOracles:
                 got = as_fraction(op(x, z))
                 assert abs(got - ref) <= Fraction(1, 10**29) * (1 + abs(ref)), op.__name__
             if fy:
-                got = as_fraction(dd.div(x, y))
+                got = as_fraction(dd_div(x, y))
                 ref = fx / fy
                 assert abs(got - ref) <= Fraction(1, 10**29) * (1 + abs(ref))
 
@@ -239,14 +204,14 @@ class TestExactOracles:
         rng = random.Random(3)
         for _ in range(100):
             x = dd.mul((rng.uniform(0.001, 1000.0), 0.0), (rng.uniform(0.001, 1000.0), 0.0))
-            got = as_decimal(dd.sqrt(x))
+            got = as_decimal(dd_sqrt(x))
             ref = as_decimal(x).sqrt()
             assert abs(got - ref) <= Decimal("1e-28") * (1 + ref)
 
     @pytest.mark.parametrize(
         "op, x, what",
         [
-            (dd.sqrt, (math.nan, 0.0), "nan double-double"),
+            (dd_sqrt, (math.nan, 0.0), "nan double-double"),
         ],
         ids=["sqrt-nan-hi"],
     )
@@ -262,17 +227,17 @@ class TestExactOracles:
     )
     def test_sqrt_of_non_finite_is_refused_by_name(self, x):
         with pytest.raises(ValueError, match="non-finite or out-of-range double-double") as info:
-            dd.sqrt(x)
+            dd_sqrt(x)
         assert repr(x) in str(info.value)
 
 
 class TestRepresentation:
     def test_sqrt_rejects_negative(self):
         with pytest.raises(ValueError):
-            dd.sqrt(dd.from_float(-1.0))
+            dd_sqrt(dd.from_float(-1.0))
 
     def test_sqrt_of_zero(self):
-        assert dd.sqrt(dd.ZERO) == dd.ZERO
+        assert dd_sqrt(DD_ZERO) == DD_ZERO
 
     def test_components_stay_normalized(self):
         rng = random.Random(12)
@@ -281,7 +246,7 @@ class TestRepresentation:
             y = random_value(rng)
             positive = x if x[0] >= 0.0 else (-x[0], -x[1])
             for value in (
-                dd_add(x, y), dd.sub(x, y), dd.mul(x, y), dd.div(x, y), dd.sqrt(positive),
+                dd_add(x, y), dd.sub(x, y), dd.mul(x, y), dd_div(x, y), dd_sqrt(positive),
             ):
                 hi, lo = value
                 if hi != 0.0:
@@ -293,4 +258,4 @@ class TestRepresentation:
         assert as_fraction(doubled) == as_fraction(x) * 2
 
     def test_to_float_collapses(self):
-        assert dd.to_float(dd.mul((3.0, 0.0), (1.0 / 3.0, 0.0))) == pytest.approx(1.0)
+        assert to_float(dd.mul((3.0, 0.0), (1.0 / 3.0, 0.0))) == pytest.approx(1.0)

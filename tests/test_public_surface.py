@@ -75,6 +75,12 @@ REMOVED = [
     ("sigmak.symfunc", "symmetrized"),
     ("sigmak.symfunc", "_mean"),
     ("sigmak.symfunc", "SYMMETRY_TOL"),
+    ("sigmak.solution", "eigenvalues_dd"),
+    ("sigmak.doubledouble", "div"),
+    ("sigmak.doubledouble", "sqrt"),
+    ("sigmak.doubledouble", "ZERO"),
+    ("sigmak.doubledouble", "to_float"),
+    ("sigmak.verify", "SPECTRUM_AUDIT_REL_TOL"),
 ]
 
 BENCHMARK_NAMES = [

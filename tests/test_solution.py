@@ -14,13 +14,13 @@ from conftest import (
     dd_hessian,
     dd_terms,
     sigma_brute,
+    to_float,
 )
 from sigmak.solution import (
     Point,
     SolutionParams,
     cancellation_coefficient,
     derive_constants,
-    eigenvalues_dd,
     eval_jet,
     exact_hessian,
     h_formula,
@@ -320,13 +320,13 @@ class TestHessianDD:
         hdd = dd_hessian(p, pt)
         for i in range(5):
             for j in range(5):
-                assert dd.to_float(hdd[i][j]) == pytest.approx(hfloat[i][j], rel=1e-14, abs=1e-14)
+                assert to_float(hdd[i][j]) == pytest.approx(hfloat[i][j], rel=1e-14, abs=1e-14)
 
     def test_residual_is_tiny_in_dd(self):
         p = derive_constants(7)
         pt = Point(x=(3.0,) * 6, t=2.0)
         _, _, sigmas = spectrum_dd(p, pt.x, pt.t)
-        assert abs(dd.to_float(dd.sub(sigmas[3], dd.ONE))) < 1e-20
+        assert abs(to_float(dd.sub(sigmas[3], dd.ONE))) < 1e-20
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
     def test_h2_against_decimal(self, n):
@@ -421,23 +421,23 @@ class TestExactHessian:
 
 
 def _fro(values) -> float:
-    return math.sqrt(sum(dd.to_float(v) ** 2 for v in values))
+    return math.sqrt(sum(to_float(v) ** 2 for v in values))
 
 
 class TestSpectrumDD:
-    """The closed-form spectrum against the scan's exact audit at the same
-    point (the integer Hessian's spectrum, then the double-double values
-    within the audit's bounds) and numpy's eigvalsh of the float Hessian."""
+    """The closed-form eigenvalues of the kernel's composition (conftest's
+    composed_eigenvalues_dd) against numpy's eigvalsh of the float Hessian,
+    at points where the scan's exact audit passes the kernel's sigmas."""
 
     def assert_matches_oracles(self, p, pt):
-        et, terms, sigmas = spectrum_dd(p, pt.x, pt.t)
-        lam = eigenvalues_dd(p, terms)
+        et, _, sigmas = spectrum_dd(p, pt.x, pt.t)
+        lam = composed_eigenvalues_dd(p, pt.x, pt.t)
         assert len(lam) == p.total_dim
         assert lam == sorted(lam)
         fro = _fro(lam)
-        _audit_sample(p, list(pt.x), et, terms, sigmas)
+        _audit_sample(p, list(pt.x), et, sigmas)
         by_numpy = np.linalg.eigvalsh(eval_jet(p, pt).hessian)
-        gaps = [abs(dd.to_float(x) - y) for x, y in zip(lam, by_numpy)]
+        gaps = [abs(to_float(x) - y) for x, y in zip(lam, by_numpy)]
         assert max(gaps) <= 1e-14 * (1.0 + fro)
         return lam, by_numpy
 
@@ -459,7 +459,7 @@ class TestSpectrumDD:
             a = 2.0 * math.exp(t)
             d = h_jet(p, t, 2)
             expected = sorted([a] * (n - 1) + [d, 0.0])
-            assert [dd.to_float(v) for v in lam] == pytest.approx(expected, rel=1e-14, abs=1e-14)
+            assert [to_float(v) for v in lam] == pytest.approx(expected, rel=1e-14, abs=1e-14)
 
     def test_equal_diagonal_gives_a_plus_minus_c(self):
         # n = 3, t = 0: d = r^2 + h''(0) = r^2 - 3/4 equals a = 2 at r^2 = 11/4;
@@ -468,7 +468,7 @@ class TestSpectrumDD:
         pt = Point(x=(math.sqrt(2.75), 0.0), t=0.0)
         lam, _ = self.assert_matches_oracles(p, pt)
         c = 2.0 * math.sqrt(2.75)
-        assert [dd.to_float(v) for v in lam] == pytest.approx([2.0 - c, 2.0, 2.0 + c], rel=1e-14)
+        assert [to_float(v) for v in lam] == pytest.approx([2.0 - c, 2.0, 2.0 + c], rel=1e-14)
 
     @pytest.mark.parametrize("n", [3, 7, 11])
     @pytest.mark.parametrize("t", [-2.0, 2.0])
@@ -477,9 +477,9 @@ class TestSpectrumDD:
         pt = Point(x=(3.0, -3.0) * ((n - 1) // 2), t=t)
         lam, _ = self.assert_matches_oracles(p, pt)
         sigma_k = elementary_symmetric(lam, dd_add, dd.mul)[p.k - 1]
-        assert abs(dd.to_float(dd.sub(sigma_k, dd.ONE))) < 1e-20
+        assert abs(to_float(dd.sub(sigma_k, dd.ONE))) < 1e-20
         _, _, sigmas = spectrum_dd(p, pt.x, pt.t)
-        assert abs(dd.to_float(dd.sub(sigmas[p.k - 1], dd.ONE))) < 1e-20
+        assert abs(to_float(dd.sub(sigmas[p.k - 1], dd.ONE))) < 1e-20
 
     def test_negative_determinant_root(self):
         # n = 3, t = 0.5, x = (1, 0): h'' - r^2 e^t < 0, so det < 0 and the
@@ -490,16 +490,16 @@ class TestSpectrumDD:
         det = 2.0 * et * h_jet(p, 0.5, 2) - 2.0 * et * et
         assert det < 0.0
         lam, by_numpy = self.assert_matches_oracles(p, pt)
-        assert dd.to_float(lam[0]) < 0.0
-        assert dd.to_float(lam[0]) * dd.to_float(lam[-1]) == pytest.approx(det, rel=1e-14)
-        negatives = sum(dd.to_float(v) < 0.0 for v in lam)
+        assert to_float(lam[0]) < 0.0
+        assert to_float(lam[0]) * to_float(lam[-1]) == pytest.approx(det, rel=1e-14)
+        negatives = sum(to_float(v) < 0.0 for v in lam)
         assert negatives == sum(v < 0.0 for v in by_numpy) == 1
 
 
 class TestArrowSigmas:
     """The structured sigma_1..sigma_k of spectrum_dd against the e_j
-    recurrence over the same closed-form eigenvalues, within the scan audit's
-    bound SIGMA_AUDIT_UNITS * d * 2^-104 * e_j(|lambda|)."""
+    recurrence over the closed-form eigenvalues of its composition, within
+    the scan audit's bound SIGMA_AUDIT_UNITS * d * 2^-104 * e_j(|lambda|)."""
 
     @pytest.mark.parametrize("m", [0, 2])
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
@@ -509,14 +509,14 @@ class TestArrowSigmas:
         unit = SIGMA_AUDIT_UNITS * p.total_dim * 2.0**-104
         for i in range(box.count):
             pt = sample_point(p, box, i)
-            _, terms, sigmas = spectrum_dd(p, pt.x, pt.t)
-            lam = eigenvalues_dd(p, terms)
+            _, _, sigmas = spectrum_dd(p, pt.x, pt.t)
+            lam = composed_eigenvalues_dd(p, pt.x, pt.t)
             assert len(sigmas) == p.k
             by_recurrence = elementary_symmetric(lam, dd_add, dd.mul)
-            scales = elementary_symmetric([abs(dd.to_float(v)) for v in lam])
+            scales = elementary_symmetric([abs(to_float(v)) for v in lam])
             for x, y, scale in zip(sigmas, by_recurrence, scales):
-                assert abs(dd.to_float(dd.sub(x, y))) <= unit * scale
-            assert abs(dd.to_float(dd.sub(sigmas[-1], dd.ONE))) < 1e-20
+                assert abs(to_float(dd.sub(x, y))) <= unit * scale
+            assert abs(to_float(dd.sub(sigmas[-1], dd.ONE))) < 1e-20
 
     @pytest.mark.parametrize("n", [3, 5, 9])
     def test_exact_on_exact_inputs(self, n):
@@ -529,7 +529,7 @@ class TestArrowSigmas:
         tr, det = dd.from_float(float(sum(mu))), dd.from_float(float(mu[0] * mu[1]))
         sigmas = arrow_sigmas(p.arrow_binomials_dd, powers, tr, det)
         want = elementary_symmetric([a] * (n - 2) + list(mu))[: p.k]
-        assert [dd.to_float(v) for v in sigmas] == want
+        assert [to_float(v) for v in sigmas] == want
         assert all(v[1] == 0.0 for v in sigmas)
 
     def test_binomials_are_exact(self):
@@ -543,18 +543,16 @@ class TestArrowSigmas:
 
 class TestKernelPin:
     """spectrum_dd is conftest's composition dd_terms -> spectrum_sigmas_dd ->
-    arrow_sigmas written out in one frame, and eigenvalues_dd is
-    composed_eigenvalues_dd: the same E, terms, sigmas and eigenvalues,
+    arrow_sigmas written out in one frame: the same E, terms and sigmas,
     float.hex for float.hex, and the same guard errors, by type and message."""
 
     @staticmethod
-    def outcome(kernel, roots, p, x, t):
+    def outcome(kernel, p, x, t):
         try:
             et, terms, sigmas = kernel(p, list(x), t)
-            lam = roots(p, terms)
         except (OverflowError, ZeroDivisionError, ValueError) as exc:
             return type(exc), str(exc)
-        return et.hex(), [tuple(map(float.hex, v)) for v in [*terms, *sigmas, *lam]]
+        return et.hex(), [tuple(map(float.hex, v)) for v in [*terms, *sigmas]]
 
     @staticmethod
     def samples(p, box):
@@ -562,8 +560,8 @@ class TestKernelPin:
 
     def assert_pinned(self, p, points):
         for x, t in points:
-            want = self.outcome(composed_spectrum_dd, composed_eigenvalues_dd, p, x, t)
-            got = self.outcome(spectrum_dd, eigenvalues_dd, p, x, t)
+            want = self.outcome(composed_spectrum_dd, p, x, t)
+            got = self.outcome(spectrum_dd, p, x, t)
             assert got == want, (p.n_base, p.m, x, t)
 
     @pytest.mark.parametrize("m", [0, 1, 2])

@@ -252,6 +252,18 @@ class TestRotatedHessian:
         assert m[1][2] == {}
         assert m[2][5] == {}
 
+    @pytest.mark.parametrize("n_base, k, shown", [
+        (3, True, "k must be an integer, got True"),
+        (3, 2.0, r"k must be an integer, got 2\.0"),
+        (3.0, 2, r"n_base must be an integer, got 3\.0"),
+    ], ids=["bool-k", "float-k", "float-n"])
+    def test_a_non_integer_is_refused_by_name(self, n_base, k, shown):
+        # a bool k would build a k = 1 Hessian, a float k would put float
+        # exponents into the SymExpr keys, and a float n_base would fail
+        # deep inside with a TypeError
+        with pytest.raises(ValueError, match=f"^{shown}$"):
+            rotated_hessian_from_constants(n_base, k, 4, 4)
+
 
 class TestCancellation:
     @pytest.mark.parametrize("n,k", [(5, 2), (5, 3), (7, 3), (7, 4), (9, 5), (9, 4)])

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    DD_ZERO,
     charpoly_sigmas,
     dd_add,
+    dd_div,
     diagonal,
     e_brute,
     frobenius_norm,
@@ -18,6 +20,7 @@ from conftest import (
     random_symmetric,
     rotate_exactly_symmetric,
     sigma_minors,
+    to_float,
 )
 from sigmak import cli
 from sigmak import doubledouble as dd
@@ -149,31 +152,6 @@ class TestSymmetricMatrix:
             cli._read_matrix_file(str(path))
 
 
-class TestElementarySymmetricCount:
-    """With a count the recurrence keeps e_1..e_count, each the value the
-    full recurrence gives, bit for bit."""
-
-    def test_prefix_on_floats_fractions_and_dd(self):
-        rng = random.Random(53)
-        for _ in range(40):
-            vals = [rng.uniform(-4.0, 4.0) for _ in range(rng.randrange(1, 12))]
-            rings = (
-                (vals, operator.add, operator.mul),
-                ([Fraction(v) for v in vals], operator.add, operator.mul),
-                ([dd_add(dd.mul((v, 0.0), (v, 0.0)), (v * 1e-17, 0.0)) for v in vals],
-                 dd_add, dd.mul),
-            )
-            for values, add, mul in rings:
-                full = elementary_symmetric(values, add, mul)
-                for c in range(1, len(values) + 2):
-                    assert elementary_symmetric(values, add, mul, c) == full[:c]
-
-    @pytest.mark.parametrize("count", [0, -1, 2.5, True])
-    def test_bad_count_refused(self, count):
-        with pytest.raises(ValueError, match=f"count must be a positive integer, got {count!r}"):
-            elementary_symmetric([1.0, 2.0], count=count)
-
-
 class TestSigmaViaMinors:
     """Value pins of the tests' principal-minor sum, conftest.sigma_minors."""
 
@@ -248,7 +226,7 @@ class TestFaddeevLeverrierInput:
         "float": (float, operator.add, operator.mul, operator.truediv, 0.0),
         "int": (int, operator.add, operator.mul, exact_div, 0),
         "double-double": (
-            dd.from_float, dd_add, dd.mul, lambda x, j: dd.div(x, dd.from_float(j)), dd.ZERO,
+            dd.from_float, dd_add, dd.mul, lambda x, j: dd_div(x, dd.from_float(j)), DD_ZERO,
         ),
         "SymExpr": (
             sym_const, sym_add, sym_mul, lambda e, j: sym_scale(e, Fraction(1, j)), {},
@@ -307,13 +285,13 @@ class TestFaddeevLeverrierZeroTest:
 
         by_dd = symfunc.faddeev_leverrier(
             [[dd.from_float(v) for v in row] for row in floats],
-            dd_add, counted_mul, lambda x, j: dd.div(x, dd.from_float(j)), dd.ZERO,
+            dd_add, counted_mul, lambda x, j: dd_div(x, dd.from_float(j)), DD_ZERO,
             count=p.k,
         )
         assert len(dd_products) == len(products) > 0
         fro = math.hypot(*(v for row in floats for v in row))
         for j, (x, y) in enumerate(zip(by_dd, by_float), start=1):
-            assert abs(dd.to_float(x) - y) <= 1e-13 * (1.0 + fro) ** j
+            assert abs(to_float(x) - y) <= 1e-13 * (1.0 + fro) ** j
 
 
 class TestEigenvalues:
@@ -391,7 +369,7 @@ class TestCrossAlgorithmInvariants:
 class TestDoubleDoubleVariants:
     def test_dd_elementary_symmetric_exact(self):
         vals = [dd.from_float(v) for v in (2.0, 2.0, -0.75)]
-        out = [dd.to_float(v) for v in elementary_symmetric(vals, dd_add, dd.mul)]
+        out = [to_float(v) for v in elementary_symmetric(vals, dd_add, dd.mul)]
         assert out == [3.25, 1.0, -3.0]
 
     def test_dd_elementary_symmetric_matches_exact_recurrence(self):
@@ -411,7 +389,7 @@ class TestDoubleDoubleVariants:
         for _ in range(500):
             vals = [dd_add(dd.mul((rng.uniform(-9, 9), 0.0), (rng.uniform(-9, 9), 0.0)),
                            (rng.uniform(-1e-17, 1e-17), 0.0)) for _ in range(rng.randrange(1, 12))]
-            e = [dd.ONE] + [dd.ZERO] * len(vals)
+            e = [dd.ONE] + [DD_ZERO] * len(vals)
             for i, v in enumerate(vals, start=1):
                 for j in range(i, 0, -1):
                     e[j] = dd_add(e[j], dd.mul(v, e[j - 1]))

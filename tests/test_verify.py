@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     central_hessian,
     charpoly_sigmas,
+    composed_eigenvalues_dd,
     dd_add,
     dd_hessian,
     fd_hessian,
@@ -18,12 +19,12 @@ from conftest import (
     nonpoly_witness,
     sigma_brute,
     sigma_minors,
+    to_float,
 )
 from sigmak.solution import (
     Point,
     SolutionParams,
     derive_constants,
-    eigenvalues_dd,
     eval_jet,
     spectrum_dd,
 )
@@ -218,9 +219,9 @@ class TestResidualScan:
         from sigmak import verify
         from sigmak.errors import ConvergenceError
 
-        monkeypatch.setattr(verify, "SPECTRUM_AUDIT_REL_TOL", -1.0)
+        monkeypatch.setattr(verify, "SIGMA_AUDIT_UNITS", -1.0)
         first = sample_point(P3, BOX, 0)
-        with pytest.raises(ConvergenceError, match="closed-form spectrum disagrees") as info:
+        with pytest.raises(ConvergenceError, match="structured sigma_1 disagrees") as info:
             residual_scan(P3, dataclasses.replace(BOX, count=3))
         assert str(info.value).startswith(f"sample 0 at {first}: ")
 
@@ -231,37 +232,39 @@ class TestResidualScan:
 
 
 class TestSpectrumAudit:
-    """The scan's closed-form spectrum and sigmas are checked exactly, at the
-    sample's own point, on every AUDIT_STRIDE-th sample, in any dimension."""
+    """The scan's closed-form sigmas are checked exactly, at the sample's own
+    point, on every AUDIT_STRIDE-th sample, in any dimension."""
 
     @staticmethod
     def shifted_spectrum(monkeypatch, first_shifted, rel_shift):
         # from kernel call number first_shifted on, move the largest
         # eigenvalue by rel_shift * (1 + ||M||_F) and return the sigmas of
         # the moved spectrum, as a closed form with that eigenvalue wrong
-        # throughout; the audit reads the moved eigenvalues of those terms
+        # throughout
         from sigmak import doubledouble as dd
         from sigmak import verify
         from sigmak.symfunc import elementary_symmetric
 
-        calls, moved = [], {}
-        kernel, roots = verify.spectrum_dd, verify.eigenvalues_dd
+        calls = []
+        kernel = verify.spectrum_dd
 
         def shifted(p, x, t):
             et, terms, sigmas = kernel(p, x, t)
             if len(calls) >= first_shifted:
-                lam = roots(p, terms)
-                fro = math.sqrt(sum(dd.to_float(v) ** 2 for v in lam))
+                lam = composed_eigenvalues_dd(p, x, t)
+                fro = math.sqrt(sum(to_float(v) ** 2 for v in lam))
                 lam[-1] = dd_add(lam[-1], (rel_shift * (1.0 + fro), 0.0))
                 sigmas = elementary_symmetric(lam, dd_add, dd.mul)[: p.k]
-                moved[terms] = lam
             calls.append(t)
             return et, terms, sigmas
 
         monkeypatch.setattr(verify, "spectrum_dd", shifted)
-        monkeypatch.setattr(
-            verify, "eigenvalues_dd", lambda p, terms: moved.get(terms) or roots(p, terms)
-        )
+
+    @staticmethod
+    def gap_and_tolerance(text):
+        # the gap and the tolerance that a failed sigma check names
+        found = re.search(r"by (\S+) \(tolerance (\S+)\)$", text)
+        return float(found[1]), float(found[2])
 
     @pytest.mark.usefixtures("one_cpu")
     @pytest.mark.parametrize("first_shifted", [0, 100])
@@ -271,28 +274,33 @@ class TestSpectrumAudit:
         self.shifted_spectrum(monkeypatch, first_shifted, 1e-20)
         named = sample_point(P3, BOX, first_shifted)
         with pytest.raises(
-            ConvergenceError, match="closed-form spectrum disagrees with the exact eigenvalues"
+            ConvergenceError, match=r"structured sigma_\d+ disagrees with the exact sigma_"
         ) as info:
             residual_scan(P3, dataclasses.replace(BOX, count=250))
         assert str(info.value).startswith(f"sample {first_shifted} at {named}: ")
+        # sigma_1 moves by 1e-20 (1 + ||M||_F) against ~1e-30 e_1(|lambda|)
+        gap, tol = self.gap_and_tolerance(str(info.value))
+        assert gap > 1e9 * tol
 
     @pytest.mark.usefixtures("one_cpu")
     @pytest.mark.parametrize("n", [3, 13])
     def test_a_shift_below_the_spectrum_tolerance_fails_the_sigmas(
         self, monkeypatch, n
     ):
-        # a tenth of the eigenvalues' tolerance passes their comparison; the
-        # sigmas of the moved spectrum miss the exact sigma_j(N) / D^j
+        # 1e-27 relative, a tenth of the 1e-26 that the eigenvalues were once
+        # compared within: the sigmas of the moved spectrum still miss the
+        # exact sigma_j(N) / D^j
         from sigmak.errors import ConvergenceError
-        from sigmak.verify import SPECTRUM_AUDIT_REL_TOL
 
         p = derive_constants(n)
-        self.shifted_spectrum(monkeypatch, 0, SPECTRUM_AUDIT_REL_TOL / 10.0)
+        self.shifted_spectrum(monkeypatch, 0, 1e-27)
         with pytest.raises(
             ConvergenceError, match=r"structured sigma_\d+ disagrees with the exact sigma_"
         ) as info:
             residual_scan(p, dataclasses.replace(BOX, count=3))
         assert str(info.value).startswith(f"sample 0 at {sample_point(p, BOX, 0)}: ")
+        gap, tol = self.gap_and_tolerance(str(info.value))
+        assert gap > 10.0 * tol
 
     @staticmethod
     def count_calls(monkeypatch, name, module=None):
@@ -319,16 +327,27 @@ class TestSpectrumAudit:
         assert (len(hessians), len(spectra)) == (10, 10)
 
     @pytest.mark.usefixtures("one_cpu")
-    def test_the_roots_only_on_audited_samples(self, monkeypatch):
-        # every sample takes the kernel; only the audited ones take the
-        # roots, and with them the double-double sqrt and div
-        from sigmak import doubledouble as dd
+    def test_the_audit_forms_no_roots(self, monkeypatch):
+        # the audit reads the kernel's E and sigmas, not its terms, and takes
+        # no float square root: the scan's one per sample is fro's
+        from sigmak import verify
 
-        calls = [self.count_calls(monkeypatch, name) for name in ("spectrum_dd", "eigenvalues_dd")]
-        calls += [self.count_calls(monkeypatch, name, dd) for name in ("sqrt", "div")]
+        roots = []
+
+        def sqrt(value):
+            roots.append(value)
+            return math.sqrt(value)
+
+        names = {name: getattr(math, name) for name in dir(math) if not name.startswith("_")}
+        monkeypatch.setattr(verify, "math", types.SimpleNamespace(**{**names, "sqrt": sqrt}))
+        kernels = self.count_calls(monkeypatch, "spectrum_dd")
+        audits = self.count_calls(monkeypatch, "_audit_sample")
         residual_scan(P3, BOX)
         assert BOX.count == 1000
-        assert [len(c) for c in calls] == [1000, 10, 10, 10]
+        assert (len(kernels), len(audits), len(roots)) == (1000, 10, 1000)
+        for args, kwargs in audits:
+            et, sigmas = args[2:]
+            assert not kwargs and type(et) is float and len(sigmas) == P3.k
 
     @pytest.mark.usefixtures("one_cpu")
     def test_one_exponential_per_sample(self, monkeypatch):
@@ -400,6 +419,51 @@ class TestSpectrumAudit:
             assert all(type(v) is int for row in rows for v in row)
 
 
+class TestAuditScale:
+    """The scale e_j(|lambda|) of the audit's sigma bound, which the audit
+    reads off exact_hessian's integers with no root, is e_j over the
+    absolute values of the closed-form eigenvalues (conftest's
+    composed_eigenvalues_dd) within 1e-14 relative."""
+
+    CASES = [
+        (SolutionParams(n, m), SampleBox(3.0, (-2.0, 2.0), count=10, seed=n + 100 * m))
+        for n in range(3, 32, 2) for m in (0, 2)
+    ] + [
+        (P3, SampleBox(2e49, (-2.0, 2.0), count=40, seed=5)),
+        (derive_constants(11), SampleBox(4e12, (-2.0, 2.0), count=40, seed=5)),
+        (derive_constants(5), SampleBox(1e12, (-2.0, 2.0), count=40, seed=0)),
+        (P3, SampleBox(3.0, (27.0, 28.0), count=40, seed=0)),
+    ]
+
+    @pytest.mark.parametrize("p, box", CASES, ids=[
+        f"n{p.n_base}-m{p.m}-x{b.x_radius:g}-t{b.t_range[0]:g}" for p, b in CASES
+    ])
+    def test_the_exact_scale_is_e_j_of_the_absolute_roots(self, monkeypatch, p, box):
+        from sigmak import verify
+        from sigmak.symfunc import elementary_symmetric
+
+        arrows, exact = [], verify._arrow_sigmas
+
+        def recorded(*args):
+            arrows.append(exact(*args))
+            return arrows[-1]
+
+        monkeypatch.setattr(verify, "_arrow_sigmas", recorded)
+        for i in range(box.count):
+            pt = sample_point(p, box, i * 100)
+            et, _, sigmas = spectrum_dd(p, pt.x, pt.t)
+            arrows.clear()
+            verify._audit_sample(p, list(pt.x), et, sigmas)
+            scale = verify.exact_hessian(p, list(pt.x), et)[0]
+            # the audit's first _arrow_sigmas are the exact sigmas, its second
+            # the scale, both times D^j
+            assert len(arrows) == 2
+            lam = composed_eigenvalues_dd(p, pt.x, pt.t)
+            want = elementary_symmetric([abs(hi + lo) for hi, lo in lam])
+            for j, (size, e_j) in enumerate(zip(arrows[1], want), start=1):
+                assert size / scale**j == pytest.approx(e_j, rel=1e-14), (i, j)
+
+
 class TestExactAudit:
     """_audit_sample decides with no tolerance that the integer Hessian N = D M
     at the sample's point has the closed form's spectrum, that sigma_k(N) is
@@ -409,8 +473,8 @@ class TestExactAudit:
     def audit(p, x, t):
         from sigmak.verify import _audit_sample
 
-        et, terms, sigmas = spectrum_dd(p, list(x), t)
-        _audit_sample(p, list(x), et, terms, sigmas)
+        et, _, sigmas = spectrum_dd(p, list(x), t)
+        _audit_sample(p, list(x), et, sigmas)
 
     @pytest.mark.parametrize(
         "n, m", [(n, 0) for n in range(3, 32, 2)] + [(5, 2)], ids=lambda v: str(v)
@@ -906,7 +970,7 @@ class TestVerdictsAgainstTheRoots:
     i tr).  One-sample ranges of seeded samples at odd n = 3..31, m in
     {0, 2}, and on boxes out to x_radius 2e49 (n = 3) and 4e12 (n = 11) and
     t in [27, 28], take each verdict against cone_flags and sl_phase on the
-    closed-form eigenvalues of eigenvalues_dd."""
+    closed-form eigenvalues of the kernel's composition."""
 
     CASES = [
         (SolutionParams(n, m), SampleBox(3.0, (-2.0, 2.0), count=30, seed=n + 100 * m))
@@ -935,8 +999,8 @@ class TestVerdictsAgainstTheRoots:
         failures = 0
         for i in range(box.count):
             pt = sample_point(p, box, i)
-            _, terms, e = spectrum_dd(p, pt.x, pt.t)
-            lam = [hi + lo for hi, lo in eigenvalues_dd(p, terms)]
+            e = spectrum_dd(p, pt.x, pt.t)[2]
+            lam = [hi + lo for hi, lo in composed_eigenvalues_dd(p, pt.x, pt.t)]
             sigmas = [hi + lo for hi, lo in e]
             neg, in_cone, lemma = cone_flags(lam, sigmas, p.k)
             assert neg <= 1
@@ -1081,16 +1145,17 @@ class TestScanNegativeControls:
 
     @pytest.mark.parametrize("n", [3, 7])
     def test_a_perturbed_growth_coefficient_fails_the_audit(self, n):
-        # the exact Hessian reads the exact B/A; the dd roots miss its roots
+        # the exact Hessian reads the exact B/A; the structured sigma_1 = g_1
+        # + tr carries h'' off by 1e-6 of its e^t term
         from sigmak.errors import ConvergenceError
 
         p = self.perturbed_growth(n)
-        with pytest.raises(ConvergenceError) as info:
+        with pytest.raises(ConvergenceError, match="structured sigma_1 disagrees") as info:
             residual_scan(p, dataclasses.replace(self.DEFAULT_BOX, count=500))
         text = str(info.value)
         assert text.startswith(f"sample 0 at {sample_point(p, self.DEFAULT_BOX, 0)}: ")
-        gap = float(text.split("disagrees with the exact eigenvalues by ")[1].split()[0])
-        assert 1e-9 < gap < 1e-3
+        gap, tol = TestSpectrumAudit.gap_and_tolerance(text)
+        assert 1e-9 < gap < 1e-3 and gap > 1e10 * tol
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_the_residual_is_at_double_double_rounding(self, n):
@@ -1114,12 +1179,12 @@ class TestScanNegativeControls:
 
         self.two_exponentials(monkeypatch)
         p = SolutionParams(n)
-        with pytest.raises(ConvergenceError) as info:
+        with pytest.raises(ConvergenceError, match="structured sigma_1 disagrees") as info:
             residual_scan(p, self.DEFAULT_BOX)
         text = str(info.value)
         assert text.startswith(f"sample 0 at {sample_point(p, self.DEFAULT_BOX, 0)}: ")
-        gap = float(text.split("disagrees with the exact eigenvalues by ")[1].split()[0])
-        assert 1e-20 < gap < 1e-12
+        gap, tol = TestSpectrumAudit.gap_and_tolerance(text)
+        assert 1e-20 < gap < 1e-12 and gap > 1e10 * tol
 
 
 class TestResidualAgainstExactArithmetic:
@@ -1137,7 +1202,7 @@ class TestResidualAgainstExactArithmetic:
         for i in range(5):
             pt = sample_point(p, box, i)
             _, _, sigmas = spectrum_dd(p, pt.x, pt.t)
-            reported = dd.to_float(dd.sub(sigmas[p.k - 1], dd.ONE))
+            reported = to_float(dd.sub(sigmas[p.k - 1], dd.ONE))
             exact = [[Fraction(e[0]) + Fraction(e[1]) for e in row] for row in dd_hessian(p, pt)]
             truth = float(sigma_brute(exact, p.k) - 1)
             assert abs(reported - truth) < 1e-24
@@ -1155,17 +1220,17 @@ class TestScanSigmasAgainstFloatOracles:
         box = SampleBox(x_radius=1.0, t_range=(-1.0, 1.0), count=20, seed=11)
         for i in range(box.count):
             pt = sample_point(p, box, i)
-            lam = eigenvalues_dd(p, spectrum_dd(p, pt.x, pt.t)[1])
+            lam = composed_eigenvalues_dd(p, pt.x, pt.t)
             e = elementary_symmetric(lam, dd_add, dd.mul)
             hess = eval_jet(p, pt).hessian
             fro = frobenius_norm(hess)
             charpoly = charpoly_sigmas(hess)
             for j in range(1, p.total_dim + 1):
                 tol = 1e-10 * (1.0 + fro**j)
-                by_dd = dd.to_float(e[j - 1])
+                by_dd = to_float(e[j - 1])
                 assert by_dd == pytest.approx(charpoly[j - 1], abs=tol)
                 assert by_dd == pytest.approx(sigma_minors(hess, j), abs=tol)
-            assert dd.to_float(e[p.k - 1]) == 1.0
+            assert to_float(e[p.k - 1]) == 1.0
 
 
 class TestFiniteDifferenceOracle:
