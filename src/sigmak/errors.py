@@ -15,11 +15,7 @@ class ConvergenceError(RuntimeError):
     """An iterative numerical method failed to converge, or an exact check
     failed.
 
-    Carries the final off-diagonal Frobenius norm when raised by the Jacobi
-    eigenvalue solver.  The scan's exact audit raises it too, naming the
-    check that failed and its exact residual, with no off-diagonal norm.
+    The message says what failed and by how much: the float Jacobi's final
+    off-diagonal norm against its target, or the scan audit's check and its
+    exact residual.
     """
-
-    def __init__(self, message: str, offdiag_norm: float | None = None):
-        super().__init__(message)
-        self.offdiag_norm = offdiag_norm

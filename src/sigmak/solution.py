@@ -177,27 +177,29 @@ def _check_radius(
 
         F = (n-1) (2 + 4R + R^2) e^t_hi + e^(-(k-1) t_lo) / A + (B/A) e^t_hi,
 
-    which bounds ||D^2 u||_F and every eigenvalue.  In dimension d every
-    partial sum and product of the e_j recurrence, fro**j (j <= k) in the
-    cone thresholds and the exact audit's quotients by D^j (j <= d) are then
-    at most (1 + F)^d.  Requiring (1 + F)^d <= doubledouble.SPLIT_MAX =
-    2^996 keeps them all finite and in the range where Dekker's split is
-    exact: on t in [-2, 2], x_radius up to ~2e49 for n = 3 and ~5e12 for
-    n = 11.  `what` names the input in the error: the (x, t) of a point, or
-    a description of a box.  Run _check_exponent on t_lo and t_hi first.
+    which bounds ||D^2 u||_F and every eigenvalue.  The m zero eigenvalues
+    of the w block add nothing to any sigma_j, and nothing forms more than
+    sigma_n of the n-dimensional core: spectrum_dd's terms and sigma_j
+    (j <= k), fro**j (j <= k) in the cone thresholds and the exact audit's
+    quotients by D^j (j <= k) are all at most (1 + F)^n.  Requiring
+    (1 + F)^n <= doubledouble.SPLIT_MAX = 2^996 keeps them finite and in the
+    range where Dekker's split is exact, whatever m is: on t in [-2, 2],
+    x_radius up to ~2e49 for n = 3 and ~5e12 for n = 11.  `what` names the
+    input in the error: the (x, t) of a point, or a description of a box.
+    Run _check_exponent on t_lo and t_hi first.
     """
     bound = (
         (p.n_base - 1) * (2.0 + 4.0 * x_radius + x_radius * x_radius) * et_hi
         + e_decay_lo / p.A_float
         - p.h_coeffs_float[1] * et_hi  # h_coeff_growth = -B/A
     )
-    if p.total_dim * math.log2(1.0 + bound) > _LOG2_SPLIT_MAX:
+    if p.n_base * math.log2(1.0 + bound) > _LOG2_SPLIT_MAX:
         if not isinstance(what, str):
             x, t = what
             what = f"point x = {tuple(x)}, t = {t}"
         raise OverflowError(
-            f"{what} lets the Hessian norm reach {bound:.3g}; sigma_1..sigma_{p.total_dim} "
-            f"stay finite only while (1 + that)^{p.total_dim} <= 2^996"
+            f"{what} lets the Hessian norm reach {bound:.3g}; sigma_1..sigma_{p.n_base} "
+            f"stay finite only while (1 + that)^{p.n_base} <= 2^996"
         )
 
 

@@ -186,8 +186,7 @@ def _cyclic_jacobi(a: list[list[float]], tol: float, trace_tol: float) -> list[f
         if sweep == JACOBI_MAX_SWEEPS:
             raise ConvergenceError(
                 f"float64 Jacobi did not converge in {JACOBI_MAX_SWEEPS} "
-                f"sweeps (off-diagonal norm {off:g}, target {tol:g})",
-                offdiag_norm=off,
+                f"sweeps (off-diagonal norm {off:g}, target {tol:g})"
             )
         for p in range(n - 1):
             row_p = a[p]

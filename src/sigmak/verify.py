@@ -63,26 +63,25 @@ Its inputs are rational: the x block and E = fl(e^t) are dyadic floats, and
 A and B are exact.  So the Hessian M at t* = ln E, the one the scan's values
 stand for, is N / D for the integer matrix N that ``solution.exact_hessian``
 forms by integer operations alone, with D = A P^(k-1) 2^(2F+e) for
-E = P / 2^e and x_i = X_i / 2^F.  With no tolerance, N must have the closed
-form's spectrum: alpha = D a (n - 2 times), 0 (m times) and the roots of
-y^2 - tau y + delta (tau = D tr, delta = D^2 det), so (N - alpha I)
-(N^2 - tau N + delta I), times N when m > 0, must vanish, and the power
-sums tr N^i must match.  That decides N's spectrum even where two of those
-values coincide, as at x = 0: every eigenvalue of N is then a root of the
-product, and power sums below its degree fix how often each distinct root
-occurs.  Read off that spectrum, sigma_k(N) must be D^k, the claim
-sigma_k = 1 at that point, and sigma_j(N) > 0 for j < k.  The structured
-sigma_j must then lie within SIGMA_AUDIT_UNITS * d * 2^-104 * e_j(|lambda|)
-of sigma_j(N) / D^j.  The scale e_j(|lambda|) comes from the same integers,
-with no root: it is the coefficient of y^j in
-(1 + alpha y)^(n-2) (1 + s y + |delta| y^2) over D^j (alpha = D a > 0),
-where s = |tau| when
-delta >= 0 and otherwise s = isqrt(tau^2 - 4 delta) + 1, an integer upper
-bound of D (|mu_1| + |mu_2|) for the two roots mu, which makes the scale an
-upper bound too.  So the audit reads what the scan reports from, E and the
-sigmas, and forms no eigenvalue.  It takes the same path in every dimension
-and none of its checks loses meaning as n grows; it needs no Jacobi and
-does not call ``symbolic``.
+E = P / 2^e and x_i = X_i / 2^F.  With no tolerance, N must be the
+closed form's arrow: [[alpha I, c], [c^T, corner]] on the x, t block, with
+alpha = D a, and 0 on the w block, with alpha + corner = tau = D tr and
+alpha corner - |c|^2 = delta = D^2 det.  By the Schur complement its
+spectrum is then alpha (n - 2 times), 0 (m times) and the roots of
+y^2 - tau y + delta, even where two of those values coincide, as at x = 0
+(_check_spectrum).  Read off that spectrum, sigma_k(N) must be D^k, the
+claim sigma_k = 1 at that point, and sigma_j(N) > 0 for j < k.  The
+structured sigma_j must then lie within
+SIGMA_AUDIT_UNITS * d * 2^-104 * e_j(|lambda|) of sigma_j(N) / D^j.  The
+scale e_j(|lambda|) comes from the same integers, with no root: it is the
+coefficient of y^j in (1 + alpha y)^(n-2) (1 + s y + |delta| y^2) over D^j
+(alpha > 0), where s = |tau| when delta >= 0 and otherwise
+s = isqrt(tau^2 - 4 delta) + 1, an integer upper bound of D (|mu_1| + |mu_2|)
+for the two roots mu, which makes the scale an upper bound too.  So the
+audit reads what the scan reports from, E and the sigmas, and forms no
+eigenvalue.  It takes the same path in every dimension and none of its
+checks loses meaning as n grows; it needs no Jacobi and does not call
+``symbolic``.
 
 Two numeric cross-checks of the solution live with the tests, in
 ``tests/conftest.py``: the finite-difference Hessian of u (against
@@ -428,9 +427,7 @@ def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tup
                     _audit_sample(p, x, et, e)
             except ConvergenceError as exc:
                 pt = sample_point(p, box, i)
-                raise ConvergenceError(
-                    f"sample {i} at {pt}: {exc}", offdiag_norm=exc.offdiag_norm
-                ) from exc
+                raise ConvergenceError(f"sample {i} at {pt}: {exc}") from exc
 
             if resid > max_resid:
                 max_resid, argmax = resid, i
@@ -457,12 +454,15 @@ def _audit_sample(p: SolutionParams, x, et: float, sigmas: list) -> None:
     t* = ln et.  Raises ConvergenceError naming the check that failed and
     its exact residual, over the power of D it scales with.
     """
-    n, k, m = p.n_base, p.k, p.m
+    n, k = p.n_base, p.k
     scale, rows, (alpha, tau, delta) = exact_hessian(p, x, et)
-    # the closed form's quadratic, shifted to N - alpha I: y^2 + beta y + gamma
-    beta, gamma = 2 * alpha - tau, alpha * (alpha - tau) + delta
-    _check_spectrum(rows, alpha, beta, gamma, m, scale)
-    exact = _arrow_sigmas(n, alpha, tau, delta, k)
+    _check_spectrum(rows, alpha, tau, delta, p.m, scale)
+    # D^j e_j(|lambda|), or a bound above it, is read off s and |delta|:
+    # alpha > 0, and the roots of y^2 - tau y + delta have |mu_1 mu_2| =
+    # |delta| and |mu_1| + |mu_2| = |tau| when they share a sign, their
+    # distance sqrt(tau^2 - 4 delta) otherwise, at most s
+    s = abs(tau) if delta >= 0 else math.isqrt(tau * tau - 4 * delta) + 1
+    exact, sizes = _arrow_sigmas(n, alpha, ((tau, delta), (s, abs(delta))), k)
     powers = [scale**j for j in range(1, k + 1)]
     if exact[-1] != powers[-1]:
         raise ConvergenceError(
@@ -473,15 +473,8 @@ def _audit_sample(p: SolutionParams, x, et: float, sigmas: list) -> None:
         if sigma <= 0:
             raise ConvergenceError(f"exact sigma_{j}(N) is {sigma / power:.17g} D^{j}, not positive")
 
-    # D^j e_j(|lambda|), or a bound above it: alpha > 0, and the roots of
-    # y^2 - tau y + delta have |mu_1 mu_2| = |delta| and |mu_1| + |mu_2| =
-    # |tau| when they share a sign, their distance sqrt(tau^2 - 4 delta)
-    # otherwise, at most s
-    s = abs(tau) if delta >= 0 else math.isqrt(tau * tau - 4 * delta) + 1
     unit = SIGMA_AUDIT_UNITS * p.total_dim * 2.0**-104
-    for j, (structured, sigma, power, size) in enumerate(
-        zip(sigmas, exact, powers, _arrow_sigmas(n, alpha, s, abs(delta), k)), start=1
-    ):
+    for j, (structured, sigma, power, size) in enumerate(zip(sigmas, exact, powers, sizes), 1):
         gap, tol = _gap(structured, sigma, power), unit * (size / power)
         if not gap <= tol:
             raise ConvergenceError(
@@ -490,81 +483,64 @@ def _audit_sample(p: SolutionParams, x, et: float, sigmas: list) -> None:
             )
 
 
-def _check_spectrum(rows, alpha: int, beta: int, gamma: int, m: int, scale: int) -> None:
+def _check_spectrum(rows, alpha: int, tau: int, delta: int, m: int, scale: int) -> None:
     """Check exactly that the integer matrix `rows` = N has the eigenvalues
-    alpha (d - m - 2 times), 0 (m times) and alpha plus each root of
-    y^2 + beta y + gamma, whether or not some of these values coincide.
+    alpha (n - 2 times), 0 (m times) and the two roots of
+    y^2 - tau y + delta, by checking its layout, with no tolerance.
 
-    In N' = N - alpha I those values are 0, -alpha and the two roots, so
-    N' (N' + alpha I)^[m > 0] (N'^2 + beta N' + gamma I) = 0 puts every
-    eigenvalue of N' on one of the L distinct roots of that product, L at
-    most its degree; with tr N'^0 = d, tr N'^i for i = 1 .. degree - 1 then
-    fixes how often each root occurs, since the Vandermonde system on L
-    distinct values is regular.  The roots repeat where gamma = 0 (x = 0),
-    where beta^2 = 4 gamma, or where the closed form's delta = 0 with
-    m > 0; that only lowers L.  The product is applied to each unit vector
-    by Horner's rule, over N's nonzero entries.  Raises ConvergenceError naming the
-    first entry or power sum that differs, over the power of D it scales
-    with.
+    N must be the arrow [[alpha I, c], [c^T, corner]] on its first n rows
+    and columns, with c mirrored, and 0 on its m w rows and columns, with
+    alpha + corner == tau and alpha corner - |c|^2 == delta.  By the Schur
+    complement of alpha I in y I - N,
+
+        det(y I - N) = (y - alpha)^(n-2) ((y - alpha) (y - corner) - |c|^2) y^m
+                     = (y - alpha)^(n-2) (y^2 - tau y + delta) y^m,
+
+    so N has exactly that spectrum, whether or not some of these values
+    coincide.  Raises ConvergenceError naming the first entry off the arrow,
+    by row and column, or the identity that fails, over the power of D it
+    scales with.
     """
     d = len(rows)
-    cols = [[] for _ in range(d)]  # column c of N' as (row, entry), entries nonzero
+    t = d - m - 1  # the t row and column
+    cross = [row[t] for row in rows[:t]]
+    corner = rows[t][t]
     for i, row in enumerate(rows):
-        for c, entry in enumerate(row):
-            if i == c:
-                entry -= alpha
-            if entry:
-                cols[c].append((i, entry))
-    # the product is y (y^(l-1) + coeffs[0] y^(l-2) + ... + coeffs[-1]), l = degree
-    coeffs = [beta, gamma] if not m else [alpha + beta, alpha * beta + gamma, alpha * gamma]
-    degree = len(coeffs) + 1
-    raw = [0] * len(coeffs)  # raw[i]: sum over j of entry j of the Horner step i
-    for j in range(d):
-        vector = [0] * d
-        vector[j] = 1
-        for i in range(degree):
-            product = [0] * d
-            for c, value in enumerate(vector):
-                if value:
-                    for row, entry in cols[c]:
-                        product[row] += entry * value
-            vector = product
-            if i < len(coeffs):
-                raw[i] += vector[j]
-                vector[j] += coeffs[i]
-        for row, value in enumerate(vector):
-            if value:
-                raise ConvergenceError(
-                    f"entry ({row + 1}, {j + 1}) of the closed form's annihilating "
-                    f"polynomial at N is {value / scale**degree:g} D^{degree}, not 0"
-                )
-    # step i's sum is tr N'^i + coeffs[0] tr N'^(i-1) + ... + coeffs[i-2] tr N'
-    traces, sums = [], [2, -beta]  # the two roots' power sums, by Newton's identities
-    for i, step in enumerate(raw, start=1):
-        traces.append(step - sum(c * t for c, t in zip(coeffs, reversed(traces))))
-        if i > 1:
-            sums.append(-beta * sums[-1] - gamma * sums[-2])
-        diff = traces[-1] - sums[i] - m * (-alpha) ** i
-        if diff:
+        if i < t:
+            want = [0] * d
+            want[i], want[t] = alpha, cross[i]
+        else:
+            want = cross + [corner] + [0] * m if i == t else [0] * d
+        if row != want:
+            j = next(j for j, (got, entry) in enumerate(zip(row, want)) if got != entry)
             raise ConvergenceError(
-                f"tr (N - alpha I)^{i} differs from the closed form's by "
-                f"{diff / scale**i:g} D^{i}"
+                f"entry ({i + 1}, {j + 1}) of N differs from the closed form's arrow by "
+                f"{(row[j] - want[j]) / scale:g} D"
             )
+    gap = alpha + corner - tau
+    if gap:
+        raise ConvergenceError(f"alpha + corner - tau is {gap / scale:g} D, not 0")
+    gap = alpha * corner - sum(c * c for c in cross) - delta
+    if gap:
+        raise ConvergenceError(f"alpha corner - |c|^2 - delta is {gap / scale**2:g} D^2, not 0")
 
 
-def _arrow_sigmas(n: int, alpha: int, tau: int, delta: int, count: int) -> list[int]:
-    """sigma_1..sigma_count of alpha (n - 2 times), zeros and the roots of
-    y^2 - tau y + delta: the coefficients of (1 + alpha y)^(n-2) (1 + tau y +
-    delta y^2), as solution.spectrum_dd reads them in double-double; a
-    separate loop, so that the audit does not check that kernel by
-    itself.  Over alpha > 0, |mu_1| + |mu_2| and |delta| they are the scale
-    D^j e_j(|lambda|) of the audit's bound."""
-    g, power = [1], 1  # g_j = C(n-2, j) alpha^j
+def _arrow_sigmas(n: int, alpha: int, quadratics, count: int) -> list[list[int]]:
+    """For each (tau, delta) of `quadratics`, sigma_1..sigma_count of alpha
+    (n - 2 times), zeros and the roots of y^2 - tau y + delta: the
+    coefficients of (1 + alpha y)^(n-2) (1 + tau y + delta y^2), as
+    solution.spectrum_dd reads them in double-double; a separate loop, so
+    that the audit does not check that kernel by itself.  The powers
+    g_j = C(n-2, j) alpha^j are formed once for all the quadratics: the
+    audit's exact sigmas over (tau, delta) and the scale of its bound over
+    (s, |delta|)."""
+    g, power = [1], 1
     for j in range(1, count + 1):
         power *= alpha
         g.append(math.comb(n - 2, j) * power)
     return [
-        g[j] + g[j - 1] * tau + (g[j - 2] * delta if j > 1 else 0) for j in range(1, count + 1)
+        [g[j] + g[j - 1] * tau + (g[j - 2] * delta if j > 1 else 0) for j in range(1, count + 1)]
+        for tau, delta in quadratics
     ]
 
 

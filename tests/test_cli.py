@@ -86,6 +86,26 @@ class TestVerify:
         assert code == 0
         assert payload["report"]["phase_ok"] is None
 
+    @pytest.mark.parametrize("argv, want", [
+        (["-n", "11", "-m", "1", "--x-radius", "4e12", "--samples", "200"], 1),
+        (["-n", "3", "-m", "120"], 0),
+    ], ids=["n11-m1-x4e12", "n3-m120"])
+    def test_dummy_coordinates_do_not_shrink_the_box(self, capsys, argv, want):
+        # the m zero eigenvalues add nothing to any sigma_j, so the radius
+        # guard reads the core's n: these boxes run as they do at m = 0 (the
+        # n = 11 box exits 1 on the float cone rule's known failures)
+        code, payload, _ = run_json(capsys, ["verify", *argv])
+        assert (code, payload["command"]) == (want, "verify")
+
+    @pytest.mark.parametrize("m", ["0", "2"])
+    def test_a_box_that_overflows_the_core_is_refused_whatever_m(self, capsys, m):
+        # (1 + F)^3 passes 2^996 a little past x_radius 2e49 at n = 3
+        assert run(["verify", "-n", "3", "-m", m, "--x-radius", "3e49"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "sigmak: error: x_radius = 3e+49 with t_range = (-2.0, 2.0) lets the Hessian norm "
+            "reach 1.33e+100; sigma_1..sigma_3 stay finite only while (1 + that)^3 <= 2^996"
+        )
+
     def test_repeat_runs_identical_modulo_elapsed(self, capsys):
         argv = ["verify", "-n", "3", "--samples", "120", "--seed", "42"]
         _, first, _ = run_json(capsys, argv)

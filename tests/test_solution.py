@@ -420,6 +420,88 @@ class TestExactHessian:
         assert sigma_brute(rows, 2) != scale**2
 
 
+class TestHessianByDifferentiation:
+    """D^2 u by exact differentiation of u = (sum x_i^2) e^t + h(t) itself,
+    with h = e^(-(k-1)t) / (A (k-1)^2) - (B/A) e^t and the paper's
+    A = 2^(k-1) C(n-1, k-1), B = 2^k C(n-1, k), against the hand-derived
+    entries that exact_hessian and symbolic.rotated_hessian_from_constants
+    form.  u is a dict {(e_1, ..., e_(n-1), j): c} of the monomials
+    c x_1^e_1 ... x_(n-1)^e_(n-1) e^(jt), with Fraction c."""
+
+    @staticmethod
+    def constants(n, k):
+        a_const = 2 ** (k - 1) * math.comb(n - 1, k - 1)
+        return Fraction(a_const), Fraction(2**k * math.comb(n - 1, k))
+
+    @staticmethod
+    def u(n, k, a_const, b_const):
+        flat = (0,) * (n - 1)
+        u = {flat[:i] + (2,) + flat[i + 1 :] + (1,): Fraction(1) for i in range(n - 1)}
+        u[flat + (-(k - 1),)] = 1 / (a_const * (k - 1) ** 2)
+        u[flat + (1,)] = -b_const / a_const
+        return u
+
+    @staticmethod
+    def derivative(poly, var):
+        """d poly / d x_(var+1), or d poly / dt for var = n - 1: e^(jt)
+        gives j e^(jt)."""
+        out = {}
+        for mono, coeff in poly.items():
+            if mono[var]:
+                key = list(mono)
+                if var < len(mono) - 1:
+                    key[var] -= 1
+                key = tuple(key)
+                out[key] = out.get(key, 0) + coeff * mono[var]
+        return {key: coeff for key, coeff in out.items() if coeff}
+
+    def hessian(self, n, k, a_const, b_const):
+        u = self.u(n, k, a_const, b_const)
+        first = [self.derivative(u, i) for i in range(n)]
+        return [[self.derivative(first[i], j) for j in range(n)] for i in range(n)]
+
+    @pytest.mark.parametrize("n, m", [(n, m) for n in range(3, 16, 2) for m in (0, 2)])
+    def test_exact_hessian_is_d2u(self, n, m):
+        # rows / D at x = X / 2^F and e^t = E, the dummy rows and columns 0
+        p = SolutionParams(n, m)
+        a_const, b_const = self.constants(n, p.k)
+        assert (p.A, p.B) == (a_const, b_const)
+        d2u = self.hessian(n, p.k, a_const, b_const)
+        box = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=3, seed=n + 100 * m)
+        for i in range(box.count):
+            pt = sample_point(p, box, i)
+            et = math.exp(pt.t)
+            scale, rows, _ = exact_hessian(p, pt.x, et)
+            at = [Fraction(v) for v in pt.x] + [Fraction(et)]
+
+            def value(poly):
+                return sum(
+                    c * math.prod(v**e for v, e in zip(at[:-1], mono)) * at[-1] ** mono[-1]
+                    for mono, c in poly.items()
+                )
+
+            want = [[value(entry) for entry in row] + [0] * m for row in d2u]
+            want += [[0] * (n + m)] * m
+            assert [[Fraction(v, scale) for v in row] for row in rows] == want
+
+    @pytest.mark.parametrize("n", range(3, 16))
+    def test_the_rotated_hessian_is_d2u_at_x_equal_r_e_1(self, n):
+        # x = (r, 0, ..., 0): a monomial with any other x_i drops out, and
+        # x_1^e e^(jt) is the SymExpr term r^e e^(jt)
+        from sigmak.symbolic import rotated_hessian_from_constants
+
+        k = (n + 1) // 2
+        a_const, b_const = self.constants(n, k)
+        want = [
+            [
+                {(mono[0], mono[-1]): c for mono, c in entry.items() if not any(mono[1:-1])}
+                for entry in row
+            ]
+            for row in self.hessian(n, k, a_const, b_const)
+        ]
+        assert rotated_hessian_from_constants(n, k, a_const, b_const) == want
+
+
 def _fro(values) -> float:
     return math.sqrt(sum(to_float(v) ** 2 for v in values))
 

@@ -455,19 +455,22 @@ class TestAuditScale:
             arrows.clear()
             verify._audit_sample(p, list(pt.x), et, sigmas)
             scale = verify.exact_hessian(p, list(pt.x), et)[0]
-            # the audit's first _arrow_sigmas are the exact sigmas, its second
+            # the audit's one _arrow_sigmas call gives the exact sigmas, then
             # the scale, both times D^j
-            assert len(arrows) == 2
+            assert len(arrows) == 1 and len(arrows[0]) == 2
             lam = composed_eigenvalues_dd(p, pt.x, pt.t)
             want = elementary_symmetric([abs(hi + lo) for hi, lo in lam])
-            for j, (size, e_j) in enumerate(zip(arrows[1], want), start=1):
+            for j, (size, e_j) in enumerate(zip(arrows[0][1], want), start=1):
                 assert size / scale**j == pytest.approx(e_j, rel=1e-14), (i, j)
 
 
 class TestExactAudit:
     """_audit_sample decides with no tolerance that the integer Hessian N = D M
-    at the sample's point has the closed form's spectrum, that sigma_k(N) is
-    D^k and that sigma_1..sigma_(k-1) are positive, and names what fails."""
+    at the sample's point is the closed form's arrow, and so has its
+    spectrum, that sigma_k(N) is D^k and that sigma_1..sigma_(k-1) are
+    positive, and names what fails."""
+
+    OFF_ARROW = r" of N differs from the closed form's arrow by [0-9.e+-]+ D"
 
     @staticmethod
     def audit(p, x, t):
@@ -502,26 +505,83 @@ class TestExactAudit:
     @pytest.mark.parametrize("n, m", [(3, 0), (7, 0), (3, 2), (7, 1)])
     def test_the_origin_takes_the_whole_characteristic_polynomial(self, monkeypatch, n, m):
         # at x = 0 the roots of y^2 - tau y + delta are alpha and the corner,
-        # so the values coincide; the annihilating polynomial and the power
-        # sums still decide N's whole spectrum, as at every other point
+        # so the values coincide; the arrow still decides N's whole spectrum,
+        # as at every other point
         spectra = TestSpectrumAudit.count_calls(monkeypatch, "_check_spectrum")
         p = SolutionParams(n, m)
         for t in (-1.5, 0.0, 1.5):
             self.audit(p, (0.0,) * (n - 1), t)
         assert len(spectra) == 3
 
+    LEMMA_CASES = [
+        (SolutionParams(n, m), SampleBox(3.0, (-2.0, 2.0), count=3, seed=n + 100 * m))
+        for n in range(3, 14, 2) for m in (0, 2)
+    ] + [
+        (P3, SampleBox(2e49, (-2.0, 2.0), count=3, seed=5)),
+        (derive_constants(5), SampleBox(1e12, (-2.0, 2.0), count=3, seed=0)),
+        (P3, SampleBox(3.0, (27.0, 28.0), count=3, seed=0)),
+    ]
+
+    @pytest.mark.parametrize("p, box", LEMMA_CASES, ids=[
+        f"n{p.n_base}-m{p.m}-x{b.x_radius:g}-t{b.t_range[0]:g}" for p, b in LEMMA_CASES
+    ])
+    def test_an_arrow_has_the_closed_forms_characteristic_polynomial(self, p, box):
+        # the lemma that _check_spectrum rests on, at audited samples and at
+        # x = 0: sigma_1..sigma_d of N, from the trace recursion over ints,
+        # are the coefficients of (1 + alpha y)^(n-2) (1 + tau y + delta y^2),
+        # and 0 beyond them
+        import operator
+
+        from sigmak import verify
+        from sigmak.symfunc import faddeev_leverrier
+
+        def exact_div(num, den):
+            quotient, rest = divmod(num, den)
+            assert rest == 0
+            return quotient
+
+        n, d = p.n_base, p.total_dim
+        points = [sample_point(p, box, i * 100) for i in range(box.count)]
+        if box.x_radius == 3.0 and p.n_base in (3, 7):
+            points += [Point((0.0,) * (n - 1), t, (0.0,) * p.m) for t in (-1.5, 0.0, 1.5)]
+        for pt in points:
+            et = spectrum_dd(p, pt.x, pt.t)[0]
+            scale, rows, (alpha, tau, delta) = verify.exact_hessian(p, list(pt.x), et)
+            verify._check_spectrum(rows, alpha, tau, delta, p.m, scale)
+            want = [1]
+            for factor in [(1, alpha)] * (n - 2) + [(1, tau, delta)]:
+                product = [0] * (len(want) + len(factor) - 1)
+                for i, f in enumerate(factor):
+                    for j, w in enumerate(want):
+                        product[i + j] += f * w
+                want = product
+            got = faddeev_leverrier(rows, operator.add, operator.mul, exact_div, 0)
+            assert got == want[1:] + [0] * (d - n), pt
+
     @staticmethod
-    def plant_diagonal(monkeypatch, p, x, t, planted):
-        """Let the audit at (x, t) read the diagonal matrix and the closed
-        form that planted(scale, alpha, tau, delta) returns, as (values,
+    def plant(monkeypatch, p, x, t, planted):
+        """Let the audit at (x, t) read the matrix and the closed form that
+        planted(alpha, cross, corner, closed_form) returns, as (rows,
         (alpha, tau, delta)), in place of exact_hessian's."""
         from sigmak import verify
         from sigmak.solution import exact_hessian
 
-        scale, _, closed_form = exact_hessian(p, list(x), spectrum_dd(p, list(x), t)[0])
-        values, closed_form = planted(scale, *closed_form)
-        rows = [[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)]
+        scale, rows, closed_form = exact_hessian(p, list(x), spectrum_dd(p, list(x), t)[0])
+        nx = p.n_base - 1
+        cross = [row[nx] for row in rows[:nx]]
+        rows, closed_form = planted(closed_form[0], cross, rows[nx][nx], form=closed_form)
         monkeypatch.setattr(verify, "exact_hessian", lambda *args: (scale, rows, closed_form))
+
+    @staticmethod
+    def diagonal(values):
+        return [[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)]
+
+    @staticmethod
+    def alpha_corner(p, x, t):
+        from sigmak.solution import exact_hessian
+
+        _, rows, _ = exact_hessian(p, list(x), spectrum_dd(p, list(x), t)[0])
+        return rows[0][0], rows[p.n_base - 1][p.n_base - 1]
 
     @pytest.mark.parametrize("n, m", [(n, m) for n in (3, 5, 7) for m in range(3)])
     def test_at_the_origin_only_the_true_multiset_passes(self, monkeypatch, n, m):
@@ -529,43 +589,72 @@ class TestExactAudit:
         # zeros; every multiset of n + m values over {alpha, corner, 0} is
         # planted as a diagonal N, and the spectrum check refuses all but N's
         from sigmak.errors import ConvergenceError
-        from sigmak.solution import exact_hessian
 
         p = SolutionParams(n, m)
         x, t = (0.0,) * (n - 1), 0.4
-        _, rows, _ = exact_hessian(p, list(x), spectrum_dd(p, list(x), t)[0])
-        alpha, corner = rows[0][0], rows[n - 1][n - 1]
+        alpha, corner = self.alpha_corner(p, x, t)
         assert len({alpha, corner, 0}) == 3
         multisets = list(itertools.combinations_with_replacement((alpha, corner, 0), n + m))
         assert len(multisets) == math.comb(n + m + 2, 2)
         passed = []
         for values in multisets:
-            self.plant_diagonal(monkeypatch, p, x, t, lambda _, *form: (values, form))
+            self.plant(monkeypatch, p, x, t, lambda *_, form: (self.diagonal(values), form))
             try:
                 self.audit(p, x, t)
             except ConvergenceError as exc:
-                assert re.match(r"entry \(|tr \(N - alpha I\)", str(exc)), str(exc)
+                assert re.match(r"entry \(|alpha \+ corner - tau |alpha corner ", str(exc))
             else:
-                passed.append(sorted(values))
-        assert passed == [sorted([alpha] * (n - 1) + [corner] + [0] * m)]
+                passed.append(values)
+        assert passed == [(alpha,) * (n - 1) + (corner,) + (0,) * m]
+
+    @pytest.mark.parametrize("n, m", [(n, m) for n in (3, 5, 7) for m in range(3)])
+    def test_at_the_origin_a_permuted_diagonal_is_refused(self, monkeypatch, n, m):
+        # every ordering of N's own diagonal at x = 0 has N's spectrum, and
+        # the arrow refuses all but N's own layout
+        from sigmak.errors import ConvergenceError
+
+        p = SolutionParams(n, m)
+        x, t = (0.0,) * (n - 1), 0.4
+        alpha, corner = self.alpha_corner(p, x, t)
+        layout = (alpha,) * (n - 1) + (corner,) + (0,) * m
+        orderings = set(itertools.permutations(layout))
+        assert len(orderings) == math.comb(n + m, m) * n
+        passed = []
+        for values in orderings:
+            self.plant(monkeypatch, p, x, t, lambda *_, form: (self.diagonal(values), form))
+            try:
+                self.audit(p, x, t)
+            except ConvergenceError as exc:
+                assert re.match(r"entry \(\d+, \d+\)" + self.OFF_ARROW + "$", str(exc))
+            else:
+                passed.append(values)
+        assert passed == [layout]
 
     @pytest.mark.parametrize("n, m, roots", [
         (3, 1, "0, tau"), (5, 2, "0, tau"), (3, 0, "tau, tau"), (5, 2, "tau, tau"),
     ], ids=["delta-n3-m1", "delta-n5-m2", "disc-n3", "disc-n5-m2"])
     def test_a_planted_coincident_spectrum_is_decided_by_sigma_k(self, monkeypatch, n, m, roots):
-        # a diagonal N with the spectrum that a closed form claims whose
-        # quadratic has the roots 0 and tau (delta = 0, where 0 is also the
-        # w block's value) or tau twice (tau^2 = 4 delta): the spectrum check
-        # passes, and sigma_k(N) = D^k, the claim, is what fails
+        # an arrow N whose quadratic has the roots 0 and tau (delta = 0,
+        # where 0 is also the w block's value: the corner is |c|^2 / alpha)
+        # or alpha twice (tau^2 = 4 delta: c = 0 and the corner is alpha),
+        # with the closed form read off it: the spectrum check passes, and
+        # sigma_k(N) = D^k, the claim, is what fails
         from sigmak.errors import ConvergenceError
+        from sigmak.solution import arrow_rows
 
-        def planted(scale, alpha, tau, delta):
-            mu, nu = (0, tau) if roots == "0, tau" else (tau, tau)
-            return [alpha] * (n - 2) + [0] * m + [mu, nu], (alpha, mu + nu, mu * nu)
+        def planted(alpha, cross, corner, form):
+            if roots == "0, tau":
+                corner, rest = divmod(sum(c * c for c in cross), alpha)
+                assert rest == 0
+            else:
+                cross, corner = [0] * len(cross), alpha
+            tau, delta = alpha + corner, alpha * corner - sum(c * c for c in cross)
+            assert delta == 0 if roots == "0, tau" else tau * tau == 4 * delta
+            return arrow_rows(alpha, cross, corner, m, 0), (alpha, tau, delta)
 
         p = SolutionParams(n, m)
         x = (0.75, -1.5, 2.0, 0.25)[: n - 1]
-        self.plant_diagonal(monkeypatch, p, x, 0.4, planted)
+        self.plant(monkeypatch, p, x, 0.4, planted)
         spectra = TestSpectrumAudit.count_calls(monkeypatch, "_check_spectrum")
         k = p.k
         with pytest.raises(
@@ -575,22 +664,20 @@ class TestExactAudit:
             self.audit(p, x, 0.4)
         assert len(spectra) == 1
 
-    def test_a_wrong_multiplicity_at_delta_zero_names_a_power_sum(self, monkeypatch):
+    def test_a_wrong_multiplicity_at_delta_zero_is_named(self, monkeypatch):
         # the closed form claims alpha 3 times, 0 3 times and tau; the planted
-        # N has alpha 4 times, 0 twice and tau, each value a root of the
-        # annihilating polynomial, so tr (N - alpha I) tells them apart
+        # N has alpha 4 times, 0 twice and tau, with tau on the w diagonal
         from sigmak.errors import ConvergenceError
 
         p = SolutionParams(5, 2)
         x = (0.75, -1.5, 2.0, 0.25)
 
-        def planted(scale, alpha, tau, delta):
-            return [alpha] * 4 + [0] * 2 + [tau], (alpha, tau, 0)
+        def planted(alpha, cross, corner, form):
+            tau = form[1]
+            return self.diagonal([alpha] * 4 + [0] * 2 + [tau]), (alpha, tau, 0)
 
-        self.plant_diagonal(monkeypatch, p, x, 0.4, planted)
-        with pytest.raises(
-            ConvergenceError, match=r"^tr \(N - alpha I\)\^1 differs from the closed form's by "
-        ):
+        self.plant(monkeypatch, p, x, 0.4, planted)
+        with pytest.raises(ConvergenceError, match=r"^entry \(7, 7\)" + self.OFF_ARROW + "$"):
             self.audit(p, x, 0.4)
 
     @pytest.mark.parametrize("n, m, x", [
@@ -613,78 +700,49 @@ class TestExactAudit:
         assert text.startswith(prefix) and text.endswith(f" D^{p.k}, not 0"), text
         assert float(text[len(prefix):].split()[0]) == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("n, m, entry", [
-        (3, 0, (0, 1)), (7, 0, (2, 2)), (7, 0, (6, 6)), (5, 2, (5, 5)), (5, 2, (0, 5)),
-    ], ids=["x-x", "x-diagonal", "corner", "w-diagonal", "x-w"])
-    def test_a_planted_wrong_entry_names_the_annihilating_polynomial(
-        self, monkeypatch, n, m, entry
-    ):
-        # one entry of the integer Hessian (and its mirror) off by one; the
-        # closed form's alpha, tau and delta are left as they were
-        from sigmak import verify
+    X7 = (0.75, -1.5, 2.0, 0.25, -3.0, 1.0)
+
+    @pytest.mark.parametrize("n, m, x, entries, named", [
+        (3, 0, X7, [(0, 1), (1, 0)], r"entry \(1, 2\)" + OFF_ARROW),
+        (7, 0, X7, [(2, 2)], r"entry \(3, 3\)" + OFF_ARROW),
+        (7, 0, X7, [(6, 6)], r"alpha \+ corner - tau is [0-9.e+-]+ D, not 0"),
+        (3, 0, X7, [(0, 2), (2, 0)], r"alpha corner - \|c\|\^2 - delta is -[0-9.e+-]+ D\^2, not 0"),
+        (3, 0, X7, [(2, 0)], r"entry \(3, 1\)" + OFF_ARROW),
+        (5, 2, X7, [(5, 5)], r"entry \(6, 6\)" + OFF_ARROW),
+        (5, 2, X7, [(0, 5), (5, 0)], r"entry \(1, 6\)" + OFF_ARROW),
+        (3, 0, (0.0, 0.0), [(0, 1), (1, 0)], r"entry \(1, 2\)" + OFF_ARROW),
+    ], ids=[
+        "x-x", "x-diagonal", "corner", "cross", "unmirrored-cross", "w-diagonal", "x-w", "origin",
+    ])
+    def test_a_planted_wrong_entry_is_named(self, monkeypatch, n, m, x, entries, named):
+        # entries of the integer Hessian off by one, a pair mirrored or one
+        # alone; the closed form's alpha, tau and delta are left as they were
         from sigmak.errors import ConvergenceError
+        from sigmak.solution import arrow_rows
 
-        builder = verify.exact_hessian
+        def planted(alpha, cross, corner, form):
+            rows = arrow_rows(alpha, cross, corner, m, 0)
+            for i, j in entries:
+                rows[i][j] += 1
+            return rows, form
 
-        def planted(*args):
-            scale, rows, closed_form = builder(*args)
-            i, j = entry
-            rows[i][j] += 1
-            if i != j:
-                rows[j][i] += 1
-            return scale, rows, closed_form
-
-        monkeypatch.setattr(verify, "exact_hessian", planted)
         p = SolutionParams(n, m)
-        degree = 4 if m else 3
-        with pytest.raises(
-            ConvergenceError,
-            match=rf"^entry \(\d+, \d+\) of the closed form's annihilating polynomial at N "
-                  rf"is -?[0-9.e+-]+ D\^{degree}, not 0$",
-        ):
-            self.audit(p, (0.75, -1.5, 2.0, 0.25, -3.0, 1.0)[: n - 1], 0.4)
+        self.plant(monkeypatch, p, x[: n - 1], 0.4, planted)
+        with pytest.raises(ConvergenceError, match=rf"^{named}$"):
+            self.audit(p, x[: n - 1], 0.4)
 
-    def test_wrong_multiplicities_name_a_power_sum(self, monkeypatch):
-        # alpha I is annihilated by the closed form's polynomial, but it has
-        # the value alpha d times; tr (N - alpha I) tells them apart
-        from sigmak import verify
+    def test_scalar_alpha_i_is_named(self, monkeypatch):
+        # alpha I is an arrow with c = 0 and alpha in the corner, whose
+        # corner misses the closed form's tau
         from sigmak.errors import ConvergenceError
 
-        builder = verify.exact_hessian
-
-        def scalar(*args):
-            scale, rows, closed_form = builder(*args)
-            alpha = closed_form[0]
-            return scale, [[alpha if i == j else 0 for j in range(3)] for i in range(3)], closed_form
-
-        monkeypatch.setattr(verify, "exact_hessian", scalar)
+        self.plant(monkeypatch, P3, (0.5, -1.0), 0.4, lambda alpha, *_, form: (
+            self.diagonal([alpha] * 3), form
+        ))
         with pytest.raises(
-            ConvergenceError, match=r"^tr \(N - alpha I\)\^1 differs from the closed form's by "
+            ConvergenceError, match=r"^alpha \+ corner - tau is -?[0-9.e+-]+ D, not 0$"
         ):
             self.audit(P3, (0.5, -1.0), 0.4)
-
-    def test_a_planted_wrong_entry_at_the_origin_names_the_annihilating_polynomial(
-        self, monkeypatch
-    ):
-        # at x = 0 the closed form's values coincide; the x block [[alpha, 1],
-        # [1, alpha]] has alpha - 1 and alpha + 1, which are none of them
-        from sigmak import verify
-        from sigmak.errors import ConvergenceError
-
-        builder = verify.exact_hessian
-
-        def planted(*args):
-            scale, rows, closed_form = builder(*args)
-            rows[0][1] = rows[1][0] = 1
-            return scale, rows, closed_form
-
-        monkeypatch.setattr(verify, "exact_hessian", planted)
-        with pytest.raises(
-            ConvergenceError,
-            match=r"^entry \(\d+, \d+\) of the closed form's annihilating polynomial at N "
-                  r"is -?[0-9.e+-]+ D\^3, not 0$",
-        ):
-            self.audit(P3, (0.0, 0.0), 0.4)
 
     @pytest.mark.parametrize("factor, shown", [(-1, "-[0-9.e+]+"), (0, "0")])
     def test_a_sigma_that_is_not_positive_is_named(self, monkeypatch, factor, shown):
@@ -696,9 +754,9 @@ class TestExactAudit:
         exact = verify._arrow_sigmas
 
         def scaled_first(*args):
-            sigmas = exact(*args)
+            sigmas, sizes = exact(*args)
             sigmas[0] *= factor
-            return sigmas
+            return sigmas, sizes
 
         monkeypatch.setattr(verify, "_arrow_sigmas", scaled_first)
         with pytest.raises(
@@ -817,8 +875,8 @@ class TestSampleRanges:
     @staticmethod
     def plant(monkeypatch, p, box, indices, action=None):
         # samples `indices` fail in whichever process scans them: each is
-        # recognized by its t, and raises a ConvergenceError whose
-        # offdiag_norm is its index, or runs `action` if one is given
+        # recognized by its t, and raises a ConvergenceError whose message
+        # names its index, or runs `action` if one is given
         from sigmak import verify
         from sigmak.errors import ConvergenceError
 
@@ -829,7 +887,7 @@ class TestSampleRanges:
             if t in planted:
                 if action is not None:
                     action()
-                raise ConvergenceError(f"planted at {planted[t]}", offdiag_norm=planted[t])
+                raise ConvergenceError(f"planted at {planted[t]}")
             return exact(p, x, t)
 
         monkeypatch.setattr(verify, "spectrum_dd", failing)
@@ -850,8 +908,8 @@ class TestSampleRanges:
             self.assert_no_children()
         first = indices[0]
         assert str(errors[0]) == str(errors[1])
-        assert str(errors[1]).startswith(f"sample {first} at {sample_point(P3, BOX, first)}: ")
-        assert errors[0].offdiag_norm == errors[1].offdiag_norm == first
+        named = sample_point(P3, BOX, first)
+        assert str(errors[1]) == f"sample {first} at {named}: planted at {first}"
 
     def test_a_worker_audits_by_the_global_sample_index(self, visible_cpus, monkeypatch):
         # sample 700 is the 34th of the third range of three: an audit of
