@@ -11,7 +11,9 @@ sigma_1..sigma_k) in double-double pushes that error below 1e-20.
 No FMA is assumed: products are split with Dekker's algorithm, which is exact
 while operands and products stay below ``SPLIT_MAX`` = 2**996 (~6.7e299);
 past that the split's ``SPLITTER * a`` overflows.  Callers that could reach
-it guard their inputs (see ``solution._check_radius``).
+it guard their inputs (see ``solution._check_radius``): a point, or the
+scan's whole box of samples, once, with the margin ``solution.BOX_MARGIN``
+that makes the box's bound cover every sample in it.
 
 The operations are sub and mul; a float f enters them as ``(f, 0.0)``.
 Each runs as one Python frame, with Knuth's TwoSum, Dekker's TwoProd and the
@@ -21,8 +23,9 @@ operations are the textbook composition's, in its order, so every result is
 the composition's bit for bit; tests/test_doubledouble.py keeps the
 composition and pins this.  The scan's per-sample kernel,
 ``solution.spectrum_dd``, writes its own sums, products and its one
-division out the same way, with ``SPLITTER``, and calls nothing here; the
-scan takes one sub per sample for its residual.  No library code adds,
+division out the same way, with ``SPLITTER``, in one frame per block of
+samples, and calls nothing here; the scan takes one sub per sample for its
+residual.  No library code adds,
 divides or takes the square root of double-doubles anywhere else, so this
 module has no add, div or sqrt; the tests keep the textbook div and sqrt
 (tests/conftest.py).

@@ -19,12 +19,15 @@ the binomials C(n-2, j) that the scan uses.  Appending m dummy coordinates
 (on which u does not depend) extends a core solution in dimension n to
 dimension n + m without changing sigma_k.
 
-The scan's per-sample work is one function, ``spectrum_dd``: from one
-double exponential it forms the Hessian's terms and sigma_1..sigma_k in
-double-double, with the arithmetic written out in one Python frame.  The
-scan's audit takes the same Hessian exactly, as an integer matrix, from
-``exact_hessian``, and checks those sigmas against it; no eigenvalue is
-formed in double-double.
+The scan's per-sample work is one generator, ``spectrum_dd``: for each
+sample of a block, from one double exponential, it forms the Hessian's
+terms and sigma_1..sigma_k in double-double, with the arithmetic written
+out in one Python frame per block, which takes what no sample changes once.
+No sample is checked against the radius guard: the scan checks its whole
+box once, with a margin that covers every sample in it (_check_radius,
+BOX_MARGIN).  The scan's audit takes the same Hessian exactly, as an
+integer matrix, from ``exact_hessian``, and checks those sigmas against it;
+no eigenvalue is formed in double-double.
 """
 
 from __future__ import annotations
@@ -167,6 +170,11 @@ def _check_exponent(p: SolutionParams, t: float) -> None:
         )
 
 
+# The relative margin on e^t_hi and e^(-(k-1) t_lo) with which a box of
+# samples is checked, so that the check covers every sample (_check_radius)
+BOX_MARGIN = 1.0 + 2.0**-40
+
+
 def _check_radius(
     p: SolutionParams, x_radius: float, et_hi: float, e_decay_lo: float, what
 ) -> None:
@@ -187,6 +195,33 @@ def _check_radius(
     x_radius up to ~2e49 for n = 3 and ~5e12 for n = 11.  `what` names the
     input in the error: the (x, t) of a point, or a description of a box.
     Run _check_exponent on t_lo and t_hi first.
+
+    eval_jet checks each point, with max |x_i|, E = exp(t) and 1 / E^(k-1).
+    A scan checks its box once, with R, exp(t_hi) BOX_MARGIN and
+    exp(-(k-1) t_lo) BOX_MARGIN, and no sample again; this call passes only
+    if the point call of every sample (x, t) in the box would, with E and
+    1 / ph for the leading part ph of the double-double E^(k-1) that
+    spectrum_dd forms, for an exp within an ulp:
+    - |x_i| <= R: x_i = fl(-R + fl(2R u)) with 0 <= u < 1.
+    - E < e^t_hi (1 + 2^-41.9): t = fl(t_lo + fl(w u)) with w = fl(t_hi -
+      t_lo), and w and the sum each round by at most half an ulp, so
+      t - t_hi <= 1.5 2^-52 max(|t_lo|, |t_hi|) <= 1050 2^-52, as the
+      exponent guard keeps |t| (k - 1) <= 700.  exp adds an ulp to E and
+      takes at most one from exp(t_hi).
+    - 1 / ph < e^(-(k-1) t_lo) (1 + (k + 3) 2^-52): t >= t_lo, since
+      fl(t_lo + v) >= t_lo for v >= 0; E^(k-1) is within (k - 1) 2^-52 of
+      e^((k-1)t), its k - 2 products in double-double add ~2^-100 each, ph
+      is within 2^-53 of their sum and 1.0 / ph rounds once more.  The
+      box's exp(fl(-(k-1) t_lo)) loses at most 2^-43 to the rounded
+      exponent and an ulp to exp.  No box passes this guard once n >= 997
+      (F >= 1 at every t: e^t >= 1/(n-1) makes the first term at least 2,
+      and otherwise e^(-(k-1)t) / A > (n-1)^(k-1) / 2^(n+k-2) =
+      ((n-1)/8)^(k-1)), so k <= 498 and this is below 2^-42.
+    So the box's two exponentials exceed the point's by over 2^-41
+    relative, even after their rounded product with BOX_MARGIN; every term
+    of F carries one of them, F's few rounded sums and products of
+    nonnegative floats move it by ~2^-50, and log2, within an ulp (2^-44
+    below the 332 it is compared with), keeps that order.
     """
     bound = (
         (p.n_base - 1) * (2.0 + 4.0 * x_radius + x_radius * x_radius) * et_hi
@@ -266,11 +301,11 @@ def eval_jet(p: SolutionParams, pt: Point) -> Jet2:
     return Jet2(value=r2et + h0, gradient=gradient, hessian=tuple(map(tuple, hess)))
 
 
-def spectrum_dd(p: SolutionParams, x, t: float) -> tuple[float, tuple, list[dd.DD]]:
-    """E = math.exp(t), the terms (a, tr, det) of u's Hessian at
-    the point with x block `x` (n - 1 floats) and t, and its
-    sigma_1..sigma_k, in double-double, in closed form from that one double
-    exponential.
+def spectrum_dd(p: SolutionParams, points):
+    """For each (x, t) of `points`, with x the x block (n - 1 floats), yield
+    E = math.exp(t), the terms (a, tr, det) of u's Hessian at that point and
+    its sigma_1..sigma_k, in double-double, in closed form from that one
+    double exponential.
 
     Terms.  Every entry of D^2 u depends on t only through e^t, so terms
     formed from (E, 0.0) are the exact terms at t* = ln E up to
@@ -278,10 +313,11 @@ def spectrum_dd(p: SolutionParams, x, t: float) -> tuple[float, tuple, list[dd.D
     ulp.  The powers e^(jt), j < k, are products with E; e^(-(k-1)t) is
     1/E^(k-1), never a second exponential, whose rounding would not match
     E's; h'' = h2_decay_dd e^(-(k-1)t) + h2_growth_dd e^t, and r^2 e^t is the
-    sum of the exact squares of x times E.  Refuses the points that eval_jet
-    refuses; the radius guard reads E and the leading part of 1/E^(k-1),
-    and runs before the division, whose quotient must stay below
-    doubledouble.SPLIT_MAX.
+    sum of the exact squares of x times E.  A point past the exponent guard
+    is refused, as _check_exponent refuses it, by one compare per point.
+    The radius guard is the caller's: every point must lie in a box that
+    _check_radius has passed with the margin it describes, as residual_scan's
+    box does, so that every product stays below doubledouble.SPLIT_MAX.
 
     Spectrum.  On the x, t block the Hessian is the arrow matrix
     [[a I, c], [c^T, d]] with a = 2e^t, c = 2x e^t and d = r^2 e^t + h''; the
@@ -292,7 +328,7 @@ def spectrum_dd(p: SolutionParams, x, t: float) -> tuple[float, tuple, list[dd.D
         det = a d - |c|^2 = 2e^t h'' - 2r^2 e^(2t) = a (h'' - r^2 e^t),
 
     formed as the last, never as a d - |c|^2, whose two terms both grow like
-    r^2 and cancel.  The kernel stops at the sigmas and returns the terms
+    r^2 and cancel.  The kernel stops at the sigmas and yields the terms
     a, tr and det that the scan's verdicts read; it forms no root.
 
     Sigmas.  prod_i (1 + lambda_i y) = (1 + a y)^(n-2) (1 + tr y + det y^2),
@@ -303,223 +339,235 @@ def spectrum_dd(p: SolutionParams, x, t: float) -> tuple[float, tuple, list[dd.D
     the last term from j = 2 on: 3k - 3 products and 2k - 1 sums, against
     ~d^2 / 2 of each for the e_j recurrence over all d eigenvalues.
 
-    Every double-double operation is written out here, in one Python frame,
-    as doubledouble writes out each of its operations: Knuth's TwoSum,
-    Dekker's split and TwoProd and the closing FastTwoSum in locals, with E,
-    a, tr and det, which several products share, split once.  The float
-    operations are those of the textbook double-double add, sub, mul and
-    div composed as the formulas above read, so every value is that
-    composition's bit for bit; tests/conftest.py keeps the composition and
-    tests/test_solution.py pins this.  The scan calls it on every sample,
-    with x and t as plain floats, so that no Point is built per sample; its
-    audit reads E and the sigmas.
+    Every double-double operation is written out here, in one Python frame
+    for the whole of `points`, as doubledouble writes out each of its
+    operations: Knuth's TwoSum, Dekker's split and TwoProd and the closing
+    FastTwoSum in locals.  What does not depend on the point is taken once
+    per call: k, the splits of the two coefficients of h'' and of the binomials
+    C(n-2, j), and the powers of two; per point E, a, tr and det, which
+    several products share, are split once.  The float operations are those
+    of the textbook double-double add, sub, mul and div composed as the
+    formulas above read, so every value is that composition's bit for bit;
+    tests/conftest.py keeps the composition and tests/test_solution.py pins
+    this.  The scan passes one block of samples per call, with x and t as
+    plain floats, so that no Point is built per sample; its audit reads E
+    and the sigmas.  A one-point call is next(spectrum_dd(p, [(x, t)])).
+    Being a generator, the kernel raises at the point that fails, after
+    yielding every point before it.
     """
-    _check_exponent(p, t)
     split = dd.SPLITTER
-    E = math.exp(t)
-    c = split * E
-    ehi = c - (c - E)
-    elo = E - ehi
-    # e^(jt) for j = 1 .. k - 1, each the product of the last one and (E, 0.0)
-    et_powers = [(E, 0.0)]
-    ph, pl = E, 0.0
-    for _ in range(p.k - 2):
-        prod = ph * E
-        c = split * ph
-        xhi = c - (c - ph)
-        xlo = ph - xhi
-        e = (((xhi * ehi - prod) + xhi * elo + xlo * ehi) + xlo * elo) + (ph * 0.0 + pl * E)
-        ph = prod + e
-        pl = e - (ph - prod)
-        et_powers.append((ph, pl))
-    _check_radius(p, max(map(abs, x)), E, 1.0 / ph, (x, t))
-
-    # e^(-(k-1)t) = (1.0, 0.0) / (ph, pl): the textbook double-double
-    # division, q1 = 1 / ph, then two corrections, each over ph, of the rest
-    # less (ph, pl) q, ph split once
-    q1 = 1.0 / ph
-    c = split * ph
-    yhi = c - (c - ph)
-    ylo = ph - yhi
-    prod = ph * q1
-    c = split * q1
-    xhi = c - (c - q1)
-    xlo = q1 - xhi
-    e = (((yhi * xhi - prod) + yhi * xlo + ylo * xhi) + ylo * xlo) + pl * q1
-    sh = prod + e
-    sl = e - (sh - prod)
-    b = -sh
-    s = 1.0 + b
-    bb = s - 1.0
-    e = ((1.0 - (s - bb)) + (b - bb)) + (0.0 - sl)
-    rh = s + e
-    rl = e - (rh - s)
-    q2 = rh / ph
-    prod = ph * q2
-    c = split * q2
-    xhi = c - (c - q2)
-    xlo = q2 - xhi
-    e = (((yhi * xhi - prod) + yhi * xlo + ylo * xhi) + ylo * xlo) + pl * q2
-    sh = prod + e
-    sl = e - (sh - prod)
-    b = -sh
-    s = rh + b
-    bb = s - rh
-    e = ((rh - (s - bb)) + (b - bb)) + (rl - sl)
-    q3 = (s + e) / ph
-    s = q1 + q2
-    e = (q2 - (s - q1)) + q3
-    decay_h = s + e
-    decay_l = e - (decay_h - s)
-
-    # h'' = h2_decay_dd (decay_h, decay_l) + h2_growth_dd (E, 0.0)
-    xh, xl = p.h2_decay_dd
-    prod = xh * decay_h
-    c = split * xh
-    xhi = c - (c - xh)
-    xlo = xh - xhi
-    c = split * decay_h
-    yhi = c - (c - decay_h)
-    ylo = decay_h - yhi
-    e = (((xhi * yhi - prod) + xhi * ylo + xlo * yhi) + xlo * ylo) + (xh * decay_l + xl * decay_h)
-    uh = prod + e
-    ul = e - (uh - prod)
-    xh, xl = p.h2_growth_dd
-    prod = xh * E
-    c = split * xh
-    xhi = c - (c - xh)
-    xlo = xh - xhi
-    e = (((xhi * ehi - prod) + xhi * elo + xlo * ehi) + xlo * elo) + (xh * 0.0 + xl * E)
-    vh = prod + e
-    vl = e - (vh - prod)
-    s = uh + vh
-    bb = s - uh
-    e = ((uh - (s - bb)) + (vh - bb)) + (ul + vl)
-    h2h = s + e
-    h2l = e - (h2h - s)
-
-    # r^2 e^t: the chain r = r + TwoProd(v, v) from r = 0, times (E, 0.0)
-    rh = rl = 0.0
-    for v in x:
-        prod = v * v
-        c = split * v
-        xhi = c - (c - v)
-        xlo = v - xhi
-        q = ((xhi * xhi - prod) + xhi * xlo + xlo * xhi) + xlo * xlo
-        s = rh + prod
-        bb = s - rh
-        e = ((rh - (s - bb)) + (prod - bb)) + (rl + q)
-        rh = s + e
-        rl = e - (rh - s)
-    prod = rh * E
-    c = split * rh
-    xhi = c - (c - rh)
-    xlo = rh - xhi
-    e = (((xhi * ehi - prod) + xhi * elo + xlo * ehi) + xlo * elo) + (rh * 0.0 + rl * E)
-    r2h = prod + e
-    r2l = e - (r2h - prod)
-
-    # a = 2 (E, 0.0), split once; d = r^2 e^t + h''; tr = a + d
-    ah, al = E * 2.0, 0.0
-    c = split * ah
-    ahi = c - (c - ah)
-    alo = ah - ahi
-    s = r2h + h2h
-    bb = s - r2h
-    e = ((r2h - (s - bb)) + (h2h - bb)) + (r2l + h2l)
-    dh = s + e
-    dl = e - (dh - s)
-    s = ah + dh
-    bb = s - ah
-    e = ((ah - (s - bb)) + (dh - bb)) + (al + dl)
-    trh = s + e
-    trl = e - (trh - s)
-
-    # det = a (h'' - r^2 e^t), split once
-    b = -r2h
-    s = h2h + b
-    bb = s - h2h
-    e = ((h2h - (s - bb)) + (b - bb)) + (h2l - r2l)
-    yh = s + e
-    yl = e - (yh - s)
-    prod = ah * yh
-    c = split * yh
-    yhi = c - (c - yh)
-    ylo = yh - yhi
-    e = (((ahi * yhi - prod) + ahi * ylo + alo * yhi) + alo * ylo) + (ah * yl + al * yh)
-    deth = prod + e
-    detl = e - (deth - prod)
-    c = split * deth
-    dethi = c - (c - deth)
-    detlo = deth - dethi
-
-    # g_j = C(n-2, j) a^j for j = 1 .. k, a^j = 2^j e^(jt) for j < k and
-    # a^k = a^(k-1) a; each g_j as its hi, its lo and the split of its hi
-    powers = []
-    for j, (ph, pl) in enumerate(et_powers, start=1):
-        f = 2.0**j
-        powers.append((ph * f, pl * f))
-    wh, wl = powers[-1]
-    prod = wh * ah
-    c = split * wh
-    xhi = c - (c - wh)
-    xlo = wh - xhi
-    e = (((xhi * ahi - prod) + xhi * alo + xlo * ahi) + xlo * alo) + (wh * al + wl * ah)
-    uh = prod + e
-    powers.append((uh, e - (uh - prod)))
-    g = []
-    for (xh, xl), (yh, yl) in zip(p.arrow_binomials_dd[1:], powers):
-        prod = xh * yh
+    km1 = p.k - 1
+    # h'' = h2_decay_dd e^(-(k-1)t) + h2_growth_dd e^t, each coefficient split
+    kh, kl = p.h2_decay_dd
+    c = split * kh
+    khi = c - (c - kh)
+    klo = kh - khi
+    gh, gl = p.h2_growth_dd
+    c = split * gh
+    ghi = c - (c - gh)
+    glo = gh - ghi
+    # C(n-2, j) for j = 1 .. k, each as its hi, its lo and the split of its hi
+    binomials = []
+    for xh, xl in p.arrow_binomials_dd[1:]:
         c = split * xh
         xhi = c - (c - xh)
-        xlo = xh - xhi
+        binomials.append((xh, xl, xhi, xh - xhi))
+    pow2 = [2.0**j for j in range(1, km1 + 1)]
+
+    for x, t in points:
+        if abs(t) * km1 > OVERFLOW_EXPONENT:
+            _check_exponent(p, t)
+        E = math.exp(t)
+        c = split * E
+        ehi = c - (c - E)
+        elo = E - ehi
+        # e^(jt) for j = 1 .. k - 1, each the product of the last one and (E, 0.0)
+        et_powers = [(E, 0.0)]
+        ph, pl = E, 0.0
+        for _ in range(km1 - 1):
+            prod = ph * E
+            c = split * ph
+            xhi = c - (c - ph)
+            xlo = ph - xhi
+            e = (((xhi * ehi - prod) + xhi * elo + xlo * ehi) + xlo * elo) + (ph * 0.0 + pl * E)
+            ph = prod + e
+            pl = e - (ph - prod)
+            et_powers.append((ph, pl))
+
+        # e^(-(k-1)t) = (1.0, 0.0) / (ph, pl): the textbook double-double
+        # division, q1 = 1 / ph, then two corrections, each over ph, of the
+        # rest less (ph, pl) q, ph split once
+        q1 = 1.0 / ph
+        c = split * ph
+        yhi = c - (c - ph)
+        ylo = ph - yhi
+        prod = ph * q1
+        c = split * q1
+        xhi = c - (c - q1)
+        xlo = q1 - xhi
+        e = (((yhi * xhi - prod) + yhi * xlo + ylo * xhi) + ylo * xlo) + pl * q1
+        sh = prod + e
+        sl = e - (sh - prod)
+        b = -sh
+        s = 1.0 + b
+        bb = s - 1.0
+        e = ((1.0 - (s - bb)) + (b - bb)) + (0.0 - sl)
+        rh = s + e
+        rl = e - (rh - s)
+        q2 = rh / ph
+        prod = ph * q2
+        c = split * q2
+        xhi = c - (c - q2)
+        xlo = q2 - xhi
+        e = (((yhi * xhi - prod) + yhi * xlo + ylo * xhi) + ylo * xlo) + pl * q2
+        sh = prod + e
+        sl = e - (sh - prod)
+        b = -sh
+        s = rh + b
+        bb = s - rh
+        e = ((rh - (s - bb)) + (b - bb)) + (rl - sl)
+        q3 = (s + e) / ph
+        s = q1 + q2
+        e = (q2 - (s - q1)) + q3
+        decay_h = s + e
+        decay_l = e - (decay_h - s)
+
+        # h'' = (kh, kl) (decay_h, decay_l) + (gh, gl) (E, 0.0)
+        prod = kh * decay_h
+        c = split * decay_h
+        yhi = c - (c - decay_h)
+        ylo = decay_h - yhi
+        e = (((khi * yhi - prod) + khi * ylo + klo * yhi) + klo * ylo) + (
+            kh * decay_l + kl * decay_h
+        )
+        uh = prod + e
+        ul = e - (uh - prod)
+        prod = gh * E
+        e = (((ghi * ehi - prod) + ghi * elo + glo * ehi) + glo * elo) + (gh * 0.0 + gl * E)
+        vh = prod + e
+        vl = e - (vh - prod)
+        s = uh + vh
+        bb = s - uh
+        e = ((uh - (s - bb)) + (vh - bb)) + (ul + vl)
+        h2h = s + e
+        h2l = e - (h2h - s)
+
+        # r^2 e^t: the chain r = r + TwoProd(v, v) from r = 0, times (E, 0.0)
+        rh = rl = 0.0
+        for v in x:
+            prod = v * v
+            c = split * v
+            xhi = c - (c - v)
+            xlo = v - xhi
+            q = ((xhi * xhi - prod) + xhi * xlo + xlo * xhi) + xlo * xlo
+            s = rh + prod
+            bb = s - rh
+            e = ((rh - (s - bb)) + (prod - bb)) + (rl + q)
+            rh = s + e
+            rl = e - (rh - s)
+        prod = rh * E
+        c = split * rh
+        xhi = c - (c - rh)
+        xlo = rh - xhi
+        e = (((xhi * ehi - prod) + xhi * elo + xlo * ehi) + xlo * elo) + (rh * 0.0 + rl * E)
+        r2h = prod + e
+        r2l = e - (r2h - prod)
+
+        # a = 2 (E, 0.0), split once; d = r^2 e^t + h''; tr = a + d
+        ah, al = E * 2.0, 0.0
+        c = split * ah
+        ahi = c - (c - ah)
+        alo = ah - ahi
+        s = r2h + h2h
+        bb = s - r2h
+        e = ((r2h - (s - bb)) + (h2h - bb)) + (r2l + h2l)
+        dh = s + e
+        dl = e - (dh - s)
+        s = ah + dh
+        bb = s - ah
+        e = ((ah - (s - bb)) + (dh - bb)) + (al + dl)
+        trh = s + e
+        trl = e - (trh - s)
+
+        # det = a (h'' - r^2 e^t), split once
+        b = -r2h
+        s = h2h + b
+        bb = s - h2h
+        e = ((h2h - (s - bb)) + (b - bb)) + (h2l - r2l)
+        yh = s + e
+        yl = e - (yh - s)
+        prod = ah * yh
         c = split * yh
         yhi = c - (c - yh)
         ylo = yh - yhi
-        e = (((xhi * yhi - prod) + xhi * ylo + xlo * yhi) + xlo * ylo) + (xh * yl + xl * yh)
-        uh = prod + e
-        c = split * uh
-        xhi = c - (c - uh)
-        g.append((uh, e - (uh - prod), xhi, uh - xhi))
+        e = (((ahi * yhi - prod) + ahi * ylo + alo * yhi) + alo * ylo) + (ah * yl + al * yh)
+        deth = prod + e
+        detl = e - (deth - prod)
+        c = split * deth
+        dethi = c - (c - deth)
+        detlo = deth - dethi
 
-    # sigma_1 = g_1 + tr; sigma_j = (g_j + g_(j-1) tr) + (det or g_(j-2) det)
-    xh, xl = g[0][:2]
-    s = xh + trh
-    bb = s - xh
-    e = ((xh - (s - bb)) + (trh - bb)) + (xl + trl)
-    uh = s + e
-    sigmas = [(uh, e - (uh - s))]
-    c = split * trh
-    thi = c - (c - trh)
-    tlo = trh - thi
-    for j in range(2, len(g) + 1):
-        xh, xl, xhi, xlo = g[j - 2]
-        prod = xh * trh
-        e = (((xhi * thi - prod) + xhi * tlo + xlo * thi) + xlo * tlo) + (xh * trl + xl * trh)
+        # g_j = C(n-2, j) a^j for j = 1 .. k, a^j = 2^j e^(jt) for j < k and
+        # a^k = a^(k-1) a; each g_j as its hi, its lo and the split of its hi
+        powers = [(ph * f, pl * f) for f, (ph, pl) in zip(pow2, et_powers)]
+        wh, wl = powers[-1]
+        prod = wh * ah
+        c = split * wh
+        xhi = c - (c - wh)
+        xlo = wh - xhi
+        e = (((xhi * ahi - prod) + xhi * alo + xlo * ahi) + xlo * alo) + (wh * al + wl * ah)
         uh = prod + e
-        ul = e - (uh - prod)
-        xh, xl = g[j - 1][:2]
-        s = xh + uh
+        powers.append((uh, e - (uh - prod)))
+        g = []
+        for (xh, xl, xhi, xlo), (yh, yl) in zip(binomials, powers):
+            prod = xh * yh
+            c = split * yh
+            yhi = c - (c - yh)
+            ylo = yh - yhi
+            e = (((xhi * yhi - prod) + xhi * ylo + xlo * yhi) + xlo * ylo) + (xh * yl + xl * yh)
+            uh = prod + e
+            c = split * uh
+            xhi = c - (c - uh)
+            g.append((uh, e - (uh - prod), xhi, uh - xhi))
+
+        # sigma_1 = g_1 + tr; sigma_j = (g_j + g_(j-1) tr) + (det or g_(j-2) det)
+        xh, xl = g[0][:2]
+        s = xh + trh
         bb = s - xh
-        e = ((xh - (s - bb)) + (uh - bb)) + (xl + ul)
-        sh = s + e
-        sl = e - (sh - s)
-        if j == 2:
-            vh, vl = deth, detl
-        else:
-            xh, xl, xhi, xlo = g[j - 3]
-            prod = xh * deth
-            e = (((xhi * dethi - prod) + xhi * detlo + xlo * dethi) + xlo * detlo) + (
-                xh * detl + xl * deth
-            )
-            vh = prod + e
-            vl = e - (vh - prod)
-        s = sh + vh
-        bb = s - sh
-        e = ((sh - (s - bb)) + (vh - bb)) + (sl + vl)
+        e = ((xh - (s - bb)) + (trh - bb)) + (xl + trl)
         uh = s + e
-        sigmas.append((uh, e - (uh - s)))
-    return E, ((ah, al), (trh, trl), (deth, detl)), sigmas
+        sigmas = [(uh, e - (uh - s))]
+        c = split * trh
+        thi = c - (c - trh)
+        tlo = trh - thi
+        for j in range(2, len(g) + 1):
+            xh, xl, xhi, xlo = g[j - 2]
+            prod = xh * trh
+            e = (((xhi * thi - prod) + xhi * tlo + xlo * thi) + xlo * tlo) + (xh * trl + xl * trh)
+            uh = prod + e
+            ul = e - (uh - prod)
+            xh, xl = g[j - 1][:2]
+            s = xh + uh
+            bb = s - xh
+            e = ((xh - (s - bb)) + (uh - bb)) + (xl + ul)
+            sh = s + e
+            sl = e - (sh - s)
+            if j == 2:
+                vh, vl = deth, detl
+            else:
+                xh, xl, xhi, xlo = g[j - 3]
+                prod = xh * deth
+                e = (((xhi * dethi - prod) + xhi * detlo + xlo * dethi) + xlo * detlo) + (
+                    xh * detl + xl * deth
+                )
+                vh = prod + e
+                vl = e - (vh - prod)
+            s = sh + vh
+            bb = s - sh
+            e = ((sh - (s - bb)) + (vh - bb)) + (sl + vl)
+            uh = s + e
+            sigmas.append((uh, e - (uh - s)))
+        yield E, ((ah, al), (trh, trl), (deth, detl)), sigmas
 
 
 def exact_hessian(p: SolutionParams, x, et: float) -> tuple[int, list[list[int]], tuple]:

@@ -36,9 +36,15 @@ Precision
 Each sample's Hessian terms and sigma_1..sigma_k are computed once, in
 double-double arithmetic, in closed form, by one kernel
 (``solution.spectrum_dd``) that writes the double-double operations out in
-one Python frame: at sample-box corners the cancellation in sigma_k is too
-severe for plain doubles to certify a 1e-9 bound once k reaches 4.  Every
-entry of D^2 u depends on t only through e^t, so the kernel takes one
+one Python frame per block of AUDIT_STRIDE samples, a generator that takes
+what no sample changes once per block: at sample-box corners the
+cancellation in sigma_k is too severe for plain doubles to certify a 1e-9
+bound once k reaches 4.  No sample is checked against the radius guard:
+residual_scan checks the whole box once (_check_box), on e^t_max and
+e^(-(k-1) t_min) times BOX_MARGIN = 1 + 2^-40, which covers the rounding
+of a sample's t, libm's exp and the kernel's products
+(``solution._check_radius``), so the box's bound dominates every sample's.
+Every entry of D^2 u depends on t only through e^t, so the kernel takes one
 double exponential E = math.exp(t) per sample and forms e^(-(k-1)t) as
 1/E^(k-1).  The scan thus evaluates the Hessian at t* = ln E, with
 |t* - t| <= 2^-53 for an exp within half an ulp, and every entry is
@@ -72,10 +78,12 @@ y^2 - tau y + delta, even where two of those values coincide, as at x = 0
 (_check_spectrum).  Read off that spectrum, sigma_k(N) must be D^k, the
 claim sigma_k = 1 at that point, and sigma_j(N) > 0 for j < k.  The
 structured sigma_j must then lie within
-SIGMA_AUDIT_UNITS * d * 2^-104 * e_j(|lambda|) of sigma_j(N) / D^j.  The
-scale e_j(|lambda|) comes from the same integers, with no root: it is the
-coefficient of y^j in (1 + alpha y)^(n-2) (1 + s y + |delta| y^2) over D^j
-(alpha > 0), where s = |tau| when delta >= 0 and otherwise
+SIGMA_AUDIT_UNITS * n * 2^-104 * e_j(|lambda|) of sigma_j(N) / D^j, n
+counting the core eigenvalues that the kernel rounds (the m zeros never
+enter it).  The scale e_j(|lambda|) comes from the same integers, with no
+root: it is the coefficient of y^j in
+(1 + alpha y)^(n-2) (1 + s y + |delta| y^2) over D^j (alpha > 0), where
+s = |tau| when delta >= 0 and otherwise
 s = isqrt(tau^2 - 4 delta) + 1, an integer upper bound of D (|mu_1| + |mu_2|)
 for the two roots mu, which makes the scale an upper bound too.  So the
 audit reads what the scan reports from, E and the sigmas, and forms no
@@ -103,6 +111,7 @@ from . import doubledouble as dd
 from .cone import sigmas_positive
 from .errors import ConvergenceError
 from .solution import (
+    BOX_MARGIN,
     Point,
     SolutionParams,
     _check_exponent,
@@ -121,21 +130,32 @@ CRITICAL_PHASE_N3 = math.pi / 2
 # audit the closed-form spectrum and sigmas on 1% of samples; a scan also
 # draws its words this many samples at a time
 AUDIT_STRIDE = 100
-# A scan forks a worker only for a range of at least this many samples.  A
-# worker costs a few ms beyond its samples: the fork (~0.8 ms in a 30 MB
-# parent), ~1 ms before the child runs, and copy-on-write faults in both
-# processes (~240 in the parent, ~415 in the child per scan).  Against
-# 12-14 us per n = 3 sample, the cheapest dimension, two ranges of 200 lost
-# (5.2-5.6 ms against 4.9-5.0 in one range) and two of 250 won (5.7-6.5
-# against 6.2-6.8); at n = 7 two of 200 won (6.6-7.6 against 7.4-8.2) and
-# two of 250 took 7.6-8.0 ms against 9.2-9.6 (medians of 40 interleaved
-# scans in each of three runs, CPython 3.11.7 with numpy loaded, 2-vCPU
-# x86-64 Linux).  200 lies between the two break-evens.
-MIN_RANGE_SAMPLES = 200
+# A scan forks a worker only for a range of at least MIN_RANGE_SAMPLES
+# samples, and its own first range holds PARENT_HEAD_START samples more than
+# each worker's: a worker starts ~1.2 ms after its fork and takes ~0.6 ms
+# to exit, and each process pays ~170-220 copy-on-write faults, while a
+# sample takes ~10, ~15.5 and ~24 us at n = 3, 7 and 13.  With the first
+# range 0, 25, 50, 75 and 100 samples longer, two ranges of 400 n = 3
+# samples took 4.24, 4.02, 3.87, 3.77 and 3.80 ms (one range 4.14), of 500
+# n = 7 samples 6.4, 6.1, 5.9, 6.0 and 6.1 (one range 7.95) and of 500
+# n = 13 samples 8.8, 8.3, 8.4, 8.7 and 9.0 (one range 12.2); 50 is the
+# best single count.  With it two ranges first beat one near 360 n = 3
+# samples (350: 3.69 against 3.65 ms), 225 at n = 7 (200: 3.39 against
+# 3.22; 250: 3.88 against 4.03) and 180 at n = 13 (150: 3.97 against 3.78;
+# 200: 4.75 against 4.88), so a scan forks from 2 * 150 + 50 = 350
+# samples.  Against equal ranges of at least 200, 350 samples take 3.64
+# against 3.66 ms at n = 3, 4.66 against 5.59 at n = 7 and 6.56 against
+# 8.53 at n = 13, 400 n = 3 samples 3.78 against 4.06 and 500 n = 7
+# samples 5.74 against 6.05 (medians of 40 interleaved scans in each of two
+# runs, CPython 3.11.7 with numpy loaded, 2-vCPU x86-64 Linux).
+MIN_RANGE_SAMPLES = 150
+PARENT_HEAD_START = 50
 # The audit's bound on |structured sigma_j - sigma_j(N) / D^j|, in units of
-# d * 2^-104 * e_j(|lambda|), where e_j(|lambda|) is e_j over the
+# n * 2^-104 * e_j(|lambda|), where e_j(|lambda|) is e_j over the
 # eigenvalues' absolute values (Higham, Accuracy and Stability of Numerical
-# Algorithms, ch. 3), read off N's integers as the audit does.  A
+# Algorithms, ch. 3), read off N's integers as the audit does, and n counts
+# the core eigenvalues: the kernel rounds nothing of the m dummy
+# coordinates, whose zero eigenvalues add nothing to any sigma_j.  A
 # double-double product or sum errs by at most ~2 units of 2^-104 relative
 # to the product of the operands' magnitudes or to the sum of them.  The
 # structured sigma_j adds three terms of at most k + 1 factors each, and its
@@ -143,7 +163,7 @@ MIN_RANGE_SAMPLES = 200
 # units of |mu_1| + |mu_2| and of |mu_1 mu_2| for the two roots mu; both are
 # bounded by the same e_j(|lambda|).  Seeded audits at every odd n = 3..31
 # with m in {0, 2}, and on the boxes x_radius 2e49 (n = 3), 4e12 (n = 11)
-# and 1e12 (n = 5) and t in [27, 28] (n = 3), stay within 0.15 units.  A
+# and 1e12 (n = 5) and t in [27, 28] (n = 3), stay within 0.15 units of n.  A
 # wrong binomial misses the bound by over 25 decades, h'' from a perturbed
 # growth coefficient or from a second exponential by over 12, and a det off
 # by 1e-20 relative by ~9.
@@ -248,13 +268,7 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
     its x block and t as floats; a Point is built only for the reported
     argmax and the text of an error.
     """
-    t_lo, t_hi = box.t_range
-    _check_exponent(p, t_lo)
-    _check_exponent(p, t_hi)
-    _check_radius(
-        p, box.x_radius, math.exp(t_hi), math.exp(-(p.k - 1) * t_lo),
-        f"x_radius = {box.x_radius:g} with t_range = {box.t_range}",
-    )
+    _check_box(p, box)
     max_resid, argmax = -1.0, None
     cone_failures = lemma_failures = phase_failures = 0
     min_sigma_j = math.inf
@@ -278,14 +292,33 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
     )
 
 
+def _check_box(p: SolutionParams, box: SampleBox) -> None:
+    """Refuse a box whose samples could overflow: the exponent guard on
+    t_min and t_max, then the radius guard on the whole box, with the margin
+    BOX_MARGIN on its two exponentials that makes it cover every sample
+    (solution._check_radius), so that no sample is checked again."""
+    t_lo, t_hi = box.t_range
+    _check_exponent(p, t_lo)
+    _check_exponent(p, t_hi)
+    _check_radius(
+        p, box.x_radius, math.exp(t_hi) * BOX_MARGIN,
+        math.exp(-(p.k - 1) * t_lo) * BOX_MARGIN,
+        f"x_radius = {box.x_radius:g} with t_range = {box.t_range}",
+    )
+
+
 def _sample_ranges(count: int, cpus: int) -> list[tuple[int, int]]:
     """Contiguous (start, stop) ranges covering samples 0 .. count - 1.
 
     One range for each of `cpus` CPUs, but at least one, and never a range
     of fewer than MIN_RANGE_SAMPLES samples (one range holds them all then).
+    The first range, which the calling process scans, holds
+    PARENT_HEAD_START samples more than the others, which split the rest
+    evenly.
     """
-    ranges = max(1, min(cpus, count // MIN_RANGE_SAMPLES))
-    bounds = [count * r // ranges for r in range(ranges + 1)]
+    rest = count - PARENT_HEAD_START
+    ranges = max(1, min(cpus, rest // MIN_RANGE_SAMPLES))
+    bounds = [0] + [PARENT_HEAD_START + rest * r // ranges for r in range(1, ranges + 1)]
     return list(zip(bounds, bounds[1:]))
 
 
@@ -393,7 +426,10 @@ def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tup
     -1), the cone and lemma failure counts, the smallest sigma_j and the
     phase failure count.  Sample i is audited when i % AUDIT_STRIDE == 0.
     The words are drawn one block of AUDIT_STRIDE samples at a time, from
-    `start`, so a range of any length holds one block's words at once.
+    `start`, so a range of any length holds one block's words at once, and
+    the block's x blocks and t go to one spectrum_dd call, whose samples
+    are taken one at a time, so that an error names the sample that raised
+    it.  The box was checked by residual_scan; no sample is.
     """
     t_lo, t_hi = box.t_range
     k, n2 = p.k, p.n_base - 2
@@ -406,11 +442,17 @@ def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tup
     for block in range(start, stop, AUDIT_STRIDE):
         size = min(AUDIT_STRIDE, stop - block)
         words = splitmix64_words(box.seed, block * d, size * d)
-        for i, at in zip(range(block, block + size), range(0, size * d, d)):
-            x = [x_lo + x_width * ((word >> 11) * 2.0**-53) for word in words[at : at + nx]]
-            t = t_lo + t_width * ((words[at + nx] >> 11) * 2.0**-53)
+        points = [
+            (
+                [x_lo + x_width * ((word >> 11) * 2.0**-53) for word in words[at : at + nx]],
+                t_lo + t_width * ((words[at + nx] >> 11) * 2.0**-53),
+            )
+            for at in range(0, size * d, d)
+        ]
+        kernel = spectrum_dd(p, points).__next__
+        for i, (x, _) in zip(range(block, block + size), points):
             try:
-                et, ((a, _), (tr_hi, tr_lo), (det_hi, det_lo)), e = spectrum_dd(p, x, t)
+                et, ((a, _), (tr_hi, tr_lo), (det_hi, det_lo)), e = kernel()
                 tr, det = tr_hi + tr_lo, det_hi + det_lo
                 # sum lambda^2 = (n-2) a^2 + tr^2 - 2 det, and tr^2 - 2 det =
                 # mu_1^2 + mu_2^2 >= tr^2 / 2 for the two roots: no cancellation
@@ -450,8 +492,7 @@ def _audit_sample(p: SolutionParams, x, et: float, sigmas: list) -> None:
     module docstring describes.
 
     `x` is the sample's x block as floats, and et and sigmas are what
-    spectrum_dd(p, x, t) returned for it; the Hessian is taken at
-    t* = ln et.  Raises ConvergenceError naming the check that failed and
+    spectrum_dd yielded for it; the Hessian is taken at t* = ln et.  Raises ConvergenceError naming the check that failed and
     its exact residual, over the power of D it scales with.
     """
     n, k = p.n_base, p.k
@@ -473,7 +514,7 @@ def _audit_sample(p: SolutionParams, x, et: float, sigmas: list) -> None:
         if sigma <= 0:
             raise ConvergenceError(f"exact sigma_{j}(N) is {sigma / power:.17g} D^{j}, not positive")
 
-    unit = SIGMA_AUDIT_UNITS * p.total_dim * 2.0**-104
+    unit = SIGMA_AUDIT_UNITS * n * 2.0**-104
     for j, (structured, sigma, power, size) in enumerate(zip(sigmas, exact, powers, sizes), 1):
         gap, tol = _gap(structured, sigma, power), unit * (size / power)
         if not gap <= tol:

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from sigmak import doubledouble as dd
-from sigmak.solution import Point, _check_exponent, _check_radius, eval_jet
+from sigmak.solution import Point, _check_exponent, eval_jet, spectrum_dd
 from sigmak.symfunc import faddeev_leverrier
 
 
@@ -193,13 +193,13 @@ def mul_pow2(x, f: float):
 
 def dd_terms(p, x, t: float):
     """The powers e^t, ..., e^((k-1)t), h''(t) and r^2 e^t in double-double,
-    from E = math.exp(t), with the kernel's guards in the kernel's order."""
+    from E = math.exp(t), with the kernel's one guard, the exponent's; the
+    radius guard is the box's (verify._check_box)."""
     _check_exponent(p, t)
     et = (math.exp(t), 0.0)
     et_powers = [et]
     for _ in range(p.k - 2):
         et_powers.append(dd.mul(et_powers[-1], et))
-    _check_radius(p, max(map(abs, x)), et[0], 1.0 / et_powers[-1][0], (x, t))
     e_decay = dd_div(dd.ONE, et_powers[-1])
     h2 = dd_add(dd.mul(p.h2_decay_dd, e_decay), dd.mul(p.h2_growth_dd, et))
     return et_powers, h2, dd.mul(sum_squares(x), et)
@@ -243,14 +243,22 @@ def arrow_sigmas(binomials, powers, tr, det):
     return sigmas
 
 
-def composed_spectrum_dd(p, x, t: float):
-    """solution.spectrum_dd(p, x, t) as the composition: (E, (a, tr, det),
-    sigmas).  The module globals it calls are looked up at call time, so a
-    test may patch dd_terms or arrow_sigmas here and pass this function to
-    the scan in the kernel's place."""
-    terms = dd_terms(p, x, t)
-    five, sigmas = spectrum_sigmas_dd(p, terms)
-    return terms[0][0][0], five[:3], sigmas
+def composed_spectrum_dd(p, points):
+    """solution.spectrum_dd(p, points) as the composition: for each (x, t)
+    of `points`, (E, (a, tr, det), sigmas).  The module globals it calls are
+    looked up at call time, so a test may patch dd_terms or arrow_sigmas here
+    and pass this function to the scan in the kernel's place."""
+    for x, t in points:
+        terms = dd_terms(p, x, t)
+        five, sigmas = spectrum_sigmas_dd(p, terms)
+        yield terms[0][0][0], five[:3], sigmas
+
+
+def spectrum_dd_at(p, x, t: float):
+    """The kernel's (E, (a, tr, det), sigmas) at the one point (x, t):
+    next(solution.spectrum_dd(p, [(x, t)])), x as a list, as the scan
+    passes it."""
+    return next(spectrum_dd(p, [(list(x), t)]))
 
 
 def dd_hessian(p, pt):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from conftest import (
     dd_hessian,
     dd_terms,
     sigma_brute,
+    spectrum_dd_at,
     to_float,
 )
 from sigmak.solution import (
@@ -28,7 +30,19 @@ from sigmak.solution import (
 )
 from sigmak import doubledouble as dd
 from sigmak.symfunc import eigenvalues_symmetric, elementary_symmetric
-from sigmak.verify import SIGMA_AUDIT_UNITS, SampleBox, _audit_sample, sample_point
+from sigmak.verify import (
+    AUDIT_STRIDE,
+    SIGMA_AUDIT_UNITS,
+    SampleBox,
+    _audit_sample,
+    residual_scan,
+    sample_point,
+)
+
+
+def box_holding(x, t: float) -> SampleBox:
+    """A one-sample box that holds the point (x, t), with t as its t_max."""
+    return SampleBox(max(map(abs, x)) or 1.0, (t - 1.0, t), count=1, seed=0)
 
 
 class TestCancellationCoefficient:
@@ -206,15 +220,21 @@ class TestEvalJet:
             Point(**kwargs)
 
     def test_radius_guard(self):
+        # eval_jet checks each point; the scan's kernel checks none, and
+        # residual_scan refuses the box that holds each point instead
         p = derive_constants(3)
-        for func in (eval_jet, lambda p, pt: spectrum_dd(p, pt.x, pt.t)):
-            func(p, Point(x=(1e49, 0.0), t=2.0))
-            with pytest.raises(OverflowError, match=r"point x = \(1e\+200, 0.0\), t = 0.0"):
-                func(p, Point(x=(1e200, 0.0), t=0.0))
-            with pytest.raises(OverflowError, match=r"point x = \(1e\+50, 0.0\)"):
-                func(p, Point(x=(1e50, 0.0), t=2.0))
-            with pytest.raises(OverflowError, match="Hessian norm"):
-                func(p, Point(x=(0.0, 0.0), t=-400.0))
+        eval_jet(p, Point(x=(1e49, 0.0), t=2.0))
+        residual_scan(p, box_holding((1e49, 0.0), 2.0))
+        for x, t, point, box in [
+            ((1e200, 0.0), 0.0, r"point x = \(1e\+200, 0.0\), t = 0.0",
+             r"x_radius = 1e\+200 with t_range = \(-1.0, 0.0\)"),
+            ((1e50, 0.0), 2.0, r"point x = \(1e\+50, 0.0\)", r"x_radius = 1e\+50 "),
+            ((0.0, 0.0), -400.0, "Hessian norm", r"t_range = \(-401.0, -400.0\) .*Hessian norm"),
+        ]:
+            with pytest.raises(OverflowError, match=point):
+                eval_jet(p, Point(x=x, t=t))
+            with pytest.raises(OverflowError, match=box):
+                residual_scan(p, box_holding(x, t))
 
     def test_one_closed_form_evaluation_per_jet(self, monkeypatch):
         # e^t and e^(-(k-1)t), shared by the closed form and the radius guard
@@ -325,7 +345,7 @@ class TestHessianDD:
     def test_residual_is_tiny_in_dd(self):
         p = derive_constants(7)
         pt = Point(x=(3.0,) * 6, t=2.0)
-        _, _, sigmas = spectrum_dd(p, pt.x, pt.t)
+        _, _, sigmas = spectrum_dd_at(p, pt.x, pt.t)
         assert abs(to_float(dd.sub(sigmas[3], dd.ONE))) < 1e-20
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
@@ -512,7 +532,7 @@ class TestSpectrumDD:
     at points where the scan's exact audit passes the kernel's sigmas."""
 
     def assert_matches_oracles(self, p, pt):
-        et, _, sigmas = spectrum_dd(p, pt.x, pt.t)
+        et, _, sigmas = spectrum_dd_at(p, pt.x, pt.t)
         lam = composed_eigenvalues_dd(p, pt.x, pt.t)
         assert len(lam) == p.total_dim
         assert lam == sorted(lam)
@@ -560,7 +580,7 @@ class TestSpectrumDD:
         lam, _ = self.assert_matches_oracles(p, pt)
         sigma_k = elementary_symmetric(lam, dd_add, dd.mul)[p.k - 1]
         assert abs(to_float(dd.sub(sigma_k, dd.ONE))) < 1e-20
-        _, _, sigmas = spectrum_dd(p, pt.x, pt.t)
+        _, _, sigmas = spectrum_dd_at(p, pt.x, pt.t)
         assert abs(to_float(dd.sub(sigmas[p.k - 1], dd.ONE))) < 1e-20
 
     def test_negative_determinant_root(self):
@@ -581,17 +601,17 @@ class TestSpectrumDD:
 class TestArrowSigmas:
     """The structured sigma_1..sigma_k of spectrum_dd against the e_j
     recurrence over the closed-form eigenvalues of its composition, within
-    the scan audit's bound SIGMA_AUDIT_UNITS * d * 2^-104 * e_j(|lambda|)."""
+    the scan audit's bound SIGMA_AUDIT_UNITS * n * 2^-104 * e_j(|lambda|)."""
 
     @pytest.mark.parametrize("m", [0, 2])
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
     def test_matches_the_recurrence(self, n, m):
         p = SolutionParams(n, m)
         box = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=40, seed=100 * n + m)
-        unit = SIGMA_AUDIT_UNITS * p.total_dim * 2.0**-104
+        unit = SIGMA_AUDIT_UNITS * p.n_base * 2.0**-104
         for i in range(box.count):
             pt = sample_point(p, box, i)
-            _, _, sigmas = spectrum_dd(p, pt.x, pt.t)
+            _, _, sigmas = spectrum_dd_at(p, pt.x, pt.t)
             lam = composed_eigenvalues_dd(p, pt.x, pt.t)
             assert len(sigmas) == p.k
             by_recurrence = elementary_symmetric(lam, dd_add, dd.mul)
@@ -626,25 +646,34 @@ class TestArrowSigmas:
 class TestKernelPin:
     """spectrum_dd is conftest's composition dd_terms -> spectrum_sigmas_dd ->
     arrow_sigmas written out in one frame: the same E, terms and sigmas,
-    float.hex for float.hex, and the same guard errors, by type and message."""
+    float.hex for float.hex, over blocks of points taken as the scan takes
+    them, and the same guard errors, by type, message and the point they
+    stop the block at."""
 
     @staticmethod
-    def outcome(kernel, p, x, t):
+    def outcomes(kernel, p, points):
+        # each point's E, terms and sigmas, then the error that stopped the
+        # block, if one did
+        got = []
         try:
-            et, terms, sigmas = kernel(p, list(x), t)
+            for et, terms, sigmas in kernel(p, [(list(x), t) for x, t in points]):
+                got.append((et.hex(), [tuple(map(float.hex, v)) for v in [*terms, *sigmas]]))
         except (OverflowError, ZeroDivisionError, ValueError) as exc:
-            return type(exc), str(exc)
-        return et.hex(), [tuple(map(float.hex, v)) for v in [*terms, *sigmas]]
+            got.append((type(exc), str(exc)))
+        return got
 
     @staticmethod
     def samples(p, box):
         return [(pt.x, pt.t) for pt in (sample_point(p, box, i) for i in range(box.count))]
 
     def assert_pinned(self, p, points):
-        for x, t in points:
-            want = self.outcome(composed_spectrum_dd, p, x, t)
-            got = self.outcome(spectrum_dd, p, x, t)
-            assert got == want, (p.n_base, p.m, x, t)
+        for start in range(0, len(points), AUDIT_STRIDE):
+            block = points[start : start + AUDIT_STRIDE]
+            want = self.outcomes(composed_spectrum_dd, p, block)
+            got = self.outcomes(spectrum_dd, p, block)
+            for point, g, w in zip(block, got, want):
+                assert g == w, (p.n_base, p.m, point)
+            assert len(got) == len(want)
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     @pytest.mark.parametrize("n", range(3, 32, 2))
@@ -679,7 +708,33 @@ class TestKernelPin:
         (11, (6e12,) * 10, 2.0, "Hessian norm"),
     ])
     def test_guard_errors_match(self, n, x, t, error):
+        # residual_scan refuses the box that holds each point; the kernel
+        # keeps the exponent guard, by one compare per point, and stops its
+        # block at the point past it, as its composition does
         p = derive_constants(n)
         with pytest.raises(OverflowError, match=error):
-            spectrum_dd(p, list(x), t)
-        self.assert_pinned(p, [(x, t)])
+            residual_scan(p, box_holding(x, t))
+        if error == "exponential overflow guard":
+            with pytest.raises(OverflowError, match=error):
+                spectrum_dd_at(p, x, t)
+            inside = ((1.0,) * (n - 1), 0.5)
+            block = [inside, (x, t), inside]
+            assert len(self.outcomes(spectrum_dd, p, block)) == 2
+            self.assert_pinned(p, block)
+
+    @pytest.mark.parametrize("n", [3, 7, 31])
+    def test_the_exponent_compare_is_the_exponent_guard(self, n):
+        # the kernel refuses exactly the t that _check_exponent refuses
+        from sigmak.solution import OVERFLOW_EXPONENT, _check_exponent
+
+        p = derive_constants(n)
+        limit = OVERFLOW_EXPONENT / (p.k - 1)
+        for t in (limit, -limit):
+            for u in (t, math.nextafter(t, 0.0), math.nextafter(t, 2.0 * t)):
+                try:
+                    _check_exponent(p, u)
+                except OverflowError as exc:
+                    with pytest.raises(OverflowError, match=re.escape(str(exc))):
+                        spectrum_dd_at(p, (0.0,) * (n - 1), u)
+                else:
+                    spectrum_dd_at(p, (0.0,) * (n - 1), u)

@@ -19,6 +19,7 @@ from conftest import (
     nonpoly_witness,
     sigma_brute,
     sigma_minors,
+    spectrum_dd_at,
     to_float,
 )
 from sigmak.solution import (
@@ -26,7 +27,6 @@ from sigmak.solution import (
     SolutionParams,
     derive_constants,
     eval_jet,
-    spectrum_dd,
 )
 from sigmak.verify import (
     CRITICAL_PHASE_N3,
@@ -237,7 +237,7 @@ class TestSpectrumAudit:
 
     @staticmethod
     def shifted_spectrum(monkeypatch, first_shifted, rel_shift):
-        # from kernel call number first_shifted on, move the largest
+        # from kernel sample number first_shifted on, move the largest
         # eigenvalue by rel_shift * (1 + ||M||_F) and return the sigmas of
         # the moved spectrum, as a closed form with that eigenvalue wrong
         # throughout
@@ -248,15 +248,15 @@ class TestSpectrumAudit:
         calls = []
         kernel = verify.spectrum_dd
 
-        def shifted(p, x, t):
-            et, terms, sigmas = kernel(p, x, t)
-            if len(calls) >= first_shifted:
-                lam = composed_eigenvalues_dd(p, x, t)
-                fro = math.sqrt(sum(to_float(v) ** 2 for v in lam))
-                lam[-1] = dd_add(lam[-1], (rel_shift * (1.0 + fro), 0.0))
-                sigmas = elementary_symmetric(lam, dd_add, dd.mul)[: p.k]
-            calls.append(t)
-            return et, terms, sigmas
+        def shifted(p, points):
+            for (x, t), (et, terms, sigmas) in zip(points, kernel(p, points)):
+                if len(calls) >= first_shifted:
+                    lam = composed_eigenvalues_dd(p, x, t)
+                    fro = math.sqrt(sum(to_float(v) ** 2 for v in lam))
+                    lam[-1] = dd_add(lam[-1], (rel_shift * (1.0 + fro), 0.0))
+                    sigmas = elementary_symmetric(lam, dd_add, dd.mul)[: p.k]
+                calls.append(t)
+                yield et, terms, sigmas
 
         monkeypatch.setattr(verify, "spectrum_dd", shifted)
 
@@ -344,7 +344,9 @@ class TestSpectrumAudit:
         audits = self.count_calls(monkeypatch, "_audit_sample")
         residual_scan(P3, BOX)
         assert BOX.count == 1000
-        assert (len(kernels), len(audits), len(roots)) == (1000, 10, 1000)
+        # one kernel call per block of AUDIT_STRIDE samples
+        assert [len(args[1]) for args, _ in kernels] == [100] * 10
+        assert (len(audits), len(roots)) == (10, 1000)
         for args, kwargs in audits:
             et, sigmas = args[2:]
             assert not kwargs and type(et) is float and len(sigmas) == P3.k
@@ -355,7 +357,7 @@ class TestSpectrumAudit:
         # the audit reads that double
         for i in range(BOX.count):
             pt = sample_point(P3, BOX, i)
-            got = spectrum_dd(P3, pt.x, pt.t)[0]
+            got = spectrum_dd_at(P3, pt.x, pt.t)[0]
             assert got.hex() == math.exp(pt.t).hex()
         audits = self.count_calls(monkeypatch, "_audit_sample")
         residual_scan(P3, BOX)
@@ -419,6 +421,33 @@ class TestSpectrumAudit:
             assert all(type(v) is int for row in rows for v in row)
 
 
+    def test_dummy_coordinates_do_not_loosen_the_sigma_bound(self):
+        # the kernel rounds the n core eigenvalues, never the m zeros, so the
+        # bound's unit counts n: at m = 120 a sigma_1 planted 10 times the
+        # m = 0 tolerance off fails, where a unit of n + m = 123 eigenvalues
+        # was 41 times wider and let it pass
+        from sigmak import verify
+        from sigmak.errors import ConvergenceError
+
+        pt = sample_point(P3, BOX, 0)
+
+        def gap_and_tolerance(p, shift):
+            et, _, sigmas = spectrum_dd_at(p, pt.x, pt.t)
+            planted = [dd_add(sigmas[0], (shift, 0.0)), *sigmas[1:]]
+            with pytest.raises(ConvergenceError, match="^structured sigma_1 disagrees"):
+                verify._audit_sample(p, list(pt.x), et, planted)
+            try:
+                verify._audit_sample(p, list(pt.x), et, planted)
+            except ConvergenceError as exc:
+                return self.gap_and_tolerance(str(exc))
+
+        wide = SolutionParams(3, 120)
+        gap, tol = gap_and_tolerance(P3, 1e-12)
+        assert gap_and_tolerance(wide, 1e-12) == (gap, tol)
+        gap, _ = gap_and_tolerance(wide, 10.0 * tol)
+        assert tol < gap < (wide.total_dim / wide.n_base) * tol
+
+
 class TestAuditScale:
     """The scale e_j(|lambda|) of the audit's sigma bound, which the audit
     reads off exact_hessian's integers with no root, is e_j over the
@@ -451,7 +480,7 @@ class TestAuditScale:
         monkeypatch.setattr(verify, "_arrow_sigmas", recorded)
         for i in range(box.count):
             pt = sample_point(p, box, i * 100)
-            et, _, sigmas = spectrum_dd(p, pt.x, pt.t)
+            et, _, sigmas = spectrum_dd_at(p, pt.x, pt.t)
             arrows.clear()
             verify._audit_sample(p, list(pt.x), et, sigmas)
             scale = verify.exact_hessian(p, list(pt.x), et)[0]
@@ -476,7 +505,7 @@ class TestExactAudit:
     def audit(p, x, t):
         from sigmak.verify import _audit_sample
 
-        et, _, sigmas = spectrum_dd(p, list(x), t)
+        et, _, sigmas = spectrum_dd_at(p, x, t)
         _audit_sample(p, list(x), et, sigmas)
 
     @pytest.mark.parametrize(
@@ -545,7 +574,7 @@ class TestExactAudit:
         if box.x_radius == 3.0 and p.n_base in (3, 7):
             points += [Point((0.0,) * (n - 1), t, (0.0,) * p.m) for t in (-1.5, 0.0, 1.5)]
         for pt in points:
-            et = spectrum_dd(p, pt.x, pt.t)[0]
+            et = spectrum_dd_at(p, pt.x, pt.t)[0]
             scale, rows, (alpha, tau, delta) = verify.exact_hessian(p, list(pt.x), et)
             verify._check_spectrum(rows, alpha, tau, delta, p.m, scale)
             want = [1]
@@ -566,7 +595,7 @@ class TestExactAudit:
         from sigmak import verify
         from sigmak.solution import exact_hessian
 
-        scale, rows, closed_form = exact_hessian(p, list(x), spectrum_dd(p, list(x), t)[0])
+        scale, rows, closed_form = exact_hessian(p, list(x), spectrum_dd_at(p, x, t)[0])
         nx = p.n_base - 1
         cross = [row[nx] for row in rows[:nx]]
         rows, closed_form = planted(closed_form[0], cross, rows[nx][nx], form=closed_form)
@@ -580,7 +609,7 @@ class TestExactAudit:
     def alpha_corner(p, x, t):
         from sigmak.solution import exact_hessian
 
-        _, rows, _ = exact_hessian(p, list(x), spectrum_dd(p, list(x), t)[0])
+        _, rows, _ = exact_hessian(p, list(x), spectrum_dd_at(p, x, t)[0])
         return rows[0][0], rows[p.n_base - 1][p.n_base - 1]
 
     @pytest.mark.parametrize("n, m", [(n, m) for n in (3, 5, 7) for m in range(3)])
@@ -765,6 +794,119 @@ class TestExactAudit:
             self.audit(derive_constants(5), (0.5, -1.0, 2.0, 0.25), 0.1)
 
 
+class TestBoxGuard:
+    """residual_scan checks its box once (_check_box), with the margin
+    BOX_MARGIN on its two exponentials, and no sample again: on boxes
+    bisected to the guard's edge, the box's bound exceeds the per-point
+    bound of every sample, which the kernel once checked each sample by,
+    by over 2^-42 relative, and the next box is refused."""
+
+    @staticmethod
+    def passes(p, box):
+        from sigmak import verify
+
+        try:
+            verify._check_box(p, box)
+        except OverflowError:
+            return False
+        return True
+
+    @classmethod
+    def edge(cls, p, box_at, good, bad):
+        # adjacent floats good and bad with box_at(good) passing the box
+        # guard and box_at(bad) refused
+        assert cls.passes(p, box_at(good)) and not cls.passes(p, box_at(bad))
+        while (mid := good + (bad - good) / 2) not in (good, bad):
+            if cls.passes(p, box_at(mid)):
+                good = mid
+            else:
+                bad = mid
+        return good, bad
+
+    @staticmethod
+    def samples(p, box):
+        # seeded samples, and the scan's mapping at the ends of u in [0, 1)
+        # for every coordinate: |x_i| = x_radius at u = 0, the largest t
+        t_lo, t_hi = box.t_range
+        points = [(pt.x, pt.t) for pt in (sample_point(p, box, i) for i in range(20))]
+        for u in (0.0, 1.0 - 2.0**-53):
+            x = [-box.x_radius + 2.0 * box.x_radius * u] * (p.n_base - 1)
+            points.append((x, t_lo + (t_hi - t_lo) * u))
+        return points
+
+    @staticmethod
+    def point_bound(p, x, t, inflate=1.0):
+        # the per-point radius guard that the scan's kernel once ran, on E
+        # and 1 / ph for the leading part ph of its E^(k-1)
+        from conftest import dd_terms
+        from sigmak.solution import _check_radius
+
+        ph = dd_terms(p, x, t)[0][-1][0]
+        _check_radius(p, max(map(abs, x)), math.exp(t) * inflate, inflate / ph, (x, t))
+
+    @pytest.mark.parametrize("n", range(3, 32, 2))
+    def test_the_box_covers_every_sample_at_the_edge(self, monkeypatch, n):
+        from sigmak import solution, verify
+        from sigmak.solution import OVERFLOW_EXPONENT
+
+        # the 1 + F of each radius guard call, which it takes log2 of
+        seen = []
+
+        def log2(value):
+            seen.append(value)
+            return math.log2(value)
+
+        names = {name: getattr(math, name) for name in dir(math) if not name.startswith("_")}
+        monkeypatch.setattr(solution, "math", types.SimpleNamespace(**{**names, "log2": log2}))
+        p = derive_constants(n)
+        limit = OVERFLOW_EXPONENT / (p.k - 1)
+        edges = [
+            # x_radius, the last t_max and the first t_min the guard lets through
+            (lambda r: SampleBox(r, (-2.0, 2.0), 1, 0), 1.0, 1e300),
+            (lambda s: SampleBox(3.0, (s - 1.0, s), 1, 0), 0.0, limit),
+            (lambda s: SampleBox(3.0, (s, s + 1.0), 1, 0), 0.0, 1.0 - limit),
+        ]
+        for box_at, good, bad in edges:
+            good, bad = self.edge(p, box_at, good, bad)
+            box = box_at(good)
+            seen.clear()
+            verify._check_box(p, box)
+            (by_box,) = seen
+            points = self.samples(p, box)
+            for x, t in points:
+                seen.clear()
+                self.point_bound(p, x, t)
+                assert by_box > seen[0] * (1.0 + 2.0**-42), (x, t)
+            # the edge is tight: some sample is refused once its two
+            # exponentials grow by 2^-20
+            tight = 0
+            for x, t in points:
+                try:
+                    self.point_bound(p, x, t, inflate=1.0 + 2.0**-20)
+                except OverflowError:
+                    tight += 1
+            assert tight > 0
+            with pytest.raises(
+                OverflowError, match=r"^x_radius = .* with t_range = .* lets the Hessian norm"
+            ):
+                residual_scan(p, box_at(bad))
+
+    @pytest.mark.usefixtures("one_cpu")
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_no_sample_is_checked_again(self, monkeypatch, n):
+        # the box's one radius check and its two exponent checks, by
+        # residual_scan; the kernel's own exponent compare calls nothing
+        from sigmak import solution
+
+        counts = [
+            TestSpectrumAudit.count_calls(monkeypatch, name, module)
+            for module in (None, solution) for name in ("_check_radius", "_check_exponent")
+        ]
+        residual_scan(derive_constants(n), BOX)
+        assert BOX.count == 1000
+        assert [len(calls) for calls in counts] == [1, 2, 0, 0]
+
+
 class TestSampleRanges:
     """A scan splits its samples into contiguous ranges, one per visible CPU,
     and scans all but the first in forked workers; how many ranges there are
@@ -794,8 +936,8 @@ class TestSampleRanges:
             self.assert_no_children()
         assert reports[1] == reports[0] and reports[2] == reports[0]
         if p.n_base == 9:
-            # samples 342, 607 and 837 fail the float cone rule at j = k: in
-            # every range but the first of three, and in both of two
+            # samples 342, 607 and 837 fail the float cone rule at j = k: one
+            # in each of three ranges, and in both of two
             assert (reports[0].cone_failures, reports[0].lemma_failures) == (3, 3)
 
     def test_the_merge_follows_the_one_loop_rules(self, visible_cpus, monkeypatch):
@@ -807,11 +949,11 @@ class TestSampleRanges:
         exact = verify.spectrum_dd
         smallest = sample_point(P3, BOX, 900).t
 
-        def tied(p, x, t):
-            et, terms, sigmas = exact(p, x, t)
-            if et == math.exp(smallest):  # e^t of sample 900
-                sigmas[0] = (0.5, 0.0)
-            return et, terms, sigmas[:-1] + [(1.0, 2.0**-60)]
+        def tied(p, points):
+            for et, terms, sigmas in exact(p, points):
+                if et == math.exp(smallest):  # e^t of sample 900
+                    sigmas[0] = (0.5, 0.0)
+                yield et, terms, sigmas[:-1] + [(1.0, 2.0**-60)]
 
         monkeypatch.setattr(verify, "spectrum_dd", tied)
         monkeypatch.setattr(verify, "_audit_sample", lambda *args: None)
@@ -836,10 +978,19 @@ class TestSampleRanges:
         self.assert_no_children()
 
     def test_ranges_are_contiguous_and_not_too_short(self):
-        from sigmak.verify import MIN_RANGE_SAMPLES, _sample_ranges
+        # the first range, this process's, is PARENT_HEAD_START samples
+        # longer than each worker's, which split the rest evenly
+        from sigmak.verify import MIN_RANGE_SAMPLES, PARENT_HEAD_START, _sample_ranges
 
-        assert _sample_ranges(1000, 3) == [(0, 333), (333, 666), (666, 1000)]
-        for count, ranges in ((3 * MIN_RANGE_SAMPLES - 1, 2), (2 * MIN_RANGE_SAMPLES - 1, 1)):
+        assert PARENT_HEAD_START == 50
+        assert _sample_ranges(1000, 3) == [(0, 366), (366, 683), (683, 1000)]
+        assert _sample_ranges(1000, 2) == [(0, 525), (525, 1000)]
+        edge = PARENT_HEAD_START + 2 * MIN_RANGE_SAMPLES
+        for count, ranges in (
+            (3 * MIN_RANGE_SAMPLES - 1, 2), (2 * MIN_RANGE_SAMPLES - 1, 1),
+            (edge + MIN_RANGE_SAMPLES, 3), (edge + MIN_RANGE_SAMPLES - 1, 2),
+            (edge, 2), (edge - 1, 1),
+        ):
             got = _sample_ranges(count, 3)
             assert len(got) == ranges
             assert [start for start, _ in got] == [0] + [stop for _, stop in got[:-1]]
@@ -883,12 +1034,13 @@ class TestSampleRanges:
         planted = {sample_point(p, box, i).t: i for i in indices}
         exact = verify.spectrum_dd
 
-        def failing(p, x, t):
-            if t in planted:
-                if action is not None:
-                    action()
-                raise ConvergenceError(f"planted at {planted[t]}")
-            return exact(p, x, t)
+        def failing(p, points):
+            for (_, t), out in zip(points, exact(p, points)):
+                if t in planted:
+                    if action is not None:
+                        action()
+                    raise ConvergenceError(f"planted at {planted[t]}")
+                yield out
 
         monkeypatch.setattr(verify, "spectrum_dd", failing)
 
@@ -912,7 +1064,7 @@ class TestSampleRanges:
         assert str(errors[1]) == f"sample {first} at {named}: planted at {first}"
 
     def test_a_worker_audits_by_the_global_sample_index(self, visible_cpus, monkeypatch):
-        # sample 700 is the 34th of the third range of three: an audit of
+        # sample 700 is the 18th of the third range of three: an audit of
         # every 100th sample counted within the range would pass it over
         from sigmak import verify
         from sigmak.errors import ConvergenceError
@@ -951,7 +1103,7 @@ class TestSampleRanges:
         assert run(["verify", "-n", "3", "--samples", "1000"]) == 2
         err = capsys.readouterr().err
         assert err == (
-            "sigmak: error: the scan worker of samples 666 to 999 ended without a "
+            "sigmak: error: the scan worker of samples 683 to 999 ended without a "
             f"report (killed by signal {int(signal.SIGKILL)})\n"
         )
         self.assert_no_children()
@@ -983,14 +1135,14 @@ class TestNonFiniteValues:
         planted = None if samples is None else {sample_point(P3, BOX, i).t for i in samples}
         exact = verify.spectrum_dd
 
-        def kernel(p, x, t):
-            et, terms, sigmas = exact(p, x, t)
-            if planted is None or t in planted:
-                if where == "sigma_k":
-                    sigmas[-1] = (math.nan, 0.0)
-                else:
-                    terms = (terms[0], (math.nan, 0.0), *terms[2:])
-            return et, terms, sigmas
+        def kernel(p, points):
+            for (_, t), (et, terms, sigmas) in zip(points, exact(p, points)):
+                if planted is None or t in planted:
+                    if where == "sigma_k":
+                        sigmas[-1] = (math.nan, 0.0)
+                    else:
+                        terms = (terms[0], (math.nan, 0.0), *terms[2:])
+                yield et, terms, sigmas
 
         monkeypatch.setattr(verify, "spectrum_dd", kernel)
 
@@ -1057,7 +1209,7 @@ class TestVerdictsAgainstTheRoots:
         failures = 0
         for i in range(box.count):
             pt = sample_point(p, box, i)
-            e = spectrum_dd(p, pt.x, pt.t)[2]
+            e = spectrum_dd_at(p, pt.x, pt.t)[2]
             lam = [hi + lo for hi, lo in composed_eigenvalues_dd(p, pt.x, pt.t)]
             sigmas = [hi + lo for hi, lo in e]
             neg, in_cone, lemma = cone_flags(lam, sigmas, p.k)
@@ -1104,9 +1256,10 @@ class TestSampleBlocks:
         seen = []
         kernel, audit = verify.spectrum_dd, verify._audit_sample
 
-        def recorded_kernel(p, x, t):
-            seen.append(("sample", list(x), t))
-            return kernel(p, x, t)
+        def recorded_kernel(p, points):
+            for (x, t), out in zip(points, kernel(p, points)):
+                seen.append(("sample", list(x), t))
+                yield out
 
         def recorded_audit(p, x, *args):
             seen.append(("audit", list(x)))
@@ -1259,7 +1412,7 @@ class TestResidualAgainstExactArithmetic:
         box = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=5, seed=77)
         for i in range(5):
             pt = sample_point(p, box, i)
-            _, _, sigmas = spectrum_dd(p, pt.x, pt.t)
+            _, _, sigmas = spectrum_dd_at(p, pt.x, pt.t)
             reported = to_float(dd.sub(sigmas[p.k - 1], dd.ONE))
             exact = [[Fraction(e[0]) + Fraction(e[1]) for e in row] for row in dd_hessian(p, pt)]
             truth = float(sigma_brute(exact, p.k) - 1)
