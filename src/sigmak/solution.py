@@ -25,15 +25,16 @@ terms and sigma_1..sigma_k in double-double, with the arithmetic written
 out in one Python frame per block, which takes what no sample changes once.
 No sample is checked against the radius guard: the scan checks its whole
 box once, with a margin that covers every sample in it (_check_radius,
-BOX_MARGIN).  The scan's audit takes the same Hessian exactly, as an
-integer matrix, from ``exact_hessian``, and checks those sigmas against it;
-no eigenvalue is formed in double-double.
+BOX_MARGIN).  The scan's audit takes the same Hessian exactly, as the
+integer parts of its arrow, from ``exact_hessian``, and checks those sigmas
+against them; no eigenvalue is formed in double-double.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -58,9 +59,10 @@ class SolutionParams:
     Every other field is derived from n_base in __post_init__: k, the exact
     constants A, B and h = h_coeff_decay e^(-(k-1)t) + h_coeff_growth e^t,
     A_float and h_coeffs_float = (h_coeff_decay, h_coeff_growth) rounded to
-    floats, h'' = h2_decay_dd e^(-(k-1)t) + h2_growth_dd e^t in double-double, and
-    arrow_binomials_dd[j] = C(n-2, j) for j = 0..k as exact double-doubles
-    (see spectrum_dd).
+    floats (A_float is inf once A passes the largest float, from n = 689
+    on; see _check_radius), h'' = h2_decay_dd e^(-(k-1)t) + h2_growth_dd e^t
+    in double-double, and arrow_binomials_dd[j] = C(n-2, j) for j = 0..k as
+    exact double-doubles (see spectrum_dd).
     """
 
     n_base: int
@@ -90,13 +92,17 @@ class SolutionParams:
         growth = -b / a
         derived = {
             "k": k, "A": a, "B": b, "h_coeff_decay": decay, "h_coeff_growth": growth,
-            "A_float": float(a), "h_coeffs_float": (float(decay), float(growth)),
+            "A_float": float(a) if a <= sys.float_info.max else math.inf,
+            "h_coeffs_float": (float(decay), float(growth)),
             "h2_decay_dd": dd.mul(dd.from_fraction(decay), dd.from_float((k - 1) ** 2)),
             "h2_growth_dd": dd.from_fraction(growth),
             # hi + lo is C(n-2, j) exactly: the rest c - int(hi) is an integer
-            # below ulp(hi), so a double holds it while c < 2^106
+            # below ulp(hi), so a double holds it while c < 2^106; a c past
+            # the largest float (from n = 1033 on) is (inf, 0.0), which no
+            # kernel reads, since no box passes the radius guard there
             "arrow_binomials_dd": tuple(
                 (float(c), float(c - int(float(c))))
+                if c <= sys.float_info.max else (math.inf, 0.0)
                 for c in (math.comb(n - 2, j) for j in range(k + 1))
             ),
         }
@@ -163,10 +169,10 @@ def derive_constants(n_base: int) -> SolutionParams:
 
 
 def _check_exponent(p: SolutionParams, t: float) -> None:
-    if abs(t) * max(p.k - 1, 1) > OVERFLOW_EXPONENT:
+    if abs(t) * (p.k - 1) > OVERFLOW_EXPONENT:
         raise OverflowError(
             f"|t| = {abs(t):g} exceeds the exponential overflow guard "
-            f"({OVERFLOW_EXPONENT / max(p.k - 1, 1):g} for k = {p.k})"
+            f"({OVERFLOW_EXPONENT / (p.k - 1):g} for k = {p.k})"
         )
 
 
@@ -217,6 +223,11 @@ def _check_radius(
       (F >= 1 at every t: e^t >= 1/(n-1) makes the first term at least 2,
       and otherwise e^(-(k-1)t) / A > (n-1)^(k-1) / 2^(n+k-2) =
       ((n-1)/8)^(k-1)), so k <= 498 and this is below 2^-42.
+    From n = 689 on, A passes the largest float and A_float is inf, so F
+    leaves out its second term, which the exponent guard keeps below
+    e^700 / 2^1024 < 2^-13 there.  No box passes then either: the exponent
+    guard keeps e^t >= e^(-1400/(n-1)), so the first term alone is at least
+    2 (n-1) e^(-1400/(n-1)) > 180, past 2^(996/n) - 1 < 1.8.
     So the box's two exponentials exceed the point's by over 2^-41
     relative, even after their rounded product with BOX_MARGIN; every term
     of F carries one of them, F's few rounded sums and products of
@@ -271,9 +282,10 @@ def arrow_rows(a, cross, corner, m: int, zero) -> list[list]:
     On the x, t block it is the arrow matrix [[a I, c], [c^T, corner]], with
     a = 2e^t on the x diagonal, c = `cross` = 2x e^t in the t row and column
     and corner = r^2 e^t + h''(t); then m rows and columns of `zero` for w.
-    eval_jet (float64), exact_hessian (integers, scaled) and
-    symbolic.rotated_hessian_from_constants (exact, x = (r, 0, ..., 0)) each
-    compute these entries in their own arithmetic and place them here.
+    eval_jet (float64) and symbolic.rotated_hessian_from_constants (exact,
+    x = (r, 0, ..., 0)) compute these entries in their own arithmetic and
+    place them here; exact_hessian (integers, scaled) returns its entries as
+    they are, and no scan lays them out.
     """
     nx = len(cross)
     dim = nx + 1 + m
@@ -570,9 +582,10 @@ def spectrum_dd(p: SolutionParams, points):
         yield E, ((ah, al), (trh, trl), (deth, detl)), sigmas
 
 
-def exact_hessian(p: SolutionParams, x, et: float) -> tuple[int, list[list[int]], tuple]:
-    """u's Hessian M at t* = ln et, exactly: a scale D > 0, the rows of the
-    integer matrix N = D M, and the closed form's (D a, D tr, D^2 det).
+def exact_hessian(p: SolutionParams, x, et: float) -> tuple[int, int, list[int], int]:
+    """u's Hessian M at t* = ln et, exactly, as the parts of the integer
+    arrow N = D M: a scale D > 0, alpha = D a, cross = D c and corner = D d,
+    which arrow_rows would lay out as N.
 
     `x` is the x block as floats and `et` the double E = fl(e^t) that
     spectrum_dd returns, so every input is rational: E = P / 2^e, x_i = X_i / 2^F
@@ -584,8 +597,7 @@ def exact_hessian(p: SolutionParams, x, et: float) -> tuple[int, list[list[int]]
         D h'' = 2^(2F+ek) - 2^(2F) B P^k,
 
     each formed by integer operations (a denominator of A or B, as in a
-    perturbed control, multiplies D).  tr = a + d and det = a (h'' - r^2 e^t)
-    are spectrum_dd's, at the same E.
+    perturbed control, multiplies D), and d = r^2 e^t + h''.
     """
     big_p, two_e = et.as_integer_ratio()
     e = two_e.bit_length() - 1
@@ -596,8 +608,6 @@ def exact_hessian(p: SolutionParams, x, et: float) -> tuple[int, list[list[int]]
     power = big_p ** (p.k - 1)
     scale = a_num * b_den * power << (2 * f + e)
     w = a_num * b_den * power * big_p
-    a = w << (2 * f + 1)
     r2et = w * sum(v * v for v in xs)
     h2 = (a_den * b_den << (2 * f + e * p.k)) - (b_num * a_den * power * big_p << (2 * f))
-    rows = arrow_rows(a, [w * v << (f + 1) for v in xs], r2et + h2, p.m, 0)
-    return scale, rows, (a, a + r2et + h2, a * (h2 - r2et))
+    return scale, w << (2 * f + 1), [w * v << (f + 1) for v in xs], r2et + h2

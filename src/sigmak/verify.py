@@ -67,18 +67,23 @@ the scan reads a, tr, det and the sigmas, and its audit checks the sigmas.
 Every 100th sample is audited exactly, at its own point (_audit_sample).
 Its inputs are rational: the x block and E = fl(e^t) are dyadic floats, and
 A and B are exact.  So the Hessian M at t* = ln E, the one the scan's values
-stand for, is N / D for the integer matrix N that ``solution.exact_hessian``
-forms by integer operations alone, with D = A P^(k-1) 2^(2F+e) for
-E = P / 2^e and x_i = X_i / 2^F.  With no tolerance, N must be the
-closed form's arrow: [[alpha I, c], [c^T, corner]] on the x, t block, with
-alpha = D a, and 0 on the w block, with alpha + corner = tau = D tr and
-alpha corner - |c|^2 = delta = D^2 det.  By the Schur complement its
-spectrum is then alpha (n - 2 times), 0 (m times) and the roots of
-y^2 - tau y + delta, even where two of those values coincide, as at x = 0
-(_check_spectrum).  Read off that spectrum, sigma_k(N) must be D^k, the
-claim sigma_k = 1 at that point, and sigma_j(N) > 0 for j < k.  The
-structured sigma_j must then lie within
-SIGMA_AUDIT_UNITS * n * 2^-104 * e_j(|lambda|) of sigma_j(N) / D^j, n
+stand for, is N / D for an integer arrow N, whose parts
+``solution.exact_hessian`` forms by integer operations alone, with
+D = A P^(k-1) 2^(2F+e) for E = P / 2^e and x_i = X_i / 2^F: alpha = D a on
+the x diagonal, the cross entries c = D 2x e^t in the t row and column, the
+corner D (r^2 e^t + h'') and 0 on the w block.  With tau = alpha + corner
+and delta = alpha corner - |c|^2, the Schur complement of alpha I in
+y I - N gives
+
+    det(y I - N) = (y - alpha)^(n-2) (y^2 - tau y + delta) y^m,
+
+so N's spectrum is alpha (n - 2 times), 0 (m times) and the roots of
+y^2 - tau y + delta, even where two of those values coincide, as at x = 0.
+The audit forms tau and delta from the parts by these definitions, never by
+the kernel's det = a (h'' - r^2 e^t), so it checks that formula too.  Read
+off that spectrum, sigma_k(N) must be D^k, the claim sigma_k = 1 at that
+point, and sigma_j(N) > 0 for j < k.  The structured sigma_j must then lie
+within SIGMA_AUDIT_UNITS * n * 2^-104 * e_j(|lambda|) of sigma_j(N) / D^j, n
 counting the core eigenvalues that the kernel rounds (the m zeros never
 enter it).  The scale e_j(|lambda|) comes from the same integers, with no
 root: it is the coefficient of y^j in
@@ -492,12 +497,16 @@ def _audit_sample(p: SolutionParams, x, et: float, sigmas: list) -> None:
     module docstring describes.
 
     `x` is the sample's x block as floats, and et and sigmas are what
-    spectrum_dd yielded for it; the Hessian is taken at t* = ln et.  Raises ConvergenceError naming the check that failed and
-    its exact residual, over the power of D it scales with.
+    spectrum_dd yielded for it; the Hessian is taken at t* = ln et.  Raises
+    ConvergenceError naming the check that failed and its exact residual,
+    over the power of D it scales with.
     """
     n, k = p.n_base, p.k
-    scale, rows, (alpha, tau, delta) = exact_hessian(p, x, et)
-    _check_spectrum(rows, alpha, tau, delta, p.m, scale)
+    scale, alpha, cross, corner = exact_hessian(p, x, et)
+    # the arrow's tau and delta by their definitions, not by the kernel's
+    # det = a (h'' - r^2 e^t), which the sigma bound below then checks
+    tau = alpha + corner
+    delta = alpha * corner - sum(c * c for c in cross)
     # D^j e_j(|lambda|), or a bound above it, is read off s and |delta|:
     # alpha > 0, and the roots of y^2 - tau y + delta have |mu_1 mu_2| =
     # |delta| and |mu_1| + |mu_2| = |tau| when they share a sign, their
@@ -522,48 +531,6 @@ def _audit_sample(p: SolutionParams, x, et: float, sigmas: list) -> None:
                 f"structured sigma_{j} disagrees with the exact sigma_{j}(N) / D^{j} by "
                 f"{gap:g} (tolerance {tol:g})"
             )
-
-
-def _check_spectrum(rows, alpha: int, tau: int, delta: int, m: int, scale: int) -> None:
-    """Check exactly that the integer matrix `rows` = N has the eigenvalues
-    alpha (n - 2 times), 0 (m times) and the two roots of
-    y^2 - tau y + delta, by checking its layout, with no tolerance.
-
-    N must be the arrow [[alpha I, c], [c^T, corner]] on its first n rows
-    and columns, with c mirrored, and 0 on its m w rows and columns, with
-    alpha + corner == tau and alpha corner - |c|^2 == delta.  By the Schur
-    complement of alpha I in y I - N,
-
-        det(y I - N) = (y - alpha)^(n-2) ((y - alpha) (y - corner) - |c|^2) y^m
-                     = (y - alpha)^(n-2) (y^2 - tau y + delta) y^m,
-
-    so N has exactly that spectrum, whether or not some of these values
-    coincide.  Raises ConvergenceError naming the first entry off the arrow,
-    by row and column, or the identity that fails, over the power of D it
-    scales with.
-    """
-    d = len(rows)
-    t = d - m - 1  # the t row and column
-    cross = [row[t] for row in rows[:t]]
-    corner = rows[t][t]
-    for i, row in enumerate(rows):
-        if i < t:
-            want = [0] * d
-            want[i], want[t] = alpha, cross[i]
-        else:
-            want = cross + [corner] + [0] * m if i == t else [0] * d
-        if row != want:
-            j = next(j for j, (got, entry) in enumerate(zip(row, want)) if got != entry)
-            raise ConvergenceError(
-                f"entry ({i + 1}, {j + 1}) of N differs from the closed form's arrow by "
-                f"{(row[j] - want[j]) / scale:g} D"
-            )
-    gap = alpha + corner - tau
-    if gap:
-        raise ConvergenceError(f"alpha + corner - tau is {gap / scale:g} D, not 0")
-    gap = alpha * corner - sum(c * c for c in cross) - delta
-    if gap:
-        raise ConvergenceError(f"alpha corner - |c|^2 - delta is {gap / scale**2:g} D^2, not 0")
 
 
 def _arrow_sigmas(n: int, alpha: int, quadratics, count: int) -> list[list[int]]:

@@ -44,6 +44,16 @@ class TestConstruct:
         assert code == 0
         assert payload["m"] == 2 and payload["dim"] == 5
 
+    @pytest.mark.parametrize("n", [689, 1001, 1033])
+    def test_past_the_float_range_of_a(self, capsys, n):
+        # A passes the largest float from n = 689 on; construct needs only
+        # the exact constants
+        code, payload, _ = run_json(capsys, ["construct", "-n", str(n), "-m", "2"])
+        k = (n + 1) // 2
+        assert code == 0
+        assert payload["A"] == str(2 ** (k - 1) * math.comb(n - 1, k - 1))
+        assert payload["dim"] == n + 2
+
 
 class TestEval:
     def test_known_jet(self, capsys):
@@ -261,6 +271,27 @@ class TestBadInput:
 
 
 class TestVerifyBeyondCertifiedRange:
+    @pytest.mark.parametrize("n", [689, 1001])
+    def test_past_the_float_range_of_a_the_radius_guard_refuses(self, capsys, n):
+        # no box passes the radius guard there: verify and eval exit 2 with
+        # its message, before any exact certification (the default t range
+        # already fails the exponent guard at n = 1001)
+        point = ",".join(["0.5"] * n)
+        for argv, what in (
+            (
+                ["verify", "-n", str(n), "--samples", "3", "--t-min", "-1", "--t-max", "1"],
+                "x_radius = 3 with t_range = (-1.0, 1.0)",
+            ),
+            (["eval", "-n", str(n), "--point", point], "point x = (0.5, 0.5, "),
+        ):
+            assert run(argv) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.startswith(f"sigmak: error: {what}")
+            assert out.err.endswith(
+                f"sigma_1..sigma_{n} stay finite only while (1 + that)^{n} <= 2^996\n"
+            )
+
     def test_n11_is_conservatively_uncertifiable(self, capsys):
         # the exact certificate holds, but the scale-aware strict-positivity
         # thresholds exceed what float64 can certify at k = 6 box corners

@@ -81,6 +81,7 @@ REMOVED = [
     ("sigmak.doubledouble", "ZERO"),
     ("sigmak.doubledouble", "to_float"),
     ("sigmak.verify", "SPECTRUM_AUDIT_REL_TOL"),
+    ("sigmak.verify", "_check_spectrum"),
 ]
 
 BENCHMARK_NAMES = [

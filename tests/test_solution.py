@@ -19,8 +19,10 @@ from conftest import (
     to_float,
 )
 from sigmak.solution import (
+    OVERFLOW_EXPONENT,
     Point,
     SolutionParams,
+    arrow_rows,
     cancellation_coefficient,
     derive_constants,
     eval_jet,
@@ -133,6 +135,36 @@ class TestDeriveConstants:
                     p.k, p.A, p.B, p.h_coeff_decay, p.h_coeff_growth
                 )
                 assert (q.h2_decay_dd, q.h2_growth_dd) == (p.h2_decay_dd, p.h2_growth_dd)
+
+    @pytest.mark.parametrize("n", [687, 689, 1001, 1033])
+    def test_past_the_float_range_of_a(self, n):
+        # A = 2^(k-1) C(n-1, k-1) passes the largest float from n = 689 on,
+        # and C(n-2, k-1) from n = 1033 on: the exact constants stand,
+        # A_float is inf, and the exact Hessian that verify-exact expands is
+        # built
+        from sigmak.symbolic import build_rotated_hessian
+
+        p = derive_constants(n)
+        k = p.k
+        assert p.A == 2 ** (k - 1) * math.comb(n - 1, k - 1)
+        assert p.h_coeff_decay * p.A * (k - 1) ** 2 == 1
+        assert p.h_coeff_growth == -p.B / p.A
+        assert p.A_float == (float(p.A) if n == 687 else math.inf)
+        assert len(build_rotated_hessian(n)) == n
+
+    @pytest.mark.parametrize("n", [689, 1001, 1033])
+    def test_past_the_float_range_of_a_no_box_passes(self, n):
+        # the least box the exponent guard lets through: the first term of
+        # the radius guard's bound alone refuses it
+        p = derive_constants(n)
+        t_lo = -0.999 * OVERFLOW_EXPONENT / (p.k - 1)
+        box = SampleBox(x_radius=1e-300, t_range=(t_lo, t_lo + 1e-9), count=1, seed=0)
+        with pytest.raises(
+            OverflowError, match=rf"stay finite only while \(1 \+ that\)\^{n} <= 2\^996$"
+        ):
+            residual_scan(p, box)
+        with pytest.raises(OverflowError, match=r"^point x = \(0\.0, "):
+            eval_jet(p, Point((0.0,) * (n - 1), t_lo))
 
 
 def h_jet(p, t, order):
@@ -384,9 +416,15 @@ def fraction_hessian(p, x, et):
     return rows
 
 
+def exact_rows(p, x, et):
+    """exact_hessian's scale D and its parts laid out as the integer rows of N."""
+    scale, alpha, cross, corner = exact_hessian(p, x, et)
+    return scale, arrow_rows(alpha, cross, corner, p.m, 0)
+
+
 class TestExactHessian:
-    """exact_hessian: u's Hessian at t* = ln E as an integer matrix N over a
-    scale D, with the closed form's D a, D tr and D^2 det."""
+    """exact_hessian: u's Hessian at t* = ln E as the integer parts of the
+    arrow N = D M over a scale D, which arrow_rows lays out as N."""
 
     @pytest.mark.parametrize("n, m", [(3, 0), (7, 0), (5, 2), (21, 0)])
     def test_is_the_scaled_rational_hessian(self, n, m):
@@ -396,20 +434,22 @@ class TestExactHessian:
         for i in range(box.count):
             pt = sample_point(p, box, i)
             et = math.exp(pt.t)
-            scale, rows, (a, tr, det) = exact_hessian(p, pt.x, et)
+            scale, alpha, cross, corner = exact_hessian(p, pt.x, et)
+            rows = arrow_rows(alpha, cross, corner, m, 0)
             want = fraction_hessian(p, pt.x, et)
             assert type(scale) is int and scale > 0
-            assert all(type(v) is int for row in rows for v in row)
+            assert all(type(v) is int for v in (alpha, *cross, corner))
             assert [[Fraction(v, scale) for v in row] for row in rows] == want
-            assert Fraction(a, scale) == want[0][0] == 2 * Fraction(et)
-            assert Fraction(tr, scale) == want[0][0] + want[nx][nx]
-            c2 = sum(want[i][nx] ** 2 for i in range(nx))
-            assert Fraction(det, scale**2) == want[0][0] * want[nx][nx] - c2
+            assert Fraction(alpha, scale) == want[0][0] == 2 * Fraction(et)
+            # a d - |c|^2 from the parts is the kernel's det = a (h'' - r^2 e^t)
+            r2et = sum(Fraction(v) ** 2 for v in pt.x) * Fraction(et)
+            det = want[0][0] * (want[nx][nx] - 2 * r2et)
+            assert Fraction(alpha * corner - sum(c * c for c in cross), scale**2) == det
 
     def test_scale_is_the_documented_one(self):
         # E = 3 / 2^2 and x = X / 2^3: D = A P^(k-1) 2^(2F+e) = A 3^2 2^8
         p = derive_constants(5)
-        scale, rows, _ = exact_hessian(p, (0.5, -1.25, 3.0, 0.125), 0.75)
+        scale, rows = exact_rows(p, (0.5, -1.25, 3.0, 0.125), 0.75)
         assert scale == int(p.A) * 3**2 * 2**8
         want = fraction_hessian(p, (0.5, -1.25, 3.0, 0.125), 0.75)
         assert rows == [[scale * v for v in row] for row in want]
@@ -421,7 +461,7 @@ class TestExactHessian:
         box = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=3, seed=n)
         for i in range(box.count):
             pt = sample_point(p, box, i)
-            scale, rows, _ = exact_hessian(p, pt.x, math.exp(pt.t))
+            scale, rows = exact_rows(p, pt.x, math.exp(pt.t))
             assert sigma_brute(rows, p.k) == scale**p.k
             assert all(sigma_brute(rows, j) > 0 for j in range(1, p.k))
 
@@ -430,7 +470,7 @@ class TestExactHessian:
         # and sigma_k(N) is no longer D^k
         p = derive_constants(3)
         object.__setattr__(p, "B", p.B * Fraction(1_000_001, 1_000_000))
-        scale, rows, _ = exact_hessian(p, (0.5, -1.5), 1.25)
+        scale, rows = exact_rows(p, (0.5, -1.5), 1.25)
         assert [[Fraction(v, scale) for v in row] for row in rows] == [
             [Fraction(5, 2), 0, Fraction(5, 4)],
             [0, Fraction(5, 2), Fraction(-15, 4)],
@@ -444,8 +484,8 @@ class TestHessianByDifferentiation:
     """D^2 u by exact differentiation of u = (sum x_i^2) e^t + h(t) itself,
     with h = e^(-(k-1)t) / (A (k-1)^2) - (B/A) e^t and the paper's
     A = 2^(k-1) C(n-1, k-1), B = 2^k C(n-1, k), against the hand-derived
-    entries that exact_hessian and symbolic.rotated_hessian_from_constants
-    form.  u is a dict {(e_1, ..., e_(n-1), j): c} of the monomials
+    entries that exact_hessian (laid out by arrow_rows) and
+    symbolic.rotated_hessian_from_constants form.  u is a dict {(e_1, ..., e_(n-1), j): c} of the monomials
     c x_1^e_1 ... x_(n-1)^e_(n-1) e^(jt), with Fraction c."""
 
     @staticmethod
@@ -491,7 +531,7 @@ class TestHessianByDifferentiation:
         for i in range(box.count):
             pt = sample_point(p, box, i)
             et = math.exp(pt.t)
-            scale, rows, _ = exact_hessian(p, pt.x, et)
+            scale, rows = exact_rows(p, pt.x, et)
             at = [Fraction(v) for v in pt.x] + [Fraction(et)]
 
             def value(poly):
