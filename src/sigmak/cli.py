@@ -26,7 +26,7 @@ from pathlib import Path
 from .cone import ConeVerdict, gamma_k
 from .doubledouble import SPLIT_MAX
 from .errors import ConvergenceError
-from .solution import Point, SolutionParams, eval_jet, h_formula
+from .solution import Point, SolutionParams, _fraction_str, eval_jet, h_formula
 from .symbolic import Certification, verify_exact
 from .symfunc import eigenvalues_symmetric
 from .verify import (
@@ -50,10 +50,10 @@ def _params_payload(p: SolutionParams) -> dict:
         "k": p.k,
         "m": p.m,
         "dim": p.total_dim,
-        "A": str(p.A),
-        "B": str(p.B),
-        "h_coeff_decay": str(p.h_coeff_decay),
-        "h_coeff_growth": str(p.h_coeff_growth),
+        "A": _fraction_str(p.A),
+        "B": _fraction_str(p.B),
+        "h_coeff_decay": _fraction_str(p.h_coeff_decay),
+        "h_coeff_growth": _fraction_str(p.h_coeff_growth),
         "h": h_formula(p),
     }
 

@@ -11,9 +11,9 @@ sigma_1..sigma_k) in double-double pushes that error below 1e-20.
 No FMA is assumed: products are split with Dekker's algorithm, which is exact
 while operands and products stay below ``SPLIT_MAX`` = 2**996 (~6.7e299);
 past that the split's ``SPLITTER * a`` overflows.  Callers that could reach
-it guard their inputs (see ``solution._check_radius``): a point, or the
-scan's whole box of samples, once, with the margin ``solution.BOX_MARGIN``
-that makes the box's bound cover every sample in it.
+it guard their inputs, t and then the Hessian's norm, by one function,
+``solution._check_overflow``: a point, or the scan's whole box of samples,
+once, with a margin that covers every sample in it.
 
 The operations are sub and mul; a float f enters them as ``(f, 0.0)``.
 Each runs as one Python frame, with Knuth's TwoSum, Dekker's TwoProd and the

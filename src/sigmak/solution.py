@@ -23,11 +23,11 @@ The scan's per-sample work is one generator, ``spectrum_dd``: for each
 sample of a block, from one double exponential, it forms the Hessian's
 terms and sigma_1..sigma_k in double-double, with the arithmetic written
 out in one Python frame per block, which takes what no sample changes once.
-No sample is checked against the radius guard: the scan checks its whole
-box once, with a margin that covers every sample in it (_check_radius,
-BOX_MARGIN).  The scan's audit takes the same Hessian exactly, as the
-integer parts of its arrow, from ``exact_hessian``, and checks those sigmas
-against them; no eigenvalue is formed in double-double.
+No sample is checked against the overflow guards: the scan checks its
+whole box once, with a margin that covers every sample in it
+(_check_overflow).  The scan's audit takes the same Hessian exactly, as
+the integer parts of its arrow, from ``exact_hessian``, and checks those
+sigmas against them; no eigenvalue is formed in double-double.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 from . import doubledouble as dd
@@ -60,7 +61,7 @@ class SolutionParams:
     constants A, B and h = h_coeff_decay e^(-(k-1)t) + h_coeff_growth e^t,
     A_float and h_coeffs_float = (h_coeff_decay, h_coeff_growth) rounded to
     floats (A_float is inf once A passes the largest float, from n = 689
-    on; see _check_radius), h'' = h2_decay_dd e^(-(k-1)t) + h2_growth_dd e^t
+    on; see _check_overflow), h'' = h2_decay_dd e^(-(k-1)t) + h2_growth_dd e^t
     in double-double, and arrow_binomials_dd[j] = C(n-2, j) for j = 0..k as
     exact double-doubles (see spectrum_dd).
     """
@@ -86,7 +87,12 @@ class SolutionParams:
         if self.m < 0:
             raise ValueError(f"m must be nonnegative, got {self.m}")
         k = (n + 1) // 2
-        a = Fraction(2 ** (k - 1) * (math.comb(n - 2, k - 2) + math.comb(n - 2, k - 1)))
+        # C(n-2, j), j = 0..k, each from the last exactly: 12 ms at n = 10001,
+        # where k + 1 calls of math.comb took 4.3 s (CPython 3.11, x86-64)
+        binomials = [1]
+        for j in range(k):
+            binomials.append(binomials[-1] * (n - 2 - j) // (j + 1))
+        a = Fraction(2 ** (k - 1) * (binomials[k - 2] + binomials[k - 1]))
         b = Fraction(2**k * math.comb(n - 1, k))
         decay = Fraction(1, 1) / (a * (k - 1) ** 2)
         growth = -b / a
@@ -103,7 +109,7 @@ class SolutionParams:
             "arrow_binomials_dd": tuple(
                 (float(c), float(c - int(float(c))))
                 if c <= sys.float_info.max else (math.inf, 0.0)
-                for c in (math.comb(n - 2, j) for j in range(k + 1))
+                for c in binomials
             ),
         }
         for name, value in derived.items():
@@ -168,26 +174,20 @@ def derive_constants(n_base: int) -> SolutionParams:
     return SolutionParams(n_base)
 
 
-def _check_exponent(p: SolutionParams, t: float) -> None:
-    if abs(t) * (p.k - 1) > OVERFLOW_EXPONENT:
-        raise OverflowError(
-            f"|t| = {abs(t):g} exceeds the exponential overflow guard "
-            f"({OVERFLOW_EXPONENT / (p.k - 1):g} for k = {p.k})"
-        )
-
-
 # The relative margin on e^t_hi and e^(-(k-1) t_lo) with which a box of
-# samples is checked, so that the check covers every sample (_check_radius)
+# samples is checked, so that the check covers every sample (_check_overflow)
 BOX_MARGIN = 1.0 + 2.0**-40
 
 
-def _check_radius(
-    p: SolutionParams, x_radius: float, et_hi: float, e_decay_lo: float, what
-) -> None:
-    """Refuse |x_i| <= R = x_radius, t in [t_lo, t_hi] if Hessians could overflow.
+def _check_overflow(
+    p: SolutionParams, x_radius: float, t_lo: float, t_hi: float, margin: float, what
+) -> tuple[float, float]:
+    """Refuse |x_i| <= R = x_radius, t in [t_lo, t_hi] if Hessians could overflow;
+    return e^t_hi and e^(-(k-1) t_lo).
 
-    The caller passes et_hi = e^t_hi and e_decay_lo = e^(-(k-1) t_lo).  The
-    absolute Hessian entries sum to at most
+    The exponent guard, |t| (k - 1) <= OVERFLOW_EXPONENT on t_lo and then on
+    t_hi, keeps both finite.  Then, with both times `margin`, the absolute
+    Hessian entries sum to at most
 
         F = (n-1) (2 + 4R + R^2) e^t_hi + e^(-(k-1) t_lo) / A + (B/A) e^t_hi,
 
@@ -199,30 +199,36 @@ def _check_radius(
     (1 + F)^n <= doubledouble.SPLIT_MAX = 2^996 keeps them finite and in the
     range where Dekker's split is exact, whatever m is: on t in [-2, 2],
     x_radius up to ~2e49 for n = 3 and ~5e12 for n = 11.  `what` names the
-    input in the error: the (x, t) of a point, or a description of a box.
-    Run _check_exponent on t_lo and t_hi first.
+    input in the radius guard's error: the (x, t) of a point, or a
+    description of a box.
 
-    eval_jet checks each point, with max |x_i|, E = exp(t) and 1 / E^(k-1).
-    A scan checks its box once, with R, exp(t_hi) BOX_MARGIN and
-    exp(-(k-1) t_lo) BOX_MARGIN, and no sample again; this call passes only
-    if the point call of every sample (x, t) in the box would, with E and
+    eval_jet checks each point, with max |x_i|, t_lo = t_hi = t and margin
+    1, and takes its closed form from the two exponentials returned.
+    residual_scan checks its box once, with R, [t_min, t_max] and margin
+    BOX_MARGIN, and no sample again; this call passes only if the point
+    check of every sample (x, t) in the box would, with E = exp(t) and
     1 / ph for the leading part ph of the double-double E^(k-1) that
     spectrum_dd forms, for an exp within an ulp:
+    - |t| (k - 1) <= 700: t >= t_lo, since fl(t_lo + v) >= t_lo for v >= 0,
+      and t <= t_hi + 1050 2^-52 (two items down); a t_hi within that of
+      the exponent limit 700 / (k - 1) = 1400 / (n - 1) makes
+      F >= 2 (n-1) e^(1400/(n-1)), so n log2(1 + F) > 1400 / ln 2 > 996 and
+      the radius guard refuses the box.  So no sample is compared with the
+      exponent limit either.
     - |x_i| <= R: x_i = fl(-R + fl(2R u)) with 0 <= u < 1.
     - E < e^t_hi (1 + 2^-41.9): t = fl(t_lo + fl(w u)) with w = fl(t_hi -
       t_lo), and w and the sum each round by at most half an ulp, so
       t - t_hi <= 1.5 2^-52 max(|t_lo|, |t_hi|) <= 1050 2^-52, as the
       exponent guard keeps |t| (k - 1) <= 700.  exp adds an ulp to E and
       takes at most one from exp(t_hi).
-    - 1 / ph < e^(-(k-1) t_lo) (1 + (k + 3) 2^-52): t >= t_lo, since
-      fl(t_lo + v) >= t_lo for v >= 0; E^(k-1) is within (k - 1) 2^-52 of
-      e^((k-1)t), its k - 2 products in double-double add ~2^-100 each, ph
-      is within 2^-53 of their sum and 1.0 / ph rounds once more.  The
-      box's exp(fl(-(k-1) t_lo)) loses at most 2^-43 to the rounded
-      exponent and an ulp to exp.  No box passes this guard once n >= 997
-      (F >= 1 at every t: e^t >= 1/(n-1) makes the first term at least 2,
-      and otherwise e^(-(k-1)t) / A > (n-1)^(k-1) / 2^(n+k-2) =
-      ((n-1)/8)^(k-1)), so k <= 498 and this is below 2^-42.
+    - 1 / ph < e^(-(k-1) t_lo) (1 + (k + 3) 2^-52): t >= t_lo; E^(k-1) is
+      within (k - 1) 2^-52 of e^((k-1)t), its k - 2 products in
+      double-double add ~2^-100 each, ph is within 2^-53 of their sum and
+      1.0 / ph rounds once more.  The box's exp(fl(-(k-1) t_lo)) loses at
+      most 2^-43 to the rounded exponent and an ulp to exp.  No box passes
+      this guard once n >= 997 (F >= 1 at every t: e^t >= 1/(n-1) makes the
+      first term at least 2, and otherwise e^(-(k-1)t) / A > (n-1)^(k-1) /
+      2^(n+k-2) = ((n-1)/8)^(k-1)), so k <= 498 and this is below 2^-42.
     From n = 689 on, A passes the largest float and A_float is inf, so F
     leaves out its second term, which the exponent guard keeps below
     e^700 / 2^1024 < 2^-13 there.  No box passes then either: the exponent
@@ -234,10 +240,19 @@ def _check_radius(
     nonnegative floats move it by ~2^-50, and log2, within an ulp (2^-44
     below the 332 it is compared with), keeps that order.
     """
+    km1 = p.k - 1
+    for t in (t_lo, t_hi):
+        if abs(t) * km1 > OVERFLOW_EXPONENT:
+            raise OverflowError(
+                f"|t| = {abs(t):g} exceeds the exponential overflow guard "
+                f"({OVERFLOW_EXPONENT / km1:g} for k = {p.k})"
+            )
+    et_hi, e_decay_lo = math.exp(t_hi), math.exp(-km1 * t_lo)
+    et_bound = et_hi * margin
     bound = (
-        (p.n_base - 1) * (2.0 + 4.0 * x_radius + x_radius * x_radius) * et_hi
-        + e_decay_lo / p.A_float
-        - p.h_coeffs_float[1] * et_hi  # h_coeff_growth = -B/A
+        (p.n_base - 1) * (2.0 + 4.0 * x_radius + x_radius * x_radius) * et_bound
+        + e_decay_lo * margin / p.A_float
+        - p.h_coeffs_float[1] * et_bound  # h_coeff_growth = -B/A
     )
     if p.n_base * math.log2(1.0 + bound) > _LOG2_SPLIT_MAX:
         if not isinstance(what, str):
@@ -247,25 +262,29 @@ def _check_radius(
             f"{what} lets the Hessian norm reach {bound:.3g}; sigma_1..sigma_{p.n_base} "
             f"stay finite only while (1 + that)^{p.n_base} <= 2^996"
         )
+    return et_hi, e_decay_lo
 
 
-def _closed_form(p: SolutionParams, t: float) -> tuple[float, float, float, float, float]:
-    """e^t, e^(-(k-1)t) and h, h', h'' at t, from those two exponentials."""
-    _check_exponent(p, t)
+def _closed_form(p: SolutionParams, et: float, e_decay: float) -> tuple[float, float, float]:
+    """h, h', h'' at t, from e^t and e^(-(k-1)t)."""
     km1 = p.k - 1
-    decay_coeff, growth_coeff = p.h_coeffs_float
-    e_decay = math.exp(-km1 * t)
-    decay = decay_coeff * e_decay
-    et = math.exp(t)
-    growth = growth_coeff * et
-    return et, e_decay, decay + growth, -km1 * decay + growth, km1 * km1 * decay + growth
+    decay, growth = p.h_coeffs_float[0] * e_decay, p.h_coeffs_float[1] * et
+    return decay + growth, -km1 * decay + growth, km1 * km1 * decay + growth
+
+
+def _fraction_str(q: Fraction) -> str:
+    """str(q) by Decimal, which CPython's 4300-digit limit on str(int) does not
+    bind: h_coeff_decay's denominator A (k-1)^2 passes it from n = 9513 on."""
+    num = str(Decimal(q.numerator))
+    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
 def h_formula(p: SolutionParams) -> str:
     """Human-readable closed form of h, e.g. '(1/4)*exp(-t) + (-1)*exp(t)'."""
     km1 = p.k - 1
     exponent = "-t" if km1 == 1 else f"-{km1}t"
-    return f"({p.h_coeff_decay})*exp({exponent}) + ({p.h_coeff_growth})*exp(t)"
+    decay, growth = map(_fraction_str, (p.h_coeff_decay, p.h_coeff_growth))
+    return f"({decay})*exp({exponent}) + ({growth})*exp(t)"
 
 
 def _check_point(p: SolutionParams, pt: Point) -> None:
@@ -304,8 +323,8 @@ def eval_jet(p: SolutionParams, pt: Point) -> Jet2:
     of the Hessian are identically zero.
     """
     _check_point(p, pt)
-    et, e_decay, h0, h1, h2 = _closed_form(p, pt.t)
-    _check_radius(p, max(map(abs, pt.x)), et, e_decay, (pt.x, pt.t))
+    et, e_decay = _check_overflow(p, max(map(abs, pt.x)), pt.t, pt.t, 1.0, (pt.x, pt.t))
+    h0, h1, h2 = _closed_form(p, et, e_decay)
     r2et = sum(v * v for v in pt.x) * et
     cross = [2.0 * v * et for v in pt.x]
     gradient = (*cross, r2et + h1) + (0.0,) * p.m
@@ -325,11 +344,10 @@ def spectrum_dd(p: SolutionParams, points):
     ulp.  The powers e^(jt), j < k, are products with E; e^(-(k-1)t) is
     1/E^(k-1), never a second exponential, whose rounding would not match
     E's; h'' = h2_decay_dd e^(-(k-1)t) + h2_growth_dd e^t, and r^2 e^t is the
-    sum of the exact squares of x times E.  A point past the exponent guard
-    is refused, as _check_exponent refuses it, by one compare per point.
-    The radius guard is the caller's: every point must lie in a box that
-    _check_radius has passed with the margin it describes, as residual_scan's
-    box does, so that every product stays below doubledouble.SPLIT_MAX.
+    sum of the exact squares of x times E.  Both overflow guards are the
+    caller's: every point must lie in a box that _check_overflow has passed
+    with the margin it describes, as residual_scan's box does, so that E is
+    finite and every product stays below doubledouble.SPLIT_MAX.
 
     Spectrum.  On the x, t block the Hessian is the arrow matrix
     [[a I, c], [c^T, d]] with a = 2e^t, c = 2x e^t and d = r^2 e^t + h''; the
@@ -387,8 +405,6 @@ def spectrum_dd(p: SolutionParams, points):
     pow2 = [2.0**j for j in range(1, km1 + 1)]
 
     for x, t in points:
-        if abs(t) * km1 > OVERFLOW_EXPONENT:
-            _check_exponent(p, t)
         E = math.exp(t)
         c = split * E
         ehi = c - (c - E)

@@ -29,10 +29,6 @@ Monomial = tuple[int, int]  # (a, b): r^a * e^(b*t)
 SymExpr = dict[Monomial, Fraction]
 
 
-def sym_zero() -> SymExpr:
-    return {}
-
-
 def sym_const(c) -> SymExpr:
     coeff = Fraction(c)
     return {(0, 0): coeff} if coeff else {}
@@ -152,9 +148,9 @@ def rotated_hessian_from_constants(
         sym_term(-b_const / a_const, 0, 1),
     )
     # rotated so that x = (r, 0, ..., 0): the cross entries are 2r e^t, 0, ..., 0
-    cross = [sym_term(2, 1, 1)] + [sym_zero()] * (n_base - 2)
+    cross = [sym_term(2, 1, 1)] + [{}] * (n_base - 2)
     corner = sym_add(sym_term(1, 2, 1), h2)
-    return arrow_rows(sym_term(2, 0, 1), cross, corner, 0, sym_zero())
+    return arrow_rows(sym_term(2, 0, 1), cross, corner, 0, {})
 
 
 def build_rotated_hessian(n_base: int) -> list[list[SymExpr]]:

@@ -39,11 +39,9 @@ double-double arithmetic, in closed form, by one kernel
 one Python frame per block of AUDIT_STRIDE samples, a generator that takes
 what no sample changes once per block: at sample-box corners the
 cancellation in sigma_k is too severe for plain doubles to certify a 1e-9
-bound once k reaches 4.  No sample is checked against the radius guard:
-residual_scan checks the whole box once (_check_box), on e^t_max and
-e^(-(k-1) t_min) times BOX_MARGIN = 1 + 2^-40, which covers the rounding
-of a sample's t, libm's exp and the kernel's products
-(``solution._check_radius``), so the box's bound dominates every sample's.
+bound once k reaches 4.  No sample is checked against the overflow guards:
+residual_scan checks the whole box once, by ``solution._check_overflow``,
+with a margin that covers every sample in it.
 Every entry of D^2 u depends on t only through e^t, so the kernel takes one
 double exponential E = math.exp(t) per sample and forms e^(-(k-1)t) as
 1/E^(k-1).  The scan thus evaluates the Hessian at t* = ln E, with
@@ -119,9 +117,8 @@ from .solution import (
     BOX_MARGIN,
     Point,
     SolutionParams,
-    _check_exponent,
     _check_integers,
-    _check_radius,
+    _check_overflow,
     exact_hessian,
     spectrum_dd,
 )
@@ -271,9 +268,13 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
     The report is a function of (params, box) alone, however many CPUs scan
     the samples (see _scan_ranges).  A sample is carried as its words and
     its x block and t as floats; a Point is built only for the reported
-    argmax and the text of an error.
+    argmax and the text of an error.  Only the box is checked against the
+    overflow guards, with a margin that covers every sample in it.
     """
-    _check_box(p, box)
+    _check_overflow(
+        p, box.x_radius, *box.t_range, BOX_MARGIN,
+        f"x_radius = {box.x_radius:g} with t_range = {box.t_range}",
+    )
     max_resid, argmax = -1.0, None
     cone_failures = lemma_failures = phase_failures = 0
     min_sigma_j = math.inf
@@ -294,21 +295,6 @@ def residual_scan(p: SolutionParams, box: SampleBox) -> ResidualReport:
         lemma_failures=lemma_failures,
         min_sigma_j=min_sigma_j,
         phase_ok=phase_failures == 0 if check_phase else None,
-    )
-
-
-def _check_box(p: SolutionParams, box: SampleBox) -> None:
-    """Refuse a box whose samples could overflow: the exponent guard on
-    t_min and t_max, then the radius guard on the whole box, with the margin
-    BOX_MARGIN on its two exponentials that makes it cover every sample
-    (solution._check_radius), so that no sample is checked again."""
-    t_lo, t_hi = box.t_range
-    _check_exponent(p, t_lo)
-    _check_exponent(p, t_hi)
-    _check_radius(
-        p, box.x_radius, math.exp(t_hi) * BOX_MARGIN,
-        math.exp(-(p.k - 1) * t_lo) * BOX_MARGIN,
-        f"x_radius = {box.x_radius:g} with t_range = {box.t_range}",
     )
 
 

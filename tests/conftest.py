@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from sigmak import doubledouble as dd
-from sigmak.solution import Point, _check_exponent, eval_jet, spectrum_dd
+from sigmak.solution import Point, eval_jet, spectrum_dd
 from sigmak.symfunc import faddeev_leverrier
 
 
@@ -193,9 +193,8 @@ def mul_pow2(x, f: float):
 
 def dd_terms(p, x, t: float):
     """The powers e^t, ..., e^((k-1)t), h''(t) and r^2 e^t in double-double,
-    from E = math.exp(t), with the kernel's one guard, the exponent's; the
-    radius guard is the box's (verify._check_box)."""
-    _check_exponent(p, t)
+    from E = math.exp(t), unguarded, as the kernel is: both overflow guards
+    are the box's (solution._check_overflow)."""
     et = (math.exp(t), 0.0)
     et_powers = [et]
     for _ in range(p.k - 2):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,20 @@ class TestConstruct:
         assert code == 0
         assert payload["A"] == str(2 ** (k - 1) * math.comb(n - 1, k - 1))
         assert payload["dim"] == n + 2
+
+    def test_past_the_int_to_str_digit_limit(self, capsys):
+        # from n = 9513 on a constant has more digits than the 4300 that
+        # CPython's int-to-str conversion allows by default; construct
+        # writes every one, which Decimal reads back exactly
+        n, k = 10001, 5001
+        a = 2 ** (k - 1) * math.comb(n - 1, k - 1)
+        code, payload, _ = run_json(capsys, ["construct", "-n", str(n)])
+        assert code == 0
+        assert len(payload["A"]) > 4300
+        assert Decimal(payload["A"]) == Decimal(a)
+        decay = payload["h_coeff_decay"]
+        assert decay.startswith("1/") and Decimal(decay[2:]) == Decimal(a * (k - 1) ** 2)
+        assert payload["h"] == f"({decay})*exp(-{k - 1}t) + ({payload['h_coeff_growth']})*exp(t)"
 
 
 class TestEval:

@@ -82,6 +82,10 @@ REMOVED = [
     ("sigmak.doubledouble", "to_float"),
     ("sigmak.verify", "SPECTRUM_AUDIT_REL_TOL"),
     ("sigmak.verify", "_check_spectrum"),
+    ("sigmak.solution", "_check_exponent"),
+    ("sigmak.solution", "_check_radius"),
+    ("sigmak.verify", "_check_box"),
+    ("sigmak.symbolic", "sym_zero"),
 ]
 
 BENCHMARK_NAMES = [

@@ -1,6 +1,5 @@
 import math
 import random
-import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -687,8 +686,8 @@ class TestKernelPin:
     """spectrum_dd is conftest's composition dd_terms -> spectrum_sigmas_dd ->
     arrow_sigmas written out in one frame: the same E, terms and sigmas,
     float.hex for float.hex, over blocks of points taken as the scan takes
-    them, and the same guard errors, by type, message and the point they
-    stop the block at."""
+    them, and the same error, if one stops a block, at the same point.
+    Neither guards a point: residual_scan refuses the box instead."""
 
     @staticmethod
     def outcomes(kernel, p, points):
@@ -749,32 +748,7 @@ class TestKernelPin:
     ])
     def test_guard_errors_match(self, n, x, t, error):
         # residual_scan refuses the box that holds each point; the kernel
-        # keeps the exponent guard, by one compare per point, and stops its
-        # block at the point past it, as its composition does
+        # checks no point, as both guards are the box's
         p = derive_constants(n)
         with pytest.raises(OverflowError, match=error):
             residual_scan(p, box_holding(x, t))
-        if error == "exponential overflow guard":
-            with pytest.raises(OverflowError, match=error):
-                spectrum_dd_at(p, x, t)
-            inside = ((1.0,) * (n - 1), 0.5)
-            block = [inside, (x, t), inside]
-            assert len(self.outcomes(spectrum_dd, p, block)) == 2
-            self.assert_pinned(p, block)
-
-    @pytest.mark.parametrize("n", [3, 7, 31])
-    def test_the_exponent_compare_is_the_exponent_guard(self, n):
-        # the kernel refuses exactly the t that _check_exponent refuses
-        from sigmak.solution import OVERFLOW_EXPONENT, _check_exponent
-
-        p = derive_constants(n)
-        limit = OVERFLOW_EXPONENT / (p.k - 1)
-        for t in (limit, -limit):
-            for u in (t, math.nextafter(t, 0.0), math.nextafter(t, 2.0 * t)):
-                try:
-                    _check_exponent(p, u)
-                except OverflowError as exc:
-                    with pytest.raises(OverflowError, match=re.escape(str(exc))):
-                        spectrum_dd_at(p, (0.0,) * (n - 1), u)
-                else:
-                    spectrum_dd_at(p, (0.0,) * (n - 1), u)

@@ -747,18 +747,23 @@ class TestExactAudit:
 
 
 class TestBoxGuard:
-    """residual_scan checks its box once (_check_box), with the margin
-    BOX_MARGIN on its two exponentials, and no sample again: on boxes
+    """residual_scan checks its box once (solution._check_overflow), with the
+    margin BOX_MARGIN on its two exponentials, and no sample again: on boxes
     bisected to the guard's edge, the box's bound exceeds the per-point
     bound of every sample, which the kernel once checked each sample by,
     by over 2^-42 relative, and the next box is refused."""
 
     @staticmethod
-    def passes(p, box):
-        from sigmak import verify
+    def check_box(p, box):
+        # the one overflow check that residual_scan makes
+        from sigmak.solution import BOX_MARGIN, _check_overflow
 
+        _check_overflow(p, box.x_radius, *box.t_range, BOX_MARGIN, "the box")
+
+    @classmethod
+    def passes(cls, p, box):
         try:
-            verify._check_box(p, box)
+            cls.check_box(p, box)
         except OverflowError:
             return False
         return True
@@ -788,20 +793,25 @@ class TestBoxGuard:
 
     @staticmethod
     def point_bound(p, x, t, inflate=1.0):
-        # the per-point radius guard that the scan's kernel once ran, on E
-        # and 1 / ph for the leading part ph of its E^(k-1)
+        # 1 + F of the per-point radius guard that the scan's kernel once
+        # ran, on E and 1 / ph for the leading part ph of its E^(k-1), both
+        # times inflate (F as solution._check_overflow forms it)
         from conftest import dd_terms
-        from sigmak.solution import _check_radius
 
         ph = dd_terms(p, x, t)[0][-1][0]
-        _check_radius(p, max(map(abs, x)), math.exp(t) * inflate, inflate / ph, (x, t))
+        r, et, e_decay = max(map(abs, x)), math.exp(t) * inflate, inflate / ph
+        return 1.0 + (
+            (p.n_base - 1) * (2.0 + 4.0 * r + r * r) * et
+            + e_decay / p.A_float
+            - p.h_coeffs_float[1] * et
+        )
 
     @pytest.mark.parametrize("n", range(3, 32, 2))
     def test_the_box_covers_every_sample_at_the_edge(self, monkeypatch, n):
-        from sigmak import solution, verify
+        from sigmak import solution
         from sigmak.solution import OVERFLOW_EXPONENT
 
-        # the 1 + F of each radius guard call, which it takes log2 of
+        # the 1 + F of the box's radius guard, which it takes log2 of
         seen = []
 
         def log2(value):
@@ -822,41 +832,52 @@ class TestBoxGuard:
             good, bad = self.edge(p, box_at, good, bad)
             box = box_at(good)
             seen.clear()
-            verify._check_box(p, box)
+            self.check_box(p, box)
             (by_box,) = seen
             points = self.samples(p, box)
             for x, t in points:
-                seen.clear()
-                self.point_bound(p, x, t)
-                assert by_box > seen[0] * (1.0 + 2.0**-42), (x, t)
+                assert by_box > self.point_bound(p, x, t) * (1.0 + 2.0**-42), (x, t)
             # the edge is tight: some sample is refused once its two
             # exponentials grow by 2^-20
-            tight = 0
-            for x, t in points:
-                try:
-                    self.point_bound(p, x, t, inflate=1.0 + 2.0**-20)
-                except OverflowError:
-                    tight += 1
-            assert tight > 0
+            assert any(
+                n * math.log2(self.point_bound(p, x, t, inflate=1.0 + 2.0**-20)) > 996.0
+                for x, t in points
+            )
             with pytest.raises(
                 OverflowError, match=r"^x_radius = .* with t_range = .* lets the Hessian norm"
             ):
                 residual_scan(p, box_at(bad))
 
+    @pytest.mark.parametrize("n", [3, 5, 7, 31, 101, 687, 689, 995])
+    def test_a_box_toward_the_exponent_limit_is_refused_whole(self, n):
+        # a t_max one float below the exponent limit 700 / (k - 1) passes the
+        # exponent guard, and the radius guard refuses its box even at
+        # x_radius 1e-300; so no sample's rounded t, at most 1050 2^-52 past
+        # t_max, reaches the limit in a box that passes
+        from sigmak.solution import OVERFLOW_EXPONENT
+
+        p = derive_constants(n)
+        t_max = math.nextafter(OVERFLOW_EXPONENT / (p.k - 1), 0.0)
+        box = SampleBox(x_radius=1e-300, t_range=(0.0, t_max), count=1, seed=0)
+        with pytest.raises(
+            OverflowError, match=rf"stay finite only while \(1 \+ that\)\^{n} <= 2\^996$"
+        ):
+            residual_scan(p, box)
+
     @pytest.mark.usefixtures("one_cpu")
     @pytest.mark.parametrize("n", [3, 7])
     def test_no_sample_is_checked_again(self, monkeypatch, n):
-        # the box's one radius check and its two exponent checks, by
-        # residual_scan; the kernel's own exponent compare calls nothing
+        # the box's one overflow check, by residual_scan; the kernel calls
+        # no guard
         from sigmak import solution
 
         counts = [
-            TestSpectrumAudit.count_calls(monkeypatch, name, module)
-            for module in (None, solution) for name in ("_check_radius", "_check_exponent")
+            TestSpectrumAudit.count_calls(monkeypatch, "_check_overflow", module)
+            for module in (None, solution)
         ]
         residual_scan(derive_constants(n), BOX)
         assert BOX.count == 1000
-        assert [len(calls) for calls in counts] == [1, 2, 0, 0]
+        assert [len(calls) for calls in counts] == [1, 0]
 
 
 class TestSampleRanges:
