@@ -12,8 +12,9 @@ eigenvalues, ``in_cone`` (sigma positivity) and ``lemma`` as three plain
 values.  ``gamma_k`` (behind ``cone-check``) checks k, reads them off one
 float Jacobi of the matrix, given as symmetric float rows, and keeps them
 in one ``ConeVerdict``, beside the sigmas they were read from.  The scan
-calls only ``sigmas_positive``, the sigma threshold of ``cone_flags``, on
-every sample, with a norm read off its spectrum's invariants.
+calls only ``sigma_verdicts``, the sigma threshold of ``cone_flags``, on
+every sample, with its double-double sigmas and a norm read off its
+spectrum's invariants.
 The tests check these sigmas against the characteristic polynomial (the
 trace recursion ``symfunc.faddeev_leverrier`` in float64) and against the
 principal-minor sums (LAPACK determinants).
@@ -60,13 +61,29 @@ def cone_flags(values, sigmas, k: int) -> tuple[int, bool, bool]:
     fro = math.sqrt(sum([v * v for v in values]))
     neg_thr = -NEGATIVE_EIG_REL_TOL * (1.0 + fro)
     neg = len([v for v in values if v < neg_thr])
-    positive = sigmas_positive(sigmas, fro, k)
-    return neg, all(positive), neg <= 1 and positive[-1]
+    in_cone, sigma_k_positive = sigma_verdicts([(v, 0.0) for v in sigmas[:k]], fro)[:2]
+    return neg, in_cone, neg <= 1 and sigma_k_positive
 
 
-def sigmas_positive(sigmas, fro: float, k: int) -> list[bool]:
-    """sigma_j > 1e-12 * (1 + fro^j) for j = 1..k, fro the Frobenius norm."""
-    return [sigmas[j - 1] > SIGMA_BOUNDARY_REL_TOL * (1.0 + fro**j) for j in range(1, k + 1)]
+def sigma_verdicts(sigmas, fro: float) -> tuple[bool, bool, float, float]:
+    """Whether sigma_j > 1e-12 * (1 + fro^j) for every j (the sigma-positivity
+    verdict) and for the last j (the lemma's sigma_k > 0), the smallest
+    sigma_j and the sum of them, in one pass over sigma_1..sigma_k.
+
+    `sigmas` are k >= 1 (hi, lo) pairs, each rounded to the float hi + lo
+    once (a float s enters as (s, 0.0)), and fro is the Frobenius norm.
+    """
+    in_cone, smallest, total, j = True, math.inf, 0.0, 0
+    for hi, lo in sigmas:
+        j += 1
+        sigma = hi + lo
+        positive = sigma > SIGMA_BOUNDARY_REL_TOL * (1.0 + fro**j)
+        if not positive:
+            in_cone = False
+        if sigma < smallest:
+            smallest = sigma
+        total += sigma
+    return in_cone, positive, smallest, total
 
 
 def gamma_k(rows, k: int) -> ConeVerdict:

@@ -402,17 +402,18 @@ def spectrum_dd(p: SolutionParams, points):
         c = split * xh
         xhi = c - (c - xh)
         binomials.append((xh, xl, xhi, xh - xhi))
-    pow2 = [2.0**j for j in range(1, km1 + 1)]
+    pow2 = [2.0**j for j in range(2, km1 + 1)]  # a^j = 2^j e^(jt) past j = 1
 
     for x, t in points:
         E = math.exp(t)
         c = split * E
         ehi = c - (c - E)
         elo = E - ehi
-        # e^(jt) for j = 1 .. k - 1, each the product of the last one and (E, 0.0)
-        et_powers = [(E, 0.0)]
+        # e^(jt) for j = 1 .. k - 1, each the product of the last one and
+        # (E, 0.0), and a^j = 2^j e^(jt), the exact scaling of each
         ph, pl = E, 0.0
-        for _ in range(km1 - 1):
+        powers = [(E * 2.0, 0.0)]
+        for f in pow2:
             prod = ph * E
             c = split * ph
             xhi = c - (c - ph)
@@ -420,7 +421,7 @@ def spectrum_dd(p: SolutionParams, points):
             e = (((xhi * ehi - prod) + xhi * elo + xlo * ehi) + xlo * elo) + (ph * 0.0 + pl * E)
             ph = prod + e
             pl = e - (ph - prod)
-            et_powers.append((ph, pl))
+            powers.append((ph * f, pl * f))
 
         # e^(-(k-1)t) = (1.0, 0.0) / (ph, pl): the textbook double-double
         # division, q1 = 1 / ph, then two corrections, each over ph, of the
@@ -535,9 +536,8 @@ def spectrum_dd(p: SolutionParams, points):
         dethi = c - (c - deth)
         detlo = deth - dethi
 
-        # g_j = C(n-2, j) a^j for j = 1 .. k, a^j = 2^j e^(jt) for j < k and
+        # g_j = C(n-2, j) a^j for j = 1 .. k, a^j as above for j < k and
         # a^k = a^(k-1) a; each g_j as its hi, its lo and the split of its hi
-        powers = [(ph * f, pl * f) for f, (ph, pl) in zip(pow2, et_powers)]
         wh, wl = powers[-1]
         prod = wh * ah
         c = split * wh

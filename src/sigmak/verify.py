@@ -54,9 +54,11 @@ Hessian is an arrow matrix, so its spectrum is a (n - 2 times), m zeros
 and the two roots of mu^2 - tr mu + det, and sigma_j is read off
 (1 + a x)^(n-2) (1 + tr x + det x^2).  A sample is judged from that
 spectrum's invariants, rounded to float64 only where a float threshold
-judges them: the sigmas give the residual |sigma_k - 1|, min_sigma_j and
-the cone verdicts (``cone.sigmas_positive``, as in ``cone-check``), with
-fro = sqrt((n - 2) a^2 + tr^2 - 2 det); only the smaller root can be
+judges them, in one pass per sample: the residual |sigma_k - 1| by the
+float operations of the double-double sigma_k - (1.0, 0.0), written out,
+and, from one call of ``cone.sigma_verdicts`` (the sigma rule of
+``cone-check``), the cone verdicts, min_sigma_j and the sum of the sigmas,
+with fro = sqrt((n - 2) a^2 + tr^2 - 2 det); only the smaller root can be
 negative, so the lemma verdict is sigma_k's positivity; and the n = 3 phase
 is atan(a) + atan2(tr, 1 - det) = arg prod (1 + i lambda).  A non-finite
 residual, sigma or fro is a ConvergenceError.  No eigenvalue is formed:
@@ -109,9 +111,10 @@ import signal
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import compress, cycle
 
 from . import doubledouble as dd
-from .cone import sigmas_positive
+from .cone import sigma_verdicts
 from .errors import ConvergenceError
 from .solution import (
     BOX_MARGIN,
@@ -136,12 +139,13 @@ AUDIT_STRIDE = 100
 # samples, and its own first range holds PARENT_HEAD_START samples more than
 # each worker's: a worker starts ~1.2 ms after its fork and takes ~0.6 ms
 # to exit, and each process pays ~170-220 copy-on-write faults, while a
-# sample takes ~10, ~15.5 and ~24 us at n = 3, 7 and 13.  With the first
-# range 0, 25, 50, 75 and 100 samples longer, two ranges of 400 n = 3
-# samples took 4.24, 4.02, 3.87, 3.77 and 3.80 ms (one range 4.14), of 500
-# n = 7 samples 6.4, 6.1, 5.9, 6.0 and 6.1 (one range 7.95) and of 500
-# n = 13 samples 8.8, 8.3, 8.4, 8.7 and 9.0 (one range 12.2); 50 is the
-# best single count.  With it two ranges first beat one near 360 n = 3
+# sample takes ~8.1, ~13.3 and ~21 us at n = 3, 7 and 13 on one CPU
+# (BENCH_36.json), ~10, ~15.5 and ~24 when the times below were taken.
+# With the first range 0, 25, 50, 75 and 100 samples longer, two ranges of
+# 400 n = 3 samples took 4.24, 4.02, 3.87, 3.77 and 3.80 ms (one range
+# 4.14), of 500 n = 7 samples 6.4, 6.1, 5.9, 6.0 and 6.1 (one range 7.95)
+# and of 500 n = 13 samples 8.8, 8.3, 8.4, 8.7 and 9.0 (one range 12.2); 50
+# is the best single count.  With it two ranges first beat one near 360 n = 3
 # samples (350: 3.69 against 3.65 ms), 225 at n = 7 (200: 3.39 against
 # 3.22; 250: 3.88 against 4.03) and 180 at n = 13 (150: 3.97 against 3.78;
 # 200: 4.75 against 4.88), so a scan forks from 2 * 150 + 50 = 350
@@ -417,59 +421,74 @@ def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tup
     -1), the cone and lemma failure counts, the smallest sigma_j and the
     phase failure count.  Sample i is audited when i % AUDIT_STRIDE == 0.
     The words are drawn one block of AUDIT_STRIDE samples at a time, from
-    `start`, so a range of any length holds one block's words at once, and
-    the block's x blocks and t go to one spectrum_dd call, whose samples
-    are taken one at a time, so that an error names the sample that raised
-    it.  The box was checked by residual_scan; no sample is.
+    `start`, so a range of any length holds one block's words at once; they
+    are mapped to floats in one pass, and the block's x blocks, slices of
+    those floats, and t go to one spectrum_dd call, whose samples are taken
+    one at a time, so that an error names the sample that raised it.  A
+    sample then costs the kernel's step, the float operations of its
+    residual, norm and phase and one call of cone.sigma_verdicts, which
+    judges its sigmas in one pass.  The box was checked by residual_scan; no
+    sample is.
     """
     t_lo, t_hi = box.t_range
     k, n2 = p.k, p.n_base - 2
     d, nx = p.total_dim, p.n_base - 1
     x_lo, x_width, t_width = -box.x_radius, 2.0 * box.x_radius, t_hi - t_lo
     check_phase = p.n_base == 3 and p.m == 0
+    x_words = [True] * nx + [False] * (d - nx)  # a sample's words: x block, t, w block
     max_resid, argmax = -1.0, None
     cone_failures = lemma_failures = phase_failures = 0
     min_sigma_j = math.inf
     for block in range(start, stop, AUDIT_STRIDE):
         size = min(AUDIT_STRIDE, stop - block)
         words = splitmix64_words(box.seed, block * d, size * d)
+        # the x words of all the block's samples mapped at once, the t and w
+        # words passed over; sample s's x block is the slice at s * nx
+        xs = [
+            x_lo + x_width * ((word >> 11) * 2.0**-53) for word in compress(words, cycle(x_words))
+        ]
         points = [
-            (
-                [x_lo + x_width * ((word >> 11) * 2.0**-53) for word in words[at : at + nx]],
-                t_lo + t_width * ((words[at + nx] >> 11) * 2.0**-53),
-            )
-            for at in range(0, size * d, d)
+            (xs[at : at + nx], t_lo + t_width * ((word >> 11) * 2.0**-53))
+            for at, word in zip(range(0, size * nx, nx), words[nx::d])
         ]
         kernel = spectrum_dd(p, points).__next__
-        for i, (x, _) in zip(range(block, block + size), points):
+        for i in range(block, block + size):
             try:
                 et, ((a, _), (tr_hi, tr_lo), (det_hi, det_lo)), e = kernel()
                 tr, det = tr_hi + tr_lo, det_hi + det_lo
                 # sum lambda^2 = (n-2) a^2 + tr^2 - 2 det, and tr^2 - 2 det =
                 # mu_1^2 + mu_2^2 >= tr^2 / 2 for the two roots: no cancellation
                 fro = math.sqrt(n2 * a * a + tr * tr - 2.0 * det)
-                sigmas = [hi + lo for hi, lo in e]
-                hi, lo = dd.sub(e[k - 1], dd.ONE)
-                resid = abs(hi + lo)
-                if not math.isfinite(resid + fro + sum(sigmas)):
+                # |sigma_k - 1| by the float operations of the double-double
+                # (sh, sl) - (1.0, 0.0): TwoSum(sh, -1.0), sl - 0.0 = sl added,
+                # then FastTwoSum
+                sh, sl = e[k - 1]
+                s = sh - 1.0
+                bb = s - sh
+                err = ((sh - (s - bb)) + (-1.0 - bb)) + sl
+                h = s + err
+                resid = abs(h + (err - (h - s)))
+                # a > 0, the zeros and the larger root are never negative, so
+                # at most one eigenvalue is: the lemma verdict is sigma_k's
+                # positivity
+                in_cone, lemma, smallest, total = sigma_verdicts(e, fro)
+                if not math.isfinite(resid + fro + total):
                     raise ConvergenceError(
                         f"non-finite value: |sigma_{k} - 1| = {resid}, fro = {fro}, "
-                        f"sigma_1..sigma_{k} = {sigmas}"
+                        f"sigma_1..sigma_{k} = {[hi + lo for hi, lo in e]}"
                     )
                 if i % AUDIT_STRIDE == 0:
-                    _audit_sample(p, x, et, e)
+                    _audit_sample(p, points[i - block][0], et, e)
             except ConvergenceError as exc:
                 pt = sample_point(p, box, i)
                 raise ConvergenceError(f"sample {i} at {pt}: {exc}") from exc
 
             if resid > max_resid:
                 max_resid, argmax = resid, i
-            # a > 0, the zeros and the larger root are never negative, so at
-            # most one eigenvalue is: the lemma verdict is sigma_k's positivity
-            positive = sigmas_positive(sigmas, fro, k)
-            cone_failures += not all(positive)
-            lemma_failures += not positive[-1]
-            min_sigma_j = min(min_sigma_j, *sigmas)
+            cone_failures += not in_cone
+            lemma_failures += not lemma
+            if smallest < min_sigma_j:
+                min_sigma_j = smallest
             # sum of arctan over a and the roots: arg (1 + i a) (1 - det + i tr)
             if check_phase and abs(
                 math.atan(a) + math.atan2(tr, 1.0 - det) - CRITICAL_PHASE_N3

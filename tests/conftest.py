@@ -8,7 +8,9 @@ exception, named here as such.  The other is the scan kernel's composition
 (``composed_spectrum_dd`` and the functions it calls), which is a reference
 for bit-for-bit equality, not for accuracy, and so calls doubledouble's
 operations; ``composed_eigenvalues_dd`` reads the closed-form eigenvalues
-off that composition's terms, for the tests that need them.  A matrix is
+off that composition's terms, for the tests that need them, and
+``reference_scan_range`` judges its samples as the scan did before it took
+a sample in one pass.  A matrix is
 its rows, as in the library: the builders return tuples of float tuples,
 and the oracles take any rows.
 
@@ -26,6 +28,9 @@ import numpy as np
 import pytest
 
 from sigmak import doubledouble as dd
+from sigmak import verify
+from sigmak.cone import SIGMA_BOUNDARY_REL_TOL
+from sigmak.errors import ConvergenceError
 from sigmak.solution import Point, eval_jet, spectrum_dd
 from sigmak.symfunc import faddeev_leverrier
 
@@ -85,7 +90,7 @@ def charpoly_sigmas(m) -> tuple[float, ...]:
 # The scan's double-double kernel as the composition of double-double
 # operations that solution.spectrum_dd writes out in one frame: dd_terms ->
 # spectrum_sigmas_dd -> arrow_sigmas over dd_add, Dekker's TwoProd, the
-# exact scaling mul_pow2, doubledouble's sub and mul, and the textbook
+# exact scaling mul_pow2, dd_sub, doubledouble's mul, and the textbook
 # division dd_div.  The kernel's E, terms and sigmas are pinned to these bit
 # for bit (test_solution.py), and tests that need the kernel's intermediate
 # terms, or a seam inside it, read them here.  composed_eigenvalues_dd forms
@@ -96,6 +101,7 @@ def charpoly_sigmas(m) -> tuple[float, ...]:
 # dd_sqrt against exact oracles.
 _SPLITTER = 134217729.0  # 2**27 + 1
 DD_ZERO = (0.0, 0.0)
+DD_ONE = (1.0, 0.0)
 
 
 def to_float(x) -> float:
@@ -111,6 +117,20 @@ def dd_add(x, y):
     s = xh + yh
     bb = s - xh
     e = ((xh - (s - bb)) + (yh - bb)) + (xl + yl)
+    h = s + e
+    return h, e - (h - s)
+
+
+def dd_sub(x, y):
+    """The double-double difference: TwoSum of xh and -yh, plus xl - yl,
+    then FastTwoSum.  The scan writes its residual sigma_k - 1 out with
+    these float operations."""
+    xh, xl = x
+    yh, yl = y
+    b = -yh
+    s = xh + b
+    bb = s - xh
+    e = ((xh - (s - bb)) + (b - bb)) + (xl - yl)
     h = s + e
     return h, e - (h - s)
 
@@ -151,9 +171,9 @@ def dd_div(x, y):
     """The double-double quotient: q1 = xh / yh, r = x - y q1, q2 = rh / yh,
     r -= y q2, q3 = rh / yh, then q1 + q2 + q3 by two FastTwoSums."""
     q1 = x[0] / y[0]
-    r = dd.sub(x, mul_f(y, q1))
+    r = dd_sub(x, mul_f(y, q1))
     q2 = r[0] / y[0]
-    r = dd.sub(r, mul_f(y, q2))
+    r = dd_sub(r, mul_f(y, q2))
     q3 = r[0] / y[0]
     s, e = fast_two_sum(q1, q2)
     return fast_two_sum(s, e + q3)
@@ -170,7 +190,7 @@ def dd_sqrt(x):
             raise ValueError("square root of a negative double-double")
         raise ValueError(f"square root of a nan double-double {x!r}")
     s = math.sqrt(xh)
-    r = dd.sub(x, two_prod(s, s))
+    r = dd_sub(x, two_prod(s, s))
     h, e = fast_two_sum(s, (r[0] + r[1]) / (2.0 * s))
     if h != h:  # an infinite part or a nan lo, or s * s past the largest double
         raise ValueError(f"square root of a non-finite or out-of-range double-double {x!r}")
@@ -199,7 +219,7 @@ def dd_terms(p, x, t: float):
     et_powers = [et]
     for _ in range(p.k - 2):
         et_powers.append(dd.mul(et_powers[-1], et))
-    e_decay = dd_div(dd.ONE, et_powers[-1])
+    e_decay = dd_div(DD_ONE, et_powers[-1])
     h2 = dd_add(dd.mul(p.h2_decay_dd, e_decay), dd.mul(p.h2_growth_dd, et))
     return et_powers, h2, dd.mul(sum_squares(x), et)
 
@@ -211,7 +231,7 @@ def spectrum_sigmas_dd(p, terms):
     a = mul_pow2(et_powers[0], 2.0)
     d = dd_add(r2et, h2)
     tr = dd_add(a, d)
-    det = dd.mul(a, dd.sub(h2, r2et))
+    det = dd.mul(a, dd_sub(h2, r2et))
     powers = [mul_pow2(v, 2.0**j) for j, v in enumerate(et_powers, start=1)]
     powers.append(dd.mul(powers[-1], a))
     return (a, tr, det, d, r2et), arrow_sigmas(p.arrow_binomials_dd, powers, tr, det)
@@ -224,7 +244,7 @@ def composed_eigenvalues_dd(p, x, t: float):
     larger root is a sum of two terms >= 0 and the smaller det / larger, so
     neither cancels."""
     a, tr, det, d, r2et = spectrum_sigmas_dd(p, dd_terms(p, x, t))[0]
-    half_gap = mul_pow2(dd.sub(a, d), 0.5)
+    half_gap = mul_pow2(dd_sub(a, d), 0.5)
     c2 = dd.mul(a, mul_pow2(r2et, 2.0))  # |c|^2 = 4 r^2 e^(2t)
     larger = dd_add(mul_pow2(tr, 0.5), dd_sqrt(dd_add(dd.mul(half_gap, half_gap), c2)))
     values = [dd_div(det, larger), larger] + [a] * (p.n_base - 2) + [DD_ZERO] * p.m
@@ -234,7 +254,7 @@ def composed_eigenvalues_dd(p, x, t: float):
 
 def arrow_sigmas(binomials, powers, tr, det):
     """sigma_j = g_j + g_(j-1) tr + g_(j-2) det, g_j = binomials[j] powers[j - 1]."""
-    g = [dd.ONE] + [dd.mul(c, power) for c, power in zip(binomials[1:], powers)]
+    g = [DD_ONE] + [dd.mul(c, power) for c, power in zip(binomials[1:], powers)]
     sigmas = [dd_add(g[1], tr)]
     for j in range(2, len(powers) + 1):
         sigma = dd_add(g[j], dd.mul(g[j - 1], tr))
@@ -251,6 +271,66 @@ def composed_spectrum_dd(p, points):
         terms = dd_terms(p, x, t)
         five, sigmas = spectrum_sigmas_dd(p, terms)
         yield terms[0][0][0], five[:3], sigmas
+
+
+def reference_scan_range(p, box, start: int, stop: int) -> tuple:
+    """verify._scan_range's partial report of samples start .. stop - 1, by
+    the per-sample statements it ran before it judged a sample in one pass:
+    x blocks by one comprehension each, the sigmas rounded to a list, the
+    residual by dd_sub, the finiteness check on sum(sigmas), and the cone
+    verdicts, all() and min(*sigmas) on the sigma rule's list of flags; over
+    composed_spectrum_dd, for the tests to hold the scan to bit for bit."""
+    t_lo, t_hi = box.t_range
+    k, n2 = p.k, p.n_base - 2
+    d, nx = p.total_dim, p.n_base - 1
+    x_lo, x_width, t_width = -box.x_radius, 2.0 * box.x_radius, t_hi - t_lo
+    check_phase = p.n_base == 3 and p.m == 0
+    max_resid, argmax = -1.0, None
+    cone_failures = lemma_failures = phase_failures = 0
+    min_sigma_j = math.inf
+    for block in range(start, stop, verify.AUDIT_STRIDE):
+        size = min(verify.AUDIT_STRIDE, stop - block)
+        words = verify.splitmix64_words(box.seed, block * d, size * d)
+        points = [
+            (
+                [x_lo + x_width * ((word >> 11) * 2.0**-53) for word in words[at : at + nx]],
+                t_lo + t_width * ((words[at + nx] >> 11) * 2.0**-53),
+            )
+            for at in range(0, size * d, d)
+        ]
+        kernel = composed_spectrum_dd(p, points).__next__
+        for i, (x, _) in zip(range(block, block + size), points):
+            try:
+                et, ((a, _), (tr_hi, tr_lo), (det_hi, det_lo)), e = kernel()
+                tr, det = tr_hi + tr_lo, det_hi + det_lo
+                fro = math.sqrt(n2 * a * a + tr * tr - 2.0 * det)
+                sigmas = [hi + lo for hi, lo in e]
+                hi, lo = dd_sub(e[k - 1], DD_ONE)
+                resid = abs(hi + lo)
+                if not math.isfinite(resid + fro + sum(sigmas)):
+                    raise ConvergenceError(
+                        f"non-finite value: |sigma_{k} - 1| = {resid}, fro = {fro}, "
+                        f"sigma_1..sigma_{k} = {sigmas}"
+                    )
+                if i % verify.AUDIT_STRIDE == 0:
+                    verify._audit_sample(p, x, et, e)
+            except ConvergenceError as exc:
+                pt = verify.sample_point(p, box, i)
+                raise ConvergenceError(f"sample {i} at {pt}: {exc}") from exc
+
+            if resid > max_resid:
+                max_resid, argmax = resid, i
+            positive = [
+                sigmas[j - 1] > SIGMA_BOUNDARY_REL_TOL * (1.0 + fro**j) for j in range(1, k + 1)
+            ]
+            cone_failures += not all(positive)
+            lemma_failures += not positive[-1]
+            min_sigma_j = min(min_sigma_j, *sigmas)
+            if check_phase and abs(
+                math.atan(a) + math.atan2(tr, 1.0 - det) - verify.CRITICAL_PHASE_N3
+            ) > verify.PHASE_TOL:
+                phase_failures += 1
+    return max_resid, argmax, cone_failures, lemma_failures, min_sigma_j, phase_failures
 
 
 def spectrum_dd_at(p, x, t: float):

@@ -16,6 +16,7 @@ from sigmak.cone import (
     ConeVerdict,
     cone_flags,
     gamma_k,
+    sigma_verdicts,
 )
 from sigmak.symfunc import eigenvalues_symmetric
 
@@ -32,6 +33,12 @@ class TestSigmaPositivity:
         assert verdict.in_cone
         assert verdict.sigmas[0] == pytest.approx(3.25)
         assert verdict.sigmas[1] == pytest.approx(1.0)
+
+    def test_a_failing_sigma_below_k_leaves_the_cone(self):
+        # sigma_1 = -2 fails and sigma_2 = 1 passes: neither verdict may
+        # read sigma_k alone
+        verdict = gamma_k(diagonal([-1.0, -1.0]), 2)
+        assert (verdict.negative_count, verdict.in_cone, verdict.lemma) == (2, False, False)
 
     def test_negative_sigma2_rejected(self):
         verdict = gamma_k(diagonal([-1.0, -1.0, 5.0]), 2)
@@ -162,6 +169,23 @@ class TestNegativeCount:
         # a numerically-zero eigenvalue is not negative
         assert cone_flags([-1e-14, 2.0], [2.0, 0.0], 1)[0] == 0
         assert cone_flags([-0.5, 2.0], [1.5, -1.0], 1)[0] == 1
+
+
+class TestSigmaVerdicts:
+    def test_every_sigma_is_judged_and_sigma_k_apart(self):
+        # (in_cone, sigma_k's verdict, smallest sigma_j, their sum)
+        assert sigma_verdicts([(2.0, 0.0), (1.0, 0.0)], 1.0) == (True, True, 1.0, 3.0)
+        assert sigma_verdicts([(-2.0, 0.0), (1.0, 0.0)], 1.0) == (False, True, -2.0, -1.0)
+        assert sigma_verdicts([(2.0, 0.0), (-1.0, 0.0)], 1.0) == (False, False, -1.0, 1.0)
+
+    def test_the_threshold_scales_with_fro_to_the_j(self):
+        # 1e-7 passes 1e-12 (1 + fro^2) at fro = 1e2, not at fro = 1e3
+        assert sigma_verdicts([(1.0, 0.0), (1e-7, 0.0)], 1e2)[:2] == (True, True)
+        assert sigma_verdicts([(1.0, 0.0), (1e-7, 0.0)], 1e3)[:2] == (False, False)
+
+    def test_each_pair_is_rounded_once(self):
+        assert sigma_verdicts([(1.0, -1.0)], 0.0) == (False, False, 0.0, 0.0)
+        assert sigma_verdicts([(1.0, 2.0**-60)], 0.0)[2] == 1.0
 
 
 class TestConeFlagsInput:

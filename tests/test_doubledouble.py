@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    DD_ONE,
     DD_ZERO,
     dd_add,
     dd_div,
     dd_sqrt,
+    dd_sub,
     fast_two_sum,
     mul_f,
     mul_pow2,
@@ -42,9 +44,10 @@ def random_value(rng: random.Random) -> dd.DD:
 
 # The textbook compositions: each operation built from Knuth's TwoSum,
 # FastTwoSum and Dekker's TwoProd as functions (conftest's two_sum,
-# fast_two_sum and two_prod).  doubledouble writes these error-free
-# transformations out inside every operation, one Python frame per call, and
-# so does conftest's dd_add, the add of the scan kernel's test composition;
+# fast_two_sum and two_prod).  doubledouble's mul writes these error-free
+# transformations out inside it, one Python frame per call, and so do
+# conftest's dd_add and dd_sub, the add and sub of the scan kernel's test
+# composition (the scan writes dd_sub's operations out for its residual);
 # TestTextbookKernels holds them, and that composition's sum_squares, to these
 # results bit for bit.  The composition's division and square root, conftest's
 # dd_div and dd_sqrt, are textbook compositions themselves; TestExactOracles
@@ -78,7 +81,7 @@ def _kernel_cases(x, y, f, z, w):
     # z and w feed sum_squares' floats
     return (
         (dd_add, _ref_add, (x, y)),
-        (dd.sub, _ref_sub, (x, y)),
+        (dd_sub, _ref_sub, (x, y)),
         (dd.mul, _ref_mul, (x, y)),
         (dd.mul, _ref_mul, (x, (f, 0.0))),
         (sum_squares, _ref_sum_squares, ((x[0], f, y[1], z[0], w[0], y[0]),)),
@@ -158,7 +161,7 @@ class TestTextbookKernels:
         for _ in range(20_000):
             x, f = _random_pair(rng), _random_double(rng)
             assert value(dd.mul, (x, (f, 0.0))) == value(mul_f, (x, f)), (x, f)
-            assert _outcome(dd.sub, (x, dd.ONE)) == _outcome(add_float, (x, -1.0)), x
+            assert _outcome(dd_sub, (x, DD_ONE)) == _outcome(add_float, (x, -1.0)), x
 
 
 class TestExactOracles:
@@ -172,7 +175,7 @@ class TestExactOracles:
             fx, fy = as_fraction(x), as_fraction(y)
             for op, ref in (
                 (dd_add, fx + fy),
-                (dd.sub, fx - fy),
+                (dd_sub, fx - fy),
                 (dd.mul, fx * fy),
             ):
                 got = as_fraction(op(x, y))
@@ -180,7 +183,7 @@ class TestExactOracles:
                 assert err <= Fraction(1, 10**29) * (1 + abs(ref)), op.__name__
             # the scan's residual sigma_k - 1 and its products by e^t
             f = y[0]
-            for op, z, ref in ((dd.sub, dd.ONE, fx - 1), (dd.mul, (f, 0.0), fx * Fraction(f))):
+            for op, z, ref in ((dd_sub, DD_ONE, fx - 1), (dd.mul, (f, 0.0), fx * Fraction(f))):
                 got = as_fraction(op(x, z))
                 assert abs(got - ref) <= Fraction(1, 10**29) * (1 + abs(ref)), op.__name__
             if fy:
@@ -246,7 +249,7 @@ class TestRepresentation:
             y = random_value(rng)
             positive = x if x[0] >= 0.0 else (-x[0], -x[1])
             for value in (
-                dd_add(x, y), dd.sub(x, y), dd.mul(x, y), dd_div(x, y), dd_sqrt(positive),
+                dd_add(x, y), dd_sub(x, y), dd.mul(x, y), dd_div(x, y), dd_sqrt(positive),
             ):
                 hi, lo = value
                 if hi != 0.0:

@@ -86,6 +86,9 @@ REMOVED = [
     ("sigmak.solution", "_check_radius"),
     ("sigmak.verify", "_check_box"),
     ("sigmak.symbolic", "sym_zero"),
+    ("sigmak.cone", "sigmas_positive"),
+    ("sigmak.doubledouble", "sub"),
+    ("sigmak.doubledouble", "ONE"),
 ]
 
 BENCHMARK_NAMES = [

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import (
+    DD_ONE,
     arrow_sigmas,
     composed_eigenvalues_dd,
     composed_spectrum_dd,
     dd_add,
     dd_hessian,
+    dd_sub,
     dd_terms,
     sigma_brute,
     spectrum_dd_at,
@@ -377,7 +379,7 @@ class TestHessianDD:
         p = derive_constants(7)
         pt = Point(x=(3.0,) * 6, t=2.0)
         _, _, sigmas = spectrum_dd_at(p, pt.x, pt.t)
-        assert abs(to_float(dd.sub(sigmas[3], dd.ONE))) < 1e-20
+        assert abs(to_float(dd_sub(sigmas[3], DD_ONE))) < 1e-20
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
     def test_h2_against_decimal(self, n):
@@ -618,9 +620,9 @@ class TestSpectrumDD:
         pt = Point(x=(3.0, -3.0) * ((n - 1) // 2), t=t)
         lam, _ = self.assert_matches_oracles(p, pt)
         sigma_k = elementary_symmetric(lam, dd_add, dd.mul)[p.k - 1]
-        assert abs(to_float(dd.sub(sigma_k, dd.ONE))) < 1e-20
+        assert abs(to_float(dd_sub(sigma_k, DD_ONE))) < 1e-20
         _, _, sigmas = spectrum_dd_at(p, pt.x, pt.t)
-        assert abs(to_float(dd.sub(sigmas[p.k - 1], dd.ONE))) < 1e-20
+        assert abs(to_float(dd_sub(sigmas[p.k - 1], DD_ONE))) < 1e-20
 
     def test_negative_determinant_root(self):
         # n = 3, t = 0.5, x = (1, 0): h'' - r^2 e^t < 0, so det < 0 and the
@@ -656,8 +658,8 @@ class TestArrowSigmas:
             by_recurrence = elementary_symmetric(lam, dd_add, dd.mul)
             scales = elementary_symmetric([abs(to_float(v)) for v in lam])
             for x, y, scale in zip(sigmas, by_recurrence, scales):
-                assert abs(to_float(dd.sub(x, y))) <= unit * scale
-            assert abs(to_float(dd.sub(sigmas[-1], dd.ONE))) < 1e-20
+                assert abs(to_float(dd_sub(x, y))) <= unit * scale
+            assert abs(to_float(dd_sub(sigmas[-1], DD_ONE))) < 1e-20
 
     @pytest.mark.parametrize("n", [3, 5, 9])
     def test_exact_on_exact_inputs(self, n):

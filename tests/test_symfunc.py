@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    DD_ONE,
     DD_ZERO,
     charpoly_sigmas,
     dd_add,
@@ -390,7 +391,7 @@ class TestDoubleDoubleVariants:
         for _ in range(500):
             vals = [dd_add(dd.mul((rng.uniform(-9, 9), 0.0), (rng.uniform(-9, 9), 0.0)),
                            (rng.uniform(-1e-17, 1e-17), 0.0)) for _ in range(rng.randrange(1, 12))]
-            e = [dd.ONE] + [DD_ZERO] * len(vals)
+            e = [DD_ONE] + [DD_ZERO] * len(vals)
             for i, v in enumerate(vals, start=1):
                 for j in range(i, 0, -1):
                     e[j] = dd_add(e[j], dd.mul(v, e[j - 1]))

@@ -9,14 +9,17 @@ import numpy as np
 import pytest
 
 from conftest import (
+    DD_ONE,
     central_hessian,
     charpoly_sigmas,
     composed_eigenvalues_dd,
     dd_add,
     dd_hessian,
+    dd_sub,
     fd_hessian,
     frobenius_norm,
     nonpoly_witness,
+    reference_scan_range,
     sigma_brute,
     sigma_minors,
     spectrum_dd_at,
@@ -383,7 +386,7 @@ class TestSpectrumAudit:
 
         p = SolutionParams(n, m)
         binomials = list(p.arrow_binomials_dd)
-        binomials[p.k - 1] = dd_add(binomials[p.k - 1], dd.ONE)
+        binomials[p.k - 1] = dd_add(binomials[p.k - 1], DD_ONE)
         object.__setattr__(p, "arrow_binomials_dd", tuple(binomials))
         with pytest.raises(ConvergenceError, match="structured sigma_") as info:
             residual_scan(p, dataclasses.replace(BOX, count=3))
@@ -1173,11 +1176,11 @@ class TestVerdictsAgainstTheRoots:
 
         norms = []
 
-        def recorded(sigmas, fro, k):
+        def recorded(sigmas, fro):
             norms.append(fro)
-            return cone.sigmas_positive(sigmas, fro, k)
+            return cone.sigma_verdicts(sigmas, fro)
 
-        monkeypatch.setattr(verify, "sigmas_positive", recorded)
+        monkeypatch.setattr(verify, "sigma_verdicts", recorded)
         monkeypatch.setattr(verify, "_audit_sample", lambda *args: None)
         failures = 0
         for i in range(box.count):
@@ -1276,6 +1279,40 @@ class TestSampleBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 200_000
+
+
+class TestOnePassJudgement:
+    """The scan judges each sample in one pass, with the residual's float
+    operations written out and one call into cone; its partial report is
+    conftest's reference_scan_range's, which judges the samples statement
+    by statement, over the kernel's composition, bit for bit: the residual
+    and min_sigma_j by float.hex, the argmax and the counts.  One range
+    starts mid-block, one straddles an audit and one holds a single sample,
+    at every odd n = 3..31, m in {0, 2}, and on the huge-entry boxes."""
+
+    CASES = [
+        (SolutionParams(n, m), SampleBox(3.0, (-2.0, 2.0), count=1000, seed=n + 100 * m))
+        for n in range(3, 32, 2) for m in (0, 2)
+    ] + [
+        (P3, SampleBox(2e49, (-2.0, 2.0), count=1000, seed=5)),
+        (derive_constants(11), SampleBox(4e12, (-2.0, 2.0), count=1000, seed=7)),
+        (P3, SampleBox(3.0, (27.0, 28.0), count=1000, seed=6)),
+    ]
+
+    @staticmethod
+    def exact(report):
+        resid, argmax, cones, lemmas, sigma, phases = report
+        return resid.hex(), argmax, cones, lemmas, sigma.hex(), phases
+
+    @pytest.mark.parametrize("start, stop", [(0, 1), (37, 450), (99, 101)])
+    @pytest.mark.parametrize("p, box", CASES, ids=[
+        f"n{p.n_base}-m{p.m}-x{b.x_radius:g}-t{b.t_range[0]:g}" for p, b in CASES
+    ])
+    def test_the_report_is_the_references_bit_for_bit(self, p, box, start, stop):
+        from sigmak import verify
+
+        expected = self.exact(reference_scan_range(p, box, start, stop))
+        assert self.exact(verify._scan_range(p, box, start, stop)) == expected
 
 
 class TestScanNegativeControls:
@@ -1386,7 +1423,7 @@ class TestResidualAgainstExactArithmetic:
         for i in range(5):
             pt = sample_point(p, box, i)
             _, _, sigmas = spectrum_dd_at(p, pt.x, pt.t)
-            reported = to_float(dd.sub(sigmas[p.k - 1], dd.ONE))
+            reported = to_float(dd_sub(sigmas[p.k - 1], DD_ONE))
             exact = [[Fraction(e[0]) + Fraction(e[1]) for e in row] for row in dd_hessian(p, pt)]
             truth = float(sigma_brute(exact, p.k) - 1)
             assert abs(reported - truth) < 1e-24
