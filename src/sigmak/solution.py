@@ -367,7 +367,10 @@ def spectrum_dd(p: SolutionParams, points):
         sigma_j = g_j + g_(j-1) tr + g_(j-2) det,
 
     the last term from j = 2 on: 3k - 3 products and 2k - 1 sums, against
-    ~d^2 / 2 of each for the e_j recurrence over all d eigenvalues.
+    ~d^2 / 2 of each for the e_j recurrence over all d eigenvalues.  g_j is
+    formed in the loop over j that forms sigma_j, which keeps g_(j-1) and
+    g_(j-2), each with the split of its hi, in locals: a point builds no
+    list of the g_j.
 
     Every double-double operation is written out here, in one Python frame
     for the whole of `points`, as doubledouble writes out each of its
@@ -536,8 +539,7 @@ def spectrum_dd(p: SolutionParams, points):
         dethi = c - (c - deth)
         detlo = deth - dethi
 
-        # g_j = C(n-2, j) a^j for j = 1 .. k, a^j as above for j < k and
-        # a^k = a^(k-1) a; each g_j as its hi, its lo and the split of its hi
+        # a^k = a^(k-1) a
         wh, wl = powers[-1]
         prod = wh * ah
         c = split * wh
@@ -546,47 +548,54 @@ def spectrum_dd(p: SolutionParams, points):
         e = (((xhi * ahi - prod) + xhi * alo + xlo * ahi) + xlo * alo) + (wh * al + wl * ah)
         uh = prod + e
         powers.append((uh, e - (uh - prod)))
-        g = []
-        for (xh, xl, xhi, xlo), (yh, yl) in zip(binomials, powers):
+
+        # sigma_1 = g_1 + tr; sigma_j = (g_j + g_(j-1) tr) + (det or g_(j-2) det).
+        # g_j = C(n-2, j) a^j is formed as the loop reaches j, into (zh, zl);
+        # g_(j-1) and g_(j-2) are kept as (fh, fl) and (oh, ol), each with the
+        # split of its hi.  (vh, vl) is sigma_2's det term, det itself, and
+        # None from sigma_3 on, where g_(j-2) det is formed
+        c = split * trh
+        thi = c - (c - trh)
+        tlo = trh - thi
+        pairs = zip(binomials, powers)
+        (xh, xl, xhi, xlo), (yh, yl) = next(pairs)
+        prod = xh * yh
+        c = split * yh
+        yhi = c - (c - yh)
+        ylo = yh - yhi
+        e = (((xhi * yhi - prod) + xhi * ylo + xlo * yhi) + xlo * ylo) + (xh * yl + xl * yh)
+        fh = prod + e
+        fl = e - (fh - prod)
+        s = fh + trh
+        bb = s - fh
+        e = ((fh - (s - bb)) + (trh - bb)) + (fl + trl)
+        uh = s + e
+        sigmas = [(uh, e - (uh - s))]
+        c = split * fh
+        fhi = c - (c - fh)
+        flo = fh - fhi
+        vh, vl = deth, detl
+        for (xh, xl, xhi, xlo), (yh, yl) in pairs:
             prod = xh * yh
             c = split * yh
             yhi = c - (c - yh)
             ylo = yh - yhi
             e = (((xhi * yhi - prod) + xhi * ylo + xlo * yhi) + xlo * ylo) + (xh * yl + xl * yh)
-            uh = prod + e
-            c = split * uh
-            xhi = c - (c - uh)
-            g.append((uh, e - (uh - prod), xhi, uh - xhi))
-
-        # sigma_1 = g_1 + tr; sigma_j = (g_j + g_(j-1) tr) + (det or g_(j-2) det)
-        xh, xl = g[0][:2]
-        s = xh + trh
-        bb = s - xh
-        e = ((xh - (s - bb)) + (trh - bb)) + (xl + trl)
-        uh = s + e
-        sigmas = [(uh, e - (uh - s))]
-        c = split * trh
-        thi = c - (c - trh)
-        tlo = trh - thi
-        for j in range(2, len(g) + 1):
-            xh, xl, xhi, xlo = g[j - 2]
-            prod = xh * trh
-            e = (((xhi * thi - prod) + xhi * tlo + xlo * thi) + xlo * tlo) + (xh * trl + xl * trh)
+            zh = prod + e
+            zl = e - (zh - prod)
+            prod = fh * trh
+            e = (((fhi * thi - prod) + fhi * tlo + flo * thi) + flo * tlo) + (fh * trl + fl * trh)
             uh = prod + e
             ul = e - (uh - prod)
-            xh, xl = g[j - 1][:2]
-            s = xh + uh
-            bb = s - xh
-            e = ((xh - (s - bb)) + (uh - bb)) + (xl + ul)
+            s = zh + uh
+            bb = s - zh
+            e = ((zh - (s - bb)) + (uh - bb)) + (zl + ul)
             sh = s + e
             sl = e - (sh - s)
-            if j == 2:
-                vh, vl = deth, detl
-            else:
-                xh, xl, xhi, xlo = g[j - 3]
-                prod = xh * deth
-                e = (((xhi * dethi - prod) + xhi * detlo + xlo * dethi) + xlo * detlo) + (
-                    xh * detl + xl * deth
+            if vh is None:
+                prod = oh * deth
+                e = (((ohi * dethi - prod) + ohi * detlo + olo * dethi) + olo * detlo) + (
+                    oh * detl + ol * deth
                 )
                 vh = prod + e
                 vl = e - (vh - prod)
@@ -595,6 +604,16 @@ def spectrum_dd(p: SolutionParams, points):
             e = ((sh - (s - bb)) + (vh - bb)) + (sl + vl)
             uh = s + e
             sigmas.append((uh, e - (uh - s)))
+            vh = None
+            oh = fh
+            ol = fl
+            ohi = fhi
+            olo = flo
+            c = split * zh
+            fhi = c - (c - zh)
+            fh = zh
+            fl = zl
+            flo = zh - fhi
         yield E, ((ah, al), (trh, trl), (deth, detl)), sigmas
 
 

@@ -19,11 +19,15 @@ coordinates are -x_radius + (2 x_radius) u, uniform on [-x_radius,
 x_radius], and t is t_min + (t_max - t_min) u.  A scan draws the words of
 its samples one block of AUDIT_STRIDE samples at a time, from the start of
 its range, in one ``splitmix64_words`` call that mixes all of the block's
-words together in the lanes of one Python int; each word is bit for bit the
-one defined above.  The scan maps them to a sample's x block and t as plain
-floats, skips the w words, and builds no Point for a sample unless it
-reports it as the argmax or names it in an error; then ``sample_point``
-builds the Point of sample i from its D words by the same mapping.
+words together in the lanes of one Python int: lane j starts as the block's
+base (seed + (first + 1) * 0x9E3779B97F4A7C15) mod 2^64 plus j times the
+increment, from lanes of j * 0x9E3779B97F4A7C15 and a lane mask that
+depend on the word count alone and are built once for the largest count
+drawn; each word is bit for bit the one defined above.  The scan maps them
+to a sample's x block and t as plain floats, skips the w words, and builds
+no Point for a sample unless it reports it as the argmax or names it in an
+error; then ``sample_point`` builds the Point of sample i from its D words
+by the same mapping.
 
 Since sample i depends on (seed, i) alone, a scan splits its samples into
 contiguous ranges, one per CPU that the process may run on, scans the first
@@ -128,7 +132,10 @@ from .solution import (
 
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_LOW_HALF = b"\xff" * 8 + bytes(8)  # a 128-bit lane's low 64 bits, little-endian
+_LANE_ONE = b"\x01" + bytes(15)  # a 128-bit lane holding 1, little-endian
+# splitmix64_words' lanes for the largest count drawn so far: (count, the
+# lanes of j * _GOLDEN, the lanes of 1, the lanes of 2^64 - 1)
+_lanes = (0, 0, 0, 0)
 
 PHASE_TOL = 1e-9
 CRITICAL_PHASE_N3 = math.pi / 2
@@ -139,8 +146,8 @@ AUDIT_STRIDE = 100
 # samples, and its own first range holds PARENT_HEAD_START samples more than
 # each worker's: a worker starts ~1.2 ms after its fork and takes ~0.6 ms
 # to exit, and each process pays ~170-220 copy-on-write faults, while a
-# sample takes ~8.1, ~13.3 and ~21 us at n = 3, 7 and 13 on one CPU
-# (BENCH_36.json), ~10, ~15.5 and ~24 when the times below were taken.
+# sample takes ~7.3, ~11.8 and ~18.8 us at n = 3, 7 and 13 on one CPU
+# (BENCH_37.json), ~10, ~15.5 and ~24 when the times below were taken.
 # With the first range 0, 25, 50, 75 and 100 samples longer, two ranges of
 # 400 n = 3 samples took 4.24, 4.02, 3.87, 3.77 and 3.80 ms (one range
 # 4.14), of 500 n = 7 samples 6.4, 6.1, 5.9, 6.0 and 6.1 (one range 7.95)
@@ -181,27 +188,36 @@ def splitmix64_words(seed: int, first: int, count: int) -> list[int]:
     for `seed`; word c mixes seed + (c+1) * _GOLDEN (mod 2^64).
 
     The words are mixed together, in one Python int of `count` 128-bit
-    lanes.  Lane j starts as the counter (first + j + 1) mod 2^64, which
-    wraps to 0 past 2^64 - 1, written through array('Q') and read by
-    int.from_bytes in little-endian byte order (byteswapped first on a
-    big-endian host).  Times the 64-bit golden increment or a mix constant,
-    plus the seed, a lane's value stays below 2^128, so no carry crosses
+    lanes.  Lane j starts as base + j * _GOLDEN, below 2^128, masked to its
+    low 64 bits, where base = (seed + (first + 1) * _GOLDEN) mod 2^64: that
+    is word first + j's seed + (first + j + 1) * _GOLDEN mod 2^64, also where
+    the counter first + j + 1 passes 2^64, since the base is taken mod 2^64.
+    The lanes of j * _GOLDEN, the lanes of 1 that spread the base and the
+    lane mask depend on `count` alone; _lanes keeps them for the largest
+    count drawn so far, and a smaller count takes their low lanes.  Times a
+    mix constant, a lane's value stays below 2^128, so no carry crosses
     into the next lane; each product, and each xor with a right shift,
     which moves the next lane's low bits into this lane's high half, is
     masked to the low 64 bits of every lane before the next step reads it.
-    The words are the lanes' low halves, read back the same way.
+    The words are the lanes' low halves, read through array('Q') from
+    int.to_bytes in little-endian byte order (byteswapped on a big-endian
+    host).
     """
-    start = (first + 1) & MASK64
-    head = min(count, MASK64 + 1 - start)  # counters before the wrap to 0
-    counters = array("Q", range(start, start + head))
-    counters.extend(range(count - head))
-    lanes = array("Q", bytes(16 * count))
-    lanes[::2] = counters
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    mask = int.from_bytes(_LOW_HALF * count, "little")
-    z = int.from_bytes(lanes.tobytes(), "little") * _GOLDEN
-    z = (z + int.from_bytes((seed & MASK64).to_bytes(16, "little") * count, "little")) & mask
+    global _lanes
+    size, steps, ones, mask = _lanes
+    if count > size:
+        lanes = array("Q", bytes(16 * count))
+        lanes[::2] = array("Q", range(count))
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        steps = int.from_bytes(lanes.tobytes(), "little") * _GOLDEN
+        ones = int.from_bytes(_LANE_ONE * count, "little")
+        mask = ones * MASK64
+        _lanes = count, steps, ones, mask
+    elif count < size:
+        low = (1 << 128 * count) - 1
+        steps, ones, mask = steps & low, ones & low, mask & low
+    z = (steps + ((seed + (first + 1) * _GOLDEN) & MASK64) * ones) & mask
     z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
     z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
     z ^= z >> 31
@@ -425,10 +441,12 @@ def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tup
     are mapped to floats in one pass, and the block's x blocks, slices of
     those floats, and t go to one spectrum_dd call, whose samples are taken
     one at a time, so that an error names the sample that raised it.  A
-    sample then costs the kernel's step, the float operations of its
-    residual, norm and phase and one call of cone.sigma_verdicts, which
-    judges its sigmas in one pass.  The box was checked by residual_scan; no
-    sample is.
+    block holds at most one audited sample, whose index is found once per
+    block.  A sample then costs the kernel's step, the float operations of
+    its residual, norm and phase, one call of cone.sigma_verdicts, which
+    judges its sigmas in one pass, and one compare with that index; the math
+    functions and phase constants it reads are bound to locals once per
+    call.  The box was checked by residual_scan; no sample is.
     """
     t_lo, t_hi = box.t_range
     k, n2 = p.k, p.n_base - 2
@@ -436,6 +454,9 @@ def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tup
     x_lo, x_width, t_width = -box.x_radius, 2.0 * box.x_radius, t_hi - t_lo
     check_phase = p.n_base == 3 and p.m == 0
     x_words = [True] * nx + [False] * (d - nx)  # a sample's words: x block, t, w block
+    # read at each call, not at import, so that a test may patch them
+    sqrt, isfinite, atan, atan2 = math.sqrt, math.isfinite, math.atan, math.atan2
+    phase, phase_tol = CRITICAL_PHASE_N3, PHASE_TOL
     max_resid, argmax = -1.0, None
     cone_failures = lemma_failures = phase_failures = 0
     min_sigma_j = math.inf
@@ -452,13 +473,14 @@ def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tup
             for at, word in zip(range(0, size * nx, nx), words[nx::d])
         ]
         kernel = spectrum_dd(p, points).__next__
+        audited = block + (-block) % AUDIT_STRIDE  # the block's multiple of AUDIT_STRIDE
         for i in range(block, block + size):
             try:
                 et, ((a, _), (tr_hi, tr_lo), (det_hi, det_lo)), e = kernel()
                 tr, det = tr_hi + tr_lo, det_hi + det_lo
                 # sum lambda^2 = (n-2) a^2 + tr^2 - 2 det, and tr^2 - 2 det =
                 # mu_1^2 + mu_2^2 >= tr^2 / 2 for the two roots: no cancellation
-                fro = math.sqrt(n2 * a * a + tr * tr - 2.0 * det)
+                fro = sqrt(n2 * a * a + tr * tr - 2.0 * det)
                 # |sigma_k - 1| by the float operations of the double-double
                 # (sh, sl) - (1.0, 0.0): TwoSum(sh, -1.0), sl - 0.0 = sl added,
                 # then FastTwoSum
@@ -472,12 +494,12 @@ def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tup
                 # at most one eigenvalue is: the lemma verdict is sigma_k's
                 # positivity
                 in_cone, lemma, smallest, total = sigma_verdicts(e, fro)
-                if not math.isfinite(resid + fro + total):
+                if not isfinite(resid + fro + total):
                     raise ConvergenceError(
                         f"non-finite value: |sigma_{k} - 1| = {resid}, fro = {fro}, "
                         f"sigma_1..sigma_{k} = {[hi + lo for hi, lo in e]}"
                     )
-                if i % AUDIT_STRIDE == 0:
+                if i == audited:
                     _audit_sample(p, points[i - block][0], et, e)
             except ConvergenceError as exc:
                 pt = sample_point(p, box, i)
@@ -490,9 +512,7 @@ def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tup
             if smallest < min_sigma_j:
                 min_sigma_j = smallest
             # sum of arctan over a and the roots: arg (1 + i a) (1 - det + i tr)
-            if check_phase and abs(
-                math.atan(a) + math.atan2(tr, 1.0 - det) - CRITICAL_PHASE_N3
-            ) > PHASE_TOL:
+            if check_phase and abs(atan(a) + atan2(tr, 1.0 - det) - phase) > phase_tol:
                 phase_failures += 1
     return max_resid, argmax, cone_failures, lemma_failures, min_sigma_j, phase_failures
 

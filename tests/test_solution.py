@@ -716,8 +716,11 @@ class TestKernelPin:
                 assert g == w, (p.n_base, p.m, point)
             assert len(got) == len(want)
 
-    @pytest.mark.parametrize("m", [0, 1, 2])
-    @pytest.mark.parametrize("n", range(3, 32, 2))
+    # odd n = 33..51 at m = 0 take the sigma loop through every k up to 26
+    @pytest.mark.parametrize("n, m", [
+        *((n, m) for n in range(3, 32, 2) for m in (0, 1, 2)),
+        *((n, 0) for n in range(33, 52, 2)),
+    ])
     def test_seeded_points_origin_and_corners(self, n, m):
         p = SolutionParams(n, m)
         box = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=200, seed=100 * n + m)

@@ -44,23 +44,50 @@ P3 = derive_constants(3)
 BOX = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=1000, seed=42)
 
 
+def reference_word(seed, c):
+    # the documented mix, one word at a time, as the oracle
+    mask = (1 << 64) - 1
+    z = (seed + (c + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return (z ^ (z >> 31)) & mask
+
+
 class TestGenerator:
     def test_stream_reference_words(self):
-        # recompute the documented mix inline, one word at a time, as the oracle
-        def reference(seed, c):
-            mask = (1 << 64) - 1
-            z = (seed + (c + 1) * 0x9E3779B97F4A7C15) & mask
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-            return (z ^ (z >> 31)) & mask
-
         # counts around one lane-packed block of 100 words and past a dozen
         # blocks; the counter wraps mod 2^64 inside a call from 2^64 - 5
         for seed in (0, 42, 2**64 - 1):
             for first in (0, 1, 2, 1000, 2**64 - 5, 2**70):
                 for count in (0, 1, 2, 13, 99, 100, 101, 1301):
-                    expected = [reference(seed, first + i) for i in range(count)]
+                    expected = [reference_word(seed, first + i) for i in range(count)]
                     assert splitmix64_words(seed, first, count) == expected
+
+    def test_smaller_counts_after_a_large_block(self):
+        # a block of 100 samples at d = 123 sizes the lanes for 12300 words;
+        # smaller counts take their low lanes, also across the 2^64 wrap,
+        # drawn in ascending and in descending order
+        from sigmak import verify
+
+        splitmix64_words(7, 0, 12300)
+        assert verify._lanes[0] >= 12300
+        counts = (0, 1, 2, 3, 100, 123, 300, 4999, 12299, 12300)
+        for order in (counts, counts[::-1]):
+            for count in order:
+                for seed, first in ((7, 0), (2**64 - 1, 2**64 - 1 - count // 2), (3, 2**70)):
+                    expected = [reference_word(seed, first + i) for i in range(count)]
+                    assert splitmix64_words(seed, first, count) == expected, (seed, first, count)
+
+    def test_one_cache_entry_for_the_largest_count(self, monkeypatch):
+        from sigmak import verify
+
+        monkeypatch.setattr(verify, "_lanes", (0, 0, 0, 0))
+        for count, size in ((5, 5), (300, 300), (7, 300), (700, 700), (300, 700), (0, 700)):
+            splitmix64_words(1, 0, count)
+            cached, steps, ones, mask = verify._lanes
+            assert cached == size, count
+            assert max(steps.bit_length(), ones.bit_length(), mask.bit_length()) <= 128 * size
+            assert mask == ones * (2**64 - 1) and mask.bit_length() == 128 * size - 64
 
     def test_stream_frozen_words(self):
         # stream words another implementation must reproduce exactly
@@ -1265,8 +1292,9 @@ class TestSampleBlocks:
 
     def test_memory_is_bounded_by_one_block(self):
         # one block of 100 n = 3 samples (300 words in 128-bit lanes, their
-        # list and the mix's temporaries) peaks near 50 kB; the 6000 words of
-        # the whole range drawn at once peak near 670 kB (CPython 3.11)
+        # list and the mix's temporaries) peaks near 66 kB, the lanes cached
+        # for 300 words built before; the 6000 words of the whole range drawn
+        # at once peak near 820 kB, their cached lanes included (CPython 3.11)
         import tracemalloc
 
         from sigmak import verify
