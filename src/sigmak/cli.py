@@ -10,6 +10,11 @@ still printed), 2 usage or domain errors (diagnostic on stderr), 141 (128 +
 SIGPIPE, as the shell reports a writer killed by a closed pipe) when stdout
 is closed before the report is written, e.g. by ``| head``; nothing is
 printed then.
+
+Each call builds its parser anew, from one table, _COMMANDS: every
+subcommand gets its subparser, but only the command that the call's
+arguments name, the first of them equal to a command name, gets its own
+arguments (see _build_parser).
 """
 
 from __future__ import annotations
@@ -215,60 +220,43 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="sigmak",
-        description="Construct and verify non-polynomial entire solutions of "
-        "sigma_k(D^2 u) = 1 for 2k = n + 1.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# the arguments of each subcommand but --output, which _build_parser adds last
 
-    def add_output(sp):
-        sp.add_argument(
-            "--output", choices=("json", "text"), default="json", help="output format"
-        )
+def _dims_arguments(sp):
+    sp.add_argument("-n", type=int, required=True, metavar="N",
+                    help="core dimension (odd, k = (n+1)/2)")
+    sp.add_argument("-m", type=int, default=0, metavar="M",
+                    help="extra dummy dimensions (default 0)")
 
-    def add_dims(sp):
-        sp.add_argument("-n", type=int, required=True, metavar="N",
-                        help="core dimension (odd, k = (n+1)/2)")
-        sp.add_argument("-m", type=int, default=0, metavar="M",
-                        help="extra dummy dimensions (default 0)")
 
-    sp = sub.add_parser("construct", help="derive the exact solution constants")
-    add_dims(sp)
-    add_output(sp)
-
-    sp = sub.add_parser("eval", help="evaluate u, its gradient and Hessian at a point")
-    add_dims(sp)
+def _eval_arguments(sp):
+    _dims_arguments(sp)
     sp.add_argument("--point", type=_csv_floats, required=True, metavar="C1,C2,...",
                     help="coordinates: x block, then t, then w block")
-    add_output(sp)
 
-    sp = sub.add_parser("verify", help="seeded residual/ellipticity/phase scan")
-    add_dims(sp)
+
+def _verify_arguments(sp):
+    _dims_arguments(sp)
     sp.add_argument("--samples", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--x-radius", type=float, default=3.0)
     sp.add_argument("--t-min", type=float, default=-2.0)
     sp.add_argument("--t-max", type=float, default=2.0)
-    add_output(sp)
 
-    sp = sub.add_parser("verify-exact", help="exact symbolic certification")
+
+def _verify_exact_arguments(sp):
     sp.add_argument("-n", type=int, required=True, metavar="N")
-    add_output(sp)
 
-    sp = sub.add_parser("cone-check", help="ellipticity cone membership of a matrix")
+
+def _cone_check_arguments(sp):
     sp.add_argument("--matrix-file", required=True)
     sp.add_argument("-k", type=int, required=True, metavar="K")
-    add_output(sp)
 
-    sp = sub.add_parser("phase-check", help="sum of arctangents of eigenvalues")
+
+def _phase_check_arguments(sp):
     sp.add_argument("--matrix-file", required=True)
     sp.add_argument("--expected", type=_finite_float, default=None,
                     help="fail (exit 1) if the phase differs by more than 1e-9")
-    add_output(sp)
-
-    return parser
 
 
 def _cmd_construct(ns) -> tuple[dict, int]:
@@ -356,14 +344,56 @@ def _cmd_phase_check(ns) -> tuple[dict, int]:
     return payload, 0 if within is not False else 1
 
 
-_HANDLERS = {
-    "construct": _cmd_construct,
-    "eval": _cmd_eval,
-    "verify": _cmd_verify,
-    "verify-exact": _cmd_verify_exact,
-    "cone-check": _cmd_cone_check,
-    "phase-check": _cmd_phase_check,
+# each subcommand's help line, the function that adds its arguments to its
+# subparser, and the function that runs it
+_COMMANDS = {
+    "construct": (
+        "derive the exact solution constants", _dims_arguments, _cmd_construct
+    ),
+    "eval": (
+        "evaluate u, its gradient and Hessian at a point", _eval_arguments, _cmd_eval
+    ),
+    "verify": (
+        "seeded residual/ellipticity/phase scan", _verify_arguments, _cmd_verify
+    ),
+    "verify-exact": (
+        "exact symbolic certification", _verify_exact_arguments, _cmd_verify_exact
+    ),
+    "cone-check": (
+        "ellipticity cone membership of a matrix", _cone_check_arguments,
+        _cmd_cone_check,
+    ),
+    "phase-check": (
+        "sum of arctangents of eigenvalues", _phase_check_arguments, _cmd_phase_check
+    ),
 }
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for one call with arguments argv.
+
+    Every subcommand gets its subparser, so the choices, `sigmak -h` and
+    every message read as with all arguments present; only the command that
+    argv names gets its arguments.  That command is the first token of argv
+    equal to a command name: the top-level parser's only positional is the
+    command, and it has no option that takes a value, so argparse dispatches
+    on that token.  A parse of argv that names no command never reads a
+    subparser's arguments.
+    """
+    parser = _Parser(
+        prog="sigmak",
+        description="Construct and verify non-polynomial entire solutions of "
+        "sigma_k(D^2 u) = 1 for 2k = n + 1.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = next((tok for tok in argv if tok in _COMMANDS), None)
+    for name, (help_line, add_arguments, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
+        if name == named:
+            add_arguments(sp)
+            sp.add_argument("--output", choices=("json", "text"), default="json",
+                            help="output format")
+    return parser
 
 
 def _text_lines(value, key: str = "") -> list[str]:
@@ -384,14 +414,13 @@ def _text_lines(value, key: str = "") -> list[str]:
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     start = time.perf_counter()
     try:
-        payload, code = _HANDLERS[ns.command](ns)
+        payload, code = _COMMANDS[ns.command][2](ns)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"sigmak: error: {exc}", file=sys.stderr)
         return 2

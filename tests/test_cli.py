@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -158,44 +159,45 @@ def strict_json(text):
 
 
 class TestBadInput:
-    @pytest.mark.parametrize(
-        "argv, field",
-        [
-            (["verify", "-n", "3", "--x-radius", "inf", "--samples", "5"], "x_radius"),
-            (["verify", "-n", "3", "--x-radius", "nan", "--samples", "5"], "x_radius"),
-            (["verify", "-n", "3", "--x-radius", "1e160", "--samples", "5"], "x_radius"),
-            (["verify", "-n", "3", "--x-radius", "1e60", "--samples", "5"], "x_radius"),
-            (["verify", "-n", "3", "--t-min=-inf", "--samples", "5"], "t_range"),
-            (["eval", "-n", "3", "--point", "nan,0,0"], "point coordinate x"),
-            (["eval", "-n", "3", "--point", "0,0,inf"], "point coordinate t"),
-            (["eval", "-n", "3", "--point", "1e200,0,0"], "point x = (1e+200"),
-            (["eval", "-n", "3", "--point", "1,,0,0"], "field 2 of '1,,0,0' is empty"),
-            (["eval", "-n", "3", "--point", "1,0,0,"], "field 4 of '1,0,0,' is empty"),
-            (["verify", "-n", "3", "--seed", "-1"], "seed must fit in 64 unsigned bits, got -1"),
-            (
-                ["verify", "-n", "3", "--seed", "18446744073709551616"],
-                "seed must fit in 64 unsigned bits, got 18446744073709551616",
-            ),
-            (["eval", "-n", "3", "--point", "-nan,0,0"], "point coordinate x"),
-            (["verify", "-n", "3", "--x-radius", "-nan"], "x_radius must be finite"),
-        ],
-    )
+    # TestParserBuild also parses the argvs of NAMED_FIELDS, BAD_BOXES and
+    # NEGATIVE_VALUES, with the parser of one call and with a full parser
+    NAMED_FIELDS = [
+        (["verify", "-n", "3", "--x-radius", "inf", "--samples", "5"], "x_radius"),
+        (["verify", "-n", "3", "--x-radius", "nan", "--samples", "5"], "x_radius"),
+        (["verify", "-n", "3", "--x-radius", "1e160", "--samples", "5"], "x_radius"),
+        (["verify", "-n", "3", "--x-radius", "1e60", "--samples", "5"], "x_radius"),
+        (["verify", "-n", "3", "--t-min=-inf", "--samples", "5"], "t_range"),
+        (["eval", "-n", "3", "--point", "nan,0,0"], "point coordinate x"),
+        (["eval", "-n", "3", "--point", "0,0,inf"], "point coordinate t"),
+        (["eval", "-n", "3", "--point", "1e200,0,0"], "point x = (1e+200"),
+        (["eval", "-n", "3", "--point", "1,,0,0"], "field 2 of '1,,0,0' is empty"),
+        (["eval", "-n", "3", "--point", "1,0,0,"], "field 4 of '1,0,0,' is empty"),
+        (["verify", "-n", "3", "--seed", "-1"], "seed must fit in 64 unsigned bits, got -1"),
+        (
+            ["verify", "-n", "3", "--seed", "18446744073709551616"],
+            "seed must fit in 64 unsigned bits, got 18446744073709551616",
+        ),
+        (["eval", "-n", "3", "--point", "-nan,0,0"], "point coordinate x"),
+        (["verify", "-n", "3", "--x-radius", "-nan"], "x_radius must be finite"),
+    ]
+
+    @pytest.mark.parametrize("argv, field", NAMED_FIELDS)
     def test_exits_2_naming_the_field(self, capsys, argv, field):
         assert run(argv) == 2
         assert field in capsys.readouterr().err
 
+    BAD_BOXES = [
+        ("--samples", "0", "count must be positive, got 0"),
+        ("--t-max", "800", "|t| = 800 exceeds the exponential overflow guard (700 for k = 2)"),
+        (
+            "--x-radius", "1e200",
+            "x_radius = 1e+200 with t_range = (-2.0, 2.0) lets the Hessian norm reach "
+            "inf; sigma_1..sigma_3 stay finite only while (1 + that)^3 <= 2^996",
+        ),
+    ]
+
     @pytest.mark.parametrize(
-        "option, value, message",
-        [
-            ("--samples", "0", "count must be positive, got 0"),
-            ("--t-max", "800", "|t| = 800 exceeds the exponential overflow guard (700 for k = 2)"),
-            (
-                "--x-radius", "1e200",
-                "x_radius = 1e+200 with t_range = (-2.0, 2.0) lets the Hessian norm reach "
-                "inf; sigma_1..sigma_3 stay finite only while (1 + that)^3 <= 2^996",
-            ),
-        ],
-        ids=["samples", "t_range", "x_radius"],
+        "option, value, message", BAD_BOXES, ids=["samples", "t_range", "x_radius"]
     )
     def test_a_bad_box_is_refused_before_the_exact_gate(
         self, capsys, monkeypatch, option, value, message
@@ -209,19 +211,18 @@ class TestBadInput:
         assert run(["verify", "-n", "3", option, value]) == 2
         assert capsys.readouterr().err == f"sigmak: error: {message}\n"
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["eval", "-n", "3", "--point", "-1,0,0.5"],
-            ["eval", "-n", "3", "--point", "-.5,0.25,-1e-1"],
-            ["verify", "-n", "3", "--samples", "20", "--t-min", "-1e-1"],
-            ["verify", "-n", "3", "--samples", "20", "--t-min", "-2.5E0", "--t-max", "-1e-3"],
-            ["verify", "-n", "3", "--samples", "5", "--t-min", "-inf"],
-            ["eval", "-n", "3", "--point", "-Infinity,0,0"],
-            ["eval", "-n", "3", "--point", "-nan,0,0"],
-            ["verify", "-n", "3", "--x-radius", "-nan"],
-        ],
-    )
+    NEGATIVE_VALUES = [
+        ["eval", "-n", "3", "--point", "-1,0,0.5"],
+        ["eval", "-n", "3", "--point", "-.5,0.25,-1e-1"],
+        ["verify", "-n", "3", "--samples", "20", "--t-min", "-1e-1"],
+        ["verify", "-n", "3", "--samples", "20", "--t-min", "-2.5E0", "--t-max", "-1e-3"],
+        ["verify", "-n", "3", "--samples", "5", "--t-min", "-inf"],
+        ["eval", "-n", "3", "--point", "-Infinity,0,0"],
+        ["eval", "-n", "3", "--point", "-nan,0,0"],
+        ["verify", "-n", "3", "--x-radius", "-nan"],
+    ]
+
+    @pytest.mark.parametrize("argv", NEGATIVE_VALUES)
     def test_negative_value_after_a_space(self, capsys, argv):
         # argparse read these values as flags ("expected one argument", and
         # -nan as -n with the value "an"); the space-separated form must act
@@ -913,3 +914,94 @@ class TestUsage:
         assert code == 0
         assert "A: 4" in out
         assert "h: (1/4)*exp(-t) + (-1)*exp(t)" in out
+
+
+def subparsers(parser):
+    """The name -> subparser map of a parser from cli._build_parser."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def full_parser():
+    """A parser in which every command of cli._COMMANDS has its arguments:
+    the bare parser of an argv that names no command, with each subparser
+    replaced by the one that a call naming that command builds."""
+    parser = cli._build_parser([])
+    choices = subparsers(parser)
+    for name in cli._COMMANDS:
+        choices[name] = subparsers(cli._build_parser([name]))[name]
+    return parser
+
+
+def parse_outcome(capsys, parser, argv):
+    """The repr of the parsed namespace (a nan value equals itself there), or
+    the exit code, stdout and stderr of a parse that exits."""
+    try:
+        return repr(parser.parse_args(argv))
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
+
+
+class TestParserBuild:
+    """A call gives only the command its argv names its arguments; every
+    other subparser holds only its -h, and every outcome is as with all of
+    them present."""
+
+    CORPUS = (
+        [
+            [],
+            ["-h"],
+            ["frobnicate"],
+            ["verif"],
+            ["--foo", "verify", "-n", "3"],
+            ["--", "verify", "-n", "3"],
+            ["-1", "verify"],
+            ["-h", "verify"],
+            ["construct", "verify"],
+            ["verify", "-n"],
+            ["verify", "-n", "3", "--samples", "450", "--output", "text"],
+            ["verify-exact", "-n", "5"],
+            ["cone-check", "-k", "2", "--matrix-file", "m.txt"],
+            ["phase-check", "--matrix-file", "m.txt", "--expected", "-1.5"],
+            ["phase-check", "--matrix-file", "m.txt", "--expected", "nan"],
+            ["construct", "-n", "three"],
+            ["construct", "-n", "3", "--frob"],
+            ["construct", "-n", "3", "-m", "2", "--output", "xml"],
+        ]
+        + [[name, "-h"] for name in cli._COMMANDS]
+        + [[name] for name in cli._COMMANDS]
+        + [argv for argv, _ in TestBadInput.NAMED_FIELDS]
+        + [["verify", "-n", "3", option, value] for option, value, _ in TestBadInput.BAD_BOXES]
+        + TestBadInput.NEGATIVE_VALUES
+    )
+
+    @pytest.mark.parametrize(
+        "argv", list(dict.fromkeys(map(tuple, CORPUS))), ids=lambda a: " ".join(a) or "(none)"
+    )
+    def test_same_outcome_as_a_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "100")
+        got = parse_outcome(capsys, cli._build_parser(argv), argv)
+        assert got == parse_outcome(capsys, full_parser(), argv)
+
+    @pytest.mark.parametrize("argv", [["-h"], *([name, "-n", "3"] for name in cli._COMMANDS)])
+    def test_only_the_named_command_has_arguments(self, argv):
+        for name, sp in subparsers(cli._build_parser(argv)).items():
+            bare = sp.format_usage() == f"usage: sigmak {name} [-h]\n"
+            assert bare == (name != argv[0]), name
+
+    def test_a_verify_run_builds_16_help_formatters(self, capsys, monkeypatch):
+        # one for each add_argument, which checks the argument's format, and
+        # one for add_subparsers: the top-level -h, six subcommands' -h and
+        # the eight arguments of verify; a parser that gave every command its
+        # arguments would build 31
+        built = []
+        init = argparse.HelpFormatter.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.HelpFormatter, "__init__", counted)
+        assert run(["verify", "-n", "3", "--samples", "5"]) == 0
+        assert len(built) == 16
