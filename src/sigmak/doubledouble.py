@@ -15,20 +15,18 @@ it guard their inputs, t and then the Hessian's norm, by one function,
 ``solution._check_overflow``: a point, or the scan's whole box of samples,
 once, with a margin that covers every sample in it.
 
-The one operation is mul, which the solution's constants take once per n;
-a float f enters it as ``(f, 0.0)``.  It runs as one Python frame, with
-Dekker's TwoProd and the closing FastTwoSum written out inside it, because
-in CPython a function call costs as much as the float operations it would
-wrap.  The float operations are the textbook composition's, in its order,
-so every result is the composition's bit for bit;
-tests/test_doubledouble.py keeps the composition and pins this.  The scan's
-per-sample kernel, ``solution.spectrum_dd``, writes its own sums, products
-and its one division out the same way, with ``SPLITTER``, in one frame per
-block of samples, and calls nothing here; the scan writes its residual
-sigma_k - 1 out the same way too.  No library code adds, subtracts, divides
-or takes the square root of double-doubles anywhere else, so this module
-has no add, sub, div or sqrt; the tests keep the textbook sub, div and sqrt
-(tests/conftest.py).
+This module holds the representation, Dekker's ``SPLITTER`` and its limit,
+and ``from_fraction``, which rounds an exact rational once: the solution's
+constants enter double-double that way, once per n.  It performs no
+operation on double-doubles.  The scan's per-sample kernel,
+``solution.spectrum_dd``, writes its sums, products and its one division out
+with ``SPLITTER``, in one frame per block of samples, because in CPython a
+function call costs as much as the float operations it would wrap; the scan
+writes its residual sigma_k - 1 out the same way.  Their float operations
+are the textbook composition's, in its order, so every result is the
+composition's bit for bit.  The tests keep that composition, with the
+textbook mul, sub, div and sqrt (tests/conftest.py), and
+tests/test_doubledouble.py pins it to Knuth's TwoSum and Dekker's TwoProd.
 """
 
 from __future__ import annotations
@@ -42,36 +40,10 @@ SPLITTER = 134217729.0  # 2**27 + 1
 SPLIT_MAX = 2.0**996
 
 
-def from_float(a: float) -> DD:
-    return (float(a), 0.0)
-
-
 def from_fraction(q: Fraction) -> DD:
+    """The exact rational q rounded once: hi is q rounded to the nearest
+    float, lo the rest q - hi rounded to the nearest float, so hi + lo is
+    within half an ulp of lo of q."""
     hi = float(q)
     lo = float(q - Fraction(hi))
     return (hi, lo)
-
-
-# In the textbook operations, s, e = TwoSum(xh, yh) is
-#     s = xh + yh;  bb = s - xh;  e = (xh - (s - bb)) + (yh - bb)
-# Dekker's split of a into ahi + alo is
-#     c = SPLITTER * a;  ahi = c - (c - a);  alo = a - ahi
-# the exact product p, e = TwoProd(a, b) of two floats is, with a and b split,
-#     p = a * b;  e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-# and the closing FastTwoSum(s, e), which needs |s| >= |e|, is
-#     h = s + e;  return h, e - (h - s)
-
-
-def mul(x: DD, y: DD) -> DD:
-    xh, xl = x
-    yh, yl = y
-    p = xh * yh
-    c = SPLITTER * xh
-    ahi = c - (c - xh)
-    alo = xh - ahi
-    c = SPLITTER * yh
-    bhi = c - (c - yh)
-    blo = yh - bhi
-    e = (((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo) + (xh * yl + xl * yh)
-    h = p + e
-    return h, e - (h - p)

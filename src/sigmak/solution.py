@@ -62,7 +62,8 @@ class SolutionParams:
     A_float and h_coeffs_float = (h_coeff_decay, h_coeff_growth) rounded to
     floats (A_float is inf once A passes the largest float, from n = 689
     on; see _check_overflow), h'' = h2_decay_dd e^(-(k-1)t) + h2_growth_dd e^t
-    in double-double, and arrow_binomials_dd[j] = C(n-2, j) for j = 0..k as
+    in double-double, each coefficient (1/A and -B/A) its exact value
+    rounded once, and arrow_binomials_dd[j] = C(n-2, j) for j = 0..k as
     exact double-doubles (see spectrum_dd).
     """
 
@@ -100,7 +101,7 @@ class SolutionParams:
             "k": k, "A": a, "B": b, "h_coeff_decay": decay, "h_coeff_growth": growth,
             "A_float": float(a) if a <= sys.float_info.max else math.inf,
             "h_coeffs_float": (float(decay), float(growth)),
-            "h2_decay_dd": dd.mul(dd.from_fraction(decay), dd.from_float((k - 1) ** 2)),
+            "h2_decay_dd": dd.from_fraction(1 / a),
             "h2_growth_dd": dd.from_fraction(growth),
             # hi + lo is C(n-2, j) exactly: the rest c - int(hi) is an integer
             # below ulp(hi), so a double holds it while c < 2^106; a c past
@@ -373,20 +374,19 @@ def spectrum_dd(p: SolutionParams, points):
     list of the g_j.
 
     Every double-double operation is written out here, in one Python frame
-    for the whole of `points`, as doubledouble writes out each of its
-    operations: Knuth's TwoSum, Dekker's split and TwoProd and the closing
-    FastTwoSum in locals.  What does not depend on the point is taken once
-    per call: k, the splits of the two coefficients of h'' and of the binomials
-    C(n-2, j), and the powers of two; per point E, a, tr and det, which
-    several products share, are split once.  The float operations are those
-    of the textbook double-double add, sub, mul and div composed as the
-    formulas above read, so every value is that composition's bit for bit;
-    tests/conftest.py keeps the composition and tests/test_solution.py pins
-    this.  The scan passes one block of samples per call, with x and t as
-    plain floats, so that no Point is built per sample; its audit reads E
-    and the sigmas.  A one-point call is next(spectrum_dd(p, [(x, t)])).
-    Being a generator, the kernel raises at the point that fails, after
-    yielding every point before it.
+    for the whole of `points`: Knuth's TwoSum, Dekker's split and TwoProd
+    and the closing FastTwoSum in locals.  What does not depend on the point
+    is taken once per call: k, the splits of the two coefficients of h'' and
+    of the binomials C(n-2, j), and the powers of two; per point E, a, tr
+    and det, which several products share, are split once.  The float
+    operations are those of the textbook double-double add, sub, mul and div
+    composed as the formulas above read, so every value is that
+    composition's bit for bit; tests/conftest.py keeps the composition and
+    tests/test_solution.py pins this.  The scan passes one block of samples
+    per call, with x and t as plain floats, so that no Point is built per
+    sample; its audit reads E and the sigmas.  A one-point call is
+    next(spectrum_dd(p, [(x, t)])).  Being a generator, the kernel raises at
+    the point that fails, after yielding every point before it.
     """
     split = dd.SPLITTER
     km1 = p.k - 1

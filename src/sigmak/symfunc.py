@@ -28,7 +28,6 @@ symmetric only up to noise are averaged where they are read, by the
 from __future__ import annotations
 
 import math
-import operator
 from functools import reduce
 
 from .errors import ConvergenceError
@@ -82,21 +81,20 @@ def _check_symmetric(rows) -> None:
                 )
 
 
-def elementary_symmetric(values, add=operator.add, mul=operator.mul) -> list:
+def elementary_symmetric(values) -> list:
     """e_1 .. e_n of n values by one pass of the e_j recurrence, cost O(n^2).
 
-    Ring-generic: the default operators serve floats, ints and Fractions (and
-    are exact on exact inputs); other rings pass their own add and mul.
-    The recurrence starts from e_1 = the first value, so it needs no ring
-    constants; an empty input gives [].
+    Generic over any values with + and *: floats, ints and Fractions (exact
+    on exact inputs).  The recurrence starts from e_1 = the first value, so
+    it needs no constants; an empty input gives [].
     """
     e = []
     for v in values:
         if e:
-            e.append(mul(v, e[-1]))
+            e.append(v * e[-1])
             for j in range(len(e) - 2, 0, -1):
-                e[j] = add(e[j], mul(v, e[j - 1]))
-            e[0] = add(e[0], v)
+                e[j] = e[j] + v * e[j - 1]
+            e[0] = e[0] + v
         else:
             e.append(v)
     return e

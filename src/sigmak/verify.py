@@ -355,10 +355,14 @@ def _scan_ranges(p: SolutionParams, box: SampleBox) -> list[tuple]:
         if others:
             # a forked child starts on its parent's CPU, and the kernel was
             # seen to leave it there, sharing that CPU, for as long as its
-            # range took (two ranges of 250 n = 7 samples took 42.5 ms, one
-            # range 35.7); so this thread forks each worker from a CPU of its
+            # range took; so this thread forks each worker from a CPU of its
             # own and then moves to the next one, and each process takes
-            # back the whole set, which leaves a running task where it is
+            # back the whole set, which leaves a running task where it is.
+            # The hop gains up to ~3 %, and nothing at n = 13 (2 vCPUs,
+            # CPython 3.11.7, medians of 70 scans; with the hop / without /
+            # one range): 500 n = 7 samples take 4.86-4.97 / 4.94-5.14 /
+            # 5.9 ms, 1000 n = 3 samples 5.64-5.91 / 5.79-5.96 / 7.3, and
+            # 1000 n = 13 samples 12.0-12.4 / 11.9-12.2 / 18.9
             cpus = sorted(allowed)
             os.sched_setaffinity(0, {cpus[0]})
             try:

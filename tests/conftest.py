@@ -6,13 +6,13 @@ difference stencils, numpy's iterated differences) so they share no code
 path with the implementations they check.  ``charpoly_sigmas`` is one
 exception, named here as such.  The other is the scan kernel's composition
 (``composed_spectrum_dd`` and the functions it calls), which is a reference
-for bit-for-bit equality, not for accuracy, and so calls doubledouble's
-operations; ``composed_eigenvalues_dd`` reads the closed-form eigenvalues
-off that composition's terms, for the tests that need them, and
-``reference_scan_range`` judges its samples as the scan did before it took
-a sample in one pass.  A matrix is
-its rows, as in the library: the builders return tuples of float tuples,
-and the oracles take any rows.
+for bit-for-bit equality, not for accuracy, and so is built from the
+textbook double-double operations kept here; ``composed_eigenvalues_dd``
+reads the closed-form eigenvalues off that composition's terms, for the
+tests that need them, and ``reference_scan_range`` judges its samples as the
+scan did before it took a sample in one pass.  A matrix is its rows, as in
+the library: the builders return tuples of float tuples, and the oracles
+take any rows.
 
 ``visible_cpus`` and ``one_cpu`` set the CPUs that ``residual_scan`` sees,
 and so the number of sample ranges it splits a scan into.
@@ -27,7 +27,6 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from sigmak import doubledouble as dd
 from sigmak import verify
 from sigmak.cone import SIGMA_BOUNDARY_REL_TOL
 from sigmak.errors import ConvergenceError
@@ -90,15 +89,15 @@ def charpoly_sigmas(m) -> tuple[float, ...]:
 # The scan's double-double kernel as the composition of double-double
 # operations that solution.spectrum_dd writes out in one frame: dd_terms ->
 # spectrum_sigmas_dd -> arrow_sigmas over dd_add, Dekker's TwoProd, the
-# exact scaling mul_pow2, dd_sub, doubledouble's mul, and the textbook
-# division dd_div.  The kernel's E, terms and sigmas are pinned to these bit
-# for bit (test_solution.py), and tests that need the kernel's intermediate
-# terms, or a seam inside it, read them here.  composed_eigenvalues_dd forms
-# the closed-form eigenvalues from the composition's five terms, with
-# dd_sqrt and dd_div; the library forms none.  dd_add and sum_squares are
-# pinned to the textbook kernels of test_doubledouble.py, which takes
-# two_prod, two_sum, fast_two_sum and mul_f from here and tests dd_div and
-# dd_sqrt against exact oracles.
+# exact scaling mul_pow2, dd_sub, dd_mul and the textbook division dd_div.
+# The kernel's E, terms and sigmas are pinned to these bit for bit
+# (test_solution.py), and tests that need the kernel's intermediate terms, or
+# a seam inside it, read them here.  composed_eigenvalues_dd forms the
+# closed-form eigenvalues from the composition's five terms, with dd_sqrt
+# and dd_div; the library forms none.  dd_add, dd_sub, dd_mul and
+# sum_squares are pinned to the textbook kernels of test_doubledouble.py,
+# which takes two_prod, two_sum, fast_two_sum and mul_f from here and tests
+# dd_div and dd_sqrt against exact oracles.
 _SPLITTER = 134217729.0  # 2**27 + 1
 DD_ZERO = (0.0, 0.0)
 DD_ONE = (1.0, 0.0)
@@ -133,6 +132,40 @@ def dd_sub(x, y):
     e = ((xh - (s - bb)) + (b - bb)) + (xl - yl)
     h = s + e
     return h, e - (h - s)
+
+
+def dd_mul(x, y):
+    """The double-double product: Dekker's TwoProd of the leading parts, plus
+    both cross products xh yl + xl yh, then FastTwoSum, written out in one
+    frame, as solution.spectrum_dd writes out each of its products.  A float
+    f enters as (f, 0.0)."""
+    xh, xl = x
+    yh, yl = y
+    p = xh * yh
+    c = _SPLITTER * xh
+    ahi = c - (c - xh)
+    alo = xh - ahi
+    c = _SPLITTER * yh
+    bhi = c - (c - yh)
+    blo = yh - bhi
+    e = (((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo) + (xh * yl + xl * yh)
+    h = p + e
+    return h, e - (h - p)
+
+
+def dd_elementary_symmetric(values):
+    """e_1 .. e_n of double-doubles: symfunc.elementary_symmetric's
+    recurrence, seeded with e_1 = the first value, over dd_add and dd_mul."""
+    e = []
+    for v in values:
+        if e:
+            e.append(dd_mul(v, e[-1]))
+            for j in range(len(e) - 2, 0, -1):
+                e[j] = dd_add(e[j], dd_mul(v, e[j - 1]))
+            e[0] = dd_add(e[0], v)
+        else:
+            e.append(v)
+    return e
 
 
 def two_prod(a: float, b: float):
@@ -218,10 +251,10 @@ def dd_terms(p, x, t: float):
     et = (math.exp(t), 0.0)
     et_powers = [et]
     for _ in range(p.k - 2):
-        et_powers.append(dd.mul(et_powers[-1], et))
+        et_powers.append(dd_mul(et_powers[-1], et))
     e_decay = dd_div(DD_ONE, et_powers[-1])
-    h2 = dd_add(dd.mul(p.h2_decay_dd, e_decay), dd.mul(p.h2_growth_dd, et))
-    return et_powers, h2, dd.mul(sum_squares(x), et)
+    h2 = dd_add(dd_mul(p.h2_decay_dd, e_decay), dd_mul(p.h2_growth_dd, et))
+    return et_powers, h2, dd_mul(sum_squares(x), et)
 
 
 def spectrum_sigmas_dd(p, terms):
@@ -231,9 +264,9 @@ def spectrum_sigmas_dd(p, terms):
     a = mul_pow2(et_powers[0], 2.0)
     d = dd_add(r2et, h2)
     tr = dd_add(a, d)
-    det = dd.mul(a, dd_sub(h2, r2et))
+    det = dd_mul(a, dd_sub(h2, r2et))
     powers = [mul_pow2(v, 2.0**j) for j, v in enumerate(et_powers, start=1)]
-    powers.append(dd.mul(powers[-1], a))
+    powers.append(dd_mul(powers[-1], a))
     return (a, tr, det, d, r2et), arrow_sigmas(p.arrow_binomials_dd, powers, tr, det)
 
 
@@ -245,8 +278,8 @@ def composed_eigenvalues_dd(p, x, t: float):
     neither cancels."""
     a, tr, det, d, r2et = spectrum_sigmas_dd(p, dd_terms(p, x, t))[0]
     half_gap = mul_pow2(dd_sub(a, d), 0.5)
-    c2 = dd.mul(a, mul_pow2(r2et, 2.0))  # |c|^2 = 4 r^2 e^(2t)
-    larger = dd_add(mul_pow2(tr, 0.5), dd_sqrt(dd_add(dd.mul(half_gap, half_gap), c2)))
+    c2 = dd_mul(a, mul_pow2(r2et, 2.0))  # |c|^2 = 4 r^2 e^(2t)
+    larger = dd_add(mul_pow2(tr, 0.5), dd_sqrt(dd_add(dd_mul(half_gap, half_gap), c2)))
     values = [dd_div(det, larger), larger] + [a] * (p.n_base - 2) + [DD_ZERO] * p.m
     values.sort()
     return values
@@ -254,11 +287,11 @@ def composed_eigenvalues_dd(p, x, t: float):
 
 def arrow_sigmas(binomials, powers, tr, det):
     """sigma_j = g_j + g_(j-1) tr + g_(j-2) det, g_j = binomials[j] powers[j - 1]."""
-    g = [DD_ONE] + [dd.mul(c, power) for c, power in zip(binomials[1:], powers)]
+    g = [DD_ONE] + [dd_mul(c, power) for c, power in zip(binomials[1:], powers)]
     sigmas = [dd_add(g[1], tr)]
     for j in range(2, len(powers) + 1):
-        sigma = dd_add(g[j], dd.mul(g[j - 1], tr))
-        sigmas.append(dd_add(sigma, det if j == 2 else dd.mul(g[j - 2], det)))
+        sigma = dd_add(g[j], dd_mul(g[j - 1], tr))
+        sigmas.append(dd_add(sigma, det if j == 2 else dd_mul(g[j - 2], det)))
     return sigmas
 
 
@@ -350,7 +383,7 @@ def dd_hessian(p, pt):
     rows = [[DD_ZERO] * dim for _ in range(dim)]
     for i, v in enumerate(pt.x):
         rows[i][i] = mul_pow2(et, 2.0)
-        rows[i][nx] = rows[nx][i] = dd.mul(et, (2.0 * v, 0.0))
+        rows[i][nx] = rows[nx][i] = dd_mul(et, (2.0 * v, 0.0))
     rows[nx][nx] = dd_add(r2et, h2)
     return rows
 

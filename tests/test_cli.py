@@ -758,6 +758,14 @@ class TestPayloadPins:
              "08b2674829eb539149862e76e83ff614bfdc47bb95966d7abe87310507896ee4"),
             (["verify", "-n", "13", "--samples", "200", "--seed", "0"], 1,
              "cc02fb329311f71d671abfd67e701445a14a390bbf2f05627cb48990ce984e31"),
+            # three n at which the decay coefficient of h'' moved in its low
+            # word when it came to be 1/A rounded once; the reports did not
+            (["verify", "-n", "15", "--samples", "300", "--seed", "0"], 1,
+             "9bd5de9b0a0fec91f5f3e397397480fde37beed4ae8299ee25aff5e2475310d1"),
+            (["verify", "-n", "31", "-m", "2", "--samples", "300"], 1,
+             "f032ba352b141d82ac011113ced68e9312dae0ae1130358c39ee27380b5c859f"),
+            (["verify", "-n", "45", "--samples", "300"], 1,
+             "9afbc0d64ecdab1bd284dd8b7dbe51fe54cd221b2fcf3af47a782b4265b31a37"),
             # the two eval calls of CI: value, gradient and Hessian rows
             (["eval", "-n", "7", "-m", "2", "--point", "1,-0.5,2,0.3,-1.2,0.7,0.4,0.1,0.2"], 0,
              "064f273ca1d539e92aa34bda7f895839b13d99fee5102602e1e734f75ae3d56d"),

@@ -13,6 +13,7 @@ from conftest import (
     DD_ZERO,
     dd_add,
     dd_div,
+    dd_mul,
     dd_sqrt,
     dd_sub,
     fast_two_sum,
@@ -44,12 +45,12 @@ def random_value(rng: random.Random) -> dd.DD:
 
 # The textbook compositions: each operation built from Knuth's TwoSum,
 # FastTwoSum and Dekker's TwoProd as functions (conftest's two_sum,
-# fast_two_sum and two_prod).  doubledouble's mul writes these error-free
-# transformations out inside it, one Python frame per call, and so do
-# conftest's dd_add and dd_sub, the add and sub of the scan kernel's test
-# composition (the scan writes dd_sub's operations out for its residual);
-# TestTextbookKernels holds them, and that composition's sum_squares, to these
-# results bit for bit.  The composition's division and square root, conftest's
+# fast_two_sum and two_prod).  conftest's dd_add, dd_sub and dd_mul, the
+# add, sub and mul of the scan kernel's test composition, write these
+# error-free transformations out inside them, one Python frame per call, as
+# solution.spectrum_dd does for each of its operations (the scan writes
+# dd_sub's operations out for its residual); TestTextbookKernels holds them,
+# and that composition's sum_squares, to these results bit for bit.  The composition's division and square root, conftest's
 # dd_div and dd_sqrt, are textbook compositions themselves; TestExactOracles
 # and TestRepresentation check them.
 def _ref_add(x, y):
@@ -82,8 +83,8 @@ def _kernel_cases(x, y, f, z, w):
     return (
         (dd_add, _ref_add, (x, y)),
         (dd_sub, _ref_sub, (x, y)),
-        (dd.mul, _ref_mul, (x, y)),
-        (dd.mul, _ref_mul, (x, (f, 0.0))),
+        (dd_mul, _ref_mul, (x, y)),
+        (dd_mul, _ref_mul, (x, (f, 0.0))),
         (sum_squares, _ref_sum_squares, ((x[0], f, y[1], z[0], w[0], y[0]),)),
     )
 
@@ -160,7 +161,7 @@ class TestTextbookKernels:
         rng = random.Random(2027)
         for _ in range(20_000):
             x, f = _random_pair(rng), _random_double(rng)
-            assert value(dd.mul, (x, (f, 0.0))) == value(mul_f, (x, f)), (x, f)
+            assert value(dd_mul, (x, (f, 0.0))) == value(mul_f, (x, f)), (x, f)
             assert _outcome(dd_sub, (x, DD_ONE)) == _outcome(add_float, (x, -1.0)), x
 
 
@@ -176,14 +177,14 @@ class TestExactOracles:
             for op, ref in (
                 (dd_add, fx + fy),
                 (dd_sub, fx - fy),
-                (dd.mul, fx * fy),
+                (dd_mul, fx * fy),
             ):
                 got = as_fraction(op(x, y))
                 err = abs(got - ref)
                 assert err <= Fraction(1, 10**29) * (1 + abs(ref)), op.__name__
             # the scan's residual sigma_k - 1 and its products by e^t
             f = y[0]
-            for op, z, ref in ((dd_sub, DD_ONE, fx - 1), (dd.mul, (f, 0.0), fx * Fraction(f))):
+            for op, z, ref in ((dd_sub, DD_ONE, fx - 1), (dd_mul, (f, 0.0), fx * Fraction(f))):
                 got = as_fraction(op(x, z))
                 assert abs(got - ref) <= Fraction(1, 10**29) * (1 + abs(ref)), op.__name__
             if fy:
@@ -196,7 +197,7 @@ class TestExactOracles:
         for _ in range(200):
             a = rng.uniform(-1e6, 1e6)
             b = rng.uniform(-1e6, 1e6)
-            assert as_fraction(dd.mul((a, 0.0), (b, 0.0))) == Fraction(a) * Fraction(b)
+            assert as_fraction(dd_mul((a, 0.0), (b, 0.0))) == Fraction(a) * Fraction(b)
 
     def test_from_fraction_round_trip(self):
         for q in (Fraction(1, 3), Fraction(-31, 24), Fraction(1, 17920), Fraction(22, 7)):
@@ -206,7 +207,7 @@ class TestExactOracles:
     def test_sqrt_against_decimal(self):
         rng = random.Random(3)
         for _ in range(100):
-            x = dd.mul((rng.uniform(0.001, 1000.0), 0.0), (rng.uniform(0.001, 1000.0), 0.0))
+            x = dd_mul((rng.uniform(0.001, 1000.0), 0.0), (rng.uniform(0.001, 1000.0), 0.0))
             got = as_decimal(dd_sqrt(x))
             ref = as_decimal(x).sqrt()
             assert abs(got - ref) <= Decimal("1e-28") * (1 + ref)
@@ -237,7 +238,7 @@ class TestExactOracles:
 class TestRepresentation:
     def test_sqrt_rejects_negative(self):
         with pytest.raises(ValueError):
-            dd_sqrt(dd.from_float(-1.0))
+            dd_sqrt((-1.0, 0.0))
 
     def test_sqrt_of_zero(self):
         assert dd_sqrt(DD_ZERO) == DD_ZERO
@@ -249,7 +250,7 @@ class TestRepresentation:
             y = random_value(rng)
             positive = x if x[0] >= 0.0 else (-x[0], -x[1])
             for value in (
-                dd_add(x, y), dd_sub(x, y), dd.mul(x, y), dd_div(x, y), dd_sqrt(positive),
+                dd_add(x, y), dd_sub(x, y), dd_mul(x, y), dd_div(x, y), dd_sqrt(positive),
             ):
                 hi, lo = value
                 if hi != 0.0:
@@ -261,4 +262,4 @@ class TestRepresentation:
         assert as_fraction(doubled) == as_fraction(x) * 2
 
     def test_to_float_collapses(self):
-        assert to_float(dd.mul((3.0, 0.0), (1.0 / 3.0, 0.0))) == pytest.approx(1.0)
+        assert to_float(dd_mul((3.0, 0.0), (1.0 / 3.0, 0.0))) == pytest.approx(1.0)

@@ -89,12 +89,17 @@ REMOVED = [
     ("sigmak.cone", "sigmas_positive"),
     ("sigmak.doubledouble", "sub"),
     ("sigmak.doubledouble", "ONE"),
+    ("sigmak.doubledouble", "mul"),
+    ("sigmak.doubledouble", "from_float"),
 ]
 
 BENCHMARK_NAMES = [
     ("sigmak", "derive_constants"),
     ("sigmak", "cli"),
+    ("sigmak", "cone"),
+    ("sigmak", "doubledouble"),
     ("sigmak", "symbolic"),
+    ("sigmak", "verify"),
     ("sigmak.cli", "run"),
     ("sigmak.symbolic", "verify_exact"),
     ("sigmak.symbolic", "sym_sigma_k"),

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -11,8 +12,9 @@ from conftest import (
     arrow_sigmas,
     composed_eigenvalues_dd,
     composed_spectrum_dd,
-    dd_add,
+    dd_elementary_symmetric,
     dd_hessian,
+    dd_mul,
     dd_sub,
     dd_terms,
     sigma_brute,
@@ -117,8 +119,8 @@ class TestDeriveConstants:
             SolutionParams(*args)
 
     def test_pascal_identity(self):
-        # the constants in their closed forms, every derived field of
-        # SolutionParams(n, m), and its double-double h'' coefficients bit for bit
+        # the constants in their closed forms, and every derived field of
+        # SolutionParams(n, m), its double-double ones too, independent of m
         for n in range(3, 52, 2):
             p = derive_constants(n)
             k = p.k
@@ -127,15 +129,44 @@ class TestDeriveConstants:
             assert p.B == 2**k * math.comb(n - 1, k)
             assert p.h_coeff_decay * p.A * (k - 1) ** 2 == 1
             assert p.h_coeff_growth == -p.B / p.A
-            assert p.h2_decay_dd == dd.mul(dd.from_fraction(p.h_coeff_decay), dd.from_float((k - 1) ** 2))
-            assert p.h2_growth_dd == dd.from_fraction(p.h_coeff_growth)
             for m in range(3):
                 q = SolutionParams(n, m)
                 assert q.m == m
                 assert (q.k, q.A, q.B, q.h_coeff_decay, q.h_coeff_growth) == (
                     p.k, p.A, p.B, p.h_coeff_decay, p.h_coeff_growth
                 )
-                assert (q.h2_decay_dd, q.h2_growth_dd) == (p.h2_decay_dd, p.h2_growth_dd)
+                assert (q.h2_decay_dd, q.h2_growth_dd, q.arrow_binomials_dd) == (
+                    p.h2_decay_dd, p.h2_growth_dd, p.arrow_binomials_dd
+                )
+
+    @pytest.mark.parametrize("n", [*range(3, 52, 2), 1001, 1033])
+    def test_dd_constants_are_their_exact_values_rounded_once(self, n):
+        # the coefficients 1/A and -B/A of h'', and each binomial C(n-2, j),
+        # are their exact values rounded once; a binomial below 2^106 is
+        # held exactly, and one past the largest float (from n = 1033 on) is
+        # (inf, 0.0)
+        p = derive_constants(n)
+        assert p.h2_decay_dd == dd.from_fraction(1 / p.A)
+        assert p.h2_growth_dd == dd.from_fraction(-p.B / p.A)
+        assert len(p.arrow_binomials_dd) == p.k + 1
+        for j, (hi, lo) in enumerate(p.arrow_binomials_dd):
+            c = math.comb(n - 2, j)
+            if c > sys.float_info.max:
+                assert (hi, lo) == (math.inf, 0.0)
+                continue
+            assert (hi, lo) == dd.from_fraction(Fraction(c))
+            if c < 2**106:
+                assert Fraction(hi) + Fraction(lo) == c
+
+    def test_one_rounding_moves_the_decay_coefficient_at_eleven_n(self):
+        # 1/A formed as 1/(A (k-1)^2) times (k-1)^2, two roundings, differs
+        # from 1/A rounded once in its low word at these n, and only there
+        moved = {7, 13, 15, 23, 25, 29, 31, 37, 39, 41, 45}
+        for n in range(3, 52, 2):
+            p = derive_constants(n)
+            twice = dd_mul(dd.from_fraction(p.h_coeff_decay), (float((p.k - 1) ** 2), 0.0))
+            assert p.h2_decay_dd[0] == twice[0], n
+            assert (p.h2_decay_dd != twice) == (n in moved), n
 
     @pytest.mark.parametrize("n", [687, 689, 1001, 1033])
     def test_past_the_float_range_of_a(self, n):
@@ -619,7 +650,7 @@ class TestSpectrumDD:
         p = derive_constants(n)
         pt = Point(x=(3.0, -3.0) * ((n - 1) // 2), t=t)
         lam, _ = self.assert_matches_oracles(p, pt)
-        sigma_k = elementary_symmetric(lam, dd_add, dd.mul)[p.k - 1]
+        sigma_k = dd_elementary_symmetric(lam)[p.k - 1]
         assert abs(to_float(dd_sub(sigma_k, DD_ONE))) < 1e-20
         _, _, sigmas = spectrum_dd_at(p, pt.x, pt.t)
         assert abs(to_float(dd_sub(sigmas[p.k - 1], DD_ONE))) < 1e-20
@@ -655,7 +686,7 @@ class TestArrowSigmas:
             _, _, sigmas = spectrum_dd_at(p, pt.x, pt.t)
             lam = composed_eigenvalues_dd(p, pt.x, pt.t)
             assert len(sigmas) == p.k
-            by_recurrence = elementary_symmetric(lam, dd_add, dd.mul)
+            by_recurrence = dd_elementary_symmetric(lam)
             scales = elementary_symmetric([abs(to_float(v)) for v in lam])
             for x, y, scale in zip(sigmas, by_recurrence, scales):
                 assert abs(to_float(dd_sub(x, y))) <= unit * scale
@@ -668,8 +699,8 @@ class TestArrowSigmas:
         # kernel's composition takes them as arguments
         p = derive_constants(n)
         a, mu = 3, (-2, 5)
-        powers = [dd.from_float(float(a**j)) for j in range(1, p.k + 1)]
-        tr, det = dd.from_float(float(sum(mu))), dd.from_float(float(mu[0] * mu[1]))
+        powers = [(float(a**j), 0.0) for j in range(1, p.k + 1)]
+        tr, det = (float(sum(mu)), 0.0), (float(mu[0] * mu[1]), 0.0)
         sigmas = arrow_sigmas(p.arrow_binomials_dd, powers, tr, det)
         want = elementary_symmetric([a] * (n - 2) + list(mu))[: p.k]
         assert [to_float(v) for v in sigmas] == want

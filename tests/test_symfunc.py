@@ -15,6 +15,8 @@ from conftest import (
     charpoly_sigmas,
     dd_add,
     dd_div,
+    dd_elementary_symmetric,
+    dd_mul,
     diagonal,
     e_brute,
     frobenius_norm,
@@ -25,7 +27,6 @@ from conftest import (
     to_float,
 )
 from sigmak import cli
-from sigmak import doubledouble as dd
 from sigmak import symfunc
 from sigmak.errors import ConvergenceError
 from sigmak.symbolic import sym_add, sym_const, sym_mul, sym_scale
@@ -228,7 +229,8 @@ class TestFaddeevLeverrierInput:
         "float": (float, operator.add, operator.mul, operator.truediv, 0.0),
         "int": (int, operator.add, operator.mul, exact_div, 0),
         "double-double": (
-            dd.from_float, dd_add, dd.mul, lambda x, j: dd_div(x, dd.from_float(j)), DD_ZERO,
+            lambda v: (float(v), 0.0), dd_add, dd_mul,
+            lambda x, j: dd_div(x, (float(j), 0.0)), DD_ZERO,
         ),
         "SymExpr": (
             sym_const, sym_add, sym_mul, lambda e, j: sym_scale(e, Fraction(1, j)), {},
@@ -283,11 +285,11 @@ class TestFaddeevLeverrierZeroTest:
 
         def counted_mul(x, y):
             dd_products.append((x, y))
-            return dd.mul(x, y)
+            return dd_mul(x, y)
 
         by_dd = symfunc.faddeev_leverrier(
-            [[dd.from_float(v) for v in row] for row in floats],
-            dd_add, counted_mul, lambda x, j: dd_div(x, dd.from_float(j)), DD_ZERO,
+            [[(v, 0.0) for v in row] for row in floats],
+            dd_add, counted_mul, lambda x, j: dd_div(x, (float(j), 0.0)), DD_ZERO,
             count=p.k,
         )
         assert len(dd_products) == len(products) > 0
@@ -370,15 +372,15 @@ class TestCrossAlgorithmInvariants:
 
 class TestDoubleDoubleVariants:
     def test_dd_elementary_symmetric_exact(self):
-        vals = [dd.from_float(v) for v in (2.0, 2.0, -0.75)]
-        out = [to_float(v) for v in elementary_symmetric(vals, dd_add, dd.mul)]
+        vals = [(v, 0.0) for v in (2.0, 2.0, -0.75)]
+        out = [to_float(v) for v in dd_elementary_symmetric(vals)]
         assert out == [3.25, 1.0, -3.0]
 
     def test_dd_elementary_symmetric_matches_exact_recurrence(self):
         rng = random.Random(29)
         for _ in range(20):
             vals = [rng.uniform(-4.0, 4.0) for _ in range(rng.randrange(1, 9))]
-            out = elementary_symmetric([dd.from_float(v) for v in vals], dd_add, dd.mul)
+            out = dd_elementary_symmetric([(v, 0.0) for v in vals])
             exact = elementary_symmetric([Fraction(v) for v in vals])
             for j, (got, want) in enumerate(zip(out, exact), start=1):
                 assert abs(Fraction(got[0]) + Fraction(got[1]) - want) < 1e-25 * (1 + 4.0**j)
@@ -389,13 +391,13 @@ class TestDoubleDoubleVariants:
         # seeded with e_0 = 1, e_j = 0, including products by ONE
         rng = random.Random(47)
         for _ in range(500):
-            vals = [dd_add(dd.mul((rng.uniform(-9, 9), 0.0), (rng.uniform(-9, 9), 0.0)),
+            vals = [dd_add(dd_mul((rng.uniform(-9, 9), 0.0), (rng.uniform(-9, 9), 0.0)),
                            (rng.uniform(-1e-17, 1e-17), 0.0)) for _ in range(rng.randrange(1, 12))]
             e = [DD_ONE] + [DD_ZERO] * len(vals)
             for i, v in enumerate(vals, start=1):
                 for j in range(i, 0, -1):
-                    e[j] = dd_add(e[j], dd.mul(v, e[j - 1]))
-            assert elementary_symmetric(vals, dd_add, dd.mul) == e[1:]
+                    e[j] = dd_add(e[j], dd_mul(v, e[j - 1]))
+            assert dd_elementary_symmetric(vals) == e[1:]
 
 
 class TestJacobiFailurePaths:

@@ -14,7 +14,9 @@ from conftest import (
     charpoly_sigmas,
     composed_eigenvalues_dd,
     dd_add,
+    dd_elementary_symmetric,
     dd_hessian,
+    dd_mul,
     dd_sub,
     fd_hessian,
     frobenius_norm,
@@ -271,9 +273,7 @@ class TestSpectrumAudit:
         # eigenvalue by rel_shift * (1 + ||M||_F) and return the sigmas of
         # the moved spectrum, as a closed form with that eigenvalue wrong
         # throughout
-        from sigmak import doubledouble as dd
         from sigmak import verify
-        from sigmak.symfunc import elementary_symmetric
 
         calls = []
         kernel = verify.spectrum_dd
@@ -284,7 +284,7 @@ class TestSpectrumAudit:
                     lam = composed_eigenvalues_dd(p, x, t)
                     fro = math.sqrt(sum(to_float(v) ** 2 for v in lam))
                     lam[-1] = dd_add(lam[-1], (rel_shift * (1.0 + fro), 0.0))
-                    sigmas = elementary_symmetric(lam, dd_add, dd.mul)[: p.k]
+                    sigmas = dd_elementary_symmetric(lam)[: p.k]
                 calls.append(t)
                 yield et, terms, sigmas
 
@@ -408,7 +408,6 @@ class TestSpectrumAudit:
 
     @pytest.mark.parametrize("n, m", [(3, 0), (7, 0), (5, 2)])
     def test_a_wrong_binomial_names_the_sample(self, monkeypatch, n, m):
-        from sigmak import doubledouble as dd
         from sigmak.errors import ConvergenceError
 
         p = SolutionParams(n, m)
@@ -425,7 +424,6 @@ class TestSpectrumAudit:
         # det moved by 1e-20 relative in the sigmas only, not in the roots:
         # the scan runs the kernel's composition, which has that seam
         import conftest
-        from sigmak import doubledouble as dd
         from sigmak import verify
         from sigmak.errors import ConvergenceError
 
@@ -434,7 +432,7 @@ class TestSpectrumAudit:
 
         def perturbed(binomials, powers, tr, det):
             if len(calls) >= first_perturbed:
-                det = dd.mul(det, (1.0, 1e-20))
+                det = dd_mul(det, (1.0, 1e-20))
             calls.append(det)
             return exact(binomials, powers, tr, det)
 
@@ -1354,10 +1352,8 @@ class TestScanNegativeControls:
     @staticmethod
     def perturbed_growth(n):
         # the e^t coefficient of h'', -B/A, off by one part in 10^6
-        from sigmak import doubledouble as dd
-
         p = SolutionParams(n)
-        object.__setattr__(p, "h2_growth_dd", dd.mul(p.h2_growth_dd, (1.0 + 1e-6, 0.0)))
+        object.__setattr__(p, "h2_growth_dd", dd_mul(p.h2_growth_dd, (1.0 + 1e-6, 0.0)))
         return p
 
     @staticmethod
@@ -1366,7 +1362,6 @@ class TestScanNegativeControls:
         # of its own value, but not the reciprocal of the other's power; the
         # scan runs the kernel's composition, with that term replaced
         import conftest
-        from sigmak import doubledouble as dd
         from sigmak import verify
 
         exact = conftest.dd_terms
@@ -1375,7 +1370,7 @@ class TestScanNegativeControls:
             et_powers, _, r2et = exact(p, x, t)
             e_decay = (math.exp(-(p.k - 1) * t), 0.0)
             h2 = dd_add(
-                dd.mul(p.h2_decay_dd, e_decay), dd.mul(p.h2_growth_dd, et_powers[0])
+                dd_mul(p.h2_decay_dd, e_decay), dd_mul(p.h2_growth_dd, et_powers[0])
             )
             return et_powers, h2, r2et
 
@@ -1444,8 +1439,6 @@ class TestResidualAgainstExactArithmetic:
         # scan's closed-form residual must match it, not merely be small
         from fractions import Fraction
 
-        from sigmak import doubledouble as dd
-
         p = derive_constants(n)
         box = SampleBox(x_radius=3.0, t_range=(-2.0, 2.0), count=5, seed=77)
         for i in range(5):
@@ -1462,15 +1455,12 @@ class TestScanSigmasAgainstFloatOracles:
     def test_dd_sigmas_match_charpoly_and_minors(self, n, m):
         # sigma_1..sigma_d of the scan's closed-form dd eigenvalues; the float
         # charpoly and the principal-minor sums must agree at moderate points
-        from sigmak import doubledouble as dd
-        from sigmak.symfunc import elementary_symmetric
-
         p = SolutionParams(n, m)
         box = SampleBox(x_radius=1.0, t_range=(-1.0, 1.0), count=20, seed=11)
         for i in range(box.count):
             pt = sample_point(p, box, i)
             lam = composed_eigenvalues_dd(p, pt.x, pt.t)
-            e = elementary_symmetric(lam, dd_add, dd.mul)
+            e = dd_elementary_symmetric(lam)
             hess = eval_jet(p, pt).hessian
             fro = frobenius_norm(hess)
             charpoly = charpoly_sigmas(hess)
