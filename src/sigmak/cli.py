@@ -14,16 +14,19 @@ printed then.
 Each call builds its parser anew, from one table, _COMMANDS: every
 subcommand gets its subparser, but only the command that the call's
 arguments name, the first of them equal to a command name, gets its own
-arguments (see _build_parser).
+arguments and its -h, and the terminal width is read once for all the
+parser's help formatters (see _build_parser).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import re
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -374,21 +377,30 @@ def _build_parser(argv) -> argparse.ArgumentParser:
 
     Every subcommand gets its subparser, so the choices, `sigmak -h` and
     every message read as with all arguments present; only the command that
-    argv names gets its arguments.  That command is the first token of argv
-    equal to a command name: the top-level parser's only positional is the
-    command, and it has no option that takes a value, so argparse dispatches
-    on that token.  A parse of argv that names no command never reads a
-    subparser's arguments.
+    argv names gets its arguments and its -h.  That command is the first
+    token of argv equal to a command name: the top-level parser's only
+    positional is the command, and it has no option that takes a value, so
+    argparse dispatches on that token.  A parse of argv that names no
+    command never reads a subparser's arguments or its help.  The terminal
+    width is read once: every parser's help formatter gets the width that
+    argparse.HelpFormatter would otherwise probe for itself, the terminal's
+    columns less 2, so every wrapped line reads the same.
     """
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = _Parser(
         prog="sigmak",
         description="Construct and verify non-polynomial entire solutions of "
         "sigma_k(D^2 u) = 1 for 2k = n + 1.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     named = next((tok for tok in argv if tok in _COMMANDS), None)
     for name, (help_line, add_arguments, _) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_line)
+        sp = sub.add_parser(
+            name, help=help_line, formatter_class=formatter, add_help=name == named
+        )
         if name == named:
             add_arguments(sp)
             sp.add_argument("--output", choices=("json", "text"), default="json",

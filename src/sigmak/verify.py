@@ -18,16 +18,19 @@ per coordinate, x block first, then t, then the w block.  The x and w
 coordinates are -x_radius + (2 x_radius) u, uniform on [-x_radius,
 x_radius], and t is t_min + (t_max - t_min) u.  A scan draws the words of
 its samples one block of AUDIT_STRIDE samples at a time, from the start of
-its range, in one ``splitmix64_words`` call that mixes all of the block's
-words together in the lanes of one Python int: lane j starts as the block's
-base (seed + (first + 1) * 0x9E3779B97F4A7C15) mod 2^64 plus j times the
-increment, from lanes of j * 0x9E3779B97F4A7C15 and a lane mask that
-depend on the word count alone and are built once for the largest count
-drawn; each word is bit for bit the one defined above.  The scan maps them
-to a sample's x block and t as plain floats, skips the w words, and builds
-no Point for a sample unless it reports it as the argmax or names it in an
-error; then ``sample_point`` builds the Point of sample i from its D words
-by the same mapping.
+its range, in one ``splitmix64_words`` call that mixes the block's words
+together in the lanes of one Python int, and it draws only the first n of
+each sample's D words, its x block and t: lane j starts as the block's base
+(seed + (first + 1) * 0x9E3779B97F4A7C15) mod 2^64 plus o_j times the
+increment, where o_j = j + (j // n) (D - n) is the word's offset in the
+block (o_j = j when m = 0), from lanes of o_j * 0x9E3779B97F4A7C15 and a
+lane mask that depend on the word count and that pattern alone and are
+built once for the largest count drawn; each word is bit for bit the one
+defined above.  So the words, the memory and the time of a scan do not
+grow with m.  The scan maps them to a sample's x block and t as plain
+floats and builds no Point for a sample unless it reports it as the argmax
+or names it in an error; then ``sample_point`` builds the Point of sample i
+from all of its D words by the same mapping.
 
 Since sample i depends on (seed, i) alone, a scan splits its samples into
 contiguous ranges, one per CPU that the process may run on, scans the first
@@ -115,7 +118,8 @@ import signal
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import compress, cycle
+from itertools import accumulate, compress, cycle, repeat
+from operator import mul
 
 from . import doubledouble as dd
 from .cone import sigma_verdicts
@@ -136,6 +140,9 @@ _LANE_ONE = b"\x01" + bytes(15)  # a 128-bit lane holding 1, little-endian
 # splitmix64_words' lanes for the largest count drawn so far: (count, the
 # lanes of j * _GOLDEN, the lanes of 1, the lanes of 2^64 - 1)
 _lanes = (0, 0, 0, 0)
+# the same for the last strided pattern drawn, (take, stride) first, whose
+# lane j holds (j + (j // take) * (stride - take)) * _GOLDEN
+_strided_lanes = ((1, 1), 0, 0, 0, 0)
 
 PHASE_TOL = 1e-9
 CRITICAL_PHASE_N3 = math.pi / 2
@@ -183,38 +190,57 @@ PARENT_HEAD_START = 50
 SIGMA_AUDIT_UNITS = 8.0
 
 
-def splitmix64_words(seed: int, first: int, count: int) -> list[int]:
-    """Words first .. first + count - 1 of the counter-based splitmix64 stream
-    for `seed`; word c mixes seed + (c+1) * _GOLDEN (mod 2^64).
+def _lane_ints(count: int, offsets) -> tuple[int, int, int]:
+    """The lanes of offset * _GOLDEN for the `count` offsets, the lanes of 1
+    and the lanes of 2^64 - 1, as ints of `count` 128-bit lanes."""
+    lanes = array("Q", bytes(16 * count))
+    lanes[::2] = array("Q", offsets)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    ones = int.from_bytes(_LANE_ONE * count, "little")
+    return int.from_bytes(lanes.tobytes(), "little") * _GOLDEN, ones, ones * MASK64
+
+
+def splitmix64_words(
+    seed: int, first: int, count: int, *, take: int = 1, stride: int = 1
+) -> list[int]:
+    """`count` words of the counter-based splitmix64 stream for `seed`, from
+    word `first` on: the first `take` of every `stride` words, so words
+    first .. first + count - 1 when take == stride (the default); word c
+    mixes seed + (c+1) * _GOLDEN (mod 2^64).  A strided count is a multiple
+    of `take`.
 
     The words are mixed together, in one Python int of `count` 128-bit
-    lanes.  Lane j starts as base + j * _GOLDEN, below 2^128, masked to its
-    low 64 bits, where base = (seed + (first + 1) * _GOLDEN) mod 2^64: that
-    is word first + j's seed + (first + j + 1) * _GOLDEN mod 2^64, also where
-    the counter first + j + 1 passes 2^64, since the base is taken mod 2^64.
-    The lanes of j * _GOLDEN, the lanes of 1 that spread the base and the
-    lane mask depend on `count` alone; _lanes keeps them for the largest
-    count drawn so far, and a smaller count takes their low lanes.  Times a
-    mix constant, a lane's value stays below 2^128, so no carry crosses
-    into the next lane; each product, and each xor with a right shift,
-    which moves the next lane's low bits into this lane's high half, is
-    masked to the low 64 bits of every lane before the next step reads it.
-    The words are the lanes' low halves, read through array('Q') from
-    int.to_bytes in little-endian byte order (byteswapped on a big-endian
-    host).
+    lanes.  Lane j starts as base + o_j * _GOLDEN, below 2^128, masked to
+    its low 64 bits, where base = (seed + (first + 1) * _GOLDEN) mod 2^64
+    and o_j = j + (j // take) * (stride - take) is the lane's offset from
+    `first`: that is word first + o_j's seed + (first + o_j + 1) * _GOLDEN
+    mod 2^64, also where the counter passes 2^64, since the base is taken
+    mod 2^64.  The lanes of o_j * _GOLDEN, the lanes of 1 that spread the
+    base and the lane mask depend on `count` and the pattern alone; _lanes
+    keeps them for the largest count drawn so far without a stride, and
+    _strided_lanes for the largest count of the last (take, stride) drawn;
+    a smaller count takes their low lanes.  Times a mix constant, a lane's
+    value stays below 2^128, so no carry crosses into the next lane; each
+    product, and each xor with a right shift, which moves the next lane's
+    low bits into this lane's high half, is masked to the low 64 bits of
+    every lane before the next step reads it.  The words are the lanes' low
+    halves, read through array('Q') from int.to_bytes in little-endian byte
+    order (byteswapped on a big-endian host).
     """
-    global _lanes
-    size, steps, ones, mask = _lanes
-    if count > size:
-        lanes = array("Q", bytes(16 * count))
-        lanes[::2] = array("Q", range(count))
-        if sys.byteorder == "big":
-            lanes.byteswap()
-        steps = int.from_bytes(lanes.tobytes(), "little") * _GOLDEN
-        ones = int.from_bytes(_LANE_ONE * count, "little")
-        mask = ones * MASK64
-        _lanes = count, steps, ones, mask
-    elif count < size:
+    global _lanes, _strided_lanes
+    if take == stride:
+        size, steps, ones, mask = _lanes
+        if count > size:
+            _lanes = size, steps, ones, mask = count, *_lane_ints(count, range(count))
+    else:
+        pattern, size, steps, ones, mask = _strided_lanes
+        if pattern != (take, stride) or count > size:
+            skip = stride - take
+            offsets = (j + j // take * skip for j in range(count))
+            size, steps, ones, mask = count, *_lane_ints(count, offsets)
+            _strided_lanes = (take, stride), size, steps, ones, mask
+    if count < size:
         low = (1 << 128 * count) - 1
         steps, ones, mask = steps & low, ones & low, mask & low
     z = (steps + ((seed + (first + 1) * _GOLDEN) & MASK64) * ones) & mask
@@ -441,8 +467,9 @@ def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tup
     -1), the cone and lemma failure counts, the smallest sigma_j and the
     phase failure count.  Sample i is audited when i % AUDIT_STRIDE == 0.
     The words are drawn one block of AUDIT_STRIDE samples at a time, from
-    `start`, so a range of any length holds one block's words at once; they
-    are mapped to floats in one pass, and the block's x blocks, slices of
+    `start`, each sample's x block and t alone, so a range of any length
+    holds one block's n words per sample at once, whatever m; they are
+    mapped to floats in one pass, and the block's x blocks, slices of
     those floats, and t go to one spectrum_dd call, whose samples are taken
     one at a time, so that an error names the sample that raised it.  A
     block holds at most one audited sample, whose index is found once per
@@ -453,11 +480,11 @@ def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tup
     call.  The box was checked by residual_scan; no sample is.
     """
     t_lo, t_hi = box.t_range
-    k, n2 = p.k, p.n_base - 2
+    k, n, n2 = p.k, p.n_base, p.n_base - 2
     d, nx = p.total_dim, p.n_base - 1
     x_lo, x_width, t_width = -box.x_radius, 2.0 * box.x_radius, t_hi - t_lo
     check_phase = p.n_base == 3 and p.m == 0
-    x_words = [True] * nx + [False] * (d - nx)  # a sample's words: x block, t, w block
+    x_words = [True] * nx + [False]  # a sample's drawn words: x block, then t
     # read at each call, not at import, so that a test may patch them
     sqrt, isfinite, atan, atan2 = math.sqrt, math.isfinite, math.atan, math.atan2
     phase, phase_tol = CRITICAL_PHASE_N3, PHASE_TOL
@@ -466,15 +493,17 @@ def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tup
     min_sigma_j = math.inf
     for block in range(start, stop, AUDIT_STRIDE):
         size = min(AUDIT_STRIDE, stop - block)
-        words = splitmix64_words(box.seed, block * d, size * d)
-        # the x words of all the block's samples mapped at once, the t and w
-        # words passed over; sample s's x block is the slice at s * nx
+        # each sample's x block and t, its first n of d words; no w word is
+        # drawn
+        words = splitmix64_words(box.seed, block * d, size * n, take=n, stride=d)
+        # the x words of all the block's samples mapped at once, the t words
+        # passed over; sample s's x block is the slice at s * nx
         xs = [
             x_lo + x_width * ((word >> 11) * 2.0**-53) for word in compress(words, cycle(x_words))
         ]
         points = [
             (xs[at : at + nx], t_lo + t_width * ((word >> 11) * 2.0**-53))
-            for at, word in zip(range(0, size * nx, nx), words[nx::d])
+            for at, word in zip(range(0, size * nx, nx), words[nx::n])
         ]
         kernel = spectrum_dd(p, points).__next__
         audited = block + (-block) % AUDIT_STRIDE  # the block's multiple of AUDIT_STRIDE
@@ -542,7 +571,7 @@ def _audit_sample(p: SolutionParams, x, et: float, sigmas: list) -> None:
     # distance sqrt(tau^2 - 4 delta) otherwise, at most s
     s = abs(tau) if delta >= 0 else math.isqrt(tau * tau - 4 * delta) + 1
     exact, sizes = _arrow_sigmas(n, alpha, ((tau, delta), (s, abs(delta))), k)
-    powers = [scale**j for j in range(1, k + 1)]
+    powers = list(accumulate(repeat(scale, k), mul))  # D, D^2, ..., D^k
     if exact[-1] != powers[-1]:
         raise ConvergenceError(
             f"exact sigma_{k}(N) - D^{k} is {(exact[-1] - powers[-1]) / powers[-1]:.17g} "

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from decimal import Decimal
@@ -756,6 +757,12 @@ class TestPayloadPins:
              "38c036db3b31a8e76b926bc4586210df48c360785092bfc68f5e9de28b721746"),
             (["verify", "-n", "5", "-m", "2", "--samples", "300", "--seed", "3"], 0,
              "08b2674829eb539149862e76e83ff614bfdc47bb95966d7abe87310507896ee4"),
+            # 2000 dummy coordinates, whose words the scan does not draw: one
+            # range, then two, the second from mid-block
+            (["verify", "-n", "3", "-m", "2000", "--samples", "100", "--seed", "0"], 0,
+             "63eb1efdb9080bcd3140c5d7d26592ef95ab18080b4e103f035a50dc0c3ce2a3"),
+            (["verify", "-n", "3", "-m", "2000", "--samples", "450", "--seed", "0"], 0,
+             "64c601dccdcd65ce36b89b2bbdb820c830709a035190f8f9d99f650c7c82d8e8"),
             (["verify", "-n", "13", "--samples", "200", "--seed", "0"], 1,
              "cc02fb329311f71d671abfd67e701445a14a390bbf2f05627cb48990ce984e31"),
             # three n at which the decay coefficient of h'' moved in its low
@@ -952,9 +959,9 @@ def parse_outcome(capsys, parser, argv):
 
 
 class TestParserBuild:
-    """A call gives only the command its argv names its arguments; every
-    other subparser holds only its -h, and every outcome is as with all of
-    them present."""
+    """A call gives only the command its argv names its arguments and its -h;
+    every other subparser is bare, and every outcome is as with all of them
+    present.  The terminal is probed once per call."""
 
     CORPUS = (
         [
@@ -988,21 +995,24 @@ class TestParserBuild:
         "argv", list(dict.fromkeys(map(tuple, CORPUS))), ids=lambda a: " ".join(a) or "(none)"
     )
     def test_same_outcome_as_a_full_parser(self, capsys, monkeypatch, argv):
-        monkeypatch.setenv("COLUMNS", "100")
-        got = parse_outcome(capsys, cli._build_parser(argv), argv)
-        assert got == parse_outcome(capsys, full_parser(), argv)
+        # at a width that wraps every usage line, at one that wraps the help
+        # lines, and at one that wraps neither
+        for columns in ("30", "100", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            got = parse_outcome(capsys, cli._build_parser(argv), argv)
+            assert got == parse_outcome(capsys, full_parser(), argv), columns
 
     @pytest.mark.parametrize("argv", [["-h"], *([name, "-n", "3"] for name in cli._COMMANDS)])
     def test_only_the_named_command_has_arguments(self, argv):
         for name, sp in subparsers(cli._build_parser(argv)).items():
-            bare = sp.format_usage() == f"usage: sigmak {name} [-h]\n"
+            bare = sp.format_usage() == f"usage: sigmak {name}\n"
             assert bare == (name != argv[0]), name
 
-    def test_a_verify_run_builds_16_help_formatters(self, capsys, monkeypatch):
+    def test_a_verify_run_builds_11_help_formatters(self, capsys, monkeypatch):
         # one for each add_argument, which checks the argument's format, and
-        # one for add_subparsers: the top-level -h, six subcommands' -h and
-        # the eight arguments of verify; a parser that gave every command its
-        # arguments would build 31
+        # one for add_subparsers: the top-level -h, the -h of verify and its
+        # eight arguments; with a -h on every subcommand a call would build
+        # 16, and a parser that gave every command its arguments 31
         built = []
         init = argparse.HelpFormatter.__init__
 
@@ -1012,4 +1022,24 @@ class TestParserBuild:
 
         monkeypatch.setattr(argparse.HelpFormatter, "__init__", counted)
         assert run(["verify", "-n", "3", "--samples", "5"]) == 0
-        assert len(built) == 16
+        assert len(built) == 11
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "-n", "3", "--samples", "5"], ["-h"], ["verify", "-h"], ["verify", "-n"],
+         ["frobnicate"], []],
+        ids=lambda a: " ".join(a) or "(none)",
+    )
+    def test_one_terminal_probe_per_call(self, capsys, monkeypatch, argv):
+        # the parser's formatters, and those that print help or an error,
+        # share the one width _build_parser reads
+        probes = []
+        size = shutil.get_terminal_size
+
+        def counted(*args, **kwargs):
+            probes.append(args)
+            return size(*args, **kwargs)
+
+        monkeypatch.setattr(shutil, "get_terminal_size", counted)
+        run(argv)
+        assert len(probes) == 1

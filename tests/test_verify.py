@@ -91,6 +91,36 @@ class TestGenerator:
             assert max(steps.bit_length(), ones.bit_length(), mask.bit_length()) <= 128 * size
             assert mask == ones * (2**64 - 1) and mask.bit_length() == 128 * size - 64
 
+    def test_strided_words(self, monkeypatch):
+        # the first `take` of every `stride` words, in ascending and in
+        # descending counts, the pattern alternating with plain draws and
+        # with other patterns, also across the 2^64 wrap
+        from sigmak import verify
+
+        monkeypatch.setattr(verify, "_strided_lanes", ((1, 1), 0, 0, 0, 0))
+        cases = [(3, 5, c) for c in (0, 3, 300, 150, 600, 3)] + [(1, 2003, 100), (7, 9, 700)]
+        for take, stride, count in cases + cases[::-1]:
+            for seed, first in ((7, 0), (2**64 - 1, 2**64 - 1 - 5 * stride), (3, 2**70)):
+                expected = [
+                    reference_word(seed, first + j + j // take * (stride - take))
+                    for j in range(count)
+                ]
+                got = splitmix64_words(seed, first, count, take=take, stride=stride)
+                assert got == expected, (take, stride, count, seed, first)
+                assert splitmix64_words(seed, first, count) == [
+                    reference_word(seed, first + j) for j in range(count)
+                ]
+
+    def test_take_equal_to_stride_is_the_plain_stream(self, monkeypatch):
+        # at m = 0 the scan draws through the plain lanes, not a strided entry
+        from sigmak import verify
+
+        empty = ((1, 1), 0, 0, 0, 0)
+        monkeypatch.setattr(verify, "_strided_lanes", empty)
+        got = splitmix64_words(5, 300, 300, take=3, stride=3)
+        assert got == splitmix64_words(5, 300, 300)
+        assert verify._strided_lanes == empty
+
     def test_stream_frozen_words(self):
         # stream words another implementation must reproduce exactly
         # (seed 0, counter 0 is the canonical first splitmix64 output)
@@ -1287,6 +1317,54 @@ class TestSampleBlocks:
         calls = TestSpectrumAudit.count_calls(monkeypatch, "splitmix64_words")
         verify._scan_range(P3, BOX, 0, 1000)
         assert [args[1:] for args, _ in calls] == [(300 * b, 300) for b in range(10)]
+
+    def test_dummy_coordinates_draw_no_words(self, monkeypatch):
+        # at m = 2000 a range draws the n words of each sample's x block and
+        # t, one block at a time, and none of its 2000 w words; the x and t
+        # of every sample are still sample_point's
+        from sigmak import verify
+
+        p = SolutionParams(3, 2000)
+        drawn, seen = [], []
+        words, kernel = verify.splitmix64_words, verify.spectrum_dd
+
+        def counted(*args, **kwargs):
+            out = words(*args, **kwargs)
+            drawn.append(len(out))
+            return out
+
+        def recorded_kernel(p, points):
+            seen.extend((list(x), t) for x, t in points)
+            return kernel(p, points)
+
+        monkeypatch.setattr(verify, "splitmix64_words", counted)
+        monkeypatch.setattr(verify, "spectrum_dd", recorded_kernel)
+        verify._scan_range(p, BOX, 150, 400)
+        assert drawn == [300, 300, 150]
+        monkeypatch.setattr(verify, "splitmix64_words", words)
+        expected = []
+        for i in range(150, 400):
+            pt = sample_point(p, BOX, i)
+            expected.append((list(pt.x), pt.t))
+        assert seen == expected
+
+    def test_memory_does_not_grow_with_dummy_coordinates(self):
+        # the words of one block of 100 samples at m = 2000 took ~3.2 MB of
+        # lanes each while all 2003 words of a sample were drawn; the x and t
+        # words alone peak as at m = 0
+        import tracemalloc
+
+        from sigmak import verify
+
+        p = SolutionParams(3, 2000)
+        verify._scan_range(p, BOX, 0, 101)  # the audit's first-call set-up
+        tracemalloc.start()
+        try:
+            verify._scan_range(p, BOX, 3000, 5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000
 
     def test_memory_is_bounded_by_one_block(self):
         # one block of 100 n = 3 samples (300 words in 128-bit lanes, their
