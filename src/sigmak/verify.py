@@ -87,21 +87,21 @@ y I - N gives
 so N's spectrum is alpha (n - 2 times), 0 (m times) and the roots of
 y^2 - tau y + delta, even where two of those values coincide, as at x = 0.
 The audit forms tau and delta from the parts by these definitions, never by
-the kernel's det = a (h'' - r^2 e^t), so it checks that formula too.  Read
-off that spectrum, sigma_k(N) must be D^k, the claim sigma_k = 1 at that
-point, and sigma_j(N) > 0 for j < k.  The structured sigma_j must then lie
-within SIGMA_AUDIT_UNITS * n * 2^-104 * e_j(|lambda|) of sigma_j(N) / D^j, n
-counting the core eigenvalues that the kernel rounds (the m zeros never
-enter it).  The scale e_j(|lambda|) comes from the same integers, with no
-root: it is the coefficient of y^j in
-(1 + alpha y)^(n-2) (1 + s y + |delta| y^2) over D^j (alpha > 0), where
-s = |tau| when delta >= 0 and otherwise
-s = isqrt(tau^2 - 4 delta) + 1, an integer upper bound of D (|mu_1| + |mu_2|)
-for the two roots mu, which makes the scale an upper bound too.  So the
-audit reads what the scan reports from, E and the sigmas, and forms no
-eigenvalue.  It takes the same path in every dimension and none of its
-checks loses meaning as n grows; it needs no Jacobi and does not call
-``symbolic``.
+the kernel's det = a (h'' - r^2 e^t), so it checks that formula too.  Then
+sigma_1(N) = C(n-2, 1) alpha + tau and sigma_j(N) = alpha^(j-2) Q_j for
+j >= 2, Q_j = C(n-2, j) alpha^2 + C(n-2, j-1) alpha tau + C(n-2, j-2) delta.
+With alpha / D = 2P / 2^e (one gcd), the claim sigma_k = 1 there is
+(2P)^(k-2) Q_k = D^2 2^(e(k-2)), the cone is sigma_1(N) > 0 and Q_j > 0 for
+2 <= j < k, and the structured sigma_j must lie within
+SIGMA_AUDIT_UNITS * n * 2^-104 * e_j(|lambda|) of sigma_j(N) / D^j =
+(2P)^(j-2) Q_j / (D^2 2^(e(j-2))), n counting the core eigenvalues that the
+kernel rounds (the m zeros never enter it).  D^j e_j(|lambda|) is at most
+alpha^(j-2) S_j, S_j the form of Q_j (of sigma_1(N) at j = 1) over s and
+|delta| for tau and delta, s = |tau| when delta >= 0 and otherwise
+isqrt(tau^2 - 4 delta) + 1 >= D (|mu_1| + |mu_2|) for the two roots mu.  No
+integer passes ~2 log2 D + 53 (k - 2) bits.  So the audit reads what the
+scan reports from, E and the sigmas, forms no root, takes the same path in
+every dimension, needs no Jacobi and does not call ``symbolic``.
 
 Two numeric cross-checks of the solution live with the tests, in
 ``tests/conftest.py``: the finite-difference Hessian of u (against
@@ -118,7 +118,7 @@ import signal
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, compress, cycle, repeat
+from itertools import compress, cycle
 from operator import mul
 
 from . import doubledouble as dd
@@ -181,12 +181,12 @@ PARENT_HEAD_START = 50
 # structured sigma_j adds three terms of at most k + 1 factors each, and its
 # tr and det carry the rounding of the terms they are formed from, a few
 # units of |mu_1| + |mu_2| and of |mu_1 mu_2| for the two roots mu; both are
-# bounded by the same e_j(|lambda|).  Seeded audits at every odd n = 3..31
+# bounded by the same e_j(|lambda|).  Seeded audits at every odd n = 3..51
 # with m in {0, 2}, and on the boxes x_radius 2e49 (n = 3), 4e12 (n = 11)
-# and 1e12 (n = 5) and t in [27, 28] (n = 3), stay within 0.15 units of n.  A
-# wrong binomial misses the bound by over 25 decades, h'' from a perturbed
-# growth coefficient or from a second exponential by over 12, and a det off
-# by 1e-20 relative by ~9.
+# and 1e12 (n = 5) and t in [27, 28] (n = 3), stay within 0.092 units of n
+# (the 2e49 box, j = 1).  A wrong binomial misses the bound by over 25
+# decades, h'' from a perturbed growth coefficient or from a second
+# exponential by over 12, and a det off by 1e-20 relative by ~9.
 SIGMA_AUDIT_UNITS = 8.0
 
 
@@ -552,7 +552,7 @@ def _scan_range(p: SolutionParams, box: SampleBox, start: int, stop: int) -> tup
 
 def _audit_sample(p: SolutionParams, x, et: float, sigmas: list) -> None:
     """Check one sample's structured sigmas exactly, at its own point, as the
-    module docstring describes.
+    module docstring describes: sigma_j(N) as alpha^(j-2) Q_j.
 
     `x` is the sample's x block as floats, and et and sigmas are what
     spectrum_dd yielded for it; the Hessian is taken at t* = ln et.  Raises
@@ -563,27 +563,32 @@ def _audit_sample(p: SolutionParams, x, et: float, sigmas: list) -> None:
     scale, alpha, cross, corner = exact_hessian(p, x, et)
     # the arrow's tau and delta by their definitions, not by the kernel's
     # det = a (h'' - r^2 e^t), which the sigma bound below then checks
-    tau = alpha + corner
-    delta = alpha * corner - sum(c * c for c in cross)
+    tau, delta = alpha + corner, alpha * corner - sum(c * c for c in cross)
     # D^j e_j(|lambda|), or a bound above it, is read off s and |delta|:
     # alpha > 0, and the roots of y^2 - tau y + delta have |mu_1 mu_2| =
     # |delta| and |mu_1| + |mu_2| = |tau| when they share a sign, their
     # distance sqrt(tau^2 - 4 delta) otherwise, at most s
     s = abs(tau) if delta >= 0 else math.isqrt(tau * tau - 4 * delta) + 1
-    exact, sizes = _arrow_sigmas(n, alpha, ((tau, delta), (s, abs(delta))), k)
-    powers = list(accumulate(repeat(scale, k), mul))  # D, D^2, ..., D^k
-    if exact[-1] != powers[-1]:
-        raise ConvergenceError(
-            f"exact sigma_{k}(N) - D^{k} is {(exact[-1] - powers[-1]) / powers[-1]:.17g} "
-            f"D^{k}, not 0"
-        )
-    for j, (sigma, power) in enumerate(zip(exact[:-1], powers), start=1):
-        if sigma <= 0:
-            raise ConvergenceError(f"exact sigma_{j}(N) is {sigma / power:.17g} D^{j}, not positive")
-
-    unit = SIGMA_AUDIT_UNITS * n * 2.0**-104
-    for j, (structured, sigma, power, size) in enumerate(zip(sigmas, exact, powers, sizes), 1):
-        gap, tol = _gap(structured, sigma, power), unit * (size / power)
+    exact, sizes = _factored_sigmas(n, alpha, ((tau, delta), (s, abs(delta))), k)
+    # sigma_j(N) / D^j = tops[j-1] / bases[j-1]: sigma_1(N) / D, then
+    # num^(j-2) Q_j / (D^2 den^(j-2)) for alpha / D = num / den in lowest terms
+    lifts, bases = [1, 1], [scale, scale * scale]
+    if k > 2:
+        common = math.gcd(alpha, scale)
+        num, den = alpha // common, scale // common
+        for _ in range(k - 2):
+            lifts.append(lifts[-1] * num)
+            bases.append(bases[-1] * den)
+    tops = list(map(mul, exact, lifts))
+    if tops[-1] != bases[-1]:
+        off = (tops[-1] - bases[-1]) / bases[-1]
+        raise ConvergenceError(f"exact sigma_{k}(N) - D^{k} is {off:.17g} D^{k}, not 0")
+    for j, (top, base) in enumerate(zip(tops[:-1], bases), start=1):
+        if top <= 0:
+            raise ConvergenceError(f"exact sigma_{j}(N) is {top / base:.17g} D^{j}, not positive")
+    unit, sizes = SIGMA_AUDIT_UNITS * n * 2.0**-104, map(mul, sizes, lifts)
+    for j, (structured, top, base, size) in enumerate(zip(sigmas, tops, bases, sizes), 1):
+        gap, tol = _gap(structured, top, base), unit * (size / base)
         if not gap <= tol:
             raise ConvergenceError(
                 f"structured sigma_{j} disagrees with the exact sigma_{j}(N) / D^{j} by "
@@ -591,23 +596,18 @@ def _audit_sample(p: SolutionParams, x, et: float, sigmas: list) -> None:
             )
 
 
-def _arrow_sigmas(n: int, alpha: int, quadratics, count: int) -> list[list[int]]:
-    """For each (tau, delta) of `quadratics`, sigma_1..sigma_count of alpha
-    (n - 2 times), zeros and the roots of y^2 - tau y + delta: the
-    coefficients of (1 + alpha y)^(n-2) (1 + tau y + delta y^2), as
-    solution.spectrum_dd reads them in double-double; a separate loop, so
-    that the audit does not check that kernel by itself.  The powers
-    g_j = C(n-2, j) alpha^j are formed once for all the quadratics: the
-    audit's exact sigmas over (tau, delta) and the scale of its bound over
-    (s, |delta|)."""
-    g, power = [1], 1
-    for j in range(1, count + 1):
-        power *= alpha
-        g.append(math.comb(n - 2, j) * power)
-    return [
-        [g[j] + g[j - 1] * tau + (g[j - 2] * delta if j > 1 else 0) for j in range(1, count + 1)]
-        for tau, delta in quadratics
-    ]
+def _factored_sigmas(n: int, alpha: int, quadratics, count: int) -> list[list[int]]:
+    """For each (tau, delta) of `quadratics`, sigma_1 and Q_2..Q_count of
+    (1 + alpha y)^(n-2) (1 + tau y + delta y^2), from the audit's own table c
+    of C(n-2, j): the exact sigmas over (tau, delta), the scale's S_j over (s,
+    |delta|); a loop apart from solution.spectrum_dd's, which it checks."""
+    c, square, rows = [math.comb(n - 2, j) for j in range(count + 1)], alpha * alpha, []
+    for tau, delta in quadratics:
+        linear, row = alpha * tau, [c[1] * alpha + tau]
+        for j in range(2, count + 1):
+            row.append(c[j] * square + c[j - 1] * linear + c[j - 2] * delta)
+        rows.append(row)
+    return rows
 
 
 def _gap(value: dd.DD, num: int, den: int) -> float:

@@ -10,7 +10,9 @@ for bit-for-bit equality, not for accuracy, and so is built from the
 textbook double-double operations kept here; ``composed_eigenvalues_dd``
 reads the closed-form eigenvalues off that composition's terms, for the
 tests that need them, and ``reference_scan_range`` judges its samples as the
-scan did before it took a sample in one pass.  A matrix is its rows, as in
+scan did before it took a sample in one pass.  ``reference_audit`` audits a
+sample by the expanded route, over D^j, that the exact audit took before it
+factored sigma_j(N) as alpha^(j-2) Q_j.  A matrix is its rows, as in
 the library: the builders return tuples of float tuples, and the oracles
 take any rows.
 
@@ -30,7 +32,7 @@ import pytest
 from sigmak import verify
 from sigmak.cone import SIGMA_BOUNDARY_REL_TOL
 from sigmak.errors import ConvergenceError
-from sigmak.solution import Point, eval_jet, spectrum_dd
+from sigmak.solution import Point, eval_jet, exact_hessian, spectrum_dd
 from sigmak.symfunc import faddeev_leverrier
 
 
@@ -371,6 +373,43 @@ def spectrum_dd_at(p, x, t: float):
     next(solution.spectrum_dd(p, [(x, t)])), x as a list, as the scan
     passes it."""
     return next(spectrum_dd(p, [(list(x), t)]))
+
+
+def reference_audit(p, x, et: float, sigmas) -> None:
+    """verify._audit_sample by the expanded route it took before it factored
+    sigma_j(N) as alpha^(j-2) Q_j: the coefficients
+    g_j + g_(j-1) tau + g_(j-2) delta of (1 + alpha y)^(n-2)
+    (1 + tau y + delta y^2), g_j = C(n-2, j) alpha^j, over the exact sigmas'
+    (tau, delta) and the scale's (s, |delta|), against D, D^2, ..., D^k.
+    Raises the audit's ConvergenceError texts, in its order of checks."""
+    n, k = p.n_base, p.k
+    scale, alpha, cross, corner = exact_hessian(p, x, et)
+    tau, delta = alpha + corner, alpha * corner - sum(c * c for c in cross)
+    s = abs(tau) if delta >= 0 else math.isqrt(tau * tau - 4 * delta) + 1
+    g = [math.comb(n - 2, j) * alpha**j for j in range(k + 1)]
+    exact, sizes = (
+        [g[j] + g[j - 1] * b + (g[j - 2] * c if j > 1 else 0) for j in range(1, k + 1)]
+        for b, c in ((tau, delta), (s, abs(delta)))
+    )
+    powers = [scale**j for j in range(1, k + 1)]
+    if exact[-1] != powers[-1]:
+        raise ConvergenceError(
+            f"exact sigma_{k}(N) - D^{k} is {(exact[-1] - powers[-1]) / powers[-1]:.17g} "
+            f"D^{k}, not 0"
+        )
+    for j, (sigma, power) in enumerate(zip(exact[:-1], powers), start=1):
+        if sigma <= 0:
+            raise ConvergenceError(
+                f"exact sigma_{j}(N) is {sigma / power:.17g} D^{j}, not positive"
+            )
+    unit = verify.SIGMA_AUDIT_UNITS * n * 2.0**-104
+    for j, (structured, sigma, power, size) in enumerate(zip(sigmas, exact, powers, sizes), 1):
+        gap, tol = verify._gap(structured, sigma, power), unit * (size / power)
+        if not gap <= tol:
+            raise ConvergenceError(
+                f"structured sigma_{j} disagrees with the exact sigma_{j}(N) / D^{j} by "
+                f"{gap:g} (tolerance {tol:g})"
+            )
 
 
 def dd_hessian(p, pt):

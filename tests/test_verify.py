@@ -524,15 +524,42 @@ class TestSpectrumAudit:
         assert tol < gap < (wide.total_dim / wide.n_base) * tol
 
 
+def recorded_audit(monkeypatch, p, x, et, sigmas):
+    """verify._audit_sample on one sample, recorded: the gap it finds for
+    each structured sigma_j (its _gap calls) and, from its one
+    _factored_sigmas call, the scale e_j(|lambda|) of its bound exactly
+    rounded: S_1 / D, then (alpha / D)^(j-2) S_j / D^2."""
+    from fractions import Fraction
+
+    from sigmak import verify
+
+    gaps, rows, gap, factored = [], [], verify._gap, verify._factored_sigmas
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_gap", lambda *args: gaps.append(gap(*args)) or gaps[-1])
+        patch.setattr(
+            verify, "_factored_sigmas", lambda *args: rows.append(factored(*args)) or rows[-1]
+        )
+        verify._audit_sample(p, list(x), et, sigmas)
+    # the exact sigmas, then the scale's S_1, S_2, ..., S_k
+    assert len(rows) == 1 and len(rows[0]) == 2 and len(gaps) == p.k
+    scale, alpha = verify.exact_hessian(p, list(x), et)[:2]
+    first, *sizes = rows[0][1]
+    return gaps, [first / scale] + [
+        float(Fraction(alpha, scale) ** (j - 2) * Fraction(size, scale * scale))
+        for j, size in enumerate(sizes, start=2)
+    ]
+
+
 class TestAuditScale:
     """The scale e_j(|lambda|) of the audit's sigma bound, which the audit
     reads off exact_hessian's integers with no root, is e_j over the
     absolute values of the closed-form eigenvalues (conftest's
-    composed_eigenvalues_dd) within 1e-14 relative."""
+    composed_eigenvalues_dd) within 1e-14 relative (1.4e-15 at most on these
+    cases, at n = 51)."""
 
     CASES = [
         (SolutionParams(n, m), SampleBox(3.0, (-2.0, 2.0), count=10, seed=n + 100 * m))
-        for n in range(3, 32, 2) for m in (0, 2)
+        for n in range(3, 52, 2) for m in (0, 2)
     ] + [
         (P3, SampleBox(2e49, (-2.0, 2.0), count=40, seed=5)),
         (derive_constants(11), SampleBox(4e12, (-2.0, 2.0), count=40, seed=5)),
@@ -544,29 +571,16 @@ class TestAuditScale:
         f"n{p.n_base}-m{p.m}-x{b.x_radius:g}-t{b.t_range[0]:g}" for p, b in CASES
     ])
     def test_the_exact_scale_is_e_j_of_the_absolute_roots(self, monkeypatch, p, box):
-        from sigmak import verify
         from sigmak.symfunc import elementary_symmetric
 
-        arrows, exact = [], verify._arrow_sigmas
-
-        def recorded(*args):
-            arrows.append(exact(*args))
-            return arrows[-1]
-
-        monkeypatch.setattr(verify, "_arrow_sigmas", recorded)
         for i in range(box.count):
             pt = sample_point(p, box, i * 100)
             et, _, sigmas = spectrum_dd_at(p, pt.x, pt.t)
-            arrows.clear()
-            verify._audit_sample(p, list(pt.x), et, sigmas)
-            scale = verify.exact_hessian(p, list(pt.x), et)[0]
-            # the audit's one _arrow_sigmas call gives the exact sigmas, then
-            # the scale, both times D^j
-            assert len(arrows) == 1 and len(arrows[0]) == 2
+            _, scales = recorded_audit(monkeypatch, p, pt.x, et, sigmas)
             lam = composed_eigenvalues_dd(p, pt.x, pt.t)
             want = elementary_symmetric([abs(hi + lo) for hi, lo in lam])
-            for j, (size, e_j) in enumerate(zip(arrows[0][1], want), start=1):
-                assert size / scale**j == pytest.approx(e_j, rel=1e-14), (i, j)
+            for j, (scale, e_j) in enumerate(zip(scales, want), start=1):
+                assert scale == pytest.approx(e_j, rel=1e-14), (i, j)
 
 
 class TestExactAudit:
@@ -582,7 +596,7 @@ class TestExactAudit:
         _audit_sample(p, list(x), et, sigmas)
 
     @pytest.mark.parametrize(
-        "n, m", [(n, 0) for n in range(3, 32, 2)] + [(5, 2)], ids=lambda v: str(v)
+        "n, m", [(n, 0) for n in range(3, 52, 2)] + [(5, 2)], ids=lambda v: str(v)
     )
     def test_seeded_points_pass(self, n, m):
         p = SolutionParams(n, m)
@@ -731,23 +745,26 @@ class TestExactAudit:
 
     @pytest.mark.parametrize("n, m, x", [
         (3, 0, (0.5, -1.0)), (7, 0, (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)), (5, 2, (1.0, 0.0, -2.0, 0.5)),
-    ], ids=["n3", "n7-origin", "n5-m2"])
+        *[(n, 0, tuple(0.25 * (i % 9) - 1.0 for i in range(n - 1))) for n in (13, 31, 51)],
+    ], ids=["n3", "n7-origin", "n5-m2", "n13", "n31", "n51"])
     def test_a_perturbed_b_names_sigma_k_minus_d_to_the_k(self, n, m, x):
         # sigma_k = A e^((k-1)t) h'' + B e^(kt), so B' = B (1 + 1e-6) in h''
-        # alone leaves sigma_k - 1 = -1e-6 B E^k
+        # alone leaves sigma_k - 1 = -1e-6 B E^k; the expanded route of
+        # conftest's reference_audit names it in the same words
         from fractions import Fraction
 
-        from sigmak.errors import ConvergenceError
+        from conftest import reference_audit
+        from sigmak.verify import _audit_sample
 
         p = SolutionParams(n, m)
         want = -1e-6 * float(p.B) * math.exp(0.3) ** p.k
         object.__setattr__(p, "B", p.B * Fraction(1_000_001, 1_000_000))
-        with pytest.raises(ConvergenceError) as info:
-            self.audit(p, x, 0.3)
+        et, _, sigmas = spectrum_dd_at(p, x, 0.3)
+        text = audit_outcome(_audit_sample, p, x, et, sigmas)
         prefix = f"exact sigma_{p.k}(N) - D^{p.k} is "
-        text = str(info.value)
         assert text.startswith(prefix) and text.endswith(f" D^{p.k}, not 0"), text
         assert float(text[len(prefix):].split()[0]) == pytest.approx(want, rel=1e-12)
+        assert text == audit_outcome(reference_audit, p, x, et, sigmas)
 
     X7 = (0.75, -1.5, 2.0, 0.25, -3.0, 1.0)
 
@@ -790,18 +807,125 @@ class TestExactAudit:
         from sigmak import verify
         from sigmak.errors import ConvergenceError
 
-        exact = verify._arrow_sigmas
+        factored = verify._factored_sigmas
 
         def scaled_first(*args):
-            sigmas, sizes = exact(*args)
+            sigmas, sizes = factored(*args)
             sigmas[0] *= factor
             return sigmas, sizes
 
-        monkeypatch.setattr(verify, "_arrow_sigmas", scaled_first)
+        monkeypatch.setattr(verify, "_factored_sigmas", scaled_first)
         with pytest.raises(
             ConvergenceError, match=rf"^exact sigma_1\(N\) is {shown} D\^1, not positive$"
         ):
             self.audit(derive_constants(5), (0.5, -1.0, 2.0, 0.25), 0.1)
+
+    @pytest.mark.parametrize("n", [3, 13, 31, 51])
+    def test_a_wrong_binomial_in_the_audits_table_is_named(self, monkeypatch, n):
+        # C(n-2, j) + 1 for one j < k in the table that the audit builds by
+        # math.comb: it enters Q_j, Q_(j+1) and Q_(j+2), so the identity
+        # fails when one of them is Q_k, and sigma_j's bound otherwise
+        from sigmak import verify
+
+        p = SolutionParams(n, 0)
+        pt = sample_point(p, SampleBox(3.0, (-2.0, 2.0), count=1, seed=n), 0)
+        x, (et, _, sigmas) = list(pt.x), spectrum_dd_at(p, pt.x, pt.t)
+        assert audit_outcome(verify._audit_sample, p, x, et, sigmas) == "pass"
+        names = {name: getattr(math, name) for name in dir(math) if not name.startswith("_")}
+        for j in range(1, p.k):
+            wrong = {**names, "comb": lambda top, below, j=j: math.comb(top, below) + (below == j)}
+            monkeypatch.setattr(verify, "math", types.SimpleNamespace(**wrong))
+            got = audit_outcome(verify._audit_sample, p, x, et, sigmas)
+            if j >= p.k - 2:
+                want = rf"exact sigma_{p.k}\(N\) - D\^{p.k} is [0-9.e+-]+ D\^{p.k}, not 0"
+            else:
+                want = rf"structured sigma_{j} disagrees with the exact sigma_{j}\(N\) .*"
+            assert re.fullmatch(want, got), (j, got)
+
+
+def audit_outcome(audit, p, x, et, sigmas):
+    """'pass', or the text of the ConvergenceError that `audit` raises."""
+    from sigmak.errors import ConvergenceError
+
+    try:
+        audit(p, list(x), et, sigmas)
+    except ConvergenceError as exc:
+        return str(exc)
+    return "pass"
+
+
+def box_points(p, box, step):
+    """(x, t) of samples 0, step, 2 step, ... of the box, box.count of them."""
+    return [(pt.x, pt.t) for pt in (sample_point(p, box, i * step) for i in range(box.count))]
+
+
+EXTREME_BOXES = [
+    (P3, SampleBox(2e49, (-2.0, 2.0), count=20, seed=5)),
+    (derive_constants(11), SampleBox(4e12, (-2.0, 2.0), count=20, seed=5)),
+    (derive_constants(5), SampleBox(1e12, (-2.0, 2.0), count=20, seed=0)),
+    (P3, SampleBox(3.0, (27.0, 28.0), count=20, seed=0)),
+]
+
+
+class TestFactoredAudit:
+    """_audit_sample reads each sigma_j(N) as alpha^(j-2) Q_j over powers of
+    alpha / D in lowest terms; conftest's reference_audit expands it as
+    g_j + g_(j-1) tau + g_(j-2) delta over D^j.  Both decide and report the
+    same rationals, so they reach the same outcome, in the same words."""
+
+    CASES = [
+        (f"n{n}-m{m}", p, box_points(p, SampleBox(3.0, (-2.0, 2.0), count=5, seed=7 * n + m), 1))
+        for n in range(3, 52, 2) for m in (0, 2) for p in [SolutionParams(n, m)]
+    ] + [
+        (f"n{p.n_base}-x{box.x_radius:g}-t{box.t_range[0]:g}", p, box_points(p, box, 100))
+        for p, box in EXTREME_BOXES
+    ] + [
+        (f"origin-n{n}-m{m}", p, [((0.0,) * (n - 1), t) for t in (-1.5, 0.0, 1.5)])
+        for n, m in [(3, 0), (3, 2), (7, 1), (13, 0), (31, 0), (51, 2)]
+        for p in [SolutionParams(n, m)]
+    ]
+
+    @pytest.mark.parametrize("p, points", [case[1:] for case in CASES], ids=[c[0] for c in CASES])
+    def test_same_outcome_as_the_expanded_route(self, p, points):
+        # at the sample's own E, where both pass, and at the next float above
+        # it against the kernel's sigmas at E, a 1-ulp change of P: sigma_k(N)
+        # = D^k holds there too, and both name a structured sigma that misses
+        # its exact value by ~2^-52 relative
+        from conftest import reference_audit
+        from sigmak.verify import _audit_sample
+
+        for x, t in points:
+            et, _, sigmas = spectrum_dd_at(p, x, t)
+            for e in (et, math.nextafter(et, math.inf)):
+                got = audit_outcome(_audit_sample, p, x, e, sigmas)
+                assert got == audit_outcome(reference_audit, p, x, e, sigmas), (x, t, e)
+                want = "pass" if e == et else r"structured sigma_\d+ disagrees with the exact .*"
+                assert re.fullmatch(want, got), (x, t, e, got)
+
+    # The seeded audits' worst gap is 0.0107 of its tolerance, 0.085 units of
+    # n 2^-104 e_j(|lambda|) (n = 5, m = 2, j = 1), and the four boxes' is
+    # 0.0115 (0.092 units); this asserts a bit over a third of the headroom.
+    HEADROOM = 1 / 32
+
+    def test_the_bound_has_headroom(self, monkeypatch):
+        # the worst gap over tolerance of the seeded audits of
+        # TestExactAudit.test_seeded_points_pass at every odd n = 3..51, with
+        # m in {0, 2}, and of the four boxes, against HEADROOM of the bound
+        from sigmak.verify import SIGMA_AUDIT_UNITS
+
+        cases = [
+            (p, box_points(p, SampleBox(3.0, (-2.0, 2.0), count=20, seed=n + 1000 * m), 1))
+            for n in range(3, 52, 2) for m in (0, 2) for p in [SolutionParams(n, m)]
+        ] + [(p, box_points(p, box, 100)) for p, box in EXTREME_BOXES]
+        worst = (0.0, None)
+        for p, points in cases:
+            unit = SIGMA_AUDIT_UNITS * p.n_base * 2.0**-104
+            for x, t in points:
+                et, _, sigmas = spectrum_dd_at(p, x, t)
+                gaps, scales = recorded_audit(monkeypatch, p, x, et, sigmas)
+                for j, (gap, scale) in enumerate(zip(gaps, scales), start=1):
+                    worst = max(worst, (gap / (unit * scale), (p.n_base, p.m, x, t, j)))
+        assert worst[0] < self.HEADROOM, worst
 
 
 class TestBoxGuard:
