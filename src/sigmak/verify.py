@@ -34,9 +34,11 @@ from all of its D words by the same mapping.
 
 Since sample i depends on (seed, i) alone, a scan splits its samples into
 contiguous ranges, one per CPU that the process may run on, scans the first
-range itself and each other one in a forked worker, and merges the ranges'
-partial reports in range order by the rules of one loop over all samples.
-The report, and any error, are the same however many CPUs run the scan.
+range itself and each other one in a forked worker, which the OS scheduler
+places, and merges the ranges' partial reports in range order by the rules
+of one loop over all samples.  The scan reads the process's CPU set and
+writes no CPU affinity.  The report, and any error, are the same however
+many CPUs run the scan.
 
 Precision
 ---------
@@ -369,34 +371,19 @@ def _scan_ranges(p: SolutionParams, box: SampleBox) -> list[tuple]:
     loop; a worker that ends without a report is an OSError naming its
     range.  Workers are killed and reaped on every way out, so none outlives
     the call.  There is one range per CPU this process may run on, a set
-    read once, and a single range where os.fork or os.sched_getaffinity is
-    missing.
+    read once and only counted, and a single range where os.fork or
+    os.sched_getaffinity is missing.  The workers are forked one after
+    another from whichever CPU this thread runs on, and the OS scheduler
+    places them; no CPU affinity is ever written.
     """
-    allowed = set()
+    cpus = 0
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        allowed = os.sched_getaffinity(0)
-    first, *others = _sample_ranges(box.count, len(allowed))
+        cpus = len(os.sched_getaffinity(0))
+    first, *others = _sample_ranges(box.count, cpus)
     workers = []  # (pid, read end of its pipe, its range), not yet reaped
     try:
-        if others:
-            # a forked child starts on its parent's CPU, and the kernel was
-            # seen to leave it there, sharing that CPU, for as long as its
-            # range took; so this thread forks each worker from a CPU of its
-            # own and then moves to the next one, and each process takes
-            # back the whole set, which leaves a running task where it is.
-            # The hop gains up to ~3 %, and nothing at n = 13 (2 vCPUs,
-            # CPython 3.11.7, medians of 70 scans; with the hop / without /
-            # one range): 500 n = 7 samples take 4.86-4.97 / 4.94-5.14 /
-            # 5.9 ms, 1000 n = 3 samples 5.64-5.91 / 5.79-5.96 / 7.3, and
-            # 1000 n = 13 samples 12.0-12.4 / 11.9-12.2 / 18.9
-            cpus = sorted(allowed)
-            os.sched_setaffinity(0, {cpus[0]})
-            try:
-                for cpu, (start, stop) in zip(cpus[1:], others):
-                    workers.append(_fork_range(p, box, start, stop, allowed))
-                    os.sched_setaffinity(0, {cpu})
-            finally:
-                os.sched_setaffinity(0, allowed)
+        for start, stop in others:
+            workers.append(_fork_range(p, box, start, stop))
         parts = [_scan_range(p, box, *first)]
         while workers:
             pid, pipe, (start, stop) = workers[0]
@@ -427,25 +414,29 @@ def _scan_ranges(p: SolutionParams, box: SampleBox) -> list[tuple]:
                 pass
 
 
-def _fork_range(p: SolutionParams, box: SampleBox, start: int, stop: int, allowed: set):
-    """Fork a worker that takes back the CPU set `allowed`, scans samples
-    start .. stop - 1 and pickles (True, partial report) or (False,
-    exception) into a pipe; return its pid, the pipe's read end and (start,
-    stop)."""
-    read_fd, write_fd = os.pipe()
+def _fork_range(p: SolutionParams, box: SampleBox, start: int, stop: int):
+    """Fork a worker that scans samples start .. stop - 1 and pickles (True,
+    partial report) or (False, exception) into a pipe; return its pid, the
+    pipe's read end and (start, stop).  An OSError from os.pipe or os.fork
+    is raised again, chained, as one that names the worker's samples."""
     try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+    except OSError as exc:
+        raise OSError(
+            f"the scan worker of samples {start} to {stop - 1} could not be started: {exc}"
+        ) from exc
     if pid == 0:
         # the worker never returns into its caller's frames: it leaves by
         # os._exit, with status 0 only once its outcome is written
         status = 1
         try:
             os.close(read_fd)
-            os.sched_setaffinity(0, allowed)
             try:
                 outcome = (True, _scan_range(p, box, start, stop))
             except Exception as exc:

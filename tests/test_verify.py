@@ -1120,7 +1120,9 @@ class TestSampleRanges:
 
     @pytest.mark.skipif(len(ALLOWED) < 2, reason="needs two CPUs")
     def test_the_callers_cpus_are_given_back(self, monkeypatch):
-        # the scan moves this thread from CPU to CPU while it forks its workers
+        # the scan forks its workers from whichever CPU this thread runs on
+        # and writes no CPU affinity, so the caller's set stays as it was,
+        # after a scan and after one that fails
         from sigmak.errors import ConvergenceError
 
         assert os.sched_getaffinity(0) == self.ALLOWED
@@ -1130,6 +1132,74 @@ class TestSampleRanges:
         with pytest.raises(ConvergenceError, match="^sample 900 at "):
             residual_scan(P3, BOX)
         assert os.sched_getaffinity(0) == self.ALLOWED
+        self.assert_no_children()
+
+    def test_a_denied_affinity_write_changes_nothing(self, visible_cpus, monkeypatch, capsys):
+        # a process may be allowed to read its CPU set but not to set it (as
+        # under systemd's SystemCallFilter=~@resources); the scan never sets
+        # it, so its forking scans run as in any other process
+        import json
+
+        from sigmak.cli import run
+
+        def deny(pid, mask):
+            raise PermissionError(1, "Operation not permitted")
+
+        visible_cpus(1)
+        serial = residual_scan(P3, BOX)
+        assert run(["verify", "-n", "7", "--samples", "1000"]) == 0
+        payloads = [json.loads(capsys.readouterr().out)]
+        visible_cpus(3)
+        monkeypatch.setattr(os, "sched_setaffinity", deny, raising=False)
+        assert residual_scan(P3, BOX) == serial  # 1000 samples: three ranges
+        self.assert_no_children()
+        assert run(["verify", "-n", "7", "--samples", "1000"]) == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+        self.assert_no_children()
+        for payload in payloads:
+            del payload["elapsed_seconds"]
+        assert payloads[1] == payloads[0]
+
+    @pytest.mark.parametrize("call, error, shown", [
+        ("fork", BlockingIOError(11, "Resource temporarily unavailable"),
+         "[Errno 11] Resource temporarily unavailable"),
+        ("pipe", OSError(24, "Too many open files"), "[Errno 24] Too many open files"),
+    ], ids=["fork", "pipe"])
+    def test_a_worker_that_cannot_start_is_named(
+        self, visible_cpus, monkeypatch, capsys, call, error, shown
+    ):
+        # the second of three ranges' workers cannot be started: the first
+        # worker is reaped and every pipe end is closed
+        from sigmak.cli import run
+
+        real_pipe, fds, calls = os.pipe, [], []
+
+        def pipe():
+            fds.extend(real_pipe())
+            return tuple(fds[-2:])
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        real = getattr(os, call)
+
+        def second_fails():
+            calls.append(call)
+            if len(calls) % 2 == 0:  # the second call of each scan
+                raise error
+            return real()
+
+        monkeypatch.setattr(os, call, second_fails)
+        visible_cpus(3)
+        named = f"the scan worker of samples 683 to 999 could not be started: {shown}"
+        with pytest.raises(OSError) as info:
+            residual_scan(P3, BOX)
+        assert str(info.value) == named
+        assert info.value.__cause__ is error
+        self.assert_no_children()
+        for fd in fds:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        assert run(["verify", "-n", "3", "--samples", "1000"]) == 2
+        assert capsys.readouterr().err == f"sigmak: error: {named}\n"
         self.assert_no_children()
 
     def test_ranges_are_contiguous_and_not_too_short(self):
