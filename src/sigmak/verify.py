@@ -24,8 +24,8 @@ each sample's D words, its x block and t: lane j starts as the block's base
 (seed + (first + 1) * 0x9E3779B97F4A7C15) mod 2^64 plus o_j times the
 increment, where o_j = j + (j // n) (D - n) is the word's offset in the
 block (o_j = j when m = 0), from lanes of o_j * 0x9E3779B97F4A7C15 and a
-lane mask that depend on the word count and that pattern alone and are
-built once for the largest count drawn; each word is bit for bit the one
+lane mask that depend on the word count and that pattern alone, kept for
+the last pattern at its largest count; each word is bit for bit the one
 defined above.  So the words, the memory and the time of a scan do not
 grow with m.  The scan maps them to a sample's x block and t as plain
 floats and builds no Point for a sample unless it reports it as the argmax
@@ -139,12 +139,9 @@ from .solution import (
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _LANE_ONE = b"\x01" + bytes(15)  # a 128-bit lane holding 1, little-endian
-# splitmix64_words' lanes for the largest count drawn so far: (count, the
-# lanes of j * _GOLDEN, the lanes of 1, the lanes of 2^64 - 1)
-_lanes = (0, 0, 0, 0)
-# the same for the last strided pattern drawn, (take, stride) first, whose
-# lane j holds (j + (j // take) * (stride - take)) * _GOLDEN
-_strided_lanes = ((1, 1), 0, 0, 0, 0)
+# splitmix64_words' lanes for the last pattern drawn, at its largest count:
+# ((take, stride), count, the lanes of o_j * _GOLDEN, of 1, of 2^64 - 1)
+_lanes = ((1, 1), 0, 0, 0, 0)
 
 PHASE_TOL = 1e-9
 CRITICAL_PHASE_N3 = math.pi / 2
@@ -156,7 +153,8 @@ AUDIT_STRIDE = 100
 # each worker's: a worker starts ~1.2 ms after its fork and takes ~0.6 ms
 # to exit, and each process pays ~170-220 copy-on-write faults, while a
 # sample takes ~7.3, ~11.8 and ~18.8 us at n = 3, 7 and 13 on one CPU
-# (BENCH_37.json), ~10, ~15.5 and ~24 when the times below were taken.
+# (BENCH_37.json).  The times below, taken at 28-37 % more per sample and
+# while the scan pinned itself to each CPU as it forked, await re-measuring.
 # With the first range 0, 25, 50, 75 and 100 samples longer, two ranges of
 # 400 n = 3 samples took 4.24, 4.02, 3.87, 3.77 and 3.80 ms (one range
 # 4.14), of 500 n = 7 samples 6.4, 6.1, 5.9, 6.0 and 6.1 (one range 7.95)
@@ -192,17 +190,6 @@ PARENT_HEAD_START = 50
 SIGMA_AUDIT_UNITS = 8.0
 
 
-def _lane_ints(count: int, offsets) -> tuple[int, int, int]:
-    """The lanes of offset * _GOLDEN for the `count` offsets, the lanes of 1
-    and the lanes of 2^64 - 1, as ints of `count` 128-bit lanes."""
-    lanes = array("Q", bytes(16 * count))
-    lanes[::2] = array("Q", offsets)
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    ones = int.from_bytes(_LANE_ONE * count, "little")
-    return int.from_bytes(lanes.tobytes(), "little") * _GOLDEN, ones, ones * MASK64
-
-
 def splitmix64_words(
     seed: int, first: int, count: int, *, take: int = 1, stride: int = 1
 ) -> list[int]:
@@ -220,8 +207,8 @@ def splitmix64_words(
     mod 2^64, also where the counter passes 2^64, since the base is taken
     mod 2^64.  The lanes of o_j * _GOLDEN, the lanes of 1 that spread the
     base and the lane mask depend on `count` and the pattern alone; _lanes
-    keeps them for the largest count drawn so far without a stride, and
-    _strided_lanes for the largest count of the last (take, stride) drawn;
+    keeps them for the last pattern drawn, at its largest count, a plain
+    draw (take == stride) being pattern (1, 1), with offsets range(count);
     a smaller count takes their low lanes.  Times a mix constant, a lane's
     value stays below 2^128, so no carry crosses into the next lane; each
     product, and each xor with a right shift, which moves the next lane's
@@ -230,18 +217,19 @@ def splitmix64_words(
     halves, read through array('Q') from int.to_bytes in little-endian byte
     order (byteswapped on a big-endian host).
     """
-    global _lanes, _strided_lanes
-    if take == stride:
-        size, steps, ones, mask = _lanes
-        if count > size:
-            _lanes = size, steps, ones, mask = count, *_lane_ints(count, range(count))
-    else:
-        pattern, size, steps, ones, mask = _strided_lanes
-        if pattern != (take, stride) or count > size:
-            skip = stride - take
-            offsets = (j + j // take * skip for j in range(count))
-            size, steps, ones, mask = count, *_lane_ints(count, offsets)
-            _strided_lanes = (take, stride), size, steps, ones, mask
+    global _lanes
+    skip = stride - take
+    key = (take, stride) if skip else (1, 1)
+    pattern, size, steps, ones, mask = _lanes
+    if pattern != key or count > size:
+        lanes = array("Q", bytes(16 * count))
+        offsets = (j + j // take * skip for j in range(count)) if skip else range(count)
+        lanes[::2] = array("Q", offsets)
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        size, ones = count, int.from_bytes(_LANE_ONE * count, "little")
+        steps, mask = int.from_bytes(lanes.tobytes(), "little") * _GOLDEN, ones * MASK64
+        _lanes = key, size, steps, ones, mask
     if count < size:
         low = (1 << 128 * count) - 1
         steps, ones, mask = steps & low, ones & low, mask & low
@@ -564,12 +552,11 @@ def _audit_sample(p: SolutionParams, x, et: float, sigmas: list) -> None:
     # sigma_j(N) / D^j = tops[j-1] / bases[j-1]: sigma_1(N) / D, then
     # num^(j-2) Q_j / (D^2 den^(j-2)) for alpha / D = num / den in lowest terms
     lifts, bases = [1, 1], [scale, scale * scale]
-    if k > 2:
-        common = math.gcd(alpha, scale)
-        num, den = alpha // common, scale // common
-        for _ in range(k - 2):
-            lifts.append(lifts[-1] * num)
-            bases.append(bases[-1] * den)
+    common = math.gcd(alpha, scale)
+    num, den = alpha // common, scale // common
+    for _ in range(k - 2):
+        lifts.append(lifts[-1] * num)
+        bases.append(bases[-1] * den)
     tops = list(map(mul, exact, lifts))
     if tops[-1] != bases[-1]:
         off = (tops[-1] - bases[-1]) / bases[-1]

@@ -72,7 +72,7 @@ class TestGenerator:
         from sigmak import verify
 
         splitmix64_words(7, 0, 12300)
-        assert verify._lanes[0] >= 12300
+        assert verify._lanes[0] == (1, 1) and verify._lanes[1] >= 12300
         counts = (0, 1, 2, 3, 100, 123, 300, 4999, 12299, 12300)
         for order in (counts, counts[::-1]):
             for count in order:
@@ -83,11 +83,11 @@ class TestGenerator:
     def test_one_cache_entry_for_the_largest_count(self, monkeypatch):
         from sigmak import verify
 
-        monkeypatch.setattr(verify, "_lanes", (0, 0, 0, 0))
+        monkeypatch.setattr(verify, "_lanes", ((1, 1), 0, 0, 0, 0))
         for count, size in ((5, 5), (300, 300), (7, 300), (700, 700), (300, 700), (0, 700)):
             splitmix64_words(1, 0, count)
-            cached, steps, ones, mask = verify._lanes
-            assert cached == size, count
+            pattern, cached, steps, ones, mask = verify._lanes
+            assert pattern == (1, 1) and cached == size, count
             assert max(steps.bit_length(), ones.bit_length(), mask.bit_length()) <= 128 * size
             assert mask == ones * (2**64 - 1) and mask.bit_length() == 128 * size - 64
 
@@ -97,7 +97,7 @@ class TestGenerator:
         # with other patterns, also across the 2^64 wrap
         from sigmak import verify
 
-        monkeypatch.setattr(verify, "_strided_lanes", ((1, 1), 0, 0, 0, 0))
+        monkeypatch.setattr(verify, "_lanes", ((1, 1), 0, 0, 0, 0))
         cases = [(3, 5, c) for c in (0, 3, 300, 150, 600, 3)] + [(1, 2003, 100), (7, 9, 700)]
         for take, stride, count in cases + cases[::-1]:
             for seed, first in ((7, 0), (2**64 - 1, 2**64 - 1 - 5 * stride), (3, 2**70)):
@@ -115,11 +115,45 @@ class TestGenerator:
         # at m = 0 the scan draws through the plain lanes, not a strided entry
         from sigmak import verify
 
-        empty = ((1, 1), 0, 0, 0, 0)
-        monkeypatch.setattr(verify, "_strided_lanes", empty)
-        got = splitmix64_words(5, 300, 300, take=3, stride=3)
-        assert got == splitmix64_words(5, 300, 300)
-        assert verify._strided_lanes == empty
+        monkeypatch.setattr(verify, "_lanes", ((1, 1), 0, 0, 0, 0))
+        plain = splitmix64_words(5, 300, 300)
+        entry = verify._lanes
+        assert entry[:2] == ((1, 1), 300)
+        assert splitmix64_words(5, 300, 300, take=3, stride=3) == plain
+        assert verify._lanes is entry
+
+    def test_big_endian_host(self, monkeypatch):
+        # on a big-endian host array('Q') reads and writes its words
+        # big-endian; the byteswap after the lanes are built and the one
+        # after they are mixed put plain and strided draws back in order
+        from array import array
+
+        from sigmak import verify
+
+        class BigEndianArray(array):
+            def __new__(cls, typecode, data=()):
+                words = super().__new__(cls, typecode, data)
+                if isinstance(data, bytes):
+                    words.byteswap()
+                return words
+
+            def tobytes(self):
+                swapped = array(self.typecode, self)
+                swapped.byteswap()
+                return swapped.tobytes()
+
+        monkeypatch.setattr(verify, "sys", types.SimpleNamespace(byteorder="big"))
+        monkeypatch.setattr(verify, "array", BigEndianArray)
+        monkeypatch.setattr(verify, "_lanes", ((1, 1), 0, 0, 0, 0))
+        for take, stride in ((1, 1), (1, 3), (1, 1)):
+            for count in (0, 1, 300, 700):
+                for seed, first in ((7, 0), (2**64 - 1, 2**64 - 1 - count), (3, 2**70)):
+                    expected = [
+                        reference_word(seed, first + j + j // take * (stride - take))
+                        for j in range(count)
+                    ]
+                    got = splitmix64_words(seed, first, count, take=take, stride=stride)
+                    assert got == expected, (take, stride, count, seed, first)
 
     def test_stream_frozen_words(self):
         # stream words another implementation must reproduce exactly
@@ -1511,6 +1545,50 @@ class TestSampleBlocks:
         calls = TestSpectrumAudit.count_calls(monkeypatch, "splitmix64_words")
         verify._scan_range(P3, BOX, 0, 1000)
         assert [args[1:] for args, _ in calls] == [(300 * b, 300) for b in range(10)]
+
+    def test_scan_and_sample_point_share_the_lanes(self, monkeypatch):
+        # at m = 0 a block and sample_point draw plain words through one lane
+        # entry, built once; at m = 2 the scan's strided pattern and
+        # sample_point's plain one replace each other, and every draw still
+        # gives the reference words, every scan the same report
+        from sigmak import verify
+
+        empty = ((1, 1), 0, 0, 0, 0)
+        p7 = SolutionParams(7)
+        monkeypatch.setattr(verify, "_lanes", empty)
+        verify._scan_range(p7, BOX, 0, 100)
+        entry = verify._lanes
+        assert entry[:2] == ((1, 1), 700)
+        for i in (0, 57, 99, 100):
+            sample_point(p7, BOX, i)
+        assert verify._lanes is entry
+
+        p, words, drawn = SolutionParams(5, 2), verify.splitmix64_words, []
+
+        def recorded(*args, **kwargs):
+            out = words(*args, **kwargs)
+            drawn.append((args, kwargs, out))
+            return out
+
+        monkeypatch.setattr(verify, "_lanes", empty)
+        monkeypatch.setattr(verify, "splitmix64_words", recorded)
+        reports = [verify._scan_range(p, BOX, 0, 300)]
+        assert verify._lanes[:2] == ((5, 7), 500)
+        pt = sample_point(p, BOX, 123)
+        assert verify._lanes[:2] == ((1, 1), 7)
+        reports.append(verify._scan_range(p, BOX, 0, 300))
+        assert verify._lanes[:2] == ((5, 7), 500)
+        assert reports[0] == reports[1]
+        u = [(reference_word(42, 123 * 7 + c) >> 11) * 2.0**-53 for c in range(7)]
+        xs = [-3.0 + 6.0 * v for v in u]
+        assert pt == Point(tuple(xs[:4]), -2.0 + 4.0 * u[4], tuple(xs[5:]))
+        assert len(drawn) == 7
+        for (seed, first, count), kwargs, out in drawn:
+            take, stride = kwargs.get("take", 1), kwargs.get("stride", 1)
+            assert out == [
+                reference_word(seed, first + j + j // take * (stride - take))
+                for j in range(count)
+            ]
 
     def test_dummy_coordinates_draw_no_words(self, monkeypatch):
         # at m = 2000 a range draws the n words of each sample's x block and
