@@ -12,10 +12,9 @@ is closed before the report is written, e.g. by ``| head``; nothing is
 printed then.
 
 Each call builds its parser anew, from one table, _COMMANDS: every
-subcommand gets its subparser, but only the command that the call's
-arguments name, the first of them equal to a command name, gets its own
-arguments and its -h, and the terminal width is read once for all the
-parser's help formatters (see _build_parser).
+subcommand gets its help line, but only the command that the call's
+arguments name gets a parser of its own, and the terminal width is read
+once for all the help formatters (see _build_parser).
 """
 
 from __future__ import annotations
@@ -215,7 +214,7 @@ _NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that reads every _NEGATIVE_VALUE token as a value;
-    add_subparsers builds the subcommands' parsers from the same class."""
+    _build_parser builds the named subcommand's parser from it too."""
 
     def _parse_optional(self, arg_string):
         if _NEGATIVE_VALUE.match(arg_string):
@@ -375,16 +374,16 @@ _COMMANDS = {
 def _build_parser(argv) -> argparse.ArgumentParser:
     """The parser for one call with arguments argv.
 
-    Every subcommand gets its subparser, so the choices, `sigmak -h` and
-    every message read as with all arguments present; only the command that
-    argv names gets its arguments and its -h.  That command is the first
-    token of argv equal to a command name: the top-level parser's only
-    positional is the command, and it has no option that takes a value, so
-    argparse dispatches on that token.  A parse of argv that names no
-    command never reads a subparser's arguments or its help.  The terminal
-    width is read once: every parser's help formatter gets the width that
-    argparse.HelpFormatter would otherwise probe for itself, the terminal's
-    columns less 2, so every wrapped line reads the same.
+    Every subcommand gets its choice and help line, so `sigmak -h` and
+    every message read as with all parsers present, but only the command
+    that argv names gets a parser of its own: add_parser hands parser_class
+    the keywords it does not use, and build=False returns the top-level
+    parser, so every map entry is a real parser that argparse may use (to
+    check a help line, say) but never dispatches to.  That command is the
+    first token of argv equal to a command name: the top-level parser has
+    no other positional and no option that takes a value, so argparse
+    dispatches on that token.  Every help formatter gets the width that
+    HelpFormatter would probe for, the terminal's columns less 2, read once.
     """
     formatter = functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
@@ -395,12 +394,13 @@ def _build_parser(argv) -> argparse.ArgumentParser:
         "sigma_k(D^2 u) = 1 for 2k = n + 1.",
         formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=lambda build, **kwargs: _Parser(**kwargs) if build else parser,
+    )
     named = next((tok for tok in argv if tok in _COMMANDS), None)
     for name, (help_line, add_arguments, _) in _COMMANDS.items():
-        sp = sub.add_parser(
-            name, help=help_line, formatter_class=formatter, add_help=name == named
-        )
+        sp = sub.add_parser(name, help=help_line, formatter_class=formatter, build=name == named)
         if name == named:
             add_arguments(sp)
             sp.add_argument("--output", choices=("json", "text"), default="json",

@@ -938,9 +938,10 @@ def subparsers(parser):
 
 
 def full_parser():
-    """A parser in which every command of cli._COMMANDS has its arguments:
-    the bare parser of an argv that names no command, with each subparser
-    replaced by the one that a call naming that command builds."""
+    """The reference: a parser with a real parser, and its arguments, for
+    every command of cli._COMMANDS.  It is the parser of an argv that names
+    no command, whose map entries all hold that top-level parser, with each
+    entry replaced by the parser that a call naming that command builds."""
     parser = cli._build_parser([])
     choices = subparsers(parser)
     for name in cli._COMMANDS:
@@ -959,15 +960,19 @@ def parse_outcome(capsys, parser, argv):
 
 
 class TestParserBuild:
-    """A call gives only the command its argv names its arguments and its -h;
-    every other subparser is bare, and every outcome is as with all of them
-    present.  The terminal is probed once per call."""
+    """A call builds a parser, with its arguments and its -h, only for the
+    command its argv names; every other command keeps its choice and help
+    line, with the top-level parser in its map entry, and every outcome is
+    as with all parsers present.  The terminal is probed once per call."""
 
     CORPUS = (
         [
             [],
             ["-h"],
             ["frobnicate"],
+            # a command is named but never dispatched to
+            ["frobnicate", "verify", "-n", "3"],
+            ["-h", "frobnicate"],
             ["verif"],
             ["--foo", "verify", "-n", "3"],
             ["--", "verify", "-n", "3"],
@@ -1004,9 +1009,70 @@ class TestParserBuild:
 
     @pytest.mark.parametrize("argv", [["-h"], *([name, "-n", "3"] for name in cli._COMMANDS)])
     def test_only_the_named_command_has_arguments(self, argv):
-        for name, sp in subparsers(cli._build_parser(argv)).items():
-            bare = sp.format_usage() == f"usage: sigmak {name}\n"
-            assert bare == (name != argv[0]), name
+        parser = cli._build_parser(argv)
+        choices = subparsers(parser)
+        assert list(choices) == list(cli._COMMANDS)
+        for name, sp in choices.items():
+            if name == argv[0]:
+                assert isinstance(sp, cli._Parser) and sp is not parser
+                usage = sp.format_usage()
+                assert usage.startswith(f"usage: sigmak {name} [-h]"), usage
+                assert "[--output {json,text}]" in usage
+            else:
+                assert sp is parser, name
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["verify", "-n", "3"]], ids=lambda a: " ".join(a) or "(none)"
+    )
+    def test_add_parser_may_use_the_parser_it_gets(self, monkeypatch, argv):
+        # argparse may use what parser_class returns, e.g. to check a help
+        # line: every entry, named or not, formats its command's help line
+        # and its own help
+        add_parser = argparse._SubParsersAction.add_parser
+        seen = []
+
+        def checked(self, name, **kwargs):
+            sp = add_parser(self, name, **kwargs)
+            formatter = sp._get_formatter()
+            seen.append((name, formatter._expand_help(self._choices_actions[-1])))
+            assert sp.format_help().startswith("usage: sigmak")
+            return sp
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", checked)
+        cli._build_parser(argv)
+        assert seen == [(name, help_line) for name, (help_line, _, _) in cli._COMMANDS.items()]
+
+    @pytest.mark.parametrize(
+        "argv, parsers, lookups",
+        [
+            (["verify", "-n", "3", "--samples", "5"], 2, 6),
+            (["verify-exact", "-n", "3"], 2, 6),
+            (["verify", "-h"], 2, None),
+            (["construct", "-n"], 2, None),
+            ([], 1, None),
+            (["-h"], 1, None),
+            (["frobnicate"], 1, None),
+        ],
+        ids=lambda a: (" ".join(a) or "(none)") if isinstance(a, list) else str(a),
+    )
+    def test_parsers_and_gettext_lookups_per_call(self, capsys, monkeypatch, argv, parsers,
+                                                  lookups):
+        # the top-level parser and the named command's, each with its three
+        # lookups (its two group titles and its -h help): the commands that
+        # the call never dispatches to build none; help and error messages
+        # add lookups of their own, which vary with the Python version
+        inits, texts = [], []
+        init, gettext = argparse.ArgumentParser.__init__, argparse._
+
+        def counted(self, *args, **kwargs):
+            inits.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        monkeypatch.setattr(argparse, "_", lambda text: texts.append(text) or gettext(text))
+        run(argv)
+        assert inits == [cli._Parser] * parsers
+        assert lookups is None or len(texts) == lookups, texts
 
     def test_a_verify_run_builds_11_help_formatters(self, capsys, monkeypatch):
         # one for each add_argument, which checks the argument's format, and
